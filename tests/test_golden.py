@@ -1,0 +1,58 @@
+"""Byte-level pins of the study outputs.
+
+Given a config and seed the report bytes are fixed; a refactor must leave
+these digests alone.  A deliberate change to the output bytes updates the
+digests here and names the change in CHANGES.md.
+"""
+
+import hashlib
+import os
+
+from conftest import tiny_config
+from prostasim.config import default_config
+from prostasim.study import run_study, write_report
+
+DEFAULT_STUDY = {
+    "records_closed.csv": "ffa177b43d89a9c87b8c042a30fee101b0fd249908ec023c6b080f64c00e2088",
+    "records_open.csv": "727b21b332f59fc960145461b5f5c1529b8c3d4a470ade4d425d90f6ec77814c",
+    "summary.json": "c35f0a9143ee35ddaaaef93c2ef4ba1937410aeb56caa53ce7cd51585419468d",
+}
+
+TINY_OPEN_LOOP = {
+    "records_open.csv": "946eaf7a816b7fd5c9dbb0ac85e765b7f9c167b5d7b7c6ade1f7687301375cf8",
+    "summary.json": "1d173030d8cfdbfd55c8c1e4f813747287ec09376a6ff30d14a59eff6f0bba72",
+}
+
+TINY_ANGLED = {
+    "records_closed.csv": "4f9c85d2d6a20768738431932dcf98970931de5ff1216f8132285eec90146e20",
+    "records_open.csv": "58cd6a2335ac11ea802f7325e48cc39f446a9c8d9699eacd4473cd82887b14b1",
+    "summary.json": "e17405d2bcdc4da6a4c17ec6b5b4009fe2fa19860de2caf705bb099717a1d6b7",
+}
+
+
+def _digests(report, out_dir):
+    paths = write_report(report, str(out_dir))
+    return {
+        os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths
+    }
+
+
+def test_default_study_bytes(tmp_path):
+    assert _digests(run_study(default_config()), tmp_path) == DEFAULT_STUDY
+
+
+def test_open_loop_variant_bytes(tmp_path):
+    assert _digests(run_study(tiny_config(mode="open_loop")), tmp_path) == TINY_OPEN_LOOP
+
+
+def test_left_bias_angled_variant_bytes(tmp_path):
+    # wider arch capsules block the direct path to some targets, so the
+    # planner's angled grid search and clearance kernel are in the pin
+    cfg = tiny_config()
+    cfg.phantom.left_bias_enabled = True
+    for cap in cfg.arch.capsules:
+        cap["radius"] = 11.0
+    cfg.robot.max_angulation = 22.0
+    report = run_study(cfg)
+    assert any(r.approach == "Angled" for r in report.rows_closed)
+    assert _digests(report, tmp_path) == TINY_ANGLED
