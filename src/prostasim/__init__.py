@@ -4,6 +4,10 @@ correction."""
 
 __version__ = "0.1.0"
 
-from ._kernels import active_backend, set_backend
 
-__all__ = ["__version__", "active_backend", "set_backend"]
+# the single numpy kernel; perfbench records this name with each run
+def active_backend() -> str:
+    return "numpy"
+
+
+__all__ = ["__version__", "active_backend"]

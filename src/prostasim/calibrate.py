@@ -44,7 +44,8 @@ class CalibrationResult:
 def _grid(center: float, span: float, points: int):
     if points <= 1:
         return [center]
-    return list(np.linspace(center - span, center + span, points))
+    # plain floats: the fitted values end up in YAML, which rejects numpy scalars
+    return [float(v) for v in np.linspace(center - span, center + span, points)]
 
 
 def study_medians(cfg: StudyConfig) -> tuple[dict, dict]:

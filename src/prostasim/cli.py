@@ -49,9 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", metavar="DIR", help="output directory override")
         p.add_argument("--format", choices=FORMATS, help="summary format override")
-        p.add_argument(
-            "--jobs", type=int, metavar="N", help="worker threads (0 = auto)"
-        )
 
     sim = sub.add_parser("simulate", help="run the study and write records + summary")
     common(sim)
@@ -89,8 +86,6 @@ def _resolve_config(args: argparse.Namespace) -> StudyConfig:
         cfg.output.dir = args.out
     if args.format:
         cfg.output.format = args.format
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
     cfg.validate()
     return cfg
 

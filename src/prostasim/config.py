@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from . import geometry
+from . import geometry, rng
 from .controller import ConvergenceParams
 from .kinematics import RobotGeometry
 from .phantom import MotionParams
@@ -80,7 +80,6 @@ class StudyConfig:
     targets_per_phantom: int = 10
     n_seed_replicates: int = 20
     mode: str = "both"
-    jobs: int = 0
     zone_quotas: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_ZONE_QUOTAS))
     phantom: PhantomConfig = field(default_factory=PhantomConfig)
     motion: MotionParams = field(default_factory=MotionParams)
@@ -93,13 +92,13 @@ class StudyConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def validate(self):
-        _check(self.seed >= 0, "seed", "must be >= 0")
-        _check(self.n_phantoms >= 1, "n_phantoms", "must be >= 1")
-        _check(self.targets_per_phantom >= 1, "targets_per_phantom", "must be >= 1")
+        # every phantom and replicate index must fit its random-stream key field
+        max_index = 1 << rng._FIELD_BITS
+        _check(0 <= self.seed < 2**64, "seed", "must be in [0, 2**64)")
+        for key in ("n_phantoms", "n_seed_replicates"):
+            _check(1 <= getattr(self, key) <= max_index, key, f"must be in [1, {max_index}]")
         _check(1 <= self.targets_per_phantom <= 64, "targets_per_phantom", "must be in [1, 64]")
-        _check(self.n_seed_replicates >= 1, "n_seed_replicates", "must be >= 1")
         _check(self.mode in MODES, "mode", f"must be one of {MODES}")
-        _check(self.jobs >= 0, "jobs", "must be >= 0 (0 = auto)")
         total = self.n_phantoms * self.targets_per_phantom
         for key in DEFAULT_ZONE_QUOTAS:
             _check(key in self.zone_quotas, f"zone_quotas.{key}", "missing")
@@ -156,7 +155,6 @@ def to_dict(cfg: StudyConfig) -> dict:
         "targets_per_phantom": cfg.targets_per_phantom,
         "n_seed_replicates": cfg.n_seed_replicates,
         "mode": cfg.mode,
-        "jobs": cfg.jobs,
         "zone_quotas": {k: int(cfg.zone_quotas[k]) for k in DEFAULT_ZONE_QUOTAS},
         "phantom": {
             "gland_semiaxes": [float(v) for v in cfg.phantom.gland_semiaxes],
@@ -230,11 +228,11 @@ def from_dict(data: dict) -> StudyConfig:
     cfg = default_config()
     _take(data, "", (
         "seed", "n_phantoms", "targets_per_phantom", "n_seed_replicates", "mode",
-        "jobs", "zone_quotas", "phantom", "motion", "noise", "robot", "arch",
+        "zone_quotas", "phantom", "motion", "noise", "robot", "arch",
         "convergence", "needle_radius", "entry_region", "output",
     ))
     try:
-        for key in ("seed", "n_phantoms", "targets_per_phantom", "n_seed_replicates", "jobs"):
+        for key in ("seed", "n_phantoms", "targets_per_phantom", "n_seed_replicates"):
             if key in data:
                 setattr(cfg, key, int(data[key]))
         if "mode" in data:

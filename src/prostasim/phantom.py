@@ -352,51 +352,5 @@ def world_to_material(phantom: ProstatePhantom, t: geometry.RigidTransform, p_wo
     return geometry.apply(geometry.inverse(t), p_world)
 
 
-def phantom_to_dict(phantom: ProstatePhantom) -> dict:
-    """Plain-data form of a phantom (YAML/JSON friendly)."""
-    return {
-        "gland_semiaxes": [float(v) for v in phantom.gland_semiaxes],
-        "centroid_rest": [float(v) for v in phantom.centroid_rest],
-        "pivot": [float(v) for v in phantom.pivot],
-        "left_bias": float(phantom.left_bias),
-        "motion": {
-            "axial_gain": phantom.motion.axial_gain,
-            "axial_base_offset": phantom.motion.axial_base_offset,
-            "rotation_gain": phantom.motion.rotation_gain,
-            "noise_sd_motion": phantom.motion.noise_sd_motion,
-            "rng_seed": phantom.motion.rng_seed,
-        },
-        "targets": [
-            {
-                "id": t.id,
-                "position_rest": [float(v) for v in t.position_rest],
-                "zone": [t.zone.depth_zone, t.zone.lateral_zone, t.zone.ap_zone],
-            }
-            for t in phantom.targets
-        ],
-        "fiducials": [
-            {"id": fid, "position": [float(v) for v in pt]} for fid, pt in phantom.fiducials
-        ],
-    }
-
-
-def phantom_from_dict(data: dict) -> ProstatePhantom:
-    motion = MotionParams(**data["motion"])
-    targets = [
-        Target(t["id"], np.array(t["position_rest"]), ZoneLabels(*t["zone"]))
-        for t in data["targets"]
-    ]
-    fiducials = [(f["id"], np.array(f["position"], dtype=np.float64)) for f in data["fiducials"]]
-    return ProstatePhantom(
-        gland_semiaxes=tuple(data["gland_semiaxes"]),
-        centroid_rest=np.array(data["centroid_rest"]),
-        targets=targets,
-        pivot=np.array(data["pivot"]),
-        motion=motion,
-        left_bias=float(data["left_bias"]),
-        fiducials=fiducials,
-    )
-
-
 def with_approach(zone: ZoneLabels, approach: str) -> ZoneLabels:
     return replace(zone, approach=approach)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, kinematics
-from ._kernels import clearance_grid, seg_seg_dist
 
 # 18-gauge needle
 DEFAULT_NEEDLE_RADIUS = 0.635
@@ -92,7 +91,7 @@ def collision_check(
     best = math.inf
     best_idx = None
     for idx, (seg, radius) in enumerate(arch.arch_segments):
-        c = seg_seg_dist(p0, p1, seg.a, seg.b) - radius - needle_radius
+        c = geometry.segment_segment_distance(p0, p1, seg.a, seg.b) - radius - needle_radius
         if c < best:
             best = c
             best_idx = idx
@@ -116,9 +115,62 @@ def first_blocked_depth(
     for depth in depths:
         tip = entry + depth * d
         for seg, radius in arch.arch_segments:
-            if seg_seg_dist(tip, tip, seg.a, seg.b) - radius - needle_radius < 0:
+            if geometry.segment_segment_distance(tip, tip, seg.a, seg.b) - radius - needle_radius < 0:
                 return float(depth)
     return None
+
+
+def clearance_grid(entries, entry_z, target, overshoot, cap_a, cap_b, cap_r, needle_r):
+    """Min clearance of each candidate needle shaft against all capsules.
+
+    entries: (n, 2) candidate entry x/y on the entry plane at z=entry_z.
+    target: (3,) point every candidate passes through; the shaft runs from
+    the entry to ``overshoot`` mm past the target.
+    cap_a/cap_b: (m, 3) capsule axis endpoints, cap_r: (m,) radii.
+    Returns (n,) of min_j(segdist - cap_r[j]) - needle_r.  The segment
+    distance is the clamped closest-point algorithm of
+    :func:`geometry.segment_segment_distance`, broadcast over all n x m
+    pairs at once, without its branches for zero-length segments (a
+    capsule axis must have nonzero length); summation order differs, so
+    the two may disagree in the last ulp.
+    """
+    entries = np.asarray(entries, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    cap_a = np.asarray(cap_a, dtype=np.float64)
+    cap_b = np.asarray(cap_b, dtype=np.float64)
+    cap_r = np.asarray(cap_r, dtype=np.float64)
+    n = entries.shape[0]
+    p0 = np.empty((n, 3), dtype=np.float64)
+    p0[:, 0] = entries[:, 0]
+    p0[:, 1] = entries[:, 1]
+    p0[:, 2] = float(entry_z)
+    d = target[None, :] - p0
+    norm = np.sqrt(np.sum(d * d, axis=1))
+    p1 = p0 + d * ((norm + float(overshoot)) / norm)[:, None]
+
+    # pairwise quantities, shape (n, m)
+    d1 = (p1 - p0)[:, None, :]
+    d2 = (cap_b - cap_a)[None, :, :]
+    r = p0[:, None, :] - cap_a[None, :, :]
+    a = np.sum(d1 * d1, axis=2)
+    e = np.sum(d2 * d2, axis=2)
+    b = np.sum(d1 * d2, axis=2)
+    c = np.sum(d1 * r, axis=2)
+    f = np.sum(d2 * r, axis=2)
+
+    denom = a * e - b * b
+    safe = denom > 1e-30
+    s = np.where(safe, np.clip((b * f - c * e) / np.where(safe, denom, 1.0), 0.0, 1.0), 0.0)
+    t = (b * s + f) / e
+    low = t < 0.0
+    high = t > 1.0
+    s = np.where(low, np.clip(-c / a, 0.0, 1.0), s)
+    s = np.where(high, np.clip((b - c) / a, 0.0, 1.0), s)
+    t = np.clip(t, 0.0, 1.0)
+
+    diff = (p0[:, None, :] + s[..., None] * d1) - (cap_a[None, :, :] + t[..., None] * d2)
+    dist = np.sqrt(np.sum(diff * diff, axis=2)) - cap_r[None, :]
+    return np.min(dist, axis=1) - float(needle_r)
 
 
 def candidate_entries(target, entry_region: EntryRegion, geom: kinematics.RobotGeometry):

@@ -1,10 +1,10 @@
 """Counter-based random streams keyed by structural indices.
 
 Every stochastic draw in a study comes from a Philox generator whose key
-encodes (master seed, purpose, phantom, target, replicate).  Streams are
-therefore independent of execution order, which is what makes threaded and
-serial runs bit-identical, and paired closed/open-loop runs see identical
-noise by construction (the loop mode is deliberately not part of the key).
+encodes (master seed, purpose, phantom, target, replicate).  Outputs
+therefore do not depend on execution order, and paired closed/open-loop
+runs see identical noise by construction (the loop mode is deliberately
+not part of the key).
 
 Recreating a stream yields the same draw sequence, so callers that need a
 "frozen" sample (e.g. the per-insertion motion noise) simply rebuild the

@@ -2,8 +2,8 @@
 
 A study is the cross product (phantom, target, replicate).  Every
 insertion draws from counter-based streams keyed by those indices, so
-threaded and serial execution produce bit-identical outputs, and the
-closed/open pair of an insertion shares its streams.
+outputs do not depend on execution order, and the closed/open pair of an
+insertion shares its streams.
 
 Outputs: one raw CSV per mode (fixed column order) and a structured
 summary (JSON by default) holding the stratified tables.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,46 +169,30 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     do_closed = cfg.mode in ("closed_loop", "both")
     do_open = cfg.mode in ("open_loop", "both")
 
-    tasks = [
-        (p, t, r)
-        for p in range(cfg.n_phantoms)
-        for t in range(cfg.targets_per_phantom)
-        for r in range(cfg.n_seed_replicates)
-    ]
+    rows_closed: list[RecordRow] = []
+    rows_open: list[RecordRow] = []
+    for p in range(cfg.n_phantoms):
+        for t in range(cfg.targets_per_phantom):
+            for r in range(cfg.n_seed_replicates):
+                streams = InsertionStreams(
+                    cfg.seed, p, t, r,
+                    motion_salt=cfg.motion.rng_seed,
+                    noise_salt=cfg.noise.rng_seed,
+                    needle_count=t,
+                )
+                if do_closed:
+                    rec = run_insertion(
+                        phantoms[p], cfg.robot, arch, cfg.noise, cfg.convergence, t, streams,
+                        entry_region=cfg.entry_region, needle_radius=cfg.needle_radius,
+                    )
+                    rows_closed.append(_row_from_record(rec, p, r))
+                if do_open:
+                    rec = open_loop_insertion(
+                        phantoms[p], cfg.robot, arch, cfg.noise, cfg.convergence, t, streams,
+                        entry_region=cfg.entry_region, needle_radius=cfg.needle_radius,
+                    )
+                    rows_open.append(_row_from_record(rec, p, r))
 
-    def run_task(task):
-        p, t, r = task
-        phantom = phantoms[p]
-        streams = InsertionStreams(
-            cfg.seed, p, t, r,
-            motion_salt=cfg.motion.rng_seed,
-            noise_salt=cfg.noise.rng_seed,
-            needle_count=t,
-        )
-        closed = open_ = None
-        if do_closed:
-            rec = run_insertion(
-                phantom, cfg.robot, arch, cfg.noise, cfg.convergence, t, streams,
-                entry_region=cfg.entry_region, needle_radius=cfg.needle_radius,
-            )
-            closed = _row_from_record(rec, p, r)
-        if do_open:
-            rec = open_loop_insertion(
-                phantom, cfg.robot, arch, cfg.noise, cfg.convergence, t, streams,
-                entry_region=cfg.entry_region, needle_radius=cfg.needle_radius,
-            )
-            open_ = _row_from_record(rec, p, r)
-        return closed, open_
-
-    jobs = cfg.jobs if cfg.jobs > 0 else min(4, os.cpu_count() or 1)
-    if jobs == 1:
-        results = [run_task(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_task, tasks, chunksize=16))
-
-    rows_closed = [c for c, _ in results if c is not None]
-    rows_open = [o for _, o in results if o is not None]
     summary = summarize(cfg, rows_closed, rows_open)
     return StudyReport(summary, rows_closed, rows_open)
 
@@ -322,8 +305,7 @@ def summarize(cfg: StudyConfig, rows_closed: list[RecordRow], rows_open: list[Re
     from .config import to_dict as config_to_dict
 
     echo = config_to_dict(cfg)
-    # execution details do not affect results and must not affect bytes
-    echo.pop("jobs", None)
+    # where the report goes does not affect results and must not affect bytes
     echo.pop("output", None)
 
     primary = rows_closed if rows_closed else rows_open
@@ -474,8 +456,8 @@ def write_summary(summary: dict, out_dir: str, fmt: str = "json") -> str:
 def write_report(report: StudyReport, out_dir: str, fmt: str = "json") -> list[str]:
     """Write raw per-mode CSVs plus the summary; returns written paths.
 
-    Output bytes depend only on (config, seed, version), never on thread
-    scheduling or dict ordering.
+    Output bytes depend only on (config, seed, version), never on
+    execution order or dict ordering.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []

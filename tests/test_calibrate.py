@@ -54,6 +54,20 @@ def test_single_point_grid_returns_base_params():
     assert fitted.motion.axial_gain == result.params["axial_gain"]
 
 
+def test_two_point_grid_writes_loadable_yaml():
+    base = tiny_config(mode="closed_loop", replicates=1)
+    base.n_phantoms = 1
+    base.zone_quotas = {
+        "apex": 2, "base": 2, "left": 1, "center": 2, "right": 1, "anterior": 2, "posterior": 2,
+    }
+    result = cal.calibrate(base, replicates=1, grid_points=2)
+    assert all(type(v) is float for v in result.params.values())
+    fitted = from_dict(yaml.safe_load(cal.fitted_config_yaml(base, result, 1, 2)))
+    fitted.validate()
+    assert fitted.noise.sigma0 == result.params["sigma0"]
+    assert fitted.motion.rotation_gain == result.params["rotation_gain"]
+
+
 def test_grid_is_centered_and_sized():
     assert cal._grid(1.0, 0.5, 1) == [1.0]
     g = cal._grid(1.0, 0.5, 3)

@@ -52,9 +52,7 @@ def test_emit_default_config_is_loadable(capsys):
 def test_simulate_writes_expected_files(tmp_path, capsys):
     cfg_path = tiny_config_file(tmp_path)
     out_dir = tmp_path / "run"
-    code, out, _ = run_cli(
-        capsys, "simulate", "--config", cfg_path, "--out", str(out_dir), "--jobs", "1"
-    )
+    code, out, _ = run_cli(capsys, "simulate", "--config", cfg_path, "--out", str(out_dir))
     assert code == 0
     for name in ("records_closed.csv", "records_open.csv", "summary.json"):
         assert (out_dir / name).exists()

@@ -1,6 +1,7 @@
 import pytest
 import yaml
 
+from prostasim import rng
 from prostasim.config import (
     ConfigError,
     StudyConfig,
@@ -69,7 +70,9 @@ def test_validation_paths():
     cases = [
         (dict(seed=-1), "seed"),
         (dict(mode="sideways"), "mode"),
-        (dict(jobs=-2), "jobs"),
+        (dict(seed=2**64), "seed"),
+        (dict(n_phantoms=(1 << rng._FIELD_BITS) + 1), "n_phantoms"),
+        (dict(n_seed_replicates=(1 << rng._FIELD_BITS) + 1), "n_seed_replicates"),
         (dict(needle_radius=0.0), "needle_radius"),
         ({"output": {"format": "xml"}}, "output.format"),
         ({"phantom": {"target_margin": 1.5}}, "phantom.target_margin"),
@@ -82,6 +85,8 @@ def test_validation_paths():
         with pytest.raises(ConfigError) as exc:
             cfg.validate()
         assert str(exc.value).startswith(path), (data, str(exc.value))
+    # the largest values that still fit the random-stream keys are valid
+    from_dict(dict(seed=2**64 - 1, n_seed_replicates=1 << rng._FIELD_BITS)).validate()
 
 
 def test_malformed_values_rejected():

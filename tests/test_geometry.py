@@ -6,7 +6,6 @@ from prostasim import geometry
 from prostasim.geometry import (
     DegenerateConfiguration,
     RigidTransform,
-    Segment,
     apply,
     axis_decompose,
     compose,
@@ -17,7 +16,6 @@ from prostasim.geometry import (
     register_points,
     rotation_about_axis,
     rotation_angle_deg,
-    segment_capsule_distance,
     segment_segment_distance,
     translation,
 )
@@ -144,16 +142,6 @@ def test_segment_distance_known_cases():
     # degenerate point vs point
     d = segment_segment_distance([0, 0, 0], [0, 0, 0], [3, 4, 0], [3, 4, 0])
     assert d == pytest.approx(5.0)
-
-
-def test_segment_capsule_distance_clamps():
-    s = Segment([0, 0, 0], [10, 0, 0])
-    axis = Segment([5, 3, 0], [5, 3, 5])
-    assert segment_capsule_distance(s, axis, 1.0) == pytest.approx(2.0)
-    assert segment_capsule_distance(s, axis, 3.0) == 0.0
-    assert segment_capsule_distance(s, axis, 5.0) == 0.0
-    with pytest.raises(ValueError):
-        segment_capsule_distance(s, axis, -0.1)
 
 
 def test_register_recovers_exact_transform(rng):

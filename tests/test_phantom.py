@@ -13,7 +13,6 @@ from prostasim.phantom import (
     MotionParams,
     NeedleState,
     PhantomSpec,
-    ProstatePhantom,
     axial_drag,
     default_quotas,
     generate_phantom,
@@ -21,8 +20,6 @@ from prostasim.phantom import (
     largest_remainder,
     material_to_world,
     penetration,
-    phantom_from_dict,
-    phantom_to_dict,
     prostate_transform,
     world_to_material,
 )
@@ -226,20 +223,6 @@ def test_material_world_round_trip():
     rest = p.targets[0].position_rest
     world = material_to_world(p, t, rest)
     np.testing.assert_allclose(world_to_material(p, t, world), rest, atol=1e-9)
-
-
-def test_dict_round_trip():
-    p = make_phantom(motion=quiet_motion(axial_gain=0.2, noise_sd_motion=0.7))
-    q = phantom_from_dict(phantom_to_dict(p))
-    assert isinstance(q, ProstatePhantom)
-    assert q.gland_semiaxes == p.gland_semiaxes
-    assert q.motion == p.motion
-    np.testing.assert_array_equal(q.pivot, p.pivot)
-    for a, b in zip(p.targets, q.targets):
-        assert a.id == b.id
-        np.testing.assert_array_equal(a.position_rest, b.position_rest)
-        assert a.zone.depth_zone == b.zone.depth_zone
-    assert len(q.fiducials) == len(p.fiducials)
 
 
 def test_fiducials_on_shrunken_surface():

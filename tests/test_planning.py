@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import prostasim
-from prostasim import _kernels
-from prostasim.geometry import Segment
+from prostasim.geometry import Segment, segment_segment_distance
 from prostasim.kinematics import RobotGeometry, Trajectory
 from prostasim.planning import (
     DEPTH_MARGIN,
@@ -13,6 +11,7 @@ from prostasim.planning import (
     NoFeasiblePath,
     PubicArchModel,
     candidate_entries,
+    clearance_grid,
     collision_check,
     first_blocked_depth,
     replan_angled,
@@ -192,7 +191,7 @@ def _random_grid_case(rng, n=64, m=3):
 
 def test_clearance_grid_matches_scalar_path(rng, geom):
     entries, target, cap_a, cap_b, cap_r = _random_grid_case(rng)
-    got = _kernels.clearance_grid(entries, -60.0, target, DEPTH_MARGIN, cap_a, cap_b, cap_r, 0.635)
+    got = clearance_grid(entries, -60.0, target, DEPTH_MARGIN, cap_a, cap_b, cap_r, 0.635)
     # scalar reference, built from the single-pair distance
     for i, (ex, ey) in enumerate(entries):
         p0 = np.array([ex, ey, -60.0])
@@ -200,26 +199,7 @@ def test_clearance_grid_matches_scalar_path(rng, geom):
         norm = np.linalg.norm(d)
         p1 = p0 + d * (norm + DEPTH_MARGIN) / norm
         expect = min(
-            _kernels.seg_seg_dist(p0, p1, cap_a[j], cap_b[j]) - cap_r[j] for j in range(len(cap_r))
+            segment_segment_distance(p0, p1, cap_a[j], cap_b[j]) - cap_r[j]
+            for j in range(len(cap_r))
         ) - 0.635
         assert got[i] == pytest.approx(expect, abs=1e-9)
-
-
-def test_backends_agree(rng):
-    entries, target, cap_a, cap_b, cap_r = _random_grid_case(rng, n=200)
-    original = prostasim.active_backend()
-    try:
-        prostasim.set_backend("numpy")
-        a = _kernels.clearance_grid(entries, -60.0, target, 10.0, cap_a, cap_b, cap_r, 0.635)
-        if not _kernels._HAVE_NUMBA:
-            pytest.skip("numba not importable")
-        prostasim.set_backend("numba")
-        b = _kernels.clearance_grid(entries, -60.0, target, 10.0, cap_a, cap_b, cap_r, 0.635)
-    finally:
-        prostasim.set_backend(original)
-    np.testing.assert_allclose(a, b, atol=1e-9)
-
-
-def test_backend_selection_errors():
-    with pytest.raises(ValueError):
-        prostasim.set_backend("cuda")

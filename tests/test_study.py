@@ -117,18 +117,6 @@ def test_report_from_records_requires_files(tmp_path):
         report_from_records(tiny_config(), str(tmp_path))
 
 
-def test_serial_and_threaded_runs_identical():
-    cfg1 = tiny_config()
-    cfg1.jobs = 1
-    cfg3 = tiny_config()
-    cfg3.jobs = 3
-    a = run_study(cfg1)
-    b = run_study(cfg3)
-    assert rows_to_csv(a.rows_closed) == rows_to_csv(b.rows_closed)
-    assert rows_to_csv(a.rows_open) == rows_to_csv(b.rows_open)
-    assert json.dumps(a.summary, sort_keys=True) == json.dumps(b.summary, sort_keys=True)
-
-
 def test_closed_only_mode_has_no_pairing():
     cfg = tiny_config(mode="closed_loop")
     rep = run_study(cfg)
@@ -149,7 +137,6 @@ def test_open_only_mode_still_tabulates():
 
 def test_summary_echo_excludes_execution_details(tiny_report):
     echo = tiny_report.summary["header"]["config"]
-    assert "jobs" not in echo
     assert "output" not in echo
     assert echo["seed"] == tiny_config().seed
 
