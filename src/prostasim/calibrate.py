@@ -82,14 +82,20 @@ def _feasible(medians: dict, corrections: dict) -> bool:
     return medians["apex_depth_correction_mm"] < medians["base_depth_correction_mm"]
 
 
-def _apply_params(base: StudyConfig, params: dict) -> StudyConfig:
+def _with_params(base: StudyConfig, params: dict) -> StudyConfig:
+    """A copy of ``base`` with ``sigma0`` and the motion parameters set."""
     cfg = copy.deepcopy(base)
-    cfg.mode = "closed_loop"
     for key, value in params.items():
         if key == "sigma0":
             cfg.noise.sigma0 = value
         else:
             setattr(cfg.motion, key, value)
+    return cfg
+
+
+def _apply_params(base: StudyConfig, params: dict) -> StudyConfig:
+    cfg = _with_params(base, params)
+    cfg.mode = "closed_loop"
     return cfg
 
 
@@ -149,12 +155,7 @@ def calibrate(
 
 def fitted_config(base: StudyConfig, result: CalibrationResult, replicates: int, grid_points: int) -> tuple[StudyConfig, str]:
     """Config carrying the fitted parameters, plus its header text."""
-    cfg = copy.deepcopy(base)
-    for key, value in result.params.items():
-        if key == "sigma0":
-            cfg.noise.sigma0 = value
-        else:
-            setattr(cfg.motion, key, value)
+    cfg = _with_params(base, result.params)
     lines = [
         "prostasim fitted configuration",
         "calibration: grid search minimizing sum of squared relative",

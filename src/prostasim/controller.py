@@ -7,13 +7,17 @@ toward the tracked target until the proposed change drops below the
 depth resolution.  The bead is deposited at the final tip position and
 scored in the material (rest) frame, the analog of a post-procedure CT.
 
-The open-loop baseline runs the same plan and insertion but skips
-tracking and correction, which quantifies what the loop buys.
+The open-loop baseline is the same insertion with tracking switched off:
+one routine plans and inserts once, scores the bead where the first pass
+left it (the baseline), and the closed loop continues from that state,
+whose gland transform is its first verification.  ``run_insertion``
+returns the closed record with the baseline attached; the paired
+comparison of the two quantifies what the loop buys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,6 +67,8 @@ class InsertionRecord:
     registration_rms: float = 0.0
     duration_s: float = 0.0
     rotation_angle_deg: float = 0.0
+    # the open-loop baseline of the same plan (closed-loop records only)
+    open_loop: InsertionRecord | None = None
 
 
 def _plan(
@@ -118,86 +124,14 @@ def run_insertion(
 ) -> InsertionRecord:
     """Execute one closed-loop insertion; see the module docstring.
 
-    Raises planning.NoFeasiblePath when no trajectory clears the arch.  A
-    correction budget overrun does not raise: the record is flagged.
+    The returned record carries the open-loop baseline of the same plan
+    in ``open_loop``.  Raises planning.NoFeasiblePath when no trajectory
+    clears the arch.  A correction budget overrun does not raise: the
+    record is flagged.
     """
-    conv.validate()
-    region = entry_region if entry_region is not None else EntryRegion()
-    target = phantom.target_by_id(target_id)
-    ref_obs, target_obs, traj, js = _plan(
-        phantom, geom, arch, noise, target, streams, region, needle_radius
-    )
-
-    js, duration = kinematics.advance_insertion(geom, js, traj.planned_depth, rotating=True)
-    zone = with_approach(target.zone, traj.approach)
-
-    obstruction = _obstruction_depth(arch, traj, needle_radius)
-    if obstruction is not None and obstruction < traj.planned_depth:
-        js = kinematics.safety_stop(js, obstruction)
-        needle = NeedleState(traj.entry, traj.dir, js.insertion_depth, pass_depth=js.insertion_depth)
-        t_true = prostate_transform(phantom, needle, streams.motion())
-        tip_world = traj.entry + js.insertion_depth * traj.dir
-        bead_rest, error = _deposit(phantom, target, tip_world, t_true)
-        return InsertionRecord(
-            target_id=target_id, trajectory=traj, corrections=[], n_corrections=0,
-            bead_rest_position=bead_rest, distance_error=error, axial_motion=0.0,
-            zone=zone, disengaged=True, duration_s=duration,
-            rotation_angle_deg=js.rotation_angle,
-        )
-
-    obs_stream = streams.observation()
-    pass_depth = traj.planned_depth
-    tip_depth = traj.planned_depth
-    corrections: list[tuple[float, np.ndarray]] = []
-    applied = 0.0
-    exceeded = False
-    first_residual = np.zeros(3)
-    last_rms = 0.0
-
-    for step in range(1, conv.max_corrections + 2):
-        needle = NeedleState(traj.entry, traj.dir, tip_depth, pass_depth=pass_depth)
-        t_true = prostate_transform(phantom, needle, streams.motion())
-        obs = sensing.observe(
-            phantom, t_true, noise, obs_stream,
-            volume_index=step, needle_count=streams.needle_count,
-        )
-        reg, last_rms = sensing.rigid_register(ref_obs.fiducials_observed, obs.fiducials_observed)
-        tracked = sensing.track_target(reg, target_obs)
-        depth_to_target, _ = geometry.axis_decompose(traj.entry, traj.dir, tracked)
-        delta = depth_to_target - tip_depth
-        corrections.append((float(delta), tracked))
-        if step == 1:
-            first_residual = _residual_motion(phantom, needle, tracked, target_obs)
-        if abs(delta) < conv.depth_epsilon:
-            break
-        if len(corrections) - 1 >= conv.max_corrections:
-            exceeded = True
-            break
-        tip_depth = max(0.0, tip_depth + delta)
-        applied += delta
-        js, move_s = kinematics.advance_insertion(geom, js, delta, rotating=False)
-        duration += move_s
-
-    n_corrections = len(corrections) - 1
-    needle = NeedleState(traj.entry, traj.dir, tip_depth, pass_depth=pass_depth)
-    t_final = prostate_transform(phantom, needle, streams.motion())
-    tip_world = traj.entry + tip_depth * traj.dir
-    bead_rest, error = _deposit(phantom, target, tip_world, t_final)
-    return InsertionRecord(
-        target_id=target_id,
-        trajectory=traj,
-        corrections=corrections,
-        n_corrections=n_corrections,
-        bead_rest_position=bead_rest,
-        distance_error=error,
-        axial_motion=float(applied),
-        zone=zone,
-        disengaged=False,
-        max_corrections_exceeded=exceeded,
-        residual_motion=first_residual,
-        registration_rms=last_rms,
-        duration_s=duration,
-        rotation_angle_deg=js.rotation_angle,
+    return _insert(
+        phantom, geom, arch, noise, conv, target_id, streams, entry_region, needle_radius,
+        track=True,
     )
 
 
@@ -212,10 +146,18 @@ def open_loop_insertion(
     entry_region: EntryRegion | None = None,
     needle_radius: float = planning.DEFAULT_NEEDLE_RADIUS,
 ) -> InsertionRecord:
-    """Same plan and insertion as run_insertion, no tracking or correction.
+    """The open-loop baseline alone: run_insertion's ``open_loop`` record."""
+    return _insert(
+        phantom, geom, arch, noise, conv, target_id, streams, entry_region, needle_radius,
+        track=False,
+    )
 
-    ``axial_motion`` records the induced-but-uncorrected axial displacement
-    of the (observed) target, measured from the true transform.
+
+def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, needle_radius, *, track):
+    """Plan and insert once and score the open-loop baseline.
+
+    With ``track`` the closed loop continues from the baseline's state and
+    its record carries the baseline; without it the baseline is returned.
     """
     conv.validate()
     region = entry_region if entry_region is not None else EntryRegion()
@@ -224,37 +166,77 @@ def open_loop_insertion(
         phantom, geom, arch, noise, target, streams, region, needle_radius
     )
     js, duration = kinematics.advance_insertion(geom, js, traj.planned_depth, rotating=True)
-    zone = with_approach(target.zone, traj.approach)
 
     obstruction = _obstruction_depth(arch, traj, needle_radius)
+    disengaged = obstruction is not None and obstruction < traj.planned_depth
     depth = traj.planned_depth
-    disengaged = False
-    if obstruction is not None and obstruction < traj.planned_depth:
+    if disengaged:
         js = kinematics.safety_stop(js, obstruction)
         depth = js.insertion_depth
-        disengaged = True
 
+    # frozen per-insertion motion noise: every gland transform sees it
+    sd = phantom.motion.noise_sd_motion
+    motion_noise = streams.motion().normal(0.0, sd, 3) if sd > 0 else np.zeros(3)
+
+    # open loop: score the bead where the first pass left it.  Without a
+    # safety stop this is also the closed loop's first verification state.
     needle = NeedleState(traj.entry, traj.dir, depth, pass_depth=depth)
-    t_true = prostate_transform(phantom, needle, streams.motion())
+    t_true = prostate_transform(phantom, needle, motion_noise)
     moved_target = geometry.apply(t_true, target_obs)
     depth_of_target, _ = geometry.axis_decompose(traj.entry, traj.dir, moved_target)
-    induced_axial = depth_of_target - traj.planned_depth
-
-    tip_world = traj.entry + depth * traj.dir
-    bead_rest, error = _deposit(phantom, target, tip_world, t_true)
-    return InsertionRecord(
-        target_id=target_id,
-        trajectory=traj,
-        corrections=[],
-        n_corrections=0,
-        bead_rest_position=bead_rest,
-        distance_error=error,
-        axial_motion=float(induced_axial) if not disengaged else 0.0,
-        zone=zone,
-        disengaged=disengaged,
+    bead_rest, error = _deposit(phantom, target, traj.entry + depth * traj.dir, t_true)
+    baseline = InsertionRecord(
+        target_id=target_id, trajectory=traj, corrections=[], n_corrections=0,
+        bead_rest_position=bead_rest, distance_error=error,
+        # the induced-but-uncorrected axial displacement of the observed target
+        axial_motion=0.0 if disengaged else float(depth_of_target - traj.planned_depth),
+        zone=with_approach(target.zone, traj.approach), disengaged=disengaged,
         residual_motion=_residual_motion(phantom, needle, moved_target, target_obs),
-        duration_s=duration,
-        rotation_angle_deg=js.rotation_angle,
+        duration_s=duration, rotation_angle_deg=js.rotation_angle,
+    )
+    if not track:
+        return baseline
+    if disengaged:
+        return replace(baseline, corrections=[], residual_motion=np.zeros(3), open_loop=baseline)
+
+    obs_stream = streams.observation()
+    tip_depth = depth  # corrections move the tip; the pass depth stays
+    corrections: list[tuple[float, np.ndarray]] = []
+    applied = 0.0
+    exceeded = False
+
+    for step in range(1, conv.max_corrections + 2):
+        obs = sensing.observe(
+            phantom, t_true, noise, obs_stream,
+            volume_index=step, needle_count=streams.needle_count,
+        )
+        reg, last_rms = sensing.rigid_register(ref_obs.fiducials_observed, obs.fiducials_observed)
+        tracked = sensing.track_target(reg, target_obs)
+        depth_to_target, _ = geometry.axis_decompose(traj.entry, traj.dir, tracked)
+        delta = depth_to_target - tip_depth
+        corrections.append((float(delta), tracked))
+        if abs(delta) < conv.depth_epsilon:
+            break
+        if len(corrections) - 1 >= conv.max_corrections:
+            exceeded = True
+            break
+        tip_depth = max(0.0, tip_depth + delta)
+        applied += delta
+        js, move_s = kinematics.advance_insertion(geom, js, delta, rotating=False)
+        duration += move_s
+        moved = NeedleState(traj.entry, traj.dir, tip_depth, pass_depth=depth)
+        t_true = prostate_transform(phantom, moved, motion_noise)
+
+    # every exit leaves the tip where the last verification saw it
+    bead_rest, error = _deposit(phantom, target, traj.entry + tip_depth * traj.dir, t_true)
+    return replace(
+        baseline, corrections=corrections, n_corrections=len(corrections) - 1,
+        bead_rest_position=bead_rest, distance_error=error, axial_motion=float(applied),
+        max_corrections_exceeded=exceeded,
+        # measured at the first verification, from the tracked target
+        residual_motion=_residual_motion(phantom, needle, corrections[0][1], target_obs),
+        registration_rms=last_rms, duration_s=duration, rotation_angle_deg=js.rotation_angle,
+        open_loop=baseline,
     )
 
 

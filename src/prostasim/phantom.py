@@ -308,16 +308,17 @@ def axial_drag(phantom: ProstatePhantom, needle: NeedleState) -> float:
     return phantom.motion.axial_base_offset + phantom.motion.axial_gain * pen
 
 
-def prostate_transform(phantom: ProstatePhantom, needle: NeedleState, rng_stream) -> geometry.RigidTransform:
+def prostate_transform(phantom: ProstatePhantom, needle: NeedleState, motion_noise) -> geometry.RigidTransform:
     """Rigid displacement of the gland induced by the needle.
 
     Identity until the tip reaches the gland.  Afterwards: translation of
     ``axial_base_offset + axial_gain * penetration`` along the needle
     direction, a rotation of ``rotation_gain * lateral_offset *
     penetration`` degrees about the pivot (axis perpendicular to the plane
-    of the needle and the centroid offset), and a zero-mean translation
-    noise of sd ``noise_sd_motion`` drawn from ``rng_stream``.  Recreating
-    the stream reproduces the same transform exactly.
+    of the needle and the centroid offset), and the translation
+    ``motion_noise``: the insertion's (3,) draw of sd ``noise_sd_motion``,
+    made once per insertion so that every evaluation during it sees the
+    same noise.
     """
     d = geometry.normalize(needle.dir)
     t0 = gland_entry_depth(phantom, needle.entry, d)
@@ -340,8 +341,7 @@ def prostate_transform(phantom: ProstatePhantom, needle: NeedleState, rng_stream
     else:
         rot = geometry.identity()
 
-    noise = rng_stream.normal(0.0, mp.noise_sd_motion, 3) if mp.noise_sd_motion > 0 else np.zeros(3)
-    return geometry.compose(geometry.translation(drag * d + noise), rot)
+    return geometry.compose(geometry.translation(drag * d + motion_noise), rot)
 
 
 def material_to_world(phantom: ProstatePhantom, t: geometry.RigidTransform, p_rest) -> np.ndarray:

@@ -130,9 +130,9 @@ def clearance_grid(entries, entry_z, target, overshoot, cap_a, cap_b, cap_r, nee
     Returns (n,) of min_j(segdist - cap_r[j]) - needle_r.  The segment
     distance is the clamped closest-point algorithm of
     :func:`geometry.segment_segment_distance`, broadcast over all n x m
-    pairs at once, without its branches for zero-length segments (a
-    capsule axis must have nonzero length); summation order differs, so
-    the two may disagree in the last ulp.
+    pairs at once.  A point capsule (zero-length axis) takes the clamped
+    ``t < 0`` branch, which is that function's point case; summation
+    order differs, so the two may disagree in the last ulp.
     """
     entries = np.asarray(entries, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -161,7 +161,8 @@ def clearance_grid(entries, entry_z, target, overshoot, cap_a, cap_b, cap_r, nee
     denom = a * e - b * b
     safe = denom > 1e-30
     s = np.where(safe, np.clip((b * f - c * e) / np.where(safe, denom, 1.0), 0.0, 1.0), 0.0)
-    t = (b * s + f) / e
+    point = e <= 1e-30
+    t = np.where(point, -1.0, (b * s + f) / np.where(point, 1.0, e))
     low = t < 0.0
     high = t > 1.0
     s = np.where(low, np.clip(-c / a, 0.0, 1.0), s)

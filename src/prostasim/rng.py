@@ -6,9 +6,10 @@ therefore do not depend on execution order, and paired closed/open-loop
 runs see identical noise by construction (the loop mode is deliberately
 not part of the key).
 
-Recreating a stream yields the same draw sequence, so callers that need a
-"frozen" sample (e.g. the per-insertion motion noise) simply rebuild the
-stream instead of storing the sample.
+Recreating a stream yields the same draw sequence.  A sample that must
+stay fixed through an insertion (the motion noise) is drawn once from its
+stream and passed along; the closed loop and its open-loop baseline share
+that one draw.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ def substream(
 class InsertionStreams:
     """Bundle of the independent streams one insertion consumes.
 
-    ``motion()`` returns a fresh generator at the same key every call, so
-    the per-insertion motion noise is frozen: every evaluation of the
-    gland transform during the insertion sees identical draws.  The
-    observation stream is created once and advances across verification
-    volumes.  ``needle_count`` carries the session degradation state.
+    ``motion()`` returns a fresh generator at the same key every call;
+    the insertion draws its motion noise from it once, and every gland
+    transform of the insertion uses that draw.  The observation stream is
+    created once and advances across verification volumes.
+    ``needle_count`` carries the session degradation state.
     """
 
     def __init__(

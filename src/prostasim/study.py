@@ -180,18 +180,16 @@ def run_study(cfg: StudyConfig) -> StudyReport:
                     noise_salt=cfg.noise.rng_seed,
                     needle_count=t,
                 )
+                # one insertion per slot: the closed record carries its baseline
+                insert = run_insertion if do_closed else open_loop_insertion
+                rec = insert(
+                    phantoms[p], cfg.robot, arch, cfg.noise, cfg.convergence, t, streams,
+                    entry_region=cfg.entry_region, needle_radius=cfg.needle_radius,
+                )
                 if do_closed:
-                    rec = run_insertion(
-                        phantoms[p], cfg.robot, arch, cfg.noise, cfg.convergence, t, streams,
-                        entry_region=cfg.entry_region, needle_radius=cfg.needle_radius,
-                    )
                     rows_closed.append(_row_from_record(rec, p, r))
                 if do_open:
-                    rec = open_loop_insertion(
-                        phantoms[p], cfg.robot, arch, cfg.noise, cfg.convergence, t, streams,
-                        entry_region=cfg.entry_region, needle_radius=cfg.needle_radius,
-                    )
-                    rows_open.append(_row_from_record(rec, p, r))
+                    rows_open.append(_row_from_record(rec.open_loop if do_closed else rec, p, r))
 
     summary = summarize(cfg, rows_closed, rows_open)
     return StudyReport(summary, rows_closed, rows_open)

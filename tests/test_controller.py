@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,10 @@ def far_arch():
     return PubicArchModel([(seg, 4.0)])
 
 
-def blocking_arch(target):
-    # bar crossing the straight path halfway down the shaft
+def blocking_arch(target, z=-30.0):
+    # bar crossing the straight path, by default halfway down the shaft
     y = float(target[1])
-    seg = Segment(np.array([-60.0, y, -30.0]), np.array([60.0, y, -30.0]))
+    seg = Segment(np.array([-60.0, y, z]), np.array([60.0, y, z]))
     return PubicArchModel([(seg, 6.0)])
 
 
@@ -125,6 +127,13 @@ def test_paired_runs_share_noise():
     o = run_quiet(p, t.id, mode=open_loop_insertion, noise=noise)
     np.testing.assert_array_equal(o.trajectory.entry, a.trajectory.entry)
     assert o.trajectory.planned_depth == a.trajectory.planned_depth
+    # the closed record's baseline is that open-loop run, field by field
+    assert o.axial_motion != 0.0 and np.any(o.residual_motion != 0.0)
+    for f in fields(o):
+        x, y = getattr(a.open_loop, f.name), getattr(o, f.name)
+        if f.name == "trajectory":
+            x, y = vars(x), vars(y)
+        np.testing.assert_equal(x, y, err_msg=f.name)
 
 
 def test_blocked_path_replans_angled():
@@ -164,6 +173,16 @@ def test_stale_plan_triggers_safety_stop(monkeypatch):
     o = run_quiet(p, t.id, arch=arch, mode=open_loop_insertion)
     assert o.disengaged
     assert o.axial_motion == 0.0
+    assert rec.open_loop.disengaged
+    # a bar just short of the target stops the tip inside a moving gland:
+    # the closed record is its baseline without the residual motion
+    moving = make_phantom(motion=MotionParams(0.05, 2.0, 0.01, 0.8))
+    t = non_left_target(moving)
+    rec = run_quiet(moving, t.id, arch=blocking_arch(t.position_rest, z=t.position_rest[2] - 2.0))
+    assert rec.disengaged and rec.open_loop.disengaged
+    assert np.any(rec.open_loop.residual_motion != 0.0)
+    np.testing.assert_array_equal(rec.residual_motion, np.zeros(3))
+    np.testing.assert_array_equal(rec.bead_rest_position, rec.open_loop.bead_rest_position)
 
 
 def test_left_bias_deflects_left_zone_beads():

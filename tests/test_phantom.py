@@ -141,9 +141,8 @@ def test_penetration_and_drag_values():
 
 def test_transform_identity_before_gland():
     p = make_phantom(motion=quiet_motion(axial_base_offset=3.0))
-    s = InsertionStreams(1, 0, 0, 0)
     needle = NeedleState([0, 0, -60], [0, 0, 1], 5.0)
-    t = prostate_transform(p, needle, s.motion())
+    t = prostate_transform(p, needle, np.zeros(3))
     np.testing.assert_array_equal(t.rotation, np.eye(3))
     np.testing.assert_array_equal(t.translation, np.zeros(3))
 
@@ -152,9 +151,8 @@ def test_transform_pure_drag_through_centroid():
     motion = quiet_motion(axial_gain=0.1, axial_base_offset=2.0)
     p = make_phantom(motion=motion)
     c = p.gland_semiaxes[2]
-    s = InsertionStreams(1, 0, 0, 0)
     needle = NeedleState([0, 0, -60], [0, 0, 1], 60.0)
-    t = prostate_transform(p, needle, s.motion())
+    t = prostate_transform(p, needle, np.zeros(3))
     np.testing.assert_array_equal(t.rotation, np.eye(3))
     np.testing.assert_allclose(t.translation, [0, 0, 2.0 + 0.1 * c], atol=1e-12)
 
@@ -162,12 +160,11 @@ def test_transform_pure_drag_through_centroid():
 def test_axial_displacement_monotone_in_depth():
     motion = quiet_motion(axial_gain=0.15, axial_base_offset=1.0, rotation_gain=0.02)
     p = make_phantom(motion=motion)
-    s = InsertionStreams(1, 0, 0, 0)
     entry = np.array([4.0, -3.0, -60.0])
     d = geometry.normalize([0.05, 0.02, 1.0])
     prev = -1.0
     for depth in np.linspace(0.0, 90.0, 40):
-        t = prostate_transform(p, NeedleState(entry, d, float(depth)), s.motion())
+        t = prostate_transform(p, NeedleState(entry, d, float(depth)), np.zeros(3))
         moved = geometry.apply(t, p.centroid_rest)
         axial = float((moved - p.centroid_rest) @ d)
         assert axial >= prev - 1e-9
@@ -177,20 +174,18 @@ def test_axial_displacement_monotone_in_depth():
 def test_rotation_zero_for_centered_needle():
     motion = quiet_motion(rotation_gain=0.05, axial_base_offset=1.0)
     p = make_phantom(motion=motion)
-    s = InsertionStreams(1, 0, 0, 0)
     needle = NeedleState([0, 0, -60], [0, 0, 1], 70.0)
-    t = prostate_transform(p, needle, s.motion())
+    t = prostate_transform(p, needle, np.zeros(3))
     assert geometry.rotation_angle_deg(t) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rotation_angle_matches_formula_and_pivot_fixed():
     motion = quiet_motion(rotation_gain=0.01, axial_base_offset=0.0)
     p = make_phantom(motion=motion)
-    s = InsertionStreams(1, 0, 0, 0)
     entry = np.array([12.0, 5.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
     needle = NeedleState(entry, d, 70.0)
-    t = prostate_transform(p, needle, s.motion())
+    t = prostate_transform(p, needle, np.zeros(3))
     lateral = np.hypot(12.0, 5.0)
     pen = penetration(p, needle)
     assert geometry.rotation_angle_deg(t) == pytest.approx(0.01 * lateral * pen, rel=1e-9)
@@ -201,16 +196,16 @@ def test_rotation_angle_matches_formula_and_pivot_fixed():
 def test_motion_noise_is_frozen_across_corrections():
     motion = quiet_motion(axial_gain=0.1, axial_base_offset=2.0, noise_sd_motion=1.5)
     p = make_phantom(motion=motion)
-    streams = InsertionStreams(9, 0, 0, 0)
+    noise = InsertionStreams(9, 0, 0, 0).motion().normal(0.0, motion.noise_sd_motion, 3)
     entry = np.array([0.0, 0.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
-    first = prostate_transform(p, NeedleState(entry, d, 58.0, pass_depth=58.0), streams.motion())
+    first = prostate_transform(p, NeedleState(entry, d, 58.0, pass_depth=58.0), noise)
     # corrected deeper, same first-pass depth: identical transform
-    second = prostate_transform(p, NeedleState(entry, d, 63.0, pass_depth=58.0), streams.motion())
+    second = prostate_transform(p, NeedleState(entry, d, 63.0, pass_depth=58.0), noise)
     np.testing.assert_array_equal(first.rotation, second.rotation)
     np.testing.assert_array_equal(first.translation, second.translation)
     # a genuinely deeper first pass does move differently
-    deeper = prostate_transform(p, NeedleState(entry, d, 63.0, pass_depth=63.0), streams.motion())
+    deeper = prostate_transform(p, NeedleState(entry, d, 63.0, pass_depth=63.0), noise)
     assert not np.array_equal(first.translation, deeper.translation)
 
 
@@ -218,8 +213,8 @@ def test_material_world_round_trip():
     motion = quiet_motion(axial_gain=0.1, axial_base_offset=2.0, rotation_gain=0.01,
                           noise_sd_motion=1.0)
     p = make_phantom(motion=motion)
-    s = InsertionStreams(4, 0, 0, 0)
-    t = prostate_transform(p, NeedleState([6, 2, -60], [0, 0, 1], 70.0), s.motion())
+    noise = InsertionStreams(4, 0, 0, 0).motion().normal(0.0, motion.noise_sd_motion, 3)
+    t = prostate_transform(p, NeedleState([6, 2, -60], [0, 0, 1], 70.0), noise)
     rest = p.targets[0].position_rest
     world = material_to_world(p, t, rest)
     np.testing.assert_allclose(world_to_material(p, t, world), rest, atol=1e-9)

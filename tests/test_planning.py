@@ -191,15 +191,22 @@ def _random_grid_case(rng, n=64, m=3):
 
 def test_clearance_grid_matches_scalar_path(rng, geom):
     entries, target, cap_a, cap_b, cap_r = _random_grid_case(rng)
-    got = clearance_grid(entries, -60.0, target, DEPTH_MARGIN, cap_a, cap_b, cap_r, 0.635)
-    # scalar reference, built from the single-pair distance
-    for i, (ex, ey) in enumerate(entries):
-        p0 = np.array([ex, ey, -60.0])
-        d = target - p0
-        norm = np.linalg.norm(d)
-        p1 = p0 + d * (norm + DEPTH_MARGIN) / norm
-        expect = min(
-            segment_segment_distance(p0, p1, cap_a[j], cap_b[j]) - cap_r[j]
-            for j in range(len(cap_r))
-        ) - 0.635
-        assert got[i] == pytest.approx(expect, abs=1e-9)
+    # a point capsule (zero-length axis) on its own and among segments
+    point = np.array([[0.0, 12.0, -32.0]])
+    cases = [
+        (cap_a, cap_b, cap_r),
+        (point, point.copy(), np.array([11.0])),
+        (np.vstack([cap_a, point]), np.vstack([cap_b, point]), np.append(cap_r, 1.0)),
+    ]
+    for a, b, r in cases:
+        got = clearance_grid(entries, -60.0, target, DEPTH_MARGIN, a, b, r, 0.635)
+        # scalar reference, built from the single-pair distance
+        for i, (ex, ey) in enumerate(entries):
+            p0 = np.array([ex, ey, -60.0])
+            d = target - p0
+            norm = np.linalg.norm(d)
+            p1 = p0 + d * (norm + DEPTH_MARGIN) / norm
+            expect = min(
+                segment_segment_distance(p0, p1, a[j], b[j]) - r[j] for j in range(len(r))
+            ) - 0.635
+            assert got[i] == pytest.approx(expect, abs=1e-9)

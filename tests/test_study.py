@@ -40,6 +40,24 @@ def test_row_counts_and_quota_partition(tiny_report):
         assert r.approach in ("Horizontal", "Angled")
 
 
+def test_both_modes_plan_once_per_insertion(monkeypatch):
+    from prostasim import planning
+
+    calls = []
+    plan = planning.replan_angled
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return plan(*args, **kwargs)
+
+    monkeypatch.setattr(planning, "replan_angled", counted)
+    cfg = tiny_config(mode="both")
+    report = run_study(cfg)
+    n = cfg.n_phantoms * cfg.targets_per_phantom * cfg.n_seed_replicates
+    assert len(report.rows_closed) == len(report.rows_open) == n
+    assert len(calls) == n
+
+
 def test_quota_split_sums_per_phantom():
     cfg = tiny_config()
     split = phantom_quota_split(cfg)
