@@ -1,12 +1,19 @@
 """Study configuration: schema, defaults, YAML round-trip, validation.
 
-One YAML file drives a whole study.  Validation errors always name the
-offending key path so CLI users can find the problem.
+One YAML file drives a whole study.  The default ``StudyConfig`` is the
+schema: its dataclass fields and default values fix every key, its
+nesting and its leaf type.  One coercion walks that schema for
+``from_dict``, ``to_dict`` and ``StudyConfig.validate``: unknown keys are
+rejected at every level (arch capsules included), sections must be
+mappings, vectors keep their default length, flags must be YAML booleans
+and numbers must be finite.  Errors always name the offending key path
+so CLI users can find the problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 import yaml
@@ -92,6 +99,8 @@ class StudyConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def validate(self):
+        # the shapes and leaf types from_dict enforces, for configs built in Python
+        _coerce(self, default_config(), "")
         # every phantom and replicate index must fit its random-stream key field
         max_index = 1 << rng._FIELD_BITS
         _check(0 <= self.seed < 2**64, "seed", "must be in [0, 2**64)")
@@ -122,9 +131,6 @@ class StudyConfig:
         er = self.entry_region
         _check(er.x_min < er.x_max, "entry_region.x_min", "must be < x_max")
         _check(er.y_min < er.y_max, "entry_region.y_min", "must be < y_max")
-        for i, c in enumerate(self.arch.capsules):
-            for k in ("a", "b", "radius"):
-                _check(k in c, f"arch.capsules[{i}].{k}", "missing")
         _wrap("arch.capsules", self.arch.build)
         _check(self.output.format in FORMATS, "output.format", f"must be one of {FORMATS}")
         return self
@@ -148,170 +154,74 @@ def default_config() -> StudyConfig:
     return StudyConfig()
 
 
+def _where(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _items(node):
+    return {f.name: getattr(node, f.name) for f in fields(node)} if is_dataclass(node) else node
+
+
+def _coerce(value, schema, path: str, exact: bool = False):
+    """Check ``value`` against ``schema`` and return it as plain YAML data.
+
+    ``schema`` is a node of the default config: a dataclass or dict is a
+    mapping whose keys ``value`` may override (``exact``: must all give),
+    a list holds elements shaped like its first one, a tuple is a float
+    vector of fixed length, and any other default fixes its leaf's type.
+    """
+    if is_dataclass(schema) or isinstance(schema, dict):
+        value, keys = _items(value), _items(schema)
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'config root'}: must be a mapping")
+        for key in value:
+            if key not in keys:
+                raise ConfigError(f"{_where(path, key)}: unknown key")
+        for key in keys if exact else ():
+            if key not in value:
+                raise ConfigError(f"{_where(path, key)}: missing")
+        return {k: _coerce(value.get(k, d), d, _where(path, k)) for k, d in keys.items()}
+    if isinstance(schema, (list, tuple)):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: must be a list")
+        if isinstance(schema, list):
+            return [_coerce(v, schema[0], f"{path}[{i}]", exact=True) for i, v in enumerate(value)]
+        if len(value) != len(schema):
+            raise ConfigError(f"{path}: must hold {len(schema)} numbers, got {len(value)}")
+        return [_coerce(v, d, f"{path}[{i}]") for i, (v, d) in enumerate(zip(value, schema))]
+    kind = type(schema)
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path}: must be true or false, got {value!r}")
+        return value
+    if value is None or isinstance(value, (bool, dict, list, tuple)):
+        raise ConfigError(f"{path}: malformed value, expected a {kind.__name__}")
+    try:
+        value = kind(value)
+    except OverflowError as e:
+        raise ConfigError(f"{path}: out of range: {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: malformed value: {e}") from e
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite")
+    return value
+
+
+def _build(schema, data):
+    if is_dataclass(schema):
+        return type(schema)(**{k: _build(d, data[k]) for k, d in _items(schema).items()})
+    return tuple(data) if isinstance(schema, tuple) else data
+
+
 def to_dict(cfg: StudyConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "n_phantoms": cfg.n_phantoms,
-        "targets_per_phantom": cfg.targets_per_phantom,
-        "n_seed_replicates": cfg.n_seed_replicates,
-        "mode": cfg.mode,
-        "zone_quotas": {k: int(cfg.zone_quotas[k]) for k in DEFAULT_ZONE_QUOTAS},
-        "phantom": {
-            "gland_semiaxes": [float(v) for v in cfg.phantom.gland_semiaxes],
-            "min_target_spacing": cfg.phantom.min_target_spacing,
-            "target_margin": cfg.phantom.target_margin,
-            "pivot": [float(v) for v in cfg.phantom.pivot],
-            "left_bias_mm": cfg.phantom.left_bias_mm,
-            "left_bias_enabled": cfg.phantom.left_bias_enabled,
-            "perineum_peak_force_n": cfg.phantom.perineum_peak_force_n,
-        },
-        "motion": {
-            "axial_gain": cfg.motion.axial_gain,
-            "axial_base_offset": cfg.motion.axial_base_offset,
-            "rotation_gain": cfg.motion.rotation_gain,
-            "noise_sd_motion": cfg.motion.noise_sd_motion,
-            "rng_seed": cfg.motion.rng_seed,
-        },
-        "noise": {
-            "sigma0": cfg.noise.sigma0,
-            "depth_gain": cfg.noise.depth_gain,
-            "degradation_per_needle": cfg.noise.degradation_per_needle,
-            "rng_seed": cfg.noise.rng_seed,
-        },
-        "robot": {
-            "stage_separation": cfg.robot.stage_separation,
-            "stage_travel": cfg.robot.stage_travel,
-            "z_travel": cfg.robot.z_travel,
-            "max_angulation": cfg.robot.max_angulation,
-            "insertion_speed": cfg.robot.insertion_speed,
-            "rotation_speed": cfg.robot.rotation_speed,
-            "front_plane_z": cfg.robot.front_plane_z,
-        },
-        "arch": {
-            "enabled": cfg.arch.enabled,
-            "capsules": [
-                {
-                    "a": [float(v) for v in c["a"]],
-                    "b": [float(v) for v in c["b"]],
-                    "radius": float(c["radius"]),
-                }
-                for c in cfg.arch.capsules
-            ],
-        },
-        "convergence": {
-            "depth_epsilon": cfg.convergence.depth_epsilon,
-            "max_corrections": cfg.convergence.max_corrections,
-        },
-        "needle_radius": cfg.needle_radius,
-        "entry_region": {
-            "x_min": cfg.entry_region.x_min,
-            "x_max": cfg.entry_region.x_max,
-            "y_min": cfg.entry_region.y_min,
-            "y_max": cfg.entry_region.y_max,
-        },
-        "output": {"dir": cfg.output.dir, "format": cfg.output.format},
-    }
-
-
-def _take(data: dict, path: str, known: tuple[str, ...]):
-    unknown = set(data) - set(known)
-    if unknown:
-        key = sorted(unknown)[0]
-        where = f"{path}.{key}" if path else key
-        raise ConfigError(f"{where}: unknown key")
+    """Plain data of ``cfg`` in schema order, as YAML and the summary echo it."""
+    return _coerce(cfg, default_config(), "")
 
 
 def from_dict(data: dict) -> StudyConfig:
     """Build a StudyConfig from plain data, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    cfg = default_config()
-    _take(data, "", (
-        "seed", "n_phantoms", "targets_per_phantom", "n_seed_replicates", "mode",
-        "zone_quotas", "phantom", "motion", "noise", "robot", "arch",
-        "convergence", "needle_radius", "entry_region", "output",
-    ))
-    try:
-        for key in ("seed", "n_phantoms", "targets_per_phantom", "n_seed_replicates"):
-            if key in data:
-                setattr(cfg, key, int(data[key]))
-        if "mode" in data:
-            cfg.mode = str(data["mode"])
-        if "needle_radius" in data:
-            cfg.needle_radius = float(data["needle_radius"])
-        if "zone_quotas" in data:
-            _take(data["zone_quotas"], "zone_quotas", tuple(DEFAULT_ZONE_QUOTAS))
-            cfg.zone_quotas.update({k: int(v) for k, v in data["zone_quotas"].items()})
-        if "phantom" in data:
-            sec = data["phantom"]
-            _take(sec, "phantom", (
-                "gland_semiaxes", "min_target_spacing", "target_margin", "pivot",
-                "left_bias_mm", "left_bias_enabled", "perineum_peak_force_n",
-            ))
-            p = cfg.phantom
-            if "gland_semiaxes" in sec:
-                p.gland_semiaxes = tuple(float(v) for v in sec["gland_semiaxes"])
-            if "pivot" in sec:
-                p.pivot = tuple(float(v) for v in sec["pivot"])
-            for key in ("min_target_spacing", "target_margin", "left_bias_mm", "perineum_peak_force_n"):
-                if key in sec:
-                    setattr(p, key, float(sec[key]))
-            if "left_bias_enabled" in sec:
-                p.left_bias_enabled = bool(sec["left_bias_enabled"])
-        if "motion" in data:
-            _take(data["motion"], "motion", (
-                "axial_gain", "axial_base_offset", "rotation_gain", "noise_sd_motion", "rng_seed",
-            ))
-            for key, v in data["motion"].items():
-                setattr(cfg.motion, key, int(v) if key == "rng_seed" else float(v))
-        if "noise" in data:
-            _take(data["noise"], "noise", (
-                "sigma0", "depth_gain", "degradation_per_needle", "rng_seed",
-            ))
-            for key, v in data["noise"].items():
-                setattr(cfg.noise, key, int(v) if key == "rng_seed" else float(v))
-        if "robot" in data:
-            _take(data["robot"], "robot", (
-                "stage_separation", "stage_travel", "z_travel", "max_angulation",
-                "insertion_speed", "rotation_speed", "front_plane_z",
-            ))
-            for key, v in data["robot"].items():
-                setattr(cfg.robot, key, float(v))
-        if "arch" in data:
-            _take(data["arch"], "arch", ("enabled", "capsules"))
-            if "enabled" in data["arch"]:
-                cfg.arch.enabled = bool(data["arch"]["enabled"])
-            if "capsules" in data["arch"]:
-                cfg.arch.capsules = [
-                    {
-                        "a": [float(x) for x in c["a"]],
-                        "b": [float(x) for x in c["b"]],
-                        "radius": float(c["radius"]),
-                    }
-                    for c in data["arch"]["capsules"]
-                ]
-        if "convergence" in data:
-            _take(data["convergence"], "convergence", ("depth_epsilon", "max_corrections"))
-            sec = data["convergence"]
-            if "depth_epsilon" in sec:
-                cfg.convergence.depth_epsilon = float(sec["depth_epsilon"])
-            if "max_corrections" in sec:
-                cfg.convergence.max_corrections = int(sec["max_corrections"])
-        if "entry_region" in data:
-            _take(data["entry_region"], "entry_region", ("x_min", "x_max", "y_min", "y_max"))
-            for key, v in data["entry_region"].items():
-                setattr(cfg.entry_region, key, float(v))
-        if "output" in data:
-            _take(data["output"], "output", ("dir", "format"))
-            if "dir" in data["output"]:
-                cfg.output.dir = str(data["output"]["dir"])
-            if "format" in data["output"]:
-                cfg.output.format = str(data["output"]["format"])
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError) as e:
-        raise ConfigError(f"malformed config value: {e}") from e
-    return cfg
+    schema = default_config()
+    return _build(schema, _coerce(data, schema, ""))
 
 
 def to_yaml(cfg: StudyConfig, header: str | None = None) -> str:

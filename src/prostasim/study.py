@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,23 +35,6 @@ from .phantom import (
 )
 from .rng import InsertionStreams
 from .stats import Sample, kruskal_wallis, mann_whitney_u, median_iqr
-
-CSV_COLUMNS = (
-    "phantom_id",
-    "target_id",
-    "replicate",
-    "zone_depth",
-    "zone_lateral",
-    "zone_ap",
-    "approach",
-    "n_corrections",
-    "depth_correction_mm",
-    "error_mm",
-    "motion_x_mm",
-    "motion_y_mm",
-    "motion_z_mm",
-    "disengaged",
-)
 
 CALIBRATION_NOTE = (
     "Motion and observation-noise parameters are calibration fits chosen so "
@@ -78,6 +62,12 @@ class RecordRow:
     motion_y_mm: float
     motion_z_mm: float
     disengaged: int
+
+
+# the records CSV holds RecordRow's fields in declaration order
+CSV_COLUMNS = tuple(f.name for f in fields(RecordRow))
+_PARSERS = tuple({"int": int, "float": float, "str": str}[f.type] for f in fields(RecordRow))
+_row_values = attrgetter(*CSV_COLUMNS)
 
 
 @dataclass
@@ -361,27 +351,7 @@ def _fmt(value) -> str:
 
 def rows_to_csv(rows: list[RecordRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(r.phantom_id),
-                    str(r.target_id),
-                    str(r.replicate),
-                    r.zone_depth,
-                    r.zone_lateral,
-                    r.zone_ap,
-                    r.approach,
-                    str(r.n_corrections),
-                    repr(r.depth_correction_mm),
-                    repr(r.error_mm),
-                    repr(r.motion_x_mm),
-                    repr(r.motion_y_mm),
-                    repr(r.motion_z_mm),
-                    str(r.disengaged),
-                )
-            )
-        )
+    lines.extend(",".join(map(_fmt, _row_values(r))) for r in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -391,26 +361,16 @@ def read_records(path: str) -> list[RecordRow]:
     if not lines or lines[0] != ",".join(CSV_COLUMNS):
         raise ValueError(f"{path}: unexpected CSV header")
     rows = []
-    for line in lines[1:]:
-        f = line.split(",")
-        rows.append(
-            RecordRow(
-                phantom_id=int(f[0]),
-                target_id=int(f[1]),
-                replicate=int(f[2]),
-                zone_depth=f[3],
-                zone_lateral=f[4],
-                zone_ap=f[5],
-                approach=f[6],
-                n_corrections=int(f[7]),
-                depth_correction_mm=float(f[8]),
-                error_mm=float(f[9]),
-                motion_x_mm=float(f[10]),
-                motion_y_mm=float(f[11]),
-                motion_z_mm=float(f[12]),
-                disengaged=int(f[13]),
+    for lineno, line in enumerate(lines[1:], start=2):
+        values = line.split(",")
+        if len(values) != len(CSV_COLUMNS):
+            raise ValueError(
+                f"{path}:{lineno}: expected {len(CSV_COLUMNS)} fields, got {len(values)}"
             )
-        )
+        try:
+            rows.append(RecordRow(*(parse(v) for parse, v in zip(_PARSERS, values))))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from e
     return rows
 
 

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from prostasim import rng
 from prostasim.config import (
@@ -48,6 +51,11 @@ def test_unknown_keys_name_their_path():
         from_dict({"motion": {"warp_speed": 9}})
     with pytest.raises(ConfigError, match="zone_quotas.middle: unknown key"):
         from_dict({"zone_quotas": {"middle": 4}})
+    capsule = {"a": [0, 1, 2], "b": [3, 4, 5], "radius": 2.0, "thickness": 1.0}
+    with pytest.raises(ConfigError, match=r"arch\.capsules\[0\]\.thickness: unknown key"):
+        from_dict({"arch": {"capsules": [capsule]}})
+    with pytest.raises(ConfigError, match="^1: unknown key"):
+        from_dict({1: 2})
 
 
 def test_partial_override_keeps_other_defaults():
@@ -85,6 +93,24 @@ def test_validation_paths():
         with pytest.raises(ConfigError) as exc:
             cfg.validate()
         assert str(exc.value).startswith(path), (data, str(exc.value))
+    # configs built in Python get the same leaf checks as loaded ones
+    python_cases = [
+        ("robot", "stage_travel", math.nan),
+        ("convergence", "depth_epsilon", math.nan),
+        ("noise", "sigma0", math.inf),
+        ("phantom", "pivot", (0.0, 16.0)),
+        ("phantom", "left_bias_enabled", "false"),
+    ]
+    for section, key, value in python_cases:
+        cfg = default_config()
+        setattr(getattr(cfg, section), key, value)
+        with pytest.raises(ConfigError) as exc:
+            cfg.validate()
+        assert str(exc.value).startswith(f"{section}.{key}:"), (key, str(exc.value))
+    cfg = default_config()
+    cfg.seed = math.inf
+    with pytest.raises(ConfigError, match="^seed: out of range"):
+        cfg.validate()
     # the largest values that still fit the random-stream keys are valid
     from_dict(dict(seed=2**64 - 1, n_seed_replicates=1 << rng._FIELD_BITS)).validate()
 
@@ -94,6 +120,34 @@ def test_malformed_values_rejected():
         from_dict({"motion": {"axial_gain": "fast"}})
     with pytest.raises(ConfigError, match="mapping"):
         from_dict([1, 2, 3])
+    cases = [
+        ("robot: {stage_travel: .nan}", "robot.stage_travel: must be finite"),
+        ("convergence: {depth_epsilon: .nan}", "convergence.depth_epsilon: must be finite"),
+        ("noise: {sigma0: .inf}", "noise.sigma0: must be finite"),
+        ("needle_radius: -.inf", "needle_radius: must be finite"),
+        ("seed: .inf", "seed: out of range"),
+        (f"needle_radius: {10**400}", "needle_radius: out of range"),
+        ("seed: .nan", "seed: malformed"),
+        ("motion: [axial_gain]", "motion: must be a mapping"),
+        ("phantom: 3", "phantom: must be a mapping"),
+        ("arch: {capsules: {a: 1}}", "arch.capsules: must be a list"),
+        ("arch: {capsules: [[0, 1, 2]]}", r"arch.capsules\[0\]: must be a mapping"),
+        ("arch: {capsules: [{a: [0, 1, 2], b: [3, 4, 5]}]}", r"arch.capsules\[0\].radius: missing"),
+        ("arch: {capsules: [{a: [0, 1], b: [3, 4, 5], radius: 2}]}", r"arch.capsules\[0\].a: must hold 3"),
+        ('phantom: {left_bias_enabled: "false"}', "phantom.left_bias_enabled: must be true or false"),
+        ("arch: {enabled: 1}", "arch.enabled: must be true or false"),
+        ("phantom: {gland_semiaxes: [25.0]}", "phantom.gland_semiaxes: must hold 3 numbers, got 1"),
+        ("phantom: {pivot: [0, 16, -14, 1]}", "phantom.pivot: must hold 3 numbers, got 4"),
+        ("phantom: {pivot: 16}", "phantom.pivot: must be a list"),
+        ("phantom: {pivot: [0, [16], -14]}", r"phantom.pivot\[1\]: malformed"),
+        ("mode: [open_loop]", "mode: malformed"),
+        ("output: {dir: }", "output.dir: malformed"),
+        ("n_phantoms: true", "n_phantoms: malformed"),
+        ("noise: {sigma0: false}", "noise.sigma0: malformed"),
+    ]
+    for text, match in cases:
+        with pytest.raises(ConfigError, match="^" + match):
+            from_dict(yaml.safe_load(text))
 
 
 def test_empty_file_gives_defaults(tmp_path):
@@ -138,3 +192,46 @@ def test_custom_quotas_must_cover_every_zone():
     )
     cfg.validate()
     assert sum(quotas[k] for k in ("apex", "base")) == total
+
+
+def _schema_keys(node, out):
+    if isinstance(node, dict):
+        out.update(node)
+        for value in node.values():
+            _schema_keys(value, out)
+    elif isinstance(node, list):
+        for value in node:
+            _schema_keys(value, out)
+    return out
+
+
+_SCHEMA = to_dict(default_config())
+_KEYS = st.sampled_from(sorted(_schema_keys(_SCHEMA, set()))) | st.text(max_size=8)
+_anything = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _shaped(node):
+    """Data shaped like a schema node, with arbitrary data at any level."""
+    if isinstance(node, dict):
+        shaped = st.fixed_dictionaries({}, optional={k: _shaped(v) for k, v in node.items()})
+    elif isinstance(node, list):
+        shaped = st.lists(_shaped(node[0]), max_size=3)
+    else:
+        shaped = st.just(node) | st.from_type(type(node))
+    return shaped | _anything
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_shaped(_SCHEMA))
+def test_arbitrary_data_loads_or_fails_with_config_error(data):
+    try:
+        cfg = from_dict(data)
+        cfg.validate()
+    except ConfigError:
+        return
+    # whatever loads and validates round-trips through plain data unchanged
+    assert to_dict(from_dict(to_dict(cfg))) == to_dict(cfg)

@@ -100,10 +100,17 @@ def test_csv_round_trip(tiny_report, tmp_path):
 
 
 def test_read_records_rejects_foreign_header(tmp_path):
+    header = ",".join(CSV_COLUMNS) + "\n"
+    cases = [
+        ("a,b,c\n1,2,3\n", "header"),
+        (header + "0,1,0,Apex\n", r"x\.csv:2: expected 14 fields, got 4"),
+        (header + ",".join(["x"] * 14) + "\n", r"x\.csv:2: invalid literal"),
+    ]
     p = tmp_path / "x.csv"
-    p.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="header"):
-        read_records(str(p))
+    for body, match in cases:
+        p.write_text(body)
+        with pytest.raises(ValueError, match=match):
+            read_records(str(p))
 
 
 def test_summary_reproducible_from_csv(tiny_report, tmp_path):
