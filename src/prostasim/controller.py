@@ -7,6 +7,14 @@ toward the tracked target until the proposed change drops below the
 depth resolution.  The bead is deposited at the final tip position and
 scored in the material (rest) frame, the analog of a post-procedure CT.
 
+Per-insertion invariants are computed once: the reference volume is
+prepared for registration once, and the gland transform, which depends
+on the tip only through whether it is past the gland entry depth (the
+motion model reads penetration from the fixed pass depth), is evaluated
+at most once for each side of that depth.  The planner returns only
+trajectories clear of the arch, so the needle never stops short: the
+records' ``disengaged`` flag is always false.
+
 The open-loop baseline is the same insertion with tracking switched off:
 one routine plans and inserts once, scores the bead where the first pass
 left it (the baseline), and the closed loop continues from that state,
@@ -28,6 +36,7 @@ from .phantom import (
     ProstatePhantom,
     ZoneLabels,
     axial_drag,
+    gland_entry_depth,
     prostate_transform,
     with_approach,
     world_to_material,
@@ -59,7 +68,8 @@ class InsertionRecord:
     distance_error: float
     axial_motion: float
     zone: ZoneLabels
-    disengaged: bool
+    # no in-run stop exists (every plan is clear of the arch); kept false for the records CSV
+    disengaged: bool = False
     max_corrections_exceeded: bool = False
     # target displacement measured at the first verification, minus the
     # modeled axial drag: the residual motion per axis (signed, mm)
@@ -166,20 +176,14 @@ def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, 
         phantom, geom, arch, noise, target, streams, region, needle_radius
     )
     js, duration = kinematics.advance_insertion(geom, js, traj.planned_depth, rotating=True)
-
-    obstruction = _obstruction_depth(arch, traj, needle_radius)
-    disengaged = obstruction is not None and obstruction < traj.planned_depth
     depth = traj.planned_depth
-    if disengaged:
-        js = kinematics.safety_stop(js, obstruction)
-        depth = js.insertion_depth
 
     # frozen per-insertion motion noise: every gland transform sees it
     sd = phantom.motion.noise_sd_motion
     motion_noise = streams.motion().normal(0.0, sd, 3) if sd > 0 else np.zeros(3)
 
-    # open loop: score the bead where the first pass left it.  Without a
-    # safety stop this is also the closed loop's first verification state.
+    # open loop: score the bead where the first pass left it.  This is
+    # also the closed loop's first verification state.
     needle = NeedleState(traj.entry, traj.dir, depth, pass_depth=depth)
     t_true = prostate_transform(phantom, needle, motion_noise)
     moved_target = geometry.apply(t_true, target_obs)
@@ -189,17 +193,24 @@ def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, 
         target_id=target_id, trajectory=traj, corrections=[], n_corrections=0,
         bead_rest_position=bead_rest, distance_error=error,
         # the induced-but-uncorrected axial displacement of the observed target
-        axial_motion=0.0 if disengaged else float(depth_of_target - traj.planned_depth),
-        zone=with_approach(target.zone, traj.approach), disengaged=disengaged,
+        axial_motion=float(depth_of_target - traj.planned_depth),
+        zone=with_approach(target.zone, traj.approach),
         residual_motion=_residual_motion(phantom, needle, moved_target, target_obs),
         duration_s=duration, rotation_angle_deg=js.rotation_angle,
     )
     if not track:
         return baseline
-    if disengaged:
-        return replace(baseline, corrections=[], residual_motion=np.zeros(3), open_loop=baseline)
 
     obs_stream = streams.observation()
+    reference = geometry.prepare_reference(ref_obs.fiducials_observed)
+    # penetration is read from the fixed pass depth, so the gland transform
+    # depends on the tip only through "is it past the gland entry depth"
+    entry_depth = gland_entry_depth(phantom, traj.entry, geometry.normalize(traj.dir))
+
+    def past_entry(tip):
+        return entry_depth is not None and tip > entry_depth
+
+    transforms = {past_entry(depth): t_true}
     tip_depth = depth  # corrections move the tip; the pass depth stays
     corrections: list[tuple[float, np.ndarray]] = []
     applied = 0.0
@@ -210,7 +221,7 @@ def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, 
             phantom, t_true, noise, obs_stream,
             volume_index=step, needle_count=streams.needle_count,
         )
-        reg, last_rms = sensing.rigid_register(ref_obs.fiducials_observed, obs.fiducials_observed)
+        reg, last_rms = sensing.rigid_register(reference, obs.fiducials_observed)
         tracked = sensing.track_target(reg, target_obs)
         depth_to_target, _ = geometry.axis_decompose(traj.entry, traj.dir, tracked)
         delta = depth_to_target - tip_depth
@@ -224,8 +235,11 @@ def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, 
         applied += delta
         js, move_s = kinematics.advance_insertion(geom, js, delta, rotating=False)
         duration += move_s
-        moved = NeedleState(traj.entry, traj.dir, tip_depth, pass_depth=depth)
-        t_true = prostate_transform(phantom, moved, motion_noise)
+        inside = past_entry(tip_depth)
+        if inside not in transforms:
+            moved = NeedleState(traj.entry, traj.dir, tip_depth, pass_depth=depth)
+            transforms[inside] = prostate_transform(phantom, moved, motion_noise)
+        t_true = transforms[inside]
 
     # every exit leaves the tip where the last verification saw it
     bead_rest, error = _deposit(phantom, target, traj.entry + tip_depth * traj.dir, t_true)
@@ -237,13 +251,4 @@ def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, 
         residual_motion=_residual_motion(phantom, needle, corrections[0][1], target_obs),
         registration_rms=last_rms, duration_s=duration, rotation_angle_deg=js.rotation_angle,
         open_loop=baseline,
-    )
-
-
-def _obstruction_depth(arch, traj, needle_radius):
-    rep = planning.collision_check(arch, traj, needle_radius)
-    if rep.clearance >= 0:
-        return None
-    return planning.first_blocked_depth(
-        arch, traj.entry, traj.dir, traj.planned_depth + planning.DEPTH_MARGIN, needle_radius
     )

@@ -189,51 +189,65 @@ def segment_segment_distance(p0, p1, q0, q1) -> float:
     return float((cx * cx + cy * cy + cz * cz) ** 0.5)
 
 
-def register_points(ref_points: np.ndarray, obs_points: np.ndarray) -> tuple[RigidTransform, float]:
-    """Least-squares rigid transform taking ``ref_points`` onto ``obs_points``.
+@dataclass
+class RegistrationReference:
+    """A reference point set checked and centred once, for many solves."""
 
-    Closed form: centroid alignment plus the optimal-rotation SVD of the
-    cross-covariance with a determinant correction, so the result is always
-    a proper rotation.
+    points: np.ndarray
+    mean: np.ndarray
+    centered: np.ndarray
 
-    Parameters
-    ----------
-    ref_points, obs_points : (N, 3) arrays of paired points.
 
-    Returns
-    -------
-    (transform, rms) where ``apply(transform, ref_points)`` best matches
-    ``obs_points`` and ``rms`` is the root-mean-square residual in mm.
+def prepare_reference(ref_points: np.ndarray) -> RegistrationReference:
+    """Centre ``ref_points`` (N, 3) and check that they can pin a transform.
 
-    Raises
-    ------
-    DegenerateConfiguration
-        If fewer than 3 pairs are given or the reference points lie on a
-        line (within 1e-9 mm).
+    Raises DegenerateConfiguration if fewer than 3 points are given or
+    they lie on a line (within 1e-9 mm).
     """
     ref = np.asarray(ref_points, dtype=np.float64).reshape(-1, 3)
-    obs = np.asarray(obs_points, dtype=np.float64).reshape(-1, 3)
-    if ref.shape != obs.shape:
-        raise ValueError("point sets must have matching shapes")
     n = ref.shape[0]
     if n < 3:
         raise DegenerateConfiguration(f"need at least 3 point pairs, got {n}")
-
     ref_mean = ref.mean(axis=0)
     ref_c = ref - ref_mean
     if max_line_deviation(ref_c) < COLLINEARITY_TOL:
         raise DegenerateConfiguration("reference points are collinear")
+    return RegistrationReference(ref, ref_mean, ref_c)
 
+
+def register_to(reference: RegistrationReference, obs_points: np.ndarray) -> tuple[RigidTransform, float]:
+    """Least-squares rigid transform taking a prepared reference onto ``obs_points``.
+
+    Closed form (Kabsch; Arun, Huang & Blostein 1987): centroid alignment
+    plus the optimal-rotation SVD of the cross-covariance with a
+    determinant correction, so the result is always a proper rotation.
+    ``obs_points`` pairs row by row with the reference.  Returns
+    ``(transform, rms)`` where ``apply(transform, reference.points)`` best
+    matches ``obs_points`` and ``rms`` is the root-mean-square residual in mm.
+    """
+    obs = np.asarray(obs_points, dtype=np.float64).reshape(-1, 3)
+    if reference.points.shape != obs.shape:
+        raise ValueError("point sets must have matching shapes")
     obs_mean = obs.mean(axis=0)
-    h = ref_c.T @ (obs - obs_mean)
+    h = reference.centered.T @ (obs - obs_mean)
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(vt.T @ u.T))
     rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    trans = obs_mean - rot @ ref_mean
+    trans = obs_mean - rot @ reference.mean
     t = RigidTransform(rot, trans)
-    resid = apply(t, ref) - obs
+    resid = apply(t, reference.points) - obs
     rms = float(np.sqrt(np.mean(np.sum(resid * resid, axis=1))))
     return t, rms
+
+
+def register_points(ref_points: np.ndarray, obs_points: np.ndarray) -> tuple[RigidTransform, float]:
+    """Least-squares rigid transform taking paired ``ref_points`` onto ``obs_points``.
+
+    ``prepare_reference`` then ``register_to``; both (N, 3).  Raises
+    DegenerateConfiguration for fewer than 3 pairs or collinear reference
+    points and ValueError for mismatched shapes.
+    """
+    return register_to(prepare_reference(ref_points), obs_points)
 
 
 def max_line_deviation(centered: np.ndarray) -> float:

@@ -50,7 +50,6 @@ class JointState:
     z_offset: float = 0.0
     insertion_depth: float = 0.0
     rotation_angle: float = 0.0
-    disengaged: bool = False
 
 
 @dataclass
@@ -153,12 +152,3 @@ def advance_insertion(
     if depth < 0:
         depth = 0.0
     return replace(js, insertion_depth=depth, rotation_angle=angle), duration
-
-
-def safety_stop(js: JointState, obstruction_depth: float) -> JointState:
-    """Clamp the insertion at an obstruction and mark the needle released."""
-    if obstruction_depth < 0:
-        raise ValueError("obstruction_depth must be >= 0")
-    if js.insertion_depth <= obstruction_depth:
-        return js
-    return replace(js, insertion_depth=obstruction_depth, disengaged=True)

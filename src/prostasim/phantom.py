@@ -136,10 +136,13 @@ class ProstatePhantom:
     motion: MotionParams
     left_bias: float
     fiducials: list[tuple[int, np.ndarray]]
+    # the fiducial positions as one (N, 3) array in list order (ids are 0..N-1)
+    fiducial_points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.centroid_rest = np.asarray(self.centroid_rest, dtype=np.float64).reshape(3)
         self.pivot = np.asarray(self.pivot, dtype=np.float64).reshape(3)
+        self.fiducial_points = np.array([p for _, p in self.fiducials], dtype=np.float64).reshape(-1, 3)
 
     def target_by_id(self, target_id: int) -> Target:
         for t in self.targets:

@@ -190,28 +190,28 @@ def candidate_entries(target, entry_region: EntryRegion, geom: kinematics.RobotG
         raise ValueError("target must lie beyond the entry plane")
     max_off = math.tan(math.radians(geom.max_angulation)) * dz
     steps = int(math.floor(max_off / ENTRY_GRID_STEP))
-    entries = []
-    angles = []
-    for j in range(-steps, steps + 1):
-        ey = ty + j * ENTRY_GRID_STEP
-        for i in range(-steps, steps + 1):
-            ex = tx + i * ENTRY_GRID_STEP
-            if not entry_region.contains(ex, ey):
-                continue
-            off = math.hypot(ex - tx, ey - ty)
-            ang = math.degrees(math.atan2(off, dz))
-            if ang > geom.max_angulation + 1e-12:
-                continue
-            # stage feasibility: front stage carries the entry itself, the
-            # back stage sits stage_separation behind along the line
-            scale = geom.stage_separation / dz
-            bx = ex - (tx - ex) * scale
-            by = ey - (ty - ey) * scale
-            if max(abs(ex), abs(ey), abs(bx), abs(by)) > geom.stage_travel:
-                continue
-            entries.append((ex, ey))
-            angles.append(ang)
-    return np.array(entries, dtype=np.float64).reshape(-1, 2), np.array(angles, dtype=np.float64)
+    offsets = np.arange(-steps, steps + 1) * ENTRY_GRID_STEP
+    ey, ex = (g.ravel() for g in np.meshgrid(ty + offsets, tx + offsets, indexing="ij"))
+    # stage feasibility: front stage carries the entry itself, the back
+    # stage sits stage_separation behind along the line
+    scale = geom.stage_separation / dz
+    bx = ex - (tx - ex) * scale
+    by = ey - (ty - ey) * scale
+    reach = np.max(np.abs(np.stack([ex, ey, bx, by])), axis=0)
+    keep = (
+        (entry_region.x_min <= ex) & (ex <= entry_region.x_max)
+        & (entry_region.y_min <= ey) & (ey <= entry_region.y_max)
+        & (reach <= geom.stage_travel)
+    )
+    ex, ey = ex[keep], ey[keep]
+    # math (not numpy) hypot/atan2: numpy's differ in the last ulp, and the
+    # angle bins break the planner's ties
+    angles = np.array(
+        [math.degrees(math.atan2(math.hypot(x - tx, y - ty), dz)) for x, y in zip(ex.tolist(), ey.tolist())],
+        dtype=np.float64,
+    )
+    ok = angles <= geom.max_angulation + 1e-12
+    return np.stack([ex[ok], ey[ok]], axis=1), angles[ok]
 
 
 def _trajectory_to(entry3: np.ndarray, target: np.ndarray, angle_deg: float) -> kinematics.Trajectory:

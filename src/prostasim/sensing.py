@@ -3,9 +3,10 @@
 Observation replaces image acquisition: each phantom fiducial is moved by
 the current gland transform and perturbed by isotropic noise whose sd
 grows with tissue depth and with the number of needles already placed
-(image degradation).  Registration of an observed configuration against
-the reference configuration recovers the gland transform, which tracks
-the target.
+(image degradation).  A volume is an (N, 3) array of every fiducial in
+id order.  Registration of an observed volume against the reference
+volume, prepared once per insertion, recovers the gland transform, which
+tracks the target.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import DegenerateConfiguration
 from .phantom import ProstatePhantom
 
 
@@ -45,14 +45,10 @@ class NoiseModel:
 
 @dataclass
 class Observation:
-    fiducials_observed: list[tuple[int, np.ndarray]]
+    # (N, 3) noisy world positions, row i is fiducial i
+    fiducials_observed: np.ndarray
     sigma_used: float
     volume_index: int
-
-
-def _point_sigma(base_sigma: float, noise: NoiseModel, point_world, entry_plane_depth: float) -> float:
-    depth = max(0.0, float(point_world[2]) + entry_plane_depth)
-    return base_sigma + noise.depth_gain * depth
 
 
 def observe(
@@ -63,22 +59,24 @@ def observe(
     volume_index: int = 0,
     needle_count: int = 0,
 ) -> Observation:
-    """One synthetic volume: all fiducials as (id, noisy world position).
+    """One synthetic volume: every fiducial's noisy world position, in id order.
 
     ``needle_count`` is the number of needles already completed in this
     session and drives the degradation multiplier.  Deterministic given
-    the stream position.
+    the stream position: the rows with a positive sd draw their noise
+    from one block of the stream, three values per row in row order.
     """
     base = noise.sigma0 * noise.degradation_per_needle**needle_count
-    entry_plane_depth = phantom.gland_semiaxes[2]  # gland entry plane z = -c
-    observed = []
-    for fid, rest in phantom.fiducials:
-        world = geometry.apply(current_transform, rest)
-        sigma = _point_sigma(base, noise, world, entry_plane_depth)
-        if sigma > 0:
-            world = world + rng_stream.normal(0.0, sigma, 3)
-        observed.append((fid, world))
-    return Observation(observed, float(base), volume_index)
+    rot = current_transform.rotation
+    # the stacked matrix-vector form keeps the bits of one ``rot @ p`` per point
+    world = (rot[None] @ phantom.fiducial_points[:, :, None])[:, :, 0] + current_transform.translation
+    # depth past the gland entry plane z = -c
+    sigma = base + noise.depth_gain * np.maximum(0.0, world[:, 2] + phantom.gland_semiaxes[2])
+    noisy = sigma > 0
+    k = int(np.count_nonzero(noisy))
+    if k:
+        world[noisy] += sigma[noisy, None] * rng_stream.standard_normal((k, 3))
+    return Observation(world, float(base), volume_index)
 
 
 def observe_point(
@@ -91,29 +89,21 @@ def observe_point(
     """Noisy observation of a single world point (e.g. the target bead)."""
     base = noise.sigma0 * noise.degradation_per_needle**needle_count
     p = np.asarray(point_world, dtype=np.float64)
-    sigma = _point_sigma(base, noise, p, phantom.gland_semiaxes[2])
+    sigma = base + noise.depth_gain * max(0.0, float(p[2]) + phantom.gland_semiaxes[2])
     if sigma <= 0:
         return p.copy()
     return p + rng_stream.normal(0.0, sigma, 3)
 
 
-def rigid_register(reference, observed) -> tuple[geometry.RigidTransform, float]:
-    """Least-squares rigid registration of id-matched point lists.
+def rigid_register(reference: geometry.RegistrationReference, observed) -> tuple[geometry.RigidTransform, float]:
+    """Least-squares rigid registration of an observed volume.
 
-    Both arguments are lists of (id, point); only common ids participate.
-    Returns (transform, rms_residual).  Raises DegenerateConfiguration for
-    fewer than 3 common points or a collinear reference configuration.
+    ``reference`` is the reference volume's fiducials prepared once per
+    insertion (``geometry.prepare_reference``); ``observed`` is a volume's
+    (N, 3) fiducial array in the same id order.  Returns (transform,
+    rms_residual).
     """
-    ref_map = {fid: np.asarray(p, dtype=np.float64) for fid, p in reference}
-    obs_map = {fid: np.asarray(p, dtype=np.float64) for fid, p in observed}
-    common = sorted(ref_map.keys() & obs_map.keys())
-    if len(common) < 3:
-        raise DegenerateConfiguration(
-            f"need at least 3 common fiducials, got {len(common)}"
-        )
-    ref = np.array([ref_map[c] for c in common])
-    obs = np.array([obs_map[c] for c in common])
-    return geometry.register_points(ref, obs)
+    return geometry.register_to(reference, observed)
 
 
 def track_target(reg: geometry.RigidTransform, target_rest) -> np.ndarray:

@@ -3,10 +3,21 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import tiny_config
+from prostasim import controller, geometry, sensing, study
 from prostasim.controller import ConvergenceParams, open_loop_insertion, run_insertion
 from prostasim.geometry import Segment
 from prostasim.kinematics import RobotGeometry
-from prostasim.phantom import LEFT, MotionParams, PhantomSpec, generate_phantom, gland_entry_depth
+from prostasim.phantom import (
+    LEFT,
+    MotionParams,
+    NeedleState,
+    PhantomSpec,
+    generate_phantom,
+    gland_entry_depth,
+    prostate_transform,
+    world_to_material,
+)
 from prostasim.planning import PubicArchModel
 from prostasim.rng import InsertionStreams
 from prostasim.sensing import NoiseModel
@@ -20,10 +31,10 @@ def far_arch():
     return PubicArchModel([(seg, 4.0)])
 
 
-def blocking_arch(target, z=-30.0):
-    # bar crossing the straight path, by default halfway down the shaft
+def blocking_arch(target):
+    # bar crossing the straight path halfway down the shaft
     y = float(target[1])
-    seg = Segment(np.array([-60.0, y, z]), np.array([60.0, y, z]))
+    seg = Segment(np.array([-60.0, y, -30.0]), np.array([60.0, y, -30.0]))
     return PubicArchModel([(seg, 6.0)])
 
 
@@ -146,45 +157,6 @@ def test_blocked_path_replans_angled():
     assert rec.distance_error < 1e-9
 
 
-def test_stale_plan_triggers_safety_stop(monkeypatch):
-    # plan made against an outdated arch model: force the direct path and
-    # let the in-run obstruction check catch the collision
-    from prostasim import kinematics, planning
-
-    p = make_phantom()
-    t = non_left_target(p)
-    arch = blocking_arch(t.position_rest)
-
-    def plan_ignoring_arch(arch_, target, region, geom, needle_radius=planning.DEFAULT_NEEDLE_RADIUS):
-        entry = np.array([target[0], target[1], geom.front_plane_z])
-        d = (target - entry) / np.linalg.norm(target - entry)
-        return kinematics.Trajectory(entry, d, float(np.linalg.norm(target - entry)), "Horizontal")
-
-    monkeypatch.setattr(planning, "replan_angled", plan_ignoring_arch)
-    rec = run_quiet(p, t.id, arch=arch)
-    assert rec.disengaged
-    assert rec.corrections == []
-    assert rec.n_corrections == 0
-    assert rec.axial_motion == 0.0
-    assert rec.distance_error > 1.0
-    # the bar axis sits at z=-30: the tip must stop short of it
-    stop_z = rec.trajectory.entry[2] + rec.trajectory.planned_depth * rec.trajectory.dir[2]
-    assert rec.bead_rest_position[2] < -30.0 < stop_z
-    o = run_quiet(p, t.id, arch=arch, mode=open_loop_insertion)
-    assert o.disengaged
-    assert o.axial_motion == 0.0
-    assert rec.open_loop.disengaged
-    # a bar just short of the target stops the tip inside a moving gland:
-    # the closed record is its baseline without the residual motion
-    moving = make_phantom(motion=MotionParams(0.05, 2.0, 0.01, 0.8))
-    t = non_left_target(moving)
-    rec = run_quiet(moving, t.id, arch=blocking_arch(t.position_rest, z=t.position_rest[2] - 2.0))
-    assert rec.disengaged and rec.open_loop.disengaged
-    assert np.any(rec.open_loop.residual_motion != 0.0)
-    np.testing.assert_array_equal(rec.residual_motion, np.zeros(3))
-    np.testing.assert_array_equal(rec.bead_rest_position, rec.open_loop.bead_rest_position)
-
-
 def test_left_bias_deflects_left_zone_beads():
     bias = 1.5
     p = make_phantom(left_bias=bias)
@@ -225,3 +197,57 @@ def test_convergence_params_validate():
         ConvergenceParams(depth_epsilon=0.0).validate()
     with pytest.raises(ValueError):
         ConvergenceParams(max_corrections=0).validate()
+
+
+def counting(calls, name, fn):
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
+    calls = []
+    monkeypatch.setattr(controller, "prostate_transform", counting(calls, "transform", prostate_transform))
+    monkeypatch.setattr(geometry, "max_line_deviation", counting(calls, "line", geometry.max_line_deviation))
+    per_insertion = []
+
+    def insertion(*args, **kwargs):
+        calls.clear()
+        rec = run_insertion(*args, **kwargs)
+        per_insertion.append((calls.count("transform"), calls.count("line"), rec.n_corrections))
+        return rec
+
+    monkeypatch.setattr(study, "run_insertion", insertion)
+    study.run_study(tiny_config(mode="closed_loop"))
+    assert len(per_insertion) == 16
+    # insertions that verify three or more times, so a per-step evaluation shows
+    assert max(n for _, _, n in per_insertion) >= 2
+    for transforms, lines, _ in per_insertion:
+        assert transforms <= 2
+        assert lines == 1
+
+
+def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
+    p = make_phantom(motion=drag_motion())
+    t = non_left_target(p)
+    entry = np.array([t.position_rest[0], t.position_rest[1], GEOM.front_plane_z])
+    d = np.array([0.0, 0.0, 1.0])
+    shallow = entry + (gland_entry_depth(p, entry, d) - 3.0) * d
+    # the tracker reports the target short of the gland: the tip retracts there
+    monkeypatch.setattr(sensing, "track_target", lambda reg, target: shallow.copy())
+    calls = []
+    monkeypatch.setattr(controller, "prostate_transform", counting(calls, "transform", prostate_transform))
+    rec = run_quiet(p, t.id)
+    assert rec.n_corrections == 1 and len(calls) == 2
+    traj = rec.trajectory
+    planned = traj.planned_depth
+    depth_to_shallow, _ = geometry.axis_decompose(traj.entry, traj.dir, shallow)
+    tip = max(0.0, planned + (depth_to_shallow - planned))
+    fresh = prostate_transform(p, NeedleState(traj.entry, traj.dir, tip, pass_depth=planned), np.zeros(3))
+    bead = world_to_material(p, fresh, traj.entry + tip * traj.dir)
+    np.testing.assert_array_equal(rec.bead_rest_position, bead)
+    assert rec.distance_error == float(np.linalg.norm(bead - t.position_rest))
+    # the first pass's transform, which the retracted tip must not reuse
+    first = prostate_transform(p, NeedleState(traj.entry, traj.dir, planned), np.zeros(3))
+    assert np.linalg.norm(first.translation - fresh.translation) > 1.0

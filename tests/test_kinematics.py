@@ -12,7 +12,6 @@ from prostasim.kinematics import (
     forward_kinematics,
     insertion_duration,
     inverse_kinematics,
-    safety_stop,
 )
 
 
@@ -128,18 +127,6 @@ def test_advance_clamps_at_zero(geom):
     js = JointState(0, 0, 0, 0, insertion_depth=3.0)
     js, _ = advance_insertion(geom, js, -10.0, rotating=False)
     assert js.insertion_depth == 0.0
-
-
-def test_safety_stop(geom):
-    js = JointState(0, 0, 0, 0, insertion_depth=50.0)
-    stopped = safety_stop(js, 30.0)
-    assert stopped.insertion_depth == 30.0
-    assert stopped.disengaged
-    untouched = safety_stop(JointState(0, 0, 0, 0, insertion_depth=10.0), 30.0)
-    assert untouched.insertion_depth == 10.0
-    assert not untouched.disengaged
-    with pytest.raises(ValueError):
-        safety_stop(js, -1.0)
 
 
 def _probe_feasible(geom, entry3, target):

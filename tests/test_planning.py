@@ -7,6 +7,7 @@ from prostasim.geometry import Segment, segment_segment_distance
 from prostasim.kinematics import RobotGeometry, Trajectory
 from prostasim.planning import (
     DEPTH_MARGIN,
+    ENTRY_GRID_STEP,
     EntryRegion,
     NoFeasiblePath,
     PubicArchModel,
@@ -98,6 +99,39 @@ def test_candidate_entries_pruned_by_region(geom):
     slim = EntryRegion(x_min=-4.0, x_max=4.0, y_min=-4.0, y_max=4.0)
     entries, _ = candidate_entries(target, slim, geom)
     assert np.all(np.abs(entries) <= 4.0)
+
+
+def candidate_entries_loop(target, region, geom):
+    """candidate_entries as a scalar loop over the (dy, dx) grid."""
+    tx, ty, tz = (float(v) for v in target)
+    dz = tz - geom.front_plane_z
+    steps = int(math.floor(math.tan(math.radians(geom.max_angulation)) * dz / ENTRY_GRID_STEP))
+    entries, angles = [], []
+    for j in range(-steps, steps + 1):
+        ey = ty + j * ENTRY_GRID_STEP
+        for i in range(-steps, steps + 1):
+            ex = tx + i * ENTRY_GRID_STEP
+            ang = math.degrees(math.atan2(math.hypot(ex - tx, ey - ty), dz))
+            scale = geom.stage_separation / dz
+            bx, by = ex - (tx - ex) * scale, ey - (ty - ey) * scale
+            if (region.contains(ex, ey) and ang <= geom.max_angulation + 1e-12
+                    and max(abs(ex), abs(ey), abs(bx), abs(by)) <= geom.stage_travel):
+                entries.append((ex, ey))
+                angles.append(ang)
+    return np.array(entries, dtype=np.float64).reshape(-1, 2), np.array(angles, dtype=np.float64)
+
+
+def test_candidate_entries_match_grid_loop(rng):
+    geoms = [RobotGeometry(), RobotGeometry(max_angulation=25.0, stage_travel=20.0)]
+    regions = [EntryRegion(), EntryRegion(x_min=-10.0, x_max=12.0, y_min=-5.0, y_max=30.0)]
+    for case in range(200):
+        target = rng.uniform([-30, -30, -40], [30, 30, 30])
+        geom, region = geoms[case % 2], regions[(case // 2) % 2]
+        got = candidate_entries(target, region, geom)
+        want = candidate_entries_loop(target, region, geom)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
 
 
 def test_candidate_entries_rejects_target_behind_plane(geom):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prostasim import geometry
-from prostasim.geometry import DegenerateConfiguration
+from prostasim.geometry import DegenerateConfiguration, prepare_reference
 from prostasim.phantom import MotionParams, PhantomSpec, generate_phantom
 from prostasim.rng import InsertionStreams
 from prostasim.sensing import (
@@ -49,16 +49,15 @@ def test_noiseless_observation_is_exact(phantom):
     t = some_transform()
     obs = observe(phantom, t, quiet_noise(), stream())
     assert obs.sigma_used == 0.0
-    assert len(obs.fiducials_observed) == len(phantom.fiducials)
-    for (fid, rest), (oid, world) in zip(phantom.fiducials, obs.fiducials_observed):
-        assert fid == oid
+    assert obs.fiducials_observed.shape == (len(phantom.fiducials), 3)
+    for (_, rest), world in zip(phantom.fiducials, obs.fiducials_observed):
         np.testing.assert_allclose(world, geometry.apply(t, rest), atol=1e-12)
 
 
 def test_register_recovers_transform(phantom):
     t = some_transform()
     obs = observe(phantom, t, quiet_noise(), stream())
-    reg, rms = rigid_register(phantom.fiducials, obs.fiducials_observed)
+    reg, rms = rigid_register(prepare_reference(phantom.fiducial_points), obs.fiducials_observed)
     assert rms < 1e-9
     np.testing.assert_allclose(reg.rotation, t.rotation, atol=1e-9)
     np.testing.assert_allclose(reg.translation, t.translation, atol=1e-9)
@@ -78,10 +77,11 @@ def test_registration_rms_matches_residual_dof(phantom):
     expect = sd * np.sqrt((3 * n - 6) / n)
     noise = quiet_noise(sigma0=sd)
     s = stream()
+    reference = prepare_reference(phantom.fiducial_points)
     draws = []
     for _ in range(300):
         obs = observe(phantom, geometry.identity(), noise, s)
-        _, rms = rigid_register(phantom.fiducials, obs.fiducials_observed)
+        _, rms = rigid_register(reference, obs.fiducials_observed)
         draws.append(rms)
     assert np.mean(draws) == pytest.approx(expect, rel=0.06)
 
@@ -115,28 +115,55 @@ def test_depth_gain_widens_scatter_with_depth(phantom):
     assert deep.std(axis=0).mean() > 2.0 * shallow.std(axis=0).mean()
 
 
-def test_register_matches_ids_not_order(phantom):
-    t = some_transform()
-    moved = [(fid, geometry.apply(t, rest)) for fid, rest in phantom.fiducials]
-    shuffled = list(reversed(moved[2:]))  # subset, reversed order
-    shuffled.append((999, np.array([50.0, 50.0, 50.0])))  # unknown id is ignored
-    reg, rms = rigid_register(phantom.fiducials, shuffled)
-    assert rms < 1e-9
-    np.testing.assert_allclose(reg.rotation, t.rotation, atol=1e-9)
-    np.testing.assert_allclose(reg.translation, t.translation, atol=1e-9)
-
-
 def test_register_needs_three_common_points(phantom):
-    t = some_transform()
-    moved = [(fid, geometry.apply(t, rest)) for fid, rest in phantom.fiducials[:2]]
-    with pytest.raises(DegenerateConfiguration, match="3 common"):
-        rigid_register(phantom.fiducials, moved)
-
+    with pytest.raises(DegenerateConfiguration, match="at least 3"):
+        prepare_reference(phantom.fiducial_points[:2])
+    reference = prepare_reference(phantom.fiducial_points[:3])
+    moved = geometry.apply(some_transform(), phantom.fiducial_points[:3])
+    _, rms = rigid_register(reference, moved)
+    assert rms < 1e-9
 
 def test_observation_stream_replays(phantom):
     noise = quiet_noise(sigma0=0.4)
     ks = dict(phantom=1, target=2, replicate=3)
     a = observe(phantom, geometry.identity(), noise, InsertionStreams(7, **ks).observation())
     b = observe(phantom, geometry.identity(), noise, InsertionStreams(7, **ks).observation())
-    for (_, pa), (_, pb) in zip(a.fiducials_observed, b.fiducials_observed):
-        np.testing.assert_array_equal(pa, pb)
+    np.testing.assert_array_equal(a.fiducials_observed, b.fiducials_observed)
+
+
+def observe_per_point(phantom, t, noise, s, needle_count):
+    """observe as a loop over fiducials, one draw of three per noisy point."""
+    base = noise.sigma0 * noise.degradation_per_needle**needle_count
+    rows = []
+    for _, rest in phantom.fiducials:
+        world = geometry.apply(t, rest)
+        sigma = base + noise.depth_gain * max(0.0, float(world[2]) + phantom.gland_semiaxes[2])
+        if sigma > 0:
+            world = world + s.normal(0.0, sigma, 3)
+        rows.append(world)
+    return np.array(rows)
+
+
+def test_observe_matches_per_point_loop_bit_for_bit(phantom):
+    rng = np.random.default_rng(2024)
+    c = phantom.gland_semiaxes[2]
+    a, b = stream(seed=3), stream(seed=3)
+    zero_rows = set()
+    for case in range(300):
+        # sigma0 = 0 with a depth gain leaves sd 0 on every fiducial in
+        # front of the entry plane z = -c; the z shift moves some, all or
+        # none of them there
+        sigma0 = 0.0 if case % 2 else float(rng.uniform(0.01, 1.0))
+        noise = quiet_noise(sigma0=sigma0, depth_gain=float(rng.uniform(0.0, 0.05)),
+                            degradation_per_needle=float(rng.uniform(1.0, 1.3)))
+        rot = geometry.rotation_about_axis(rng.normal(size=3), rng.uniform(-30, 30), rng.uniform(-10, 10, 3))
+        t = geometry.compose(geometry.translation(rng.uniform(-5, 5, 3) - [0, 0, rng.uniform(0, 2 * c)]), rot)
+        k = int(rng.integers(0, 4))
+        got = observe(phantom, t, noise, a, needle_count=k).fiducials_observed
+        want = observe_per_point(phantom, t, noise, b, k)
+        np.testing.assert_array_equal(got, want)
+        assert a.standard_normal() == b.standard_normal()
+        if sigma0 == 0.0:
+            zero_rows.add(int(np.sum(geometry.apply(t, phantom.fiducial_points)[:, 2] + c <= 0)))
+    n = len(phantom.fiducials)
+    assert 0 in zero_rows and n in zero_rows and zero_rows - {0, n}
