@@ -9,6 +9,7 @@ import hashlib
 import os
 
 from conftest import tiny_config
+from prostasim import calibrate as cal
 from prostasim.config import default_config
 from prostasim.study import run_study, write_report
 
@@ -27,6 +28,21 @@ TINY_ANGLED = {
     "records_closed.csv": "4f9c85d2d6a20768738431932dcf98970931de5ff1216f8132285eec90146e20",
     "records_open.csv": "58cd6a2335ac11ea802f7325e48cc39f446a9c8d9699eacd4473cd82887b14b1",
     "summary.json": "e17405d2bcdc4da6a4c17ec6b5b4009fe2fa19860de2caf705bb099717a1d6b7",
+}
+
+
+# calibrate(default_config(), replicates=1, grid_points=2): the YAML header
+# rounds the medians, so the objective and medians are pinned exactly too
+CALIBRATE_SMALL_YAML = "da99f19d8a800249623f8c0b7b42b4140077388d2a60414ba20b5b7be84451e8"
+CALIBRATE_SMALL_OBJECTIVE = 0.04485180233292494
+CALIBRATE_SMALL_MEDIANS = {
+    "overall_error_mm": 2.294885903364383,
+    "axial_motion_mm": 5.065431593079133,
+    "apex_depth_correction_mm": 4.178281579447912,
+    "base_depth_correction_mm": 6.527082887829902,
+    "motion_x_mm": 1.3684160877213967,
+    "motion_y_mm": 1.1614742034757637,
+    "motion_z_mm": 1.4951289996354349,
 }
 
 
@@ -56,3 +72,12 @@ def test_left_bias_angled_variant_bytes(tmp_path):
     report = run_study(cfg)
     assert any(r.approach == "Angled" for r in report.rows_closed)
     assert _digests(report, tmp_path) == TINY_ANGLED
+
+
+def test_small_calibration_is_pinned():
+    base = default_config()
+    result = cal.calibrate(base, replicates=1, grid_points=2)
+    text = cal.fitted_config_yaml(base, result, replicates=1, grid_points=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CALIBRATE_SMALL_YAML
+    assert result.objective == CALIBRATE_SMALL_OBJECTIVE
+    assert result.medians == CALIBRATE_SMALL_MEDIANS
