@@ -6,6 +6,15 @@ three per-axis residual motion medians.  The objective is the sum of
 squared relative deviations from those targets; candidates that break the
 workflow shape (correction-count distribution, apex/base ordering) are
 rejected outright, since the objective alone cannot see them.
+
+The grid points differ only in the four motion parameters and ``sigma0``,
+so a search reuses the motion-free half of every study
+(``study.SharedWork``): the phantoms, whose target and fiducial placement
+never reads the motion parameters, are built once per search, and each
+insertion plan, which is made from a reference volume observed at rest
+and so depends on ``sigma0`` but not on motion, once per ``sigma0``
+value.  The grid's order and its strict-``<`` choice of the best point
+are those of an unshared search, and so are the results.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import StudyConfig, to_yaml
-from .study import run_study
+from .study import SharedWork, run_study, share_work
 
 TARGETS = {
     "overall_error_mm": 2.73,
@@ -48,9 +57,12 @@ def _grid(center: float, span: float, points: int):
     return [float(v) for v in np.linspace(center - span, center + span, points)]
 
 
-def study_medians(cfg: StudyConfig) -> tuple[dict, dict]:
-    """Run a closed-loop study and pull the seven calibration medians."""
-    report = run_study(cfg)
+def study_medians(cfg: StudyConfig, shared: SharedWork | None = None) -> tuple[dict, dict]:
+    """Run a closed-loop study and pull the seven calibration medians.
+
+    ``shared`` is passed on to ``run_study``; the medians do not depend on it.
+    """
+    report = run_study(cfg, shared)
     s = report.summary
     strata = {
         (row["dimension"], row["stratum"]): row for row in s["table1"]["strata"]
@@ -128,6 +140,9 @@ def calibrate(
         "sigma0": _grid(base.noise.sigma0, spans["sigma0"], grid_points),
     }
 
+    # phantoms and plans are motion-free: made once per search, each plan
+    # once per sigma0 value, and dropped when the search returns
+    shared = share_work(_apply_params(base, {}))
     best = None
     best_any = None
     for offset in axes["axial_base_offset"]:
@@ -142,7 +157,7 @@ def calibrate(
                             "noise_sd_motion": max(0.0, sd),
                             "sigma0": max(0.0, sigma0),
                         }
-                        medians, corr = study_medians(_apply_params(base, params))
+                        medians, corr = study_medians(_apply_params(base, params), shared)
                         obj = objective(medians)
                         ok = _feasible(medians, corr)
                         cand = CalibrationResult(params, obj, medians, ok)

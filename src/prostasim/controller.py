@@ -21,6 +21,13 @@ left it (the baseline), and the closed loop continues from that state,
 whose gland transform is its first verification.  ``run_insertion``
 returns the closed record with the baseline attached; the paired
 comparison of the two quantifies what the loop buys.
+
+An insertion has a motion-free half, ``plan_insertion`` (reference
+volume, observed target, trajectory, first pass, and the first-pass
+penetration that sets the modeled drag), and a half that reads the
+motion parameters (motion noise, gland transforms, correction loop,
+scoring).  Callers that vary only the motion may make the plan once and
+pass it in.
 """
 
 from __future__ import annotations
@@ -34,9 +41,10 @@ from .phantom import (
     LEFT,
     NeedleState,
     ProstatePhantom,
+    Target,
     ZoneLabels,
-    axial_drag,
     gland_entry_depth,
+    penetration,
     prostate_transform,
     with_approach,
     world_to_material,
@@ -81,17 +89,49 @@ class InsertionRecord:
     open_loop: InsertionRecord | None = None
 
 
-def _plan(
+@dataclass
+class InsertionPlan:
+    """The motion-free half of one insertion: everything up to the end of
+    the first pass.
+
+    None of it reads the motion parameters: the reference volume is taken
+    at rest, so it, the observed target and the trajectory depend only on
+    the phantom, the noise model, the robot and the arch.  A plan can
+    therefore be shared by insertions that differ only in motion.
+    ``reference`` and ``entry_depth`` serve the correction loop and are
+    prepared only for a tracked plan; ``reference`` is None otherwise.
+    """
+
+    target: Target
+    target_obs: np.ndarray
+    trajectory: kinematics.Trajectory
+    # joint state and elapsed time after the first pass
+    joints: kinematics.JointState
+    duration_s: float
+    # first-pass penetration beyond the gland entry point (drives the drag)
+    penetration: float
+    reference: geometry.RegistrationReference | None = None
+    # gland entry depth along the unit direction (None: the line misses it)
+    entry_depth: float | None = None
+
+
+def plan_insertion(
     phantom: ProstatePhantom,
     geom: kinematics.RobotGeometry,
     arch: PubicArchModel,
     noise: NoiseModel,
-    target,
+    target_id: int,
     streams: InsertionStreams,
-    entry_region: EntryRegion,
-    needle_radius: float,
-):
-    """Reference observation and trajectory planning, shared by both modes."""
+    entry_region: EntryRegion | None = None,
+    needle_radius: float = planning.DEFAULT_NEEDLE_RADIUS,
+    track: bool = True,
+) -> InsertionPlan:
+    """Observe at rest, plan the trajectory and make the first pass.
+
+    Raises planning.NoFeasiblePath when no trajectory clears the arch.
+    """
+    region = entry_region if entry_region is not None else EntryRegion()
+    target = phantom.target_by_id(target_id)
     ref_stream = streams.reference()
     ref_obs = sensing.observe(
         phantom, geometry.identity(), noise, ref_stream,
@@ -100,9 +140,15 @@ def _plan(
     target_obs = sensing.observe_point(
         phantom, target.position_rest, noise, ref_stream, streams.needle_count
     )
-    traj = planning.replan_angled(arch, target_obs, entry_region, geom, needle_radius)
+    traj = planning.replan_angled(arch, target_obs, region, geom, needle_radius)
     js = kinematics.inverse_kinematics(geom, traj)
-    return ref_obs, target_obs, traj, js
+    js, duration = kinematics.advance_insertion(geom, js, traj.planned_depth, rotating=True)
+    pen = penetration(phantom, NeedleState(traj.entry, traj.dir, traj.planned_depth))
+    plan = InsertionPlan(target, target_obs, traj, js, duration, pen)
+    if track:
+        plan.reference = geometry.prepare_reference(ref_obs.fiducials_observed)
+        plan.entry_depth = gland_entry_depth(phantom, traj.entry, geometry.normalize(traj.dir))
+    return plan
 
 
 def _deposit(phantom: ProstatePhantom, target, tip_world, transform):
@@ -115,10 +161,10 @@ def _deposit(phantom: ProstatePhantom, target, tip_world, transform):
     return bead_rest, error
 
 
-def _residual_motion(phantom, needle, moved_target, target_obs):
+def _residual_motion(drag, plan, moved_target):
     """Per-axis target displacement beyond the modeled axial drag."""
-    disp = np.asarray(moved_target, dtype=np.float64) - target_obs
-    return disp - axial_drag(phantom, needle) * needle.dir
+    disp = np.asarray(moved_target, dtype=np.float64) - plan.target_obs
+    return disp - drag * plan.trajectory.dir
 
 
 def run_insertion(
@@ -131,17 +177,19 @@ def run_insertion(
     streams: InsertionStreams,
     entry_region: EntryRegion | None = None,
     needle_radius: float = planning.DEFAULT_NEEDLE_RADIUS,
+    plan: InsertionPlan | None = None,
 ) -> InsertionRecord:
     """Execute one closed-loop insertion; see the module docstring.
 
     The returned record carries the open-loop baseline of the same plan
-    in ``open_loop``.  Raises planning.NoFeasiblePath when no trajectory
-    clears the arch.  A correction budget overrun does not raise: the
-    record is flagged.
+    in ``open_loop``.  ``plan``, a tracked ``plan_insertion`` result for
+    this slot, skips planning.  Raises planning.NoFeasiblePath when no
+    trajectory clears the arch.  A correction budget overrun does not
+    raise: the record is flagged.
     """
     return _insert(
         phantom, geom, arch, noise, conv, target_id, streams, entry_region, needle_radius,
-        track=True,
+        plan, track=True,
     )
 
 
@@ -155,28 +203,32 @@ def open_loop_insertion(
     streams: InsertionStreams,
     entry_region: EntryRegion | None = None,
     needle_radius: float = planning.DEFAULT_NEEDLE_RADIUS,
+    plan: InsertionPlan | None = None,
 ) -> InsertionRecord:
     """The open-loop baseline alone: run_insertion's ``open_loop`` record."""
     return _insert(
         phantom, geom, arch, noise, conv, target_id, streams, entry_region, needle_radius,
-        track=False,
+        plan, track=False,
     )
 
 
-def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, needle_radius, *, track):
-    """Plan and insert once and score the open-loop baseline.
+def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, needle_radius, plan, *, track):
+    """Insert once along the plan and score the open-loop baseline.
 
     With ``track`` the closed loop continues from the baseline's state and
     its record carries the baseline; without it the baseline is returned.
+    Everything from here on reads the motion parameters.
     """
     conv.validate()
-    region = entry_region if entry_region is not None else EntryRegion()
-    target = phantom.target_by_id(target_id)
-    ref_obs, target_obs, traj, js = _plan(
-        phantom, geom, arch, noise, target, streams, region, needle_radius
-    )
-    js, duration = kinematics.advance_insertion(geom, js, traj.planned_depth, rotating=True)
-    depth = traj.planned_depth
+    if plan is None:
+        plan = plan_insertion(
+            phantom, geom, arch, noise, target_id, streams, entry_region, needle_radius, track
+        )
+    elif track and plan.reference is None:
+        raise ValueError("a closed-loop insertion needs a tracked plan")
+    target, target_obs, traj = plan.target, plan.target_obs, plan.trajectory
+    js, duration, depth = plan.joints, plan.duration_s, traj.planned_depth
+    drag = phantom.motion.drag(plan.penetration)
 
     # frozen per-insertion motion noise: every gland transform sees it
     sd = phantom.motion.noise_sd_motion
@@ -195,17 +247,16 @@ def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, 
         # the induced-but-uncorrected axial displacement of the observed target
         axial_motion=float(depth_of_target - traj.planned_depth),
         zone=with_approach(target.zone, traj.approach),
-        residual_motion=_residual_motion(phantom, needle, moved_target, target_obs),
+        residual_motion=_residual_motion(drag, plan, moved_target),
         duration_s=duration, rotation_angle_deg=js.rotation_angle,
     )
     if not track:
         return baseline
 
     obs_stream = streams.observation()
-    reference = geometry.prepare_reference(ref_obs.fiducials_observed)
     # penetration is read from the fixed pass depth, so the gland transform
     # depends on the tip only through "is it past the gland entry depth"
-    entry_depth = gland_entry_depth(phantom, traj.entry, geometry.normalize(traj.dir))
+    entry_depth = plan.entry_depth
 
     def past_entry(tip):
         return entry_depth is not None and tip > entry_depth
@@ -221,7 +272,7 @@ def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, 
             phantom, t_true, noise, obs_stream,
             volume_index=step, needle_count=streams.needle_count,
         )
-        reg, last_rms = sensing.rigid_register(reference, obs.fiducials_observed)
+        reg, last_rms = sensing.rigid_register(plan.reference, obs.fiducials_observed)
         tracked = sensing.track_target(reg, target_obs)
         depth_to_target, _ = geometry.axis_decompose(traj.entry, traj.dir, tracked)
         delta = depth_to_target - tip_depth
@@ -248,7 +299,7 @@ def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, 
         bead_rest_position=bead_rest, distance_error=error, axial_motion=float(applied),
         max_corrections_exceeded=exceeded,
         # measured at the first verification, from the tracked target
-        residual_motion=_residual_motion(phantom, needle, corrections[0][1], target_obs),
+        residual_motion=_residual_motion(drag, plan, corrections[0][1]),
         registration_rms=last_rms, duration_s=duration, rotation_angle_deg=js.rotation_angle,
         open_loop=baseline,
     )

@@ -85,6 +85,12 @@ class MotionParams:
     noise_sd_motion: float = 1.85
     rng_seed: int = 0
 
+    def drag(self, pen: float) -> float:
+        """Modeled axial drag, in mm, for a first-pass penetration ``pen``."""
+        if pen <= 0.0:
+            return 0.0
+        return self.axial_base_offset + self.axial_gain * pen
+
     def validate(self):
         for name in ("axial_gain", "axial_base_offset", "rotation_gain", "noise_sd_motion"):
             if getattr(self, name) < 0:
@@ -305,10 +311,7 @@ def penetration(phantom: ProstatePhantom, needle: NeedleState) -> float:
 
 def axial_drag(phantom: ProstatePhantom, needle: NeedleState) -> float:
     """Magnitude of the modeled axial drag for this needle state, in mm."""
-    pen = penetration(phantom, needle)
-    if pen <= 0.0:
-        return 0.0
-    return phantom.motion.axial_base_offset + phantom.motion.axial_gain * pen
+    return phantom.motion.drag(penetration(phantom, needle))
 
 
 def prostate_transform(phantom: ProstatePhantom, needle: NeedleState, motion_noise) -> geometry.RigidTransform:
@@ -345,10 +348,6 @@ def prostate_transform(phantom: ProstatePhantom, needle: NeedleState, motion_noi
         rot = geometry.identity()
 
     return geometry.compose(geometry.translation(drag * d + motion_noise), rot)
-
-
-def material_to_world(phantom: ProstatePhantom, t: geometry.RigidTransform, p_rest) -> np.ndarray:
-    return geometry.apply(t, p_rest)
 
 
 def world_to_material(phantom: ProstatePhantom, t: geometry.RigidTransform, p_world) -> np.ndarray:

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
 import numpy as np
 
 from . import __version__
-from .config import StudyConfig
-from .controller import InsertionRecord, open_loop_insertion, run_insertion
+from .config import StudyConfig, to_dict
+from .controller import InsertionPlan, InsertionRecord, open_loop_insertion, plan_insertion, run_insertion
 from .phantom import (
     ANTERIOR,
     APEX,
@@ -151,13 +151,55 @@ def build_phantoms(cfg: StudyConfig):
     return phantoms
 
 
-def run_study(cfg: StudyConfig) -> StudyReport:
-    """Run every insertion of the configured study and summarize."""
+def _motion_free_key(cfg: StudyConfig) -> dict:
+    """The config minus what shared work may differ in: motion, sigma0, output."""
+    key = to_dict(cfg)
+    del key["motion"], key["noise"]["sigma0"], key["output"]
+    return key
+
+
+@dataclass
+class SharedWork:
+    """The motion-free half of a study, reused across studies of one config
+    that differ only in the motion parameters and ``noise.sigma0`` (the
+    axes of a calibration grid).
+
+    Target and fiducial placement never read the motion parameters, so
+    the phantoms are built once and each study gets them with its own
+    motion.  An insertion plan depends on sigma0 but not on motion, so
+    plans are made on first use and kept per (sigma0, phantom, target,
+    replicate).  Make one with ``share_work`` and keep it no longer than
+    the search that uses it.
+    """
+
+    key: dict
+    phantoms: list
+    plans: dict[tuple, InsertionPlan] = field(default_factory=dict)
+
+
+def share_work(cfg: StudyConfig) -> SharedWork:
     cfg.validate()
-    phantoms = build_phantoms(cfg)
+    return SharedWork(_motion_free_key(cfg), build_phantoms(cfg))
+
+
+def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport:
+    """Run every insertion of the configured study and summarize.
+
+    With ``shared`` (see SharedWork) the phantoms and insertion plans
+    come from it; the records are the same as without it.
+    """
+    cfg.validate()
+    if shared is None:
+        phantoms = build_phantoms(cfg)
+    elif _motion_free_key(cfg) != shared.key:
+        raise ValueError("shared work was made for a config that differs beyond motion and sigma0")
+    else:
+        phantoms = [replace(ph, motion=cfg.motion) for ph in shared.phantoms]
     arch = cfg.arch.build()
     do_closed = cfg.mode in ("closed_loop", "both")
     do_open = cfg.mode in ("open_loop", "both")
+    # one insertion per slot: the closed record carries its baseline
+    insert = run_insertion if do_closed else open_loop_insertion
 
     rows_closed: list[RecordRow] = []
     rows_open: list[RecordRow] = []
@@ -170,11 +212,18 @@ def run_study(cfg: StudyConfig) -> StudyReport:
                     noise_salt=cfg.noise.rng_seed,
                     needle_count=t,
                 )
-                # one insertion per slot: the closed record carries its baseline
-                insert = run_insertion if do_closed else open_loop_insertion
+                plan = None
+                if shared is not None:
+                    slot = (cfg.noise.sigma0, p, t, r)
+                    plan = shared.plans.get(slot)
+                    if plan is None:
+                        plan = shared.plans[slot] = plan_insertion(
+                            phantoms[p], cfg.robot, arch, cfg.noise, t, streams,
+                            cfg.entry_region, cfg.needle_radius, track=do_closed,
+                        )
                 rec = insert(
                     phantoms[p], cfg.robot, arch, cfg.noise, cfg.convergence, t, streams,
-                    entry_region=cfg.entry_region, needle_radius=cfg.needle_radius,
+                    entry_region=cfg.entry_region, needle_radius=cfg.needle_radius, plan=plan,
                 )
                 if do_closed:
                     rows_closed.append(_row_from_record(rec, p, r))
@@ -290,9 +339,7 @@ def _corrections(rows: list[RecordRow]) -> dict:
 
 def summarize(cfg: StudyConfig, rows_closed: list[RecordRow], rows_open: list[RecordRow]) -> dict:
     """Build the summary dict from raw rows (shared by run and re-report)."""
-    from .config import to_dict as config_to_dict
-
-    echo = config_to_dict(cfg)
+    echo = to_dict(cfg)
     # where the report goes does not affect results and must not affect bytes
     echo.pop("output", None)
 

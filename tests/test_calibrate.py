@@ -1,9 +1,12 @@
+import itertools
+
 import yaml
 
 import pytest
 
 from conftest import tiny_config
 from prostasim import calibrate as cal
+from prostasim import planning, study
 from prostasim.config import from_dict
 
 
@@ -72,3 +75,40 @@ def test_grid_is_centered_and_sized():
     assert cal._grid(1.0, 0.5, 1) == [1.0]
     g = cal._grid(1.0, 0.5, 3)
     assert g == [0.5, 1.0, 1.5]
+
+
+def test_shared_work_gives_the_fresh_results_on_every_grid_point():
+    base = tiny_config(mode="closed_loop", replicates=1)
+    base.motion.noise_sd_motion = 0.8
+    shared = study.share_work(base)
+    axes = {
+        "axial_base_offset": (1.5, 3.0),
+        "axial_gain": (0.05, 0.2),
+        "rotation_gain": (0.0, 0.03),
+        "noise_sd_motion": (0.0, 1.5),
+        "sigma0": (0.05, 0.3),
+    }
+    for values in itertools.product(*axes.values()):
+        cfg = cal._apply_params(base, dict(zip(axes, values)))
+        assert cal.study_medians(cfg, shared) == cal.study_medians(cfg)
+        assert study.run_study(cfg, shared).rows_closed == study.run_study(cfg).rows_closed
+    # one plan per sigma0 value and insertion
+    assert len(shared.plans) == 2 * base.n_phantoms * base.targets_per_phantom
+
+
+def test_calibrate_builds_phantoms_once_and_plans_once_per_sigma0(monkeypatch):
+    calls = {"phantoms": 0, "plans": 0}
+    build, replan = study.build_phantoms, planning.replan_angled
+
+    def count(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(study, "build_phantoms", count("phantoms", build))
+    monkeypatch.setattr(planning, "replan_angled", count("plans", replan))
+    base = tiny_config(mode="closed_loop", replicates=1)
+    cal.calibrate(base, replicates=1, grid_points=2)
+    insertions = base.n_phantoms * base.targets_per_phantom
+    assert calls == {"phantoms": 1, "plans": 2 * insertions}

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import tiny_config
 from prostasim import controller, geometry, sensing, study
-from prostasim.controller import ConvergenceParams, open_loop_insertion, run_insertion
+from prostasim import phantom as ph
+from prostasim.controller import ConvergenceParams, open_loop_insertion, plan_insertion, run_insertion
 from prostasim.geometry import Segment
 from prostasim.kinematics import RobotGeometry
 from prostasim.phantom import (
@@ -210,22 +211,31 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
     calls = []
     monkeypatch.setattr(controller, "prostate_transform", counting(calls, "transform", prostate_transform))
     monkeypatch.setattr(geometry, "max_line_deviation", counting(calls, "line", geometry.max_line_deviation))
+    # the entry depth is looked up through both modules' bindings
+    entry = counting(calls, "entry", gland_entry_depth)
+    monkeypatch.setattr(controller, "gland_entry_depth", entry)
+    monkeypatch.setattr(ph, "gland_entry_depth", entry)
     per_insertion = []
 
     def insertion(*args, **kwargs):
         calls.clear()
         rec = run_insertion(*args, **kwargs)
-        per_insertion.append((calls.count("transform"), calls.count("line"), rec.n_corrections))
+        per_insertion.append(
+            (calls.count("transform"), calls.count("line"), calls.count("entry"), rec.n_corrections)
+        )
         return rec
 
     monkeypatch.setattr(study, "run_insertion", insertion)
     study.run_study(tiny_config(mode="closed_loop"))
     assert len(per_insertion) == 16
     # insertions that verify three or more times, so a per-step evaluation shows
-    assert max(n for _, _, n in per_insertion) >= 2
-    for transforms, lines, _ in per_insertion:
+    assert max(n for *_, n in per_insertion) >= 2
+    for transforms, lines, entries, _ in per_insertion:
         assert transforms <= 2
         assert lines == 1
+        # one per transform, one for the first-pass penetration (the drag of
+        # both records) and one for the correction loop's entry depth
+        assert entries == transforms + 2
 
 
 def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
@@ -251,3 +261,34 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     # the first pass's transform, which the retracted tip must not reuse
     first = prostate_transform(p, NeedleState(traj.entry, traj.dir, planned), np.zeros(3))
     assert np.linalg.norm(first.translation - fresh.translation) > 1.0
+
+
+def test_a_given_plan_gives_the_same_records():
+    p = make_phantom(motion=MotionParams(0.05, 2.0, 0.01, 0.8))
+    t = non_left_target(p)
+    noise = NoiseModel(sigma0=0.3, depth_gain=0.002, degradation_per_needle=1.0)
+    plan = plan_insertion(p, GEOM, far_arch(), noise, t.id, streams(t.id))
+    fresh = run_quiet(p, t.id, noise=noise)
+    assert fresh.n_corrections >= 1
+    for _ in range(2):  # a plan is not consumed by its use
+        given = run_insertion(
+            p, GEOM, far_arch(), noise, ConvergenceParams(), t.id, streams(t.id), plan=plan
+        )
+        for a, b in ((fresh, given), (fresh.open_loop, given.open_loop)):
+            for f in fields(a):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                if f.name == "trajectory":
+                    x, y = vars(x), vars(y)
+                if f.name != "open_loop":
+                    np.testing.assert_equal(x, y, err_msg=f.name)
+    # an untracked plan carries no registration reference
+    untracked = plan_insertion(p, GEOM, far_arch(), noise, t.id, streams(t.id), track=False)
+    assert untracked.reference is None and untracked.entry_depth is None
+    opened = open_loop_insertion(
+        p, GEOM, far_arch(), noise, ConvergenceParams(), t.id, streams(t.id), plan=untracked
+    )
+    assert opened.distance_error == fresh.open_loop.distance_error
+    with pytest.raises(ValueError, match="tracked plan"):
+        run_insertion(
+            p, GEOM, far_arch(), noise, ConvergenceParams(), t.id, streams(t.id), plan=untracked
+        )

@@ -18,7 +18,6 @@ from prostasim.phantom import (
     generate_phantom,
     gland_entry_depth,
     largest_remainder,
-    material_to_world,
     penetration,
     prostate_transform,
     world_to_material,
@@ -216,7 +215,7 @@ def test_material_world_round_trip():
     noise = InsertionStreams(4, 0, 0, 0).motion().normal(0.0, motion.noise_sd_motion, 3)
     t = prostate_transform(p, NeedleState([6, 2, -60], [0, 0, 1], 70.0), noise)
     rest = p.targets[0].position_rest
-    world = material_to_world(p, t, rest)
+    world = geometry.apply(t, rest)
     np.testing.assert_allclose(world_to_material(p, t, world), rest, atol=1e-9)
 
 

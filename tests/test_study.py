@@ -16,6 +16,7 @@ from prostasim.study import (
     report_from_records,
     rows_to_csv,
     run_study,
+    share_work,
     summarize,
     summary_to_csv,
     write_report,
@@ -56,6 +57,40 @@ def test_both_modes_plan_once_per_insertion(monkeypatch):
     n = cfg.n_phantoms * cfg.targets_per_phantom * cfg.n_seed_replicates
     assert len(report.rows_closed) == len(report.rows_open) == n
     assert len(calls) == n
+
+
+def test_open_loop_studies_prepare_no_registration_reference(monkeypatch):
+    from prostasim import geometry
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an open-loop run prepared a registration reference")
+
+    monkeypatch.setattr(geometry, "prepare_reference", refuse)
+    cfg = tiny_config(mode="open_loop")
+    plain = run_study(cfg)
+    shared = run_study(cfg, share_work(cfg))
+    assert plain.rows_open == shared.rows_open
+    assert len(plain.rows_open) == 16
+
+
+def test_shared_work_refuses_another_config():
+    cfg = tiny_config(mode="closed_loop", replicates=1)
+    shared = share_work(cfg)
+    other = copy.deepcopy(cfg)
+    other.motion.axial_gain *= 2.0
+    other.noise.sigma0 *= 2.0
+    other.output.dir = "elsewhere"
+    run_study(other, shared)  # motion, sigma0 and the output may differ
+    for change in (
+        lambda c: setattr(c, "seed", c.seed + 1),
+        lambda c: setattr(c.noise, "depth_gain", 0.002),
+        lambda c: setattr(c, "mode", "both"),
+        lambda c: setattr(c.phantom, "left_bias_enabled", True),
+    ):
+        other = copy.deepcopy(cfg)
+        change(other)
+        with pytest.raises(ValueError, match="shared work"):
+            run_study(other, shared)
 
 
 def test_quota_split_sums_per_phantom():
