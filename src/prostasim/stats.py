@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import gammaincc
 
 EXACT_ENUMERATION_LIMIT = 16
 
@@ -145,9 +144,30 @@ def kruskal_wallis(groups: list[Sample]) -> tuple[float, float]:
 
 
 def chi_squared_tail(x: float, dof: int) -> float:
-    """Upper-tail chi-squared probability via the regularized incomplete gamma."""
+    """Upper-tail chi-squared probability for an integer ``dof``.
+
+    The closed forms of Abramowitz & Stegun (1964) 26.4.4 and 26.4.5:
+    ``exp(-x/2)`` times a finite series for even dof, and
+    ``erfc(sqrt(x/2))`` plus a finite series for odd dof.  Each series
+    term is carried as a running product, so no term overflows.
+    """
     if x < 0:
         raise ValueError("x must be >= 0")
-    if dof < 1:
-        raise ValueError("dof must be >= 1")
-    return float(gammaincc(dof / 2.0, x / 2.0))
+    if dof < 1 or dof != int(dof):
+        raise ValueError("dof must be a positive integer")
+    half = x / 2.0
+    if dof % 2 == 0:
+        term = math.exp(-half)
+        total = term
+        for k in range(1, int(dof) // 2):
+            term *= half / k
+            total += term
+        return total
+    total = math.erfc(math.sqrt(half))
+    if dof > 1:
+        term = math.sqrt(2.0 * x / math.pi) * math.exp(-half)
+        total += term
+        for r in range(1, (int(dof) - 1) // 2):
+            term *= x / (2 * r + 1)
+            total += term
+    return total

@@ -16,7 +16,7 @@ from prostasim.study import run_study, write_report
 DEFAULT_STUDY = {
     "records_closed.csv": "ffa177b43d89a9c87b8c042a30fee101b0fd249908ec023c6b080f64c00e2088",
     "records_open.csv": "727b21b332f59fc960145461b5f5c1529b8c3d4a470ade4d425d90f6ec77814c",
-    "summary.json": "c35f0a9143ee35ddaaaef93c2ef4ba1937410aeb56caa53ce7cd51585419468d",
+    "summary.json": "56f1fc8c8a7cba8fc17af70e37c81712ed2d6cb036df949532eab6f1ef6c3fa7",
 }
 
 TINY_OPEN_LOOP = {

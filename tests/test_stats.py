@@ -166,6 +166,18 @@ def test_kw_degenerate_and_size_checks():
         kruskal_wallis([Sample([1.0, 2.0]), Sample([3.0])])
 
 
+def test_chi_squared_tail_matches_regularized_gamma(rng):
+    from scipy.special import gammaincc
+
+    xs = np.concatenate([np.linspace(0.0, 80.0, 161), rng.uniform(0.0, 80.0, 200), rng.exponential(3.0, 200)])
+    for dof in range(1, 7):
+        for x in xs:
+            ref = float(gammaincc(dof / 2.0, x / 2.0))
+            assert chi_squared_tail(float(x), dof) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    with pytest.raises(ValueError):
+        chi_squared_tail(1.0, 1.5)
+
+
 def test_chi_squared_tail_against_numeric_integral():
     for dof in (1, 2, 3, 5):
         for x in (0.5, 2.0, 7.5):
