@@ -108,10 +108,13 @@ class InsertionPlan:
     # joint state and elapsed time after the first pass
     joints: kinematics.JointState
     duration_s: float
-    # first-pass penetration beyond the gland entry point (drives the drag)
+    # first-pass penetration beyond the gland entry point (drives the drag),
+    # measured along the planned direction as given
     penetration: float
     reference: geometry.RegistrationReference | None = None
-    # gland entry depth along the unit direction (None: the line misses it)
+    # gland entry depth along the normalized direction, as the gland
+    # transform measures it (None: the line misses the gland); it can
+    # differ from the one behind ``penetration`` in the last ulp
     entry_depth: float | None = None
 
 

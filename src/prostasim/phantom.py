@@ -309,11 +309,6 @@ def penetration(phantom: ProstatePhantom, needle: NeedleState) -> float:
     return max(0.0, pass_depth - t0)
 
 
-def axial_drag(phantom: ProstatePhantom, needle: NeedleState) -> float:
-    """Magnitude of the modeled axial drag for this needle state, in mm."""
-    return phantom.motion.drag(penetration(phantom, needle))
-
-
 def prostate_transform(phantom: ProstatePhantom, needle: NeedleState, motion_noise) -> geometry.RigidTransform:
     """Rigid displacement of the gland induced by the needle.
 

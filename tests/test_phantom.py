@@ -13,7 +13,6 @@ from prostasim.phantom import (
     MotionParams,
     NeedleState,
     PhantomSpec,
-    axial_drag,
     default_quotas,
     generate_phantom,
     gland_entry_depth,
@@ -132,10 +131,10 @@ def test_penetration_and_drag_values():
     d = np.array([0.0, 0.0, 1.0])
     shallow = NeedleState(entry, d, 10.0)
     assert penetration(p, shallow) == 0.0
-    assert axial_drag(p, shallow) == 0.0
+    assert p.motion.drag(penetration(p, shallow)) == 0.0
     deep = NeedleState(entry, d, 60.0)
     assert penetration(p, deep) == pytest.approx(c)
-    assert axial_drag(p, deep) == pytest.approx(1.5 + 0.2 * c)
+    assert p.motion.drag(penetration(p, deep)) == pytest.approx(1.5 + 0.2 * c)
 
 
 def test_transform_identity_before_gland():
