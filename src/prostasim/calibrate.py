@@ -20,6 +20,7 @@ are those of an unshared search, and so are the results.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,15 @@ TARGETS = {
     "motion_x_mm": 1.26,
     "motion_y_mm": 1.09,
     "motion_z_mm": 1.53,
+}
+
+# half-width of the search grid around each base value
+SPANS = {
+    "axial_base_offset": 0.3,
+    "axial_gain": 0.02,
+    "rotation_gain": 0.002,
+    "noise_sd_motion": 0.3,
+    "sigma0": 0.02,
 }
 
 # workflow-shape constraints the objective cannot express
@@ -115,56 +125,36 @@ def calibrate(
     base: StudyConfig,
     replicates: int = 4,
     grid_points: int = 3,
-    spans: dict | None = None,
 ) -> CalibrationResult:
     """Search a grid centered on the base config's parameters.
 
-    ``grid_points`` values per axis over +/- span around each center.
+    ``grid_points`` values per axis over +/- ``SPANS`` around each center.
     Returns the best feasible candidate (falling back to the best overall
     if nothing passes the shape constraints, flagged infeasible).
     """
     base = copy.deepcopy(base)
     base.n_seed_replicates = replicates
-    spans = spans or {
-        "axial_base_offset": 0.3,
-        "axial_gain": 0.02,
-        "rotation_gain": 0.002,
-        "noise_sd_motion": 0.3,
-        "sigma0": 0.02,
-    }
-    axes = {
-        "axial_base_offset": _grid(base.motion.axial_base_offset, spans["axial_base_offset"], grid_points),
-        "axial_gain": _grid(base.motion.axial_gain, spans["axial_gain"], grid_points),
-        "rotation_gain": _grid(base.motion.rotation_gain, spans["rotation_gain"], grid_points),
-        "noise_sd_motion": _grid(base.motion.noise_sd_motion, spans["noise_sd_motion"], grid_points),
-        "sigma0": _grid(base.noise.sigma0, spans["sigma0"], grid_points),
-    }
+    axes = [
+        _grid(base.noise.sigma0 if key == "sigma0" else getattr(base.motion, key), span, grid_points)
+        for key, span in SPANS.items()
+    ]
 
     # phantoms and plans are motion-free: made once per search, each plan
     # once per sigma0 value, and dropped when the search returns
     shared = share_work(_apply_params(base, {}))
     best = None
     best_any = None
-    for offset in axes["axial_base_offset"]:
-        for gain in axes["axial_gain"]:
-            for rot in axes["rotation_gain"]:
-                for sd in axes["noise_sd_motion"]:
-                    for sigma0 in axes["sigma0"]:
-                        params = {
-                            "axial_base_offset": max(0.0, offset),
-                            "axial_gain": max(0.0, gain),
-                            "rotation_gain": max(0.0, rot),
-                            "noise_sd_motion": max(0.0, sd),
-                            "sigma0": max(0.0, sigma0),
-                        }
-                        medians, corr = study_medians(_apply_params(base, params), shared)
-                        obj = objective(medians)
-                        ok = _feasible(medians, corr)
-                        cand = CalibrationResult(params, obj, medians, ok)
-                        if best_any is None or obj < best_any.objective:
-                            best_any = cand
-                        if ok and (best is None or obj < best.objective):
-                            best = cand
+    # the last axis (sigma0) varies fastest
+    for values in itertools.product(*axes):
+        params = {key: max(0.0, v) for key, v in zip(SPANS, values)}
+        medians, corr = study_medians(_apply_params(base, params), shared)
+        obj = objective(medians)
+        ok = _feasible(medians, corr)
+        cand = CalibrationResult(params, obj, medians, ok)
+        if best_any is None or obj < best_any.objective:
+            best_any = cand
+        if ok and (best is None or obj < best.objective):
+            best = cand
     return best if best is not None else best_any
 
 

@@ -243,8 +243,3 @@ def load_config(path: str) -> StudyConfig:
     if data is None:
         data = {}
     return from_dict(data)
-
-
-def save_config(cfg: StudyConfig, path: str, header: str | None = None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_yaml(cfg, header))

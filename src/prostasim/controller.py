@@ -136,10 +136,7 @@ def plan_insertion(
     region = entry_region if entry_region is not None else EntryRegion()
     target = phantom.target_by_id(target_id)
     ref_stream = streams.reference()
-    ref_obs = sensing.observe(
-        phantom, geometry.identity(), noise, ref_stream,
-        volume_index=0, needle_count=streams.needle_count,
-    )
+    ref_obs = sensing.observe(phantom, geometry.identity(), noise, ref_stream, streams.needle_count)
     target_obs = sensing.observe_point(
         phantom, target.position_rest, noise, ref_stream, streams.needle_count
     )
@@ -149,7 +146,7 @@ def plan_insertion(
     pen = penetration(phantom, NeedleState(traj.entry, traj.dir, traj.planned_depth))
     plan = InsertionPlan(target, target_obs, traj, js, duration, pen)
     if track:
-        plan.reference = geometry.prepare_reference(ref_obs.fiducials_observed)
+        plan.reference = geometry.prepare_reference(ref_obs)
         plan.entry_depth = gland_entry_depth(phantom, traj.entry, geometry.normalize(traj.dir))
     return plan
 
@@ -270,12 +267,9 @@ def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, 
     applied = 0.0
     exceeded = False
 
-    for step in range(1, conv.max_corrections + 2):
-        obs = sensing.observe(
-            phantom, t_true, noise, obs_stream,
-            volume_index=step, needle_count=streams.needle_count,
-        )
-        reg, last_rms = sensing.rigid_register(plan.reference, obs.fiducials_observed)
+    for _ in range(conv.max_corrections + 1):
+        obs = sensing.observe(phantom, t_true, noise, obs_stream, streams.needle_count)
+        reg, last_rms = sensing.rigid_register(plan.reference, obs)
         tracked = sensing.track_target(reg, target_obs)
         depth_to_target, _ = geometry.axis_decompose(traj.entry, traj.dir, tracked)
         delta = depth_to_target - tip_depth

@@ -9,13 +9,9 @@ anterior, with the origin at the gland centroid in the rest pose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-# Compose chains longer than this are re-orthonormalized to stop the
-# rotation part drifting away from O(3).
-MAX_COMPOSE_CHAIN = 100
 
 COLLINEARITY_TOL = 1e-9
 
@@ -28,7 +24,6 @@ class DegenerateConfiguration(ValueError):
 class RigidTransform:
     rotation: np.ndarray
     translation: np.ndarray
-    chain: int = field(default=0, compare=False)
 
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
@@ -68,23 +63,12 @@ def compose(t1: RigidTransform, t2: RigidTransform) -> RigidTransform:
     """Transform equivalent to applying ``t2`` first, then ``t1``."""
     rot = t1.rotation @ t2.rotation
     trans = t1.rotation @ t2.translation + t1.translation
-    chain = max(t1.chain, t2.chain) + 1
-    if chain > MAX_COMPOSE_CHAIN:
-        rot = _reorthonormalize(rot)
-        chain = 0
-    return RigidTransform(rot, trans, chain)
+    return RigidTransform(rot, trans)
 
 
 def inverse(t: RigidTransform) -> RigidTransform:
     rot = t.rotation.T
-    return RigidTransform(rot, -(rot @ t.translation), t.chain)
-
-
-def _reorthonormalize(rot: np.ndarray) -> np.ndarray:
-    # nearest rotation in the Frobenius sense, with a det(+1) guard
-    u, _, vt = np.linalg.svd(rot)
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    return RigidTransform(rot, -(rot @ t.translation))
 
 
 def normalize(v: np.ndarray) -> np.ndarray:

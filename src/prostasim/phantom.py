@@ -110,7 +110,6 @@ class NeedleState:
     entry: np.ndarray
     dir: np.ndarray
     tip_depth: float
-    rotating: bool = False
     pass_depth: float | None = None
 
     def __post_init__(self):
@@ -136,19 +135,16 @@ class PhantomSpec:
 @dataclass
 class ProstatePhantom:
     gland_semiaxes: tuple[float, float, float]
-    centroid_rest: np.ndarray
     targets: list[Target]
     pivot: np.ndarray
     motion: MotionParams
     left_bias: float
-    fiducials: list[tuple[int, np.ndarray]]
-    # the fiducial positions as one (N, 3) array in list order (ids are 0..N-1)
-    fiducial_points: np.ndarray = field(init=False, repr=False, compare=False)
+    # (N, 3) fiducial rest positions, row i is fiducial i
+    fiducial_points: np.ndarray
 
     def __post_init__(self):
-        self.centroid_rest = np.asarray(self.centroid_rest, dtype=np.float64).reshape(3)
         self.pivot = np.asarray(self.pivot, dtype=np.float64).reshape(3)
-        self.fiducial_points = np.array([p for _, p in self.fiducials], dtype=np.float64).reshape(-1, 3)
+        self.fiducial_points = np.asarray(self.fiducial_points, dtype=np.float64).reshape(-1, 3)
 
     def target_by_id(self, target_id: int) -> Target:
         for t in self.targets:
@@ -256,16 +252,13 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> ProstatePhantom:
         placed.append(pos)
         targets.append(Target(i, pos, ZoneLabels(*labels)))
 
-    fid_pts = _FIDUCIAL_DIRS * (np.array([a, b, c]) * _FIDUCIAL_SCALE)
-    fiducials = [(i, fid_pts[i].copy()) for i in range(len(fid_pts))]
     return ProstatePhantom(
         gland_semiaxes=(a, b, c),
-        centroid_rest=np.zeros(3),
         targets=targets,
         pivot=np.array(spec.pivot, dtype=np.float64),
         motion=spec.motion,
         left_bias=spec.left_bias,
-        fiducials=fiducials,
+        fiducial_points=_FIDUCIAL_DIRS * (np.array([a, b, c]) * _FIDUCIAL_SCALE),
     )
 
 
@@ -284,7 +277,8 @@ def gland_entry_depth(phantom: ProstatePhantom, entry, dir) -> float | None:
     behind the entry point.
     """
     semi = np.asarray(phantom.gland_semiaxes, dtype=np.float64)
-    w = (np.asarray(entry, dtype=np.float64) - phantom.centroid_rest) / semi
+    # the gland centroid is the frame's origin
+    w = np.asarray(entry, dtype=np.float64) / semi
     v = np.asarray(dir, dtype=np.float64) / semi
     aa = float(v @ v)
     bb = float(w @ v)
@@ -331,7 +325,7 @@ def prostate_transform(phantom: ProstatePhantom, needle: NeedleState, motion_noi
     mp = phantom.motion
     drag = mp.axial_base_offset + mp.axial_gain * pen
 
-    rel = phantom.centroid_rest - needle.entry
+    rel = -needle.entry  # the gland centroid, the origin, relative to the entry
     along = float(rel @ d)
     offset_vec = rel - along * d
     lateral = float(np.linalg.norm(offset_vec))

@@ -10,6 +10,13 @@ Recreating a stream yields the same draw sequence.  A sample that must
 stay fixed through an insertion (the motion noise) is drawn once from its
 stream and passed along; the closed loop and its open-loop baseline share
 that one draw.
+
+Each insertion stream has a fixed layout of standard normals, whatever
+the noise parameters (N fiducials): reference, N x 3 for the reference
+volume then 3 for the observed target; observation, N x 3 per
+verification volume; motion, 3 once per insertion when
+``noise_sd_motion`` > 0.  So a stream's whole budget can be drawn up
+front in one call, each consumer taking its slice.
 """
 
 from __future__ import annotations

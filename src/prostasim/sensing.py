@@ -1,12 +1,14 @@
 """Synthetic ultrasound observation and fiducial-based motion tracking.
 
-Observation replaces image acquisition: each phantom fiducial is moved by
+Observing replaces image acquisition: each phantom fiducial is moved by
 the current gland transform and perturbed by isotropic noise whose sd
 grows with tissue depth and with the number of needles already placed
-(image degradation).  A volume is an (N, 3) array of every fiducial in
-id order.  Registration of an observed volume against the reference
-volume, prepared once per insertion, recovers the gland transform, which
-tracks the target.
+(image degradation).  An observed volume is a plain (N, 3) array, row i
+being fiducial i, and always consumes N x 3 normals of its stream, so a
+stream's layout does not depend on the noise parameters (see ``rng``).
+Registration of an observed volume against the reference volume,
+prepared once per insertion, recovers the gland transform, which tracks
+the target.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .phantom import ProstatePhantom
 
 @dataclass
 class NoiseModel:
-    """Observation noise: sd = sigma0 * degradation^k + depth_gain * depth.
+    """Fiducial noise: sd = sigma0 * degradation^k + depth_gain * depth.
 
     ``k`` counts completed insertions in the session; depth is mm from the
     gland entry plane.  Defaults are the calibration fit shipped with the
@@ -43,28 +45,20 @@ class NoiseModel:
             raise ValueError("degradation_per_needle must be >= 1")
 
 
-@dataclass
-class Observation:
-    # (N, 3) noisy world positions, row i is fiducial i
-    fiducials_observed: np.ndarray
-    sigma_used: float
-    volume_index: int
-
-
 def observe(
     phantom: ProstatePhantom,
     current_transform: geometry.RigidTransform,
     noise: NoiseModel,
     rng_stream,
-    volume_index: int = 0,
     needle_count: int = 0,
-) -> Observation:
+) -> np.ndarray:
     """One synthetic volume: every fiducial's noisy world position, in id order.
 
     ``needle_count`` is the number of needles already completed in this
     session and drives the degradation multiplier.  Deterministic given
-    the stream position: the rows with a positive sd draw their noise
-    from one block of the stream, three values per row in row order.
+    the stream position: every row draws its noise from one
+    ``standard_normal((N, 3))`` block, three values per row in row order,
+    whatever its sd.
     """
     base = noise.sigma0 * noise.degradation_per_needle**needle_count
     rot = current_transform.rotation
@@ -72,11 +66,7 @@ def observe(
     world = (rot[None] @ phantom.fiducial_points[:, :, None])[:, :, 0] + current_transform.translation
     # depth past the gland entry plane z = -c
     sigma = base + noise.depth_gain * np.maximum(0.0, world[:, 2] + phantom.gland_semiaxes[2])
-    noisy = sigma > 0
-    k = int(np.count_nonzero(noisy))
-    if k:
-        world[noisy] += sigma[noisy, None] * rng_stream.standard_normal((k, 3))
-    return Observation(world, float(base), volume_index)
+    return world + sigma[:, None] * rng_stream.standard_normal(world.shape)
 
 
 def observe_point(
@@ -86,12 +76,10 @@ def observe_point(
     rng_stream,
     needle_count: int = 0,
 ) -> np.ndarray:
-    """Noisy observation of a single world point (e.g. the target bead)."""
+    """Noisy observation of a single world point (e.g. the target bead): 3 normals."""
     base = noise.sigma0 * noise.degradation_per_needle**needle_count
     p = np.asarray(point_world, dtype=np.float64)
     sigma = base + noise.depth_gain * max(0.0, float(p[2]) + phantom.gland_semiaxes[2])
-    if sigma <= 0:
-        return p.copy()
     return p + rng_stream.normal(0.0, sigma, 3)
 
 

@@ -36,12 +36,8 @@ def median_iqr(s: Sample) -> tuple[float, float, float]:
     """(median, q1, q3): midpoint median, linear-interpolation quartiles."""
     if s.values.size == 0:
         raise EmptySample(f"sample {s.label!r} is empty")
-    v = np.sort(s.values)
-    return (
-        float(np.median(v)),
-        float(np.quantile(v, 0.25)),
-        float(np.quantile(v, 0.75)),
-    )
+    q1, q3 = np.quantile(s.values, (0.25, 0.75))
+    return float(np.median(s.values)), float(q1), float(q3)
 
 
 def midranks(pooled: np.ndarray) -> np.ndarray:

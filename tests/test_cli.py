@@ -6,13 +6,13 @@ import yaml
 
 from conftest import tiny_config
 from prostasim.cli import cli_main
-from prostasim.config import from_dict, save_config
+from prostasim.config import from_dict, to_yaml
 
 
 def tiny_config_file(tmp_path, **kw):
     cfg = tiny_config(**kw)
     path = tmp_path / "study.yaml"
-    save_config(cfg, str(path))
+    path.write_text(to_yaml(cfg))
     return str(path)
 
 

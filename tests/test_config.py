@@ -11,7 +11,6 @@ from prostasim.config import (
     default_config,
     from_dict,
     load_config,
-    save_config,
     to_dict,
     to_yaml,
 )
@@ -29,7 +28,7 @@ def test_yaml_round_trip(tmp_path):
     cfg.motion.axial_gain = 0.2
     cfg.arch.capsules[0]["radius"] = 9.5
     path = tmp_path / "study.yaml"
-    save_config(cfg, str(path), header="hello\nworld")
+    path.write_text(to_yaml(cfg, header="hello\nworld"))
     text = path.read_text()
     assert text.startswith("# hello\n# world\n")
     back = load_config(str(path))

@@ -163,8 +163,9 @@ def test_axial_displacement_monotone_in_depth():
     prev = -1.0
     for depth in np.linspace(0.0, 90.0, 40):
         t = prostate_transform(p, NeedleState(entry, d, float(depth)), np.zeros(3))
-        moved = geometry.apply(t, p.centroid_rest)
-        axial = float((moved - p.centroid_rest) @ d)
+        # the gland centroid is the frame's origin
+        moved = geometry.apply(t, np.zeros(3))
+        axial = float(moved @ d)
         assert axial >= prev - 1e-9
         prev = axial
 
@@ -221,9 +222,9 @@ def test_material_world_round_trip():
 def test_fiducials_on_shrunken_surface():
     p = make_phantom()
     semi = np.array(p.gland_semiaxes) * 0.85
-    for _, pos in p.fiducials:
+    for pos in p.fiducial_points:
         assert np.sum((pos / semi) ** 2) == pytest.approx(1.0, abs=1e-9)
-    assert len(p.fiducials) == 12
+    assert p.fiducial_points.shape == (12, 3)
 
 
 def test_negative_params_rejected():

@@ -48,16 +48,15 @@ def test_validate_rejects_bad_params():
 def test_noiseless_observation_is_exact(phantom):
     t = some_transform()
     obs = observe(phantom, t, quiet_noise(), stream())
-    assert obs.sigma_used == 0.0
-    assert obs.fiducials_observed.shape == (len(phantom.fiducials), 3)
-    for (_, rest), world in zip(phantom.fiducials, obs.fiducials_observed):
+    assert obs.shape == phantom.fiducial_points.shape
+    for rest, world in zip(phantom.fiducial_points, obs):
         np.testing.assert_allclose(world, geometry.apply(t, rest), atol=1e-12)
 
 
 def test_register_recovers_transform(phantom):
     t = some_transform()
     obs = observe(phantom, t, quiet_noise(), stream())
-    reg, rms = rigid_register(prepare_reference(phantom.fiducial_points), obs.fiducials_observed)
+    reg, rms = rigid_register(prepare_reference(phantom.fiducial_points), obs)
     assert rms < 1e-9
     np.testing.assert_allclose(reg.rotation, t.rotation, atol=1e-9)
     np.testing.assert_allclose(reg.translation, t.translation, atol=1e-9)
@@ -73,7 +72,7 @@ def test_registration_rms_matches_residual_dof(phantom):
     # fitting 6 rigid dof to 3n noisy coordinates leaves sd^2 * (3n - 6)
     # expected squared residual, so rms -> sd * sqrt((3n - 6) / n)
     sd = 0.5
-    n = len(phantom.fiducials)
+    n = len(phantom.fiducial_points)
     expect = sd * np.sqrt((3 * n - 6) / n)
     noise = quiet_noise(sigma0=sd)
     s = stream()
@@ -81,7 +80,7 @@ def test_registration_rms_matches_residual_dof(phantom):
     draws = []
     for _ in range(300):
         obs = observe(phantom, geometry.identity(), noise, s)
-        _, rms = rigid_register(reference, obs.fiducials_observed)
+        _, rms = rigid_register(reference, obs)
         draws.append(rms)
     assert np.mean(draws) == pytest.approx(expect, rel=0.06)
 
@@ -98,11 +97,12 @@ def test_observe_point_scatter_matches_sigma(phantom):
 
 
 def test_degradation_raises_base_sigma(phantom):
+    # twin streams draw the same normals, so only the sd scales the deviation
     noise = quiet_noise(sigma0=0.3, degradation_per_needle=1.2)
-    obs0 = observe(phantom, geometry.identity(), noise, stream(), needle_count=0)
-    obs3 = observe(phantom, geometry.identity(), noise, stream(), needle_count=3)
-    assert obs0.sigma_used == pytest.approx(0.3)
-    assert obs3.sigma_used == pytest.approx(0.3 * 1.2**3)
+    exact = phantom.fiducial_points  # the noiseless volume at rest
+    dev0 = observe(phantom, geometry.identity(), noise, stream(), needle_count=0) - exact
+    dev3 = observe(phantom, geometry.identity(), noise, stream(), needle_count=3) - exact
+    np.testing.assert_allclose(dev3, 1.2**3 * dev0, rtol=1e-12)
 
 
 def test_depth_gain_widens_scatter_with_depth(phantom):
@@ -128,19 +128,38 @@ def test_observation_stream_replays(phantom):
     ks = dict(phantom=1, target=2, replicate=3)
     a = observe(phantom, geometry.identity(), noise, InsertionStreams(7, **ks).observation())
     b = observe(phantom, geometry.identity(), noise, InsertionStreams(7, **ks).observation())
-    np.testing.assert_array_equal(a.fiducials_observed, b.fiducials_observed)
+    np.testing.assert_array_equal(a, b)
+
+
+def test_streams_have_a_fixed_layout(phantom):
+    """A volume takes N x 3 normals and a point 3, whatever their sd."""
+    c = phantom.gland_semiaxes[2]
+    n = len(phantom.fiducial_points)
+    # moved back by c, the fiducials with rest z <= 0 sit in front of the
+    # entry plane z = -c, where sigma0 = 0 leaves them an sd of 0
+    mixed = geometry.translation([0.0, 0.0, -c])
+    rest_z = phantom.fiducial_points[:, 2]
+    assert (rest_z <= 0).any() and (rest_z > 0).any()
+    for noise, t in (
+        (quiet_noise(), some_transform()),
+        (quiet_noise(depth_gain=0.02), mixed),
+        (quiet_noise(sigma0=0.3), some_transform()),
+    ):
+        a, b = stream(), stream()
+        observe(phantom, t, noise, a)
+        observe_point(phantom, geometry.apply(t, phantom.targets[0].position_rest), noise, a)
+        b.standard_normal(n * 3 + 3)
+        assert a.standard_normal() == b.standard_normal()
 
 
 def observe_per_point(phantom, t, noise, s, needle_count):
-    """observe as a loop over fiducials, one draw of three per noisy point."""
+    """observe as a loop over fiducials, one draw of three per point."""
     base = noise.sigma0 * noise.degradation_per_needle**needle_count
     rows = []
-    for _, rest in phantom.fiducials:
+    for rest in phantom.fiducial_points:
         world = geometry.apply(t, rest)
         sigma = base + noise.depth_gain * max(0.0, float(world[2]) + phantom.gland_semiaxes[2])
-        if sigma > 0:
-            world = world + s.normal(0.0, sigma, 3)
-        rows.append(world)
+        rows.append(world + s.normal(0.0, sigma, 3))
     return np.array(rows)
 
 
@@ -159,11 +178,11 @@ def test_observe_matches_per_point_loop_bit_for_bit(phantom):
         rot = geometry.rotation_about_axis(rng.normal(size=3), rng.uniform(-30, 30), rng.uniform(-10, 10, 3))
         t = geometry.compose(geometry.translation(rng.uniform(-5, 5, 3) - [0, 0, rng.uniform(0, 2 * c)]), rot)
         k = int(rng.integers(0, 4))
-        got = observe(phantom, t, noise, a, needle_count=k).fiducials_observed
+        got = observe(phantom, t, noise, a, needle_count=k)
         want = observe_per_point(phantom, t, noise, b, k)
         np.testing.assert_array_equal(got, want)
         assert a.standard_normal() == b.standard_normal()
         if sigma0 == 0.0:
             zero_rows.add(int(np.sum(geometry.apply(t, phantom.fiducial_points)[:, 2] + c <= 0)))
-    n = len(phantom.fiducials)
+    n = len(phantom.fiducial_points)
     assert 0 in zero_rows and n in zero_rows and zero_rows - {0, n}
