@@ -9,11 +9,11 @@ rejected outright, since the objective alone cannot see them.
 
 The grid points differ only in the four motion parameters and ``sigma0``,
 so a search reuses the motion-free half of every study
-(``study.SharedWork``): the phantoms, whose target and fiducial placement
-never reads the motion parameters, are built once per search, and each
+(``study.SharedWork``): the phantoms, which hold no motion parameters,
+are built once per search and every study uses them as built, and each
 insertion plan, which is made from a reference volume observed at rest
 and so depends on ``sigma0`` but not on motion, once per ``sigma0``
-value.  The grid's order and its strict-``<`` choice of the best point
+value; each study passes its own motion parameters to the insertions.  The grid's order and its strict-``<`` choice of the best point
 are those of an unshared search, and so are the results.
 """
 

@@ -15,19 +15,19 @@ at most once for each side of that depth.  The planner returns only
 trajectories clear of the arch, so the needle never stops short: the
 records' ``disengaged`` flag is always false.
 
-The open-loop baseline is the same insertion with tracking switched off:
-one routine plans and inserts once, scores the bead where the first pass
-left it (the baseline), and the closed loop continues from that state,
-whose gland transform is its first verification.  ``run_insertion``
-returns the closed record with the baseline attached; the paired
-comparison of the two quantifies what the loop buys.
+An insertion is two explicit steps.  ``plan_insertion`` is the
+motion-free half: reference volume, observed target, trajectory, first
+pass, and the first-pass penetration that sets the modeled drag.
+``run_insertion`` and ``open_loop_insertion`` are the half that reads the
+motion model, which the caller passes in: motion noise, gland transforms,
+correction loop, scoring.  They take the plan and none of the planning
+inputs, so insertions that differ only in motion can share one plan.
 
-An insertion has a motion-free half, ``plan_insertion`` (reference
-volume, observed target, trajectory, first pass, and the first-pass
-penetration that sets the modeled drag), and a half that reads the
-motion parameters (motion noise, gland transforms, correction loop,
-scoring).  Callers that vary only the motion may make the plan once and
-pass it in.
+The open-loop baseline scores the bead where the first pass left it.
+The closed loop continues from that state, whose gland transform is its
+first verification, and ``run_insertion`` returns the closed record with
+the baseline attached; the paired comparison of the two quantifies what
+the loop buys.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 from . import geometry, kinematics, planning, sensing
 from .phantom import (
     LEFT,
+    MotionParams,
     NeedleState,
     ProstatePhantom,
     Target,
@@ -131,6 +132,8 @@ def plan_insertion(
 ) -> InsertionPlan:
     """Observe at rest, plan the trajectory and make the first pass.
 
+    Only a ``track`` plan can drive ``run_insertion``; an untracked plan
+    skips the registration reference and serves ``open_loop_insertion``.
     Raises planning.NoFeasiblePath when no trajectory clears the arch.
     """
     region = entry_region if entry_region is not None else EntryRegion()
@@ -161,97 +164,72 @@ def _deposit(phantom: ProstatePhantom, target, tip_world, transform):
     return bead_rest, error
 
 
-def _residual_motion(drag, plan, moved_target):
+def _residual_motion(motion: MotionParams, plan: InsertionPlan, moved_target):
     """Per-axis target displacement beyond the modeled axial drag."""
     disp = np.asarray(moved_target, dtype=np.float64) - plan.target_obs
-    return disp - drag * plan.trajectory.dir
+    return disp - motion.drag(plan.penetration) * plan.trajectory.dir
 
 
-def run_insertion(
-    phantom: ProstatePhantom,
-    geom: kinematics.RobotGeometry,
-    arch: PubicArchModel,
-    noise: NoiseModel,
-    conv: ConvergenceParams,
-    target_id: int,
-    streams: InsertionStreams,
-    entry_region: EntryRegion | None = None,
-    needle_radius: float = planning.DEFAULT_NEEDLE_RADIUS,
-    plan: InsertionPlan | None = None,
-) -> InsertionRecord:
-    """Execute one closed-loop insertion; see the module docstring.
+def _first_pass(phantom, motion, plan, streams):
+    """Score the bead where the first pass left it: the open-loop baseline.
 
-    The returned record carries the open-loop baseline of the same plan
-    in ``open_loop``.  ``plan``, a tracked ``plan_insertion`` result for
-    this slot, skips planning.  Raises planning.NoFeasiblePath when no
-    trajectory clears the arch.  A correction budget overrun does not
-    raise: the record is flagged.
+    Returns the baseline record, the insertion's frozen motion noise and
+    the gland transform at the planned depth, which is also the closed
+    loop's first verification state.
     """
-    return _insert(
-        phantom, geom, arch, noise, conv, target_id, streams, entry_region, needle_radius,
-        plan, track=True,
+    traj, depth = plan.trajectory, plan.trajectory.planned_depth
+    # frozen per-insertion motion noise: every gland transform sees it
+    sd = motion.noise_sd_motion
+    motion_noise = streams.motion().normal(0.0, sd, 3) if sd > 0 else np.zeros(3)
+    needle = NeedleState(traj.entry, traj.dir, depth, pass_depth=depth)
+    t_true = prostate_transform(phantom, motion, needle, motion_noise)
+    moved_target = geometry.apply(t_true, plan.target_obs)
+    depth_of_target, _ = geometry.axis_decompose(traj.entry, traj.dir, moved_target)
+    bead_rest, error = _deposit(phantom, plan.target, traj.entry + depth * traj.dir, t_true)
+    baseline = InsertionRecord(
+        target_id=plan.target.id, trajectory=traj, corrections=[], n_corrections=0,
+        bead_rest_position=bead_rest, distance_error=error,
+        # the induced-but-uncorrected axial displacement of the observed target
+        axial_motion=float(depth_of_target - depth),
+        zone=with_approach(plan.target.zone, traj.approach),
+        residual_motion=_residual_motion(motion, plan, moved_target),
+        duration_s=plan.duration_s, rotation_angle_deg=plan.joints.rotation_angle,
     )
+    return baseline, motion_noise, t_true
 
 
 def open_loop_insertion(
     phantom: ProstatePhantom,
-    geom: kinematics.RobotGeometry,
-    arch: PubicArchModel,
-    noise: NoiseModel,
-    conv: ConvergenceParams,
-    target_id: int,
+    motion: MotionParams,
+    plan: InsertionPlan,
     streams: InsertionStreams,
-    entry_region: EntryRegion | None = None,
-    needle_radius: float = planning.DEFAULT_NEEDLE_RADIUS,
-    plan: InsertionPlan | None = None,
 ) -> InsertionRecord:
     """The open-loop baseline alone: run_insertion's ``open_loop`` record."""
-    return _insert(
-        phantom, geom, arch, noise, conv, target_id, streams, entry_region, needle_radius,
-        plan, track=False,
-    )
+    return _first_pass(phantom, motion, plan, streams)[0]
 
 
-def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, needle_radius, plan, *, track):
-    """Insert once along the plan and score the open-loop baseline.
+def run_insertion(
+    phantom: ProstatePhantom,
+    motion: MotionParams,
+    noise: NoiseModel,
+    geom: kinematics.RobotGeometry,
+    conv: ConvergenceParams,
+    plan: InsertionPlan,
+    streams: InsertionStreams,
+) -> InsertionRecord:
+    """Execute the closed loop of one insertion from its tracked ``plan``.
 
-    With ``track`` the closed loop continues from the baseline's state and
-    its record carries the baseline; without it the baseline is returned.
-    Everything from here on reads the motion parameters.
+    The loop continues from the open-loop baseline's state, and the
+    returned record carries that baseline in ``open_loop``.  Raises
+    ValueError for an untracked plan.  A correction budget overrun does
+    not raise: the record is flagged.
     """
     conv.validate()
-    if plan is None:
-        plan = plan_insertion(
-            phantom, geom, arch, noise, target_id, streams, entry_region, needle_radius, track
-        )
-    elif track and plan.reference is None:
+    if plan.reference is None:
         raise ValueError("a closed-loop insertion needs a tracked plan")
+    baseline, motion_noise, t_true = _first_pass(phantom, motion, plan, streams)
     target, target_obs, traj = plan.target, plan.target_obs, plan.trajectory
     js, duration, depth = plan.joints, plan.duration_s, traj.planned_depth
-    drag = phantom.motion.drag(plan.penetration)
-
-    # frozen per-insertion motion noise: every gland transform sees it
-    sd = phantom.motion.noise_sd_motion
-    motion_noise = streams.motion().normal(0.0, sd, 3) if sd > 0 else np.zeros(3)
-
-    # open loop: score the bead where the first pass left it.  This is
-    # also the closed loop's first verification state.
-    needle = NeedleState(traj.entry, traj.dir, depth, pass_depth=depth)
-    t_true = prostate_transform(phantom, needle, motion_noise)
-    moved_target = geometry.apply(t_true, target_obs)
-    depth_of_target, _ = geometry.axis_decompose(traj.entry, traj.dir, moved_target)
-    bead_rest, error = _deposit(phantom, target, traj.entry + depth * traj.dir, t_true)
-    baseline = InsertionRecord(
-        target_id=target_id, trajectory=traj, corrections=[], n_corrections=0,
-        bead_rest_position=bead_rest, distance_error=error,
-        # the induced-but-uncorrected axial displacement of the observed target
-        axial_motion=float(depth_of_target - traj.planned_depth),
-        zone=with_approach(target.zone, traj.approach),
-        residual_motion=_residual_motion(drag, plan, moved_target),
-        duration_s=duration, rotation_angle_deg=js.rotation_angle,
-    )
-    if not track:
-        return baseline
 
     obs_stream = streams.observation()
     # penetration is read from the fixed pass depth, so the gland transform
@@ -286,7 +264,7 @@ def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, 
         inside = past_entry(tip_depth)
         if inside not in transforms:
             moved = NeedleState(traj.entry, traj.dir, tip_depth, pass_depth=depth)
-            transforms[inside] = prostate_transform(phantom, moved, motion_noise)
+            transforms[inside] = prostate_transform(phantom, motion, moved, motion_noise)
         t_true = transforms[inside]
 
     # every exit leaves the tip where the last verification saw it
@@ -296,7 +274,7 @@ def _insert(phantom, geom, arch, noise, conv, target_id, streams, entry_region, 
         bead_rest_position=bead_rest, distance_error=error, axial_motion=float(applied),
         max_corrections_exceeded=exceeded,
         # measured at the first verification, from the tracked target
-        residual_motion=_residual_motion(drag, plan, corrections[0][1]),
+        residual_motion=_residual_motion(motion, plan, corrections[0][1]),
         registration_rms=last_rms, duration_s=duration, rotation_angle_deg=js.rotation_angle,
         open_loop=baseline,
     )

@@ -5,12 +5,13 @@ The gland is an ellipsoid centered at the origin of the working frame
 sampled inside it under zone quotas; a parametric motion model displaces
 the gland while a needle is inserted: axial drag along the needle, a
 rotation about a fixed anterior-apical pivot driven by the needle's
-lateral offset, and a frozen per-insertion random translation.
+lateral offset, and a frozen per-insertion random translation.  A
+phantom holds no motion parameters: ``prostate_transform`` takes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,7 +129,6 @@ class PhantomSpec:
     margin: float = DEFAULT_TARGET_MARGIN
     pivot: tuple[float, float, float] = (0.0, 16.0, -14.0)
     left_bias: float = 0.0
-    motion: MotionParams = field(default_factory=MotionParams)
     index: int = 0
 
 
@@ -137,7 +137,6 @@ class ProstatePhantom:
     gland_semiaxes: tuple[float, float, float]
     targets: list[Target]
     pivot: np.ndarray
-    motion: MotionParams
     left_bias: float
     # (N, 3) fiducial rest positions, row i is fiducial i
     fiducial_points: np.ndarray
@@ -209,7 +208,6 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> ProstatePhantom:
     a, b, c = spec.gland_semiaxes
     if min(a, b, c) <= 0:
         raise ValueError("gland semiaxes must be positive")
-    spec.motion.validate()
 
     quotas = spec.zone_quotas if spec.zone_quotas is not None else default_quotas(spec.n_targets)
     for group in ((APEX, BASE), (LEFT, CENTER, RIGHT), (ANTERIOR, POSTERIOR)):
@@ -256,7 +254,6 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> ProstatePhantom:
         gland_semiaxes=(a, b, c),
         targets=targets,
         pivot=np.array(spec.pivot, dtype=np.float64),
-        motion=spec.motion,
         left_bias=spec.left_bias,
         fiducial_points=_FIDUCIAL_DIRS * (np.array([a, b, c]) * _FIDUCIAL_SCALE),
     )
@@ -303,10 +300,14 @@ def penetration(phantom: ProstatePhantom, needle: NeedleState) -> float:
     return max(0.0, pass_depth - t0)
 
 
-def prostate_transform(phantom: ProstatePhantom, needle: NeedleState, motion_noise) -> geometry.RigidTransform:
-    """Rigid displacement of the gland induced by the needle.
+def prostate_transform(
+    phantom: ProstatePhantom, motion: MotionParams, needle: NeedleState, motion_noise
+) -> geometry.RigidTransform:
+    """Rigid displacement of the gland induced by the needle under ``motion``.
 
-    Identity until the tip reaches the gland.  Afterwards: translation of
+    The phantom gives the gland's shape and pivot; the motion parameters
+    come from the study, so one phantom serves any motion model.  Identity
+    until the tip reaches the gland.  Afterwards: translation of
     ``axial_base_offset + axial_gain * penetration`` along the needle
     direction, a rotation of ``rotation_gain * lateral_offset *
     penetration`` degrees about the pivot (axis perpendicular to the plane
@@ -322,16 +323,15 @@ def prostate_transform(phantom: ProstatePhantom, needle: NeedleState, motion_noi
     pass_depth = needle.pass_depth if needle.pass_depth is not None else needle.tip_depth
     pen = max(0.0, pass_depth - t0)
 
-    mp = phantom.motion
-    drag = mp.axial_base_offset + mp.axial_gain * pen
+    drag = motion.axial_base_offset + motion.axial_gain * pen
 
     rel = -needle.entry  # the gland centroid, the origin, relative to the entry
     along = float(rel @ d)
     offset_vec = rel - along * d
     lateral = float(np.linalg.norm(offset_vec))
-    if lateral > 1e-12 and mp.rotation_gain > 0.0:
+    if lateral > 1e-12 and motion.rotation_gain > 0.0:
         axis = np.cross(d, offset_vec / lateral)
-        angle = mp.rotation_gain * lateral * pen
+        angle = motion.rotation_gain * lateral * pen
         rot = geometry.rotation_about_axis(axis, angle, phantom.pivot)
     else:
         rot = geometry.identity()

@@ -58,13 +58,18 @@ class EntryRegion:
 
 
 class NoFeasiblePath(RuntimeError):
-    """Every candidate trajectory within limits collides with the arch."""
+    """Every candidate trajectory within limits collides with the arch.
+
+    ``best_clearance`` is -inf when no candidate entry is within the limits.
+    """
 
     def __init__(self, best_clearance: float):
         self.best_clearance = best_clearance
-        super().__init__(
-            f"no collision-free trajectory; best clearance {best_clearance:.3f} mm"
-        )
+        if best_clearance == -math.inf:
+            msg = "no candidate entry within the entry region, stage travel and angulation limits"
+        else:
+            msg = f"no collision-free trajectory; best clearance {best_clearance:.3f} mm"
+        super().__init__(msg)
 
 
 def _capsule_arrays(arch: PubicArchModel):
@@ -230,14 +235,17 @@ def replan_angled(
 ) -> kinematics.Trajectory:
     """Smallest-angulation collision-free trajectory through the target.
 
-    The direct horizontal path is tried first; if it collides, all grid
-    candidates are scored and the winner minimizes the 1-degree angulation
-    bin, then maximizes clearance, then falls back to grid order.  Raises
-    NoFeasiblePath (with the best clearance seen) when everything collides.
+    The direct horizontal path is tried first when its entry is in the
+    region and within stage travel (both stages sit at the entry); if it
+    is not, or it collides, all grid candidates are scored and the winner
+    minimizes the 1-degree angulation bin, then maximizes clearance, then
+    falls back to grid order.  Raises NoFeasiblePath (with the best
+    clearance seen) when everything collides or no candidate is in reach.
     """
     target = np.asarray(target_world, dtype=np.float64)
     direct = np.array([target[0], target[1], geom.front_plane_z])
-    if entry_region.contains(target[0], target[1]):
+    reach = max(abs(target[0]), abs(target[1]))
+    if entry_region.contains(target[0], target[1]) and reach <= geom.stage_travel:
         traj = _trajectory_to(direct, target, 0.0)
         rep = collision_check(arch, traj, needle_radius)
         if rep.clearance > 0.0:

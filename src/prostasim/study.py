@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
@@ -144,7 +144,6 @@ def build_phantoms(cfg: StudyConfig):
             margin=cfg.phantom.target_margin,
             pivot=cfg.phantom.pivot,
             left_bias=bias,
-            motion=cfg.motion,
             index=i,
         )
         phantoms.append(generate_phantom(spec, cfg.seed))
@@ -164,12 +163,11 @@ class SharedWork:
     that differ only in the motion parameters and ``noise.sigma0`` (the
     axes of a calibration grid).
 
-    Target and fiducial placement never read the motion parameters, so
-    the phantoms are built once and each study gets them with its own
-    motion.  An insertion plan depends on sigma0 but not on motion, so
-    plans are made on first use and kept per (sigma0, phantom, target,
-    replicate).  Make one with ``share_work`` and keep it no longer than
-    the search that uses it.
+    A phantom holds no motion parameters, so the phantoms are built once
+    and every study uses them as built.  An insertion plan depends on
+    sigma0 but not on motion, so plans are made on first use and kept per
+    (sigma0, phantom, target, replicate).  Make one with ``share_work`` and
+    keep it no longer than the search that uses it.
     """
 
     key: dict
@@ -185,8 +183,11 @@ def share_work(cfg: StudyConfig) -> SharedWork:
 def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport:
     """Run every insertion of the configured study and summarize.
 
-    With ``shared`` (see SharedWork) the phantoms and insertion plans
-    come from it; the records are the same as without it.
+    Each insertion is planned (``plan_insertion``), then run from its plan
+    under ``cfg.motion``.  With ``shared`` (see SharedWork) the phantoms
+    come from it and the plans are kept in it for the next study; the
+    records are the same as without it.  Without it no plan outlives its
+    insertion.
     """
     cfg.validate()
     if shared is None:
@@ -194,12 +195,10 @@ def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport
     elif _motion_free_key(cfg) != shared.key:
         raise ValueError("shared work was made for a config that differs beyond motion and sigma0")
     else:
-        phantoms = [replace(ph, motion=cfg.motion) for ph in shared.phantoms]
+        phantoms = shared.phantoms
     arch = cfg.arch.build()
     do_closed = cfg.mode in ("closed_loop", "both")
     do_open = cfg.mode in ("open_loop", "both")
-    # one insertion per slot: the closed record carries its baseline
-    insert = run_insertion if do_closed else open_loop_insertion
 
     rows_closed: list[RecordRow] = []
     rows_open: list[RecordRow] = []
@@ -212,23 +211,28 @@ def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport
                     noise_salt=cfg.noise.rng_seed,
                     needle_count=t,
                 )
-                plan = None
-                if shared is not None:
-                    slot = (cfg.noise.sigma0, p, t, r)
-                    plan = shared.plans.get(slot)
-                    if plan is None:
-                        plan = shared.plans[slot] = plan_insertion(
-                            phantoms[p], cfg.robot, arch, cfg.noise, t, streams,
-                            cfg.entry_region, cfg.needle_radius, track=do_closed,
-                        )
-                rec = insert(
-                    phantoms[p], cfg.robot, arch, cfg.noise, cfg.convergence, t, streams,
-                    entry_region=cfg.entry_region, needle_radius=cfg.needle_radius, plan=plan,
-                )
+                slot = (cfg.noise.sigma0, p, t, r)
+                plan = shared.plans.get(slot) if shared is not None else None
+                if plan is None:
+                    plan = plan_insertion(
+                        phantoms[p], cfg.robot, arch, cfg.noise, t, streams,
+                        cfg.entry_region, cfg.needle_radius, track=do_closed,
+                    )
+                    if shared is not None:
+                        shared.plans[slot] = plan
+                # one insertion per slot: the closed record carries its baseline.
+                # streams goes by keyword: perfbench's tracer keys tasks on it
                 if do_closed:
+                    rec = run_insertion(
+                        phantoms[p], cfg.motion, cfg.noise, cfg.robot, cfg.convergence, plan,
+                        streams=streams,
+                    )
                     rows_closed.append(_row_from_record(rec, p, r))
+                    rec = rec.open_loop
+                else:
+                    rec = open_loop_insertion(phantoms[p], cfg.motion, plan, streams=streams)
                 if do_open:
-                    rows_open.append(_row_from_record(rec.open_loop if do_closed else rec, p, r))
+                    rows_open.append(_row_from_record(rec, p, r))
 
     summary = summarize(cfg, rows_closed, rows_open)
     return StudyReport(summary, rows_closed, rows_open)

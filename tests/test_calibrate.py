@@ -1,5 +1,7 @@
 import itertools
+from dataclasses import fields
 
+import numpy as np
 import yaml
 
 import pytest
@@ -112,3 +114,25 @@ def test_calibrate_builds_phantoms_once_and_plans_once_per_sigma0(monkeypatch):
     cal.calibrate(base, replicates=1, grid_points=2)
     insertions = base.n_phantoms * base.targets_per_phantom
     assert calls == {"phantoms": 1, "plans": 2 * insertions}
+
+
+def test_calibrate_leaves_the_shared_phantoms_as_built(monkeypatch):
+    # every study of a search uses the same phantom objects, not copies
+    made = []
+
+    def share(cfg):
+        made.append(study.share_work(cfg))
+        return made[-1]
+
+    monkeypatch.setattr(cal, "share_work", share)
+    base = tiny_config(mode="closed_loop", replicates=1)
+    cal.calibrate(base, replicates=1, grid_points=2)
+    (shared,) = made
+    fresh = study.build_phantoms(base)
+    assert len(shared.phantoms) == len(fresh)
+    for used, built in zip(shared.phantoms, fresh):
+        for f in fields(used):
+            x, y = getattr(used, f.name), getattr(built, f.name)
+            if f.name == "targets":
+                x, y = [vars(t) for t in x], [vars(t) for t in y]
+            np.testing.assert_equal(x, y, err_msg=f.name)

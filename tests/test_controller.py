@@ -39,9 +39,11 @@ def blocking_arch(target):
     return PubicArchModel([(seg, 6.0)])
 
 
-def make_phantom(motion=None, left_bias=0.0, seed=4):
-    motion = motion or MotionParams(0.0, 0.0, 0.0, 0.0)
-    return generate_phantom(PhantomSpec(motion=motion, left_bias=left_bias), seed)
+def make_phantom(left_bias=0.0, seed=4):
+    return generate_phantom(PhantomSpec(left_bias=left_bias), seed)
+
+
+STILL = MotionParams(0.0, 0.0, 0.0, 0.0)
 
 
 def quiet_noise():
@@ -59,16 +61,21 @@ def non_left_target(phantom):
     raise AssertionError("phantom has no non-left target")
 
 
-def run_quiet(phantom, tid, arch=None, conv=None, mode=run_insertion, noise=None):
-    return mode(
-        phantom,
-        GEOM,
-        arch or far_arch(),
-        noise or quiet_noise(),
-        conv or ConvergenceParams(),
-        tid,
-        streams(tid),
+def plan_quiet(phantom, tid, arch=None, noise=None, track=True):
+    return plan_insertion(
+        phantom, GEOM, arch or far_arch(), noise or quiet_noise(), tid, streams(tid), track=track
     )
+
+
+def run_quiet(phantom, tid, arch=None, conv=None, mode=run_insertion, noise=None, motion=STILL):
+    """Plan, then insert from the plan: the two steps of a study slot."""
+    plan = plan_quiet(phantom, tid, arch, noise, track=mode is run_insertion)
+    if mode is run_insertion:
+        return run_insertion(
+            phantom, motion, noise or quiet_noise(), GEOM, conv or ConvergenceParams(), plan,
+            streams(tid),
+        )
+    return open_loop_insertion(phantom, motion, plan, streams(tid))
 
 
 def drag_motion(gain=0.05, offset=2.0):
@@ -97,10 +104,10 @@ def test_static_gland_hits_exactly():
 
 def test_pure_drag_needs_exactly_one_correction():
     gain, offset = 0.05, 2.0
-    p = make_phantom(motion=drag_motion(gain, offset))
+    p = make_phantom()
     t = non_left_target(p)
     planned, drag = expected_drag(p, t, gain, offset)
-    rec = run_quiet(p, t.id)
+    rec = run_quiet(p, t.id, motion=drag_motion(gain, offset))
     assert rec.n_corrections == 1
     assert rec.axial_motion == pytest.approx(drag, abs=1e-9)
     assert rec.distance_error < 1e-9
@@ -112,10 +119,10 @@ def test_pure_drag_needs_exactly_one_correction():
 
 def test_open_loop_misses_by_the_drag():
     gain, offset = 0.05, 2.0
-    p = make_phantom(motion=drag_motion(gain, offset))
+    p = make_phantom()
     t = non_left_target(p)
     _, drag = expected_drag(p, t, gain, offset)
-    rec = run_quiet(p, t.id, mode=open_loop_insertion)
+    rec = run_quiet(p, t.id, mode=open_loop_insertion, motion=drag_motion(gain, offset))
     assert rec.n_corrections == 0
     assert rec.distance_error == pytest.approx(drag, abs=1e-9)
     assert rec.axial_motion == pytest.approx(drag, abs=1e-9)
@@ -124,11 +131,12 @@ def test_open_loop_misses_by_the_drag():
 
 
 def test_paired_runs_share_noise():
-    p = make_phantom(motion=MotionParams(0.05, 2.0, 0.01, 0.8))
+    p = make_phantom()
+    motion = MotionParams(0.05, 2.0, 0.01, 0.8)
     t = non_left_target(p)
     noise = NoiseModel(sigma0=0.3, depth_gain=0.002, degradation_per_needle=1.0)
-    a = run_quiet(p, t.id, noise=noise)
-    b = run_quiet(p, t.id, noise=noise)
+    a = run_quiet(p, t.id, noise=noise, motion=motion)
+    b = run_quiet(p, t.id, noise=noise, motion=motion)
     assert a.distance_error == b.distance_error
     np.testing.assert_array_equal(a.bead_rest_position, b.bead_rest_position)
     assert len(a.corrections) == len(b.corrections)
@@ -136,7 +144,7 @@ def test_paired_runs_share_noise():
         assert da == db
         np.testing.assert_array_equal(pa, pb)
     # open loop plans from the same reference draws
-    o = run_quiet(p, t.id, mode=open_loop_insertion, noise=noise)
+    o = run_quiet(p, t.id, mode=open_loop_insertion, noise=noise, motion=motion)
     np.testing.assert_array_equal(o.trajectory.entry, a.trajectory.entry)
     assert o.trajectory.planned_depth == a.trajectory.planned_depth
     # the closed record's baseline is that open-loop run, field by field
@@ -182,10 +190,10 @@ def test_correction_budget_flagged_not_raised():
 
 def test_durations_and_rotation():
     gain, offset = 0.05, 2.0
-    p = make_phantom(motion=drag_motion(gain, offset))
+    p = make_phantom()
     t = non_left_target(p)
     planned, drag = expected_drag(p, t, gain, offset)
-    rec = run_quiet(p, t.id)
+    rec = run_quiet(p, t.id, motion=drag_motion(gain, offset))
     # rotation only during the initial pass
     assert rec.duration_s == pytest.approx((planned + drag) / GEOM.insertion_speed, abs=1e-9)
     assert rec.rotation_angle_deg == pytest.approx(
@@ -215,22 +223,27 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
     entry = counting(calls, "entry", gland_entry_depth)
     monkeypatch.setattr(controller, "gland_entry_depth", entry)
     monkeypatch.setattr(ph, "gland_entry_depth", entry)
-    per_insertion = []
+    per_slot = []
+
+    # a slot is its plan plus the insertion run from it
+    def planning(*args, **kwargs):
+        calls.clear()
+        return plan_insertion(*args, **kwargs)
 
     def insertion(*args, **kwargs):
-        calls.clear()
         rec = run_insertion(*args, **kwargs)
-        per_insertion.append(
+        per_slot.append(
             (calls.count("transform"), calls.count("line"), calls.count("entry"), rec.n_corrections)
         )
         return rec
 
+    monkeypatch.setattr(study, "plan_insertion", planning)
     monkeypatch.setattr(study, "run_insertion", insertion)
     study.run_study(tiny_config(mode="closed_loop"))
-    assert len(per_insertion) == 16
+    assert len(per_slot) == 16
     # insertions that verify three or more times, so a per-step evaluation shows
-    assert max(n for *_, n in per_insertion) >= 2
-    for transforms, lines, entries, _ in per_insertion:
+    assert max(n for *_, n in per_slot) >= 2
+    for transforms, lines, entries, _ in per_slot:
         assert transforms <= 2
         assert lines == 1
         # one per transform, one for the first-pass penetration (the drag of
@@ -239,7 +252,8 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
 
 
 def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
-    p = make_phantom(motion=drag_motion())
+    p = make_phantom()
+    motion = drag_motion()
     t = non_left_target(p)
     entry = np.array([t.position_rest[0], t.position_rest[1], GEOM.front_plane_z])
     d = np.array([0.0, 0.0, 1.0])
@@ -248,47 +262,51 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     monkeypatch.setattr(sensing, "track_target", lambda reg, target: shallow.copy())
     calls = []
     monkeypatch.setattr(controller, "prostate_transform", counting(calls, "transform", prostate_transform))
-    rec = run_quiet(p, t.id)
+    rec = run_quiet(p, t.id, motion=motion)
     assert rec.n_corrections == 1 and len(calls) == 2
     traj = rec.trajectory
     planned = traj.planned_depth
     depth_to_shallow, _ = geometry.axis_decompose(traj.entry, traj.dir, shallow)
     tip = max(0.0, planned + (depth_to_shallow - planned))
-    fresh = prostate_transform(p, NeedleState(traj.entry, traj.dir, tip, pass_depth=planned), np.zeros(3))
+    retracted = NeedleState(traj.entry, traj.dir, tip, pass_depth=planned)
+    fresh = prostate_transform(p, motion, retracted, np.zeros(3))
     bead = world_to_material(p, fresh, traj.entry + tip * traj.dir)
     np.testing.assert_array_equal(rec.bead_rest_position, bead)
     assert rec.distance_error == float(np.linalg.norm(bead - t.position_rest))
     # the first pass's transform, which the retracted tip must not reuse
-    first = prostate_transform(p, NeedleState(traj.entry, traj.dir, planned), np.zeros(3))
+    first = prostate_transform(p, motion, NeedleState(traj.entry, traj.dir, planned), np.zeros(3))
     assert np.linalg.norm(first.translation - fresh.translation) > 1.0
 
 
+def assert_same_record(a, b):
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "trajectory":
+            x, y = vars(x), vars(y)
+        if f.name != "open_loop":
+            np.testing.assert_equal(x, y, err_msg=f.name)
+
+
 def test_a_given_plan_gives_the_same_records():
-    p = make_phantom(motion=MotionParams(0.05, 2.0, 0.01, 0.8))
+    p = make_phantom()
+    motion = MotionParams(0.05, 2.0, 0.01, 0.8)
     t = non_left_target(p)
     noise = NoiseModel(sigma0=0.3, depth_gain=0.002, degradation_per_needle=1.0)
-    plan = plan_insertion(p, GEOM, far_arch(), noise, t.id, streams(t.id))
-    fresh = run_quiet(p, t.id, noise=noise)
+    plan = plan_quiet(p, t.id, noise=noise)
+    fresh = run_quiet(p, t.id, noise=noise, motion=motion)
     assert fresh.n_corrections >= 1
     for _ in range(2):  # a plan is not consumed by its use
-        given = run_insertion(
-            p, GEOM, far_arch(), noise, ConvergenceParams(), t.id, streams(t.id), plan=plan
-        )
-        for a, b in ((fresh, given), (fresh.open_loop, given.open_loop)):
-            for f in fields(a):
-                x, y = getattr(a, f.name), getattr(b, f.name)
-                if f.name == "trajectory":
-                    x, y = vars(x), vars(y)
-                if f.name != "open_loop":
-                    np.testing.assert_equal(x, y, err_msg=f.name)
+        given = run_insertion(p, motion, noise, GEOM, ConvergenceParams(), plan, streams(t.id))
+        assert_same_record(fresh, given)
+        assert_same_record(fresh.open_loop, given.open_loop)
+    # one plan serves any motion: a still gland leaves the first pass on target
+    still = run_insertion(p, STILL, noise, GEOM, ConvergenceParams(), plan, streams(t.id))
+    assert still.open_loop.axial_motion == 0.0
+    assert still.open_loop.distance_error < fresh.open_loop.distance_error
     # an untracked plan carries no registration reference
-    untracked = plan_insertion(p, GEOM, far_arch(), noise, t.id, streams(t.id), track=False)
+    untracked = plan_quiet(p, t.id, noise=noise, track=False)
     assert untracked.reference is None and untracked.entry_depth is None
-    opened = open_loop_insertion(
-        p, GEOM, far_arch(), noise, ConvergenceParams(), t.id, streams(t.id), plan=untracked
-    )
-    assert opened.distance_error == fresh.open_loop.distance_error
+    opened = open_loop_insertion(p, motion, untracked, streams(t.id))
+    assert_same_record(fresh.open_loop, opened)
     with pytest.raises(ValueError, match="tracked plan"):
-        run_insertion(
-            p, GEOM, far_arch(), noise, ConvergenceParams(), t.id, streams(t.id), plan=untracked
-        )
+        run_insertion(p, motion, noise, GEOM, ConvergenceParams(), untracked, streams(t.id))

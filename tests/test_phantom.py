@@ -30,9 +30,8 @@ def quiet_motion(**overrides):
     return MotionParams(**params)
 
 
-def make_phantom(seed=3, motion=None, **spec_kw):
-    spec = PhantomSpec(motion=motion or quiet_motion(), **spec_kw)
-    return generate_phantom(spec, seed)
+def make_phantom(seed=3, **spec_kw):
+    return generate_phantom(PhantomSpec(**spec_kw), seed)
 
 
 def test_generation_is_deterministic():
@@ -125,44 +124,45 @@ def test_entry_depth_miss_and_inside():
 
 def test_penetration_and_drag_values():
     motion = quiet_motion(axial_gain=0.2, axial_base_offset=1.5)
-    p = make_phantom(motion=motion)
+    p = make_phantom()
     c = p.gland_semiaxes[2]
     entry = np.array([0.0, 0.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
     shallow = NeedleState(entry, d, 10.0)
     assert penetration(p, shallow) == 0.0
-    assert p.motion.drag(penetration(p, shallow)) == 0.0
+    assert motion.drag(penetration(p, shallow)) == 0.0
     deep = NeedleState(entry, d, 60.0)
     assert penetration(p, deep) == pytest.approx(c)
-    assert p.motion.drag(penetration(p, deep)) == pytest.approx(1.5 + 0.2 * c)
+    assert motion.drag(penetration(p, deep)) == pytest.approx(1.5 + 0.2 * c)
 
 
 def test_transform_identity_before_gland():
-    p = make_phantom(motion=quiet_motion(axial_base_offset=3.0))
+    motion = quiet_motion(axial_base_offset=3.0)
+    p = make_phantom()
     needle = NeedleState([0, 0, -60], [0, 0, 1], 5.0)
-    t = prostate_transform(p, needle, np.zeros(3))
+    t = prostate_transform(p, motion, needle, np.zeros(3))
     np.testing.assert_array_equal(t.rotation, np.eye(3))
     np.testing.assert_array_equal(t.translation, np.zeros(3))
 
 
 def test_transform_pure_drag_through_centroid():
     motion = quiet_motion(axial_gain=0.1, axial_base_offset=2.0)
-    p = make_phantom(motion=motion)
+    p = make_phantom()
     c = p.gland_semiaxes[2]
     needle = NeedleState([0, 0, -60], [0, 0, 1], 60.0)
-    t = prostate_transform(p, needle, np.zeros(3))
+    t = prostate_transform(p, motion, needle, np.zeros(3))
     np.testing.assert_array_equal(t.rotation, np.eye(3))
     np.testing.assert_allclose(t.translation, [0, 0, 2.0 + 0.1 * c], atol=1e-12)
 
 
 def test_axial_displacement_monotone_in_depth():
     motion = quiet_motion(axial_gain=0.15, axial_base_offset=1.0, rotation_gain=0.02)
-    p = make_phantom(motion=motion)
+    p = make_phantom()
     entry = np.array([4.0, -3.0, -60.0])
     d = geometry.normalize([0.05, 0.02, 1.0])
     prev = -1.0
     for depth in np.linspace(0.0, 90.0, 40):
-        t = prostate_transform(p, NeedleState(entry, d, float(depth)), np.zeros(3))
+        t = prostate_transform(p, motion, NeedleState(entry, d, float(depth)), np.zeros(3))
         # the gland centroid is the frame's origin
         moved = geometry.apply(t, np.zeros(3))
         axial = float(moved @ d)
@@ -172,19 +172,19 @@ def test_axial_displacement_monotone_in_depth():
 
 def test_rotation_zero_for_centered_needle():
     motion = quiet_motion(rotation_gain=0.05, axial_base_offset=1.0)
-    p = make_phantom(motion=motion)
+    p = make_phantom()
     needle = NeedleState([0, 0, -60], [0, 0, 1], 70.0)
-    t = prostate_transform(p, needle, np.zeros(3))
+    t = prostate_transform(p, motion, needle, np.zeros(3))
     assert geometry.rotation_angle_deg(t) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rotation_angle_matches_formula_and_pivot_fixed():
     motion = quiet_motion(rotation_gain=0.01, axial_base_offset=0.0)
-    p = make_phantom(motion=motion)
+    p = make_phantom()
     entry = np.array([12.0, 5.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
     needle = NeedleState(entry, d, 70.0)
-    t = prostate_transform(p, needle, np.zeros(3))
+    t = prostate_transform(p, motion, needle, np.zeros(3))
     lateral = np.hypot(12.0, 5.0)
     pen = penetration(p, needle)
     assert geometry.rotation_angle_deg(t) == pytest.approx(0.01 * lateral * pen, rel=1e-9)
@@ -194,26 +194,26 @@ def test_rotation_angle_matches_formula_and_pivot_fixed():
 
 def test_motion_noise_is_frozen_across_corrections():
     motion = quiet_motion(axial_gain=0.1, axial_base_offset=2.0, noise_sd_motion=1.5)
-    p = make_phantom(motion=motion)
+    p = make_phantom()
     noise = InsertionStreams(9, 0, 0, 0).motion().normal(0.0, motion.noise_sd_motion, 3)
     entry = np.array([0.0, 0.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
-    first = prostate_transform(p, NeedleState(entry, d, 58.0, pass_depth=58.0), noise)
+    first = prostate_transform(p, motion, NeedleState(entry, d, 58.0, pass_depth=58.0), noise)
     # corrected deeper, same first-pass depth: identical transform
-    second = prostate_transform(p, NeedleState(entry, d, 63.0, pass_depth=58.0), noise)
+    second = prostate_transform(p, motion, NeedleState(entry, d, 63.0, pass_depth=58.0), noise)
     np.testing.assert_array_equal(first.rotation, second.rotation)
     np.testing.assert_array_equal(first.translation, second.translation)
     # a genuinely deeper first pass does move differently
-    deeper = prostate_transform(p, NeedleState(entry, d, 63.0, pass_depth=63.0), noise)
+    deeper = prostate_transform(p, motion, NeedleState(entry, d, 63.0, pass_depth=63.0), noise)
     assert not np.array_equal(first.translation, deeper.translation)
 
 
 def test_material_world_round_trip():
     motion = quiet_motion(axial_gain=0.1, axial_base_offset=2.0, rotation_gain=0.01,
                           noise_sd_motion=1.0)
-    p = make_phantom(motion=motion)
+    p = make_phantom()
     noise = InsertionStreams(4, 0, 0, 0).motion().normal(0.0, motion.noise_sd_motion, 3)
-    t = prostate_transform(p, NeedleState([6, 2, -60], [0, 0, 1], 70.0), noise)
+    t = prostate_transform(p, motion, NeedleState([6, 2, -60], [0, 0, 1], 70.0), noise)
     rest = p.targets[0].position_rest
     world = geometry.apply(t, rest)
     np.testing.assert_allclose(world_to_material(p, t, world), rest, atol=1e-9)

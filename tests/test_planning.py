@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prostasim.geometry import Segment, segment_segment_distance
-from prostasim.kinematics import RobotGeometry, Trajectory
+from prostasim.kinematics import RobotGeometry, Trajectory, inverse_kinematics
 from prostasim.planning import (
     DEPTH_MARGIN,
     ENTRY_GRID_STEP,
@@ -195,6 +195,28 @@ def test_replan_wall_raises_no_feasible_path(geom):
     assert exc.value.best_clearance < 0
     assert math.isfinite(exc.value.best_clearance)
 
+
+
+def test_replan_keeps_the_direct_path_within_stage_travel():
+    # the direct entry at x = 17.3 is beyond the stages' +/-12 mm travel
+    geom = RobotGeometry(stage_travel=12.0, max_angulation=13.0)
+    geom.validate()
+    arch = PubicArchModel([], enabled=False)
+    target = np.array([17.3, 2.0, 5.0])
+    traj = replan_angled(arch, target, EntryRegion(), geom)
+    assert traj.approach == "Angled"
+    assert abs(traj.entry[0]) <= geom.stage_travel
+    inverse_kinematics(geom, traj)  # within every joint limit
+
+
+def test_replan_with_no_entry_in_reach_says_so():
+    geom = RobotGeometry(stage_travel=8.0, max_angulation=5.0)
+    geom.validate()
+    arch = PubicArchModel([capsule([0, 50, -32], [30, 50, -32], 4.0)])
+    target = np.array([15.0, 0.0, 5.0])
+    with pytest.raises(NoFeasiblePath, match="no candidate entry within") as exc:
+        replan_angled(arch, target, EntryRegion(), geom)
+    assert exc.value.best_clearance == -math.inf
 
 def test_clearance_monotone_in_needle_radius(geom):
     arch = PubicArchModel([capsule([10, 0, -40], [10, 0, 0], 2.0)])

@@ -3,7 +3,7 @@ import pytest
 
 from prostasim import geometry
 from prostasim.geometry import DegenerateConfiguration, prepare_reference
-from prostasim.phantom import MotionParams, PhantomSpec, generate_phantom
+from prostasim.phantom import PhantomSpec, generate_phantom
 from prostasim.rng import InsertionStreams
 from prostasim.sensing import (
     NoiseModel,
@@ -16,8 +16,7 @@ from prostasim.sensing import (
 
 @pytest.fixture
 def phantom():
-    motion = MotionParams(axial_gain=0.0, axial_base_offset=0.0, rotation_gain=0.0, noise_sd_motion=0.0)
-    return generate_phantom(PhantomSpec(motion=motion), seed=5)
+    return generate_phantom(PhantomSpec(), seed=5)
 
 
 def quiet_noise(**overrides):
