@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import StudyConfig, to_yaml
-from .study import SharedWork, run_study, share_work
+from .phantom import APEX, BASE
+from .stats import Sample, median_iqr
+from .study import SharedWork, correction_counts, run_study, share_work
 
 TARGETS = {
     "overall_error_mm": 2.73,
@@ -70,24 +72,26 @@ def _grid(center: float, span: float, points: int):
 def study_medians(cfg: StudyConfig, shared: SharedWork | None = None) -> tuple[dict, dict]:
     """Run a closed-loop study and pull the seven calibration medians.
 
+    Each is the median the study summary reports for that quantity (the
+    closed-loop totals, the apex and base strata, table 2's "All" row),
+    taken straight from the closed-loop records, so no summary is built.
     ``shared`` is passed on to ``run_study``; the medians do not depend on it.
     """
-    report = run_study(cfg, shared)
-    s = report.summary
-    strata = {
-        (row["dimension"], row["stratum"]): row for row in s["table1"]["strata"]
-    }
-    t2 = {row["stratum"]: row for row in s["table2"]["rows"]}
+    rows = run_study(cfg, shared).rows_closed
+
+    def median(values) -> float:
+        return median_iqr(Sample(np.asarray(values, dtype=np.float64)))[0]
+
     medians = {
-        "overall_error_mm": s["totals"]["closed_loop"]["error_mm"]["median"],
-        "axial_motion_mm": s["totals"]["closed_loop"]["depth_correction_mm"]["median"],
-        "apex_depth_correction_mm": strata[("depth", "Apex")]["depth_correction_mm"]["median"],
-        "base_depth_correction_mm": strata[("depth", "Base")]["depth_correction_mm"]["median"],
-        "motion_x_mm": t2["All"]["x_mm"]["median"],
-        "motion_y_mm": t2["All"]["y_mm"]["median"],
-        "motion_z_mm": t2["All"]["z_mm"]["median"],
+        "overall_error_mm": median([r.error_mm for r in rows]),
+        "axial_motion_mm": median([r.depth_correction_mm for r in rows]),
+        "apex_depth_correction_mm": median([r.depth_correction_mm for r in rows if r.zone_depth == APEX]),
+        "base_depth_correction_mm": median([r.depth_correction_mm for r in rows if r.zone_depth == BASE]),
+        "motion_x_mm": median([abs(r.motion_x_mm) for r in rows]),
+        "motion_y_mm": median([abs(r.motion_y_mm) for r in rows]),
+        "motion_z_mm": median([abs(r.motion_z_mm) for r in rows]),
     }
-    return medians, s["corrections"]
+    return medians, correction_counts(rows)
 
 
 def objective(medians: dict) -> float:

@@ -7,27 +7,26 @@ toward the tracked target until the proposed change drops below the
 depth resolution.  The bead is deposited at the final tip position and
 scored in the material (rest) frame, the analog of a post-procedure CT.
 
+An insertion is three steps.  ``plan_insertion`` is the motion-free
+half: reference volume, observed target, trajectory, first pass, and the
+first-pass penetration that sets the modeled drag.  ``open_loop_insertion``
+draws the motion noise, evaluates the gland transform at the pass depth
+and scores the open-loop baseline.  ``correct_insertions`` runs the
+closed loop of a block of insertions together, each step one stacked
+``sensing`` call per kernel over the insertions still correcting, and
+continues each one from its baseline's transform and motion noise.  The
+insertions take the plan and none of the planning inputs, so insertions
+that differ only in motion can share one plan.  ``run_insertion`` is the
+closed loop of a single insertion, a block of one.
+
 Per-insertion invariants are computed once: the reference volume is
 prepared for registration once, and the gland transform, which depends
 on the tip only through whether it is past the gland entry depth (the
 motion model reads penetration from the fixed pass depth), is evaluated
 at most once for each side of that depth.  The planner returns only
 trajectories clear of the arch, so the needle never stops short: the
-records' ``disengaged`` flag is always false.
-
-An insertion is two explicit steps.  ``plan_insertion`` is the
-motion-free half: reference volume, observed target, trajectory, first
-pass, and the first-pass penetration that sets the modeled drag.
-``run_insertion`` and ``open_loop_insertion`` are the half that reads the
-motion model, which the caller passes in: motion noise, gland transforms,
-correction loop, scoring.  They take the plan and none of the planning
-inputs, so insertions that differ only in motion can share one plan.
-
-The open-loop baseline scores the bead where the first pass left it.
-The closed loop continues from that state, whose gland transform is its
-first verification, and ``run_insertion`` returns the closed record with
-the baseline attached; the paired comparison of the two quantifies what
-the loop buys.
+records' ``disengaged`` flag is always false.  The paired comparison of
+the closed record and its baseline quantifies what the loop buys.
 """
 
 from __future__ import annotations
@@ -77,6 +76,10 @@ class InsertionRecord:
     distance_error: float
     axial_motion: float
     zone: ZoneLabels
+    # the gland transform the bead was deposited in, and the insertion's
+    # frozen motion noise, which every gland transform of it includes
+    gland_transform: geometry.RigidTransform
+    motion_noise: np.ndarray
     # no in-run stop exists (every plan is clear of the arch); kept false for the records CSV
     disengaged: bool = False
     max_corrections_exceeded: bool = False
@@ -132,14 +135,17 @@ def plan_insertion(
 ) -> InsertionPlan:
     """Observe at rest, plan the trajectory and make the first pass.
 
-    Only a ``track`` plan can drive ``run_insertion``; an untracked plan
+    Only a ``track`` plan can drive the closed loop; an untracked plan
     skips the registration reference and serves ``open_loop_insertion``.
     Raises planning.NoFeasiblePath when no trajectory clears the arch.
     """
     region = entry_region if entry_region is not None else EntryRegion()
     target = phantom.target_by_id(target_id)
     ref_stream = streams.reference()
-    ref_obs = sensing.observe(phantom, geometry.identity(), noise, ref_stream, streams.needle_count)
+    # the reference volume, at rest: a stack of one
+    ref_obs = sensing.observe(
+        [phantom], np.eye(3)[None], np.zeros((1, 3)), noise, [ref_stream], [streams.needle_count]
+    )
     target_obs = sensing.observe_point(
         phantom, target.position_rest, noise, ref_stream, streams.needle_count
     )
@@ -170,12 +176,17 @@ def _residual_motion(motion: MotionParams, plan: InsertionPlan, moved_target):
     return disp - motion.drag(plan.penetration) * plan.trajectory.dir
 
 
-def _first_pass(phantom, motion, plan, streams):
-    """Score the bead where the first pass left it: the open-loop baseline.
+def open_loop_insertion(
+    phantom: ProstatePhantom,
+    motion: MotionParams,
+    plan: InsertionPlan,
+    streams: InsertionStreams,
+) -> InsertionRecord:
+    """Score the bead where the first pass of ``plan`` left it: the open-loop baseline.
 
-    Returns the baseline record, the insertion's frozen motion noise and
-    the gland transform at the planned depth, which is also the closed
-    loop's first verification state.
+    Draws the insertion's frozen motion noise and evaluates the gland
+    transform at the planned depth; the record carries both, and the
+    closed loop (``correct_insertions``) starts from them.
     """
     traj, depth = plan.trajectory, plan.trajectory.planned_depth
     # frozen per-insertion motion noise: every gland transform sees it
@@ -186,7 +197,7 @@ def _first_pass(phantom, motion, plan, streams):
     moved_target = geometry.apply(t_true, plan.target_obs)
     depth_of_target, _ = geometry.axis_decompose(traj.entry, traj.dir, moved_target)
     bead_rest, error = _deposit(phantom, plan.target, traj.entry + depth * traj.dir, t_true)
-    baseline = InsertionRecord(
+    return InsertionRecord(
         target_id=plan.target.id, trajectory=traj, corrections=[], n_corrections=0,
         bead_rest_position=bead_rest, distance_error=error,
         # the induced-but-uncorrected axial displacement of the observed target
@@ -194,18 +205,113 @@ def _first_pass(phantom, motion, plan, streams):
         zone=with_approach(plan.target.zone, traj.approach),
         residual_motion=_residual_motion(motion, plan, moved_target),
         duration_s=plan.duration_s, rotation_angle_deg=plan.joints.rotation_angle,
+        gland_transform=t_true, motion_noise=motion_noise,
     )
-    return baseline, motion_noise, t_true
 
 
-def open_loop_insertion(
-    phantom: ProstatePhantom,
+def correct_insertions(
+    phantoms: list[ProstatePhantom],
     motion: MotionParams,
-    plan: InsertionPlan,
-    streams: InsertionStreams,
-) -> InsertionRecord:
-    """The open-loop baseline alone: run_insertion's ``open_loop`` record."""
-    return _first_pass(phantom, motion, plan, streams)[0]
+    noise: NoiseModel,
+    geom: kinematics.RobotGeometry,
+    conv: ConvergenceParams,
+    plans: list[InsertionPlan],
+    streams: list[InsertionStreams],
+    baselines: list[InsertionRecord],
+) -> list[InsertionRecord]:
+    """Run the closed loop of a block of insertions together.
+
+    Slot k is insertion k: ``phantoms[k]``, its tracked ``plans[k]``, its
+    ``streams[k]`` and its open-loop record ``baselines[k]``, whose gland
+    transform is the slot's first verification state and whose motion
+    noise every later transform reuses.  Each step observes, registers,
+    tracks and decides for every slot still correcting, as one stacked
+    call per kernel; a slot leaves the loop when its proposed change drops
+    below ``depth_epsilon`` or its budget runs out.  Every slot gets the
+    record it would get alone, with its baseline in ``open_loop``.
+    Raises ValueError for an untracked plan.  A correction budget overrun
+    does not raise: the record is flagged.
+    """
+    conv.validate()
+    if any(plan.reference is None for plan in plans):
+        raise ValueError("a closed-loop insertion needs a tracked plan")
+    trajs = [plan.trajectory for plan in plans]
+    entries = np.array([traj.entry for traj in trajs])
+    dirs = np.array([traj.dir for traj in trajs])
+    targets_obs = np.array([plan.target_obs for plan in plans])
+    reference = geometry.stack_references([plan.reference for plan in plans])
+    obs_streams = [s.observation() for s in streams]
+    needle_counts = [s.needle_count for s in streams]
+    # penetration is read from the fixed pass depth, so the gland transform
+    # depends on the tip only through "is it past the gland entry depth"
+    # (NaN where the line misses the gland: never past it)
+    entry_depth = np.array([np.nan if p.entry_depth is None else p.entry_depth for p in plans])
+    pass_depth = np.array([traj.planned_depth for traj in trajs])
+    inside = pass_depth > entry_depth
+    # each slot's gland transform on each side of its entry depth, made on first need
+    transforms = [{bool(side): base.gland_transform} for side, base in zip(inside, baselines)]
+    rot = np.array([base.gland_transform.rotation for base in baselines])
+    trans = np.array([base.gland_transform.translation for base in baselines])
+
+    tip = pass_depth.copy()  # corrections move the tip; the pass depth stays
+    applied = np.zeros(len(plans))
+    duration = np.array([plan.duration_s for plan in plans])
+    rms = np.zeros(len(plans))
+    corrections: list[list[tuple[float, np.ndarray]]] = [[] for _ in plans]
+    exceeded = np.zeros(len(plans), dtype=bool)
+    active = np.arange(len(plans))
+
+    for step in range(conv.max_corrections + 1):
+        obs = sensing.observe(
+            [phantoms[k] for k in active], rot[active], trans[active], noise,
+            [obs_streams[k] for k in active], [needle_counts[k] for k in active],
+        )
+        reg_rot, reg_trans, rms[active] = sensing.rigid_register(reference.rows(active), obs)
+        tracked = sensing.track_target(reg_rot, reg_trans, targets_obs[active])
+        # depth of the tracked target along each needle line: the stacked
+        # dot product keeps the bits of one ``rel @ dir`` per slot
+        rel = tracked - entries[active]
+        delta = (rel[:, None, :] @ dirs[active][:, :, None])[:, 0, 0] - tip[active]
+        for k, d, point in zip(active, delta.tolist(), tracked):
+            corrections[k].append((d, point))
+        moving = ~(np.abs(delta) < conv.depth_epsilon)
+        if step == conv.max_corrections:
+            exceeded[active[moving]] = True
+            break
+        active, delta = active[moving], delta[moving]
+        if not active.size:
+            break
+        tip[active] = np.maximum(0.0, tip[active] + delta)
+        applied[active] += delta
+        # corrections move without rotating, so only the time adds up
+        duration[active] += kinematics.insertion_duration(geom, delta)
+        now = tip[active] > entry_depth[active]
+        for k in active[now != inside[active]]:
+            inside[k] = side = not inside[k]
+            if side not in transforms[k]:
+                traj = trajs[k]
+                moved = NeedleState(traj.entry, traj.dir, tip[k], pass_depth=pass_depth[k])
+                transforms[k][side] = prostate_transform(
+                    phantoms[k], motion, moved, baselines[k].motion_noise
+                )
+            rot[k], trans[k] = transforms[k][side].rotation, transforms[k][side].translation
+
+    records = []
+    for k, (phantom, plan, base) in enumerate(zip(phantoms, plans, baselines)):
+        # every exit leaves the tip where the last verification saw it
+        t_final = transforms[k][bool(inside[k])]
+        traj = plan.trajectory
+        bead_rest, error = _deposit(phantom, plan.target, traj.entry + tip[k] * traj.dir, t_final)
+        records.append(replace(
+            base, corrections=corrections[k], n_corrections=len(corrections[k]) - 1,
+            bead_rest_position=bead_rest, distance_error=error, axial_motion=float(applied[k]),
+            max_corrections_exceeded=bool(exceeded[k]),
+            # measured at the first verification, from the tracked target
+            residual_motion=_residual_motion(motion, plan, corrections[k][0][1]),
+            registration_rms=float(rms[k]), duration_s=float(duration[k]),
+            gland_transform=t_final, open_loop=base,
+        ))
+    return records
 
 
 def run_insertion(
@@ -217,64 +323,10 @@ def run_insertion(
     plan: InsertionPlan,
     streams: InsertionStreams,
 ) -> InsertionRecord:
-    """Execute the closed loop of one insertion from its tracked ``plan``.
+    """One closed-loop insertion from its tracked ``plan``: the block of one.
 
-    The loop continues from the open-loop baseline's state, and the
-    returned record carries that baseline in ``open_loop``.  Raises
-    ValueError for an untracked plan.  A correction budget overrun does
-    not raise: the record is flagged.
+    ``open_loop_insertion``, then ``correct_insertions`` on that slot
+    alone; the returned record carries the baseline in ``open_loop``.
     """
-    conv.validate()
-    if plan.reference is None:
-        raise ValueError("a closed-loop insertion needs a tracked plan")
-    baseline, motion_noise, t_true = _first_pass(phantom, motion, plan, streams)
-    target, target_obs, traj = plan.target, plan.target_obs, plan.trajectory
-    js, duration, depth = plan.joints, plan.duration_s, traj.planned_depth
-
-    obs_stream = streams.observation()
-    # penetration is read from the fixed pass depth, so the gland transform
-    # depends on the tip only through "is it past the gland entry depth"
-    entry_depth = plan.entry_depth
-
-    def past_entry(tip):
-        return entry_depth is not None and tip > entry_depth
-
-    transforms = {past_entry(depth): t_true}
-    tip_depth = depth  # corrections move the tip; the pass depth stays
-    corrections: list[tuple[float, np.ndarray]] = []
-    applied = 0.0
-    exceeded = False
-
-    for _ in range(conv.max_corrections + 1):
-        obs = sensing.observe(phantom, t_true, noise, obs_stream, streams.needle_count)
-        reg, last_rms = sensing.rigid_register(plan.reference, obs)
-        tracked = sensing.track_target(reg, target_obs)
-        depth_to_target, _ = geometry.axis_decompose(traj.entry, traj.dir, tracked)
-        delta = depth_to_target - tip_depth
-        corrections.append((float(delta), tracked))
-        if abs(delta) < conv.depth_epsilon:
-            break
-        if len(corrections) - 1 >= conv.max_corrections:
-            exceeded = True
-            break
-        tip_depth = max(0.0, tip_depth + delta)
-        applied += delta
-        js, move_s = kinematics.advance_insertion(geom, js, delta, rotating=False)
-        duration += move_s
-        inside = past_entry(tip_depth)
-        if inside not in transforms:
-            moved = NeedleState(traj.entry, traj.dir, tip_depth, pass_depth=depth)
-            transforms[inside] = prostate_transform(phantom, motion, moved, motion_noise)
-        t_true = transforms[inside]
-
-    # every exit leaves the tip where the last verification saw it
-    bead_rest, error = _deposit(phantom, target, traj.entry + tip_depth * traj.dir, t_true)
-    return replace(
-        baseline, corrections=corrections, n_corrections=len(corrections) - 1,
-        bead_rest_position=bead_rest, distance_error=error, axial_motion=float(applied),
-        max_corrections_exceeded=exceeded,
-        # measured at the first verification, from the tracked target
-        residual_motion=_residual_motion(motion, plan, corrections[0][1]),
-        registration_rms=last_rms, duration_s=duration, rotation_angle_deg=js.rotation_angle,
-        open_loop=baseline,
-    )
+    baseline = open_loop_insertion(phantom, motion, plan, streams)
+    return correct_insertions([phantom], motion, noise, geom, conv, [plan], [streams], [baseline])[0]

@@ -175,63 +175,88 @@ def segment_segment_distance(p0, p1, q0, q1) -> float:
 
 @dataclass
 class RegistrationReference:
-    """A reference point set checked and centred once, for many solves."""
+    """Reference point sets checked and centred once, for many solves.
 
-    points: np.ndarray
-    mean: np.ndarray
-    centered: np.ndarray
+    A stack of K sets of N points: row k of each field belongs to set k.
+    """
+
+    points: np.ndarray  # (K, N, 3)
+    mean: np.ndarray  # (K, 3)
+    centered: np.ndarray  # (K, N, 3)
+
+    def rows(self, index) -> RegistrationReference:
+        """The sets at ``index`` (an integer array), as a stack of their own."""
+        return RegistrationReference(self.points[index], self.mean[index], self.centered[index])
 
 
 def prepare_reference(ref_points: np.ndarray) -> RegistrationReference:
-    """Centre ``ref_points`` (N, 3) and check that they can pin a transform.
+    """Centre each set of ``ref_points`` (K, N, 3) and check that it can pin a transform.
 
-    Raises DegenerateConfiguration if fewer than 3 points are given or
-    they lie on a line (within 1e-9 mm).
+    Raises DegenerateConfiguration if fewer than 3 points are given or a
+    set lies on a line (within 1e-9 mm).
     """
-    ref = np.asarray(ref_points, dtype=np.float64).reshape(-1, 3)
-    n = ref.shape[0]
+    ref = np.asarray(ref_points, dtype=np.float64)
+    n = ref.shape[1]
     if n < 3:
         raise DegenerateConfiguration(f"need at least 3 point pairs, got {n}")
-    ref_mean = ref.mean(axis=0)
-    ref_c = ref - ref_mean
-    if max_line_deviation(ref_c) < COLLINEARITY_TOL:
+    ref_mean = ref.mean(axis=1)
+    ref_c = ref - ref_mean[:, None]
+    if any(max_line_deviation(c) < COLLINEARITY_TOL for c in ref_c):
         raise DegenerateConfiguration("reference points are collinear")
     return RegistrationReference(ref, ref_mean, ref_c)
 
 
-def register_to(reference: RegistrationReference, obs_points: np.ndarray) -> tuple[RigidTransform, float]:
-    """Least-squares rigid transform taking a prepared reference onto ``obs_points``.
+def stack_references(references) -> RegistrationReference:
+    """One stack holding the sets of ``references`` in order."""
+    return RegistrationReference(
+        np.concatenate([r.points for r in references]),
+        np.concatenate([r.mean for r in references]),
+        np.concatenate([r.centered for r in references]),
+    )
+
+
+def register_to(reference: RegistrationReference, obs_points: np.ndarray):
+    """Least-squares rigid transforms taking each reference set onto its observed set.
 
     Closed form (Kabsch; Arun, Huang & Blostein 1987): centroid alignment
     plus the optimal-rotation SVD of the cross-covariance with a
-    determinant correction, so the result is always a proper rotation.
-    ``obs_points`` pairs row by row with the reference.  Returns
-    ``(transform, rms)`` where ``apply(transform, reference.points)`` best
-    matches ``obs_points`` and ``rms`` is the root-mean-square residual in mm.
+    determinant correction, so every result is a proper rotation.  All K
+    sets are solved together, with one stacked SVD; each set gives the
+    bits that solving it alone would.  ``obs_points`` (K, N, 3) pairs row
+    by row with the reference.  Returns ``(rotations, translations, rms)``
+    of shapes (K, 3, 3), (K, 3) and (K,): transform k maps
+    ``reference.points[k]`` best onto ``obs_points[k]``, with
+    root-mean-square residual ``rms[k]`` in mm.
     """
-    obs = np.asarray(obs_points, dtype=np.float64).reshape(-1, 3)
+    obs = np.asarray(obs_points, dtype=np.float64)
     if reference.points.shape != obs.shape:
         raise ValueError("point sets must have matching shapes")
-    obs_mean = obs.mean(axis=0)
-    h = reference.centered.T @ (obs - obs_mean)
+    obs_mean = obs.mean(axis=1)
+    h = np.swapaxes(reference.centered, 1, 2) @ (obs - obs_mean[:, None])
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    trans = obs_mean - rot @ reference.mean
-    t = RigidTransform(rot, trans)
-    resid = apply(t, reference.points) - obs
-    rms = float(np.sqrt(np.mean(np.sum(resid * resid, axis=1))))
-    return t, rms
+    v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
+    # the determinant correction: diag(1, 1, sign det(V U^T))
+    correction = np.zeros_like(h)
+    correction[:, 0, 0] = correction[:, 1, 1] = 1.0
+    correction[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    rot = v @ correction @ ut
+    trans = obs_mean - (rot @ reference.mean[:, :, None])[:, :, 0]
+    resid = reference.points @ np.swapaxes(rot, 1, 2) + trans[:, None] - obs
+    rms = np.sqrt(np.mean(np.sum(resid * resid, axis=2), axis=1))
+    return rot, trans, rms
 
 
 def register_points(ref_points: np.ndarray, obs_points: np.ndarray) -> tuple[RigidTransform, float]:
     """Least-squares rigid transform taking paired ``ref_points`` onto ``obs_points``.
 
-    ``prepare_reference`` then ``register_to``; both (N, 3).  Raises
-    DegenerateConfiguration for fewer than 3 pairs or collinear reference
-    points and ValueError for mismatched shapes.
+    One set, both (N, 3): ``prepare_reference`` then ``register_to`` on a
+    stack of one.  Raises DegenerateConfiguration for fewer than 3 pairs or
+    collinear reference points and ValueError for mismatched shapes.
     """
-    return register_to(prepare_reference(ref_points), obs_points)
+    ref = np.asarray(ref_points, dtype=np.float64).reshape(1, -1, 3)
+    obs = np.asarray(obs_points, dtype=np.float64).reshape(1, -1, 3)
+    rot, trans, rms = register_to(prepare_reference(ref), obs)
+    return RigidTransform(rot[0], trans[0]), float(rms[0])
 
 
 def max_line_deviation(centered: np.ndarray) -> float:

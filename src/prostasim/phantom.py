@@ -330,7 +330,10 @@ def prostate_transform(
     offset_vec = rel - along * d
     lateral = float(np.linalg.norm(offset_vec))
     if lateral > 1e-12 and motion.rotation_gain > 0.0:
-        axis = np.cross(d, offset_vec / lateral)
+        # d x (offset_vec / lateral) on floats: np.cross's bits, without its overhead
+        d0, d1, d2 = d.tolist()
+        u0, u1, u2 = (offset_vec / lateral).tolist()
+        axis = (d1 * u2 - d2 * u1, d2 * u0 - d0 * u2, d0 * u1 - d1 * u0)
         angle = motion.rotation_gain * lateral * pen
         rot = geometry.rotation_about_axis(axis, angle, phantom.pivot)
     else:

@@ -3,12 +3,18 @@
 Observing replaces image acquisition: each phantom fiducial is moved by
 the current gland transform and perturbed by isotropic noise whose sd
 grows with tissue depth and with the number of needles already placed
-(image degradation).  An observed volume is a plain (N, 3) array, row i
+(image degradation).  An observed volume is an (N, 3) array, row i
 being fiducial i, and always consumes N x 3 normals of its stream, so a
 stream's layout does not depend on the noise parameters (see ``rng``).
 Registration of an observed volume against the reference volume,
 prepared once per insertion, recovers the gland transform, which tracks
 the target.
+
+``observe``, ``rigid_register`` and ``track_target`` work on stacks: K
+insertions at once, row k of every argument and result belonging to
+insertion k, so one call serves a whole block of insertions.  Each row
+has the bits it would have alone; a single insertion passes a stack of
+one.
 """
 
 from __future__ import annotations
@@ -46,27 +52,34 @@ class NoiseModel:
 
 
 def observe(
-    phantom: ProstatePhantom,
-    current_transform: geometry.RigidTransform,
+    phantoms,
+    rotations: np.ndarray,
+    translations: np.ndarray,
     noise: NoiseModel,
-    rng_stream,
-    needle_count: int = 0,
+    rng_streams,
+    needle_counts,
 ) -> np.ndarray:
-    """One synthetic volume: every fiducial's noisy world position, in id order.
+    """One synthetic volume for each of K insertions, stacked (K, N, 3).
 
-    ``needle_count`` is the number of needles already completed in this
-    session and drives the degradation multiplier.  Deterministic given
-    the stream position: every row draws its noise from one
-    ``standard_normal((N, 3))`` block, three values per row in row order,
-    whatever its sd.
+    Row k is every fiducial of ``phantoms[k]`` moved by the gland transform
+    (``rotations[k]``, ``translations[k]``) and perturbed, in id order.
+    ``needle_counts[k]`` is the number of needles already completed in
+    that session and drives the degradation multiplier.  Volume k draws
+    its noise from ``rng_streams[k]``: one ``standard_normal((N, 3))``,
+    three values per row in row order, whatever its sd.  Each volume has
+    the bits it would have if observed alone.
     """
-    base = noise.sigma0 * noise.degradation_per_needle**needle_count
-    rot = current_transform.rotation
+    points = np.array([p.fiducial_points for p in phantoms])
+    entry_plane = np.array([p.gland_semiaxes[2] for p in phantoms])
+    base = np.array([noise.sigma0 * noise.degradation_per_needle**k for k in needle_counts])
     # the stacked matrix-vector form keeps the bits of one ``rot @ p`` per point
-    world = (rot[None] @ phantom.fiducial_points[:, :, None])[:, :, 0] + current_transform.translation
+    world = (rotations[:, None] @ points[:, :, :, None])[..., 0] + translations[:, None]
     # depth past the gland entry plane z = -c
-    sigma = base + noise.depth_gain * np.maximum(0.0, world[:, 2] + phantom.gland_semiaxes[2])
-    return world + sigma[:, None] * rng_stream.standard_normal(world.shape)
+    sigma = base[:, None] + noise.depth_gain * np.maximum(0.0, world[:, :, 2] + entry_plane[:, None])
+    draws = np.empty_like(world)
+    for stream, out in zip(rng_streams, draws):
+        stream.standard_normal(out=out)
+    return world + sigma[:, :, None] * draws
 
 
 def observe_point(
@@ -83,17 +96,18 @@ def observe_point(
     return p + rng_stream.normal(0.0, sigma, 3)
 
 
-def rigid_register(reference: geometry.RegistrationReference, observed) -> tuple[geometry.RigidTransform, float]:
-    """Least-squares rigid registration of an observed volume.
+def rigid_register(reference: geometry.RegistrationReference, observed: np.ndarray):
+    """Least-squares rigid registration of K observed volumes at once.
 
-    ``reference`` is the reference volume's fiducials prepared once per
-    insertion (``geometry.prepare_reference``); ``observed`` is a volume's
-    (N, 3) fiducial array in the same id order.  Returns (transform,
-    rms_residual).
+    ``reference`` is the stack of reference volumes, each prepared once per
+    insertion (``geometry.prepare_reference``); ``observed`` (K, N, 3)
+    holds one volume per reference set, fiducials in the same id order.
+    Returns the (K, 3, 3) rotations, (K, 3) translations and (K,) rms
+    residuals of ``geometry.register_to``.
     """
     return geometry.register_to(reference, observed)
 
 
-def track_target(reg: geometry.RigidTransform, target_rest) -> np.ndarray:
-    """Predicted current position of a rest-frame target under ``reg``."""
-    return geometry.apply(reg, target_rest)
+def track_target(rotations: np.ndarray, translations: np.ndarray, targets_rest: np.ndarray) -> np.ndarray:
+    """Predicted current positions (K, 3) of rest-frame targets under the registrations."""
+    return (rotations @ targets_rest[:, :, None])[:, :, 0] + translations

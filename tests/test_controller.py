@@ -1,3 +1,4 @@
+from collections import Counter, defaultdict
 from dataclasses import fields
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from conftest import tiny_config
 from prostasim import controller, geometry, sensing, study
 from prostasim import phantom as ph
-from prostasim.controller import ConvergenceParams, open_loop_insertion, plan_insertion, run_insertion
+from prostasim.controller import (
+    ConvergenceParams,
+    correct_insertions,
+    open_loop_insertion,
+    plan_insertion,
+    run_insertion,
+)
 from prostasim.geometry import Segment
 from prostasim.kinematics import RobotGeometry
 from prostasim.phantom import (
@@ -151,7 +158,7 @@ def test_paired_runs_share_noise():
     assert o.axial_motion != 0.0 and np.any(o.residual_motion != 0.0)
     for f in fields(o):
         x, y = getattr(a.open_loop, f.name), getattr(o, f.name)
-        if f.name == "trajectory":
+        if f.name in ("trajectory", "gland_transform"):
             x, y = vars(x), vars(y)
         np.testing.assert_equal(x, y, err_msg=f.name)
 
@@ -216,39 +223,56 @@ def counting(calls, name, fn):
 
 
 def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
-    calls = []
-    monkeypatch.setattr(controller, "prostate_transform", counting(calls, "transform", prostate_transform))
-    monkeypatch.setattr(geometry, "max_line_deviation", counting(calls, "line", geometry.max_line_deviation))
+    # a slot is its plan plus its insertion; a call is counted for the slot
+    # whose needle entry point it is given
+    per_slot = defaultdict(Counter)
+
+    def slot(entry):
+        return tuple(np.asarray(entry).tolist())
+
+    def transform(phantom, motion, needle, noise):
+        per_slot[slot(needle.entry)]["transform"] += 1
+        return prostate_transform(phantom, motion, needle, noise)
+
+    def entry(phantom, entry, dir):
+        per_slot[slot(entry)]["entry"] += 1
+        return gland_entry_depth(phantom, entry, dir)
+
+    lines = []
+    line = counting(lines, "line", geometry.max_line_deviation)
+
+    def planning(*args, **kwargs):
+        lines.clear()
+        plan = plan_insertion(*args, **kwargs)
+        per_slot[slot(plan.trajectory.entry)]["line"] += len(lines)
+        return plan
+
+    blocks = []
+
+    def correcting(*args, **kwargs):
+        records = correct_insertions(*args, **kwargs)
+        blocks.append(len(records))
+        for rec in records:
+            per_slot[slot(rec.trajectory.entry)]["corrections"] = rec.n_corrections
+        return records
+
+    monkeypatch.setattr(controller, "prostate_transform", transform)
+    monkeypatch.setattr(geometry, "max_line_deviation", line)
     # the entry depth is looked up through both modules' bindings
-    entry = counting(calls, "entry", gland_entry_depth)
     monkeypatch.setattr(controller, "gland_entry_depth", entry)
     monkeypatch.setattr(ph, "gland_entry_depth", entry)
-    per_slot = []
-
-    # a slot is its plan plus the insertion run from it
-    def planning(*args, **kwargs):
-        calls.clear()
-        return plan_insertion(*args, **kwargs)
-
-    def insertion(*args, **kwargs):
-        rec = run_insertion(*args, **kwargs)
-        per_slot.append(
-            (calls.count("transform"), calls.count("line"), calls.count("entry"), rec.n_corrections)
-        )
-        return rec
-
     monkeypatch.setattr(study, "plan_insertion", planning)
-    monkeypatch.setattr(study, "run_insertion", insertion)
+    monkeypatch.setattr(study, "correct_insertions", correcting)
     study.run_study(tiny_config(mode="closed_loop"))
-    assert len(per_slot) == 16
+    assert blocks == [16] and len(per_slot) == 16
     # insertions that verify three or more times, so a per-step evaluation shows
-    assert max(n for *_, n in per_slot) >= 2
-    for transforms, lines, entries, _ in per_slot:
-        assert transforms <= 2
-        assert lines == 1
+    assert max(c["corrections"] for c in per_slot.values()) >= 2
+    for c in per_slot.values():
+        assert c["transform"] <= 2
+        assert c["line"] == 1
         # one per transform, one for the first-pass penetration (the drag of
         # both records) and one for the correction loop's entry depth
-        assert entries == transforms + 2
+        assert c["entry"] == c["transform"] + 2
 
 
 def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
@@ -259,7 +283,9 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     d = np.array([0.0, 0.0, 1.0])
     shallow = entry + (gland_entry_depth(p, entry, d) - 3.0) * d
     # the tracker reports the target short of the gland: the tip retracts there
-    monkeypatch.setattr(sensing, "track_target", lambda reg, target: shallow.copy())
+    monkeypatch.setattr(
+        sensing, "track_target", lambda rot, trans, targets: np.broadcast_to(shallow, targets.shape).copy()
+    )
     calls = []
     monkeypatch.setattr(controller, "prostate_transform", counting(calls, "transform", prostate_transform))
     rec = run_quiet(p, t.id, motion=motion)
@@ -281,7 +307,7 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
 def assert_same_record(a, b):
     for f in fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.name == "trajectory":
+        if f.name in ("trajectory", "gland_transform"):
             x, y = vars(x), vars(y)
         if f.name != "open_loop":
             np.testing.assert_equal(x, y, err_msg=f.name)

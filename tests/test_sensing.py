@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prostasim import geometry
 from prostasim.geometry import DegenerateConfiguration, prepare_reference
@@ -29,6 +30,17 @@ def stream(seed=9):
     return InsertionStreams(seed, phantom=0, target=0, replicate=0).observation()
 
 
+def observe_one(phantom, t, noise, s, needle_count=0):
+    """One volume: ``observe`` on a stack of one."""
+    return observe([phantom], t.rotation[None], t.translation[None], noise, [s], [needle_count])[0]
+
+
+def register_one(ref_points, obs):
+    """Registration of one volume against one reference set: (transform, rms)."""
+    rot, trans, rms = rigid_register(prepare_reference(ref_points[None]), obs[None])
+    return geometry.RigidTransform(rot[0], trans[0]), float(rms[0])
+
+
 def some_transform():
     rot = geometry.rotation_about_axis([0.2, 1.0, 0.1], 4.0, center=[0, 0, -10])
     return geometry.compose(geometry.translation([1.5, -2.0, 3.0]), rot)
@@ -46,7 +58,7 @@ def test_validate_rejects_bad_params():
 
 def test_noiseless_observation_is_exact(phantom):
     t = some_transform()
-    obs = observe(phantom, t, quiet_noise(), stream())
+    obs = observe_one(phantom, t, quiet_noise(), stream())
     assert obs.shape == phantom.fiducial_points.shape
     for rest, world in zip(phantom.fiducial_points, obs):
         np.testing.assert_allclose(world, geometry.apply(t, rest), atol=1e-12)
@@ -54,8 +66,8 @@ def test_noiseless_observation_is_exact(phantom):
 
 def test_register_recovers_transform(phantom):
     t = some_transform()
-    obs = observe(phantom, t, quiet_noise(), stream())
-    reg, rms = rigid_register(prepare_reference(phantom.fiducial_points), obs)
+    obs = observe_one(phantom, t, quiet_noise(), stream())
+    reg, rms = register_one(phantom.fiducial_points, obs)
     assert rms < 1e-9
     np.testing.assert_allclose(reg.rotation, t.rotation, atol=1e-9)
     np.testing.assert_allclose(reg.translation, t.translation, atol=1e-9)
@@ -64,7 +76,8 @@ def test_register_recovers_transform(phantom):
 def test_track_target_is_transform_application(phantom):
     t = some_transform()
     target = phantom.targets[0].position_rest
-    np.testing.assert_allclose(track_target(t, target), geometry.apply(t, target), atol=1e-12)
+    got = track_target(t.rotation[None], t.translation[None], target[None])[0]
+    np.testing.assert_allclose(got, geometry.apply(t, target), atol=1e-12)
 
 
 def test_registration_rms_matches_residual_dof(phantom):
@@ -75,12 +88,10 @@ def test_registration_rms_matches_residual_dof(phantom):
     expect = sd * np.sqrt((3 * n - 6) / n)
     noise = quiet_noise(sigma0=sd)
     s = stream()
-    reference = prepare_reference(phantom.fiducial_points)
     draws = []
     for _ in range(300):
-        obs = observe(phantom, geometry.identity(), noise, s)
-        _, rms = rigid_register(reference, obs)
-        draws.append(rms)
+        obs = observe_one(phantom, geometry.identity(), noise, s)
+        draws.append(register_one(phantom.fiducial_points, obs)[1])
     assert np.mean(draws) == pytest.approx(expect, rel=0.06)
 
 
@@ -99,8 +110,8 @@ def test_degradation_raises_base_sigma(phantom):
     # twin streams draw the same normals, so only the sd scales the deviation
     noise = quiet_noise(sigma0=0.3, degradation_per_needle=1.2)
     exact = phantom.fiducial_points  # the noiseless volume at rest
-    dev0 = observe(phantom, geometry.identity(), noise, stream(), needle_count=0) - exact
-    dev3 = observe(phantom, geometry.identity(), noise, stream(), needle_count=3) - exact
+    dev0 = observe_one(phantom, geometry.identity(), noise, stream(), needle_count=0) - exact
+    dev3 = observe_one(phantom, geometry.identity(), noise, stream(), needle_count=3) - exact
     np.testing.assert_allclose(dev3, 1.2**3 * dev0, rtol=1e-12)
 
 
@@ -116,17 +127,16 @@ def test_depth_gain_widens_scatter_with_depth(phantom):
 
 def test_register_needs_three_common_points(phantom):
     with pytest.raises(DegenerateConfiguration, match="at least 3"):
-        prepare_reference(phantom.fiducial_points[:2])
-    reference = prepare_reference(phantom.fiducial_points[:3])
+        prepare_reference(phantom.fiducial_points[None, :2])
     moved = geometry.apply(some_transform(), phantom.fiducial_points[:3])
-    _, rms = rigid_register(reference, moved)
+    _, rms = register_one(phantom.fiducial_points[:3], moved)
     assert rms < 1e-9
 
 def test_observation_stream_replays(phantom):
     noise = quiet_noise(sigma0=0.4)
     ks = dict(phantom=1, target=2, replicate=3)
-    a = observe(phantom, geometry.identity(), noise, InsertionStreams(7, **ks).observation())
-    b = observe(phantom, geometry.identity(), noise, InsertionStreams(7, **ks).observation())
+    a = observe_one(phantom, geometry.identity(), noise, InsertionStreams(7, **ks).observation())
+    b = observe_one(phantom, geometry.identity(), noise, InsertionStreams(7, **ks).observation())
     np.testing.assert_array_equal(a, b)
 
 
@@ -145,7 +155,7 @@ def test_streams_have_a_fixed_layout(phantom):
         (quiet_noise(sigma0=0.3), some_transform()),
     ):
         a, b = stream(), stream()
-        observe(phantom, t, noise, a)
+        observe_one(phantom, t, noise, a)
         observe_point(phantom, geometry.apply(t, phantom.targets[0].position_rest), noise, a)
         b.standard_normal(n * 3 + 3)
         assert a.standard_normal() == b.standard_normal()
@@ -177,7 +187,7 @@ def test_observe_matches_per_point_loop_bit_for_bit(phantom):
         rot = geometry.rotation_about_axis(rng.normal(size=3), rng.uniform(-30, 30), rng.uniform(-10, 10, 3))
         t = geometry.compose(geometry.translation(rng.uniform(-5, 5, 3) - [0, 0, rng.uniform(0, 2 * c)]), rot)
         k = int(rng.integers(0, 4))
-        got = observe(phantom, t, noise, a, needle_count=k)
+        got = observe_one(phantom, t, noise, a, needle_count=k)
         want = observe_per_point(phantom, t, noise, b, k)
         np.testing.assert_array_equal(got, want)
         assert a.standard_normal() == b.standard_normal()
@@ -185,3 +195,78 @@ def test_observe_matches_per_point_loop_bit_for_bit(phantom):
             zero_rows.add(int(np.sum(geometry.apply(t, phantom.fiducial_points)[:, 2] + c <= 0)))
     n = len(phantom.fiducial_points)
     assert 0 in zero_rows and n in zero_rows and zero_rows - {0, n}
+
+
+# two phantoms of different shape, so rows of one stack differ in their fiducials
+PHANTOMS = (
+    generate_phantom(PhantomSpec(), seed=5),
+    generate_phantom(PhantomSpec(gland_semiaxes=(21.0, 17.0, 26.0)), seed=6),
+)
+
+
+def register_row(ref, obs):
+    """One volume's registration, computed on its own: (rotation, translation, rms)."""
+    ref_mean = ref.mean(axis=0)
+    obs_mean = obs.mean(axis=0)
+    h = (ref - ref_mean).T @ (obs - obs_mean)
+    u, _, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    trans = obs_mean - rot @ ref_mean
+    resid = ref @ rot.T + trans - obs
+    return rot, trans, float(np.sqrt(np.mean(np.sum(resid * resid, axis=1))))
+
+
+@st.composite
+def stack_rows(draw):
+    """One row of a stack: phantom, gland transform (identity or not), needle count, stream seed."""
+    phantom = draw(st.sampled_from(PHANTOMS))
+    if draw(st.booleans()):
+        t = geometry.identity()
+    else:
+        axis = draw(st.tuples(*[st.floats(-1, 1) for _ in range(3)]).filter(
+            lambda a: sum(x * x for x in a) > 1e-4))
+        angle = draw(st.floats(-30, 30))
+        # z down to -2c carries some or all fiducials in front of the entry plane
+        shift = draw(st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-50, 5)))
+        t = geometry.compose(geometry.translation(shift), geometry.rotation_about_axis(axis, angle, [0, 0, -10]))
+    return phantom, t, draw(st.integers(0, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(stack_rows(), min_size=1, max_size=6),
+    sigma0=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+    depth_gain=st.floats(0.0, 0.05),
+    degradation=st.floats(1.0, 1.3),
+)
+def test_stacked_kernels_match_a_row_by_row_loop_bit_for_bit(rows, sigma0, depth_gain, degradation):
+    noise = quiet_noise(sigma0=sigma0, depth_gain=depth_gain, degradation_per_needle=degradation)
+    phantoms = [r[0] for r in rows]
+    transforms = [r[1] for r in rows]
+    counts = [r[2] for r in rows]
+    ours = [stream(seed) for *_, seed in rows]
+    theirs = [stream(seed) for *_, seed in rows]
+    rotations = np.array([t.rotation for t in transforms])
+    translations = np.array([t.translation for t in transforms])
+    rest = np.eye(3)[None].repeat(len(rows), axis=0), np.zeros((len(rows), 3))
+
+    # a reference volume at rest, then a volume under each row's transform
+    ref = observe(phantoms, *rest, noise, ours, counts)
+    obs = observe(phantoms, rotations, translations, noise, ours, counts)
+    rot, trans, rms = rigid_register(prepare_reference(ref), obs)
+    targets = np.array([p.targets[0].position_rest for p in phantoms])
+    tracked = track_target(rot, trans, targets)
+
+    for k, (phantom, t, count, _) in enumerate(rows):
+        ref_k = observe_per_point(phantom, geometry.identity(), noise, theirs[k], count)
+        obs_k = observe_per_point(phantom, t, noise, theirs[k], count)
+        np.testing.assert_array_equal(ref[k], ref_k)
+        np.testing.assert_array_equal(obs[k], obs_k)
+        rot_k, trans_k, rms_k = register_row(ref_k, obs_k)
+        np.testing.assert_array_equal(rot[k], rot_k)
+        np.testing.assert_array_equal(trans[k], trans_k)
+        assert rms[k] == rms_k
+        np.testing.assert_array_equal(tracked[k], rot_k @ targets[k] + trans_k)
+        # each row took exactly its own draws
+        assert ours[k].standard_normal() == theirs[k].standard_normal()

@@ -93,6 +93,33 @@ def test_shared_work_refuses_another_config():
             run_study(other, shared)
 
 
+def test_blocks_do_not_change_the_report(monkeypatch, tiny_report):
+    from prostasim import study
+
+    sizes = []
+    correct = study.correct_insertions
+
+    def counted(*args, **kwargs):
+        records = correct(*args, **kwargs)
+        sizes.append(len(records))
+        return records
+
+    monkeypatch.setattr(study, "correct_insertions", counted)
+    monkeypatch.setattr(study, "BLOCK_SLOTS", 5)
+    split = run_study(tiny_config())
+    assert sizes == [5, 5, 5, 1]
+    assert split.rows_closed == tiny_report.rows_closed
+    assert split.rows_open == tiny_report.rows_open
+    assert json.dumps(split.summary) == json.dumps(tiny_report.summary)
+
+
+def test_report_keeps_the_config_it_was_run_with(tiny_report):
+    cfg = tiny_config()
+    report = run_study(cfg)
+    cfg.seed += 1  # after the run, before the summary is first read
+    assert report.summary == tiny_report.summary
+
+
 def test_quota_split_sums_per_phantom():
     cfg = tiny_config()
     split = phantom_quota_split(cfg)
