@@ -134,8 +134,13 @@ def calibrate(
 
     ``grid_points`` values per axis over +/- ``SPANS`` around each center.
     Returns the best feasible candidate (falling back to the best overall
-    if nothing passes the shape constraints, flagged infeasible).
+    if nothing passes the shape constraints, flagged infeasible).  Raises
+    ValueError when ``replicates`` or ``grid_points`` is below 1.
     """
+    if replicates < 1 or grid_points < 1:
+        raise ValueError(
+            f"calibrate: replicates and grid_points must be >= 1, got {replicates} and {grid_points}"
+        )
     base = copy.deepcopy(base)
     base.n_seed_replicates = replicates
     axes = [

@@ -7,17 +7,19 @@ toward the tracked target until the proposed change drops below the
 depth resolution.  The bead is deposited at the final tip position and
 scored in the material (rest) frame, the analog of a post-procedure CT.
 
-An insertion is three steps.  ``plan_insertion`` is the motion-free
-half: reference volume, observed target, trajectory, first pass, and the
-first-pass penetration that sets the modeled drag.  ``open_loop_insertion``
-draws the motion noise, evaluates the gland transform at the pass depth
-and scores the open-loop baseline.  ``correct_insertions`` runs the
-closed loop of a block of insertions together, each step one stacked
-``sensing`` call per kernel over the insertions still correcting, and
-continues each one from its baseline's transform and motion noise.  The
-insertions take the plan and none of the planning inputs, so insertions
-that differ only in motion can share one plan.  ``run_insertion`` is the
-closed loop of a single insertion, a block of one.
+An insertion is three steps, the first and last taken by a block of
+insertions together.  ``plan_insertions`` is the motion-free half: one
+stacked observation and collinearity check of the block's reference
+volumes, then per slot the observed target, trajectory, first pass and
+the first-pass penetration that sets the modeled drag.
+``open_loop_insertion`` draws one insertion's motion noise, evaluates
+the gland transform at the pass depth and scores the open-loop baseline.
+``correct_insertions`` runs the closed loop of a block together, each
+step one stacked ``sensing`` call per kernel over the insertions still
+correcting, and continues each one from its baseline's transform and
+motion noise.  The insertions take the plan and none of the planning
+inputs, so insertions that differ only in motion can share one plan.
+``run_insertion`` is the closed loop of a single insertion.
 
 Per-insertion invariants are computed once: the reference volume is
 prepared for registration once, and the gland transform, which depends
@@ -122,42 +124,48 @@ class InsertionPlan:
     entry_depth: float | None = None
 
 
-def plan_insertion(
-    phantom: ProstatePhantom,
+def plan_insertions(
+    phantoms: list[ProstatePhantom],
     geom: kinematics.RobotGeometry,
     arch: PubicArchModel,
     noise: NoiseModel,
-    target_id: int,
-    streams: InsertionStreams,
+    target_ids: list[int],
+    streams: list[InsertionStreams],
     entry_region: EntryRegion | None = None,
     needle_radius: float = planning.DEFAULT_NEEDLE_RADIUS,
     track: bool = True,
-) -> InsertionPlan:
-    """Observe at rest, plan the trajectory and make the first pass.
+) -> list[InsertionPlan]:
+    """Observe a block of insertions at rest, plan each trajectory and make each first pass.
 
-    Only a ``track`` plan can drive the closed loop; an untracked plan
-    skips the registration reference and serves ``open_loop_insertion``.
-    Raises planning.NoFeasiblePath when no trajectory clears the arch.
+    Slot k plans target ``target_ids[k]`` of ``phantoms[k]`` from
+    ``streams[k]`` and gets the plan it would get alone.  Only a ``track``
+    plan can drive the closed loop; an untracked plan skips the
+    registration reference and serves ``open_loop_insertion``.  Raises
+    geometry.DegenerateConfiguration for a collinear reference volume of a
+    tracked block, before planning, and planning.NoFeasiblePath when no
+    trajectory clears the arch.
     """
     region = entry_region if entry_region is not None else EntryRegion()
-    target = phantom.target_by_id(target_id)
-    ref_stream = streams.reference()
-    # the reference volume, at rest: a stack of one
-    ref_obs = sensing.observe(
-        [phantom], np.eye(3)[None], np.zeros((1, 3)), noise, [ref_stream], [streams.needle_count]
-    )
-    target_obs = sensing.observe_point(
-        phantom, target.position_rest, noise, ref_stream, streams.needle_count
-    )
-    traj = planning.replan_angled(arch, target_obs, region, geom, needle_radius)
-    js = kinematics.inverse_kinematics(geom, traj)
-    js, duration = kinematics.advance_insertion(geom, js, traj.planned_depth, rotating=True)
-    pen = penetration(phantom, NeedleState(traj.entry, traj.dir, traj.planned_depth))
-    plan = InsertionPlan(target, target_obs, traj, js, duration, pen)
-    if track:
-        plan.reference = geometry.prepare_reference(ref_obs)
-        plan.entry_depth = gland_entry_depth(phantom, traj.entry, geometry.normalize(traj.dir))
-    return plan
+    ref_streams = [s.reference() for s in streams]
+    counts = [s.needle_count for s in streams]
+    rest = np.broadcast_to(np.eye(3), (len(phantoms), 3, 3))
+    ref_obs = sensing.observe(phantoms, rest, np.zeros((len(phantoms), 3)), noise, ref_streams, counts)
+    reference = geometry.prepare_reference(ref_obs) if track else None
+    plans = []
+    for k, (phantom, target_id, ref_stream) in enumerate(zip(phantoms, target_ids, ref_streams)):
+        target = phantom.target_by_id(target_id)
+        # the observed target takes the 3 normals after the reference volume's
+        target_obs = sensing.observe_point(phantom, target.position_rest, noise, ref_stream, counts[k])
+        traj = planning.replan_angled(arch, target_obs, region, geom, needle_radius)
+        js = kinematics.inverse_kinematics(geom, traj)
+        js, duration = kinematics.advance_insertion(geom, js, traj.planned_depth, rotating=True)
+        pen = penetration(phantom, NeedleState(traj.entry, traj.dir, traj.planned_depth))
+        plan = InsertionPlan(target, target_obs, traj, js, duration, pen)
+        if track:
+            plan.reference = reference.rows([k])
+            plan.entry_depth = gland_entry_depth(phantom, traj.entry, geometry.normalize(traj.dir))
+        plans.append(plan)
+    return plans
 
 
 def _deposit(phantom: ProstatePhantom, target, tip_world, transform):

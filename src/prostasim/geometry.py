@@ -201,7 +201,7 @@ def prepare_reference(ref_points: np.ndarray) -> RegistrationReference:
         raise DegenerateConfiguration(f"need at least 3 point pairs, got {n}")
     ref_mean = ref.mean(axis=1)
     ref_c = ref - ref_mean[:, None]
-    if any(max_line_deviation(c) < COLLINEARITY_TOL for c in ref_c):
+    if np.any(max_line_deviation(ref_c) < COLLINEARITY_TOL):
         raise DegenerateConfiguration("reference points are collinear")
     return RegistrationReference(ref, ref_mean, ref_c)
 
@@ -259,12 +259,12 @@ def register_points(ref_points: np.ndarray, obs_points: np.ndarray) -> tuple[Rig
     return RigidTransform(rot[0], trans[0]), float(rms[0])
 
 
-def max_line_deviation(centered: np.ndarray) -> float:
-    """Largest distance of mean-centered points from their best-fit line."""
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    if s[0] == 0.0:
-        return 0.0
-    axis = vt[0]
-    along = centered @ axis
-    off = centered - np.outer(along, axis)
-    return float(np.max(np.linalg.norm(off, axis=1)))
+def max_line_deviation(centered: np.ndarray) -> np.ndarray:
+    """Largest distance of each set of mean-centered points (K, N, 3) from its best-fit line.
+
+    One stacked SVD for all K sets; returns the (K,) distances.
+    """
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    axis = vt[:, 0]
+    off = centered - (centered @ axis[:, :, None]) * axis[:, None]
+    return np.max(np.linalg.norm(off, axis=2), axis=1)

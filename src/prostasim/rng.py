@@ -16,10 +16,11 @@ the noise parameters (N fiducials): reference, N x 3 for the reference
 volume then 3 for the observed target; observation, N x 3 per
 verification volume; motion, 3 once per insertion when
 ``noise_sd_motion`` > 0.  So a stream's whole budget could be drawn up
-front in one call, each consumer taking its slice.  It is not: the
-closed loop of a block of insertions still draws each slot's
-observation stream one volume per step, one ``standard_normal((N, 3))``
-per verification, so no stream holds draws it may never use.
+front in one call, each consumer taking its slice.  It is not: a block's
+reference streams are drawn row by row inside one stacked observe, each
+then giving its slot's observed target, and the closed loop draws each
+slot's observation stream one volume per step, so no stream holds draws
+it may never use.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from .controller import (
     InsertionRecord,
     correct_insertions,
     open_loop_insertion,
-    plan_insertion,
+    plan_insertions,
 )
 from .phantom import (
     ANTERIOR,
@@ -209,13 +209,15 @@ def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport
     """Run every insertion of the configured study; the report summarizes them.
 
     The slots (phantom, target, replicate) are worked through in blocks of
-    ``BLOCK_SLOTS``.  Each slot of a block is planned (``plan_insertion``)
-    and given its open-loop baseline (``open_loop_insertion``) under
-    ``cfg.motion``; a closed-loop study then corrects the whole block
-    together (``correct_insertions``).  The records do not depend on the
-    block size.  With ``shared`` (see SharedWork) the phantoms come from
-    it and the plans are kept in it for the next study; the records are
-    the same as without it.  Without it no plan outlives its block.
+    ``BLOCK_SLOTS``.  The slots of a block that have no plan yet are
+    planned together (``plan_insertions``), each slot is given its
+    open-loop baseline (``open_loop_insertion``) under ``cfg.motion``, and
+    a closed-loop study then corrects the whole block together
+    (``correct_insertions``).  The records do not depend on the block
+    size.  With ``shared`` (see SharedWork) the phantoms come from it and
+    the plans are kept in it for the next study, which plans only the
+    slots it does not hold; the records are the same as without it.
+    Without it no plan outlives its block.
     """
     cfg.validate()
     if shared is None:
@@ -235,27 +237,29 @@ def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport
     rows_open: list[RecordRow] = []
     for start in range(0, len(slots), BLOCK_SLOTS):
         block = slots[start:start + BLOCK_SLOTS]
-        streams, plans, baselines = [], [], []
-        for p, t, r in block:
-            slot_streams = InsertionStreams(
-                cfg.seed, p, t, r,
-                motion_salt=cfg.motion.rng_seed,
-                noise_salt=cfg.noise.rng_seed,
-                needle_count=t,
+        streams = [
+            InsertionStreams(cfg.seed, p, t, r, motion_salt=cfg.motion.rng_seed,
+                             noise_salt=cfg.noise.rng_seed, needle_count=t)
+            for p, t, r in block
+        ]
+        # without shared work a block's plans are kept only for the block
+        held = shared.plans if shared is not None else {}
+        keys = [(cfg.noise.sigma0, p, t, r) for p, t, r in block]
+        plans = [held.get(key) for key in keys]
+        todo = [k for k, plan in enumerate(plans) if plan is None]
+        if todo:
+            made = plan_insertions(
+                [phantoms[block[k][0]] for k in todo], cfg.robot, arch, cfg.noise,
+                [block[k][1] for k in todo], [streams[k] for k in todo],
+                cfg.entry_region, cfg.needle_radius, track=do_closed,
             )
-            slot = (cfg.noise.sigma0, p, t, r)
-            plan = shared.plans.get(slot) if shared is not None else None
-            if plan is None:
-                plan = plan_insertion(
-                    phantoms[p], cfg.robot, arch, cfg.noise, t, slot_streams,
-                    cfg.entry_region, cfg.needle_radius, track=do_closed,
-                )
-                if shared is not None:
-                    shared.plans[slot] = plan
-            # streams goes by keyword: perfbench's tracer keys tasks on it
-            baselines.append(open_loop_insertion(phantoms[p], cfg.motion, plan, streams=slot_streams))
-            streams.append(slot_streams)
-            plans.append(plan)
+            for k, plan in zip(todo, made):
+                plans[k] = held[keys[k]] = plan
+        # streams goes by keyword: perfbench's tracer keys tasks on it
+        baselines = [
+            open_loop_insertion(phantoms[p], cfg.motion, plan, streams=slot_streams)
+            for (p, _, _), plan, slot_streams in zip(block, plans, streams)
+        ]
         if do_closed:
             closed = correct_insertions(
                 [phantoms[p] for p, _, _ in block], cfg.motion, cfg.noise, cfg.robot,

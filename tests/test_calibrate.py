@@ -59,6 +59,12 @@ def test_single_point_grid_returns_base_params():
     assert fitted.motion.axial_gain == result.params["axial_gain"]
 
 
+@pytest.mark.parametrize("replicates, grid_points", [(0, 1), (-1, 1), (1, 0), (1, -2)])
+def test_calibrate_rejects_an_empty_search(replicates, grid_points):
+    with pytest.raises(ValueError, match="calibrate: replicates and grid_points must be >= 1"):
+        cal.calibrate(tiny_config(mode="closed_loop"), replicates=replicates, grid_points=grid_points)
+
+
 def test_two_point_grid_writes_loadable_yaml():
     base = tiny_config(mode="closed_loop", replicates=1)
     base.n_phantoms = 1

@@ -1,20 +1,22 @@
 from collections import Counter, defaultdict
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import tiny_config
 from prostasim import controller, geometry, sensing, study
 from prostasim import phantom as ph
+from prostasim.config import default_config
 from prostasim.controller import (
     ConvergenceParams,
     correct_insertions,
     open_loop_insertion,
-    plan_insertion,
+    plan_insertions,
     run_insertion,
 )
-from prostasim.geometry import Segment
+from prostasim.geometry import DegenerateConfiguration, Segment
 from prostasim.kinematics import RobotGeometry
 from prostasim.phantom import (
     LEFT,
@@ -26,7 +28,7 @@ from prostasim.phantom import (
     prostate_transform,
     world_to_material,
 )
-from prostasim.planning import PubicArchModel
+from prostasim.planning import NoFeasiblePath, PubicArchModel
 from prostasim.rng import InsertionStreams
 from prostasim.sensing import NoiseModel
 
@@ -69,9 +71,10 @@ def non_left_target(phantom):
 
 
 def plan_quiet(phantom, tid, arch=None, noise=None, track=True):
-    return plan_insertion(
-        phantom, GEOM, arch or far_arch(), noise or quiet_noise(), tid, streams(tid), track=track
-    )
+    """The plan of one insertion: a block of one."""
+    return plan_insertions(
+        [phantom], GEOM, arch or far_arch(), noise or quiet_noise(), [tid], [streams(tid)], track=track
+    )[0]
 
 
 def run_quiet(phantom, tid, arch=None, conv=None, mode=run_insertion, noise=None, motion=STILL):
@@ -238,14 +241,23 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
         per_slot[slot(entry)]["entry"] += 1
         return gland_entry_depth(phantom, entry, dir)
 
-    lines = []
-    line = counting(lines, "line", geometry.max_line_deviation)
+    # the reference sets each collinearity check covers, one list per call
+    checked = []
+    deviation = geometry.max_line_deviation
+
+    def line(centered):
+        checked.append(list(centered))
+        return deviation(centered)
 
     def planning(*args, **kwargs):
-        lines.clear()
-        plan = plan_insertion(*args, **kwargs)
-        per_slot[slot(plan.trajectory.entry)]["line"] += len(lines)
-        return plan
+        checked.clear()
+        plans = plan_insertions(*args, **kwargs)
+        assert len(checked) == 1  # one check for the whole block
+        for plan in plans:
+            per_slot[slot(plan.trajectory.entry)]["line"] += sum(
+                np.array_equal(c, plan.reference.centered[0]) for c in checked[0]
+            )
+        return plans
 
     blocks = []
 
@@ -261,7 +273,7 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
     # the entry depth is looked up through both modules' bindings
     monkeypatch.setattr(controller, "gland_entry_depth", entry)
     monkeypatch.setattr(ph, "gland_entry_depth", entry)
-    monkeypatch.setattr(study, "plan_insertion", planning)
+    monkeypatch.setattr(study, "plan_insertions", planning)
     monkeypatch.setattr(study, "correct_insertions", correcting)
     study.run_study(tiny_config(mode="closed_loop"))
     assert blocks == [16] and len(per_slot) == 16
@@ -336,3 +348,148 @@ def test_a_given_plan_gives_the_same_records():
     assert_same_record(fresh.open_loop, opened)
     with pytest.raises(ValueError, match="tracked plan"):
         run_insertion(p, motion, noise, GEOM, ConvergenceParams(), untracked, streams(t.id))
+
+
+def assert_same_plan(a, b):
+    assert a.target is b.target
+    for name in ("target_obs", "duration_s", "penetration", "entry_depth"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+    for name in ("trajectory", "joints"):
+        for key, value in vars(getattr(a, name)).items():
+            np.testing.assert_array_equal(value, vars(getattr(b, name))[key], err_msg=f"{name}.{key}")
+    if a.reference is None:
+        assert b.reference is None
+    else:
+        for name in ("points", "mean", "centered"):
+            np.testing.assert_array_equal(getattr(a.reference, name), getattr(b.reference, name), err_msg=name)
+
+
+class KeptStreams(InsertionStreams):
+    """Streams that keep the reference generator they hand out, to read where it ended."""
+
+    def reference(self):
+        self.kept = super().reference()
+        return self.kept
+
+
+# two phantoms of different shape, so the slots of one block differ in their fiducials
+SHAPES = (
+    generate_phantom(PhantomSpec(), seed=5),
+    generate_phantom(PhantomSpec(gland_semiaxes=(21.0, 17.0, 26.0)), seed=6),
+)
+
+
+def wide_arch():
+    """The robot and arch of the default config with 11 mm arch capsules.
+
+    They block the direct path to about a third of the SHAPES targets (and
+    leave a few with no feasible path), so blocks mix angled and
+    horizontal plans; the far arch blocks none.
+    """
+    cfg = default_config()
+    for cap in cfg.arch.capsules:
+        cap["radius"] = 11.0
+    cfg.robot.max_angulation = 22.0
+    return cfg.robot, cfg.arch.build()
+
+
+WIDE_ROBOT, WIDE_ARCH = wide_arch()
+ARCHES = (far_arch(), WIDE_ARCH)
+
+
+@st.composite
+def block_slots(draw):
+    """One slot of a block: phantom, target id, reference stream seed, needle count."""
+    phantom = draw(st.sampled_from(SHAPES))
+    target_id = draw(st.integers(0, len(phantom.targets) - 1))
+    return phantom, target_id, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    slots=st.lists(block_slots(), min_size=1, max_size=6),
+    arch=st.sampled_from(ARCHES),
+    sigma0=st.one_of(st.just(0.0), st.floats(0.01, 0.5)),
+    depth_gain=st.floats(0.0, 0.05),
+    degradation=st.floats(1.0, 1.3),
+    track=st.booleans(),
+)
+# slots that differ in phantom and needle count, under a noise that reads both
+@example(
+    slots=[(SHAPES[0], 1, 7, 0), (SHAPES[1], 3, 8, 2), (SHAPES[0], 6, 9, 4)],
+    arch=WIDE_ARCH, sigma0=0.3, depth_gain=0.01, degradation=1.2, track=True,
+)
+# the second slot's observed target has no path clear of the wide arch
+@example(
+    slots=[(SHAPES[1], 2, 5, 1), (SHAPES[0], 9, 6, 4), (SHAPES[0], 0, 3, 0)],
+    arch=WIDE_ARCH, sigma0=0.5, depth_gain=0.05, degradation=1.3, track=True,
+)
+def test_a_block_plans_each_slot_as_it_would_alone(slots, arch, sigma0, depth_gain, degradation, track):
+    noise = NoiseModel(sigma0=sigma0, depth_gain=depth_gain, degradation_per_needle=degradation)
+
+    def plan(block, block_streams):
+        return plan_insertions(
+            [slot[0] for slot in block], WIDE_ROBOT, arch, noise, [slot[1] for slot in block],
+            block_streams, track=track,
+        )
+
+    def kept(slot):
+        _, target_id, seed, count = slot
+        return KeptStreams(seed, phantom=0, target=target_id, replicate=0, needle_count=count)
+
+    alone, alone_streams = [], [kept(slot) for slot in slots]
+    for slot, slot_streams in zip(slots, alone_streams):
+        try:
+            alone.append(plan([slot], [slot_streams])[0])
+        except NoFeasiblePath:
+            alone.append(None)
+    block_streams = [kept(slot) for slot in slots]
+    if None in alone:
+        with pytest.raises(NoFeasiblePath):
+            plan(slots, block_streams)
+        return
+    for a, b, sa, sb in zip(alone, plan(slots, block_streams), alone_streams, block_streams):
+        assert_same_plan(a, b)
+        # each reference stream took exactly its own draws
+        np.testing.assert_equal(sb.kept.bit_generator.state, sa.kept.bit_generator.state)
+
+
+def test_a_collinear_reference_volume_anywhere_in_a_block_raises():
+    p = make_phantom()
+    t = non_left_target(p)
+    # noiseless, the reference volume is the fiducials, here all on one line
+    line = np.linspace(-8.0, 8.0, len(p.fiducial_points))[:, None] * np.array([[1.0, 0.5, 0.2]])
+    flat = replace(p, fiducial_points=line)
+    phantoms, tids = [p, p, flat, p], [t.id] * 4
+    with pytest.raises(DegenerateConfiguration, match="collinear"):
+        plan_insertions(phantoms, GEOM, far_arch(), quiet_noise(), tids, [streams(tid) for tid in tids])
+    # an untracked plan prepares no registration reference, so nothing checks it
+    plans = plan_insertions(
+        phantoms, GEOM, far_arch(), quiet_noise(), tids, [streams(tid) for tid in tids], track=False
+    )
+    assert [plan.reference for plan in plans] == [None] * 4
+
+
+def test_a_study_plans_only_the_slots_its_shared_work_lacks(monkeypatch):
+    cfg = tiny_config()
+    plain = study.run_study(cfg)
+    shared = study.share_work(cfg)
+    study.run_study(cfg, shared)
+    # keep every third slot's plan: blocks of 5 then hold 2, 2, 1 and 1 of theirs
+    kept = {key: plan for i, (key, plan) in enumerate(shared.plans.items()) if i % 3 == 0}
+    shared.plans = dict(kept)
+    sizes = []
+
+    def planning(*args, **kwargs):
+        plans = plan_insertions(*args, **kwargs)
+        sizes.append(len(plans))
+        return plans
+
+    monkeypatch.setattr(study, "plan_insertions", planning)
+    monkeypatch.setattr(study, "BLOCK_SLOTS", 5)
+    again = study.run_study(cfg, shared)
+    assert sizes == [3, 3, 4]
+    assert again.rows_closed == plain.rows_closed
+    assert again.rows_open == plain.rows_open
+    assert len(shared.plans) == 16
+    assert all(shared.plans[key] is plan for key, plan in kept.items())

@@ -193,11 +193,37 @@ def test_register_least_squares_beats_perturbations(rng):
 
 def test_max_line_deviation():
     line = np.array([[-2.0, 0, 0], [-1, 0, 0], [1, 0, 0], [2, 0, 0]])
-    assert max_line_deviation(line) == pytest.approx(0.0, abs=1e-12)
     bent = line.copy()
     bent[0, 1] = 0.5
     centered = bent - bent.mean(axis=0)
-    assert max_line_deviation(centered) > 0.1
+    on_line, off_line = max_line_deviation(np.stack([line, centered]))
+    assert on_line == pytest.approx(0.0, abs=1e-12)
+    assert off_line > 0.1
+
+
+def line_deviation_row(centered):
+    """One set's largest distance from its best-fit line, computed on its own."""
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    if s[0] == 0.0:
+        return 0.0
+    axis = vt[0]
+    off = centered - np.outer(centered @ axis, axis)
+    return float(np.max(np.linalg.norm(off, axis=1)))
+
+
+def test_stacked_line_deviation_matches_a_row_loop(rng):
+    for _ in range(50):
+        k = int(rng.integers(1, 40))
+        sets = rng.normal(size=(k, 12, 3)) * rng.uniform(0.01, 30.0, (k, 1, 3))
+        # a set on a line, a set of one repeated point, and a set at the origin
+        sets[rng.integers(k)] = np.outer(rng.normal(size=12), rng.normal(size=3)) + rng.normal(size=3)
+        sets[rng.integers(k)] = rng.normal(size=3)
+        centered = sets - sets.mean(axis=1)[:, None]
+        centered[rng.integers(k)] = 0.0
+        got = max_line_deviation(centered)
+        assert got.shape == (k,)
+        want = [line_deviation_row(c) for c in centered]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 @st.composite

@@ -96,18 +96,20 @@ def test_shared_work_refuses_another_config():
 def test_blocks_do_not_change_the_report(monkeypatch, tiny_report):
     from prostasim import study
 
-    sizes = []
-    correct = study.correct_insertions
+    sizes = {"plan": [], "correct": []}
 
-    def counted(*args, **kwargs):
-        records = correct(*args, **kwargs)
-        sizes.append(len(records))
-        return records
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            sizes[key].append(len(out))
+            return out
+        return call
 
-    monkeypatch.setattr(study, "correct_insertions", counted)
+    monkeypatch.setattr(study, "plan_insertions", counted("plan", study.plan_insertions))
+    monkeypatch.setattr(study, "correct_insertions", counted("correct", study.correct_insertions))
     monkeypatch.setattr(study, "BLOCK_SLOTS", 5)
     split = run_study(tiny_config())
-    assert sizes == [5, 5, 5, 1]
+    assert sizes == {"plan": [5, 5, 5, 1], "correct": [5, 5, 5, 1]}
     assert split.rows_closed == tiny_report.rows_closed
     assert split.rows_open == tiny_report.rows_open
     assert json.dumps(split.summary) == json.dumps(tiny_report.summary)
