@@ -8,21 +8,26 @@ depth resolution.  The bead is deposited at the final tip position and
 scored in the material (rest) frame, the analog of a post-procedure CT.
 
 An insertion is three steps, the first and last taken by a block of
-insertions together.  ``plan_insertions`` is the motion-free half: one
-stacked observation and collinearity check of the block's reference
-volumes, then per slot the observed target, trajectory, first pass and
-the first-pass penetration that sets the modeled drag.
-``open_loop_insertion`` draws one insertion's motion noise, evaluates
-the gland transform at the pass depth and scores the open-loop baseline.
-``correct_insertions`` runs the closed loop of a block together, each
-step one stacked ``sensing`` call per kernel over the insertions still
-correcting, and continues each one from its baseline's transform and
-motion noise.  The insertions take the plan and none of the planning
-inputs, so insertions that differ only in motion can share one plan.
+insertions together.  ``plan_insertions`` is the motion-free half, in
+arrays over the block: one stacked observation and collinearity check
+of the reference volumes, the observed targets, the trajectories (one
+clearance check of every direct path, the grid search only where that
+path is out of reach or blocked) and the first pass: joint limits,
+duration and rotation, and one gland entry depth solve that gives both
+the penetration setting the modeled drag and the entry depth the gland
+transform reads.  ``open_loop_insertion`` draws one insertion's motion
+noise, evaluates the gland transform at the pass depth and scores the
+open-loop baseline.  ``correct_insertions`` runs the closed loop of a
+block together, each step one stacked ``sensing`` call per kernel over
+the insertions still correcting, continues each one from its baseline's
+transform and motion noise, and deposits and scores the block in
+arrays.  The insertions take the plan and none of the planning inputs,
+so insertions that differ only in motion can share one plan.
 ``run_insertion`` is the closed loop of a single insertion.
 
 Per-insertion invariants are computed once: the reference volume is
-prepared for registration once, and the gland transform, which depends
+prepared for registration once, the gland entry depth is solved once,
+in the plan, and the gland transform, which depends
 on the tip only through whether it is past the gland entry depth (the
 motion model reads penetration from the fixed pass depth), is evaluated
 at most once for each side of that depth.  The planner returns only
@@ -33,7 +38,7 @@ the closed record and its baseline quantifies what the loop buys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,8 +109,8 @@ class InsertionPlan:
     at rest, so it, the observed target and the trajectory depend only on
     the phantom, the noise model, the robot and the arch.  A plan can
     therefore be shared by insertions that differ only in motion.
-    ``reference`` and ``entry_depth`` serve the correction loop and are
-    prepared only for a tracked plan; ``reference`` is None otherwise.
+    ``reference`` serves the correction loop and is prepared only for a
+    tracked plan; it is None otherwise.
     """
 
     target: Target
@@ -117,11 +122,11 @@ class InsertionPlan:
     # first-pass penetration beyond the gland entry point (drives the drag),
     # measured along the planned direction as given
     penetration: float
-    reference: geometry.RegistrationReference | None = None
     # gland entry depth along the normalized direction, as the gland
-    # transform measures it (None: the line misses the gland); it can
-    # differ from the one behind ``penetration`` in the last ulp
-    entry_depth: float | None = None
+    # transform reads it (NaN: the line misses the gland); it can differ
+    # from the one behind ``penetration`` in the last ulp
+    entry_depth: float
+    reference: geometry.RegistrationReference | None = None
 
 
 def plan_insertions(
@@ -148,40 +153,59 @@ def plan_insertions(
     region = entry_region if entry_region is not None else EntryRegion()
     ref_streams = [s.reference() for s in streams]
     counts = [s.needle_count for s in streams]
-    rest = np.broadcast_to(np.eye(3), (len(phantoms), 3, 3))
-    ref_obs = sensing.observe(phantoms, rest, np.zeros((len(phantoms), 3)), noise, ref_streams, counts)
+    n = len(phantoms)
+    rest = np.broadcast_to(np.eye(3), (n, 3, 3))
+    ref_obs = sensing.observe(phantoms, rest, np.zeros((n, 3)), noise, ref_streams, counts)
     reference = geometry.prepare_reference(ref_obs) if track else None
-    plans = []
-    for k, (phantom, target_id, ref_stream) in enumerate(zip(phantoms, target_ids, ref_streams)):
-        target = phantom.target_by_id(target_id)
-        # the observed target takes the 3 normals after the reference volume's
-        target_obs = sensing.observe_point(phantom, target.position_rest, noise, ref_stream, counts[k])
-        traj = planning.replan_angled(arch, target_obs, region, geom, needle_radius)
-        js = kinematics.inverse_kinematics(geom, traj)
-        js, duration = kinematics.advance_insertion(geom, js, traj.planned_depth, rotating=True)
-        pen = penetration(phantom, NeedleState(traj.entry, traj.dir, traj.planned_depth))
-        plan = InsertionPlan(target, target_obs, traj, js, duration, pen)
-        if track:
-            plan.reference = reference.rows([k])
-            plan.entry_depth = gland_entry_depth(phantom, traj.entry, geometry.normalize(traj.dir))
-        plans.append(plan)
-    return plans
+    targets = [phantom.target_by_id(tid) for phantom, tid in zip(phantoms, target_ids)]
+    # the observed target takes the 3 normals after the reference volume's
+    targets_obs = np.array([
+        sensing.observe_point(phantom, target.position_rest, noise, stream, count)
+        for phantom, target, stream, count in zip(phantoms, targets, ref_streams, counts)
+    ])
+    trajs = planning.plan_trajectories(arch, targets_obs, region, geom, needle_radius)
+    entries = np.array([traj.entry for traj in trajs])
+    dirs = np.array([traj.dir for traj in trajs])
+    depths = np.array([traj.planned_depth for traj in trajs])
+    stages = kinematics.inverse_kinematics(geom, entries, dirs).tolist()
+    _, angles, durations = kinematics.advance_insertion(geom, np.zeros(n), np.zeros(n), depths)
+    # the penetration reads the entry depth along the direction as planned,
+    # the gland transform along the normalized one: both in one call
+    entry = gland_entry_depth(
+        phantoms + phantoms, np.concatenate([entries, entries]),
+        np.concatenate([dirs, geometry.normalize(dirs)]),
+    )
+    pens = penetration(entry[:n], depths)
+    return [
+        InsertionPlan(
+            target, target_obs, traj, kinematics.JointState(*stage, 0.0, depth, angle), duration, pen,
+            entry_depth, reference.rows([k]) if track else None,
+        )
+        for k, (target, target_obs, traj, stage, depth, angle, duration, pen, entry_depth) in enumerate(zip(
+            targets, targets_obs, trajs, stages, depths.tolist(), angles.tolist(), durations.tolist(),
+            pens.tolist(), entry[n:].tolist(),
+        ))
+    ]
 
 
-def _deposit(phantom: ProstatePhantom, target, tip_world, transform):
-    """Bead world position (with any left-side deflection) mapped to rest frame."""
-    bead_world = np.asarray(tip_world, dtype=np.float64)
-    if phantom.left_bias != 0.0 and target.zone.lateral_zone == LEFT:
-        bead_world = bead_world + np.array([-phantom.left_bias, 0.0, 0.0])
-    bead_rest = world_to_material(phantom, transform, bead_world)
-    error = float(np.linalg.norm(bead_rest - target.position_rest))
-    return bead_rest, error
+def _deposit(phantoms, targets, tips_world, rotations, translations):
+    """Bead rest positions (K, 3) and errors (K,) of the tips deposited in their gland transforms.
+
+    A left-zone bead of a phantom with a left bias is deflected by it along
+    -x before it is mapped to the rest frame.
+    """
+    bead_world = np.array(tips_world, dtype=np.float64)
+    for k, (phantom, target) in enumerate(zip(phantoms, targets)):
+        if phantom.left_bias != 0.0 and target.zone.lateral_zone == LEFT:
+            bead_world[k, 0] -= phantom.left_bias
+    bead_rest = world_to_material(rotations, translations, bead_world)
+    miss = bead_rest - np.array([target.position_rest for target in targets])
+    return bead_rest, np.sqrt(geometry.row_dot(miss, miss))
 
 
-def _residual_motion(motion: MotionParams, plan: InsertionPlan, moved_target):
-    """Per-axis target displacement beyond the modeled axial drag."""
-    disp = np.asarray(moved_target, dtype=np.float64) - plan.target_obs
-    return disp - motion.drag(plan.penetration) * plan.trajectory.dir
+def _residual_motion(motion: MotionParams, moved_targets, targets_obs, penetrations, dirs):
+    """Per-axis target displacement beyond the modeled axial drag, for one insertion or a stack."""
+    return moved_targets - targets_obs - motion.drag(penetrations)[..., None] * dirs
 
 
 def open_loop_insertion(
@@ -201,17 +225,20 @@ def open_loop_insertion(
     sd = motion.noise_sd_motion
     motion_noise = streams.motion().normal(0.0, sd, 3) if sd > 0 else np.zeros(3)
     needle = NeedleState(traj.entry, traj.dir, depth, pass_depth=depth)
-    t_true = prostate_transform(phantom, motion, needle, motion_noise)
+    t_true = prostate_transform(phantom, motion, needle, motion_noise, plan.entry_depth)
     moved_target = geometry.apply(t_true, plan.target_obs)
     depth_of_target, _ = geometry.axis_decompose(traj.entry, traj.dir, moved_target)
-    bead_rest, error = _deposit(phantom, plan.target, traj.entry + depth * traj.dir, t_true)
+    bead_rest, error = _deposit(
+        [phantom], [plan.target], [traj.entry + depth * traj.dir],
+        t_true.rotation[None], t_true.translation[None],
+    )
     return InsertionRecord(
         target_id=plan.target.id, trajectory=traj, corrections=[], n_corrections=0,
-        bead_rest_position=bead_rest, distance_error=error,
+        bead_rest_position=bead_rest[0], distance_error=float(error[0]),
         # the induced-but-uncorrected axial displacement of the observed target
         axial_motion=float(depth_of_target - depth),
         zone=with_approach(plan.target.zone, traj.approach),
-        residual_motion=_residual_motion(motion, plan, moved_target),
+        residual_motion=_residual_motion(motion, moved_target, plan.target_obs, plan.penetration, traj.dir),
         duration_s=plan.duration_s, rotation_angle_deg=plan.joints.rotation_angle,
         gland_transform=t_true, motion_noise=motion_noise,
     )
@@ -253,7 +280,7 @@ def correct_insertions(
     # penetration is read from the fixed pass depth, so the gland transform
     # depends on the tip only through "is it past the gland entry depth"
     # (NaN where the line misses the gland: never past it)
-    entry_depth = np.array([np.nan if p.entry_depth is None else p.entry_depth for p in plans])
+    entry_depth = np.array([plan.entry_depth for plan in plans])
     pass_depth = np.array([traj.planned_depth for traj in trajs])
     inside = pass_depth > entry_depth
     # each slot's gland transform on each side of its entry depth, made on first need
@@ -276,10 +303,8 @@ def correct_insertions(
         )
         reg_rot, reg_trans, rms[active] = sensing.rigid_register(reference.rows(active), obs)
         tracked = sensing.track_target(reg_rot, reg_trans, targets_obs[active])
-        # depth of the tracked target along each needle line: the stacked
-        # dot product keeps the bits of one ``rel @ dir`` per slot
-        rel = tracked - entries[active]
-        delta = (rel[:, None, :] @ dirs[active][:, :, None])[:, 0, 0] - tip[active]
+        # depth of the tracked target along each needle line
+        delta = geometry.row_dot(tracked - entries[active], dirs[active]) - tip[active]
         for k, d, point in zip(active, delta.tolist(), tracked):
             corrections[k].append((d, point))
         moving = ~(np.abs(delta) < conv.depth_epsilon)
@@ -300,26 +325,34 @@ def correct_insertions(
                 traj = trajs[k]
                 moved = NeedleState(traj.entry, traj.dir, tip[k], pass_depth=pass_depth[k])
                 transforms[k][side] = prostate_transform(
-                    phantoms[k], motion, moved, baselines[k].motion_noise
+                    phantoms[k], motion, moved, baselines[k].motion_noise, plans[k].entry_depth
                 )
             rot[k], trans[k] = transforms[k][side].rotation, transforms[k][side].translation
 
-    records = []
-    for k, (phantom, plan, base) in enumerate(zip(phantoms, plans, baselines)):
-        # every exit leaves the tip where the last verification saw it
-        t_final = transforms[k][bool(inside[k])]
-        traj = plan.trajectory
-        bead_rest, error = _deposit(phantom, plan.target, traj.entry + tip[k] * traj.dir, t_final)
-        records.append(replace(
-            base, corrections=corrections[k], n_corrections=len(corrections[k]) - 1,
-            bead_rest_position=bead_rest, distance_error=error, axial_motion=float(applied[k]),
-            max_corrections_exceeded=bool(exceeded[k]),
-            # measured at the first verification, from the tracked target
-            residual_motion=_residual_motion(motion, plan, corrections[k][0][1]),
-            registration_rms=float(rms[k]), duration_s=float(duration[k]),
-            gland_transform=t_final, open_loop=base,
+    # every exit leaves the tip where the last verification saw it, in the
+    # transform of its side of the entry depth, which rot and trans hold
+    bead_rest, error = _deposit(
+        phantoms, [plan.target for plan in plans], entries + tip[:, None] * dirs, rot, trans
+    )
+    # measured at the first verification, from the tracked target
+    residual = _residual_motion(
+        motion, np.array([steps[0][1] for steps in corrections]), targets_obs,
+        np.array([plan.penetration for plan in plans]), dirs,
+    )
+    return [
+        InsertionRecord(
+            target_id=base.target_id, trajectory=base.trajectory, corrections=steps,
+            n_corrections=len(steps) - 1, bead_rest_position=bead, distance_error=err,
+            axial_motion=moved, zone=base.zone, gland_transform=transforms[k][side],
+            motion_noise=base.motion_noise, max_corrections_exceeded=over, residual_motion=resid,
+            registration_rms=reg_rms, duration_s=seconds, rotation_angle_deg=base.rotation_angle_deg,
+            open_loop=base,
+        )
+        for k, (base, steps, bead, err, moved, side, over, resid, reg_rms, seconds) in enumerate(zip(
+            baselines, corrections, bead_rest, error.tolist(), applied.tolist(), inside.tolist(),
+            exceeded.tolist(), residual, rms.tolist(), duration.tolist(),
         ))
-    return records
+    ]
 
 
 def run_insertion(

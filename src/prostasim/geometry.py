@@ -71,8 +71,25 @@ def inverse(t: RigidTransform) -> RigidTransform:
     return RigidTransform(rot, -(rot @ t.translation))
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of two stacks (K, 3): (K,).
+
+    The stacked matrix product keeps the bits of one ``float(a[k] @ b[k])``
+    per row.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def normalize(v: np.ndarray) -> np.ndarray:
+    """``v`` (3,) over its length, or each row of a stack (K, 3) over its own.
+
+    A stack takes its norms from one ``row_dot`` call, each with the bits
+    of ``np.linalg.norm`` of its row; a zero row gives NaN there, where a
+    zero vector raises ValueError.
+    """
     v = np.asarray(v, dtype=np.float64)
+    if v.ndim == 2:
+        return v / np.sqrt(row_dot(v, v))[:, None]
     n = float(np.linalg.norm(v))
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
@@ -120,57 +137,41 @@ def axis_decompose(entry, dir, target) -> tuple[float, float]:
     return depth, float(np.linalg.norm(rel - depth * d))
 
 
-def segment_segment_distance(p0, p1, q0, q1) -> float:
-    """Minimum distance between segments ``[p0, p1]`` and ``[q0, q1]``.
+def segment_segment_distance(p0, p1, q0, q1) -> np.ndarray:
+    """Minimum distances (n, m) between the segments ``[p0[i], p1[i]]`` and ``[q0[j], q1[j]]``.
 
-    Clamped closest points (Ericson, Real-Time Collision Detection, 5.1.9);
-    either segment may be degenerate (a point).
+    ``p0``/``p1`` are (n, 3) and ``q0``/``q1`` (m, 3).  Clamped closest
+    points (Ericson, Real-Time Collision Detection, 5.1.9), broadcast over
+    all n x m pairs at once; either segment may be degenerate (a point).
     """
     p0 = np.asarray(p0, dtype=np.float64)
-    p1 = np.asarray(p1, dtype=np.float64)
     q0 = np.asarray(q0, dtype=np.float64)
-    q1 = np.asarray(q1, dtype=np.float64)
-    d1x = p1[0] - p0[0]
-    d1y = p1[1] - p0[1]
-    d1z = p1[2] - p0[2]
-    d2x = q1[0] - q0[0]
-    d2y = q1[1] - q0[1]
-    d2z = q1[2] - q0[2]
-    rx = p0[0] - q0[0]
-    ry = p0[1] - q0[1]
-    rz = p0[2] - q0[2]
-    a = d1x * d1x + d1y * d1y + d1z * d1z
-    e = d2x * d2x + d2y * d2y + d2z * d2z
-    b = d1x * d2x + d1y * d2y + d1z * d2z
-    c = d1x * rx + d1y * ry + d1z * rz
-    f = d2x * rx + d2y * ry + d2z * rz
+    # pairwise quantities, shape (n, m)
+    d1 = (np.asarray(p1, dtype=np.float64) - p0)[:, None, :]
+    d2 = (np.asarray(q1, dtype=np.float64) - q0)[None, :, :]
+    r = p0[:, None, :] - q0[None, :, :]
+    a = np.sum(d1 * d1, axis=2)
+    e = np.sum(d2 * d2, axis=2)
+    b = np.sum(d1 * d2, axis=2)
+    c = np.sum(d1 * r, axis=2)
+    f = np.sum(d2 * r, axis=2)
 
-    if a <= 1e-30 and e <= 1e-30:
-        return float((rx * rx + ry * ry + rz * rz) ** 0.5)
-    if a <= 1e-30:
-        s = 0.0
-        t = min(1.0, max(0.0, f / e))
-    elif e <= 1e-30:
-        t = 0.0
-        s = min(1.0, max(0.0, -c / a))
-    else:
-        denom = a * e - b * b
-        if denom > 1e-30:
-            s = min(1.0, max(0.0, (b * f - c * e) / denom))
-        else:
-            s = 0.0
-        t = (b * s + f) / e
-        if t < 0.0:
-            t = 0.0
-            s = min(1.0, max(0.0, -c / a))
-        elif t > 1.0:
-            t = 1.0
-            s = min(1.0, max(0.0, (b - c) / a))
+    denom = a * e - b * b
+    safe = denom > 1e-30
+    s = np.where(safe, np.clip((b * f - c * e) / np.where(safe, denom, 1.0), 0.0, 1.0), 0.0)
+    # a point q segment takes the clamped t < 0 branch; a point p segment
+    # (a == 0, so b == c == 0) keeps s = 0 there
+    point = e <= 1e-30
+    t = np.where(point, -1.0, (b * s + f) / np.where(point, 1.0, e))
+    a = np.where(a > 1e-30, a, 1.0)
+    low = t < 0.0
+    high = t > 1.0
+    s = np.where(low, np.clip(-c / a, 0.0, 1.0), s)
+    s = np.where(high, np.clip((b - c) / a, 0.0, 1.0), s)
+    t = np.clip(t, 0.0, 1.0)
 
-    cx = p0[0] + s * d1x - (q0[0] + t * d2x)
-    cy = p0[1] + s * d1y - (q0[1] + t * d2y)
-    cz = p0[2] + s * d1z - (q0[2] + t * d2z)
-    return float((cx * cx + cy * cy + cz * cz) ** 0.5)
+    diff = (p0[:, None, :] + s[..., None] * d1) - (q0[None, :, :] + t[..., None] * d2)
+    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 @dataclass

@@ -10,7 +10,7 @@ The front stage plane sits at ``front_plane_z`` in the working frame
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,49 +72,50 @@ class OutOfReach(ValueError):
         super().__init__("; ".join(violations))
 
 
-def angulation_deg(dir) -> float:
-    """Angle between ``dir`` and the +z insertion axis, in degrees."""
-    d = geometry.normalize(dir)
-    return float(np.degrees(np.arccos(np.clip(d[2], -1.0, 1.0))))
+def angulation_deg(dirs):
+    """Angle between a direction (3,), or each of a stack (K, 3), and the +z insertion axis, in degrees."""
+    d = geometry.normalize(dirs)
+    return np.degrees(np.arccos(np.clip(d[..., 2], -1.0, 1.0)))
 
 
-def inverse_kinematics(geom: RobotGeometry, traj: Trajectory) -> JointState:
-    """Stage coordinates whose needle line realizes ``traj``.
+def inverse_kinematics(geom: RobotGeometry, entries, dirs) -> np.ndarray:
+    """Stage coordinates whose needle lines realize K trajectories.
 
-    The returned state has insertion_depth 0 (pre-insertion pose) and
-    z_offset 0 (canonical solution; the z DOF is redundant for the line).
+    Line k passes through ``entries[k]`` along ``dirs[k]``.  Returns (K, 4)
+    rows of front x, front y, back x and back y, the pre-insertion pose:
+    insertion depth 0 and z_offset 0 (the canonical solution; the z DOF
+    is redundant for the line).
 
-    Raises OutOfReach listing every violated limit.
+    Raises OutOfReach listing every violated limit of the first line that
+    violates one.
     """
-    d = geometry.normalize(traj.dir)
-    violations = []
+    entries = np.asarray(entries, dtype=np.float64)
+    d = geometry.normalize(dirs)
     ang = angulation_deg(d)
-    if ang > geom.max_angulation + 1e-9:
-        violations.append(
-            f"angulation {ang:.3f} deg exceeds max_angulation {geom.max_angulation}"
-        )
-    if d[2] <= 0:
-        raise OutOfReach(["direction does not advance along +z"])
-
-    entry = traj.entry
-    t_front = (geom.front_plane_z - entry[2]) / d[2]
-    front = entry + t_front * d
-    t_back = (geom.front_plane_z - geom.stage_separation - entry[2]) / d[2]
-    back = entry + t_back * d
-
-    for name, value in (
-        ("front_x", front[0]),
-        ("front_y", front[1]),
-        ("back_x", back[0]),
-        ("back_y", back[1]),
-    ):
-        if abs(value) > geom.stage_travel + 1e-9:
-            violations.append(
-                f"{name} {value:.3f} mm exceeds travel +/-{geom.stage_travel}"
-            )
-    if violations:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_front = (geom.front_plane_z - entries[:, 2]) / d[:, 2]
+        t_back = (geom.front_plane_z - geom.stage_separation - entries[:, 2]) / d[:, 2]
+        front = entries + t_front[:, None] * d
+        back = entries + t_back[:, None] * d
+    stages = np.stack([front[:, 0], front[:, 1], back[:, 0], back[:, 1]], axis=1)
+    steep = ang > geom.max_angulation + 1e-9
+    backward = ~(d[:, 2] > 0)
+    beyond = np.abs(stages) > geom.stage_travel + 1e-9
+    bad = np.flatnonzero(steep | backward | beyond.any(axis=1))
+    if bad.size:
+        k = bad[0]
+        if backward[k]:
+            raise OutOfReach(["direction does not advance along +z"])
+        violations = []
+        if steep[k]:
+            violations.append(f"angulation {ang[k]:.3f} deg exceeds max_angulation {geom.max_angulation}")
+        violations += [
+            f"{name} {value:.3f} mm exceeds travel +/-{geom.stage_travel}"
+            for name, value, out in zip(("front_x", "front_y", "back_x", "back_y"), stages[k], beyond[k])
+            if out
+        ]
         raise OutOfReach(violations)
-    return JointState(float(front[0]), float(front[1]), float(back[0]), float(back[1]))
+    return stages
 
 
 def forward_kinematics(geom: RobotGeometry, js: JointState):
@@ -138,17 +139,14 @@ def insertion_duration(geom: RobotGeometry, depth_change: float) -> float:
     return abs(depth_change) / geom.insertion_speed
 
 
-def advance_insertion(
-    geom: RobotGeometry, js: JointState, depth_change: float, rotating: bool = True
-) -> tuple[JointState, float]:
-    """Drive the insertion axis by ``depth_change``; returns (state, seconds).
+def advance_insertion(geom: RobotGeometry, depth, angle, depth_change, rotating: bool = True):
+    """Drive K insertion axes from ``depth`` and rotation ``angle`` by ``depth_change``.
 
-    The rotation angle accumulates at rotation_speed while the needle is
-    rotating during the move.
+    Returns the (depth, angle, seconds) arrays after the move; a depth
+    stops at 0.  The rotation angle accumulates at rotation_speed while the
+    needle is rotating during the move.
     """
     duration = insertion_duration(geom, depth_change)
-    angle = js.rotation_angle + (geom.rotation_speed * duration * 360.0 if rotating else 0.0)
-    depth = js.insertion_depth + depth_change
-    if depth < 0:
-        depth = 0.0
-    return replace(js, insertion_depth=depth, rotation_angle=angle), duration
+    angle = angle + (geom.rotation_speed * duration * 360.0 if rotating else 0.0)
+    depth = depth + depth_change
+    return np.where(depth < 0, 0.0, depth), angle, duration

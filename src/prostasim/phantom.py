@@ -86,11 +86,9 @@ class MotionParams:
     noise_sd_motion: float = 1.85
     rng_seed: int = 0
 
-    def drag(self, pen: float) -> float:
-        """Modeled axial drag, in mm, for a first-pass penetration ``pen``."""
-        if pen <= 0.0:
-            return 0.0
-        return self.axial_base_offset + self.axial_gain * pen
+    def drag(self, pen):
+        """Modeled axial drag, in mm, for each first-pass penetration of ``pen``."""
+        return np.where(pen <= 0.0, 0.0, self.axial_base_offset + self.axial_gain * pen)
 
     def validate(self):
         for name in ("axial_gain", "axial_base_offset", "rotation_gain", "noise_sd_motion"):
@@ -267,41 +265,35 @@ def _shuffled_labels(stream, counts) -> list[str]:
     return [seq[i] for i in idx]
 
 
-def gland_entry_depth(phantom: ProstatePhantom, entry, dir) -> float | None:
-    """Depth along the needle line where it first meets the gland surface.
+def gland_entry_depth(phantoms, entries, dirs) -> np.ndarray:
+    """Depth along each needle line where it first meets its gland's surface.
 
-    Returns None when the line misses the gland entirely or the gland lies
-    behind the entry point.
+    Line k runs from ``entries[k]`` along ``dirs[k]`` into ``phantoms[k]``.
+    Returns (K,) depths, 0 for an entry on or inside the surface and NaN
+    where the line misses the gland or the gland lies behind the entry.
+    Each row has the bits of solving its quadratic alone on Python floats.
     """
-    semi = np.asarray(phantom.gland_semiaxes, dtype=np.float64)
+    semi = np.array([p.gland_semiaxes for p in phantoms], dtype=np.float64)
     # the gland centroid is the frame's origin
-    w = np.asarray(entry, dtype=np.float64) / semi
-    v = np.asarray(dir, dtype=np.float64) / semi
-    aa = float(v @ v)
-    bb = float(w @ v)
-    cc = float(w @ w) - 1.0
-    disc = bb * bb - aa * cc
-    if disc < 0.0:
-        return None
-    root = disc**0.5
+    w = np.asarray(entries, dtype=np.float64) / semi
+    v = np.asarray(dirs, dtype=np.float64) / semi
+    aa, bb = geometry.row_dot(v, v), geometry.row_dot(w, v)
+    disc = bb * bb - aa * (geometry.row_dot(w, w) - 1.0)
+    # Python's float power, not numpy's sqrt: the two differ in the last ulp
+    root = np.array([x**0.5 if x >= 0.0 else np.nan for x in disc.tolist()])
     t0 = (-bb - root) / aa
     t1 = (-bb + root) / aa
-    if t1 < 0.0:
-        return None
-    return t0 if t0 >= 0.0 else 0.0
+    return np.where(t1 >= 0.0, np.where(t0 >= 0.0, t0, 0.0), np.nan)
 
 
-def penetration(phantom: ProstatePhantom, needle: NeedleState) -> float:
-    """First-pass penetration of the needle beyond the gland entry point."""
-    t0 = gland_entry_depth(phantom, needle.entry, needle.dir)
-    if t0 is None:
-        return 0.0
-    pass_depth = needle.pass_depth if needle.pass_depth is not None else needle.tip_depth
-    return max(0.0, pass_depth - t0)
+def penetration(entry_depth, pass_depth) -> np.ndarray:
+    """First-pass penetration beyond each gland entry depth (0 where it is NaN)."""
+    pen = pass_depth - entry_depth
+    return np.where(pen > 0.0, pen, 0.0)
 
 
 def prostate_transform(
-    phantom: ProstatePhantom, motion: MotionParams, needle: NeedleState, motion_noise
+    phantom: ProstatePhantom, motion: MotionParams, needle: NeedleState, motion_noise, entry_depth: float
 ) -> geometry.RigidTransform:
     """Rigid displacement of the gland induced by the needle under ``motion``.
 
@@ -314,14 +306,14 @@ def prostate_transform(
     of the needle and the centroid offset), and the translation
     ``motion_noise``: the insertion's (3,) draw of sd ``noise_sd_motion``,
     made once per insertion so that every evaluation during it sees the
-    same noise.
+    same noise.  ``entry_depth`` is the ``gland_entry_depth`` of the
+    needle line along its normalized direction (NaN: the line misses).
     """
     d = geometry.normalize(needle.dir)
-    t0 = gland_entry_depth(phantom, needle.entry, d)
-    if t0 is None or needle.tip_depth <= t0:
+    if not needle.tip_depth > entry_depth:
         return geometry.identity()
     pass_depth = needle.pass_depth if needle.pass_depth is not None else needle.tip_depth
-    pen = max(0.0, pass_depth - t0)
+    pen = max(0.0, pass_depth - entry_depth)
 
     drag = motion.axial_base_offset + motion.axial_gain * pen
 
@@ -342,8 +334,15 @@ def prostate_transform(
     return geometry.compose(geometry.translation(drag * d + motion_noise), rot)
 
 
-def world_to_material(phantom: ProstatePhantom, t: geometry.RigidTransform, p_world) -> np.ndarray:
-    return geometry.apply(geometry.inverse(t), p_world)
+def world_to_material(rotations: np.ndarray, translations: np.ndarray, points_world: np.ndarray):
+    """Rest-frame positions (K, 3) of world points under the inverses of K gland transforms.
+
+    The stacked matrix-vector products keep the bits of
+    ``geometry.apply(geometry.inverse(t), p)`` per row.
+    """
+    rot_t = rotations.transpose(0, 2, 1)
+    # x - y has the bits of x + (-y), the form of apply(inverse(t), p)
+    return (rot_t @ points_world[:, :, None] - rot_t @ translations[:, :, None])[:, :, 0]
 
 
 def with_approach(zone: ZoneLabels, approach: str) -> ZoneLabels:

@@ -6,6 +6,13 @@ extended a little past it so later depth corrections stay covered.  When
 the straight horizontal path is blocked, entries on a 2 mm grid around
 it are scanned and the collision-free candidate with the smallest
 angulation (1-degree bins, ties broken by clearance) wins.
+
+A block of targets is planned together (``plan_trajectories``): the
+direct paths of all of them are checked in one ``collision_check`` call,
+and only the targets whose direct path is out of reach or blocked go
+through the grid search (``replan_angled``), one target at a time.
+Every clearance is measured with the stacked
+``geometry.segment_segment_distance``, and only its sign is read.
 """
 
 from __future__ import annotations
@@ -39,12 +46,6 @@ class PubicArchModel:
 
 
 @dataclass
-class ClearanceReport:
-    clearance: float
-    blocking_index: int | None
-
-
-@dataclass
 class EntryRegion:
     """Axis-aligned rectangle on the perineal (front stage) plane."""
 
@@ -53,8 +54,9 @@ class EntryRegion:
     y_min: float = -30.0
     y_max: float = 30.0
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
+    def contains(self, x, y):
+        """Whether each entry (x, y) lies in the rectangle; takes floats or arrays."""
+        return (self.x_min <= x) & (x <= self.x_max) & (self.y_min <= y) & (y <= self.y_max)
 
 
 class NoFeasiblePath(RuntimeError):
@@ -80,27 +82,24 @@ def _capsule_arrays(arch: PubicArchModel):
 
 
 def collision_check(
-    arch: PubicArchModel, traj: kinematics.Trajectory, needle_radius: float = DEFAULT_NEEDLE_RADIUS
-) -> ClearanceReport:
-    """Minimum signed clearance of the planned shaft against the arch.
+    arch: PubicArchModel, entries, dirs, depths, needle_radius: float = DEFAULT_NEEDLE_RADIUS
+) -> np.ndarray:
+    """Minimum signed clearance of K planned shafts against the arch: (K,).
 
-    Negative clearance means collision; with the arch disabled (or empty)
-    the clearance is unbounded (+inf) and nothing blocks.
+    Shaft k runs from ``entries[k]`` along the unit ``dirs[k]`` to
+    ``DEPTH_MARGIN`` mm past its planned depth ``depths[k]``.  Negative
+    clearance means collision; with the arch disabled (or empty) every
+    clearance is unbounded (+inf) and nothing blocks.
     """
     if needle_radius <= 0:
         raise ValueError("needle_radius must be positive")
+    entries = np.asarray(entries, dtype=np.float64)
     if not arch.enabled or not arch.arch_segments:
-        return ClearanceReport(math.inf, None)
-    p0 = traj.entry
-    p1 = traj.entry + (traj.planned_depth + DEPTH_MARGIN) * traj.dir
-    best = math.inf
-    best_idx = None
-    for idx, (seg, radius) in enumerate(arch.arch_segments):
-        c = geometry.segment_segment_distance(p0, p1, seg.a, seg.b) - radius - needle_radius
-        if c < best:
-            best = c
-            best_idx = idx
-    return ClearanceReport(best, best_idx if best < 0 else None)
+        return np.full(entries.shape[0], math.inf)
+    ends = entries + (np.asarray(depths, dtype=np.float64) + DEPTH_MARGIN)[:, None] * np.asarray(dirs)
+    cap_a, cap_b, cap_r = _capsule_arrays(arch)
+    dist = geometry.segment_segment_distance(entries, ends, cap_a, cap_b) - cap_r
+    return np.min(dist, axis=1) - needle_radius
 
 
 def first_blocked_depth(
@@ -114,15 +113,12 @@ def first_blocked_depth(
     """Depth at which the advancing tip first touches the arch, if ever."""
     if not arch.enabled or not arch.arch_segments:
         return None
-    entry = np.asarray(entry, dtype=np.float64)
-    d = geometry.normalize(dir)
     depths = np.arange(0.0, max_depth + step, step)
-    for depth in depths:
-        tip = entry + depth * d
-        for seg, radius in arch.arch_segments:
-            if geometry.segment_segment_distance(tip, tip, seg.a, seg.b) - radius - needle_radius < 0:
-                return float(depth)
-    return None
+    tips = np.asarray(entry, dtype=np.float64) + depths[:, None] * geometry.normalize(dir)
+    cap_a, cap_b, cap_r = _capsule_arrays(arch)
+    dist = geometry.segment_segment_distance(tips, tips, cap_a, cap_b) - cap_r
+    blocked = np.flatnonzero(np.min(dist, axis=1) - needle_radius < 0)
+    return float(depths[blocked[0]]) if blocked.size else None
 
 
 def clearance_grid(entries, entry_z, target, overshoot, cap_a, cap_b, cap_r, needle_r):
@@ -132,18 +128,11 @@ def clearance_grid(entries, entry_z, target, overshoot, cap_a, cap_b, cap_r, nee
     target: (3,) point every candidate passes through; the shaft runs from
     the entry to ``overshoot`` mm past the target.
     cap_a/cap_b: (m, 3) capsule axis endpoints, cap_r: (m,) radii.
-    Returns (n,) of min_j(segdist - cap_r[j]) - needle_r.  The segment
-    distance is the clamped closest-point algorithm of
-    :func:`geometry.segment_segment_distance`, broadcast over all n x m
-    pairs at once.  A point capsule (zero-length axis) takes the clamped
-    ``t < 0`` branch, which is that function's point case; summation
-    order differs, so the two may disagree in the last ulp.
+    Returns (n,) of min_j(segdist - cap_r[j]) - needle_r, the segment
+    distances from :func:`geometry.segment_segment_distance`.
     """
     entries = np.asarray(entries, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    cap_a = np.asarray(cap_a, dtype=np.float64)
-    cap_b = np.asarray(cap_b, dtype=np.float64)
-    cap_r = np.asarray(cap_r, dtype=np.float64)
     n = entries.shape[0]
     p0 = np.empty((n, 3), dtype=np.float64)
     p0[:, 0] = entries[:, 0]
@@ -152,30 +141,7 @@ def clearance_grid(entries, entry_z, target, overshoot, cap_a, cap_b, cap_r, nee
     d = target[None, :] - p0
     norm = np.sqrt(np.sum(d * d, axis=1))
     p1 = p0 + d * ((norm + float(overshoot)) / norm)[:, None]
-
-    # pairwise quantities, shape (n, m)
-    d1 = (p1 - p0)[:, None, :]
-    d2 = (cap_b - cap_a)[None, :, :]
-    r = p0[:, None, :] - cap_a[None, :, :]
-    a = np.sum(d1 * d1, axis=2)
-    e = np.sum(d2 * d2, axis=2)
-    b = np.sum(d1 * d2, axis=2)
-    c = np.sum(d1 * r, axis=2)
-    f = np.sum(d2 * r, axis=2)
-
-    denom = a * e - b * b
-    safe = denom > 1e-30
-    s = np.where(safe, np.clip((b * f - c * e) / np.where(safe, denom, 1.0), 0.0, 1.0), 0.0)
-    point = e <= 1e-30
-    t = np.where(point, -1.0, (b * s + f) / np.where(point, 1.0, e))
-    low = t < 0.0
-    high = t > 1.0
-    s = np.where(low, np.clip(-c / a, 0.0, 1.0), s)
-    s = np.where(high, np.clip((b - c) / a, 0.0, 1.0), s)
-    t = np.clip(t, 0.0, 1.0)
-
-    diff = (p0[:, None, :] + s[..., None] * d1) - (cap_a[None, :, :] + t[..., None] * d2)
-    dist = np.sqrt(np.sum(diff * diff, axis=2)) - cap_r[None, :]
+    dist = geometry.segment_segment_distance(p0, p1, cap_a, cap_b) - np.asarray(cap_r, dtype=np.float64)
     return np.min(dist, axis=1) - float(needle_r)
 
 
@@ -233,24 +199,16 @@ def replan_angled(
     geom: kinematics.RobotGeometry,
     needle_radius: float = DEFAULT_NEEDLE_RADIUS,
 ) -> kinematics.Trajectory:
-    """Smallest-angulation collision-free trajectory through the target.
+    """Smallest-angulation collision-free trajectory through the target, from the entry grid.
 
-    The direct horizontal path is tried first when its entry is in the
-    region and within stage travel (both stages sit at the entry); if it
-    is not, or it collides, all grid candidates are scored and the winner
-    minimizes the 1-degree angulation bin, then maximizes clearance, then
-    falls back to grid order.  Raises NoFeasiblePath (with the best
-    clearance seen) when everything collides or no candidate is in reach.
+    All grid candidates are scored and the winner minimizes the 1-degree
+    angulation bin, then maximizes clearance, then falls back to grid
+    order.  A clear direct horizontal path sits alone in bin 0 (for any
+    target less than 229 mm past the entry plane), so it wins.  Raises
+    NoFeasiblePath (with the best clearance seen) when everything collides
+    or no candidate is in reach.
     """
     target = np.asarray(target_world, dtype=np.float64)
-    direct = np.array([target[0], target[1], geom.front_plane_z])
-    reach = max(abs(target[0]), abs(target[1]))
-    if entry_region.contains(target[0], target[1]) and reach <= geom.stage_travel:
-        traj = _trajectory_to(direct, target, 0.0)
-        rep = collision_check(arch, traj, needle_radius)
-        if rep.clearance > 0.0:
-            return traj
-
     entries, angles = candidate_entries(target, entry_region, geom)
     if entries.shape[0] == 0:
         raise NoFeasiblePath(-math.inf)
@@ -262,15 +220,43 @@ def replan_angled(
             entries, geom.front_plane_z, target, DEPTH_MARGIN, cap_a, cap_b, cap_r, needle_radius
         )
 
-    clear = clearances > 0.0
-    if not np.any(clear):
+    clear = np.flatnonzero(clearances > 0.0)
+    if not clear.size:
         raise NoFeasiblePath(float(np.max(clearances)))
-    bins = np.round(angles / ANGLE_BIN_DEG).astype(np.int64)
-    best = None
-    for idx in np.nonzero(clear)[0]:
-        key = (bins[idx], -clearances[idx], idx)
-        if best is None or key < best[0]:
-            best = (key, idx)
-    idx = best[1]
+    bins = np.round(angles[clear] / ANGLE_BIN_DEG).astype(np.int64)
+    idx = clear[np.lexsort((clear, -clearances[clear], bins))[0]]
     entry3 = np.array([entries[idx, 0], entries[idx, 1], geom.front_plane_z])
     return _trajectory_to(entry3, target, float(angles[idx]))
+
+
+def plan_trajectories(
+    arch: PubicArchModel,
+    targets,
+    entry_region: EntryRegion,
+    geom: kinematics.RobotGeometry,
+    needle_radius: float = DEFAULT_NEEDLE_RADIUS,
+) -> list[kinematics.Trajectory]:
+    """The smallest-angulation collision-free trajectory through each of K targets (K, 3).
+
+    The direct horizontal paths are tried first, all in one
+    ``collision_check``: a target whose direct entry is in the region and
+    within stage travel (both stages sit at the entry), and whose shaft
+    clears the arch, gets it.  Every other target takes the grid search of
+    ``replan_angled``.  Raises NoFeasiblePath for the first target with no
+    collision-free trajectory.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    entries = targets.copy()
+    entries[:, 2] = geom.front_plane_z
+    rel = targets - entries
+    depths = np.sqrt(geometry.row_dot(rel, rel))
+    dirs = rel / depths[:, None]
+    x, y = targets[:, 0], targets[:, 1]
+    direct = entry_region.contains(x, y) & (np.maximum(np.abs(x), np.abs(y)) <= geom.stage_travel)
+    clearance = collision_check(arch, entries[direct], dirs[direct], depths[direct], needle_radius)
+    direct[direct] = clearance > 0.0
+    return [
+        kinematics.Trajectory(entries[k], dirs[k], depth, "Horizontal") if ok
+        else replan_angled(arch, targets[k], entry_region, geom, needle_radius)
+        for k, (ok, depth) in enumerate(zip(direct.tolist(), depths.tolist()))
+    ]

@@ -17,6 +17,7 @@ import pytest
 from prostasim import geometry
 from prostasim.config import default_config
 from prostasim.kinematics import (
+    JointState,
     OutOfReach,
     RobotGeometry,
     Trajectory,
@@ -158,7 +159,7 @@ def test_criterion_2_ik_fk_round_trip(rng):
             if ang <= geom.max_angulation:
                 break
         traj = Trajectory(front, d, float(rng.uniform(40.0, 90.0)), "Horizontal")
-        js = inverse_kinematics(geom, traj)
+        js = JointState(*inverse_kinematics(geom, [traj.entry], [traj.dir])[0])
         entry, dd, _ = forward_kinematics(geom, js)
         _, lateral = geometry.axis_decompose(traj.entry, traj.dir, entry)
         worst = max(worst, lateral, float(np.max(np.abs(dd - traj.dir))))
@@ -174,7 +175,7 @@ def test_criterion_2_ik_fk_round_trip(rng):
                 entry3, geometry.normalize(target - entry3), 60.0, "Horizontal"
             )
             try:
-                inverse_kinematics(geom, traj)
+                inverse_kinematics(geom, [traj.entry], [traj.dir])
                 got = True
             except OutOfReach:
                 got = False

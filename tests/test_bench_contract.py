@@ -66,9 +66,22 @@ def _run_tiny_calibration(out_dir):
     calibrate.calibrate(tiny_config(), replicates=1, grid_points=1)
 
 
+def _run_tiny_plan_heavy(out_dir):
+    # the arch of perfbench's plan_heavy: some direct paths are blocked
+    cfg = tiny_config(mode="open_loop")
+    for cap in cfg.arch.capsules:
+        cap["radius"] = 11.0
+    cfg.robot.max_angulation = 22.0
+    study.write_report(study.run_study(cfg), out_dir, cfg.output.format)
+
+
 @pytest.mark.parametrize(
     "workload, run, slots",
-    [("study_default", _run_tiny_study, 16), ("calibrate_grid", _run_tiny_calibration, 8)],
+    [
+        ("study_default", _run_tiny_study, 16),
+        ("calibrate_grid", _run_tiny_calibration, 8),
+        ("plan_heavy", _run_tiny_plan_heavy, 16),
+    ],
 )
 def test_traced_run_calls_every_layer_and_counts_slots(workload, run, slots, tmp_path):
     metrics = _traced(lambda: run(str(tmp_path)))
@@ -78,6 +91,8 @@ def test_traced_run_calls_every_layer_and_counts_slots(workload, run, slots, tmp
         )
         assert calls >= 1, f"no traced call into layer {layer}"
     assert metrics["trace.tasks"] == slots
+    if workload == "plan_heavy":
+        assert metrics["planning.replan_angled.calls"] >= 1
     # removed again: every binding holds prostasim's own function
     assert calibrate.run_study is study.run_study
     assert not hasattr(sensing.observe, "__wrapped__")

@@ -106,16 +106,19 @@ def test_shared_work_gives_the_fresh_results_on_every_grid_point():
 
 def test_calibrate_builds_phantoms_once_and_plans_once_per_sigma0(monkeypatch):
     calls = {"phantoms": 0, "plans": 0}
-    build, replan = study.build_phantoms, planning.replan_angled
+    build, plan = study.build_phantoms, planning.plan_trajectories
 
-    def count(key, fn):
+    def count(key, fn, rows=lambda *args: 1):
         def counted(*args, **kwargs):
-            calls[key] += 1
+            calls[key] += rows(*args)
             return fn(*args, **kwargs)
         return counted
 
     monkeypatch.setattr(study, "build_phantoms", count("phantoms", build))
-    monkeypatch.setattr(planning, "replan_angled", count("plans", replan))
+    # one row of targets per plan
+    monkeypatch.setattr(
+        planning, "plan_trajectories", count("plans", plan, lambda arch, targets, *rest: len(targets))
+    )
     base = tiny_config(mode="closed_loop", replicates=1)
     cal.calibrate(base, replicates=1, grid_points=2)
     insertions = base.n_phantoms * base.targets_per_phantom

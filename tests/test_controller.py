@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import tiny_config
-from prostasim import controller, geometry, sensing, study
+from conftest import segment_distance_oracle, tiny_config
+from prostasim import controller, geometry, planning, sensing, study
 from prostasim import phantom as ph
 from prostasim.config import default_config
 from prostasim.controller import (
@@ -17,7 +17,7 @@ from prostasim.controller import (
     run_insertion,
 )
 from prostasim.geometry import DegenerateConfiguration, Segment
-from prostasim.kinematics import RobotGeometry
+from prostasim.kinematics import JointState, RobotGeometry, Trajectory
 from prostasim.phantom import (
     LEFT,
     MotionParams,
@@ -28,7 +28,7 @@ from prostasim.phantom import (
     prostate_transform,
     world_to_material,
 )
-from prostasim.planning import NoFeasiblePath, PubicArchModel
+from prostasim.planning import EntryRegion, NoFeasiblePath, PubicArchModel
 from prostasim.rng import InsertionStreams
 from prostasim.sensing import NoiseModel
 
@@ -96,7 +96,7 @@ def expected_drag(phantom, target, gain, offset):
     entry = np.array([target.position_rest[0], target.position_rest[1], GEOM.front_plane_z])
     d = np.array([0.0, 0.0, 1.0])
     planned = float(np.linalg.norm(target.position_rest - entry))
-    t0 = gland_entry_depth(phantom, entry, d)
+    t0 = gland_entry_depth([phantom], [entry], [d])[0]
     return planned, offset + gain * (planned - t0)
 
 
@@ -233,13 +233,16 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
     def slot(entry):
         return tuple(np.asarray(entry).tolist())
 
-    def transform(phantom, motion, needle, noise):
+    def transform(phantom, motion, needle, noise, entry_depth):
         per_slot[slot(needle.entry)]["transform"] += 1
-        return prostate_transform(phantom, motion, needle, noise)
+        return prostate_transform(phantom, motion, needle, noise, entry_depth)
 
-    def entry(phantom, entry, dir):
-        per_slot[slot(entry)]["entry"] += 1
-        return gland_entry_depth(phantom, entry, dir)
+    # the rows of each entry depth solve, one entry per call
+    solved = []
+
+    def entry(phantoms, entries, dirs):
+        solved.append(len(phantoms))
+        return gland_entry_depth(phantoms, entries, dirs)
 
     # the reference sets each collinearity check covers, one list per call
     checked = []
@@ -251,8 +254,11 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
 
     def planning(*args, **kwargs):
         checked.clear()
+        solves = len(solved)
         plans = plan_insertions(*args, **kwargs)
         assert len(checked) == 1  # one check for the whole block
+        # one solve for the whole block: along each planned and each normalized direction
+        assert solved[solves:] == [2 * len(plans)]
         for plan in plans:
             per_slot[slot(plan.trajectory.entry)]["line"] += sum(
                 np.array_equal(c, plan.reference.centered[0]) for c in checked[0]
@@ -282,9 +288,8 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
     for c in per_slot.values():
         assert c["transform"] <= 2
         assert c["line"] == 1
-        # one per transform, one for the first-pass penetration (the drag of
-        # both records) and one for the correction loop's entry depth
-        assert c["entry"] == c["transform"] + 2
+    # neither the first pass nor the correction loop solves an entry depth
+    assert solved == [32]
 
 
 def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
@@ -293,7 +298,7 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     t = non_left_target(p)
     entry = np.array([t.position_rest[0], t.position_rest[1], GEOM.front_plane_z])
     d = np.array([0.0, 0.0, 1.0])
-    shallow = entry + (gland_entry_depth(p, entry, d) - 3.0) * d
+    shallow = entry + (gland_entry_depth([p], [entry], [d])[0] - 3.0) * d
     # the tracker reports the target short of the gland: the tip retracts there
     monkeypatch.setattr(
         sensing, "track_target", lambda rot, trans, targets: np.broadcast_to(shallow, targets.shape).copy()
@@ -307,12 +312,15 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     depth_to_shallow, _ = geometry.axis_decompose(traj.entry, traj.dir, shallow)
     tip = max(0.0, planned + (depth_to_shallow - planned))
     retracted = NeedleState(traj.entry, traj.dir, tip, pass_depth=planned)
-    fresh = prostate_transform(p, motion, retracted, np.zeros(3))
-    bead = world_to_material(p, fresh, traj.entry + tip * traj.dir)
+    entry_depth = gland_entry_depth([p], [traj.entry], [geometry.normalize(traj.dir)])[0]
+    fresh = prostate_transform(p, motion, retracted, np.zeros(3), entry_depth)
+    tip_world = (traj.entry + tip * traj.dir)[None]
+    bead = world_to_material(fresh.rotation[None], fresh.translation[None], tip_world)[0]
     np.testing.assert_array_equal(rec.bead_rest_position, bead)
     assert rec.distance_error == float(np.linalg.norm(bead - t.position_rest))
     # the first pass's transform, which the retracted tip must not reuse
-    first = prostate_transform(p, motion, NeedleState(traj.entry, traj.dir, planned), np.zeros(3))
+    first_pass = NeedleState(traj.entry, traj.dir, planned)
+    first = prostate_transform(p, motion, first_pass, np.zeros(3), entry_depth)
     assert np.linalg.norm(first.translation - fresh.translation) > 1.0
 
 
@@ -343,7 +351,7 @@ def test_a_given_plan_gives_the_same_records():
     assert still.open_loop.distance_error < fresh.open_loop.distance_error
     # an untracked plan carries no registration reference
     untracked = plan_quiet(p, t.id, noise=noise, track=False)
-    assert untracked.reference is None and untracked.entry_depth is None
+    assert untracked.reference is None and untracked.entry_depth == plan.entry_depth
     opened = open_loop_insertion(p, motion, untracked, streams(t.id))
     assert_same_record(fresh.open_loop, opened)
     with pytest.raises(ValueError, match="tracked plan"):
@@ -372,11 +380,15 @@ class KeptStreams(InsertionStreams):
         return self.kept
 
 
-# two phantoms of different shape, so the slots of one block differ in their fiducials
+# two phantoms of different shape, so the slots of one block differ in their
+# fiducials, and the first again with an eleventh target outside the gland,
+# whose direct line misses it
 SHAPES = (
     generate_phantom(PhantomSpec(), seed=5),
     generate_phantom(PhantomSpec(gland_semiaxes=(21.0, 17.0, 26.0)), seed=6),
 )
+OUTSIDE = ph.Target(10, (30.0, 4.0, 6.0), ph.ZoneLabels(ph.BASE, LEFT, ph.ANTERIOR))
+OFF_GLAND = replace(SHAPES[0], targets=[*SHAPES[0].targets, OUTSIDE])
 
 
 def wide_arch():
@@ -395,12 +407,71 @@ def wide_arch():
 
 WIDE_ROBOT, WIDE_ARCH = wide_arch()
 ARCHES = (far_arch(), WIDE_ARCH)
+# target 7 of SHAPES[0] (x = 15.38 mm) has its direct entry one ulp beyond
+# this robot's stage travel, target 9 (14.70 mm) within it
+EDGE_ROBOT = replace(WIDE_ROBOT, stage_travel=float(np.nextafter(SHAPES[0].targets[7].position_rest[0], 0.0)))
+# the entry plane cuts through the gland: an entry on or inside its surface
+INSIDE_ROBOT = replace(WIDE_ROBOT, front_plane_z=-10.0)
+
+
+# A per-slot planner on Python floats, an independent oracle for the
+# stacked kernels: direct path, clearance, inverse kinematics, first pass,
+# penetration and gland entry depth, one slot at a time.
+
+
+def oracle_normalize(v):
+    return v / float(np.linalg.norm(v))
+
+
+def oracle_entry_depth(phantom, entry, dir):
+    semi = np.asarray(phantom.gland_semiaxes, dtype=np.float64)
+    w, v = entry / semi, dir / semi
+    aa, bb, cc = float(v @ v), float(w @ v), float(w @ w) - 1.0
+    disc = bb * bb - aa * cc
+    if disc < 0.0:
+        return None
+    t0, t1 = (-bb - disc**0.5) / aa, (-bb + disc**0.5) / aa
+    if t1 < 0.0:
+        return None
+    return t0 if t0 >= 0.0 else 0.0
+
+
+def oracle_trajectory(arch, target, region, geom):
+    entry = np.array([target[0], target[1], geom.front_plane_z])
+    if region.x_min <= target[0] <= region.x_max and region.y_min <= target[1] <= region.y_max:
+        if max(abs(target[0]), abs(target[1])) <= geom.stage_travel:
+            d, depth = oracle_normalize(target - entry), float(np.linalg.norm(target - entry))
+            tip = entry + (depth + planning.DEPTH_MARGIN) * d
+            clearance = min(
+                (segment_distance_oracle(entry, tip, seg.a, seg.b) - radius - planning.DEFAULT_NEEDLE_RADIUS
+                 for seg, radius in arch.arch_segments),
+                default=np.inf,
+            )
+            if clearance > 0.0:
+                return Trajectory(entry, d, depth, "Horizontal")
+    return planning.replan_angled(arch, target, region, geom)
+
+
+def oracle_first_pass(phantom, traj, geom):
+    """(joints, duration, penetration, entry depth) of the first pass along ``traj``."""
+    d, e = oracle_normalize(traj.dir), traj.entry
+    front = e + (geom.front_plane_z - e[2]) / d[2] * d
+    back = e + (geom.front_plane_z - geom.stage_separation - e[2]) / d[2] * d
+    duration = abs(traj.planned_depth) / geom.insertion_speed
+    angle = 0.0 + geom.rotation_speed * duration * 360.0
+    joints = JointState(
+        float(front[0]), float(front[1]), float(back[0]), float(back[1]), 0.0, 0.0 + traj.planned_depth, angle
+    )
+    t0 = oracle_entry_depth(phantom, traj.entry, traj.dir)
+    pen = 0.0 if t0 is None else max(0.0, traj.planned_depth - t0)
+    entry_depth = oracle_entry_depth(phantom, traj.entry, oracle_normalize(traj.dir))
+    return joints, duration, pen, np.nan if entry_depth is None else entry_depth
 
 
 @st.composite
 def block_slots(draw):
     """One slot of a block: phantom, target id, reference stream seed, needle count."""
-    phantom = draw(st.sampled_from(SHAPES))
+    phantom = draw(st.sampled_from(SHAPES + (OFF_GLAND,)))
     target_id = draw(st.integers(0, len(phantom.targets) - 1))
     return phantom, target_id, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 4))
 
@@ -409,6 +480,7 @@ def block_slots(draw):
 @given(
     slots=st.lists(block_slots(), min_size=1, max_size=6),
     arch=st.sampled_from(ARCHES),
+    robot=st.just(WIDE_ROBOT),
     sigma0=st.one_of(st.just(0.0), st.floats(0.01, 0.5)),
     depth_gain=st.floats(0.0, 0.05),
     degradation=st.floats(1.0, 1.3),
@@ -417,19 +489,36 @@ def block_slots(draw):
 # slots that differ in phantom and needle count, under a noise that reads both
 @example(
     slots=[(SHAPES[0], 1, 7, 0), (SHAPES[1], 3, 8, 2), (SHAPES[0], 6, 9, 4)],
-    arch=WIDE_ARCH, sigma0=0.3, depth_gain=0.01, degradation=1.2, track=True,
+    arch=WIDE_ARCH, robot=WIDE_ROBOT, sigma0=0.3, depth_gain=0.01, degradation=1.2, track=True,
 )
 # the second slot's observed target has no path clear of the wide arch
 @example(
     slots=[(SHAPES[1], 2, 5, 1), (SHAPES[0], 9, 6, 4), (SHAPES[0], 0, 3, 0)],
-    arch=WIDE_ARCH, sigma0=0.5, depth_gain=0.05, degradation=1.3, track=True,
+    arch=WIDE_ARCH, robot=WIDE_ROBOT, sigma0=0.5, depth_gain=0.05, degradation=1.3, track=True,
 )
-def test_a_block_plans_each_slot_as_it_would_alone(slots, arch, sigma0, depth_gain, degradation, track):
+# a direct line that misses the gland: no entry depth, no penetration
+@example(
+    slots=[(OFF_GLAND, 10, 1, 0), (SHAPES[0], 2, 2, 1)],
+    arch=ARCHES[0], robot=WIDE_ROBOT, sigma0=0.0, depth_gain=0.0, degradation=1.0, track=True,
+)
+# entries on or inside the gland surface: the entry depth clamps to 0
+@example(
+    slots=[(SHAPES[0], 0, 1, 0), (SHAPES[0], 3, 2, 0), (SHAPES[0], 7, 3, 0)],
+    arch=ARCHES[0], robot=INSIDE_ROBOT, sigma0=0.0, depth_gain=0.0, degradation=1.0, track=False,
+)
+# a direct entry one ulp beyond the stage travel, beside one within it
+@example(
+    slots=[(SHAPES[0], 7, 1, 0), (SHAPES[0], 9, 2, 0)],
+    arch=ARCHES[0], robot=EDGE_ROBOT, sigma0=0.0, depth_gain=0.0, degradation=1.0, track=True,
+)
+def test_a_block_plans_each_slot_as_it_would_alone(
+    slots, arch, robot, sigma0, depth_gain, degradation, track
+):
     noise = NoiseModel(sigma0=sigma0, depth_gain=depth_gain, degradation_per_needle=degradation)
 
     def plan(block, block_streams):
         return plan_insertions(
-            [slot[0] for slot in block], WIDE_ROBOT, arch, noise, [slot[1] for slot in block],
+            [slot[0] for slot in block], robot, arch, noise, [slot[1] for slot in block],
             block_streams, track=track,
         )
 
@@ -448,10 +537,17 @@ def test_a_block_plans_each_slot_as_it_would_alone(slots, arch, sigma0, depth_ga
         with pytest.raises(NoFeasiblePath):
             plan(slots, block_streams)
         return
-    for a, b, sa, sb in zip(alone, plan(slots, block_streams), alone_streams, block_streams):
+    for a, b, sa, sb, slot in zip(alone, plan(slots, block_streams), alone_streams, block_streams, slots):
         assert_same_plan(a, b)
         # each reference stream took exactly its own draws
         np.testing.assert_equal(sb.kept.bit_generator.state, sa.kept.bit_generator.state)
+        # and the plan is the one the per-slot oracle makes from the observed target
+        traj = oracle_trajectory(arch, b.target_obs, EntryRegion(), robot)
+        joints, duration, pen, entry_depth = oracle_first_pass(slot[0], traj, robot)
+        oracle = replace(
+            b, trajectory=traj, joints=joints, duration_s=duration, penetration=pen, entry_depth=entry_depth
+        )
+        assert_same_plan(oracle, b)
 
 
 def test_a_collinear_reference_volume_anywhere_in_a_block_raises():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import segment_distance_oracle
 from prostasim import geometry
 from prostasim.geometry import (
     DegenerateConfiguration,
@@ -125,7 +126,7 @@ def _brute_segment_distance(p0, p1, q0, q1, steps=400):
 def test_segment_distance_against_dense_sampling(rng):
     for _ in range(20):
         p0, p1, q0, q1 = rng.uniform(-10, 10, (4, 3))
-        exact = segment_segment_distance(p0, p1, q0, q1)
+        exact = segment_segment_distance([p0], [p1], [q0], [q1])[0, 0]
         grid = _brute_segment_distance(p0, p1, q0, q1)
         # the sampled minimum can only overestimate, and not by much
         assert exact <= grid + 1e-9
@@ -133,15 +134,30 @@ def test_segment_distance_against_dense_sampling(rng):
 
 
 def test_segment_distance_known_cases():
+    p0 = [[-1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    p1 = [[1, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    q0 = [[0, -1, 0.0], [0, 1, 0], [3, 4, 0], [-1, 2, 0]]
+    q1 = [[0, 1, 0.0], [1, 1, 0], [3, 4, 0], [1, 2, 0]]
+    d = segment_segment_distance(p0, p1, q0, q1)
     # crossing segments touch
-    d = segment_segment_distance([-1, 0, 0], [1, 0, 0], [0, -1, 0.0], [0, 1, 0.0])
-    assert d == pytest.approx(0.0, abs=1e-12)
+    assert d[0, 0] == pytest.approx(0.0, abs=1e-12)
     # parallel unit-offset segments
-    d = segment_segment_distance([0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0])
-    assert d == pytest.approx(1.0)
+    assert d[1, 1] == pytest.approx(1.0)
     # degenerate point vs point
-    d = segment_segment_distance([0, 0, 0], [0, 0, 0], [3, 4, 0], [3, 4, 0])
-    assert d == pytest.approx(5.0)
+    assert d[2, 2] == pytest.approx(5.0)
+    # degenerate point vs a segment
+    assert d[3, 3] == pytest.approx(2.0)
+
+
+def test_segment_distances_match_the_scalar_oracle(rng):
+    # every pair of a stack, with points among the segments on both sides
+    p0, p1 = rng.uniform(-10, 10, (2, 8, 3))
+    q0, q1 = rng.uniform(-10, 10, (2, 5, 3))
+    p1[2], q1[3] = p0[2], q0[3]
+    d = segment_segment_distance(p0, p1, q0, q1)
+    for i in range(8):
+        for j in range(5):
+            assert d[i, j] == pytest.approx(segment_distance_oracle(p0[i], p1[i], q0[j], q1[j]), abs=1e-12)
 
 
 def test_register_recovers_exact_transform(rng):

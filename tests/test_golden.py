@@ -30,6 +30,14 @@ TINY_ANGLED = {
     "summary.json": "e17405d2bcdc4da6a4c17ec6b5b4009fe2fa19860de2caf705bb099717a1d6b7",
 }
 
+# open loop with 11 mm arch capsules and 22 deg angulation, 4x the default
+# phantoms at 1/4 of the replicates: about 570 of the 1800 plans take the
+# angled grid search, so any planner decision that moves shows here
+PLAN_HEAVY = {
+    "records_open.csv": "657d42f2a5e05d207c27e3804e1746b0f7f0d5eb1ca553240bf88489d7e8405c",
+    "summary.json": "cae4606c43e58102181738bc397506130b6c8e413ae99a20a16e0d24c7c297d3",
+}
+
 
 # calibrate(default_config(), replicates=1, grid_points=2): the YAML header
 # rounds the medians, so the objective and medians are pinned exactly too
@@ -72,6 +80,20 @@ def test_left_bias_angled_variant_bytes(tmp_path):
     report = run_study(cfg)
     assert any(r.approach == "Angled" for r in report.rows_closed)
     assert _digests(report, tmp_path) == TINY_ANGLED
+
+
+def test_plan_heavy_study_bytes(tmp_path):
+    cfg = default_config()
+    cfg.mode = "open_loop"
+    for cap in cfg.arch.capsules:
+        cap["radius"] = 11.0
+    cfg.robot.max_angulation = 22.0
+    cfg.n_phantoms *= 4
+    cfg.n_seed_replicates //= 4
+    cfg.zone_quotas = {k: v * 4 for k, v in cfg.zone_quotas.items()}
+    report = run_study(cfg)
+    assert sum(r.approach == "Angled" for r in report.rows_open) > 500
+    assert _digests(report, tmp_path) == PLAN_HEAVY
 
 
 def test_small_calibration_is_pinned():

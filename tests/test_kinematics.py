@@ -20,6 +20,11 @@ def geom():
     return RobotGeometry()
 
 
+def ik(geom, traj):
+    """The joint state of one trajectory: a stack of one."""
+    return JointState(*inverse_kinematics(geom, [traj.entry], [traj.dir])[0])
+
+
 def random_feasible_trajectory(rng, geom):
     while True:
         fx, fy, bx, by = rng.uniform(-geom.stage_travel * 0.98, geom.stage_travel * 0.98, 4)
@@ -47,7 +52,7 @@ def test_angulation_of_axis():
 def test_ik_fk_round_trip(rng, geom):
     for _ in range(100):
         traj = random_feasible_trajectory(rng, geom)
-        js = inverse_kinematics(geom, traj)
+        js = ik(geom, traj)
         entry, d, tip = forward_kinematics(geom, js)
         # same line: entry on it, direction parallel
         _, lateral = geometry.axis_decompose(traj.entry, traj.dir, entry)
@@ -60,7 +65,7 @@ def test_ik_from_entry_not_on_stage_plane(geom):
     # the entry may be quoted anywhere along the line
     d = geometry.normalize([0.1, -0.05, 1.0])
     entry_mid = np.array([3.0, 2.0, -20.0])
-    js = inverse_kinematics(geom, Trajectory(entry_mid, d, 50.0, "Horizontal"))
+    js = ik(geom, Trajectory(entry_mid, d, 50.0, "Horizontal"))
     front, dd, _ = forward_kinematics(geom, js)
     _, lateral = geometry.axis_decompose(entry_mid, d, front)
     assert lateral < 1e-9
@@ -70,20 +75,20 @@ def test_ik_from_entry_not_on_stage_plane(geom):
 def test_ik_rejects_steep_direction(geom):
     steep = geometry.normalize([1.0, 0.0, 1.0])  # 45 degrees
     with pytest.raises(OutOfReach) as exc:
-        inverse_kinematics(geom, Trajectory([0, 0, -60], steep, 50.0, "Angled"))
+        ik(geom, Trajectory([0, 0, -60], steep, 50.0, "Angled"))
     assert any("angulation" in v for v in exc.value.violations)
 
 
 def test_ik_rejects_backward_direction(geom):
     with pytest.raises(OutOfReach):
-        inverse_kinematics(geom, Trajectory([0, 0, -60], [0, 0, -1], 50.0, "Horizontal"))
+        ik(geom, Trajectory([0, 0, -60], [0, 0, -1], 50.0, "Horizontal"))
 
 
 def test_ik_collects_all_violations(geom):
     # a steep direction far off axis violates angulation and both stages
     d = geometry.normalize([-0.3, 0.0, 1.0])
     with pytest.raises(OutOfReach) as exc:
-        inverse_kinematics(geom, Trajectory([70.0, 0.0, geom.front_plane_z], d, 50.0, "Angled"))
+        ik(geom, Trajectory([70.0, 0.0, geom.front_plane_z], d, 50.0, "Angled"))
     text = "; ".join(exc.value.violations)
     assert "angulation" in text
     assert "front_x" in text
@@ -93,7 +98,7 @@ def test_ik_collects_all_violations(geom):
 def test_ik_travel_violation_lists_axis(geom):
     d = np.array([0.0, 0.0, 1.0])
     with pytest.raises(OutOfReach) as exc:
-        inverse_kinematics(geom, Trajectory([0.0, 41.0, geom.front_plane_z], d, 50.0, "Horizontal"))
+        ik(geom, Trajectory([0.0, 41.0, geom.front_plane_z], d, 50.0, "Horizontal"))
     assert any("front_y" in v for v in exc.value.violations)
     assert any("back_y" in v for v in exc.value.violations)
 
@@ -112,21 +117,21 @@ def test_insertion_duration_arithmetic(geom):
 
 
 def test_advance_accumulates_rotation(geom):
-    js = JointState(0, 0, 0, 0)
-    js, seconds = advance_insertion(geom, js, 25.0, rotating=True)
-    assert seconds == pytest.approx(5.0)
-    assert js.insertion_depth == pytest.approx(25.0)
+    depth, angle, seconds = advance_insertion(geom, np.zeros(1), np.zeros(1), np.array([25.0]), rotating=True)
+    assert seconds[0] == pytest.approx(5.0)
+    assert depth[0] == pytest.approx(25.0)
     # 5 s at 8 rev/s
-    assert js.rotation_angle == pytest.approx(5.0 * 8.0 * 360.0)
-    js2, _ = advance_insertion(geom, js, -5.0, rotating=False)
-    assert js2.insertion_depth == pytest.approx(20.0)
-    assert js2.rotation_angle == js.rotation_angle
+    assert angle[0] == pytest.approx(5.0 * 8.0 * 360.0)
+    depth2, angle2, _ = advance_insertion(geom, depth, angle, np.array([-5.0]), rotating=False)
+    assert depth2[0] == pytest.approx(20.0)
+    assert angle2[0] == angle[0]
 
 
 def test_advance_clamps_at_zero(geom):
-    js = JointState(0, 0, 0, 0, insertion_depth=3.0)
-    js, _ = advance_insertion(geom, js, -10.0, rotating=False)
-    assert js.insertion_depth == 0.0
+    depth, _, _ = advance_insertion(
+        geom, np.array([3.0, 3.0]), np.zeros(2), np.array([-10.0, 1.0]), rotating=False
+    )
+    np.testing.assert_array_equal(depth, [0.0, 4.0])
 
 
 def _probe_feasible(geom, entry3, target):
@@ -158,7 +163,7 @@ def test_feasibility_matches_grid_probe(geom):
             d = geometry.normalize(target - entry3)
             traj = Trajectory(entry3, d, 60.0, "Horizontal")
             try:
-                inverse_kinematics(geom, traj)
+                ik(geom, traj)
                 got = True
             except OutOfReach:
                 got = False

@@ -34,6 +34,21 @@ def make_phantom(seed=3, **spec_kw):
     return generate_phantom(PhantomSpec(**spec_kw), seed)
 
 
+def entry_depth(p, entry, d):
+    """The gland entry depth of one needle line: a stack of one."""
+    return gland_entry_depth([p], [entry], [d])[0]
+
+
+def needle_penetration(p, needle):
+    return penetration(entry_depth(p, needle.entry, needle.dir), needle.tip_depth)
+
+
+def transform(p, motion, needle, noise):
+    """The gland transform of one needle, given its entry depth along the normalized direction."""
+    depth = entry_depth(p, needle.entry, geometry.normalize(needle.dir))
+    return prostate_transform(p, motion, needle, noise, depth)
+
+
 def test_generation_is_deterministic():
     a = generate_phantom(PhantomSpec(), 11)
     b = generate_phantom(PhantomSpec(), 11)
@@ -111,15 +126,15 @@ def test_entry_depth_axial_analytic():
     p = make_phantom()
     # straight down the z axis: surface at z = -c
     c = p.gland_semiaxes[2]
-    t0 = gland_entry_depth(p, [0, 0, -60], [0, 0, 1])
+    t0 = entry_depth(p, [0, 0, -60], [0, 0, 1])
     assert t0 == pytest.approx(60.0 - c, abs=1e-12)
 
 
 def test_entry_depth_miss_and_inside():
     p = make_phantom()
-    assert gland_entry_depth(p, [100, 0, -60], [0, 0, 1]) is None
-    assert gland_entry_depth(p, [0, 0, -60], [0, 0, -1]) is None
-    assert gland_entry_depth(p, [0, 0, 0], [0, 0, 1]) == 0.0
+    assert np.isnan(entry_depth(p, [100, 0, -60], [0, 0, 1]))
+    assert np.isnan(entry_depth(p, [0, 0, -60], [0, 0, -1]))
+    assert entry_depth(p, [0, 0, 0], [0, 0, 1]) == 0.0
 
 
 def test_penetration_and_drag_values():
@@ -129,18 +144,18 @@ def test_penetration_and_drag_values():
     entry = np.array([0.0, 0.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
     shallow = NeedleState(entry, d, 10.0)
-    assert penetration(p, shallow) == 0.0
-    assert motion.drag(penetration(p, shallow)) == 0.0
+    assert needle_penetration(p, shallow) == 0.0
+    assert motion.drag(needle_penetration(p, shallow)) == 0.0
     deep = NeedleState(entry, d, 60.0)
-    assert penetration(p, deep) == pytest.approx(c)
-    assert motion.drag(penetration(p, deep)) == pytest.approx(1.5 + 0.2 * c)
+    assert needle_penetration(p, deep) == pytest.approx(c)
+    assert motion.drag(needle_penetration(p, deep)) == pytest.approx(1.5 + 0.2 * c)
 
 
 def test_transform_identity_before_gland():
     motion = quiet_motion(axial_base_offset=3.0)
     p = make_phantom()
     needle = NeedleState([0, 0, -60], [0, 0, 1], 5.0)
-    t = prostate_transform(p, motion, needle, np.zeros(3))
+    t = transform(p, motion, needle, np.zeros(3))
     np.testing.assert_array_equal(t.rotation, np.eye(3))
     np.testing.assert_array_equal(t.translation, np.zeros(3))
 
@@ -150,7 +165,7 @@ def test_transform_pure_drag_through_centroid():
     p = make_phantom()
     c = p.gland_semiaxes[2]
     needle = NeedleState([0, 0, -60], [0, 0, 1], 60.0)
-    t = prostate_transform(p, motion, needle, np.zeros(3))
+    t = transform(p, motion, needle, np.zeros(3))
     np.testing.assert_array_equal(t.rotation, np.eye(3))
     np.testing.assert_allclose(t.translation, [0, 0, 2.0 + 0.1 * c], atol=1e-12)
 
@@ -162,7 +177,7 @@ def test_axial_displacement_monotone_in_depth():
     d = geometry.normalize([0.05, 0.02, 1.0])
     prev = -1.0
     for depth in np.linspace(0.0, 90.0, 40):
-        t = prostate_transform(p, motion, NeedleState(entry, d, float(depth)), np.zeros(3))
+        t = transform(p, motion, NeedleState(entry, d, float(depth)), np.zeros(3))
         # the gland centroid is the frame's origin
         moved = geometry.apply(t, np.zeros(3))
         axial = float(moved @ d)
@@ -174,7 +189,7 @@ def test_rotation_zero_for_centered_needle():
     motion = quiet_motion(rotation_gain=0.05, axial_base_offset=1.0)
     p = make_phantom()
     needle = NeedleState([0, 0, -60], [0, 0, 1], 70.0)
-    t = prostate_transform(p, motion, needle, np.zeros(3))
+    t = transform(p, motion, needle, np.zeros(3))
     assert geometry.rotation_angle_deg(t) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -184,9 +199,9 @@ def test_rotation_angle_matches_formula_and_pivot_fixed():
     entry = np.array([12.0, 5.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
     needle = NeedleState(entry, d, 70.0)
-    t = prostate_transform(p, motion, needle, np.zeros(3))
+    t = transform(p, motion, needle, np.zeros(3))
     lateral = np.hypot(12.0, 5.0)
-    pen = penetration(p, needle)
+    pen = needle_penetration(p, needle)
     assert geometry.rotation_angle_deg(t) == pytest.approx(0.01 * lateral * pen, rel=1e-9)
     # with zero drag the pivot must stay put
     np.testing.assert_allclose(geometry.apply(t, p.pivot), p.pivot, atol=1e-9)
@@ -198,13 +213,13 @@ def test_motion_noise_is_frozen_across_corrections():
     noise = InsertionStreams(9, 0, 0, 0).motion().normal(0.0, motion.noise_sd_motion, 3)
     entry = np.array([0.0, 0.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
-    first = prostate_transform(p, motion, NeedleState(entry, d, 58.0, pass_depth=58.0), noise)
+    first = transform(p, motion, NeedleState(entry, d, 58.0, pass_depth=58.0), noise)
     # corrected deeper, same first-pass depth: identical transform
-    second = prostate_transform(p, motion, NeedleState(entry, d, 63.0, pass_depth=58.0), noise)
+    second = transform(p, motion, NeedleState(entry, d, 63.0, pass_depth=58.0), noise)
     np.testing.assert_array_equal(first.rotation, second.rotation)
     np.testing.assert_array_equal(first.translation, second.translation)
     # a genuinely deeper first pass does move differently
-    deeper = prostate_transform(p, motion, NeedleState(entry, d, 63.0, pass_depth=63.0), noise)
+    deeper = transform(p, motion, NeedleState(entry, d, 63.0, pass_depth=63.0), noise)
     assert not np.array_equal(first.translation, deeper.translation)
 
 
@@ -213,10 +228,11 @@ def test_material_world_round_trip():
                           noise_sd_motion=1.0)
     p = make_phantom()
     noise = InsertionStreams(4, 0, 0, 0).motion().normal(0.0, motion.noise_sd_motion, 3)
-    t = prostate_transform(p, motion, NeedleState([6, 2, -60], [0, 0, 1], 70.0), noise)
+    t = transform(p, motion, NeedleState([6, 2, -60], [0, 0, 1], 70.0), noise)
     rest = p.targets[0].position_rest
     world = geometry.apply(t, rest)
-    np.testing.assert_allclose(world_to_material(p, t, world), rest, atol=1e-9)
+    back = world_to_material(t.rotation[None], t.translation[None], world[None])[0]
+    np.testing.assert_allclose(back, rest, atol=1e-9)
 
 
 def test_fiducials_on_shrunken_surface():

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from prostasim.geometry import Segment, segment_segment_distance
+from conftest import segment_distance_oracle
+from prostasim.geometry import Segment
 from prostasim.kinematics import RobotGeometry, Trajectory, inverse_kinematics
 from prostasim.planning import (
+    DEFAULT_NEEDLE_RADIUS,
     DEPTH_MARGIN,
     ENTRY_GRID_STEP,
     EntryRegion,
@@ -28,6 +30,11 @@ def capsule(a, b, r):
     return (Segment(np.array(a, dtype=float), np.array(b, dtype=float)), r)
 
 
+def clearance(arch, traj, needle_radius=DEFAULT_NEEDLE_RADIUS):
+    """The clearance of one trajectory: a stack of one."""
+    return collision_check(arch, [traj.entry], [traj.dir], [traj.planned_depth], needle_radius)[0]
+
+
 def straight_traj(target, geom, depth=None):
     target = np.asarray(target, dtype=float)
     entry = np.array([target[0], target[1], geom.front_plane_z])
@@ -38,17 +45,14 @@ def straight_traj(target, geom, depth=None):
 
 def test_disabled_arch_never_blocks(geom):
     arch = PubicArchModel([capsule([0, 0, -30], [0, 0, -30], 50.0)], enabled=False)
-    rep = collision_check(arch, straight_traj([0, 0, 10], geom))
-    assert rep.clearance == math.inf
-    assert rep.blocking_index is None
+    assert clearance(arch, straight_traj([0, 0, 10], geom)) == math.inf
 
 
 def test_clearance_analytic_value(geom):
     # axial shaft at x=0; capsule axis parallel to it at x=10, radius 2
     arch = PubicArchModel([capsule([10, 0, -40], [10, 0, 0], 2.0)])
-    rep = collision_check(arch, straight_traj([0, 0, 10], geom), needle_radius=0.5)
-    assert rep.clearance == pytest.approx(10.0 - 2.0 - 0.5)
-    assert rep.blocking_index is None
+    got = clearance(arch, straight_traj([0, 0, 10], geom), needle_radius=0.5)
+    assert got == pytest.approx(10.0 - 2.0 - 0.5)
 
 
 def test_collision_reports_blocking_capsule(geom):
@@ -58,9 +62,10 @@ def test_collision_reports_blocking_capsule(geom):
             capsule([-5, 0, -30], [5, 0, -30], 3.0),  # crosses the path
         ]
     )
-    rep = collision_check(arch, straight_traj([0, 0, 10], geom))
-    assert rep.clearance < 0
-    assert rep.blocking_index == 1
+    traj = straight_traj([0, 0, 10], geom)
+    assert clearance(arch, traj) < 0
+    # the capsule crossing the path is the one that blocks it
+    assert clearance(PubicArchModel(arch.arch_segments[:1]), traj) > 0
 
 
 def test_invalid_radii_rejected(geom):
@@ -68,7 +73,7 @@ def test_invalid_radii_rejected(geom):
         PubicArchModel([capsule([0, 0, 0], [1, 0, 0], 0.0)])
     arch = PubicArchModel([capsule([0, 0, 0], [1, 0, 0], 1.0)])
     with pytest.raises(ValueError):
-        collision_check(arch, straight_traj([0, 0, 10], RobotGeometry()), needle_radius=0.0)
+        clearance(arch, straight_traj([0, 0, 10], RobotGeometry()), needle_radius=0.0)
 
 
 def test_first_blocked_depth_analytic(geom):
@@ -159,11 +164,11 @@ def blocked_scene(geom):
 def test_replan_blocked_goes_angled(geom):
     arch, target = blocked_scene(geom)
     direct = straight_traj(target, geom)
-    assert collision_check(arch, direct).clearance < 0
+    assert clearance(arch, direct) < 0
     traj = replan_angled(arch, target, EntryRegion(), geom)
     assert traj.approach == "Angled"
     # the chosen trajectory clears the arch
-    assert collision_check(arch, traj).clearance > 0
+    assert clearance(arch, traj) > 0
     # it still passes through the target
     along = (target - traj.entry) @ traj.dir
     np.testing.assert_allclose(traj.entry + along * traj.dir, target, atol=1e-9)
@@ -184,7 +189,7 @@ def test_replan_picks_smallest_angle_bin(geom):
         entry3 = np.array([ex, ey, geom.front_plane_z])
         d = (target - entry3) / np.linalg.norm(target - entry3)
         cand = Trajectory(entry3, d, float(np.linalg.norm(target - entry3)), "x")
-        assert collision_check(arch, cand).clearance <= 0.0
+        assert clearance(arch, cand) <= 0.0
 
 
 def test_replan_wall_raises_no_feasible_path(geom):
@@ -206,7 +211,7 @@ def test_replan_keeps_the_direct_path_within_stage_travel():
     traj = replan_angled(arch, target, EntryRegion(), geom)
     assert traj.approach == "Angled"
     assert abs(traj.entry[0]) <= geom.stage_travel
-    inverse_kinematics(geom, traj)  # within every joint limit
+    inverse_kinematics(geom, [traj.entry], [traj.dir])  # within every joint limit
 
 
 def test_replan_with_no_entry_in_reach_says_so():
@@ -222,7 +227,7 @@ def test_clearance_monotone_in_needle_radius(geom):
     arch = PubicArchModel([capsule([10, 0, -40], [10, 0, 0], 2.0)])
     traj = straight_traj([0, 0, 10], geom)
     radii = [0.2, 0.5, 1.0, 2.0]
-    values = [collision_check(arch, traj, r).clearance for r in radii]
+    values = [clearance(arch, traj, r) for r in radii]
     assert values == sorted(values, reverse=True)
 
 
@@ -231,8 +236,7 @@ def test_depth_margin_extends_shaft(geom):
     target = np.array([0.0, 0.0, 0.0])
     beyond = target[2] + DEPTH_MARGIN - 1.0
     arch = PubicArchModel([capsule([-5, 0, beyond], [5, 0, beyond], 1.0)])
-    rep = collision_check(arch, straight_traj(target, geom))
-    assert rep.clearance < 0
+    assert clearance(arch, straight_traj(target, geom)) < 0
 
 
 def _random_grid_case(rng, n=64, m=3):
@@ -263,6 +267,6 @@ def test_clearance_grid_matches_scalar_path(rng, geom):
             norm = np.linalg.norm(d)
             p1 = p0 + d * (norm + DEPTH_MARGIN) / norm
             expect = min(
-                segment_segment_distance(p0, p1, a[j], b[j]) - r[j] for j in range(len(r))
+                segment_distance_oracle(p0, p1, a[j], b[j]) - r[j] for j in range(len(r))
             ) - 0.635
             assert got[i] == pytest.approx(expect, abs=1e-9)

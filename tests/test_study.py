@@ -45,18 +45,18 @@ def test_both_modes_plan_once_per_insertion(monkeypatch):
     from prostasim import planning
 
     calls = []
-    plan = planning.replan_angled
+    plan = planning.plan_trajectories
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return plan(*args, **kwargs)
+    def counted(arch, targets, *args, **kwargs):
+        calls.append(len(targets))
+        return plan(arch, targets, *args, **kwargs)
 
-    monkeypatch.setattr(planning, "replan_angled", counted)
+    monkeypatch.setattr(planning, "plan_trajectories", counted)
     cfg = tiny_config(mode="both")
     report = run_study(cfg)
     n = cfg.n_phantoms * cfg.targets_per_phantom * cfg.n_seed_replicates
     assert len(report.rows_closed) == len(report.rows_open) == n
-    assert len(calls) == n
+    assert sum(calls) == n
 
 
 def test_open_loop_studies_prepare_no_registration_reference(monkeypatch):
