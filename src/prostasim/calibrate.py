@@ -10,11 +10,14 @@ rejected outright, since the objective alone cannot see them.
 The grid points differ only in the four motion parameters and ``sigma0``,
 so a search reuses the motion-free half of every study
 (``study.SharedWork``): the phantoms, which hold no motion parameters,
-are built once per search and every study uses them as built, and each
-insertion plan, which is made from a reference volume observed at rest
-and so depends on ``sigma0`` but not on motion, once per ``sigma0``
-value; each study passes its own motion parameters to the insertions.  The grid's order and its strict-``<`` choice of the best point
-are those of an unshared search, and so are the results.
+are built once per search and every study uses them as built, each
+insertion's random streams, whose standard normals the grid values only
+scale, are drawn once per search, and each insertion plan, which is
+made from a reference volume observed at rest and so depends on
+``sigma0`` but not on motion, once per ``sigma0`` value; each study
+passes its own motion parameters to the insertions.  The grid's order
+and its strict-``<`` choice of the best point are those of an unshared
+search, and so are the results.
 """
 
 from __future__ import annotations
@@ -148,8 +151,8 @@ def calibrate(
         for key, span in SPANS.items()
     ]
 
-    # phantoms and plans are motion-free: made once per search, each plan
-    # once per sigma0 value, and dropped when the search returns
+    # phantoms, streams and plans are motion-free: made once per search,
+    # each plan once per sigma0 value, and dropped when the search returns
     shared = share_work(_apply_params(base, {}))
     best = None
     best_any = None

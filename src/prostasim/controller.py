@@ -15,9 +15,9 @@ clearance check of every direct path, the grid search only where that
 path is out of reach or blocked) and the first pass: joint limits,
 duration and rotation, and one gland entry depth solve that gives both
 the penetration setting the modeled drag and the entry depth the gland
-transform reads.  ``open_loop_insertion`` draws one insertion's motion
-noise, evaluates the gland transform at the pass depth and scores the
-open-loop baseline.  ``correct_insertions`` runs the closed loop of a
+transform reads.  ``open_loop_insertion`` scales one insertion's motion
+normals into its motion noise, evaluates the gland transform at the
+pass depth and scores the open-loop baseline.  ``correct_insertions`` runs the closed loop of a
 block together, each step one stacked ``sensing`` call per kernel over
 the insertions still correcting, continues each one from its baseline's
 transform and motion noise, and deposits and scores the block in
@@ -110,7 +110,8 @@ class InsertionPlan:
     the phantom, the noise model, the robot and the arch.  A plan can
     therefore be shared by insertions that differ only in motion.
     ``reference`` serves the correction loop and is prepared only for a
-    tracked plan; it is None otherwise.
+    tracked plan, as a view of one set of its block's stack; it is None
+    otherwise.
     """
 
     target: Target
@@ -142,26 +143,28 @@ def plan_insertions(
 ) -> list[InsertionPlan]:
     """Observe a block of insertions at rest, plan each trajectory and make each first pass.
 
-    Slot k plans target ``target_ids[k]`` of ``phantoms[k]`` from
-    ``streams[k]`` and gets the plan it would get alone.  Only a ``track``
-    plan can drive the closed loop; an untracked plan skips the
+    Slot k plans target ``target_ids[k]`` of ``phantoms[k]`` from the
+    reference normals of ``streams[k]`` (the reference volume's N x 3, then
+    the observed target's 3) and gets the plan it would get alone.  Only a
+    ``track`` plan can drive the closed loop; an untracked plan skips the
     registration reference and serves ``open_loop_insertion``.  Raises
     geometry.DegenerateConfiguration for a collinear reference volume of a
     tracked block, before planning, and planning.NoFeasiblePath when no
     trajectory clears the arch.
     """
     region = entry_region if entry_region is not None else EntryRegion()
-    ref_streams = [s.reference() for s in streams]
     counts = [s.needle_count for s in streams]
     n = len(phantoms)
+    normals = np.array([s.reference_normals for s in streams])
+    volume = normals[:, :-3].reshape(n, -1, 3)
     rest = np.broadcast_to(np.eye(3), (n, 3, 3))
-    ref_obs = sensing.observe(phantoms, rest, np.zeros((n, 3)), noise, ref_streams, counts)
+    ref_obs = sensing.observe(phantoms, rest, np.zeros((n, 3)), noise, volume, counts)
     reference = geometry.prepare_reference(ref_obs) if track else None
     targets = [phantom.target_by_id(tid) for phantom, tid in zip(phantoms, target_ids)]
     # the observed target takes the 3 normals after the reference volume's
     targets_obs = np.array([
-        sensing.observe_point(phantom, target.position_rest, noise, stream, count)
-        for phantom, target, stream, count in zip(phantoms, targets, ref_streams, counts)
+        sensing.observe_point(phantom, target.position_rest, noise, z, count)
+        for phantom, target, z, count in zip(phantoms, targets, normals[:, -3:], counts)
     ])
     trajs = planning.plan_trajectories(arch, targets_obs, region, geom, needle_radius)
     entries = np.array([traj.entry for traj in trajs])
@@ -179,7 +182,7 @@ def plan_insertions(
     return [
         InsertionPlan(
             target, target_obs, traj, kinematics.JointState(*stage, 0.0, depth, angle), duration, pen,
-            entry_depth, reference.rows([k]) if track else None,
+            entry_depth, reference.rows(slice(k, k + 1)) if track else None,
         )
         for k, (target, target_obs, traj, stage, depth, angle, duration, pen, entry_depth) in enumerate(zip(
             targets, targets_obs, trajs, stages, depths.tolist(), angles.tolist(), durations.tolist(),
@@ -216,14 +219,14 @@ def open_loop_insertion(
 ) -> InsertionRecord:
     """Score the bead where the first pass of ``plan`` left it: the open-loop baseline.
 
-    Draws the insertion's frozen motion noise and evaluates the gland
-    transform at the planned depth; the record carries both, and the
-    closed loop (``correct_insertions``) starts from them.
+    Scales the insertion's motion normals into its frozen motion noise and
+    evaluates the gland transform at the planned depth; the record carries
+    both, and the closed loop (``correct_insertions``) starts from them.
     """
     traj, depth = plan.trajectory, plan.trajectory.planned_depth
     # frozen per-insertion motion noise: every gland transform sees it
     sd = motion.noise_sd_motion
-    motion_noise = streams.motion().normal(0.0, sd, 3) if sd > 0 else np.zeros(3)
+    motion_noise = 0.0 + sd * streams.motion_normals if sd > 0 else np.zeros(3)
     needle = NeedleState(traj.entry, traj.dir, depth, pass_depth=depth)
     t_true = prostate_transform(phantom, motion, needle, motion_noise, plan.entry_depth)
     moved_target = geometry.apply(t_true, plan.target_obs)
@@ -264,8 +267,11 @@ def correct_insertions(
     call per kernel; a slot leaves the loop when its proposed change drops
     below ``depth_epsilon`` or its budget runs out.  Every slot gets the
     record it would get alone, with its baseline in ``open_loop``.
-    Raises ValueError for an untracked plan.  A correction budget overrun
-    does not raise: the record is flagged.
+    Verification v of slot k observes with the standard normals
+    ``streams[k].observation_normals[v]``.  Raises ValueError for an
+    untracked plan, or for streams holding fewer than
+    ``max_corrections + 1`` volumes.  A correction budget overrun does not
+    raise: the record is flagged.
     """
     conv.validate()
     if any(plan.reference is None for plan in plans):
@@ -275,7 +281,13 @@ def correct_insertions(
     dirs = np.array([traj.dir for traj in trajs])
     targets_obs = np.array([plan.target_obs for plan in plans])
     reference = geometry.stack_references([plan.reference for plan in plans])
-    obs_streams = [s.observation() for s in streams]
+    # verification v of slot k observes with budget[k][v]; each step gathers
+    # only the volumes it takes, not a restacked copy of every budget
+    budget = [s.observation_normals for s in streams]
+    volumes = min(len(b) for b in budget)
+    if volumes <= conv.max_corrections:
+        raise ValueError(f"the streams hold {volumes} observation volumes, "
+                         f"{conv.max_corrections} corrections need {conv.max_corrections + 1}")
     needle_counts = [s.needle_count for s in streams]
     # penetration is read from the fixed pass depth, so the gland transform
     # depends on the tip only through "is it past the gland entry depth"
@@ -299,7 +311,7 @@ def correct_insertions(
     for step in range(conv.max_corrections + 1):
         obs = sensing.observe(
             [phantoms[k] for k in active], rot[active], trans[active], noise,
-            [obs_streams[k] for k in active], [needle_counts[k] for k in active],
+            np.array([budget[k][step] for k in active]), [needle_counts[k] for k in active],
         )
         reg_rot, reg_trans, rms[active] = sensing.rigid_register(reference.rows(active), obs)
         tracked = sensing.track_target(reg_rot, reg_trans, targets_obs[active])

@@ -186,7 +186,8 @@ class RegistrationReference:
     centered: np.ndarray  # (K, N, 3)
 
     def rows(self, index) -> RegistrationReference:
-        """The sets at ``index`` (an integer array), as a stack of their own."""
+        """The sets at ``index`` as a stack of their own: a copy for an
+        integer array, a view of this stack for a slice."""
         return RegistrationReference(self.points[index], self.mean[index], self.centered[index])
 
 

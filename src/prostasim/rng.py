@@ -13,17 +13,20 @@ that one draw.
 
 Each insertion stream has a fixed layout of standard normals, whatever
 the noise parameters (N fiducials): reference, N x 3 for the reference
-volume then 3 for the observed target; observation, N x 3 per
-verification volume; motion, 3 once per insertion when
-``noise_sd_motion`` > 0.  So a stream's whole budget could be drawn up
-front in one call, each consumer taking its slice.  It is not: a block's
-reference streams are drawn row by row inside one stacked observe, each
-then giving its slot's observed target, and the closed loop draws each
-slot's observation stream one volume per step, so no stream holds draws
-it may never use.
+volume then 3 for the observed target; motion, 3; observation, N x 3 per
+verification volume, up to the correction budget of
+``max_corrections + 1`` volumes.  The draws do not depend on any noise or
+motion parameter, which only scale them.  So each stream is drawn whole,
+up front, for a block of insertions at once (``draw_insertions``), and
+each consumer takes its slice: the observation budget holds volumes that
+an insertion which converges early never uses.  A block draw re-keys one
+module-level Philox per row instead of building a generator per stream;
+its rows are the draws of ``substream``, bit for bit.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,17 +39,11 @@ CALIBRATE = 5
 
 _FIELD_BITS = 16
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
+_WORD_MASK = (1 << 64) - 1
 
 
-def substream(
-    master_seed: int,
-    purpose: int,
-    phantom: int = 0,
-    target: int = 0,
-    replicate: int = 0,
-    salt: int = 0,
-) -> np.random.Generator:
-    """Generator for one (purpose, phantom, target, replicate) slot.
+def _key(master_seed: int, purpose: int, phantom: int, target: int, replicate: int, salt: int) -> int:
+    """The 128-bit Philox key of one stream; raises ValueError for an index outside 16 bits.
 
     ``salt`` mixes in a component-level seed (see the ``rng_seed`` fields on
     the parameter dataclasses) without disturbing the structural packing.
@@ -60,49 +57,101 @@ def substream(
         | (target << _FIELD_BITS)
         | replicate
     )
-    key = (((master_seed ^ (salt * 0x9E3779B97F4A7C15)) & (2**64 - 1)) << 64) | packed
+    return (((master_seed ^ (salt * 0x9E3779B97F4A7C15)) & _WORD_MASK) << 64) | packed
+
+
+def substream(
+    master_seed: int,
+    purpose: int,
+    phantom: int = 0,
+    target: int = 0,
+    replicate: int = 0,
+    salt: int = 0,
+) -> np.random.Generator:
+    """Generator for one (purpose, phantom, target, replicate) slot."""
+    key = _key(master_seed, purpose, phantom, target, replicate, salt)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class InsertionStreams:
-    """Bundle of the independent streams one insertion consumes.
+# One bit generator for every block draw, set to a fresh stream's state
+# before each row: counter 0 and an empty buffer, as ``Philox(key=...)``
+# starts, so nothing a previous row left behind reaches the next.  Two
+# threads drawing at once would interleave their rows; the study is serial.
+_PHILOX = np.random.Philox()
+_NORMALS = np.random.Generator(_PHILOX)
+_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+    "buffer": [0, 0, 0, 0],
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
 
-    ``motion()`` returns a fresh generator at the same key every call;
-    the insertion draws its motion noise from it once, and every gland
-    transform of the insertion uses that draw.  The observation stream is
-    created once and advances across verification volumes.
-    ``needle_count`` carries the session degradation state.
+
+def standard_normals(master_seed: int, purpose: int, slots, salt: int, size: int) -> np.ndarray:
+    """The first ``size`` standard normals of each slot's stream, (K, size).
+
+    ``slots`` lists (phantom, target, replicate) indices; row k equals
+    ``substream(master_seed, purpose, *slots[k], salt).standard_normal(size)``.
+    Raises ValueError for an index outside 16 bits, as ``substream`` does.
+    """
+    out = np.empty((len(slots), size))
+    inner = _STATE["state"]
+    for row, (phantom, target, replicate) in zip(out, slots):
+        key = _key(master_seed, purpose, phantom, target, replicate, salt)
+        inner["key"] = [key & _WORD_MASK, key >> 64]
+        _PHILOX.state = _STATE
+        _NORMALS.standard_normal(out=row)
+    return out
+
+
+@dataclass(eq=False)
+class InsertionStreams:
+    """The standard normals one insertion consumes, drawn up front.
+
+    ``phantom``, ``target`` and ``replicate`` name the slot, and
+    ``needle_count`` carries the session degradation state.  The draws
+    follow the streams' fixed layout (see the module docstring), each a
+    view of its block's draw.  The insertion scales its motion normals
+    once; the closed loop takes one observation volume per verification,
+    in order.
     """
 
-    def __init__(
-        self,
-        master_seed: int,
-        phantom: int,
-        target: int,
-        replicate: int,
-        motion_salt: int = 0,
-        noise_salt: int = 0,
-        needle_count: int = 0,
-    ):
-        self.master_seed = master_seed
-        self.phantom = phantom
-        self.target = target
-        self.replicate = replicate
-        self.motion_salt = motion_salt
-        self.noise_salt = noise_salt
-        self.needle_count = needle_count
+    phantom: int
+    target: int
+    replicate: int
+    needle_count: int
+    reference_normals: np.ndarray  # (N x 3 + 3,)
+    motion_normals: np.ndarray  # (3,)
+    observation_normals: np.ndarray  # (volumes, N, 3)
 
-    def reference(self) -> np.random.Generator:
-        return substream(
-            self.master_seed, REFERENCE, self.phantom, self.target, self.replicate, self.noise_salt
-        )
 
-    def motion(self) -> np.random.Generator:
-        return substream(
-            self.master_seed, MOTION, self.phantom, self.target, self.replicate, self.motion_salt
-        )
+def draw_insertions(
+    master_seed: int,
+    slots,
+    needle_counts,
+    n_fiducials: int,
+    volumes: int,
+    motion_salt: int = 0,
+    noise_salt: int = 0,
+) -> list[InsertionStreams]:
+    """The streams of a block of insertions, one row per (phantom, target, replicate) slot.
 
-    def observation(self) -> np.random.Generator:
-        return substream(
-            self.master_seed, OBSERVE, self.phantom, self.target, self.replicate, self.noise_salt
-        )
+    Each slot's reference, motion and observation streams are drawn whole
+    (``volumes`` verification volumes of ``n_fiducials`` points; an
+    open-loop study, which observes none, passes 0), three block draws in
+    all.  ``needle_counts[k]`` is slot k's session degradation state.
+    """
+    n = len(slots)
+    reference = standard_normals(master_seed, REFERENCE, slots, noise_salt, n_fiducials * 3 + 3)
+    motion = standard_normals(master_seed, MOTION, slots, motion_salt, 3)
+    if volumes:
+        observation = standard_normals(master_seed, OBSERVE, slots, noise_salt, volumes * n_fiducials * 3)
+    else:
+        observation = np.empty((n, 0))
+    observation = observation.reshape(n, volumes, n_fiducials, 3)
+    return [
+        InsertionStreams(p, t, r, count, reference[k], motion[k], observation[k])
+        for k, ((p, t, r), count) in enumerate(zip(slots, needle_counts))
+    ]

@@ -4,8 +4,9 @@ Observing replaces image acquisition: each phantom fiducial is moved by
 the current gland transform and perturbed by isotropic noise whose sd
 grows with tissue depth and with the number of needles already placed
 (image degradation).  An observed volume is an (N, 3) array, row i
-being fiducial i, and always consumes N x 3 normals of its stream, so a
-stream's layout does not depend on the noise parameters (see ``rng``).
+being fiducial i, made from N x 3 standard normals that the caller
+draws (see ``rng``) and the sd only scales, so a stream's layout does
+not depend on the noise parameters.
 Registration of an observed volume against the reference volume,
 prepared once per insertion, recovers the gland transform, which tracks
 the target.
@@ -56,18 +57,18 @@ def observe(
     rotations: np.ndarray,
     translations: np.ndarray,
     noise: NoiseModel,
-    rng_streams,
+    normals: np.ndarray,
     needle_counts,
 ) -> np.ndarray:
     """One synthetic volume for each of K insertions, stacked (K, N, 3).
 
     Row k is every fiducial of ``phantoms[k]`` moved by the gland transform
-    (``rotations[k]``, ``translations[k]``) and perturbed, in id order.
-    ``needle_counts[k]`` is the number of needles already completed in
-    that session and drives the degradation multiplier.  Volume k draws
-    its noise from ``rng_streams[k]``: one ``standard_normal((N, 3))``,
-    three values per row in row order, whatever its sd.  Each volume has
-    the bits it would have if observed alone.
+    (``rotations[k]``, ``translations[k]``) and perturbed, in id order, by
+    its sd times the standard normals ``normals[k]`` (N, 3): the draw of
+    ``standard_normal((N, 3))``, whatever the sd.  ``needle_counts[k]`` is
+    the number of needles already completed in that session and drives the
+    degradation multiplier.  Each volume has the bits it would have if
+    observed alone.
     """
     points = np.array([p.fiducial_points for p in phantoms])
     entry_plane = np.array([p.gland_semiaxes[2] for p in phantoms])
@@ -76,24 +77,25 @@ def observe(
     world = (rotations[:, None] @ points[:, :, :, None])[..., 0] + translations[:, None]
     # depth past the gland entry plane z = -c
     sigma = base[:, None] + noise.depth_gain * np.maximum(0.0, world[:, :, 2] + entry_plane[:, None])
-    draws = np.empty_like(world)
-    for stream, out in zip(rng_streams, draws):
-        stream.standard_normal(out=out)
-    return world + sigma[:, :, None] * draws
+    return world + sigma[:, :, None] * normals
 
 
 def observe_point(
     phantom: ProstatePhantom,
     point_world,
     noise: NoiseModel,
-    rng_stream,
+    normals: np.ndarray,
     needle_count: int = 0,
 ) -> np.ndarray:
-    """Noisy observation of a single world point (e.g. the target bead): 3 normals."""
+    """Noisy observation of a single world point (e.g. the target bead) from 3 standard normals.
+
+    The noise is ``0.0 + sigma * normals``, numpy's ``normal(0.0, sigma, 3)``
+    on those draws, bit for bit.
+    """
     base = noise.sigma0 * noise.degradation_per_needle**needle_count
     p = np.asarray(point_world, dtype=np.float64)
     sigma = base + noise.depth_gain * max(0.0, float(p[2]) + phantom.gland_semiaxes[2])
-    return p + rng_stream.normal(0.0, sigma, 3)
+    return p + (0.0 + sigma * normals)
 
 
 def rigid_register(reference: geometry.RegistrationReference, observed: np.ndarray):

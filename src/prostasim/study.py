@@ -42,7 +42,7 @@ from .phantom import (
     generate_phantom,
     largest_remainder,
 )
-from .rng import InsertionStreams
+from .rng import InsertionStreams, draw_insertions
 from .stats import Sample, kruskal_wallis, mann_whitney_u, median_iqr
 
 CALIBRATION_NOTE = (
@@ -170,9 +170,11 @@ def build_phantoms(cfg: StudyConfig):
 
 
 def _motion_free_key(cfg: StudyConfig) -> dict:
-    """The config minus what shared work may differ in: motion, sigma0, output."""
+    """The config minus what shared work may differ in: the motion
+    parameters but their stream's salt, sigma0 and the output."""
     key = to_dict(cfg)
-    del key["motion"], key["noise"]["sigma0"], key["output"]
+    key["motion"] = {"rng_seed": cfg.motion.rng_seed}
+    del key["noise"]["sigma0"], key["output"]
     return key
 
 
@@ -183,14 +185,20 @@ class SharedWork:
     axes of a calibration grid).
 
     A phantom holds no motion parameters, so the phantoms are built once
-    and every study uses them as built.  An insertion plan depends on
-    sigma0 but not on motion, so plans are made on first use and kept per
-    (sigma0, phantom, target, replicate).  Make one with ``share_work`` and
-    keep it no longer than the search that uses it.
+    and every study uses them as built.  An insertion's streams depend on
+    no grid value (the noise and motion parameters only scale their
+    standard normals, see ``rng``), so they are drawn on first use and
+    kept per (phantom, target, replicate); the motion stream's salt,
+    ``motion.rng_seed``, is part of the config the work is shared under.
+    An insertion plan depends on sigma0 but not on motion, so plans are
+    made on first use and kept per (sigma0, phantom, target, replicate).
+    Make one with ``share_work`` and keep it no longer than the search
+    that uses it.
     """
 
     key: dict
     phantoms: list
+    streams: dict[tuple, InsertionStreams] = field(default_factory=dict)
     plans: dict[tuple, InsertionPlan] = field(default_factory=dict)
 
 
@@ -200,24 +208,38 @@ def share_work(cfg: StudyConfig) -> SharedWork:
 
 
 # slots per block: the closed loop steps a block together, and a block's
-# plans and records are let go before the next one starts: the default
-# study run as one block peaked at 54 MB of RSS, at 128 slots at 41.5 MB.
+# streams, plans and records are let go before the next one starts: the
+# default study run as one block peaked at 54 MB of RSS, at 128 slots at
+# 41.5 MB.
 BLOCK_SLOTS = 128
+
+
+def _held(held: dict, keys: list, make) -> list:
+    """The values ``held`` keeps for ``keys``; the missing ones are made
+    together, by ``make`` on their positions in ``keys``, and kept."""
+    values = [held.get(key) for key in keys]
+    todo = [k for k, value in enumerate(values) if value is None]
+    if todo:
+        for k, value in zip(todo, make(todo)):
+            values[k] = held[keys[k]] = value
+    return values
 
 
 def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport:
     """Run every insertion of the configured study; the report summarizes them.
 
     The slots (phantom, target, replicate) are worked through in blocks of
-    ``BLOCK_SLOTS``.  The slots of a block that have no plan yet are
-    planned together (``plan_insertions``), each slot is given its
-    open-loop baseline (``open_loop_insertion``) under ``cfg.motion``, and
-    a closed-loop study then corrects the whole block together
+    ``BLOCK_SLOTS``.  The streams of a block's slots are drawn together
+    (``rng.draw_insertions``, the observation budget only for a
+    closed-loop study), the slots that have no plan yet are planned
+    together (``plan_insertions``), each slot is given its open-loop
+    baseline (``open_loop_insertion``) under ``cfg.motion``, and a
+    closed-loop study then corrects the whole block together
     (``correct_insertions``).  The records do not depend on the block
-    size.  With ``shared`` (see SharedWork) the phantoms come from it and
-    the plans are kept in it for the next study, which plans only the
-    slots it does not hold; the records are the same as without it.
-    Without it no plan outlives its block.
+    size.  With ``shared`` (see SharedWork) the phantoms come from it, and
+    the streams and plans are kept in it for the next study, which draws
+    and plans only the slots it does not hold; the records are the same
+    as without it.  Without it no stream or plan outlives its block.
     """
     cfg.validate()
     if shared is None:
@@ -229,6 +251,8 @@ def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport
     arch = cfg.arch.build()
     do_closed = cfg.mode in ("closed_loop", "both")
     do_open = cfg.mode in ("open_loop", "both")
+    n_fiducials = len(phantoms[0].fiducial_points)
+    volumes = cfg.convergence.max_corrections + 1 if do_closed else 0
 
     slots = list(itertools.product(
         range(cfg.n_phantoms), range(cfg.targets_per_phantom), range(cfg.n_seed_replicates)
@@ -237,24 +261,19 @@ def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport
     rows_open: list[RecordRow] = []
     for start in range(0, len(slots), BLOCK_SLOTS):
         block = slots[start:start + BLOCK_SLOTS]
-        streams = [
-            InsertionStreams(cfg.seed, p, t, r, motion_salt=cfg.motion.rng_seed,
-                             noise_salt=cfg.noise.rng_seed, needle_count=t)
-            for p, t, r in block
-        ]
-        # without shared work a block's plans are kept only for the block
-        held = shared.plans if shared is not None else {}
-        keys = [(cfg.noise.sigma0, p, t, r) for p, t, r in block]
-        plans = [held.get(key) for key in keys]
-        todo = [k for k, plan in enumerate(plans) if plan is None]
-        if todo:
-            made = plan_insertions(
-                [phantoms[block[k][0]] for k in todo], cfg.robot, arch, cfg.noise,
-                [block[k][1] for k in todo], [streams[k] for k in todo],
-                cfg.entry_region, cfg.needle_radius, track=do_closed,
-            )
-            for k, plan in zip(todo, made):
-                plans[k] = held[keys[k]] = plan
+        # without shared work a block's streams and plans are kept only for the block
+        held_streams, held_plans = (shared.streams, shared.plans) if shared is not None else ({}, {})
+        # the needle count of a slot is its target's place in the session
+        streams = _held(held_streams, block, lambda todo: draw_insertions(
+            cfg.seed, [block[k] for k in todo], [block[k][1] for k in todo], n_fiducials, volumes,
+            cfg.motion.rng_seed, cfg.noise.rng_seed,
+        ))
+        keys = [(cfg.noise.sigma0, *slot) for slot in block]
+        plans = _held(held_plans, keys, lambda todo: plan_insertions(
+            [phantoms[block[k][0]] for k in todo], cfg.robot, arch, cfg.noise,
+            [block[k][1] for k in todo], [streams[k] for k in todo],
+            cfg.entry_region, cfg.needle_radius, track=do_closed,
+        ))
         # streams goes by keyword: perfbench's tracer keys tasks on it
         baselines = [
             open_loop_insertion(phantoms[p], cfg.motion, plan, streams=slot_streams)

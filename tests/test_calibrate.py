@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import tiny_config
 from prostasim import calibrate as cal
-from prostasim import planning, study
+from prostasim import planning, rng, study
 from prostasim.config import from_dict
 
 
@@ -86,9 +87,6 @@ def test_grid_is_centered_and_sized():
 
 
 def test_shared_work_gives_the_fresh_results_on_every_grid_point():
-    base = tiny_config(mode="closed_loop", replicates=1)
-    base.motion.noise_sd_motion = 0.8
-    shared = study.share_work(base)
     axes = {
         "axial_base_offset": (1.5, 3.0),
         "axial_gain": (0.05, 0.2),
@@ -96,17 +94,36 @@ def test_shared_work_gives_the_fresh_results_on_every_grid_point():
         "noise_sd_motion": (0.0, 1.5),
         "sigma0": (0.05, 0.3),
     }
-    for values in itertools.product(*axes.values()):
-        cfg = cal._apply_params(base, dict(zip(axes, values)))
-        assert cal.study_medians(cfg, shared) == cal.study_medians(cfg)
-        assert study.run_study(cfg, shared).rows_closed == study.run_study(cfg).rows_closed
-    # one plan per sigma0 value and insertion
-    assert len(shared.plans) == 2 * base.n_phantoms * base.targets_per_phantom
+    # insertions that verify with the last volume of their budget, per budget
+    spent = Counter()
+    for max_corrections in (10, 2):
+        base = tiny_config(mode="closed_loop", replicates=1)
+        base.motion.noise_sd_motion = 0.8
+        base.convergence.max_corrections = max_corrections
+        shared = study.share_work(base)
+        for values in itertools.product(*axes.values()):
+            cfg = cal._apply_params(base, dict(zip(axes, values)))
+            assert cal.study_medians(cfg, shared) == cal.study_medians(cfg)
+            rows = study.run_study(cfg, shared).rows_closed
+            assert rows == study.run_study(cfg).rows_closed
+            spent[max_corrections] += sum(row.n_corrections == max_corrections for row in rows)
+        # one plan per sigma0 value and insertion, one set of streams per insertion
+        insertions = base.n_phantoms * base.targets_per_phantom
+        assert len(shared.plans) == 2 * insertions
+        assert len(shared.streams) == insertions
+    assert spent[2] > 0
 
 
 def test_calibrate_builds_phantoms_once_and_plans_once_per_sigma0(monkeypatch):
     calls = {"phantoms": 0, "plans": 0}
     build, plan = study.build_phantoms, planning.plan_trajectories
+    # the rows each stream purpose is drawn for, by slot
+    drawn = {purpose: Counter() for purpose in (rng.REFERENCE, rng.MOTION, rng.OBSERVE)}
+    draw = rng.standard_normals
+
+    def normals(master_seed, purpose, slots, salt, size):
+        drawn[purpose].update(slots)
+        return draw(master_seed, purpose, slots, salt, size)
 
     def count(key, fn, rows=lambda *args: 1):
         def counted(*args, **kwargs):
@@ -119,10 +136,15 @@ def test_calibrate_builds_phantoms_once_and_plans_once_per_sigma0(monkeypatch):
     monkeypatch.setattr(
         planning, "plan_trajectories", count("plans", plan, lambda arch, targets, *rest: len(targets))
     )
+    monkeypatch.setattr(rng, "standard_normals", normals)
     base = tiny_config(mode="closed_loop", replicates=1)
     cal.calibrate(base, replicates=1, grid_points=2)
     insertions = base.n_phantoms * base.targets_per_phantom
     assert calls == {"phantoms": 1, "plans": 2 * insertions}
+    # each slot's streams, its observation budget among them, are drawn once per search
+    slots = set(itertools.product(range(base.n_phantoms), range(base.targets_per_phantom), range(1)))
+    for purpose, rows in drawn.items():
+        assert set(rows) == slots and set(rows.values()) == {1}, purpose
 
 
 def test_calibrate_leaves_the_shared_phantoms_as_built(monkeypatch):

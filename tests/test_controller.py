@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import segment_distance_oracle, tiny_config
-from prostasim import controller, geometry, planning, sensing, study
+from prostasim import controller, geometry, planning, rng, sensing, study
 from prostasim import phantom as ph
 from prostasim.config import default_config
 from prostasim.controller import (
@@ -29,7 +29,7 @@ from prostasim.phantom import (
     world_to_material,
 )
 from prostasim.planning import EntryRegion, NoFeasiblePath, PubicArchModel
-from prostasim.rng import InsertionStreams
+from prostasim.rng import draw_insertions, substream
 from prostasim.sensing import NoiseModel
 
 
@@ -59,8 +59,12 @@ def quiet_noise():
     return NoiseModel(sigma0=0.0, depth_gain=0.0, degradation_per_needle=1.0)
 
 
-def streams(target_id, seed=31):
-    return InsertionStreams(seed, phantom=0, target=target_id, replicate=0)
+N_FIDUCIALS = len(make_phantom().fiducial_points)
+
+
+def streams(target_id, seed=31, needle_count=0, volumes=ConvergenceParams().max_corrections + 1):
+    """The streams of one insertion, slot (0, target_id, 0), drawn as a block of one."""
+    return draw_insertions(seed, [(0, target_id, 0)], [needle_count], N_FIDUCIALS, volumes)[0]
 
 
 def non_left_target(phantom):
@@ -196,6 +200,13 @@ def test_correction_budget_flagged_not_raised():
     assert rec.max_corrections_exceeded
     assert rec.n_corrections == 3
     assert len(rec.corrections) == 4  # initial verification plus the budget
+    # the streams must hold a volume for every verification the budget allows
+    plan = plan_quiet(p, t.id, noise=noisy)
+    short = streams(t.id, volumes=3)
+    with pytest.raises(ValueError, match="3 observation volumes"):
+        run_insertion(p, STILL, noisy, GEOM, conv, plan, short)
+    exact = run_insertion(p, STILL, noisy, GEOM, conv, plan, streams(t.id, volumes=4))
+    assert_same_record(exact, rec)
 
 
 def test_durations_and_rotation():
@@ -372,14 +383,6 @@ def assert_same_plan(a, b):
             np.testing.assert_array_equal(getattr(a.reference, name), getattr(b.reference, name), err_msg=name)
 
 
-class KeptStreams(InsertionStreams):
-    """Streams that keep the reference generator they hand out, to read where it ended."""
-
-    def reference(self):
-        self.kept = super().reference()
-        return self.kept
-
-
 # two phantoms of different shape, so the slots of one block differ in their
 # fiducials, and the first again with an eleventh target outside the gland,
 # whose direct line misses it
@@ -468,6 +471,21 @@ def oracle_first_pass(phantom, traj, geom):
     return joints, duration, pen, np.nan if entry_depth is None else entry_depth
 
 
+def oracle_reference(slot, noise):
+    """The reference volume and observed target of a slot, each fiducial and
+    then the target observed with ``normal`` from its reference stream."""
+    phantom, target_id, seed, count = slot
+    stream = substream(seed, rng.REFERENCE, 0, target_id, 0)
+    base = noise.sigma0 * noise.degradation_per_needle**count
+    c = phantom.gland_semiaxes[2]
+
+    def seen(point):
+        return point + stream.normal(0.0, base + noise.depth_gain * max(0.0, float(point[2]) + c), 3)
+
+    volume = np.array([seen(point) for point in phantom.fiducial_points])
+    return volume, seen(phantom.target_by_id(target_id).position_rest)
+
+
 @st.composite
 def block_slots(draw):
     """One slot of a block: phantom, target id, reference stream seed, needle count."""
@@ -522,25 +540,25 @@ def test_a_block_plans_each_slot_as_it_would_alone(
             block_streams, track=track,
         )
 
-    def kept(slot):
-        _, target_id, seed, count = slot
-        return KeptStreams(seed, phantom=0, target=target_id, replicate=0, needle_count=count)
-
-    alone, alone_streams = [], [kept(slot) for slot in slots]
-    for slot, slot_streams in zip(slots, alone_streams):
+    block_streams = [streams(target_id, seed, count, volumes=0) for _, target_id, seed, count in slots]
+    alone = []
+    for slot, slot_streams in zip(slots, block_streams):
         try:
             alone.append(plan([slot], [slot_streams])[0])
         except NoFeasiblePath:
             alone.append(None)
-    block_streams = [kept(slot) for slot in slots]
     if None in alone:
         with pytest.raises(NoFeasiblePath):
             plan(slots, block_streams)
         return
-    for a, b, sa, sb, slot in zip(alone, plan(slots, block_streams), alone_streams, block_streams, slots):
+    for a, b, slot in zip(alone, plan(slots, block_streams), slots):
         assert_same_plan(a, b)
-        # each reference stream took exactly its own draws
-        np.testing.assert_equal(sb.kept.bit_generator.state, sa.kept.bit_generator.state)
+        # the reference volume and the observed target are those of the
+        # slot's reference stream, drawn point by point
+        volume, target_obs = oracle_reference(slot, noise)
+        np.testing.assert_array_equal(b.target_obs, target_obs)
+        if track:
+            np.testing.assert_array_equal(b.reference.points[0], volume)
         # and the plan is the one the per-slot oracle makes from the observed target
         traj = oracle_trajectory(arch, b.target_obs, EntryRegion(), robot)
         joints, duration, pen, entry_depth = oracle_first_pass(slot[0], traj, robot)

@@ -21,7 +21,7 @@ from prostasim.phantom import (
     prostate_transform,
     world_to_material,
 )
-from prostasim.rng import InsertionStreams
+from prostasim.rng import MOTION, substream
 
 
 def quiet_motion(**overrides):
@@ -210,7 +210,7 @@ def test_rotation_angle_matches_formula_and_pivot_fixed():
 def test_motion_noise_is_frozen_across_corrections():
     motion = quiet_motion(axial_gain=0.1, axial_base_offset=2.0, noise_sd_motion=1.5)
     p = make_phantom()
-    noise = InsertionStreams(9, 0, 0, 0).motion().normal(0.0, motion.noise_sd_motion, 3)
+    noise = substream(9, MOTION).normal(0.0, motion.noise_sd_motion, 3)
     entry = np.array([0.0, 0.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
     first = transform(p, motion, NeedleState(entry, d, 58.0, pass_depth=58.0), noise)
@@ -227,7 +227,7 @@ def test_material_world_round_trip():
     motion = quiet_motion(axial_gain=0.1, axial_base_offset=2.0, rotation_gain=0.01,
                           noise_sd_motion=1.0)
     p = make_phantom()
-    noise = InsertionStreams(4, 0, 0, 0).motion().normal(0.0, motion.noise_sd_motion, 3)
+    noise = substream(4, MOTION).normal(0.0, motion.noise_sd_motion, 3)
     t = transform(p, motion, NeedleState([6, 2, -60], [0, 0, 1], 70.0), noise)
     rest = p.targets[0].position_rest
     world = geometry.apply(t, rest)

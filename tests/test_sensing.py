@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prostasim import geometry
+from prostasim import geometry, rng
 from prostasim.geometry import DegenerateConfiguration, prepare_reference
 from prostasim.phantom import PhantomSpec, generate_phantom
-from prostasim.rng import InsertionStreams
+from prostasim.rng import draw_insertions, substream
 from prostasim.sensing import (
     NoiseModel,
     observe,
@@ -27,12 +27,18 @@ def quiet_noise(**overrides):
 
 
 def stream(seed=9):
-    return InsertionStreams(seed, phantom=0, target=0, replicate=0).observation()
+    return substream(seed, rng.OBSERVE)
 
 
 def observe_one(phantom, t, noise, s, needle_count=0):
-    """One volume: ``observe`` on a stack of one."""
-    return observe([phantom], t.rotation[None], t.translation[None], noise, [s], [needle_count])[0]
+    """One volume: ``observe`` on a stack of one, with the next N x 3 normals of ``s``."""
+    normals = s.standard_normal((1, len(phantom.fiducial_points), 3))
+    return observe([phantom], t.rotation[None], t.translation[None], noise, normals, [needle_count])[0]
+
+
+def observe_point_one(phantom, point, noise, s):
+    """``observe_point`` with the next 3 normals of ``s``."""
+    return observe_point(phantom, point, noise, s.standard_normal(3))
 
 
 def register_one(ref_points, obs):
@@ -101,7 +107,7 @@ def test_observe_point_scatter_matches_sigma(phantom):
     depth = phantom.gland_semiaxes[2]
     expect = 0.3 + 0.01 * depth
     s = stream()
-    pts = np.array([observe_point(phantom, [5.0, 1.0, 0.0], noise, s) for _ in range(4000)])
+    pts = np.array([observe_point_one(phantom, [5.0, 1.0, 0.0], noise, s) for _ in range(4000)])
     np.testing.assert_allclose(pts.mean(axis=0), [5.0, 1.0, 0.0], atol=0.05)
     np.testing.assert_allclose(pts.std(axis=0), expect, rtol=0.08)
 
@@ -119,9 +125,9 @@ def test_depth_gain_widens_scatter_with_depth(phantom):
     noise = quiet_noise(sigma0=0.05, depth_gain=0.05)
     s = stream()
     shallow = np.array(
-        [observe_point(phantom, [0, 0, -phantom.gland_semiaxes[2]], noise, s) for _ in range(2000)]
+        [observe_point_one(phantom, [0, 0, -phantom.gland_semiaxes[2]], noise, s) for _ in range(2000)]
     )
-    deep = np.array([observe_point(phantom, [0, 0, 20.0], noise, s) for _ in range(2000)])
+    deep = np.array([observe_point_one(phantom, [0, 0, 20.0], noise, s) for _ in range(2000)])
     assert deep.std(axis=0).mean() > 2.0 * shallow.std(axis=0).mean()
 
 
@@ -134,14 +140,22 @@ def test_register_needs_three_common_points(phantom):
 
 def test_observation_stream_replays(phantom):
     noise = quiet_noise(sigma0=0.4)
-    ks = dict(phantom=1, target=2, replicate=3)
-    a = observe_one(phantom, geometry.identity(), noise, InsertionStreams(7, **ks).observation())
-    b = observe_one(phantom, geometry.identity(), noise, InsertionStreams(7, **ks).observation())
+    n = len(phantom.fiducial_points)
+
+    def first_volume():
+        (streams,) = draw_insertions(7, [(1, 2, 3)], [0], n, 2)
+        return observe([phantom], np.eye(3)[None], np.zeros((1, 3)), noise,
+                       streams.observation_normals[None, 0], [0])[0]
+
+    a, b = first_volume(), first_volume()
     np.testing.assert_array_equal(a, b)
+    alone = observe_one(phantom, geometry.identity(), noise, substream(7, rng.OBSERVE, 1, 2, 3))
+    np.testing.assert_array_equal(a, alone)
 
 
 def test_streams_have_a_fixed_layout(phantom):
-    """A volume takes N x 3 normals and a point 3, whatever their sd."""
+    """A volume takes N x 3 normals and a point 3, whatever their sd: the
+    reference layout is one stream drawn point by point with ``normal``."""
     c = phantom.gland_semiaxes[2]
     n = len(phantom.fiducial_points)
     # moved back by c, the fiducials with rest z <= 0 sit in front of the
@@ -155,9 +169,14 @@ def test_streams_have_a_fixed_layout(phantom):
         (quiet_noise(sigma0=0.3), some_transform()),
     ):
         a, b = stream(), stream()
-        observe_one(phantom, t, noise, a)
-        observe_point(phantom, geometry.apply(t, phantom.targets[0].position_rest), noise, a)
-        b.standard_normal(n * 3 + 3)
+        target = geometry.apply(t, phantom.targets[0].position_rest)
+        z = a.standard_normal(n * 3 + 3)
+        normals = z[:-3].reshape(1, n, 3)
+        volume = observe([phantom], t.rotation[None], t.translation[None], noise, normals, [0])[0]
+        np.testing.assert_array_equal(volume, observe_per_point(phantom, t, noise, b, 0))
+        sigma = noise.sigma0 + noise.depth_gain * max(0.0, float(target[2]) + c)
+        point = observe_point(phantom, target, noise, z[-3:])
+        np.testing.assert_array_equal(point, target + b.normal(0.0, sigma, 3))
         assert a.standard_normal() == b.standard_normal()
 
 
@@ -247,13 +266,17 @@ def test_stacked_kernels_match_a_row_by_row_loop_bit_for_bit(rows, sigma0, depth
     counts = [r[2] for r in rows]
     ours = [stream(seed) for *_, seed in rows]
     theirs = [stream(seed) for *_, seed in rows]
+
+    def normals():
+        return np.array([s.standard_normal(p.fiducial_points.shape) for s, p in zip(ours, phantoms)])
+
     rotations = np.array([t.rotation for t in transforms])
     translations = np.array([t.translation for t in transforms])
     rest = np.eye(3)[None].repeat(len(rows), axis=0), np.zeros((len(rows), 3))
 
     # a reference volume at rest, then a volume under each row's transform
-    ref = observe(phantoms, *rest, noise, ours, counts)
-    obs = observe(phantoms, rotations, translations, noise, ours, counts)
+    ref = observe(phantoms, *rest, noise, normals(), counts)
+    obs = observe(phantoms, rotations, translations, noise, normals(), counts)
     rot, trans, rms = rigid_register(prepare_reference(ref), obs)
     targets = np.array([p.targets[0].position_rest for p in phantoms])
     tracked = track_target(rot, trans, targets)

@@ -86,6 +86,8 @@ def test_shared_work_refuses_another_config():
         lambda c: setattr(c.noise, "depth_gain", 0.002),
         lambda c: setattr(c, "mode", "both"),
         lambda c: setattr(c.phantom, "left_bias_enabled", True),
+        # the salt of the motion streams that shared work keeps
+        lambda c: setattr(c.motion, "rng_seed", c.motion.rng_seed + 1),
     ):
         other = copy.deepcopy(cfg)
         change(other)
