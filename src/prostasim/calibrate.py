@@ -9,22 +9,21 @@ rejected outright, since the objective alone cannot see them.
 
 The grid points differ only in the four motion parameters and ``sigma0``,
 so a search reuses the motion-free half of every study
-(``study.SharedWork``): the phantoms, which hold no motion parameters,
-are built once per search and every study uses them as built, each
-insertion's random streams, whose standard normals the grid values only
-scale, are drawn once per search, and each insertion plan, which is
-made from a reference volume observed at rest and so depends on
-``sigma0`` but not on motion, once per ``sigma0`` value; each study
-passes its own motion parameters to the insertions.  The grid's order
-and its strict-``<`` choice of the best point are those of an unshared
-search, and so are the results.
+(``study.SharedWork``), which it keeps by whole block of slots: the
+phantoms, which hold no motion parameters, are built once per search and
+every study uses them as built, each block's random streams, whose
+standard normals the grid values only scale, are drawn once per search,
+and each block's plans, made from reference volumes observed at rest and
+so dependent on ``sigma0`` but not on motion, once per ``sigma0`` value;
+each study passes its own motion parameters to the insertions.  The
+grid's order and its strict-``<`` choice of the best point are those of
+an unshared search, and so are the results.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,20 +111,11 @@ def _feasible(medians: dict, corrections: dict) -> bool:
 
 
 def _with_params(base: StudyConfig, params: dict) -> StudyConfig:
-    """A copy of ``base`` with ``sigma0`` and the motion parameters set."""
-    cfg = copy.deepcopy(base)
-    for key, value in params.items():
-        if key == "sigma0":
-            cfg.noise.sigma0 = value
-        else:
-            setattr(cfg.motion, key, value)
-    return cfg
-
-
-def _apply_params(base: StudyConfig, params: dict) -> StudyConfig:
-    cfg = _with_params(base, params)
-    cfg.mode = "closed_loop"
-    return cfg
+    """``base`` with ``sigma0`` and the motion parameters set; only its
+    motion and noise sections are new objects, the rest is ``base``'s own."""
+    motion = {key: value for key, value in params.items() if key != "sigma0"}
+    noise = {key: value for key, value in params.items() if key == "sigma0"}
+    return replace(base, motion=replace(base.motion, **motion), noise=replace(base.noise, **noise))
 
 
 def calibrate(
@@ -136,30 +126,31 @@ def calibrate(
     """Search a grid centered on the base config's parameters.
 
     ``grid_points`` values per axis over +/- ``SPANS`` around each center.
-    Returns the best feasible candidate (falling back to the best overall
-    if nothing passes the shape constraints, flagged infeasible).  Raises
-    ValueError when ``replicates`` or ``grid_points`` is below 1.
+    Every grid point is a closed-loop study of ``replicates`` seed
+    replicates, and all of them share one ``SharedWork``.  Returns the
+    best feasible candidate (falling back to the best overall if nothing
+    passes the shape constraints, flagged infeasible).  Raises ValueError
+    when ``replicates`` or ``grid_points`` is below 1.
     """
     if replicates < 1 or grid_points < 1:
         raise ValueError(
             f"calibrate: replicates and grid_points must be >= 1, got {replicates} and {grid_points}"
         )
-    base = copy.deepcopy(base)
-    base.n_seed_replicates = replicates
+    base = replace(base, n_seed_replicates=replicates, mode="closed_loop")
     axes = [
         _grid(base.noise.sigma0 if key == "sigma0" else getattr(base.motion, key), span, grid_points)
         for key, span in SPANS.items()
     ]
 
     # phantoms, streams and plans are motion-free: made once per search,
-    # each plan once per sigma0 value, and dropped when the search returns
-    shared = share_work(_apply_params(base, {}))
+    # each block's plans once per sigma0 value, and dropped when the search returns
+    shared = share_work(base)
     best = None
     best_any = None
     # the last axis (sigma0) varies fastest
     for values in itertools.product(*axes):
         params = {key: max(0.0, v) for key, v in zip(SPANS, values)}
-        medians, corr = study_medians(_apply_params(base, params), shared)
+        medians, corr = study_medians(_with_params(base, params), shared)
         obj = objective(medians)
         ok = _feasible(medians, corr)
         cand = CalibrationResult(params, obj, medians, ok)

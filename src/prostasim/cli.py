@@ -100,11 +100,21 @@ def _print_headline(summary: dict):
         )
 
 
+def _make_out_dir(out_dir: str):
+    """Create the output directory before a run, so that one that cannot be
+    written fails at once rather than after the whole run."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise RuntimeError(f"cannot write under {out_dir}: {e}") from e
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.emit_default_config:
         sys.stdout.write(to_yaml(default_config(), DEFAULT_CONFIG_HEADER))
         return 0
     cfg = _resolve_config(args)
+    _make_out_dir(cfg.output.dir)
     report = run_study(cfg)
     written = write_report(report, cfg.output.dir, cfg.output.format)
     _print_headline(report.summary)
@@ -126,11 +136,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     if args.replicates < 1 or args.grid_points < 1:
         raise ConfigError("calibrate: --replicates and --grid-points must be >= 1")
+    _make_out_dir(cfg.output.dir)
     result = calibrate_mod.calibrate(
         cfg, replicates=args.replicates, grid_points=args.grid_points
     )
     text = calibrate_mod.fitted_config_yaml(cfg, result, args.replicates, args.grid_points)
-    os.makedirs(cfg.output.dir, exist_ok=True)
     path = os.path.join(cfg.output.dir, "fitted_config.yaml")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

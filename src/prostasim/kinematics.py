@@ -139,14 +139,14 @@ def insertion_duration(geom: RobotGeometry, depth_change: float) -> float:
     return abs(depth_change) / geom.insertion_speed
 
 
-def advance_insertion(geom: RobotGeometry, depth, angle, depth_change, rotating: bool = True):
+def advance_insertion(geom: RobotGeometry, depth, angle, depth_change):
     """Drive K insertion axes from ``depth`` and rotation ``angle`` by ``depth_change``.
 
     Returns the (depth, angle, seconds) arrays after the move; a depth
-    stops at 0.  The rotation angle accumulates at rotation_speed while the
-    needle is rotating during the move.
+    stops at 0.  The needle rotates during the move, so the rotation angle
+    accumulates at rotation_speed.
     """
     duration = insertion_duration(geom, depth_change)
-    angle = angle + (geom.rotation_speed * duration * 360.0 if rotating else 0.0)
+    angle = angle + geom.rotation_speed * duration * 360.0
     depth = depth + depth_change
     return np.where(depth < 0, 0.0, depth), angle, duration

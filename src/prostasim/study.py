@@ -184,22 +184,23 @@ class SharedWork:
     that differ only in the motion parameters and ``noise.sigma0`` (the
     axes of a calibration grid).
 
-    A phantom holds no motion parameters, so the phantoms are built once
-    and every study uses them as built.  An insertion's streams depend on
-    no grid value (the noise and motion parameters only scale their
-    standard normals, see ``rng``), so they are drawn on first use and
-    kept per (phantom, target, replicate); the motion stream's salt,
-    ``motion.rng_seed``, is part of the config the work is shared under.
-    An insertion plan depends on sigma0 but not on motion, so plans are
-    made on first use and kept per (sigma0, phantom, target, replicate).
+    Every such study has the same slots, and so the same blocks (see
+    ``run_study``).  A phantom holds no motion parameters, so the phantoms
+    are built once and every study uses them as built.  A block's streams
+    depend on no grid value (the noise and motion parameters only scale
+    their standard normals, see ``rng``), so they are drawn on first use
+    and kept under the block's slot range ``(start, stop)``; the motion
+    stream's salt, ``motion.rng_seed``, is part of the config the work is
+    shared under.  A block's plans depend on sigma0 but not on motion, so
+    they are made on first use and kept under ``(sigma0, start, stop)``.
     Make one with ``share_work`` and keep it no longer than the search
     that uses it.
     """
 
     key: dict
     phantoms: list
-    streams: dict[tuple, InsertionStreams] = field(default_factory=dict)
-    plans: dict[tuple, InsertionPlan] = field(default_factory=dict)
+    streams: dict[tuple, list[InsertionStreams]] = field(default_factory=dict)
+    plans: dict[tuple, list[InsertionPlan]] = field(default_factory=dict)
 
 
 def share_work(cfg: StudyConfig) -> SharedWork:
@@ -214,32 +215,21 @@ def share_work(cfg: StudyConfig) -> SharedWork:
 BLOCK_SLOTS = 128
 
 
-def _held(held: dict, keys: list, make) -> list:
-    """The values ``held`` keeps for ``keys``; the missing ones are made
-    together, by ``make`` on their positions in ``keys``, and kept."""
-    values = [held.get(key) for key in keys]
-    todo = [k for k, value in enumerate(values) if value is None]
-    if todo:
-        for k, value in zip(todo, make(todo)):
-            values[k] = held[keys[k]] = value
-    return values
-
-
 def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport:
     """Run every insertion of the configured study; the report summarizes them.
 
     The slots (phantom, target, replicate) are worked through in blocks of
-    ``BLOCK_SLOTS``.  The streams of a block's slots are drawn together
+    ``BLOCK_SLOTS``.  A block's streams are drawn together
     (``rng.draw_insertions``, the observation budget only for a
-    closed-loop study), the slots that have no plan yet are planned
-    together (``plan_insertions``), each slot is given its open-loop
-    baseline (``open_loop_insertion``) under ``cfg.motion``, and a
-    closed-loop study then corrects the whole block together
-    (``correct_insertions``).  The records do not depend on the block
-    size.  With ``shared`` (see SharedWork) the phantoms come from it, and
-    the streams and plans are kept in it for the next study, which draws
-    and plans only the slots it does not hold; the records are the same
-    as without it.  Without it no stream or plan outlives its block.
+    closed-loop study), its slots are planned together
+    (``plan_insertions``), each slot is given its open-loop baseline
+    (``open_loop_insertion``) under ``cfg.motion``, and a closed-loop
+    study then corrects the whole block together (``correct_insertions``).
+    The records do not depend on the block size.  With ``shared`` (see
+    SharedWork) the phantoms come from it, and a block's streams and plans
+    are kept in it for the next study, which draws and plans only the
+    blocks it does not hold; the records are the same as without it.
+    Without it no stream or plan outlives its block.
     """
     cfg.validate()
     if shared is None:
@@ -260,28 +250,32 @@ def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport
     rows_closed: list[RecordRow] = []
     rows_open: list[RecordRow] = []
     for start in range(0, len(slots), BLOCK_SLOTS):
-        block = slots[start:start + BLOCK_SLOTS]
+        stop = min(start + BLOCK_SLOTS, len(slots))
+        block = slots[start:stop]
+        block_phantoms = [phantoms[p] for p, _, _ in block]
+        # the needle count of a slot is its target's place in the session
+        target_ids = [t for _, t, _ in block]
         # without shared work a block's streams and plans are kept only for the block
         held_streams, held_plans = (shared.streams, shared.plans) if shared is not None else ({}, {})
-        # the needle count of a slot is its target's place in the session
-        streams = _held(held_streams, block, lambda todo: draw_insertions(
-            cfg.seed, [block[k] for k in todo], [block[k][1] for k in todo], n_fiducials, volumes,
-            cfg.motion.rng_seed, cfg.noise.rng_seed,
-        ))
-        keys = [(cfg.noise.sigma0, *slot) for slot in block]
-        plans = _held(held_plans, keys, lambda todo: plan_insertions(
-            [phantoms[block[k][0]] for k in todo], cfg.robot, arch, cfg.noise,
-            [block[k][1] for k in todo], [streams[k] for k in todo],
-            cfg.entry_region, cfg.needle_radius, track=do_closed,
-        ))
+        streams = held_streams.get((start, stop))
+        if streams is None:
+            streams = held_streams[start, stop] = draw_insertions(
+                cfg.seed, block, target_ids, n_fiducials, volumes, cfg.motion.rng_seed, cfg.noise.rng_seed,
+            )
+        plans = held_plans.get((cfg.noise.sigma0, start, stop))
+        if plans is None:
+            plans = held_plans[cfg.noise.sigma0, start, stop] = plan_insertions(
+                block_phantoms, cfg.robot, arch, cfg.noise, target_ids, streams,
+                cfg.entry_region, cfg.needle_radius, track=do_closed,
+            )
         # streams goes by keyword: perfbench's tracer keys tasks on it
         baselines = [
-            open_loop_insertion(phantoms[p], cfg.motion, plan, streams=slot_streams)
-            for (p, _, _), plan, slot_streams in zip(block, plans, streams)
+            open_loop_insertion(phantom, cfg.motion, plan, streams=slot_streams)
+            for phantom, plan, slot_streams in zip(block_phantoms, plans, streams)
         ]
         if do_closed:
             closed = correct_insertions(
-                [phantoms[p] for p, _, _ in block], cfg.motion, cfg.noise, cfg.robot,
+                block_phantoms, cfg.motion, cfg.noise, cfg.robot,
                 cfg.convergence, plans, streams, baselines,
             )
             rows_closed.extend(_row_from_record(rec, p, r) for rec, (p, _, r) in zip(closed, block))
@@ -521,9 +515,9 @@ def write_report(report: StudyReport, out_dir: str, fmt: str = "json") -> list[s
     Output bytes depend only on (config, seed, version), never on
     execution order or dict ordering.
     """
-    os.makedirs(out_dir, exist_ok=True)
     written = []
     try:
+        os.makedirs(out_dir, exist_ok=True)
         if report.rows_closed:
             path = os.path.join(out_dir, "records_closed.csv")
             _write_text(path, rows_to_csv(report.rows_closed))

@@ -10,7 +10,7 @@ import pytest
 from conftest import tiny_config
 from prostasim import calibrate as cal
 from prostasim import planning, rng, study
-from prostasim.config import from_dict
+from prostasim.config import from_dict, to_dict
 
 
 def test_objective_zero_at_targets():
@@ -30,15 +30,34 @@ def test_feasibility_filter():
     assert not cal._feasible(flipped, good)
 
 
-def test_apply_params_targets_the_right_fields():
+def test_with_params_targets_the_right_fields():
     base = tiny_config()
-    out = cal._apply_params(base, {"sigma0": 0.9, "axial_gain": 0.33})
+    before = to_dict(base)
+    out = cal._with_params(base, {"sigma0": 0.9, "axial_gain": 0.33})
     assert out.noise.sigma0 == 0.9
     assert out.motion.axial_gain == 0.33
-    assert out.mode == "closed_loop"
+    assert out.motion.rotation_gain == base.motion.rotation_gain
+    assert out.mode == base.mode
+    # only the motion and noise sections are new objects, the rest is the base's own
+    for f in fields(base):
+        assert (getattr(out, f.name) is getattr(base, f.name)) == (f.name not in ("motion", "noise")), f.name
     # the base config is untouched
-    assert base.noise.sigma0 != 0.9
-    assert base.mode == "both"
+    assert to_dict(base) == before
+
+
+def test_calibrate_runs_closed_loop_studies_of_its_replicates(monkeypatch):
+    seen = []
+
+    def medians(cfg, shared):
+        seen.append((cfg.mode, cfg.n_seed_replicates))
+        return dict(cal.TARGETS), {"fraction_exactly_one": 1.0, "fraction_two_or_more": 0.0}
+
+    monkeypatch.setattr(cal, "study_medians", medians)
+    base = tiny_config(mode="both", replicates=2)
+    before = to_dict(base)
+    cal.calibrate(base, replicates=3, grid_points=2)
+    assert seen == [("closed_loop", 3)] * 2 ** len(cal.SPANS)
+    assert to_dict(base) == before
 
 
 def test_study_medians_has_all_target_keys():
@@ -86,7 +105,7 @@ def test_grid_is_centered_and_sized():
     assert g == [0.5, 1.0, 1.5]
 
 
-def test_shared_work_gives_the_fresh_results_on_every_grid_point():
+def test_shared_work_gives_the_fresh_results_on_every_grid_point(monkeypatch):
     axes = {
         "axial_base_offset": (1.5, 3.0),
         "axial_gain": (0.05, 0.2),
@@ -96,21 +115,23 @@ def test_shared_work_gives_the_fresh_results_on_every_grid_point():
     }
     # insertions that verify with the last volume of their budget, per budget
     spent = Counter()
+    # 8 slots: blocks of 3, 3 and 2
+    monkeypatch.setattr(study, "BLOCK_SLOTS", 3)
     for max_corrections in (10, 2):
         base = tiny_config(mode="closed_loop", replicates=1)
         base.motion.noise_sd_motion = 0.8
         base.convergence.max_corrections = max_corrections
         shared = study.share_work(base)
         for values in itertools.product(*axes.values()):
-            cfg = cal._apply_params(base, dict(zip(axes, values)))
+            cfg = cal._with_params(base, dict(zip(axes, values)))
             assert cal.study_medians(cfg, shared) == cal.study_medians(cfg)
             rows = study.run_study(cfg, shared).rows_closed
             assert rows == study.run_study(cfg).rows_closed
             spent[max_corrections] += sum(row.n_corrections == max_corrections for row in rows)
-        # one plan per sigma0 value and insertion, one set of streams per insertion
-        insertions = base.n_phantoms * base.targets_per_phantom
-        assert len(shared.plans) == 2 * insertions
-        assert len(shared.streams) == insertions
+        # one set of streams per block, one set of plans per sigma0 value and block
+        blocks = sorted(shared.streams)
+        assert blocks == [(0, 3), (3, 6), (6, 8)]
+        assert sorted(shared.plans) == [(sigma0, *block) for sigma0 in axes["sigma0"] for block in blocks]
     assert spent[2] > 0
 
 

@@ -147,3 +147,19 @@ def test_simulate_into_unwritable_dir_is_runtime_error(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("simulate", "prostasim.cli", "run_study"),
+    ("calibrate", "prostasim.calibrate", "calibrate"),
+])
+def test_an_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch, command, module, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} ran before it made its output directory")
+
+    monkeypatch.setattr(f"{module}.{name}", refuse)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    code, _, err = run_cli(capsys, command, "--out", str(blocker / "sub"))
+    assert code == 2
+    assert "cannot write" in err

@@ -584,26 +584,44 @@ def test_a_collinear_reference_volume_anywhere_in_a_block_raises():
     assert [plan.reference for plan in plans] == [None] * 4
 
 
-def test_a_study_plans_only_the_slots_its_shared_work_lacks(monkeypatch):
+def test_a_study_draws_and_plans_only_the_blocks_its_shared_work_lacks(monkeypatch):
+    cfg = tiny_config()
+    other = replace(cfg, noise=replace(cfg.noise, sigma0=2.0 * cfg.noise.sigma0))
+    plain, plain_other = study.run_study(cfg), study.run_study(other)
+    # 16 slots: blocks of 5, 5, 5 and 1
+    monkeypatch.setattr(study, "BLOCK_SLOTS", 5)
+    shared = study.share_work(cfg)
+    study.run_study(cfg, shared)
+    calls = Counter()
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(study, "plan_insertions", counted("plan", study.plan_insertions))
+    monkeypatch.setattr(study, "draw_insertions", counted("draw", study.draw_insertions))
+    again = study.run_study(cfg, shared)
+    assert calls == {}
+    assert again.rows_closed == plain.rows_closed
+    assert again.rows_open == plain.rows_open
+    # a new sigma0 plans every block once and draws no stream
+    moved = study.run_study(other, shared)
+    assert calls == {"plan": 4}
+    assert moved.rows_closed == plain_other.rows_closed
+    assert moved.rows_open == plain_other.rows_open
+
+
+def test_shared_work_keeps_blocks_of_another_size_apart(monkeypatch):
+    # a block is held under its slot range: a block of 7 from slot 0 is
+    # not the block of 5 from slot 0 that an earlier study kept
     cfg = tiny_config()
     plain = study.run_study(cfg)
     shared = study.share_work(cfg)
-    study.run_study(cfg, shared)
-    # keep every third slot's plan: blocks of 5 then hold 2, 2, 1 and 1 of theirs
-    kept = {key: plan for i, (key, plan) in enumerate(shared.plans.items()) if i % 3 == 0}
-    shared.plans = dict(kept)
-    sizes = []
-
-    def planning(*args, **kwargs):
-        plans = plan_insertions(*args, **kwargs)
-        sizes.append(len(plans))
-        return plans
-
-    monkeypatch.setattr(study, "plan_insertions", planning)
-    monkeypatch.setattr(study, "BLOCK_SLOTS", 5)
-    again = study.run_study(cfg, shared)
-    assert sizes == [3, 3, 4]
-    assert again.rows_closed == plain.rows_closed
-    assert again.rows_open == plain.rows_open
-    assert len(shared.plans) == 16
-    assert all(shared.plans[key] is plan for key, plan in kept.items())
+    for size in (5, 7):
+        monkeypatch.setattr(study, "BLOCK_SLOTS", size)
+        report = study.run_study(cfg, shared)
+        assert report.rows_closed == plain.rows_closed, size
+        assert report.rows_open == plain.rows_open, size
+    assert sorted(shared.streams) == [(0, 5), (0, 7), (5, 10), (7, 14), (10, 15), (14, 16), (15, 16)]

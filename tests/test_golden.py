@@ -53,6 +53,11 @@ CALIBRATE_SMALL_MEDIANS = {
     "motion_z_mm": 1.4951289996354349,
 }
 
+# sha256 of the fitted_config.yaml that the default `prostasim calibrate`
+# writes (3 grid points per axis, 4 replicates).  It is data only: no test
+# here runs that search; the runtime-only CI job checks its output against it.
+CALIBRATE_DEFAULT_YAML = "5ae3f32bc7e0c8c49f50fb07eb871ca5327454ed9892eb60062ccc8e433f7507"
+
 
 def _digests(report, out_dir):
     paths = write_report(report, str(out_dir))

@@ -117,20 +117,20 @@ def test_insertion_duration_arithmetic(geom):
 
 
 def test_advance_accumulates_rotation(geom):
-    depth, angle, seconds = advance_insertion(geom, np.zeros(1), np.zeros(1), np.array([25.0]), rotating=True)
+    depth, angle, seconds = advance_insertion(geom, np.zeros(1), np.zeros(1), np.array([25.0]))
     assert seconds[0] == pytest.approx(5.0)
     assert depth[0] == pytest.approx(25.0)
     # 5 s at 8 rev/s
     assert angle[0] == pytest.approx(5.0 * 8.0 * 360.0)
-    depth2, angle2, _ = advance_insertion(geom, depth, angle, np.array([-5.0]), rotating=False)
+    # a retraction takes time too, and the needle keeps turning through it
+    depth2, angle2, seconds2 = advance_insertion(geom, depth, angle, np.array([-5.0]))
+    assert seconds2[0] == pytest.approx(1.0)
     assert depth2[0] == pytest.approx(20.0)
-    assert angle2[0] == angle[0]
+    assert angle2[0] == pytest.approx(angle[0] + 1.0 * 8.0 * 360.0)
 
 
 def test_advance_clamps_at_zero(geom):
-    depth, _, _ = advance_insertion(
-        geom, np.array([3.0, 3.0]), np.zeros(2), np.array([-10.0, 1.0]), rotating=False
-    )
+    depth, _, _ = advance_insertion(geom, np.array([3.0, 3.0]), np.zeros(2), np.array([-10.0, 1.0]))
     np.testing.assert_array_equal(depth, [0.0, 4.0])
 
 

@@ -203,6 +203,13 @@ def test_write_report_files_and_formats(tiny_report, tmp_path):
     assert text.startswith("key,value\n")
 
 
+def test_write_report_under_a_file_says_where(tiny_report, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    with pytest.raises(RuntimeError, match="cannot write report under"):
+        write_report(tiny_report, str(blocker / "sub"))
+
+
 def test_report_from_records_requires_files(tmp_path):
     with pytest.raises(RuntimeError, match="no records"):
         report_from_records(tiny_config(), str(tmp_path))
