@@ -9,10 +9,13 @@ angulation (1-degree bins, ties broken by clearance) wins.
 
 A block of targets is planned together (``plan_trajectories``): the
 direct paths of all of them are checked in one ``collision_check`` call,
-and only the targets whose direct path is out of reach or blocked go
-through the grid search (``replan_angled``), one target at a time.
-Every clearance is measured with the stacked
-``geometry.segment_segment_distance``, and only its sign is read.
+and the targets whose direct path is out of reach or blocked go through
+one grid search together (``replan_angled``).  The search builds every
+target's candidates in one ``candidate_entries`` call and checks their
+clearance in rounds of rising angulation, stopping for each target at
+the first round that finds it a clear candidate.  Every clearance is
+measured with the stacked ``geometry.segment_segment_distance``, and
+only its sign is read.
 """
 
 from __future__ import annotations
@@ -32,6 +35,18 @@ DEPTH_MARGIN = 10.0
 
 ENTRY_GRID_STEP = 2.0
 ANGLE_BIN_DEG = 1.0
+
+# the grid search checks clearance for angulation bins up to each limit in
+# turn, then for the rest
+ROUND_BIN_LIMITS = (2, 4, 8, 16)
+
+# A block's grid search holds every candidate of its targets.  These bound
+# what is alive at once on top of that: the candidates whose angles are
+# taken in one pass of the math functions (as Python floats), and the rows
+# of shafts the clearance kernel takes at once (its temporaries grow with
+# rows x capsules).
+ANGLE_SLICE = 1024
+KERNEL_ROWS = 512
 
 
 @dataclass
@@ -60,17 +75,21 @@ class EntryRegion:
 
 
 class NoFeasiblePath(RuntimeError):
-    """Every candidate trajectory within limits collides with the arch.
+    """Every candidate trajectory within limits to ``target`` collides with the arch.
 
+    ``target`` is the (observed) target position the search was for, and
     ``best_clearance`` is -inf when no candidate entry is within the limits.
     """
 
-    def __init__(self, best_clearance: float):
+    def __init__(self, best_clearance: float, target):
         self.best_clearance = best_clearance
+        self.target = np.array(target, dtype=np.float64)
+        x, y, z = self.target.tolist()
+        where = f"the target at ({x:.3f}, {y:.3f}, {z:.3f}) mm"
         if best_clearance == -math.inf:
-            msg = "no candidate entry within the entry region, stage travel and angulation limits"
+            msg = f"no candidate entry within the entry region, stage travel and angulation limits for {where}"
         else:
-            msg = f"no collision-free trajectory; best clearance {best_clearance:.3f} mm"
+            msg = f"no collision-free trajectory to {where}; best clearance {best_clearance:.3f} mm"
         super().__init__(msg)
 
 
@@ -121,112 +140,175 @@ def first_blocked_depth(
     return float(depths[blocked[0]]) if blocked.size else None
 
 
-def clearance_grid(entries, entry_z, target, overshoot, cap_a, cap_b, cap_r, needle_r):
+def clearance_grid(entries, entry_z, targets, overshoot, cap_a, cap_b, cap_r, needle_r):
     """Min clearance of each candidate needle shaft against all capsules.
 
     entries: (n, 2) candidate entry x/y on the entry plane at z=entry_z.
-    target: (3,) point every candidate passes through; the shaft runs from
-    the entry to ``overshoot`` mm past the target.
+    targets: (n, 3), the point candidate i passes through; its shaft runs
+    from the entry to ``overshoot`` mm past ``targets[i]``.
     cap_a/cap_b: (m, 3) capsule axis endpoints, cap_r: (m,) radii.
     Returns (n,) of min_j(segdist - cap_r[j]) - needle_r, the segment
-    distances from :func:`geometry.segment_segment_distance`.
+    distances from :func:`geometry.segment_segment_distance`, taken
+    ``KERNEL_ROWS`` rows at a time.  Every row is computed on its own, so a
+    subset of rows gets the same bits.
     """
     entries = np.asarray(entries, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
     n = entries.shape[0]
     p0 = np.empty((n, 3), dtype=np.float64)
     p0[:, 0] = entries[:, 0]
     p0[:, 1] = entries[:, 1]
     p0[:, 2] = float(entry_z)
-    d = target[None, :] - p0
+    d = targets - p0
     norm = np.sqrt(np.sum(d * d, axis=1))
     p1 = p0 + d * ((norm + float(overshoot)) / norm)[:, None]
-    dist = geometry.segment_segment_distance(p0, p1, cap_a, cap_b) - np.asarray(cap_r, dtype=np.float64)
-    return np.min(dist, axis=1) - float(needle_r)
+    cap_r = np.asarray(cap_r, dtype=np.float64)
+    out = np.empty(n, dtype=np.float64)
+    for lo in range(0, n, KERNEL_ROWS):
+        part = slice(lo, lo + KERNEL_ROWS)
+        dist = geometry.segment_segment_distance(p0[part], p1[part], cap_a, cap_b) - cap_r
+        out[part] = np.min(dist, axis=1) - float(needle_r)
+    return out
 
 
-def candidate_entries(target, entry_region: EntryRegion, geom: kinematics.RobotGeometry):
-    """Entry-grid candidates for a target: (entries (n,2), angles_deg (n,)).
+def _entry_grid(targets, entry_region: EntryRegion, geom: kinematics.RobotGeometry):
+    """Every target's grid entries in the region and within stage travel: (ex, ey, owner).
 
-    The grid is centered on the direct horizontal entry (the target's x/y)
-    so the unobstructed case contains an exactly-axial candidate, and it is
-    pruned to entries that stay inside the region, within max angulation,
-    and within stage travel.  Order is row-major in (dy, dx), which fixes
-    the deterministic tie-break order of the planner.
+    Target k's grid is centered on its direct entry, with offsets up to
+    ``floor(tan(max_angulation) * dz / ENTRY_GRID_STEP)`` steps on each
+    axis.  The region and both stages' travel bound x and y separately, so
+    each axis is pruned on its own, with the exact per-entry test, before
+    the grid is built: the grid never outgrows the region, whatever the
+    angulation limit.  Rows are row-major in (dy, dx) per target.
     """
-    target = np.asarray(target, dtype=np.float64)
-    tx, ty, tz = float(target[0]), float(target[1]), float(target[2])
+    tx, ty, tz = targets[:, 0], targets[:, 1], targets[:, 2]
     dz = tz - geom.front_plane_z
-    if dz <= 0:
+    if np.any(dz <= 0):
         raise ValueError("target must lie beyond the entry plane")
-    max_off = math.tan(math.radians(geom.max_angulation)) * dz
-    steps = int(math.floor(max_off / ENTRY_GRID_STEP))
-    offsets = np.arange(-steps, steps + 1) * ENTRY_GRID_STEP
-    ey, ex = (g.ravel() for g in np.meshgrid(ty + offsets, tx + offsets, indexing="ij"))
-    # stage feasibility: front stage carries the entry itself, the back
-    # stage sits stage_separation behind along the line
+    steps = np.floor(math.tan(math.radians(geom.max_angulation)) * dz / ENTRY_GRID_STEP)
     scale = geom.stage_separation / dz
-    bx = ex - (tx - ex) * scale
-    by = ey - (ty - ey) * scale
-    reach = np.max(np.abs(np.stack([ex, ey, bx, by])), axis=0)
-    keep = (
-        (entry_region.x_min <= ex) & (ex <= entry_region.x_max)
-        & (entry_region.y_min <= ey) & (ey <= entry_region.y_max)
-        & (reach <= geom.stage_travel)
-    )
-    ex, ey = ex[keep], ey[keep]
+    travel = geom.stage_travel
+
+    def axis(t, lo, hi):
+        """First offset (K,) and number of offsets (K,) kept on one axis."""
+        # the back stage sits at e * (1 + scale) - t * scale; these bounds,
+        # widened by a step against rounding, only limit what is tested
+        e_lo = np.maximum(max(lo, -travel), (t * scale - travel) / (1.0 + scale))
+        e_hi = np.minimum(min(hi, travel), (t * scale + travel) / (1.0 + scale))
+        first = np.maximum(-steps, np.ceil((e_lo - t) / ENTRY_GRID_STEP) - 1.0).astype(np.int64)
+        last = np.minimum(steps, np.floor((e_hi - t) / ENTRY_GRID_STEP) + 1.0).astype(np.int64)
+        i = first[:, None] + np.arange(np.max(last - first + 1, initial=1))
+        e = t[:, None] + i * ENTRY_GRID_STEP
+        back = e - (t[:, None] - e) * scale[:, None]
+        # entry and back stage move monotonically with the offset, so the
+        # offsets kept form one run
+        kept = (i <= last[:, None]) & (lo <= e) & (e <= hi) & (np.abs(e) <= travel) & (np.abs(back) <= travel)
+        return first + np.argmax(kept, axis=1), np.count_nonzero(kept, axis=1)
+
+    x0, nx = axis(tx, entry_region.x_min, entry_region.x_max)
+    y0, ny = axis(ty, entry_region.y_min, entry_region.y_max)
+    size = nx * ny
+    owner = np.repeat(np.arange(targets.shape[0]), size)
+    local = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
+    row, col = np.divmod(local, nx[owner])
+    ex = tx[owner] + (x0[owner] + col) * ENTRY_GRID_STEP
+    ey = ty[owner] + (y0[owner] + row) * ENTRY_GRID_STEP
+    return ex, ey, owner
+
+
+def candidate_entries(targets, entry_region: EntryRegion, geom: kinematics.RobotGeometry):
+    """Entry-grid candidates of K targets (K, 3): (entries (n,2), angles_deg (n,), owner (n,)).
+
+    Each target's grid is centered on its direct horizontal entry (the
+    target's x/y), so the unobstructed case contains an exactly-axial
+    candidate, and it is pruned to entries that stay inside the region,
+    within max angulation, and within stage travel (the front stage carries
+    the entry itself, the back stage sits stage_separation behind along the
+    line).  The targets' candidates are concatenated in target order, and
+    ``owner`` gives each row's target.  Within a target the order is
+    row-major in (dy, dx), which fixes the deterministic tie-break order of
+    the planner.
+    """
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
+    ex, ey, owner = _entry_grid(targets, entry_region, geom)
+    dx = ex - targets[owner, 0]
+    dy = ey - targets[owner, 1]
+    dz = targets[owner, 2] - geom.front_plane_z
     # math (not numpy) hypot/atan2: numpy's differ in the last ulp, and the
     # angle bins break the planner's ties
-    angles = np.array(
-        [math.degrees(math.atan2(math.hypot(x - tx, y - ty), dz)) for x, y in zip(ex.tolist(), ey.tolist())],
-        dtype=np.float64,
-    )
+    angles = np.empty(ex.size)
+    for lo in range(0, ex.size, ANGLE_SLICE):
+        part = slice(lo, lo + ANGLE_SLICE)
+        offaxis = map(math.hypot, dx[part].tolist(), dy[part].tolist())
+        angles[part] = list(map(math.degrees, map(math.atan2, offaxis, dz[part].tolist())))
     ok = angles <= geom.max_angulation + 1e-12
-    return np.stack([ex[ok], ey[ok]], axis=1), angles[ok]
-
-
-def _trajectory_to(entry3: np.ndarray, target: np.ndarray, angle_deg: float) -> kinematics.Trajectory:
-    d = geometry.normalize(target - entry3)
-    depth = float(np.linalg.norm(target - entry3))
-    approach = "Angled" if angle_deg > ANGLE_BIN_DEG else "Horizontal"
-    return kinematics.Trajectory(entry3, d, depth, approach)
+    return np.stack([ex[ok], ey[ok]], axis=1), angles[ok], owner[ok]
 
 
 def replan_angled(
     arch: PubicArchModel,
-    target_world,
+    targets,
     entry_region: EntryRegion,
     geom: kinematics.RobotGeometry,
     needle_radius: float = DEFAULT_NEEDLE_RADIUS,
-) -> kinematics.Trajectory:
-    """Smallest-angulation collision-free trajectory through the target, from the entry grid.
+) -> list[kinematics.Trajectory]:
+    """Smallest-angulation collision-free trajectory through each of K targets (K, 3), from the entry grid.
 
-    All grid candidates are scored and the winner minimizes the 1-degree
-    angulation bin, then maximizes clearance, then falls back to grid
+    Each target's winner minimizes the 1-degree angulation bin among its
+    clear candidates, then maximizes clearance, then falls back to grid
     order.  A clear direct horizontal path sits alone in bin 0 (for any
-    target less than 229 mm past the entry plane), so it wins.  Raises
-    NoFeasiblePath (with the best clearance seen) when everything collides
-    or no candidate is in reach.
+    target less than 229 mm past the entry plane), so it wins.
+
+    Clearance is checked in rounds of rising angulation: bins up to 2, then
+    up to 4, 8 and 16, then the rest.  Each round makes one
+    ``clearance_grid`` call on the candidates of the targets that have no
+    clear candidate yet.  Every bin up to a target's winning bin is then
+    checked, so the winner is the one a check of every candidate gives.
+    Raises NoFeasiblePath for the first target, in order, whose candidates
+    all collide (with the best clearance among them) or that has none in
+    reach (-inf).
     """
-    target = np.asarray(target_world, dtype=np.float64)
-    entries, angles = candidate_entries(target, entry_region, geom)
-    if entries.shape[0] == 0:
-        raise NoFeasiblePath(-math.inf)
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
+    entries, angles, owner = candidate_entries(targets, entry_region, geom)
+    bins = np.round(angles / ANGLE_BIN_DEG).astype(np.int64)
     if not arch.enabled or not arch.arch_segments:
         clearances = np.full(entries.shape[0], math.inf)
     else:
+        # a row left unchecked never wins and is never a best clearance
+        clearances = np.full(entries.shape[0], -math.inf)
         cap_a, cap_b, cap_r = _capsule_arrays(arch)
-        clearances = clearance_grid(
-            entries, geom.front_plane_z, target, DEPTH_MARGIN, cap_a, cap_b, cap_r, needle_radius
-        )
+        unresolved = np.ones(targets.shape[0], dtype=bool)
+        below = -1
+        for limit in ROUND_BIN_LIMITS + (math.inf,):
+            rows = np.flatnonzero(unresolved[owner] & (bins > below) & (bins <= limit))
+            below = limit
+            if rows.size:
+                clearances[rows] = clearance_grid(
+                    entries[rows], geom.front_plane_z, targets[owner[rows]], DEPTH_MARGIN,
+                    cap_a, cap_b, cap_r, needle_radius,
+                )
+                unresolved[owner[rows[clearances[rows] > 0.0]]] = False
 
     clear = np.flatnonzero(clearances > 0.0)
-    if not clear.size:
-        raise NoFeasiblePath(float(np.max(clearances)))
-    bins = np.round(angles[clear] / ANGLE_BIN_DEG).astype(np.int64)
-    idx = clear[np.lexsort((clear, -clearances[clear], bins))[0]]
-    entry3 = np.array([entries[idx, 0], entries[idx, 1], geom.front_plane_z])
-    return _trajectory_to(entry3, target, float(angles[idx]))
+    ranked = clear[np.lexsort((clear, -clearances[clear], bins[clear], owner[clear]))]
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = owner[ranked[1:]] != owner[ranked[:-1]]
+    winner = np.full(targets.shape[0], -1)
+    winner[owner[ranked[first]]] = ranked[first]
+    missing = np.flatnonzero(winner < 0)
+    if missing.size:
+        own = clearances[owner == missing[0]]
+        raise NoFeasiblePath(float(np.max(own)) if own.size else -math.inf, targets[missing[0]])
+    entry3 = np.empty((targets.shape[0], 3), dtype=np.float64)
+    entry3[:, :2] = entries[winner]
+    entry3[:, 2] = geom.front_plane_z
+    rel = targets - entry3
+    depths = np.sqrt(geometry.row_dot(rel, rel))
+    dirs = rel / depths[:, None]
+    return [
+        kinematics.Trajectory(entry, d, depth, "Angled" if angle > ANGLE_BIN_DEG else "Horizontal")
+        for entry, d, depth, angle in zip(entry3, dirs, depths.tolist(), angles[winner].tolist())
+    ]
 
 
 def plan_trajectories(
@@ -241,9 +323,9 @@ def plan_trajectories(
     The direct horizontal paths are tried first, all in one
     ``collision_check``: a target whose direct entry is in the region and
     within stage travel (both stages sit at the entry), and whose shaft
-    clears the arch, gets it.  Every other target takes the grid search of
-    ``replan_angled``.  Raises NoFeasiblePath for the first target with no
-    collision-free trajectory.
+    clears the arch, gets it.  Every other target goes into one grid search,
+    ``replan_angled`` on the stack of them.  Raises NoFeasiblePath for the
+    first target with no collision-free trajectory.
     """
     targets = np.asarray(targets, dtype=np.float64)
     entries = targets.copy()
@@ -255,8 +337,10 @@ def plan_trajectories(
     direct = entry_region.contains(x, y) & (np.maximum(np.abs(x), np.abs(y)) <= geom.stage_travel)
     clearance = collision_check(arch, entries[direct], dirs[direct], depths[direct], needle_radius)
     direct[direct] = clearance > 0.0
+    angled = iter(
+        replan_angled(arch, targets[~direct], entry_region, geom, needle_radius) if not direct.all() else ()
+    )
     return [
-        kinematics.Trajectory(entries[k], dirs[k], depth, "Horizontal") if ok
-        else replan_angled(arch, targets[k], entry_region, geom, needle_radius)
+        kinematics.Trajectory(entries[k], dirs[k], depth, "Horizontal") if ok else next(angled)
         for k, (ok, depth) in enumerate(zip(direct.tolist(), depths.tolist()))
     ]

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from prostasim import planning
 from prostasim.config import default_config
+from prostasim.kinematics import Trajectory
 
 
 @pytest.fixture
@@ -81,3 +85,58 @@ def segment_distance_oracle(p0, p1, q0, q1) -> float:
     cy = p0[1] + s * d1y - (q0[1] + t * d2y)
     cz = p0[2] + s * d1z - (q0[2] + t * d2z)
     return float((cx * cx + cy * cy + cz * cz) ** 0.5)
+
+
+def candidate_entries_oracle(target, region, geom):
+    """One target's grid candidates, (entries (n,2), angles (n,)), as a scalar loop over the (dy, dx) grid."""
+    tx, ty, tz = (float(v) for v in target)
+    dz = tz - geom.front_plane_z
+    step = planning.ENTRY_GRID_STEP
+    steps = int(math.floor(math.tan(math.radians(geom.max_angulation)) * dz / step))
+    entries, angles = [], []
+    for j in range(-steps, steps + 1):
+        ey = ty + j * step
+        for i in range(-steps, steps + 1):
+            ex = tx + i * step
+            ang = math.degrees(math.atan2(math.hypot(ex - tx, ey - ty), dz))
+            scale = geom.stage_separation / dz
+            bx, by = ex - (tx - ex) * scale, ey - (ty - ey) * scale
+            if (region.contains(ex, ey) and ang <= geom.max_angulation + 1e-12
+                    and max(abs(ex), abs(ey), abs(bx), abs(by)) <= geom.stage_travel):
+                entries.append((ex, ey))
+                angles.append(ang)
+    return np.array(entries, dtype=np.float64).reshape(-1, 2), np.array(angles, dtype=np.float64)
+
+
+def replan_angled_oracle(arch, target, region, geom, needle_radius=planning.DEFAULT_NEEDLE_RADIUS):
+    """One target's angled plan, checking every candidate: the planner's search on a single target.
+
+    The clearance of every candidate comes from ``planning.clearance_grid``,
+    and the winner has the lowest clear angulation bin, then the largest
+    clearance, then the first grid position.  Raises NoFeasiblePath with the
+    best clearance of all candidates, or -inf when there are none.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    entries, angles = candidate_entries_oracle(target, region, geom)
+    if entries.shape[0] == 0:
+        raise planning.NoFeasiblePath(-math.inf, target)
+    if not arch.enabled or not arch.arch_segments:
+        clearances = np.full(entries.shape[0], math.inf)
+    else:
+        cap_a = np.array([seg.a for seg, _ in arch.arch_segments], dtype=np.float64)
+        cap_b = np.array([seg.b for seg, _ in arch.arch_segments], dtype=np.float64)
+        cap_r = np.array([r for _, r in arch.arch_segments], dtype=np.float64)
+        clearances = planning.clearance_grid(
+            entries, geom.front_plane_z, np.broadcast_to(target, (entries.shape[0], 3)),
+            planning.DEPTH_MARGIN, cap_a, cap_b, cap_r, needle_radius,
+        )
+    clear = np.flatnonzero(clearances > 0.0)
+    if not clear.size:
+        raise planning.NoFeasiblePath(float(np.max(clearances)), target)
+    bins = np.round(angles[clear] / planning.ANGLE_BIN_DEG).astype(np.int64)
+    idx = clear[np.lexsort((clear, -clearances[clear], bins))[0]]
+    entry3 = np.array([entries[idx, 0], entries[idx, 1], geom.front_plane_z])
+    rel = target - entry3
+    depth = float(np.linalg.norm(rel))
+    approach = "Angled" if angles[idx] > planning.ANGLE_BIN_DEG else "Horizontal"
+    return Trajectory(entry3, rel / depth, depth, approach)

@@ -7,6 +7,8 @@ import yaml
 from conftest import tiny_config
 from prostasim.cli import cli_main
 from prostasim.config import from_dict, to_yaml
+from prostasim.planning import NoFeasiblePath, replan_angled
+from prostasim.study import run_study
 
 
 def tiny_config_file(tmp_path, **kw):
@@ -75,6 +77,25 @@ def test_report_without_records_is_runtime_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", "--out", str(tmp_path / "nothing"))
     assert code == 2
     assert "no records" in err
+
+
+def test_an_infeasible_target_exits_2_and_names_its_position(tmp_path, capsys):
+    cfg = tiny_config()
+    # a wall across the entry side of the gland: no trajectory clears it
+    cfg.arch.capsules = [{"a": [-60.0, 0.0, -30.0], "b": [60.0, 0.0, -30.0], "radius": 30.0}]
+    path = tmp_path / "walled.yaml"
+    path.write_text(to_yaml(cfg))
+    with pytest.raises(NoFeasiblePath) as exc:
+        run_study(cfg)
+    target = exc.value.target
+    # the named position is the target the search failed for
+    with pytest.raises(NoFeasiblePath) as alone:
+        replan_angled(cfg.arch.build(), [target], cfg.entry_region, cfg.robot, cfg.needle_radius)
+    assert alone.value.best_clearance == exc.value.best_clearance
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "run"))
+    assert code == 2
+    x, y, z = target.tolist()
+    assert f"no collision-free trajectory to the target at ({x:.3f}, {y:.3f}, {z:.3f}) mm" in err
 
 
 def test_unknown_config_key_is_config_error(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import segment_distance_oracle, tiny_config
+from conftest import replan_angled_oracle, segment_distance_oracle, tiny_config
 from prostasim import controller, geometry, planning, rng, sensing, study
 from prostasim import phantom as ph
 from prostasim.config import default_config
@@ -452,7 +452,7 @@ def oracle_trajectory(arch, target, region, geom):
             )
             if clearance > 0.0:
                 return Trajectory(entry, d, depth, "Horizontal")
-    return planning.replan_angled(arch, target, region, geom)
+    return replan_angled_oracle(arch, target, region, geom)
 
 
 def oracle_first_pass(phantom, traj, geom):

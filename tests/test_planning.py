@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import segment_distance_oracle
+from conftest import candidate_entries_oracle, replan_angled_oracle, segment_distance_oracle
+from prostasim import planning
+from prostasim.config import DEFAULT_ARCH_CAPSULES
 from prostasim.geometry import Segment
 from prostasim.kinematics import RobotGeometry, Trajectory, inverse_kinematics
 from prostasim.planning import (
@@ -87,7 +90,8 @@ def test_first_blocked_depth_analytic(geom):
 
 def test_candidate_entries_contains_direct_and_is_row_major(geom):
     target = np.array([5.0, -3.0, 10.0])
-    entries, angles = candidate_entries(target, EntryRegion(), geom)
+    entries, angles, owner = candidate_entries([target], EntryRegion(), geom)
+    assert np.all(owner == 0)
     direct = np.nonzero((entries[:, 0] == 5.0) & (entries[:, 1] == -3.0))[0]
     assert direct.size == 1
     assert angles[direct[0]] == 0.0
@@ -102,52 +106,71 @@ def test_candidate_entries_contains_direct_and_is_row_major(geom):
 def test_candidate_entries_pruned_by_region(geom):
     target = np.array([0.0, 0.0, 10.0])
     slim = EntryRegion(x_min=-4.0, x_max=4.0, y_min=-4.0, y_max=4.0)
-    entries, _ = candidate_entries(target, slim, geom)
+    entries = candidate_entries([target], slim, geom)[0]
     assert np.all(np.abs(entries) <= 4.0)
-
-
-def candidate_entries_loop(target, region, geom):
-    """candidate_entries as a scalar loop over the (dy, dx) grid."""
-    tx, ty, tz = (float(v) for v in target)
-    dz = tz - geom.front_plane_z
-    steps = int(math.floor(math.tan(math.radians(geom.max_angulation)) * dz / ENTRY_GRID_STEP))
-    entries, angles = [], []
-    for j in range(-steps, steps + 1):
-        ey = ty + j * ENTRY_GRID_STEP
-        for i in range(-steps, steps + 1):
-            ex = tx + i * ENTRY_GRID_STEP
-            ang = math.degrees(math.atan2(math.hypot(ex - tx, ey - ty), dz))
-            scale = geom.stage_separation / dz
-            bx, by = ex - (tx - ex) * scale, ey - (ty - ey) * scale
-            if (region.contains(ex, ey) and ang <= geom.max_angulation + 1e-12
-                    and max(abs(ex), abs(ey), abs(bx), abs(by)) <= geom.stage_travel):
-                entries.append((ex, ey))
-                angles.append(ang)
-    return np.array(entries, dtype=np.float64).reshape(-1, 2), np.array(angles, dtype=np.float64)
 
 
 def test_candidate_entries_match_grid_loop(rng):
     geoms = [RobotGeometry(), RobotGeometry(max_angulation=25.0, stage_travel=20.0)]
     regions = [EntryRegion(), EntryRegion(x_min=-10.0, x_max=12.0, y_min=-5.0, y_max=30.0)]
-    for case in range(200):
-        target = rng.uniform([-30, -30, -40], [30, 30, 30])
+    for case in range(100):
+        # a block of 1-4 targets: each target's candidates in turn, tagged with its index
+        targets = rng.uniform([-30, -30, -40], [30, 30, 30], (1 + case % 4, 3))
         geom, region = geoms[case % 2], regions[(case // 2) % 2]
-        got = candidate_entries(target, region, geom)
-        want = candidate_entries_loop(target, region, geom)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            np.testing.assert_array_equal(g, w)
+        entries, angles, owner = candidate_entries(targets, region, geom)
+        want = [candidate_entries_oracle(target, region, geom) for target in targets]
+        np.testing.assert_array_equal(entries, np.concatenate([w[0] for w in want]))
+        np.testing.assert_array_equal(angles, np.concatenate([w[1] for w in want]))
+        np.testing.assert_array_equal(owner, np.repeat(np.arange(len(targets)), [len(w[1]) for w in want]))
+
+
+@pytest.mark.parametrize("travel, angulation, region", [
+    (200.0, 60.0, EntryRegion()),
+    (12.0, 13.0, EntryRegion()),
+    (60.0, 45.0, EntryRegion(x_min=-6.0, x_max=9.0, y_min=-20.0, y_max=-2.0)),
+])
+def test_the_entry_grid_is_bounded_before_it_is_built(travel, angulation, region):
+    geom = RobotGeometry(stage_travel=travel, max_angulation=angulation)
+    geom.validate()
+    targets = np.array([[3.1, -7.0, 40.0], [-11.5, 12.25, -20.0], [0.0, 0.0, 0.0]])
+    entries, angles, owner = candidate_entries(targets, region, geom)
+    for k, target in enumerate(targets):
+        want_entries, want_angles = candidate_entries_oracle(target, region, geom)
+        np.testing.assert_array_equal(entries[owner == k], want_entries)
+        np.testing.assert_array_equal(angles[owner == k], want_angles)
+    # each axis spans at most the region's and the stages' width, plus a step on either side
+    ex, _, grid_owner = planning._entry_grid(targets, region, geom)
+    width_x = min(region.x_max - region.x_min, 2.0 * travel)
+    width_y = min(region.y_max - region.y_min, 2.0 * travel)
+    per_target = (math.floor(width_x / ENTRY_GRID_STEP) + 3) * (math.floor(width_y / ENTRY_GRID_STEP) + 3)
+    assert np.bincount(grid_owner, minlength=3).max() <= per_target
+    dz = targets[:, 2] - geom.front_plane_z
+    unbounded = (2 * np.floor(math.tan(math.radians(angulation)) * dz / ENTRY_GRID_STEP) + 1) ** 2
+    assert ex.size < unbounded.sum()
+
+
+def test_a_steep_robot_builds_no_more_than_the_region_holds():
+    # unbounded, a target 100 mm deep would build ~5700^2 grid points here
+    geom = RobotGeometry(stage_travel=1e4, max_angulation=89.0)
+    geom.validate()
+    targets = np.array([[0.0, 0.0, 40.0], [29.0, -29.0, 40.0]])
+    # the grid holds just the entries in the region, all of them candidates
+    ex, ey, owner = planning._entry_grid(targets, EntryRegion(), geom)
+    assert np.bincount(owner).tolist() == [31 * 31, 30 * 30]
+    entries, _, owner = candidate_entries(targets, EntryRegion(), geom)
+    assert np.all(np.abs(entries) <= 30.0)
+    assert np.bincount(owner).tolist() == [31 * 31, 30 * 30]
 
 
 def test_candidate_entries_rejects_target_behind_plane(geom):
     with pytest.raises(ValueError):
-        candidate_entries([0.0, 0.0, -70.0], EntryRegion(), geom)
+        candidate_entries([[0.0, 0.0, 10.0], [0.0, 0.0, -70.0]], EntryRegion(), geom)
 
 
 def test_replan_unblocked_is_horizontal(geom):
     arch = PubicArchModel([capsule([0, 50, -32], [30, 50, -32], 4.0)])  # far above
     target = np.array([4.0, 2.0, 8.0])
-    traj = replan_angled(arch, target, EntryRegion(), geom)
+    (traj,) = replan_angled(arch, [target], EntryRegion(), geom)
     assert traj.approach == "Horizontal"
     np.testing.assert_allclose(traj.entry, [4.0, 2.0, geom.front_plane_z])
     np.testing.assert_allclose(traj.dir, [0, 0, 1], atol=1e-12)
@@ -165,7 +188,7 @@ def test_replan_blocked_goes_angled(geom):
     arch, target = blocked_scene(geom)
     direct = straight_traj(target, geom)
     assert clearance(arch, direct) < 0
-    traj = replan_angled(arch, target, EntryRegion(), geom)
+    (traj,) = replan_angled(arch, [target], EntryRegion(), geom)
     assert traj.approach == "Angled"
     # the chosen trajectory clears the arch
     assert clearance(arch, traj) > 0
@@ -178,11 +201,11 @@ def test_replan_blocked_goes_angled(geom):
 
 def test_replan_picks_smallest_angle_bin(geom):
     arch, target = blocked_scene(geom)
-    traj = replan_angled(arch, target, EntryRegion(), geom)
+    (traj,) = replan_angled(arch, [target], EntryRegion(), geom)
     chosen_angle = math.degrees(math.acos(min(1.0, traj.dir[2])))
     chosen_bin = round(chosen_angle / 1.0)
     # exhaustive check: no collision-free candidate in a smaller bin
-    entries, angles = candidate_entries(target, EntryRegion(), geom)
+    entries, angles, _ = candidate_entries([target], EntryRegion(), geom)
     for (ex, ey), ang in zip(entries, angles):
         if round(ang / 1.0) >= chosen_bin:
             continue
@@ -196,9 +219,11 @@ def test_replan_wall_raises_no_feasible_path(geom):
     arch = PubicArchModel([capsule([-60, 0, -30], [60, 0, -30], 30.0)])
     target = np.array([0.0, 0.0, 10.0])
     with pytest.raises(NoFeasiblePath) as exc:
-        replan_angled(arch, target, EntryRegion(), geom)
+        replan_angled(arch, [target], EntryRegion(), geom)
     assert exc.value.best_clearance < 0
     assert math.isfinite(exc.value.best_clearance)
+    np.testing.assert_array_equal(exc.value.target, target)
+    assert "to the target at (0.000, 0.000, 10.000) mm" in str(exc.value)
 
 
 
@@ -208,7 +233,7 @@ def test_replan_keeps_the_direct_path_within_stage_travel():
     geom.validate()
     arch = PubicArchModel([], enabled=False)
     target = np.array([17.3, 2.0, 5.0])
-    traj = replan_angled(arch, target, EntryRegion(), geom)
+    (traj,) = replan_angled(arch, [target], EntryRegion(), geom)
     assert traj.approach == "Angled"
     assert abs(traj.entry[0]) <= geom.stage_travel
     inverse_kinematics(geom, [traj.entry], [traj.dir])  # within every joint limit
@@ -220,8 +245,9 @@ def test_replan_with_no_entry_in_reach_says_so():
     arch = PubicArchModel([capsule([0, 50, -32], [30, 50, -32], 4.0)])
     target = np.array([15.0, 0.0, 5.0])
     with pytest.raises(NoFeasiblePath, match="no candidate entry within") as exc:
-        replan_angled(arch, target, EntryRegion(), geom)
+        replan_angled(arch, [target], EntryRegion(), geom)
     assert exc.value.best_clearance == -math.inf
+    assert "for the target at (15.000, 0.000, 5.000) mm" in str(exc.value)
 
 def test_clearance_monotone_in_needle_radius(geom):
     arch = PubicArchModel([capsule([10, 0, -40], [10, 0, 0], 2.0)])
@@ -241,16 +267,16 @@ def test_depth_margin_extends_shaft(geom):
 
 def _random_grid_case(rng, n=64, m=3):
     entries = rng.uniform(-30, 30, (n, 2))
-    target = np.array([rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0, 20)])
+    targets = rng.uniform([-10, -10, 0], [10, 10, 20], (n, 3))
     cap_a = rng.uniform(-40, 40, (m, 3))
     cap_a[:, 2] = rng.uniform(-45, -25, m)
     cap_b = cap_a + rng.uniform(-20, 20, (m, 3))
     cap_r = rng.uniform(1.0, 6.0, m)
-    return entries, target, cap_a, cap_b, cap_r
+    return entries, targets, cap_a, cap_b, cap_r
 
 
-def test_clearance_grid_matches_scalar_path(rng, geom):
-    entries, target, cap_a, cap_b, cap_r = _random_grid_case(rng)
+def test_clearance_grid_matches_scalar_path(rng, geom, monkeypatch):
+    entries, targets, cap_a, cap_b, cap_r = _random_grid_case(rng)
     # a point capsule (zero-length axis) on its own and among segments
     point = np.array([[0.0, 12.0, -32.0]])
     cases = [
@@ -259,14 +285,134 @@ def test_clearance_grid_matches_scalar_path(rng, geom):
         (np.vstack([cap_a, point]), np.vstack([cap_b, point]), np.append(cap_r, 1.0)),
     ]
     for a, b, r in cases:
-        got = clearance_grid(entries, -60.0, target, DEPTH_MARGIN, a, b, r, 0.635)
+        got = clearance_grid(entries, -60.0, targets, DEPTH_MARGIN, a, b, r, 0.635)
+        # a subset of the rows keeps every bit, as the search's rounds need,
+        # and so does a kernel that takes fewer rows at a time
+        rows = rng.permutation(len(entries))[:17]
+        np.testing.assert_array_equal(
+            clearance_grid(entries[rows], -60.0, targets[rows], DEPTH_MARGIN, a, b, r, 0.635), got[rows]
+        )
+        with monkeypatch.context() as m:
+            m.setattr(planning, "KERNEL_ROWS", 5)
+            np.testing.assert_array_equal(
+                clearance_grid(entries, -60.0, targets, DEPTH_MARGIN, a, b, r, 0.635), got
+            )
         # scalar reference, built from the single-pair distance
         for i, (ex, ey) in enumerate(entries):
             p0 = np.array([ex, ey, -60.0])
-            d = target - p0
+            d = targets[i] - p0
             norm = np.linalg.norm(d)
             p1 = p0 + d * (norm + DEPTH_MARGIN) / norm
             expect = min(
                 segment_distance_oracle(p0, p1, a[j], b[j]) - r[j] for j in range(len(r))
             ) - 0.635
             assert got[i] == pytest.approx(expect, abs=1e-9)
+
+
+def default_arch(radius, enabled=True):
+    return PubicArchModel(
+        [capsule(c["a"], c["b"], radius) for c in DEFAULT_ARCH_CAPSULES], enabled=enabled
+    )
+
+
+def assert_block_matches_each_target_alone(arch, targets, region, geom):
+    """replan_angled on the block against the per-target oracle, field by field."""
+    alone = []
+    for target in targets:
+        try:
+            alone.append(replan_angled_oracle(arch, target, region, geom))
+        except NoFeasiblePath as e:
+            alone.append(e)
+    failed = [a for a in alone if isinstance(a, NoFeasiblePath)]
+    if failed:
+        with pytest.raises(NoFeasiblePath) as exc:
+            replan_angled(arch, targets, region, geom)
+        # the first target in block order that has no clear candidate
+        assert exc.value.best_clearance == failed[0].best_clearance
+        np.testing.assert_array_equal(exc.value.target, failed[0].target)
+        assert str(exc.value) == str(failed[0])
+        return
+    got = replan_angled(arch, targets, region, geom)
+    assert len(got) == len(targets)
+    for a, b in zip(alone, got):
+        np.testing.assert_array_equal(b.entry, a.entry)
+        np.testing.assert_array_equal(b.dir, a.dir)
+        assert b.planned_depth == a.planned_depth
+        assert b.approach == a.approach
+
+
+# the explicit blocks below use the default arch's capsules; each tuple is a target (x, y, z)
+LAST_ROUND = (-11.9, 17.5, -0.6)  # r 9.5, 25 deg: the winner is in bin 17 or above
+INFEASIBLE = (-17.8, 22.4, -19.7)  # r 10.6, 24.3 deg: best clearance -3.37 mm
+OUT_OF_REACH = (25.0, 0.0, -20.0)  # with x in [-5, 5] and 10 deg, no entry is in reach
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    targets=st.lists(
+        st.tuples(st.floats(-25.0, 25.0), st.floats(-25.0, 25.0), st.floats(-40.0, 25.0)),
+        min_size=1, max_size=8,
+    ),
+    radius=st.floats(8.0, 13.0),
+    angulation=st.floats(10.0, 25.0),
+    enabled=st.booleans(),
+    region=st.tuples(
+        st.floats(-30.0, -2.0), st.floats(2.0, 30.0), st.floats(-30.0, -2.0), st.floats(2.0, 30.0)
+    ),
+)
+# the middle target's winner is found only in the last round
+@example(
+    targets=[(2.0, -3.0, 10.0), LAST_ROUND, (-6.0, 12.0, -30.0)],
+    radius=9.5, angulation=25.0, enabled=True, region=(-30.0, 30.0, -30.0, 30.0),
+)
+# the arch is off, so every clearance is +inf: bins and then grid order decide,
+# and each direct entry lies outside the shrunken region
+@example(
+    targets=[(14.0, 3.0, 0.0), (-13.0, -12.5, 20.0), (0.5, 11.0, -35.0)],
+    radius=8.0, angulation=20.0, enabled=False, region=(-10.0, 10.0, -8.0, 8.0),
+)
+# one infeasible target between two feasible ones
+@example(
+    targets=[(2.0, -3.0, 10.0), INFEASIBLE, LAST_ROUND],
+    radius=10.6, angulation=24.3, enabled=True, region=(-30.0, 30.0, -30.0, 30.0),
+)
+# a target with no candidate in reach (-inf), after a feasible one
+@example(
+    targets=[(1.0, -2.0, 0.0), OUT_OF_REACH],
+    radius=8.0, angulation=10.0, enabled=True, region=(-5.0, 5.0, -30.0, 30.0),
+)
+# a block of one target with no grid entry in the region on one axis
+@example(
+    targets=[(0.0, 15.0, 0.0)],
+    radius=8.0, angulation=10.0, enabled=False, region=(-2.0, 2.0, -2.0, 2.0),
+)
+def test_a_block_search_finds_what_each_target_finds_alone(targets, radius, angulation, enabled, region):
+    geom = RobotGeometry(max_angulation=angulation)
+    arch = default_arch(radius, enabled)
+    assert_block_matches_each_target_alone(arch, np.array(targets), EntryRegion(*region), geom)
+
+
+def test_the_search_checks_bins_in_rounds_up_to_the_winning_one(monkeypatch):
+    geom = RobotGeometry(max_angulation=25.0)
+    arch = default_arch(9.5)
+    region = EntryRegion()
+    checked = []
+
+    def counted(entries, *args):
+        checked.append(len(entries))
+        return clearance_grid(entries, *args)
+
+    monkeypatch.setattr(planning, "clearance_grid", counted)
+    targets = np.array([(2.0, -3.0, 10.0), LAST_ROUND])
+    _, angles, owner = candidate_entries(targets, region, geom)
+    bins = np.round(angles)
+    (near, far) = replan_angled(arch, targets, region, geom)
+    far_bin = round(math.degrees(math.acos(far.dir[2])))
+    assert near.approach == "Horizontal" and far_bin > 16
+    # the first target is clear in bin 0 and leaves after round one; the
+    # second is checked in all five rounds, every candidate of it
+    assert checked[0] == np.count_nonzero(bins <= 2)
+    assert checked[1:] == [
+        np.count_nonzero((owner == 1) & (bins > lo) & (bins <= hi))
+        for lo, hi in ((2, 4), (4, 8), (8, 16), (16, math.inf))
+    ]
