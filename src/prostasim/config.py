@@ -126,6 +126,14 @@ class StudyConfig:
         _wrap("motion", self.motion.validate)
         _wrap("noise", self.noise.validate)
         _wrap("robot", self.robot.validate)
+        # every target lies inside the gland, so an entry plane that reaches
+        # the gland's apical pole can leave some of them on or behind it
+        _check(
+            self.robot.front_plane_z < -self.phantom.gland_semiaxes[2],
+            "robot.front_plane_z",
+            f"must be < -phantom.gland_semiaxes[2] = {-self.phantom.gland_semiaxes[2]}: "
+            "the entry plane must lie in front of the gland",
+        )
         _wrap("convergence", self.convergence.validate)
         _check(self.needle_radius > 0, "needle_radius", "must be positive")
         er = self.entry_region

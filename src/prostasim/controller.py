@@ -13,22 +13,28 @@ arrays over the block: one stacked observation and collinearity check
 of the reference volumes, the observed targets, the trajectories (one
 clearance check of every direct path, the grid search only where that
 path is out of reach or blocked) and the first pass: joint limits,
-duration and rotation, and one gland entry depth solve that gives both
-the penetration setting the modeled drag and the entry depth the gland
-transform reads.  ``open_loop_insertion`` scales one insertion's motion
-normals into its motion noise, evaluates the gland transform at the
-pass depth and scores the open-loop baseline.  ``correct_insertions`` runs the closed loop of a
-block together, each step one stacked ``sensing`` call per kernel over
-the insertions still correcting, continues each one from its baseline's
-transform and motion noise, and deposits and scores the block in
-arrays.  The insertions take the plan and none of the planning inputs,
-so insertions that differ only in motion can share one plan.
-``run_insertion`` is the closed loop of a single insertion.
+duration and rotation, one gland entry depth solve that gives both the
+penetration setting the modeled drag and the entry depth the gland
+transform reads, and the lever of each gland transform
+(``phantom.gland_levers``): the unit direction, the pass-depth
+penetration, the lateral offset of the gland centroid and the rotation
+axis's Rodrigues matrices, none of which reads a motion parameter.
+``open_loop_insertion`` scales one insertion's motion normals into its
+motion noise, evaluates only the motion terms of the gland transform
+at the pass depth (drag, rotation angle, the rotation about the pivot)
+from the plan's lever, and scores the open-loop baseline.
+``correct_insertions`` runs the closed loop of a block together, each
+step one stacked ``sensing`` call per kernel over the insertions still
+correcting, continues each one from its baseline's transform and motion
+noise, and deposits and scores the block in arrays.  The insertions
+take the plan and none of the planning inputs, so insertions that
+differ only in motion can share one plan.  ``run_insertion`` is the
+closed loop of a single insertion.
 
 Per-insertion invariants are computed once: the reference volume is
-prepared for registration once, the gland entry depth is solved once,
-in the plan, and the gland transform, which depends
-on the tip only through whether it is past the gland entry depth (the
+prepared for registration once, the gland entry depth and the lever are
+computed once, in the plan, and the gland transform, which depends on
+the tip only through whether it is past the gland entry depth (the
 motion model reads penetration from the fixed pass depth), is evaluated
 at most once for each side of that depth.  The planner returns only
 trajectories clear of the arch, so the needle never stops short: the
@@ -45,15 +51,15 @@ import numpy as np
 from . import geometry, kinematics, planning, sensing
 from .phantom import (
     LEFT,
+    GlandLever,
     MotionParams,
-    NeedleState,
     ProstatePhantom,
     Target,
     ZoneLabels,
     gland_entry_depth,
+    gland_levers,
     penetration,
     prostate_transform,
-    with_approach,
     world_to_material,
 )
 from .planning import EntryRegion, PubicArchModel
@@ -109,9 +115,13 @@ class InsertionPlan:
     at rest, so it, the observed target and the trajectory depend only on
     the phantom, the noise model, the robot and the arch.  A plan can
     therefore be shared by insertions that differ only in motion.
-    ``reference`` serves the correction loop and is prepared only for a
-    tracked plan, as a view of one set of its block's stack; it is None
-    otherwise.
+    ``lever`` is the motion-free part of the insertion's gland transform
+    (see ``phantom.GlandLever``), its row of the block's arrays:
+    ``prostate_transform`` adds only the motion terms to it.  ``zone`` is
+    the target's zone labelled with the trajectory's approach, as the
+    records carry it.  ``reference`` serves the correction loop and is
+    prepared only for a tracked plan, as a view of one set of its block's
+    stack; it is None otherwise.
     """
 
     target: Target
@@ -120,13 +130,13 @@ class InsertionPlan:
     # joint state and elapsed time after the first pass
     joints: kinematics.JointState
     duration_s: float
-    # first-pass penetration beyond the gland entry point (drives the drag),
-    # measured along the planned direction as given
+    # first-pass penetration beyond the gland entry point (drives the drag
+    # the residual motion subtracts), measured along the planned direction
+    # as given; the lever's is along the normalized one and can differ from
+    # it in the last ulp
     penetration: float
-    # gland entry depth along the normalized direction, as the gland
-    # transform reads it (NaN: the line misses the gland); it can differ
-    # from the one behind ``penetration`` in the last ulp
-    entry_depth: float
+    zone: ZoneLabels
+    lever: GlandLever
     reference: geometry.RegistrationReference | None = None
 
 
@@ -174,19 +184,22 @@ def plan_insertions(
     _, angles, durations = kinematics.advance_insertion(geom, np.zeros(n), np.zeros(n), depths)
     # the penetration reads the entry depth along the direction as planned,
     # the gland transform along the normalized one: both in one call
+    units = geometry.normalize(dirs)
     entry = gland_entry_depth(
-        phantoms + phantoms, np.concatenate([entries, entries]),
-        np.concatenate([dirs, geometry.normalize(dirs)]),
+        phantoms + phantoms, np.concatenate([entries, entries]), np.concatenate([dirs, units])
     )
     pens = penetration(entry[:n], depths)
+    levers = gland_levers(phantoms, entries, units, entry[n:], depths)
     return [
         InsertionPlan(
             target, target_obs, traj, kinematics.JointState(*stage, 0.0, depth, angle), duration, pen,
-            entry_depth, reference.rows(slice(k, k + 1)) if track else None,
+            ZoneLabels(target.zone.depth_zone, target.zone.lateral_zone, target.zone.ap_zone, traj.approach),
+            lever,
+            reference.rows(slice(k, k + 1)) if track else None,
         )
-        for k, (target, target_obs, traj, stage, depth, angle, duration, pen, entry_depth) in enumerate(zip(
+        for k, (target, target_obs, traj, stage, depth, angle, duration, pen, lever) in enumerate(zip(
             targets, targets_obs, trajs, stages, depths.tolist(), angles.tolist(), durations.tolist(),
-            pens.tolist(), entry[n:].tolist(),
+            pens.tolist(), levers,
         ))
     ]
 
@@ -220,17 +233,18 @@ def open_loop_insertion(
     """Score the bead where the first pass of ``plan`` left it: the open-loop baseline.
 
     Scales the insertion's motion normals into its frozen motion noise and
-    evaluates the gland transform at the planned depth; the record carries
-    both, and the closed loop (``correct_insertions``) starts from them.
+    evaluates the motion terms of the gland transform on the plan's lever
+    at the planned depth; the record carries both, and the closed loop
+    (``correct_insertions``) starts from them.
     """
     traj, depth = plan.trajectory, plan.trajectory.planned_depth
     # frozen per-insertion motion noise: every gland transform sees it
     sd = motion.noise_sd_motion
     motion_noise = 0.0 + sd * streams.motion_normals if sd > 0 else np.zeros(3)
-    needle = NeedleState(traj.entry, traj.dir, depth, pass_depth=depth)
-    t_true = prostate_transform(phantom, motion, needle, motion_noise, plan.entry_depth)
+    t_true = prostate_transform(plan.lever, motion, depth, motion_noise)
     moved_target = geometry.apply(t_true, plan.target_obs)
-    depth_of_target, _ = geometry.axis_decompose(traj.entry, traj.dir, moved_target)
+    # the depth of the moved target along the needle line
+    depth_of_target = float((moved_target - traj.entry) @ traj.dir)
     bead_rest, error = _deposit(
         [phantom], [plan.target], [traj.entry + depth * traj.dir],
         t_true.rotation[None], t_true.translation[None],
@@ -240,7 +254,7 @@ def open_loop_insertion(
         bead_rest_position=bead_rest[0], distance_error=float(error[0]),
         # the induced-but-uncorrected axial displacement of the observed target
         axial_motion=float(depth_of_target - depth),
-        zone=with_approach(plan.target.zone, traj.approach),
+        zone=plan.zone,
         residual_motion=_residual_motion(motion, moved_target, plan.target_obs, plan.penetration, traj.dir),
         duration_s=plan.duration_s, rotation_angle_deg=plan.joints.rotation_angle,
         gland_transform=t_true, motion_noise=motion_noise,
@@ -292,7 +306,7 @@ def correct_insertions(
     # penetration is read from the fixed pass depth, so the gland transform
     # depends on the tip only through "is it past the gland entry depth"
     # (NaN where the line misses the gland: never past it)
-    entry_depth = np.array([plan.entry_depth for plan in plans])
+    entry_depth = np.array([plan.lever.entry_depth for plan in plans])
     pass_depth = np.array([traj.planned_depth for traj in trajs])
     inside = pass_depth > entry_depth
     # each slot's gland transform on each side of its entry depth, made on first need
@@ -334,10 +348,8 @@ def correct_insertions(
         for k in active[now != inside[active]]:
             inside[k] = side = not inside[k]
             if side not in transforms[k]:
-                traj = trajs[k]
-                moved = NeedleState(traj.entry, traj.dir, tip[k], pass_depth=pass_depth[k])
                 transforms[k][side] = prostate_transform(
-                    phantoms[k], motion, moved, baselines[k].motion_noise, plans[k].entry_depth
+                    plans[k].lever, motion, tip[k], baselines[k].motion_noise
                 )
             rot[k], trans[k] = transforms[k][side].rotation, transforms[k][side].translation
 

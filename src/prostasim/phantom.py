@@ -2,16 +2,23 @@
 
 The gland is an ellipsoid centered at the origin of the working frame
 (+z insertion direction, +x patient left, +y anterior).  Targets are
-sampled inside it under zone quotas; a parametric motion model displaces
-the gland while a needle is inserted: axial drag along the needle, a
-rotation about a fixed anterior-apical pivot driven by the needle's
-lateral offset, and a frozen per-insertion random translation.  A
-phantom holds no motion parameters: ``prostate_transform`` takes them.
+sampled inside it under zone quotas, in chunks of candidates tested as
+masks; a parametric motion model displaces the gland while a needle is
+inserted: axial drag along the needle, a rotation about a fixed
+anterior-apical pivot driven by the needle's lateral offset, and a
+frozen per-insertion random translation.
+
+A phantom holds no motion parameters.  The gland transform of one
+needle line splits in two: its ``GlandLever`` (direction, entry depth,
+penetration, lateral offset and rotation axis) reads no motion
+parameter and is made for a block of lines at once by
+``gland_levers``; ``prostate_transform`` takes a lever and the motion
+parameters and evaluates only the motion terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +39,8 @@ ANGLED = "Angled"
 DEFAULT_TARGET_MARGIN = 0.92
 
 _PLACEMENT_ATTEMPTS = 20000
+# placement candidates drawn at once
+_PLACEMENT_CHUNK = 256
 
 # registration fiducials sit on a shrunken copy of the gland surface
 _FIDUCIAL_SCALE = 0.85
@@ -97,28 +106,6 @@ class MotionParams:
 
 
 @dataclass
-class NeedleState:
-    """Pose of the needle: entry point, unit direction, tip depth along dir.
-
-    ``pass_depth`` is the depth reached on the initial insertion pass; depth
-    corrections move the tip but the tissue keeps reacting to the initial
-    pass, so the motion model reads penetration from ``pass_depth``.  It
-    defaults to ``tip_depth`` (a single uncorrected pass).
-    """
-
-    entry: np.ndarray
-    dir: np.ndarray
-    tip_depth: float
-    pass_depth: float | None = None
-
-    def __post_init__(self):
-        self.entry = np.asarray(self.entry, dtype=np.float64).reshape(3)
-        self.dir = np.asarray(self.dir, dtype=np.float64).reshape(3)
-        if self.tip_depth < 0:
-            raise ValueError("tip_depth must be >= 0")
-
-
-@dataclass
 class PhantomSpec:
     n_targets: int = 10
     gland_semiaxes: tuple[float, float, float] = (25.0, 20.0, 22.0)
@@ -173,24 +160,27 @@ def largest_remainder(total: int, fractions) -> list[int]:
     return counts
 
 
-def _zone_ok(p: np.ndarray, a: float, labels: tuple[str, str, str]) -> bool:
+def _zone_mask(p: np.ndarray, a: float, labels: tuple[str, str, str]) -> np.ndarray:
+    """Which candidates of ``p`` (M, 3) lie in the zone of ``labels``."""
     depth, lat, ap = labels
-    if depth == APEX and not p[2] < 0:
-        return False
-    if depth == BASE and not p[2] > 0:
-        return False
+    x, y, z = p.T
     third = a / 3.0
-    if lat == LEFT and not p[0] > third:
-        return False
-    if lat == RIGHT and not p[0] < -third:
-        return False
-    if lat == CENTER and not abs(p[0]) <= third:
-        return False
-    if ap == ANTERIOR and not p[1] > 0:
-        return False
-    if ap == POSTERIOR and not p[1] < 0:
-        return False
-    return True
+    ok = np.ones(len(p), dtype=bool)
+    if depth == APEX:
+        ok &= z < 0
+    elif depth == BASE:
+        ok &= z > 0
+    if lat == LEFT:
+        ok &= x > third
+    elif lat == RIGHT:
+        ok &= x < -third
+    elif lat == CENTER:
+        ok &= np.abs(x) <= third
+    if ap == ANTERIOR:
+        ok &= y > 0
+    elif ap == POSTERIOR:
+        ok &= y < 0
+    return ok
 
 
 def generate_phantom(spec: PhantomSpec, seed: int) -> ProstatePhantom:
@@ -227,19 +217,29 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> ProstatePhantom:
     semi = np.array([a, b, c]) * spec.margin
     placed: list[np.ndarray] = []
     targets: list[Target] = []
+    # the candidates, drawn a chunk at a time in the order of one draw per
+    # attempt, and which of them lie inside the gland; what one target
+    # leaves over are the next one's first attempts
+    cands, inside = np.empty((0, 3)), np.empty(0, dtype=bool)
     for i in range(spec.n_targets):
         labels = (depth_seq[i], lat_seq[i], ap_seq[i])
         pos = None
-        for _ in range(_PLACEMENT_ATTEMPTS):
-            cand = (stream.uniform(-1.0, 1.0, 3)) * semi
-            if np.sum((cand / semi) ** 2) > 1.0:
-                continue
-            if not _zone_ok(cand, a, labels):
-                continue
-            if placed and min(np.linalg.norm(cand - q) for q in placed) < spec.min_spacing:
-                continue
-            pos = cand
-            break
+        tried = 0
+        while pos is None and tried < _PLACEMENT_ATTEMPTS:
+            if not len(cands):
+                cands = stream.uniform(-1.0, 1.0, (_PLACEMENT_CHUNK, 3)) * semi
+                inside = ~(np.sum((cands / semi) ** 2, axis=1) > 1.0)
+            used = min(len(cands), _PLACEMENT_ATTEMPTS - tried)
+            # only the candidates in the gland and the zone meet the spacing check, in order
+            for j in np.flatnonzero(inside[:used] & _zone_mask(cands[:used], a, labels)).tolist():
+                cand = cands[j]
+                if placed and min(np.linalg.norm(cand - q) for q in placed) < spec.min_spacing:
+                    continue
+                # a copy: the chunk is let go once placement ends
+                pos, used = cand.copy(), j + 1
+                break
+            cands, inside = cands[used:], inside[used:]
+            tried += used
         if pos is None:
             raise ValueError(
                 f"could not place target {i} in zone {labels} with min spacing "
@@ -292,46 +292,93 @@ def penetration(entry_depth, pass_depth) -> np.ndarray:
     return np.where(pen > 0.0, pen, 0.0)
 
 
-def prostate_transform(
-    phantom: ProstatePhantom, motion: MotionParams, needle: NeedleState, motion_noise, entry_depth: float
-) -> geometry.RigidTransform:
-    """Rigid displacement of the gland induced by the needle under ``motion``.
+@dataclass
+class GlandLever:
+    """The motion-free part of the gland transform of one needle line and first pass.
 
-    The phantom gives the gland's shape and pivot; the motion parameters
-    come from the study, so one phantom serves any motion model.  Identity
-    until the tip reaches the gland.  Afterwards: translation of
-    ``axial_base_offset + axial_gain * penetration`` along the needle
-    direction, a rotation of ``rotation_gain * lateral_offset *
-    penetration`` degrees about the pivot (axis perpendicular to the plane
-    of the needle and the centroid offset), and the translation
+    Everything ``prostate_transform`` reads that no motion parameter
+    changes: the unit direction ``dir`` of the line, its gland entry depth
+    along it (NaN: the line misses the gland), the first pass's
+    penetration beyond that depth, the lateral offset of the gland
+    centroid from the line, the phantom's pivot, and the cross-product
+    matrix ``kx`` of the unit rotation axis (perpendicular to the plane of
+    the needle and the centroid offset) with its square ``kx2``; both are
+    None when the centroid lies on the line, which rotates nothing.
+    """
+
+    dir: np.ndarray
+    entry_depth: float
+    penetration: float
+    lateral: float
+    pivot: np.ndarray
+    kx: np.ndarray | None = None
+    kx2: np.ndarray | None = None
+
+
+def gland_levers(phantoms, entries, dirs, entry_depths, pass_depths) -> list[GlandLever]:
+    """The levers of a block of needle lines, computed in arrays over the block.
+
+    Line k enters ``phantoms[k]`` at ``entries[k]`` along the unit
+    direction ``dirs[k]``, meets its gland at ``entry_depths[k]`` along it
+    (``gland_entry_depth``) and is first inserted to ``pass_depths[k]``.
+    Each lever has the bits the per-line formula gives alone: the stacked
+    dot products, norms and matrix products keep those of one line's.
+    """
+    dirs = np.asarray(dirs, dtype=np.float64)
+    entry_depths = np.asarray(entry_depths, dtype=np.float64)
+    pens = penetration(entry_depths, np.asarray(pass_depths, dtype=np.float64))
+    rel = -np.asarray(entries, dtype=np.float64)  # the gland centroid, the origin, relative to each entry
+    offset = rel - geometry.row_dot(rel, dirs)[:, None] * dirs
+    lateral = np.sqrt(geometry.row_dot(offset, offset))
+    levers = [
+        GlandLever(d, depth, pen, lat, phantom.pivot)
+        for phantom, d, depth, pen, lat in zip(
+            phantoms, dirs, entry_depths.tolist(), pens.tolist(), lateral.tolist()
+        )
+    ]
+    turns = np.flatnonzero(lateral > 1e-12)
+    if turns.size:
+        # the unit axis d x (offset / lateral), the float cross product as columns
+        d0, d1, d2 = dirs[turns].T
+        u0, u1, u2 = (offset[turns] / lateral[turns, None]).T
+        axes = np.stack([d1 * u2 - d2 * u1, d2 * u0 - d0 * u2, d0 * u1 - d1 * u0], axis=1)
+        k0, k1, k2 = geometry.normalize(axes).T
+        kx = np.zeros((turns.size, 3, 3))
+        kx[:, 0, 1], kx[:, 0, 2] = -k2, k1
+        kx[:, 1, 0], kx[:, 1, 2] = k2, -k0
+        kx[:, 2, 0], kx[:, 2, 1] = -k1, k0
+        for k, row, square in zip(turns.tolist(), kx, kx @ kx):
+            levers[k].kx, levers[k].kx2 = row, square
+    return levers
+
+
+def prostate_transform(
+    lever: GlandLever, motion: MotionParams, tip_depth: float, motion_noise
+) -> geometry.RigidTransform:
+    """Rigid displacement of the gland under ``motion`` with the needle tip at ``tip_depth``.
+
+    The lever gives the needle line's motion-free terms; the motion
+    parameters come from the study, so one lever serves any motion model.
+    Identity until the tip passes the gland entry depth.  Afterwards:
+    translation of ``axial_base_offset + axial_gain * penetration`` along
+    the needle direction, a rotation of ``rotation_gain * lateral_offset *
+    penetration`` degrees about the pivot, and the translation
     ``motion_noise``: the insertion's (3,) draw of sd ``noise_sd_motion``,
     made once per insertion so that every evaluation during it sees the
-    same noise.  ``entry_depth`` is the ``gland_entry_depth`` of the
-    needle line along its normalized direction (NaN: the line misses).
+    same noise.  The penetration is the first pass's, so the transform
+    depends on the tip only through which side of the entry depth it is.
     """
-    d = geometry.normalize(needle.dir)
-    if not needle.tip_depth > entry_depth:
+    if not tip_depth > lever.entry_depth:
         return geometry.identity()
-    pass_depth = needle.pass_depth if needle.pass_depth is not None else needle.tip_depth
-    pen = max(0.0, pass_depth - entry_depth)
-
-    drag = motion.axial_base_offset + motion.axial_gain * pen
-
-    rel = -needle.entry  # the gland centroid, the origin, relative to the entry
-    along = float(rel @ d)
-    offset_vec = rel - along * d
-    lateral = float(np.linalg.norm(offset_vec))
-    if lateral > 1e-12 and motion.rotation_gain > 0.0:
-        # d x (offset_vec / lateral) on floats: np.cross's bits, without its overhead
-        d0, d1, d2 = d.tolist()
-        u0, u1, u2 = (offset_vec / lateral).tolist()
-        axis = (d1 * u2 - d2 * u1, d2 * u0 - d0 * u2, d0 * u1 - d1 * u0)
-        angle = motion.rotation_gain * lateral * pen
-        rot = geometry.rotation_about_axis(axis, angle, phantom.pivot)
+    drag = motion.axial_base_offset + motion.axial_gain * lever.penetration
+    if lever.kx is not None and motion.rotation_gain > 0.0:
+        # Rodrigues' formula about the pivot, as geometry.rotation_about_axis
+        theta = np.deg2rad(motion.rotation_gain * lever.lateral * lever.penetration)
+        rot = np.eye(3) + np.sin(theta) * lever.kx + (1.0 - np.cos(theta)) * lever.kx2
+        swing = geometry.RigidTransform(rot, lever.pivot - rot @ lever.pivot)
     else:
-        rot = geometry.identity()
-
-    return geometry.compose(geometry.translation(drag * d + motion_noise), rot)
+        swing = geometry.identity()
+    return geometry.compose(geometry.translation(drag * lever.dir + motion_noise), swing)
 
 
 def world_to_material(rotations: np.ndarray, translations: np.ndarray, points_world: np.ndarray):
@@ -343,7 +390,3 @@ def world_to_material(rotations: np.ndarray, translations: np.ndarray, points_wo
     rot_t = rotations.transpose(0, 2, 1)
     # x - y has the bits of x + (-y), the form of apply(inverse(t), p)
     return (rot_t @ points_world[:, :, None] - rot_t @ translations[:, :, None])[:, :, 0]
-
-
-def with_approach(zone: ZoneLabels, approach: str) -> ZoneLabels:
-    return replace(zone, approach=approach)

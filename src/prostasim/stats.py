@@ -41,18 +41,18 @@ def median_iqr(s: Sample) -> tuple[float, float, float]:
 
 
 def midranks(pooled: np.ndarray) -> np.ndarray:
-    """Ranks 1..N with ties sharing their average rank."""
+    """Ranks 1..N with ties sharing their average rank.
+
+    The tie groups are the runs of equal values in stable sorted order;
+    the group of sorted positions i..j shares the rank (i + j) / 2 + 1,
+    which is exact in floating point.
+    """
     order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(len(pooled), dtype=np.float64)
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
+    ranked = pooled[order]
+    starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+    ends = np.append(starts[1:], len(ranked)) - 1
+    ranks = np.empty(len(ranked), dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prostasim import planning
+from prostasim import geometry, planning
 from prostasim.config import default_config
 from prostasim.kinematics import Trajectory
 
@@ -140,3 +140,36 @@ def replan_angled_oracle(arch, target, region, geom, needle_radius=planning.DEFA
     depth = float(np.linalg.norm(rel))
     approach = "Angled" if angles[idx] > planning.ANGLE_BIN_DEG else "Horizontal"
     return Trajectory(entry3, rel / depth, depth, approach)
+
+
+def gland_transform_oracle(phantom, motion, entry, dir, tip_depth, pass_depth, motion_noise, entry_depth):
+    """The gland transform of one needle line, evaluated whole on that line alone.
+
+    The per-line formula that ``phantom.gland_levers`` and
+    ``phantom.prostate_transform`` split into a motion-free and a motion
+    half, kept as their oracle: the tip at ``tip_depth`` after a first
+    pass to ``pass_depth``, and ``entry_depth`` the line's gland entry
+    depth along its normalized direction (NaN: the line misses).
+    """
+    entry = np.asarray(entry, dtype=np.float64)
+    d = geometry.normalize(np.asarray(dir, dtype=np.float64))
+    if not tip_depth > entry_depth:
+        return geometry.identity()
+    pen = max(0.0, pass_depth - entry_depth)
+
+    drag = motion.axial_base_offset + motion.axial_gain * pen
+
+    rel = -entry  # the gland centroid, the origin, relative to the entry
+    along = float(rel @ d)
+    offset_vec = rel - along * d
+    lateral = float(np.linalg.norm(offset_vec))
+    if lateral > 1e-12 and motion.rotation_gain > 0.0:
+        d0, d1, d2 = d.tolist()
+        u0, u1, u2 = (offset_vec / lateral).tolist()
+        axis = (d1 * u2 - d2 * u1, d2 * u0 - d0 * u2, d0 * u1 - d1 * u0)
+        angle = motion.rotation_gain * lateral * pen
+        rot = geometry.rotation_about_axis(axis, angle, phantom.pivot)
+    else:
+        rot = geometry.identity()
+
+    return geometry.compose(geometry.translation(drag * d + motion_noise), rot)

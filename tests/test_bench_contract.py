@@ -3,8 +3,10 @@
 perfbench wraps each function of ``tracer.LAYERS`` by name and records
 ``prostasim.active_backend()`` with every run, so a refactor that moves or
 renames one of them breaks every benchmark run.  A traced run must also
-see at least one call into every layer its workload lists, and one task
-per insertion slot; the traced-run tests below check that here.
+see at least one call into every layer its workload lists, one task
+per insertion slot, and every first pass and phantom build under the
+names the phantom layer wraps; the traced-run tests below check that
+here.
 """
 
 import functools
@@ -91,8 +93,13 @@ def test_traced_run_calls_every_layer_and_counts_slots(workload, run, slots, tmp
         )
         assert calls >= 1, f"no traced call into layer {layer}"
     assert metrics["trace.tasks"] == slots
+    # the phantom layer's metrics read these names: a first pass or a
+    # phantom build routed around them would read 0 there, silently
+    assert metrics["phantom.prostate_transform.calls"] >= slots
+    assert metrics["phantom.generate_phantom.calls"] == tiny_config().n_phantoms
     if workload == "plan_heavy":
         assert metrics["planning.replan_angled.calls"] >= 1
     # removed again: every binding holds prostasim's own function
     assert calibrate.run_study is study.run_study
     assert not hasattr(sensing.observe, "__wrapped__")
+

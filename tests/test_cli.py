@@ -106,6 +106,17 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "verbosity" in err
 
 
+def test_an_entry_plane_behind_the_gland_front_is_config_error(tmp_path, capsys):
+    cfg = tiny_config()
+    cfg.robot.front_plane_z = -10.0
+    path = tmp_path / "inside.yaml"
+    path.write_text(to_yaml(cfg))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert "robot.front_plane_z" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_seed_override_changes_bytes_and_repeats(tmp_path, capsys):
     cfg_path = tiny_config_file(tmp_path, mode="closed_loop")
     runs = {}

@@ -114,6 +114,18 @@ def test_validation_paths():
     from_dict(dict(seed=2**64 - 1, n_seed_replicates=1 << rng._FIELD_BITS)).validate()
 
 
+def test_an_entry_plane_on_or_behind_the_gland_front_is_rejected():
+    # the gland's apical pole is at z = -22 by default
+    for data in (
+        {"robot": {"front_plane_z": -22.0}},
+        {"robot": {"front_plane_z": -10.0}},
+        {"phantom": {"gland_semiaxes": [25.0, 20.0, 60.0]}},
+    ):
+        with pytest.raises(ConfigError, match=r"^robot\.front_plane_z: must be < -phantom\.gland_semiaxes\[2\]"):
+            from_dict(data).validate()
+    from_dict({"robot": {"front_plane_z": math.nextafter(-22.0, -math.inf)}}).validate()
+
+
 def test_malformed_values_rejected():
     with pytest.raises(ConfigError, match="malformed"):
         from_dict({"motion": {"axial_gain": "fast"}})

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import replan_angled_oracle, segment_distance_oracle, tiny_config
+from conftest import gland_transform_oracle, replan_angled_oracle, segment_distance_oracle, tiny_config
 from prostasim import controller, geometry, planning, rng, sensing, study
 from prostasim import phantom as ph
 from prostasim.config import default_config
@@ -21,7 +21,6 @@ from prostasim.kinematics import JointState, RobotGeometry, Trajectory
 from prostasim.phantom import (
     LEFT,
     MotionParams,
-    NeedleState,
     PhantomSpec,
     generate_phantom,
     gland_entry_depth,
@@ -53,6 +52,8 @@ def make_phantom(left_bias=0.0, seed=4):
 
 
 STILL = MotionParams(0.0, 0.0, 0.0, 0.0)
+# every term of the motion model on, the rotation strong enough to show
+LEVERED = MotionParams(0.12, 2.4, 0.05, 1.0)
 
 
 def quiet_noise():
@@ -238,15 +239,16 @@ def counting(calls, name, fn):
 
 def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
     # a slot is its plan plus its insertion; a call is counted for the slot
-    # whose needle entry point it is given
+    # whose needle entry point it is given, or whose plan's lever
     per_slot = defaultdict(Counter)
+    lever_slots = {}
 
     def slot(entry):
         return tuple(np.asarray(entry).tolist())
 
-    def transform(phantom, motion, needle, noise, entry_depth):
-        per_slot[slot(needle.entry)]["transform"] += 1
-        return prostate_transform(phantom, motion, needle, noise, entry_depth)
+    def transform(lever, motion, tip_depth, noise):
+        per_slot[lever_slots[id(lever)]]["transform"] += 1
+        return prostate_transform(lever, motion, tip_depth, noise)
 
     # the rows of each entry depth solve, one entry per call
     solved = []
@@ -271,6 +273,7 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
         # one solve for the whole block: along each planned and each normalized direction
         assert solved[solves:] == [2 * len(plans)]
         for plan in plans:
+            lever_slots[id(plan.lever)] = slot(plan.trajectory.entry)
             per_slot[slot(plan.trajectory.entry)]["line"] += sum(
                 np.array_equal(c, plan.reference.centered[0]) for c in checked[0]
             )
@@ -322,16 +325,16 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     planned = traj.planned_depth
     depth_to_shallow, _ = geometry.axis_decompose(traj.entry, traj.dir, shallow)
     tip = max(0.0, planned + (depth_to_shallow - planned))
-    retracted = NeedleState(traj.entry, traj.dir, tip, pass_depth=planned)
     entry_depth = gland_entry_depth([p], [traj.entry], [geometry.normalize(traj.dir)])[0]
-    fresh = prostate_transform(p, motion, retracted, np.zeros(3), entry_depth)
+    fresh = gland_transform_oracle(p, motion, traj.entry, traj.dir, tip, planned, np.zeros(3), entry_depth)
     tip_world = (traj.entry + tip * traj.dir)[None]
     bead = world_to_material(fresh.rotation[None], fresh.translation[None], tip_world)[0]
     np.testing.assert_array_equal(rec.bead_rest_position, bead)
     assert rec.distance_error == float(np.linalg.norm(bead - t.position_rest))
     # the first pass's transform, which the retracted tip must not reuse
-    first_pass = NeedleState(traj.entry, traj.dir, planned)
-    first = prostate_transform(p, motion, first_pass, np.zeros(3), entry_depth)
+    first = gland_transform_oracle(
+        p, motion, traj.entry, traj.dir, planned, planned, np.zeros(3), entry_depth
+    )
     assert np.linalg.norm(first.translation - fresh.translation) > 1.0
 
 
@@ -362,7 +365,7 @@ def test_a_given_plan_gives_the_same_records():
     assert still.open_loop.distance_error < fresh.open_loop.distance_error
     # an untracked plan carries no registration reference
     untracked = plan_quiet(p, t.id, noise=noise, track=False)
-    assert untracked.reference is None and untracked.entry_depth == plan.entry_depth
+    assert untracked.reference is None and untracked.lever.entry_depth == plan.lever.entry_depth
     opened = open_loop_insertion(p, motion, untracked, streams(t.id))
     assert_same_record(fresh.open_loop, opened)
     with pytest.raises(ValueError, match="tracked plan"):
@@ -371,9 +374,10 @@ def test_a_given_plan_gives_the_same_records():
 
 def assert_same_plan(a, b):
     assert a.target is b.target
-    for name in ("target_obs", "duration_s", "penetration", "entry_depth"):
+    assert a.zone == b.zone
+    for name in ("target_obs", "duration_s", "penetration"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
-    for name in ("trajectory", "joints"):
+    for name in ("trajectory", "joints", "lever"):
         for key, value in vars(getattr(a, name)).items():
             np.testing.assert_array_equal(value, vars(getattr(b, name))[key], err_msg=f"{name}.{key}")
     if a.reference is None:
@@ -563,9 +567,20 @@ def test_a_block_plans_each_slot_as_it_would_alone(
         traj = oracle_trajectory(arch, b.target_obs, EntryRegion(), robot)
         joints, duration, pen, entry_depth = oracle_first_pass(slot[0], traj, robot)
         oracle = replace(
-            b, trajectory=traj, joints=joints, duration_s=duration, penetration=pen, entry_depth=entry_depth
+            b, trajectory=traj, joints=joints, duration_s=duration, penetration=pen,
+            zone=replace(b.target.zone, approach=traj.approach),
         )
         assert_same_plan(oracle, b)
+        # the lever gives the bits of the gland transform evaluated whole on the line
+        np.testing.assert_array_equal(b.lever.entry_depth, entry_depth)
+        noise3 = np.array([0.4, -1.1, 0.7])
+        for tip in (traj.planned_depth, 0.5 * traj.planned_depth):
+            got = prostate_transform(b.lever, LEVERED, tip, noise3)
+            want = gland_transform_oracle(
+                slot[0], LEVERED, traj.entry, traj.dir, tip, traj.planned_depth, noise3, entry_depth
+            )
+            assert got.rotation.tobytes() == want.rotation.tobytes()
+            assert got.translation.tobytes() == want.translation.tobytes()
 
 
 def test_a_collinear_reference_volume_anywhere_in_a_block_raises():

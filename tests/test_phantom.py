@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from prostasim import geometry, phantom as ph
+from conftest import gland_transform_oracle
+from prostasim import geometry, phantom as ph, rng
 from prostasim.phantom import (
     ANTERIOR,
     APEX,
@@ -11,11 +12,13 @@ from prostasim.phantom import (
     POSTERIOR,
     RIGHT,
     MotionParams,
-    NeedleState,
     PhantomSpec,
+    Target,
+    ZoneLabels,
     default_quotas,
     generate_phantom,
     gland_entry_depth,
+    gland_levers,
     largest_remainder,
     penetration,
     prostate_transform,
@@ -39,14 +42,21 @@ def entry_depth(p, entry, d):
     return gland_entry_depth([p], [entry], [d])[0]
 
 
-def needle_penetration(p, needle):
-    return penetration(entry_depth(p, needle.entry, needle.dir), needle.tip_depth)
+def needle_penetration(p, entry, d, depth):
+    return penetration(entry_depth(p, entry, d), depth)
 
 
-def transform(p, motion, needle, noise):
-    """The gland transform of one needle, given its entry depth along the normalized direction."""
-    depth = entry_depth(p, needle.entry, geometry.normalize(needle.dir))
-    return prostate_transform(p, motion, needle, noise, depth)
+def lever(p, entry, d, pass_depth):
+    """The lever of one needle line and first pass: a block of one."""
+    unit = geometry.normalize(np.array([d], dtype=np.float64))
+    return gland_levers([p], [entry], unit, [entry_depth(p, entry, unit[0])], [pass_depth])[0]
+
+
+def transform(p, motion, entry, d, tip_depth, noise, pass_depth=None):
+    """The gland transform with the tip at ``tip_depth`` after a first pass
+    to ``pass_depth`` (by default the tip's depth: one uncorrected pass)."""
+    pass_depth = tip_depth if pass_depth is None else pass_depth
+    return prostate_transform(lever(p, entry, d, pass_depth), motion, tip_depth, noise)
 
 
 def test_generation_is_deterministic():
@@ -143,19 +153,16 @@ def test_penetration_and_drag_values():
     c = p.gland_semiaxes[2]
     entry = np.array([0.0, 0.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
-    shallow = NeedleState(entry, d, 10.0)
-    assert needle_penetration(p, shallow) == 0.0
-    assert motion.drag(needle_penetration(p, shallow)) == 0.0
-    deep = NeedleState(entry, d, 60.0)
-    assert needle_penetration(p, deep) == pytest.approx(c)
-    assert motion.drag(needle_penetration(p, deep)) == pytest.approx(1.5 + 0.2 * c)
+    assert needle_penetration(p, entry, d, 10.0) == 0.0
+    assert motion.drag(needle_penetration(p, entry, d, 10.0)) == 0.0
+    assert needle_penetration(p, entry, d, 60.0) == pytest.approx(c)
+    assert motion.drag(needle_penetration(p, entry, d, 60.0)) == pytest.approx(1.5 + 0.2 * c)
 
 
 def test_transform_identity_before_gland():
     motion = quiet_motion(axial_base_offset=3.0)
     p = make_phantom()
-    needle = NeedleState([0, 0, -60], [0, 0, 1], 5.0)
-    t = transform(p, motion, needle, np.zeros(3))
+    t = transform(p, motion, [0, 0, -60], [0, 0, 1], 5.0, np.zeros(3))
     np.testing.assert_array_equal(t.rotation, np.eye(3))
     np.testing.assert_array_equal(t.translation, np.zeros(3))
 
@@ -164,8 +171,7 @@ def test_transform_pure_drag_through_centroid():
     motion = quiet_motion(axial_gain=0.1, axial_base_offset=2.0)
     p = make_phantom()
     c = p.gland_semiaxes[2]
-    needle = NeedleState([0, 0, -60], [0, 0, 1], 60.0)
-    t = transform(p, motion, needle, np.zeros(3))
+    t = transform(p, motion, [0, 0, -60], [0, 0, 1], 60.0, np.zeros(3))
     np.testing.assert_array_equal(t.rotation, np.eye(3))
     np.testing.assert_allclose(t.translation, [0, 0, 2.0 + 0.1 * c], atol=1e-12)
 
@@ -177,7 +183,7 @@ def test_axial_displacement_monotone_in_depth():
     d = geometry.normalize([0.05, 0.02, 1.0])
     prev = -1.0
     for depth in np.linspace(0.0, 90.0, 40):
-        t = transform(p, motion, NeedleState(entry, d, float(depth)), np.zeros(3))
+        t = transform(p, motion, entry, d, float(depth), np.zeros(3))
         # the gland centroid is the frame's origin
         moved = geometry.apply(t, np.zeros(3))
         axial = float(moved @ d)
@@ -188,8 +194,7 @@ def test_axial_displacement_monotone_in_depth():
 def test_rotation_zero_for_centered_needle():
     motion = quiet_motion(rotation_gain=0.05, axial_base_offset=1.0)
     p = make_phantom()
-    needle = NeedleState([0, 0, -60], [0, 0, 1], 70.0)
-    t = transform(p, motion, needle, np.zeros(3))
+    t = transform(p, motion, [0, 0, -60], [0, 0, 1], 70.0, np.zeros(3))
     assert geometry.rotation_angle_deg(t) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -198,10 +203,9 @@ def test_rotation_angle_matches_formula_and_pivot_fixed():
     p = make_phantom()
     entry = np.array([12.0, 5.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
-    needle = NeedleState(entry, d, 70.0)
-    t = transform(p, motion, needle, np.zeros(3))
+    t = transform(p, motion, entry, d, 70.0, np.zeros(3))
     lateral = np.hypot(12.0, 5.0)
-    pen = needle_penetration(p, needle)
+    pen = needle_penetration(p, entry, d, 70.0)
     assert geometry.rotation_angle_deg(t) == pytest.approx(0.01 * lateral * pen, rel=1e-9)
     # with zero drag the pivot must stay put
     np.testing.assert_allclose(geometry.apply(t, p.pivot), p.pivot, atol=1e-9)
@@ -213,13 +217,13 @@ def test_motion_noise_is_frozen_across_corrections():
     noise = substream(9, MOTION).normal(0.0, motion.noise_sd_motion, 3)
     entry = np.array([0.0, 0.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
-    first = transform(p, motion, NeedleState(entry, d, 58.0, pass_depth=58.0), noise)
+    first = transform(p, motion, entry, d, 58.0, noise)
     # corrected deeper, same first-pass depth: identical transform
-    second = transform(p, motion, NeedleState(entry, d, 63.0, pass_depth=58.0), noise)
+    second = transform(p, motion, entry, d, 63.0, noise, pass_depth=58.0)
     np.testing.assert_array_equal(first.rotation, second.rotation)
     np.testing.assert_array_equal(first.translation, second.translation)
     # a genuinely deeper first pass does move differently
-    deeper = transform(p, motion, NeedleState(entry, d, 63.0, pass_depth=63.0), noise)
+    deeper = transform(p, motion, entry, d, 63.0, noise)
     assert not np.array_equal(first.translation, deeper.translation)
 
 
@@ -228,7 +232,7 @@ def test_material_world_round_trip():
                           noise_sd_motion=1.0)
     p = make_phantom()
     noise = substream(4, MOTION).normal(0.0, motion.noise_sd_motion, 3)
-    t = transform(p, motion, NeedleState([6, 2, -60], [0, 0, 1], 70.0), noise)
+    t = transform(p, motion, [6, 2, -60], [0, 0, 1], 70.0, noise)
     rest = p.targets[0].position_rest
     world = geometry.apply(t, rest)
     back = world_to_material(t.rotation[None], t.translation[None], world[None])[0]
@@ -246,5 +250,192 @@ def test_fiducials_on_shrunken_surface():
 def test_negative_params_rejected():
     with pytest.raises(ValueError):
         MotionParams(axial_gain=-0.1).validate()
-    with pytest.raises(ValueError):
-        NeedleState([0, 0, 0], [0, 0, 1], -1.0)
+
+
+# Oracles of the array forms: the gland transform evaluated whole on one
+# line (conftest.gland_transform_oracle) and the placement loop drawing
+# and testing one candidate at a time.
+
+
+def bits(t):
+    return t.rotation.tobytes() + t.translation.tobytes()
+
+
+def still_and_moving(rs):
+    """Motion models with every term on, and with the rotation or the noise off."""
+    yield MotionParams(0.118, 2.45, 0.016, 1.85), rs.standard_normal(3) * 1.85
+    random = MotionParams(rs.uniform(0, 0.3), rs.uniform(0, 4), rs.uniform(0, 0.05), 0.9)
+    yield random, 0.0 + 0.9 * rs.standard_normal(3)
+    yield MotionParams(0.2, 1.0, 0.0, 1.0), rs.standard_normal(3)
+    yield MotionParams(0.1, 2.0, 0.02, 0.0), np.zeros(3)
+
+
+def assert_levers_match_the_per_line_formula(phantoms, entries, dirs, pass_depths, tips, rs):
+    """Levers made for the lines as one block, each line's transforms against the oracle's bits."""
+    entries = np.asarray(entries, dtype=np.float64)
+    dirs = np.asarray(dirs, dtype=np.float64)
+    units = geometry.normalize(dirs)
+    depths = gland_entry_depth(phantoms, entries, units)
+    levers = gland_levers(phantoms, entries, units, depths, pass_depths)
+    for k, lv in enumerate(levers):
+        for tip in tips[k]:
+            for motion, noise in still_and_moving(rs):
+                got = prostate_transform(lv, motion, tip, noise)
+                want = gland_transform_oracle(
+                    phantoms[k], motion, entries[k], dirs[k], tip, pass_depths[k], noise, depths[k]
+                )
+                assert bits(got) == bits(want), (k, tip, motion)
+    return levers, depths
+
+
+SHAPED = (make_phantom(), make_phantom(seed=6, gland_semiaxes=(21.0, 17.0, 26.0), pivot=(2.0, 14.0, -12.0)))
+
+
+def test_levers_and_transform_match_the_per_line_formula():
+    rs = np.random.default_rng(2024)
+    n = 300
+    phantoms = [SHAPED[i] for i in rs.integers(0, 2, n)]
+    entries = np.column_stack([rs.uniform(-30, 30, (n, 2)), rs.uniform(-80, -30, n)])
+    aims = rs.uniform(-25, 25, (n, 3))
+    lengths = np.linalg.norm(aims - entries, axis=1)
+    # directions as planned (about unit) and scaled, so the lever normalizes them
+    dirs = (aims - entries) * np.where(rs.random(n) < 0.5, 1.0 / lengths, rs.uniform(0.2, 3.0, n))[:, None]
+    pass_depths = lengths * rs.uniform(0.5, 1.5, n)
+    tips = [[float(p), max(0.0, float(p + rs.uniform(-15, 15)))] for p in pass_depths]
+    levers, depths = assert_levers_match_the_per_line_formula(phantoms, entries, dirs, pass_depths, tips, rs)
+    assert sum(lv.kx is not None for lv in levers) == n
+    assert np.isfinite(depths).sum() > n // 2
+
+
+def test_levers_match_the_per_line_formula_at_the_edges():
+    rs = np.random.default_rng(7)
+    p = SHAPED[0]
+    c = p.gland_semiaxes[2]
+    entries = [
+        [0.0, 0.0, -60.0],  # on the axis: lateral 0, no rotation
+        [1e-13, 0.0, -60.0],  # lateral 1e-13, at most 1e-12: no rotation
+        [100.0, 0.0, -60.0],  # misses the gland: NaN entry depth
+        [6.0, -4.0, -60.0],  # a tip exactly at the entry depth and one ulp past it
+    ]
+    dirs = [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [0.0, 0.0, 1.0], [0.02, 0.01, 1.0]]
+    units = geometry.normalize(np.array(dirs))
+    at = float(gland_entry_depth([p], [entries[3]], units[3:])[0])
+    tips = [[70.0, 60.0 - c], [70.0], [70.0, 0.0], [at, float(np.nextafter(at, np.inf)), 70.0]]
+    levers, depths = assert_levers_match_the_per_line_formula(
+        [p] * 4, entries, dirs, [70.0, 70.0, 70.0, 70.0], tips, rs
+    )
+    assert levers[0].lateral == 0.0 and levers[0].kx is None and levers[0].kx2 is None
+    assert 0.0 < levers[1].lateral <= 1e-12 and levers[1].kx is None
+    assert np.isnan(depths[2]) and levers[2].penetration == 0.0
+    assert levers[3].kx is not None
+    motion = MotionParams(0.1, 2.0, 0.02, 0.0)
+    assert bits(prostate_transform(levers[2], motion, 70.0, np.zeros(3))) == bits(geometry.identity())
+    assert bits(prostate_transform(levers[3], motion, at, np.zeros(3))) == bits(geometry.identity())
+    assert bits(prostate_transform(levers[3], motion, 70.0, np.zeros(3))) != bits(geometry.identity())
+
+
+def zone_ok_oracle(p, a, labels):
+    depth, lat, ap = labels
+    if depth == APEX and not p[2] < 0:
+        return False
+    if depth == BASE and not p[2] > 0:
+        return False
+    third = a / 3.0
+    if lat == LEFT and not p[0] > third:
+        return False
+    if lat == RIGHT and not p[0] < -third:
+        return False
+    if lat == CENTER and not abs(p[0]) <= third:
+        return False
+    if ap == ANTERIOR and not p[1] > 0:
+        return False
+    if ap == POSTERIOR and not p[1] < 0:
+        return False
+    return True
+
+
+def placement_oracle(spec, seed):
+    """The targets of ``generate_phantom``, one candidate drawn and tested per attempt."""
+    a, b, c = spec.gland_semiaxes
+    quotas = spec.zone_quotas if spec.zone_quotas is not None else default_quotas(spec.n_targets)
+    stream = substream(seed, rng.PHANTOM_BUILD, phantom=spec.index)
+    depth_seq = ph._shuffled_labels(stream, [(APEX, quotas[APEX]), (BASE, quotas[BASE])])
+    lat_seq = ph._shuffled_labels(
+        stream, [(LEFT, quotas[LEFT]), (CENTER, quotas[CENTER]), (RIGHT, quotas[RIGHT])]
+    )
+    ap_seq = ph._shuffled_labels(stream, [(ANTERIOR, quotas[ANTERIOR]), (POSTERIOR, quotas[POSTERIOR])])
+    semi = np.array([a, b, c]) * spec.margin
+    placed, targets = [], []
+    for i in range(spec.n_targets):
+        labels = (depth_seq[i], lat_seq[i], ap_seq[i])
+        pos = None
+        for _ in range(ph._PLACEMENT_ATTEMPTS):
+            cand = (stream.uniform(-1.0, 1.0, 3)) * semi
+            if np.sum((cand / semi) ** 2) > 1.0:
+                continue
+            if not zone_ok_oracle(cand, a, labels):
+                continue
+            if placed and min(np.linalg.norm(cand - q) for q in placed) < spec.min_spacing:
+                continue
+            pos = cand
+            break
+        if pos is None:
+            raise ValueError(
+                f"could not place target {i} in zone {labels} with min spacing "
+                f"{spec.min_spacing} mm after {ph._PLACEMENT_ATTEMPTS} attempts"
+            )
+        placed.append(pos)
+        targets.append(Target(i, pos, ZoneLabels(*labels)))
+    return targets
+
+
+def placement(make, spec, seed):
+    """The targets' ids, position bits and zones, or the error message."""
+    try:
+        return [(t.id, t.position_rest.tobytes(), t.zone) for t in make(spec, seed)]
+    except ValueError as e:
+        return str(e)
+
+
+def corner_quotas(n):
+    """Every target in the apex-left-anterior corner: most candidates miss the zone."""
+    return {APEX: n, BASE: 0, LEFT: n, CENTER: 0, RIGHT: 0, ANTERIOR: n, POSTERIOR: 0}
+
+
+PLACEMENT_SPECS = (
+    PhantomSpec(),
+    PhantomSpec(n_targets=30, min_spacing=6.0, index=2),
+    PhantomSpec(n_targets=64, min_spacing=3.0, gland_semiaxes=(21.0, 17.0, 26.0), margin=0.8),
+    PhantomSpec(n_targets=5, min_spacing=12.0, index=3),
+    PhantomSpec(n_targets=8, zone_quotas=corner_quotas(8), min_spacing=5.0),
+)
+
+
+def built_targets(spec, seed):
+    return generate_phantom(spec, seed).targets
+
+
+@pytest.mark.parametrize("spec", PLACEMENT_SPECS)
+def test_placement_matches_one_candidate_per_attempt(spec):
+    for seed in range(40):
+        assert placement(built_targets, spec, seed) == placement(placement_oracle, spec, seed), seed
+
+
+# a budget under one chunk of candidates, and one that ends inside the second
+# chunk; each runs out on some seeds and not on others
+@pytest.mark.parametrize("attempts, n, spacing", [(100, 12, 3.0), (300, 8, 6.0)])
+def test_placement_runs_out_of_attempts_as_one_candidate_per_attempt_does(monkeypatch, attempts, n, spacing):
+    monkeypatch.setattr(ph, "_PLACEMENT_ATTEMPTS", attempts)
+    spec = PhantomSpec(n_targets=n, zone_quotas=corner_quotas(n), min_spacing=spacing)
+    outcomes = [placement(built_targets, spec, seed) for seed in range(30)]
+    assert outcomes == [placement(placement_oracle, spec, seed) for seed in range(30)]
+    failed = [o for o in outcomes if isinstance(o, str)]
+    assert failed and len(failed) < len(outcomes)
+    assert all(f"after {attempts} attempts" in o for o in failed)
+
+
+def test_impossible_spacing_gives_the_same_error_as_one_candidate_per_attempt():
+    spec = PhantomSpec(min_spacing=60.0)
+    message = placement(placement_oracle, spec, 1)
+    assert message.startswith("could not place target 1 in zone")
+    assert placement(built_targets, spec, 1) == message

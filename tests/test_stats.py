@@ -66,6 +66,34 @@ def test_midranks_average_ties():
     np.testing.assert_array_equal(midranks(np.array([3.0, 1.0, 2.0])), [3.0, 1.0, 2.0])
 
 
+def midranks_oracle(pooled):
+    """Midranks by walking the tie groups of the stable sort one position at a time."""
+    order = np.argsort(pooled, kind="stable")
+    ranks = np.empty(len(pooled), dtype=np.float64)
+    i = 0
+    while i < len(pooled):
+        j = i
+        while j + 1 < len(pooled) and pooled[order[j + 1]] == pooled[order[i]]:
+            j += 1
+        avg = (i + j) / 2.0 + 1.0
+        for k in range(i, j + 1):
+            ranks[order[k]] = avg
+        i = j + 1
+    return ranks
+
+
+def test_midranks_match_the_tie_group_walk(rng):
+    samples = [np.array([]), np.array([5.0]), np.array([0.0, -0.0, 0.0])]
+    for _ in range(300):
+        n = int(rng.integers(1, 400))
+        # few distinct values give long tie runs, many give none
+        values = rng.integers(0, int(rng.integers(1, 2 * n + 2)), n) * rng.choice([0.25, 1.0, 3.7])
+        samples.append(values.astype(np.float64))
+    for pooled in samples:
+        got = midranks(pooled)
+        assert got.tobytes() == midranks_oracle(pooled).tobytes(), pooled
+
+
 def test_mw_fully_separated_groups():
     u, p = mann_whitney_u(Sample([1.0, 2.0, 3.0]), Sample([4.0, 5.0, 6.0]))
     assert u == 0.0
