@@ -76,24 +76,22 @@ def study_medians(cfg: StudyConfig, shared: SharedWork | None = None) -> tuple[d
 
     Each is the median the study summary reports for that quantity (the
     closed-loop totals, the apex and base strata, table 2's "All" row),
-    taken straight from the closed-loop records, so no summary is built.
+    taken straight from the columns of the closed-loop records, the strata
+    by mask, so no summary is built.
     ``shared`` is passed on to ``run_study``; the medians do not depend on it.
     """
-    rows = run_study(cfg, shared).rows_closed
-
-    def median(values) -> float:
-        return median_iqr(Sample(np.asarray(values, dtype=np.float64)))[0]
-
-    medians = {
-        "overall_error_mm": median([r.error_mm for r in rows]),
-        "axial_motion_mm": median([r.depth_correction_mm for r in rows]),
-        "apex_depth_correction_mm": median([r.depth_correction_mm for r in rows if r.zone_depth == APEX]),
-        "base_depth_correction_mm": median([r.depth_correction_mm for r in rows if r.zone_depth == BASE]),
-        "motion_x_mm": median([abs(r.motion_x_mm) for r in rows]),
-        "motion_y_mm": median([abs(r.motion_y_mm) for r in rows]),
-        "motion_z_mm": median([abs(r.motion_z_mm) for r in rows]),
+    rec = run_study(cfg, shared).rows_closed
+    correction, motion = rec.depth_correction_mm, np.abs(rec.motion_mm)
+    samples = {
+        "overall_error_mm": rec.error_mm,
+        "axial_motion_mm": correction,
+        "apex_depth_correction_mm": correction[rec.zone_depth == APEX],
+        "base_depth_correction_mm": correction[rec.zone_depth == BASE],
+        "motion_x_mm": motion[:, 0],
+        "motion_y_mm": motion[:, 1],
+        "motion_z_mm": motion[:, 2],
     }
-    return medians, correction_counts(rows)
+    return {key: median_iqr(Sample(values))[0] for key, values in samples.items()}, correction_counts(rec)
 
 
 def objective(medians: dict) -> float:

@@ -31,6 +31,11 @@ take the plan and none of the planning inputs, so insertions that
 differ only in motion can share one plan.  ``run_insertion`` is the
 closed loop of a single insertion.
 
+A block's records are one ``Records``, a column per quantity and a row
+per slot: the closed loop's come from ``correct_insertions``, the open
+loop's are the block's first passes stacked by ``open_loop_records``.
+A slot's two records are the same row of the two.
+
 Per-insertion invariants are computed once: the reference volume is
 prepared for registration once, the gland entry depth and the lever are
 computed once, in the plan, and the gland transform, which depends on
@@ -38,13 +43,14 @@ the tip only through whether it is past the gland entry depth (the
 motion model reads penetration from the fixed pass depth), is evaluated
 at most once for each side of that depth.  The planner returns only
 trajectories clear of the arch, so the needle never stops short: the
-records' ``disengaged`` flag is always false.  The paired comparison of
-the closed record and its baseline quantifies what the loop buys.
+records' ``disengaged`` column is always 0.  The paired comparison of a
+slot's closed and open-loop records quantifies what the loop buys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,7 +61,6 @@ from .phantom import (
     MotionParams,
     ProstatePhantom,
     Target,
-    ZoneLabels,
     gland_entry_depth,
     gland_levers,
     penetration,
@@ -81,29 +86,89 @@ class ConvergenceParams:
 
 @dataclass
 class InsertionRecord:
-    target_id: int
-    trajectory: kinematics.Trajectory
-    corrections: list[tuple[float, np.ndarray]]
-    n_corrections: int
-    bead_rest_position: np.ndarray
+    """One insertion's first pass, scored: its open-loop baseline.
+
+    The closed loop starts from the gland transform the bead was deposited
+    in and the frozen motion noise, which every later transform includes.
+    A first pass corrects nothing and never stops short: the last three
+    fields are constant.
+    """
+
     distance_error: float
     axial_motion: float
-    zone: ZoneLabels
-    # the gland transform the bead was deposited in, and the insertion's
-    # frozen motion noise, which every gland transform of it includes
+    # target displacement beyond the modeled axial drag, per axis (signed, mm)
+    residual_motion: np.ndarray
     gland_transform: geometry.RigidTransform
     motion_noise: np.ndarray
-    # no in-run stop exists (every plan is clear of the arch); kept false for the records CSV
-    disengaged: bool = False
+    n_corrections: int = 0
     max_corrections_exceeded: bool = False
-    # target displacement measured at the first verification, minus the
-    # modeled axial drag: the residual motion per axis (signed, mm)
-    residual_motion: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    registration_rms: float = 0.0
-    duration_s: float = 0.0
-    rotation_angle_deg: float = 0.0
-    # the open-loop baseline of the same plan (closed-loop records only)
-    open_loop: InsertionRecord | None = None
+    disengaged: bool = False
+
+
+@dataclass(eq=False)
+class Records:
+    """The records of a block of insertions, or of a study, as columns: row k is slot k.
+
+    The first three columns name the slot, the labels are its zones and
+    approach.  ``depth_correction_mm`` is the depth the closed loop
+    applied, or the open loop's axial displacement of the observed target;
+    ``error_mm`` is the bead's rest-frame distance from the target;
+    ``motion_mm`` is the target displacement seen at the first verification
+    (open loop: after the first pass) beyond the modeled drag.  The CSV
+    holds no column after ``disengaged``: records read from it hold None
+    there.  Records are equal when each column has the same dtype and bits.
+    """
+
+    phantom_id: np.ndarray  # (K,) int64
+    target_id: np.ndarray
+    replicate: np.ndarray
+    zone_depth: np.ndarray  # (K,) str
+    zone_lateral: np.ndarray
+    zone_ap: np.ndarray
+    approach: np.ndarray
+    n_corrections: np.ndarray  # (K,) int64
+    depth_correction_mm: np.ndarray  # (K,) float64
+    error_mm: np.ndarray
+    motion_mm: np.ndarray  # (K, 3) float64
+    disengaged: np.ndarray  # (K,) int64
+    max_corrections_exceeded: np.ndarray | None = None  # (K,) bool
+    registration_rms: np.ndarray | None = None  # (K,) float64, 0 in the open loop
+    duration_s: np.ndarray | None = None
+    rotation_angle_deg: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.error_mm)
+
+    def __iter__(self):
+        """Each row, as a namespace of its values by column name (the motion a (3,) array)."""
+        names = [f.name for f in fields(self) if getattr(self, f.name) is not None]
+        for values in zip(*(getattr(self, name) for name in names)):
+            yield SimpleNamespace(**dict(zip(names, values)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Records):
+            return NotImplemented
+        pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
+        return all(a is b or a is not None and b is not None
+                   and (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()) for a, b in pairs)
+
+    @classmethod
+    def concat(cls, blocks: list[Records]) -> Records:
+        """The rows of ``blocks`` in order, in one columns object; ``blocks`` is not empty."""
+        columns = [[getattr(block, f.name) for block in blocks] for f in fields(cls)]
+        return cls(*(None if col[0] is None else np.concatenate(col) for col in columns))
+
+
+def _records(plans, streams, **columns) -> Records:
+    """A block's records: the slots of ``streams``, the zones, approach and
+    first-pass rotation of ``plans``, and ``columns``."""
+    slots = np.array([(s.phantom, s.target, s.replicate) for s in streams], dtype=np.int64).T
+    zones = [(plan.target.zone, plan.trajectory.approach) for plan in plans]
+    labels = [(zone.depth_zone, zone.lateral_zone, zone.ap_zone, approach) for zone, approach in zones]
+    return Records(
+        *slots, *map(np.array, zip(*labels)), disengaged=np.zeros(len(plans), dtype=np.int64),
+        rotation_angle_deg=np.array([plan.joints.rotation_angle for plan in plans]), **columns,
+    )
 
 
 @dataclass
@@ -117,9 +182,8 @@ class InsertionPlan:
     therefore be shared by insertions that differ only in motion.
     ``lever`` is the motion-free part of the insertion's gland transform
     (see ``phantom.GlandLever``), its row of the block's arrays:
-    ``prostate_transform`` adds only the motion terms to it.  ``zone`` is
-    the target's zone labelled with the trajectory's approach, as the
-    records carry it.  ``reference`` serves the correction loop and is
+    ``prostate_transform`` adds only the motion terms to it.
+    ``reference`` serves the correction loop and is
     prepared only for a tracked plan, as a view of one set of its block's
     stack; it is None otherwise.
     """
@@ -135,7 +199,6 @@ class InsertionPlan:
     # as given; the lever's is along the normalized one and can differ from
     # it in the last ulp
     penetration: float
-    zone: ZoneLabels
     lever: GlandLever
     reference: geometry.RegistrationReference | None = None
 
@@ -192,9 +255,7 @@ def plan_insertions(
     levers = gland_levers(phantoms, entries, units, entry[n:], depths)
     return [
         InsertionPlan(
-            target, target_obs, traj, kinematics.JointState(*stage, 0.0, depth, angle), duration, pen,
-            ZoneLabels(target.zone.depth_zone, target.zone.lateral_zone, target.zone.ap_zone, traj.approach),
-            lever,
+            target, target_obs, traj, kinematics.JointState(*stage, 0.0, depth, angle), duration, pen, lever,
             reference.rows(slice(k, k + 1)) if track else None,
         )
         for k, (target, target_obs, traj, stage, depth, angle, duration, pen, lever) in enumerate(zip(
@@ -205,7 +266,7 @@ def plan_insertions(
 
 
 def _deposit(phantoms, targets, tips_world, rotations, translations):
-    """Bead rest positions (K, 3) and errors (K,) of the tips deposited in their gland transforms.
+    """The errors (K,) of beads deposited at the tips in their gland transforms, in the rest frame.
 
     A left-zone bead of a phantom with a left bias is deflected by it along
     -x before it is mapped to the rest frame.
@@ -216,7 +277,7 @@ def _deposit(phantoms, targets, tips_world, rotations, translations):
             bead_world[k, 0] -= phantom.left_bias
     bead_rest = world_to_material(rotations, translations, bead_world)
     miss = bead_rest - np.array([target.position_rest for target in targets])
-    return bead_rest, np.sqrt(geometry.row_dot(miss, miss))
+    return np.sqrt(geometry.row_dot(miss, miss))
 
 
 def _residual_motion(motion: MotionParams, moved_targets, targets_obs, penetrations, dirs):
@@ -245,19 +306,31 @@ def open_loop_insertion(
     moved_target = geometry.apply(t_true, plan.target_obs)
     # the depth of the moved target along the needle line
     depth_of_target = float((moved_target - traj.entry) @ traj.dir)
-    bead_rest, error = _deposit(
+    error = _deposit(
         [phantom], [plan.target], [traj.entry + depth * traj.dir],
         t_true.rotation[None], t_true.translation[None],
     )
     return InsertionRecord(
-        target_id=plan.target.id, trajectory=traj, corrections=[], n_corrections=0,
-        bead_rest_position=bead_rest[0], distance_error=float(error[0]),
+        distance_error=float(error[0]),
         # the induced-but-uncorrected axial displacement of the observed target
         axial_motion=float(depth_of_target - depth),
-        zone=plan.zone,
         residual_motion=_residual_motion(motion, moved_target, plan.target_obs, plan.penetration, traj.dir),
-        duration_s=plan.duration_s, rotation_angle_deg=plan.joints.rotation_angle,
         gland_transform=t_true, motion_noise=motion_noise,
+    )
+
+
+def open_loop_records(
+    plans: list[InsertionPlan], streams: list[InsertionStreams], baselines: list[InsertionRecord],
+) -> Records:
+    """The open-loop records of a block: row k is the first pass ``baselines[k]`` of ``plans[k]``."""
+    n = len(plans)
+    return _records(
+        plans, streams, n_corrections=np.zeros(n, dtype=np.int64),
+        depth_correction_mm=np.array([base.axial_motion for base in baselines]),
+        error_mm=np.array([base.distance_error for base in baselines]),
+        motion_mm=np.array([base.residual_motion for base in baselines]),
+        max_corrections_exceeded=np.zeros(n, dtype=bool), registration_rms=np.zeros(n),
+        duration_s=np.array([plan.duration_s for plan in plans]),
     )
 
 
@@ -270,17 +343,18 @@ def correct_insertions(
     plans: list[InsertionPlan],
     streams: list[InsertionStreams],
     baselines: list[InsertionRecord],
-) -> list[InsertionRecord]:
+) -> Records:
     """Run the closed loop of a block of insertions together.
 
     Slot k is insertion k: ``phantoms[k]``, its tracked ``plans[k]``, its
-    ``streams[k]`` and its open-loop record ``baselines[k]``, whose gland
+    ``streams[k]`` and its first pass ``baselines[k]``, whose gland
     transform is the slot's first verification state and whose motion
     noise every later transform reuses.  Each step observes, registers,
     tracks and decides for every slot still correcting, as one stacked
     call per kernel; a slot leaves the loop when its proposed change drops
-    below ``depth_epsilon`` or its budget runs out.  Every slot gets the
-    record it would get alone, with its baseline in ``open_loop``.
+    below ``depth_epsilon`` or its budget runs out.  Row k of the returned
+    records is slot k, the record it would get alone; its open-loop record
+    is row k of the block's ``open_loop_records``.
     Verification v of slot k observes with the standard normals
     ``streams[k].observation_normals[v]``.  Raises ValueError for an
     untracked plan, or for streams holding fewer than
@@ -318,7 +392,8 @@ def correct_insertions(
     applied = np.zeros(len(plans))
     duration = np.array([plan.duration_s for plan in plans])
     rms = np.zeros(len(plans))
-    corrections: list[list[tuple[float, np.ndarray]]] = [[] for _ in plans]
+    # the last verification of each slot, which is its correction count
+    n_corrections = np.zeros(len(plans), dtype=np.int64)
     exceeded = np.zeros(len(plans), dtype=bool)
     active = np.arange(len(plans))
 
@@ -329,10 +404,12 @@ def correct_insertions(
         )
         reg_rot, reg_trans, rms[active] = sensing.rigid_register(reference.rows(active), obs)
         tracked = sensing.track_target(reg_rot, reg_trans, targets_obs[active])
+        if not step:
+            # every slot verifies first: the residual motion is measured here
+            first_tracked = tracked
+        n_corrections[active] = step
         # depth of the tracked target along each needle line
         delta = geometry.row_dot(tracked - entries[active], dirs[active]) - tip[active]
-        for k, d, point in zip(active, delta.tolist(), tracked):
-            corrections[k].append((d, point))
         moving = ~(np.abs(delta) < conv.depth_epsilon)
         if step == conv.max_corrections:
             exceeded[active[moving]] = True
@@ -355,28 +432,14 @@ def correct_insertions(
 
     # every exit leaves the tip where the last verification saw it, in the
     # transform of its side of the entry depth, which rot and trans hold
-    bead_rest, error = _deposit(
-        phantoms, [plan.target for plan in plans], entries + tip[:, None] * dirs, rot, trans
-    )
-    # measured at the first verification, from the tracked target
+    error = _deposit(phantoms, [plan.target for plan in plans], entries + tip[:, None] * dirs, rot, trans)
     residual = _residual_motion(
-        motion, np.array([steps[0][1] for steps in corrections]), targets_obs,
-        np.array([plan.penetration for plan in plans]), dirs,
+        motion, first_tracked, targets_obs, np.array([plan.penetration for plan in plans]), dirs
     )
-    return [
-        InsertionRecord(
-            target_id=base.target_id, trajectory=base.trajectory, corrections=steps,
-            n_corrections=len(steps) - 1, bead_rest_position=bead, distance_error=err,
-            axial_motion=moved, zone=base.zone, gland_transform=transforms[k][side],
-            motion_noise=base.motion_noise, max_corrections_exceeded=over, residual_motion=resid,
-            registration_rms=reg_rms, duration_s=seconds, rotation_angle_deg=base.rotation_angle_deg,
-            open_loop=base,
-        )
-        for k, (base, steps, bead, err, moved, side, over, resid, reg_rms, seconds) in enumerate(zip(
-            baselines, corrections, bead_rest, error.tolist(), applied.tolist(), inside.tolist(),
-            exceeded.tolist(), residual, rms.tolist(), duration.tolist(),
-        ))
-    ]
+    return _records(
+        plans, streams, n_corrections=n_corrections, depth_correction_mm=applied, error_mm=error,
+        motion_mm=residual, max_corrections_exceeded=exceeded, registration_rms=rms, duration_s=duration,
+    )
 
 
 def run_insertion(
@@ -387,11 +450,11 @@ def run_insertion(
     conv: ConvergenceParams,
     plan: InsertionPlan,
     streams: InsertionStreams,
-) -> InsertionRecord:
+) -> Records:
     """One closed-loop insertion from its tracked ``plan``: the block of one.
 
     ``open_loop_insertion``, then ``correct_insertions`` on that slot
-    alone; the returned record carries the baseline in ``open_loop``.
+    alone; returns the slot's one-row records.
     """
     baseline = open_loop_insertion(phantom, motion, plan, streams)
-    return correct_insertions([phantom], motion, noise, geom, conv, [plan], [streams], [baseline])[0]
+    return correct_insertions([phantom], motion, noise, geom, conv, [plan], [streams], [baseline])

@@ -66,7 +66,6 @@ class ZoneLabels:
     depth_zone: str
     lateral_zone: str
     ap_zone: str
-    approach: str | None = None
 
 
 @dataclass
@@ -215,7 +214,7 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> ProstatePhantom:
     )
 
     semi = np.array([a, b, c]) * spec.margin
-    placed: list[np.ndarray] = []
+    placed = np.empty((spec.n_targets, 3))
     targets: list[Target] = []
     # the candidates, drawn a chunk at a time in the order of one draw per
     # attempt, and which of them lie inside the gland; what one target
@@ -233,7 +232,9 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> ProstatePhantom:
             # only the candidates in the gland and the zone meet the spacing check, in order
             for j in np.flatnonzero(inside[:used] & _zone_mask(cands[:used], a, labels)).tolist():
                 cand = cands[j]
-                if placed and min(np.linalg.norm(cand - q) for q in placed) < spec.min_spacing:
+                # its distance to every placed target, each with the bits of np.linalg.norm
+                gap = cand - placed[:i]
+                if i and np.sqrt(geometry.row_dot(gap, gap)).min() < spec.min_spacing:
                     continue
                 # a copy: the chunk is let go once placement ends
                 pos, used = cand.copy(), j + 1
@@ -245,7 +246,7 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> ProstatePhantom:
                 f"could not place target {i} in zone {labels} with min spacing "
                 f"{spec.min_spacing} mm after {_PLACEMENT_ATTEMPTS} attempts"
             )
-        placed.append(pos)
+        placed[i] = pos
         targets.append(Target(i, pos, ZoneLabels(*labels)))
 
     return ProstatePhantom(

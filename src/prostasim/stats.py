@@ -33,11 +33,29 @@ class Sample:
 
 
 def median_iqr(s: Sample) -> tuple[float, float, float]:
-    """(median, q1, q3): midpoint median, linear-interpolation quartiles."""
-    if s.values.size == 0:
+    """(median, q1, q3): midpoint median, linear-interpolation quartiles.
+
+    From one sort, with the bits of ``np.median`` and ``np.quantile``: the
+    median sums onto 0.0 as numpy's mean does, and a quartile g past sorted
+    value a, b next, is ``a + (b - a) * g``, or ``b - (b - a) * (1 - g)``
+    from g = 0.5 on.  (A sample holding both 0.0 and -0.0 may give a zero
+    quartile numpy's other sign: numpy orders equal values by partition.)
+    """
+    n = s.values.size
+    if n == 0:
         raise EmptySample(f"sample {s.label!r} is empty")
-    q1, q3 = np.quantile(s.values, (0.25, 0.75))
-    return float(np.median(s.values)), float(q1), float(q3)
+    v = np.sort(s.values)
+    mid = n // 2
+    median = 0.0 + float(v[mid]) if n % 2 else (0.0 + float(v[mid - 1]) + float(v[mid])) / 2
+    if n == 1:
+        return median, float(v[0]), float(v[0])
+    quartiles = []
+    for at in ((n - 1) * 0.25, (n - 1) * 0.75):
+        lo = math.floor(at)
+        g = at - lo
+        a, b = float(v[lo]), float(v[lo + 1])
+        quartiles.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return median, quartiles[0], quartiles[1]
 
 
 def midranks(pooled: np.ndarray) -> np.ndarray:

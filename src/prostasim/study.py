@@ -5,8 +5,11 @@ insertion draws from counter-based streams keyed by those indices, so
 outputs do not depend on execution order, and the closed/open pair of an
 insertion shares its streams.
 
-Outputs: one raw CSV per mode (fixed column order) and a structured
-summary (JSON by default) holding the stratified tables.
+A study's records are one ``controller.Records`` per mode, a column per
+quantity with a row per insertion, joined from its blocks.  Outputs: one
+raw CSV per mode (fixed column order), written and read column by
+column, and a structured summary (JSON by default) holding the
+stratified tables, whose strata are boolean masks over the columns.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 
 import numpy as np
 
@@ -25,9 +27,10 @@ from . import __version__
 from .config import StudyConfig, to_dict
 from .controller import (
     InsertionPlan,
-    InsertionRecord,
+    Records,
     correct_insertions,
     open_loop_insertion,
+    open_loop_records,
     plan_insertions,
 )
 from .phantom import (
@@ -57,6 +60,8 @@ QUARTILE_NOTE = "median: midpoint of middle two; quartiles: linear interpolation
 
 @dataclass
 class RecordRow:
+    """The schema of the records CSV: its columns, in order, and their types."""
+
     phantom_id: int
     target_id: int
     replicate: int
@@ -73,19 +78,23 @@ class RecordRow:
     disengaged: int
 
 
-# the records CSV holds RecordRow's fields in declaration order
+# the records CSV holds RecordRow's fields in declaration order; each is
+# parsed by its type into an array of that type
 CSV_COLUMNS = tuple(f.name for f in fields(RecordRow))
 _PARSERS = tuple({"int": int, "float": float, "str": str}[f.type] for f in fields(RecordRow))
-_row_values = attrgetter(*CSV_COLUMNS)
+_DTYPES = {int: np.int64, float: np.float64, str: str}
+# the CSV's columns of Records.motion_mm, one per axis
+_MOTION = ("motion_x_mm", "motion_y_mm", "motion_z_mm")
 
 
 @dataclass
 class StudyReport:
-    """A study's records per mode; the summary is built from them on first access."""
+    """A study's records per mode, of no rows for a mode not run; the summary
+    is built from them on first access."""
 
     cfg: StudyConfig
-    rows_closed: list[RecordRow]
-    rows_open: list[RecordRow]
+    rows_closed: Records
+    rows_open: Records
 
     def __post_init__(self):
         # the summary echoes the config: keep it as the study saw it
@@ -94,25 +103,6 @@ class StudyReport:
     @functools.cached_property
     def summary(self) -> dict:
         return summarize(self.cfg, self.rows_closed, self.rows_open)
-
-
-def _row_from_record(rec: InsertionRecord, phantom_id: int, replicate: int) -> RecordRow:
-    return RecordRow(
-        phantom_id=phantom_id,
-        target_id=rec.target_id,
-        replicate=replicate,
-        zone_depth=rec.zone.depth_zone,
-        zone_lateral=rec.zone.lateral_zone,
-        zone_ap=rec.zone.ap_zone,
-        approach=rec.zone.approach,
-        n_corrections=rec.n_corrections,
-        depth_correction_mm=float(rec.axial_motion),
-        error_mm=float(rec.distance_error),
-        motion_x_mm=float(rec.residual_motion[0]),
-        motion_y_mm=float(rec.residual_motion[1]),
-        motion_z_mm=float(rec.residual_motion[2]),
-        disengaged=int(rec.disengaged),
-    )
 
 
 def phantom_quota_split(cfg: StudyConfig) -> list[dict[str, int]]:
@@ -222,10 +212,12 @@ def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport
     ``BLOCK_SLOTS``.  A block's streams are drawn together
     (``rng.draw_insertions``, the observation budget only for a
     closed-loop study), its slots are planned together
-    (``plan_insertions``), each slot is given its open-loop baseline
+    (``plan_insertions``), each slot's first pass is scored
     (``open_loop_insertion``) under ``cfg.motion``, and a closed-loop
     study then corrects the whole block together (``correct_insertions``).
-    The records do not depend on the block size.  With ``shared`` (see
+    A mode's records are its blocks' rows in slot order, the open loop's
+    the stacked first passes.  The records do not depend on the block
+    size.  With ``shared`` (see
     SharedWork) the phantoms come from it, and a block's streams and plans
     are kept in it for the next study, which draws and plans only the
     blocks it does not hold; the records are the same as without it.
@@ -247,8 +239,8 @@ def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport
     slots = list(itertools.product(
         range(cfg.n_phantoms), range(cfg.targets_per_phantom), range(cfg.n_seed_replicates)
     ))
-    rows_closed: list[RecordRow] = []
-    rows_open: list[RecordRow] = []
+    closed: list[Records] = []
+    opened: list[Records] = []
     for start in range(0, len(slots), BLOCK_SLOTS):
         stop = min(start + BLOCK_SLOTS, len(slots))
         block = slots[start:stop]
@@ -268,34 +260,36 @@ def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport
                 block_phantoms, cfg.robot, arch, cfg.noise, target_ids, streams,
                 cfg.entry_region, cfg.needle_radius, track=do_closed,
             )
-        # streams goes by keyword: perfbench's tracer keys tasks on it
+        # one first pass per slot, streams by keyword: perfbench's tracer keys tasks on it
         baselines = [
             open_loop_insertion(phantom, cfg.motion, plan, streams=slot_streams)
             for phantom, plan, slot_streams in zip(block_phantoms, plans, streams)
         ]
         if do_closed:
-            closed = correct_insertions(
+            closed.append(correct_insertions(
                 block_phantoms, cfg.motion, cfg.noise, cfg.robot,
                 cfg.convergence, plans, streams, baselines,
-            )
-            rows_closed.extend(_row_from_record(rec, p, r) for rec, (p, _, r) in zip(closed, block))
+            ))
         if do_open:
-            rows_open.extend(_row_from_record(rec, p, r) for rec, (p, _, r) in zip(baselines, block))
+            opened.append(open_loop_records(plans, streams, baselines))
 
+    rows_closed, rows_open = (
+        Records.concat(blocks) if blocks else _no_records() for blocks in (closed, opened)
+    )
     return StudyReport(cfg, rows_closed, rows_open)
 
 
-def _stat_block(values) -> dict:
-    med, q1, q3 = median_iqr(Sample(np.asarray(values, dtype=np.float64)))
+def _stat_block(values: np.ndarray) -> dict:
+    med, q1, q3 = median_iqr(Sample(values))
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def _mode_totals(rows: list[RecordRow]) -> dict:
+def _mode_totals(rec: Records) -> dict:
     return {
-        "n": len(rows),
-        "error_mm": _stat_block([r.error_mm for r in rows]),
-        "depth_correction_mm": _stat_block([r.depth_correction_mm for r in rows]),
-        "n_disengaged": sum(r.disengaged for r in rows),
+        "n": len(rec),
+        "error_mm": _stat_block(rec.error_mm),
+        "depth_correction_mm": _stat_block(rec.depth_correction_mm),
+        "n_disengaged": int(rec.disengaged.sum()),
     }
 
 
@@ -307,89 +301,69 @@ _STRATA = (
 )
 
 
-def _split(rows, attr, label):
-    return [r for r in rows if getattr(r, attr) == label]
+def _strata(rec: Records):
+    """(dimension, labels, the rows of each label as a mask) of each dimension, in table order."""
+    return [
+        (dimension, labels, [getattr(rec, attr) == label for label in labels])
+        for dimension, attr, labels in _STRATA
+    ]
 
 
-def _table1(rows: list[RecordRow]) -> dict:
+def _table1(rec: Records) -> dict:
     strata = []
     tests = []
-    for dimension, attr, labels in _STRATA:
-        groups = {}
-        for label in labels:
-            sub = _split(rows, attr, label)
-            groups[label] = sub
-            entry = {"dimension": dimension, "stratum": label, "n": len(sub)}
-            if sub:
-                entry["error_mm"] = _stat_block([r.error_mm for r in sub])
-                entry["depth_correction_mm"] = _stat_block([r.depth_correction_mm for r in sub])
+    for dimension, labels, masks in _strata(rec):
+        errors = {}
+        for label, mask in zip(labels, masks):
+            entry = {"dimension": dimension, "stratum": label, "n": int(np.count_nonzero(mask))}
+            if entry["n"]:
+                errors[label] = rec.error_mm[mask]
+                entry["error_mm"] = _stat_block(errors[label])
+                entry["depth_correction_mm"] = _stat_block(rec.depth_correction_mm[mask])
             strata.append(entry)
-        samples = [
-            Sample(np.array([r.error_mm for r in sub]), label)
-            for label, sub in groups.items()
-            if len(sub) >= 2
-        ]
+        samples = [Sample(values, label) for label, values in errors.items() if len(values) >= 2]
         if len(samples) < len(labels):
             continue  # a stratum too small for a test
         if len(labels) == 2:
-            u, p = mann_whitney_u(samples[0], samples[1])
-            tests.append(
-                {
-                    "dimension": dimension,
-                    "comparison": " vs ".join(labels),
-                    "test": "mann_whitney_u",
-                    "statistic": float(u),
-                    "p": float(p),
-                }
-            )
+            test, (statistic, p) = "mann_whitney_u", mann_whitney_u(*samples)
         else:
-            h, p = kruskal_wallis(samples)
-            tests.append(
-                {
-                    "dimension": dimension,
-                    "comparison": " vs ".join(labels),
-                    "test": "kruskal_wallis",
-                    "statistic": float(h),
-                    "p": float(p),
-                }
-            )
+            test, (statistic, p) = "kruskal_wallis", kruskal_wallis(samples)
+        tests.append({
+            "dimension": dimension,
+            "comparison": " vs ".join(labels),
+            "test": test,
+            "statistic": float(statistic),
+            "p": float(p),
+        })
     return {"strata": strata, "tests": tests}
 
 
-def _table2(rows: list[RecordRow]) -> dict:
-    out = []
-    per_axis = lambda sub: {
-        "x_mm": _stat_block([abs(r.motion_x_mm) for r in sub]),
-        "y_mm": _stat_block([abs(r.motion_y_mm) for r in sub]),
-        "z_mm": _stat_block([abs(r.motion_z_mm) for r in sub]),
-    }
-    out.append({"stratum": "All", "n": len(rows), **per_axis(rows)})
-    for _, attr, labels in _STRATA:
-        for label in labels:
-            sub = _split(rows, attr, label)
-            if sub:
-                out.append({"stratum": label, "n": len(sub), **per_axis(sub)})
-    return {"rows": out}
+def _table2(rec: Records) -> dict:
+    motion = np.abs(rec.motion_mm)
+    groups = [("All", motion)] + [
+        (label, motion[mask])
+        for _, labels, masks in _strata(rec) for label, mask in zip(labels, masks) if mask.any()
+    ]
+    axes = ("x_mm", "y_mm", "z_mm")
+    return {"rows": [
+        {"stratum": stratum, "n": len(sub), **{axis: _stat_block(sub[:, i]) for i, axis in enumerate(axes)}}
+        for stratum, sub in groups
+    ]}
 
 
-def correction_counts(rows: list[RecordRow]) -> dict:
-    counts: dict[str, int] = {}
-    for r in rows:
-        key = str(r.n_corrections)
-        counts[key] = counts.get(key, 0) + 1
-    hist = {k: counts[k] for k in sorted(counts, key=int)}
-    n = len(rows)
-    one = sum(1 for r in rows if r.n_corrections == 1)
-    two_plus = sum(1 for r in rows if r.n_corrections >= 2)
+def correction_counts(rec: Records) -> dict:
+    counts = rec.n_corrections
+    values, freq = np.unique(counts, return_counts=True)
+    n = len(counts)
     return {
-        "histogram": hist,
-        "fraction_exactly_one": one / n if n else 0.0,
-        "fraction_two_or_more": two_plus / n if n else 0.0,
+        "histogram": dict(zip(map(str, values.tolist()), freq.tolist())),
+        "fraction_exactly_one": int(np.count_nonzero(counts == 1)) / n if n else 0.0,
+        "fraction_two_or_more": int(np.count_nonzero(counts >= 2)) / n if n else 0.0,
     }
 
 
-def summarize(cfg: StudyConfig, rows_closed: list[RecordRow], rows_open: list[RecordRow]) -> dict:
-    """Build the summary dict from raw rows (shared by run and re-report)."""
+def summarize(cfg: StudyConfig, rows_closed: Records, rows_open: Records) -> dict:
+    """Build the summary dict from each mode's records (shared by run and re-report)."""
     echo = to_dict(cfg)
     # where the report goes does not affect results and must not affect bytes
     echo.pop("output", None)
@@ -417,19 +391,20 @@ def summarize(cfg: StudyConfig, rows_closed: list[RecordRow], rows_open: list[Re
         summary["totals"]["open_loop"] = _mode_totals(rows_open)
 
     if rows_closed and rows_open:
-        closed_med = _stat_block([r.error_mm for r in rows_closed])["median"]
-        open_med = _stat_block([r.error_mm for r in rows_open])["median"]
-        induced = _stat_block([r.depth_correction_mm for r in rows_open])["median"]
-        per_rep = []
-        wins = 0
-        reps = sorted({r.replicate for r in rows_closed})
-        for rep in reps:
-            cm = _stat_block([r.error_mm for r in rows_closed if r.replicate == rep])["median"]
-            om = _stat_block([r.error_mm for r in rows_open if r.replicate == rep])["median"]
-            wins += cm < om
-            per_rep.append(
-                {"replicate": rep, "closed_median_error_mm": cm, "open_median_error_mm": om}
-            )
+        closed, opened = summary["totals"]["closed_loop"], summary["totals"]["open_loop"]
+        closed_med, open_med = closed["error_mm"]["median"], opened["error_mm"]["median"]
+        induced = opened["depth_correction_mm"]["median"]
+        reps = np.unique(rows_closed.replicate).tolist()
+        closed_error, open_error = rows_closed.error_mm, rows_open.error_mm
+        per_rep = [
+            {
+                "replicate": rep,
+                "closed_median_error_mm": _stat_block(closed_error[rows_closed.replicate == rep])["median"],
+                "open_median_error_mm": _stat_block(open_error[rows_open.replicate == rep])["median"],
+            }
+            for rep in reps
+        ]
+        wins = sum(r["closed_median_error_mm"] < r["open_median_error_mm"] for r in per_rep)
         summary["paired"] = {
             "closed_median_error_mm": closed_med,
             "open_median_error_mm": open_med,
@@ -447,29 +422,48 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def rows_to_csv(rows: list[RecordRow]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(map(_fmt, _row_values(r))) for r in rows)
-    return "\n".join(lines) + "\n"
+def rows_to_csv(records: Records) -> str:
+    """The records CSV: the header, then a line per row; floats as their ``repr``."""
+    columns = [
+        records.motion_mm[:, _MOTION.index(name)] if name in _MOTION else getattr(records, name)
+        for name in CSV_COLUMNS
+    ]
+    line = ",".join("%r" if col.dtype.kind == "f" else "%s" for col in columns)
+    rows = map(line.__mod__, zip(*(col.tolist() for col in columns)))
+    return "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
 
 
-def read_records(path: str) -> list[RecordRow]:
+def _parse_records(path: str, rows: list[list[str]]) -> Records:
+    """The records of the CSV's rows, each the text of its fields; errors name ``path`` and the line."""
+    columns = {}
+    for name, parse, texts in zip(CSV_COLUMNS, _PARSERS, list(zip(*rows)) or [()] * len(CSV_COLUMNS)):
+        values = []
+        try:
+            for text in texts:
+                values.append(parse(text))
+        except ValueError as e:
+            raise ValueError(f"{path}:{len(values) + 2}: {e}") from e
+        columns[name] = np.array(values, dtype=_DTYPES[parse])
+    motion = np.stack([columns.pop(name) for name in _MOTION], axis=1)
+    return Records(**columns, motion_mm=motion)
+
+
+def _no_records() -> Records:
+    return _parse_records("", [])  # the records of a CSV of no rows
+
+
+def read_records(path: str) -> Records:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != ",".join(CSV_COLUMNS):
         raise ValueError(f"{path}: unexpected CSV header")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        values = line.split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for lineno, values in enumerate(rows, start=2):
         if len(values) != len(CSV_COLUMNS):
             raise ValueError(
                 f"{path}:{lineno}: expected {len(CSV_COLUMNS)} fields, got {len(values)}"
             )
-        try:
-            rows.append(RecordRow(*(parse(v) for parse, v in zip(_PARSERS, values))))
-        except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from e
-    return rows
+    return _parse_records(path, rows)
 
 
 def _flatten(prefix: str, obj, out: list[tuple[str, str]]):
@@ -541,8 +535,8 @@ def report_from_records(cfg: StudyConfig, out_dir: str) -> StudyReport:
     """The report of the raw CSVs written by a previous run."""
     closed_path = os.path.join(out_dir, "records_closed.csv")
     open_path = os.path.join(out_dir, "records_open.csv")
-    rows_closed = read_records(closed_path) if os.path.exists(closed_path) else []
-    rows_open = read_records(open_path) if os.path.exists(open_path) else []
+    rows_closed = read_records(closed_path) if os.path.exists(closed_path) else _no_records()
+    rows_open = read_records(open_path) if os.path.exists(open_path) else _no_records()
     if not rows_closed and not rows_open:
         raise RuntimeError(f"no records_closed.csv or records_open.csv under {out_dir}")
     return StudyReport(cfg, rows_closed, rows_open)

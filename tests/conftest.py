@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prostasim import geometry, planning
+from prostasim import geometry, planning, study
 from prostasim.config import default_config
 from prostasim.kinematics import Trajectory
 
@@ -173,3 +173,23 @@ def gland_transform_oracle(phantom, motion, entry, dir, tip_depth, pass_depth, m
         rot = geometry.identity()
 
     return geometry.compose(geometry.translation(drag * d + motion_noise), rot)
+
+
+def records_csv_oracle(records) -> str:
+    """The records CSV of ``records``, written a row at a time.
+
+    The row-wise writer that ``study.rows_to_csv`` replaced, kept as its
+    oracle: the header, then one line per row holding the row's value of
+    each of ``study.CSV_COLUMNS`` in order (the motion columns are the
+    axes of ``motion_mm``), a float as its ``repr`` and any other value as
+    its ``str``.
+    """
+    axes = {"motion_x_mm": 0, "motion_y_mm": 1, "motion_z_mm": 2}
+    lines = [",".join(study.CSV_COLUMNS)]
+    for k in range(len(records)):
+        values = [
+            records.motion_mm[k, axes[name]] if name in axes else getattr(records, name)[k]
+            for name in study.CSV_COLUMNS
+        ]
+        lines.append(",".join(repr(float(v)) if isinstance(v, np.floating) else str(v) for v in values))
+    return "\n".join(lines) + "\n"

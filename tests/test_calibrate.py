@@ -125,9 +125,9 @@ def test_shared_work_gives_the_fresh_results_on_every_grid_point(monkeypatch):
         for values in itertools.product(*axes.values()):
             cfg = cal._with_params(base, dict(zip(axes, values)))
             assert cal.study_medians(cfg, shared) == cal.study_medians(cfg)
-            rows = study.run_study(cfg, shared).rows_closed
-            assert rows == study.run_study(cfg).rows_closed
-            spent[max_corrections] += sum(row.n_corrections == max_corrections for row in rows)
+            rec = study.run_study(cfg, shared).rows_closed
+            assert rec == study.run_study(cfg).rows_closed
+            spent[max_corrections] += int(np.count_nonzero(rec.n_corrections == max_corrections))
         # one set of streams per block, one set of plans per sigma0 value and block
         blocks = sorted(shared.streams)
         assert blocks == [(0, 3), (3, 6), (6, 8)]

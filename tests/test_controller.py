@@ -13,6 +13,7 @@ from prostasim.controller import (
     ConvergenceParams,
     correct_insertions,
     open_loop_insertion,
+    open_loop_records,
     plan_insertions,
     run_insertion,
 )
@@ -83,13 +84,17 @@ def plan_quiet(phantom, tid, arch=None, noise=None, track=True):
 
 
 def run_quiet(phantom, tid, arch=None, conv=None, mode=run_insertion, noise=None, motion=STILL):
-    """Plan, then insert from the plan: the two steps of a study slot."""
+    """Plan, then insert from the plan: the two steps of a study slot.
+
+    The closed loop gives the slot's one row of records, the open loop its first pass.
+    """
     plan = plan_quiet(phantom, tid, arch, noise, track=mode is run_insertion)
     if mode is run_insertion:
-        return run_insertion(
+        (row,) = run_insertion(
             phantom, motion, noise or quiet_noise(), GEOM, conv or ConvergenceParams(), plan,
             streams(tid),
         )
+        return row
     return open_loop_insertion(phantom, motion, plan, streams(tid))
 
 
@@ -111,10 +116,10 @@ def test_static_gland_hits_exactly():
     rec = run_quiet(p, t.id)
     assert not rec.disengaged
     assert rec.n_corrections == 0
-    assert rec.distance_error < 1e-9
-    assert rec.axial_motion == 0.0
-    np.testing.assert_allclose(rec.bead_rest_position, t.position_rest, atol=1e-9)
-    np.testing.assert_allclose(rec.residual_motion, 0.0, atol=1e-9)
+    # the bead is deposited on the target
+    assert rec.error_mm < 1e-9
+    assert rec.depth_correction_mm == 0.0
+    np.testing.assert_allclose(rec.motion_mm, 0.0, atol=1e-9)
 
 
 def test_pure_drag_needs_exactly_one_correction():
@@ -122,14 +127,14 @@ def test_pure_drag_needs_exactly_one_correction():
     p = make_phantom()
     t = non_left_target(p)
     planned, drag = expected_drag(p, t, gain, offset)
-    rec = run_quiet(p, t.id, motion=drag_motion(gain, offset))
+    # second verification sees the frozen transform: it proposes a change ~ 0,
+    # so even a 1e-9 mm depth resolution stops the loop there
+    rec = run_quiet(p, t.id, motion=drag_motion(gain, offset), conv=ConvergenceParams(depth_epsilon=1e-9))
     assert rec.n_corrections == 1
-    assert rec.axial_motion == pytest.approx(drag, abs=1e-9)
-    assert rec.distance_error < 1e-9
-    # second verification sees the frozen transform: proposed change ~ 0
-    assert abs(rec.corrections[-1][0]) < 1e-9
-    np.testing.assert_allclose(rec.residual_motion, 0.0, atol=1e-9)
-    assert rec.trajectory.planned_depth == pytest.approx(planned)
+    assert rec.depth_correction_mm == pytest.approx(drag, abs=1e-9)
+    assert rec.error_mm < 1e-9
+    np.testing.assert_allclose(rec.motion_mm, 0.0, atol=1e-9)
+    assert plan_quiet(p, t.id).trajectory.planned_depth == pytest.approx(planned)
 
 
 def test_open_loop_misses_by_the_drag():
@@ -152,23 +157,28 @@ def test_paired_runs_share_noise():
     noise = NoiseModel(sigma0=0.3, depth_gain=0.002, degradation_per_needle=1.0)
     a = run_quiet(p, t.id, noise=noise, motion=motion)
     b = run_quiet(p, t.id, noise=noise, motion=motion)
-    assert a.distance_error == b.distance_error
-    np.testing.assert_array_equal(a.bead_rest_position, b.bead_rest_position)
-    assert len(a.corrections) == len(b.corrections)
-    for (da, pa), (db, pb) in zip(a.corrections, b.corrections):
-        assert da == db
-        np.testing.assert_array_equal(pa, pb)
+    assert a.n_corrections >= 1
+    np.testing.assert_equal(vars(a), vars(b))
     # open loop plans from the same reference draws
+    tracked, untracked = (plan_quiet(p, t.id, noise=noise, track=track) for track in (True, False))
+    np.testing.assert_equal(vars(untracked.trajectory), vars(tracked.trajectory))
+    # the slot's open-loop record is its first pass alone, in the row its closed record has
     o = run_quiet(p, t.id, mode=open_loop_insertion, noise=noise, motion=motion)
-    np.testing.assert_array_equal(o.trajectory.entry, a.trajectory.entry)
-    assert o.trajectory.planned_depth == a.trajectory.planned_depth
-    # the closed record's baseline is that open-loop run, field by field
     assert o.axial_motion != 0.0 and np.any(o.residual_motion != 0.0)
-    for f in fields(o):
-        x, y = getattr(a.open_loop, f.name), getattr(o, f.name)
-        if f.name in ("trajectory", "gland_transform"):
-            x, y = vars(x), vars(y)
-        np.testing.assert_equal(x, y, err_msg=f.name)
+    first = open_loop_insertion(p, motion, tracked, streams(t.id))
+    assert_same_first_pass(first, o)
+    opened = open_loop_records([tracked], [streams(t.id)], [first])
+    closed = correct_insertions(
+        [p], motion, noise, GEOM, ConvergenceParams(), [tracked], [streams(t.id)], [first]
+    )
+    (row,) = opened
+    assert (row.n_corrections, row.error_mm, row.depth_correction_mm) == (0, o.distance_error, o.axial_motion)
+    np.testing.assert_array_equal(row.motion_mm, o.residual_motion)
+    assert not row.max_corrections_exceeded and row.duration_s == tracked.duration_s
+    for name in ("phantom_id", "target_id", "replicate", "zone_depth", "zone_lateral", "zone_ap", "approach",
+                 "disengaged", "rotation_angle_deg"):
+        np.testing.assert_array_equal(getattr(opened, name), getattr(closed, name), err_msg=name)
+    np.testing.assert_equal(vars(next(iter(closed))), vars(a))
 
 
 def test_blocked_path_replans_angled():
@@ -177,8 +187,8 @@ def test_blocked_path_replans_angled():
     arch = blocking_arch(t.position_rest)
     rec = run_quiet(p, t.id, arch=arch)
     assert not rec.disengaged
-    assert rec.trajectory.approach == "Angled"
-    assert rec.distance_error < 1e-9
+    assert rec.approach == "Angled"
+    assert rec.error_mm < 1e-9
 
 
 def test_left_bias_deflects_left_zone_beads():
@@ -188,8 +198,8 @@ def test_left_bias_deflects_left_zone_beads():
     other = non_left_target(p)
     rec_left = run_quiet(p, left.id)
     rec_other = run_quiet(p, other.id)
-    assert rec_left.distance_error == pytest.approx(bias, abs=1e-9)
-    assert rec_other.distance_error < 1e-9
+    assert rec_left.error_mm == pytest.approx(bias, abs=1e-9)
+    assert rec_other.error_mm < 1e-9
 
 
 def test_correction_budget_flagged_not_raised():
@@ -200,14 +210,14 @@ def test_correction_budget_flagged_not_raised():
     rec = run_quiet(p, t.id, conv=conv, noise=noisy)
     assert rec.max_corrections_exceeded
     assert rec.n_corrections == 3
-    assert len(rec.corrections) == 4  # initial verification plus the budget
-    # the streams must hold a volume for every verification the budget allows
+    # the streams must hold a volume for every verification the budget
+    # allows: the initial one plus the budget
     plan = plan_quiet(p, t.id, noise=noisy)
     short = streams(t.id, volumes=3)
     with pytest.raises(ValueError, match="3 observation volumes"):
         run_insertion(p, STILL, noisy, GEOM, conv, plan, short)
     exact = run_insertion(p, STILL, noisy, GEOM, conv, plan, streams(t.id, volumes=4))
-    assert_same_record(exact, rec)
+    assert exact == run_insertion(p, STILL, noisy, GEOM, conv, plan, streams(t.id))
 
 
 def test_durations_and_rotation():
@@ -281,11 +291,11 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
 
     blocks = []
 
-    def correcting(*args, **kwargs):
-        records = correct_insertions(*args, **kwargs)
+    def correcting(phantoms, motion, noise, geom, conv, plans, *rest):
+        records = correct_insertions(phantoms, motion, noise, geom, conv, plans, *rest)
         blocks.append(len(records))
-        for rec in records:
-            per_slot[slot(rec.trajectory.entry)]["corrections"] = rec.n_corrections
+        for plan, corrections in zip(plans, records.n_corrections.tolist()):
+            per_slot[slot(plan.trajectory.entry)]["corrections"] = corrections
         return records
 
     monkeypatch.setattr(controller, "prostate_transform", transform)
@@ -321,7 +331,7 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     monkeypatch.setattr(controller, "prostate_transform", counting(calls, "transform", prostate_transform))
     rec = run_quiet(p, t.id, motion=motion)
     assert rec.n_corrections == 1 and len(calls) == 2
-    traj = rec.trajectory
+    traj = plan_quiet(p, t.id).trajectory
     planned = traj.planned_depth
     depth_to_shallow, _ = geometry.axis_decompose(traj.entry, traj.dir, shallow)
     tip = max(0.0, planned + (depth_to_shallow - planned))
@@ -329,8 +339,7 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     fresh = gland_transform_oracle(p, motion, traj.entry, traj.dir, tip, planned, np.zeros(3), entry_depth)
     tip_world = (traj.entry + tip * traj.dir)[None]
     bead = world_to_material(fresh.rotation[None], fresh.translation[None], tip_world)[0]
-    np.testing.assert_array_equal(rec.bead_rest_position, bead)
-    assert rec.distance_error == float(np.linalg.norm(bead - t.position_rest))
+    assert rec.error_mm == float(np.linalg.norm(bead - t.position_rest))
     # the first pass's transform, which the retracted tip must not reuse
     first = gland_transform_oracle(
         p, motion, traj.entry, traj.dir, planned, planned, np.zeros(3), entry_depth
@@ -338,13 +347,12 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     assert np.linalg.norm(first.translation - fresh.translation) > 1.0
 
 
-def assert_same_record(a, b):
+def assert_same_first_pass(a, b):
     for f in fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.name in ("trajectory", "gland_transform"):
+        if f.name == "gland_transform":
             x, y = vars(x), vars(y)
-        if f.name != "open_loop":
-            np.testing.assert_equal(x, y, err_msg=f.name)
+        np.testing.assert_equal(x, y, err_msg=f.name)
 
 
 def test_a_given_plan_gives_the_same_records():
@@ -353,28 +361,26 @@ def test_a_given_plan_gives_the_same_records():
     t = non_left_target(p)
     noise = NoiseModel(sigma0=0.3, depth_gain=0.002, degradation_per_needle=1.0)
     plan = plan_quiet(p, t.id, noise=noise)
-    fresh = run_quiet(p, t.id, noise=noise, motion=motion)
-    assert fresh.n_corrections >= 1
+    fresh = run_insertion(p, motion, noise, GEOM, ConvergenceParams(), plan_quiet(p, t.id, noise=noise), streams(t.id))
+    fresh_first = open_loop_insertion(p, motion, plan_quiet(p, t.id, noise=noise), streams(t.id))
+    assert fresh.n_corrections[0] >= 1
     for _ in range(2):  # a plan is not consumed by its use
-        given = run_insertion(p, motion, noise, GEOM, ConvergenceParams(), plan, streams(t.id))
-        assert_same_record(fresh, given)
-        assert_same_record(fresh.open_loop, given.open_loop)
+        assert run_insertion(p, motion, noise, GEOM, ConvergenceParams(), plan, streams(t.id)) == fresh
+        assert_same_first_pass(open_loop_insertion(p, motion, plan, streams(t.id)), fresh_first)
     # one plan serves any motion: a still gland leaves the first pass on target
-    still = run_insertion(p, STILL, noise, GEOM, ConvergenceParams(), plan, streams(t.id))
-    assert still.open_loop.axial_motion == 0.0
-    assert still.open_loop.distance_error < fresh.open_loop.distance_error
+    still = open_loop_insertion(p, STILL, plan, streams(t.id))
+    assert still.axial_motion == 0.0
+    assert still.distance_error < fresh_first.distance_error
     # an untracked plan carries no registration reference
     untracked = plan_quiet(p, t.id, noise=noise, track=False)
     assert untracked.reference is None and untracked.lever.entry_depth == plan.lever.entry_depth
-    opened = open_loop_insertion(p, motion, untracked, streams(t.id))
-    assert_same_record(fresh.open_loop, opened)
+    assert_same_first_pass(open_loop_insertion(p, motion, untracked, streams(t.id)), fresh_first)
     with pytest.raises(ValueError, match="tracked plan"):
         run_insertion(p, motion, noise, GEOM, ConvergenceParams(), untracked, streams(t.id))
 
 
 def assert_same_plan(a, b):
     assert a.target is b.target
-    assert a.zone == b.zone
     for name in ("target_obs", "duration_s", "penetration"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
     for name in ("trajectory", "joints", "lever"):
@@ -566,10 +572,7 @@ def test_a_block_plans_each_slot_as_it_would_alone(
         # and the plan is the one the per-slot oracle makes from the observed target
         traj = oracle_trajectory(arch, b.target_obs, EntryRegion(), robot)
         joints, duration, pen, entry_depth = oracle_first_pass(slot[0], traj, robot)
-        oracle = replace(
-            b, trajectory=traj, joints=joints, duration_s=duration, penetration=pen,
-            zone=replace(b.target.zone, approach=traj.approach),
-        )
+        oracle = replace(b, trajectory=traj, joints=joints, duration_s=duration, penetration=pen)
         assert_same_plan(oracle, b)
         # the lever gives the bits of the gland transform evaluated whole on the line
         np.testing.assert_array_equal(b.lever.entry_depth, entry_depth)

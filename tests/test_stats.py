@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from prostasim.stats import (
@@ -48,6 +49,36 @@ def test_median_iqr_known_values():
     assert median_iqr(Sample([7.0])) == (7.0, 7.0, 7.0)
     m, q1, q3 = median_iqr(Sample([5.0, 1.0, 3.0]))
     assert (m, q1, q3) == (3.0, 2.0, 4.0)
+
+
+# magnitudes 1e-3 to 1e3 of either sign
+MAGNITUDES = st.builds(
+    lambda sign, exponent, mantissa: sign * mantissa * 10.0**exponent,
+    st.sampled_from((-1.0, 1.0)), st.integers(-3, 2), st.floats(1.0, 10.0),
+)
+
+
+@st.composite
+def samples(draw):
+    """1 to 400 values, zero among them, a third drawn from a pool of at most 4 so ties run long.
+
+    A sample's zeros share one sign: numpy orders equal values by its
+    partition, so 0.0 beside -0.0 may take either place.
+    """
+    values = MAGNITUDES | st.just(draw(st.sampled_from((0.0, -0.0))))
+    if draw(st.integers(0, 2)) == 0:
+        values = st.sampled_from(draw(st.lists(values, min_size=1, max_size=4)))
+    return draw(st.lists(values, min_size=1, max_size=400))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=samples())
+def test_median_iqr_has_the_bits_of_numpy(values):
+    v = np.array(values)
+    want = (float(np.median(v)), *np.quantile(v, (0.25, 0.75)).tolist())
+    got = median_iqr(Sample(v))
+    assert all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
 
 
 def test_median_iqr_rejects_bad_samples():

@@ -1,15 +1,17 @@
 import copy
 import json
 import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import tiny_config
+from conftest import records_csv_oracle, tiny_config
 from prostasim.config import default_config
+from prostasim.controller import Records
 from prostasim.study import (
     CSV_COLUMNS,
-    RecordRow,
     build_phantoms,
     phantom_quota_split,
     read_records,
@@ -34,11 +36,11 @@ def test_row_counts_and_quota_partition(tiny_report):
     assert len(tiny_report.rows_closed) == n
     assert len(tiny_report.rows_open) == n
     # every row lands in exactly one stratum per dimension
-    for r in tiny_report.rows_closed:
-        assert r.zone_depth in ("Apex", "Base")
-        assert r.zone_lateral in ("Left", "Center", "Right")
-        assert r.zone_ap in ("Anterior", "Posterior")
-        assert r.approach in ("Horizontal", "Angled")
+    rec = tiny_report.rows_closed
+    assert set(rec.zone_depth.tolist()) <= {"Apex", "Base"}
+    assert set(rec.zone_lateral.tolist()) <= {"Left", "Center", "Right"}
+    assert set(rec.zone_ap.tolist()) <= {"Anterior", "Posterior"}
+    assert set(rec.approach.tolist()) <= {"Horizontal", "Angled"}
 
 
 def test_both_modes_plan_once_per_insertion(monkeypatch):
@@ -155,14 +157,74 @@ def test_build_phantoms_determined_by_seed():
             np.testing.assert_array_equal(ta.position_rest, tb.position_rest)
 
 
+def csv_part(rec):
+    """``rec`` without the columns the records CSV does not hold."""
+    return replace(
+        rec, max_corrections_exceeded=None, registration_rms=None, duration_s=None, rotation_angle_deg=None
+    )
+
+
 def test_csv_round_trip(tiny_report, tmp_path):
-    text = rows_to_csv(tiny_report.rows_closed)
-    assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
-    path = tmp_path / "records_closed.csv"
-    path.write_text(text)
-    back = read_records(str(path))
-    assert back == tiny_report.rows_closed
-    assert rows_to_csv(back) == text
+    for rec in (tiny_report.rows_closed, tiny_report.rows_open):
+        text = rows_to_csv(rec)
+        assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+        # the bytes of the row-wise writer
+        assert text == records_csv_oracle(rec)
+        path = tmp_path / "records.csv"
+        path.write_text(text)
+        back = read_records(str(path))
+        assert back == csv_part(rec) and back != rec
+        assert rows_to_csv(back) == text
+
+
+LABELS = {
+    "zone_depth": ("Apex", "Base"),
+    "zone_lateral": ("Left", "Center", "Right"),
+    "zone_ap": ("Anterior", "Posterior"),
+    "approach": ("Horizontal", "Angled"),
+}
+INTS = st.integers(-(2**63), 2**63 - 1)
+# any finite float: -0.0, subnormals and the extremes among them
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def csv_records(draw):
+    """Records of up to 12 rows holding only the CSV's columns."""
+    n = draw(st.integers(0, 12))
+
+    def column(elements, dtype, width=1):
+        values = draw(st.lists(elements, min_size=n * width, max_size=n * width))
+        return np.array(values, dtype=dtype).reshape((n, width) if width > 1 else n)
+
+    return Records(
+        phantom_id=column(INTS, np.int64), target_id=column(INTS, np.int64), replicate=column(INTS, np.int64),
+        **{name: column(st.sampled_from(labels), str) for name, labels in LABELS.items()},
+        n_corrections=column(INTS, np.int64),
+        depth_correction_mm=column(FLOATS, np.float64), error_mm=column(FLOATS, np.float64),
+        motion_mm=column(FLOATS, np.float64, width=3),
+        disengaged=column(st.integers(0, 1), np.int64),
+    )
+
+
+def one_row(**floats):
+    """A one-row record of the CSV's columns, its floats given."""
+    return Records(
+        *(np.array([i], dtype=np.int64) for i in range(3)),
+        *(np.array([labels[0]]) for labels in LABELS.values()),
+        np.array([1]), np.array([floats["depth"]]), np.array([floats["error"]]),
+        np.array([floats["motion"]]), np.array([0]),
+    )
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rec=csv_records())
+@example(rec=one_row(depth=-0.0, error=5e-324, motion=[-0.0, 2.2250738585072014e-308, -1e-310]))
+@example(rec=one_row(depth=0.1, error=1.7976931348623157e308, motion=[-2.5e-320, 0.0, 1 / 3]))
+def test_csv_round_trip_keeps_every_bit(rec, tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(rows_to_csv(rec))
+    assert read_records(str(path)) == rec
 
 
 def test_read_records_rejects_foreign_header(tmp_path):
@@ -218,7 +280,7 @@ def test_report_from_records_requires_files(tmp_path):
 def test_closed_only_mode_has_no_pairing():
     cfg = tiny_config(mode="closed_loop")
     rep = run_study(cfg)
-    assert rep.rows_open == []
+    assert len(rep.rows_open) == 0
     assert "paired" not in rep.summary
     assert "open_loop" not in rep.summary["totals"]
     assert rep.summary["corrections"]["histogram"]
@@ -227,7 +289,7 @@ def test_closed_only_mode_has_no_pairing():
 def test_open_only_mode_still_tabulates():
     cfg = tiny_config(mode="open_loop")
     rep = run_study(cfg)
-    assert rep.rows_closed == []
+    assert len(rep.rows_closed) == 0
     assert rep.summary["corrections"] == {}
     assert rep.summary["table1"]["strata"]
     assert rep.summary["totals"]["open_loop"]["n"] == len(rep.rows_open)
@@ -248,18 +310,19 @@ def test_correction_fractions_consistent(tiny_report):
 
 
 def test_summarize_handles_hand_built_rows():
-    def row(i, err, zone_depth="Apex"):
-        return RecordRow(
-            phantom_id=0, target_id=i, replicate=0, zone_depth=zone_depth,
-            zone_lateral="Left" if i % 2 else "Right", zone_ap="Anterior",
-            approach="Horizontal", n_corrections=1, depth_correction_mm=5.0,
-            error_mm=err, motion_x_mm=0.1, motion_y_mm=-0.2, motion_z_mm=0.3,
-            disengaged=0,
-        )
-
-    rows = [row(i, 1.0 + i * 0.5, "Apex" if i < 3 else "Base") for i in range(6)]
+    i = np.arange(6)
+    rows = Records(
+        phantom_id=np.zeros(6, dtype=np.int64), target_id=i, replicate=np.zeros(6, dtype=np.int64),
+        zone_depth=np.where(i < 3, "Apex", "Base"), zone_lateral=np.where(i % 2, "Left", "Right"),
+        zone_ap=np.full(6, "Anterior"), approach=np.full(6, "Horizontal"),
+        n_corrections=np.ones(6, dtype=np.int64), depth_correction_mm=np.full(6, 5.0),
+        error_mm=1.0 + i * 0.5, motion_mm=np.tile([0.1, -0.2, 0.3], (6, 1)),
+        disengaged=np.zeros(6, dtype=np.int64),
+    )
     cfg = tiny_config()
-    summary = summarize(cfg, rows, [])
+    no_rows = replace(rows, **{f.name: getattr(rows, f.name)[:0] for f in fields(rows) if f.default is not None})
+    summary = summarize(cfg, rows, no_rows)
+    assert "open_loop" not in summary["totals"]
     assert summary["totals"]["closed_loop"]["n"] == 6
     # Center stratum is empty: the lateral test is skipped
     assert all(t["dimension"] != "lateral" for t in summary["table1"]["tests"])
@@ -278,7 +341,7 @@ def test_doubling_drag_moves_open_loop_more_than_closed():
     base = run_study(base_cfg)
     strong = run_study(strong_cfg)
 
-    med = lambda rows, attr: float(np.median([getattr(r, attr) for r in rows]))
+    med = lambda rec, attr: float(np.median(getattr(rec, attr)))
     open_shift = med(strong.rows_open, "error_mm") - med(base.rows_open, "error_mm")
     closed_shift = med(strong.rows_closed, "error_mm") - med(base.rows_closed, "error_mm")
     dc_shift = med(strong.rows_closed, "depth_correction_mm") - med(
