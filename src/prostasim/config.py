@@ -125,6 +125,12 @@ class StudyConfig:
         _check(self.phantom.left_bias_mm >= 0, "phantom.left_bias_mm", "must be >= 0")
         _wrap("motion", self.motion.validate)
         _wrap("noise", self.noise.validate)
+        try:  # the noise sd of a session's last needle reads this power
+            self.noise.degradation_per_needle ** (self.targets_per_phantom - 1)
+        except OverflowError:
+            raise ConfigError(
+                "noise.degradation_per_needle: overflows raised to the power targets_per_phantom - 1"
+            ) from None
         _wrap("robot", self.robot.validate)
         # every target lies inside the gland, so an entry plane that reaches
         # the gland's apical pole can leave some of them on or behind it

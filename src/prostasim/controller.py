@@ -20,9 +20,9 @@ transform reads, and the lever of each gland transform
 penetration, the lateral offset of the gland centroid and the rotation
 axis's Rodrigues matrices, none of which reads a motion parameter.
 ``open_loop_insertion`` scales one insertion's motion normals into its
-motion noise, evaluates only the motion terms of the gland transform
+motion noise and evaluates only the motion terms of the gland transform
 at the pass depth (drag, rotation angle, the rotation about the pivot)
-from the plan's lever, and scores the open-loop baseline.
+from the plan's lever; ``open_loop_records`` scores a block of them.
 ``correct_insertions`` runs the closed loop of a block together, each
 step one stacked ``sensing`` call per kernel over the insertions still
 correcting, continues each one from its baseline's transform and motion
@@ -33,8 +33,8 @@ closed loop of a single insertion.
 
 A block's records are one ``Records``, a column per quantity and a row
 per slot: the closed loop's come from ``correct_insertions``, the open
-loop's are the block's first passes stacked by ``open_loop_records``.
-A slot's two records are the same row of the two.
+loop's from ``open_loop_records``, run only when it is reported.  A
+slot's two records are the same row of the two.
 
 Per-insertion invariants are computed once: the reference volume is
 prepared for registration once, the gland entry depth and the lever are
@@ -86,18 +86,14 @@ class ConvergenceParams:
 
 @dataclass
 class InsertionRecord:
-    """One insertion's first pass, scored: its open-loop baseline.
+    """One insertion's first pass, unscored: ``open_loop_records`` scores a block of them.
 
-    The closed loop starts from the gland transform the bead was deposited
-    in and the frozen motion noise, which every later transform includes.
-    A first pass corrects nothing and never stops short: the last three
-    fields are constant.
+    The gland transform the bead is left in at the pass depth, and the
+    frozen motion noise, which every later transform includes; the closed
+    loop starts from both.  A first pass corrects nothing and never stops
+    short: the last three fields are constant Python scalars.
     """
 
-    distance_error: float
-    axial_motion: float
-    # target displacement beyond the modeled axial drag, per axis (signed, mm)
-    residual_motion: np.ndarray
     gland_transform: geometry.RigidTransform
     motion_noise: np.ndarray
     n_corrections: int = 0
@@ -266,69 +262,69 @@ def plan_insertions(
 
 
 def _deposit(phantoms, targets, tips_world, rotations, translations):
-    """The errors (K,) of beads deposited at the tips in their gland transforms, in the rest frame.
+    """The errors (K,) of beads deposited at the tips (K, 3) in their gland transforms, in the rest frame.
 
     A left-zone bead of a phantom with a left bias is deflected by it along
     -x before it is mapped to the rest frame.
     """
-    bead_world = np.array(tips_world, dtype=np.float64)
-    for k, (phantom, target) in enumerate(zip(phantoms, targets)):
-        if phantom.left_bias != 0.0 and target.zone.lateral_zone == LEFT:
-            bead_world[k, 0] -= phantom.left_bias
+    bias = [p.left_bias if target.zone.lateral_zone == LEFT else 0.0 for p, target in zip(phantoms, targets)]
+    bead_world = tips_world.copy()
+    bead_world[:, 0] -= bias
     bead_rest = world_to_material(rotations, translations, bead_world)
     miss = bead_rest - np.array([target.position_rest for target in targets])
     return np.sqrt(geometry.row_dot(miss, miss))
 
 
 def _residual_motion(motion: MotionParams, moved_targets, targets_obs, penetrations, dirs):
-    """Per-axis target displacement beyond the modeled axial drag, for one insertion or a stack."""
-    return moved_targets - targets_obs - motion.drag(penetrations)[..., None] * dirs
+    """Per-axis displacements (K, 3) of the targets beyond the modeled axial drag."""
+    return moved_targets - targets_obs - motion.drag(penetrations)[:, None] * dirs
 
 
 def open_loop_insertion(
-    phantom: ProstatePhantom,
-    motion: MotionParams,
-    plan: InsertionPlan,
-    streams: InsertionStreams,
+    motion: MotionParams, plan: InsertionPlan, streams: InsertionStreams
 ) -> InsertionRecord:
-    """Score the bead where the first pass of ``plan`` left it: the open-loop baseline.
+    """The first pass of ``plan``: the gland transform the bead is left in.
 
     Scales the insertion's motion normals into its frozen motion noise and
     evaluates the motion terms of the gland transform on the plan's lever
-    at the planned depth; the record carries both, and the closed loop
-    (``correct_insertions``) starts from them.
+    at the planned depth.  ``open_loop_records`` scores a block of them,
+    and the closed loop (``correct_insertions``) starts from them.
     """
-    traj, depth = plan.trajectory, plan.trajectory.planned_depth
     # frozen per-insertion motion noise: every gland transform sees it
     sd = motion.noise_sd_motion
     motion_noise = 0.0 + sd * streams.motion_normals if sd > 0 else np.zeros(3)
-    t_true = prostate_transform(plan.lever, motion, depth, motion_noise)
-    moved_target = geometry.apply(t_true, plan.target_obs)
-    # the depth of the moved target along the needle line
-    depth_of_target = float((moved_target - traj.entry) @ traj.dir)
-    error = _deposit(
-        [phantom], [plan.target], [traj.entry + depth * traj.dir],
-        t_true.rotation[None], t_true.translation[None],
-    )
     return InsertionRecord(
-        distance_error=float(error[0]),
-        # the induced-but-uncorrected axial displacement of the observed target
-        axial_motion=float(depth_of_target - depth),
-        residual_motion=_residual_motion(motion, moved_target, plan.target_obs, plan.penetration, traj.dir),
-        gland_transform=t_true, motion_noise=motion_noise,
+        prostate_transform(plan.lever, motion, plan.trajectory.planned_depth, motion_noise), motion_noise
     )
 
 
 def open_loop_records(
-    plans: list[InsertionPlan], streams: list[InsertionStreams], baselines: list[InsertionRecord],
+    phantoms: list[ProstatePhantom], motion: MotionParams, plans: list[InsertionPlan],
+    streams: list[InsertionStreams], baselines: list[InsertionRecord],
 ) -> Records:
-    """The open-loop records of a block: row k is the first pass ``baselines[k]`` of ``plans[k]``."""
+    """A block's open-loop records, scored in arrays: row k is ``plans[k]``'s first pass ``baselines[k]``.
+
+    Slot k's bead is left at the pass depth in its first pass's gland
+    transform and scored in ``phantoms[k]``'s rest frame; the observed
+    target moved by that transform gives the depth correction and motion
+    columns.  Each row has the bits of scoring its slot alone.
+    """
     n = len(plans)
+    trajs = [plan.trajectory for plan in plans]
+    entries = np.array([traj.entry for traj in trajs])
+    dirs = np.array([traj.dir for traj in trajs])
+    depths = np.array([traj.planned_depth for traj in trajs])
+    targets_obs = np.array([plan.target_obs for plan in plans])
+    rot = np.array([base.gland_transform.rotation for base in baselines])
+    trans = np.array([base.gland_transform.translation for base in baselines])
+    # the observed targets where the first passes' gland transforms moved them
+    moved = sensing.track_target(rot, trans, targets_obs)
+    error = _deposit(phantoms, [plan.target for plan in plans], entries + depths[:, None] * dirs, rot, trans)
+    pens = np.array([plan.penetration for plan in plans])
     return _records(
         plans, streams, n_corrections=np.zeros(n, dtype=np.int64),
-        depth_correction_mm=np.array([base.axial_motion for base in baselines]),
-        error_mm=np.array([base.distance_error for base in baselines]),
-        motion_mm=np.array([base.residual_motion for base in baselines]),
+        depth_correction_mm=geometry.row_dot(moved - entries, dirs) - depths, error_mm=error,
+        motion_mm=_residual_motion(motion, moved, targets_obs, pens, dirs),
         max_corrections_exceeded=np.zeros(n, dtype=bool), registration_rms=np.zeros(n),
         duration_s=np.array([plan.duration_s for plan in plans]),
     )
@@ -456,5 +452,5 @@ def run_insertion(
     ``open_loop_insertion``, then ``correct_insertions`` on that slot
     alone; returns the slot's one-row records.
     """
-    baseline = open_loop_insertion(phantom, motion, plan, streams)
+    baseline = open_loop_insertion(motion, plan, streams)
     return correct_insertions([phantom], motion, noise, geom, conv, [plan], [streams], [baseline])

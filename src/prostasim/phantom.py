@@ -372,14 +372,13 @@ def prostate_transform(
     if not tip_depth > lever.entry_depth:
         return geometry.identity()
     drag = motion.axial_base_offset + motion.axial_gain * lever.penetration
-    if lever.kx is not None and motion.rotation_gain > 0.0:
-        # Rodrigues' formula about the pivot, as geometry.rotation_about_axis
-        theta = np.deg2rad(motion.rotation_gain * lever.lateral * lever.penetration)
-        rot = np.eye(3) + np.sin(theta) * lever.kx + (1.0 - np.cos(theta)) * lever.kx2
-        swing = geometry.RigidTransform(rot, lever.pivot - rot @ lever.pivot)
-    else:
-        swing = geometry.identity()
-    return geometry.compose(geometry.translation(drag * lever.dir + motion_noise), swing)
+    shift = drag * lever.dir + motion_noise
+    if lever.kx is None or not motion.rotation_gain > 0.0:
+        return geometry.RigidTransform(np.eye(3), shift)
+    # Rodrigues' formula about the pivot (geometry.rotation_about_axis), then the shift
+    theta = np.deg2rad(motion.rotation_gain * lever.lateral * lever.penetration)
+    rot = np.eye(3) + np.sin(theta) * lever.kx + (1.0 - np.cos(theta)) * lever.kx2
+    return geometry.RigidTransform(rot, lever.pivot - rot @ lever.pivot + shift)
 
 
 def world_to_material(rotations: np.ndarray, translations: np.ndarray, points_world: np.ndarray):

@@ -212,16 +212,16 @@ def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport
     ``BLOCK_SLOTS``.  A block's streams are drawn together
     (``rng.draw_insertions``, the observation budget only for a
     closed-loop study), its slots are planned together
-    (``plan_insertions``), each slot's first pass is scored
+    (``plan_insertions``), each slot's first pass is made
     (``open_loop_insertion``) under ``cfg.motion``, and a closed-loop
-    study then corrects the whole block together (``correct_insertions``).
-    A mode's records are its blocks' rows in slot order, the open loop's
-    the stacked first passes.  The records do not depend on the block
-    size.  With ``shared`` (see
-    SharedWork) the phantoms come from it, and a block's streams and plans
-    are kept in it for the next study, which draws and plans only the
-    blocks it does not hold; the records are the same as without it.
-    Without it no stream or plan outlives its block.
+    study then corrects the whole block together (``correct_insertions``),
+    an open-loop one scores it together (``open_loop_records``).  A mode's
+    records are its blocks' rows in slot order.  The records do not depend
+    on the block size.  With ``shared`` (see SharedWork) the phantoms come
+    from it, and a block's streams and plans are kept in it for the next
+    study, which draws and plans only the blocks it does not hold; the
+    records are the same as without it.  Without it no stream or plan
+    outlives its block.
     """
     cfg.validate()
     if shared is None:
@@ -261,17 +261,14 @@ def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport
                 cfg.entry_region, cfg.needle_radius, track=do_closed,
             )
         # one first pass per slot, streams by keyword: perfbench's tracer keys tasks on it
-        baselines = [
-            open_loop_insertion(phantom, cfg.motion, plan, streams=slot_streams)
-            for phantom, plan, slot_streams in zip(block_phantoms, plans, streams)
-        ]
+        baselines = [open_loop_insertion(cfg.motion, plan, streams=s) for plan, s in zip(plans, streams)]
         if do_closed:
             closed.append(correct_insertions(
                 block_phantoms, cfg.motion, cfg.noise, cfg.robot,
                 cfg.convergence, plans, streams, baselines,
             ))
         if do_open:
-            opened.append(open_loop_records(plans, streams, baselines))
+            opened.append(open_loop_records(block_phantoms, cfg.motion, plans, streams, baselines))
 
     rows_closed, rows_open = (
         Records.concat(blocks) if blocks else _no_records() for blocks in (closed, opened)

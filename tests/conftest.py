@@ -6,6 +6,7 @@ import pytest
 from prostasim import geometry, planning, study
 from prostasim.config import default_config
 from prostasim.kinematics import Trajectory
+from prostasim.phantom import LEFT
 
 
 @pytest.fixture
@@ -173,6 +174,28 @@ def gland_transform_oracle(phantom, motion, entry, dir, tip_depth, pass_depth, m
         rot = geometry.identity()
 
     return geometry.compose(geometry.translation(drag * d + motion_noise), rot)
+
+
+def open_loop_oracle(phantom, motion, plan, first):
+    """One slot's open-loop score, made alone: (axial motion, error, residual motion).
+
+    The per-slot formulas that ``controller.open_loop_records`` stacks over
+    a block, kept as its oracle: the observed target moved by the first
+    pass ``first``'s gland transform, its depth along the needle line past
+    the pass depth, the rest-frame miss of the bead left at the pass depth
+    (a left-zone bead of a phantom with a left bias deflected along -x),
+    and the target's displacement beyond the modeled drag.
+    """
+    traj, depth, t = plan.trajectory, plan.trajectory.planned_depth, first.gland_transform
+    moved = geometry.apply(t, plan.target_obs)
+    axial = float((moved - traj.entry) @ traj.dir) - depth
+    bead = traj.entry + depth * traj.dir
+    if phantom.left_bias != 0.0 and plan.target.zone.lateral_zone == LEFT:
+        bead[0] -= phantom.left_bias
+    error = float(np.linalg.norm(geometry.apply(geometry.inverse(t), bead) - plan.target.position_rest))
+    pen = plan.penetration
+    drag = motion.axial_base_offset + motion.axial_gain * pen if pen > 0.0 else 0.0
+    return axial, error, moved - plan.target_obs - drag * traj.dir
 
 
 def records_csv_oracle(records) -> str:

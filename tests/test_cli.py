@@ -117,6 +117,17 @@ def test_an_entry_plane_behind_the_gland_front_is_config_error(tmp_path, capsys)
     assert not (tmp_path / "run").exists()
 
 
+def test_an_overflowing_degradation_is_config_error(tmp_path, capsys):
+    cfg = tiny_config()
+    cfg.noise.degradation_per_needle = 1e300
+    path = tmp_path / "degraded.yaml"
+    path.write_text(to_yaml(cfg))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert "noise.degradation_per_needle" in err
+    assert "Traceback" not in err
+
+
 def test_seed_override_changes_bytes_and_repeats(tmp_path, capsys):
     cfg_path = tiny_config_file(tmp_path, mode="closed_loop")
     runs = {}

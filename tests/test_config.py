@@ -126,6 +126,14 @@ def test_an_entry_plane_on_or_behind_the_gland_front_is_rejected():
     from_dict({"robot": {"front_plane_z": math.nextafter(-22.0, -math.inf)}}).validate()
 
 
+def test_a_degradation_that_overflows_within_a_session_is_rejected():
+    # the last of the default 10 needles observes with degradation_per_needle ** 9
+    for value in (1e300, 1e40):
+        with pytest.raises(ConfigError, match=r"^noise\.degradation_per_needle: overflows"):
+            from_dict({"noise": {"degradation_per_needle": value}}).validate()
+    from_dict({"noise": {"degradation_per_needle": 1e34}}).validate()
+
+
 def test_malformed_values_rejected():
     with pytest.raises(ConfigError, match="malformed"):
         from_dict({"motion": {"axial_gain": "fast"}})

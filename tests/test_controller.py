@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import gland_transform_oracle, replan_angled_oracle, segment_distance_oracle, tiny_config
+from conftest import (
+    gland_transform_oracle,
+    open_loop_oracle,
+    replan_angled_oracle,
+    segment_distance_oracle,
+    tiny_config,
+)
 from prostasim import controller, geometry, planning, rng, sensing, study
 from prostasim import phantom as ph
 from prostasim.config import default_config
@@ -83,10 +89,16 @@ def plan_quiet(phantom, tid, arch=None, noise=None, track=True):
     )[0]
 
 
+def open_loop_block(phantom, motion, plan, tid):
+    """A slot's first pass and its open-loop records, scored as a block of one."""
+    first = open_loop_insertion(motion, plan, streams(tid))
+    return first, open_loop_records([phantom], motion, [plan], [streams(tid)], [first])
+
+
 def run_quiet(phantom, tid, arch=None, conv=None, mode=run_insertion, noise=None, motion=STILL):
     """Plan, then insert from the plan: the two steps of a study slot.
 
-    The closed loop gives the slot's one row of records, the open loop its first pass.
+    Either loop gives the slot's one row of records.
     """
     plan = plan_quiet(phantom, tid, arch, noise, track=mode is run_insertion)
     if mode is run_insertion:
@@ -95,7 +107,8 @@ def run_quiet(phantom, tid, arch=None, conv=None, mode=run_insertion, noise=None
             streams(tid),
         )
         return row
-    return open_loop_insertion(phantom, motion, plan, streams(tid))
+    _, (row,) = open_loop_block(phantom, motion, plan, tid)
+    return row
 
 
 def drag_motion(gain=0.05, offset=2.0):
@@ -142,12 +155,12 @@ def test_open_loop_misses_by_the_drag():
     p = make_phantom()
     t = non_left_target(p)
     _, drag = expected_drag(p, t, gain, offset)
-    rec = run_quiet(p, t.id, mode=open_loop_insertion, motion=drag_motion(gain, offset))
+    rec = run_quiet(p, t.id, mode=open_loop_records, motion=drag_motion(gain, offset))
     assert rec.n_corrections == 0
-    assert rec.distance_error == pytest.approx(drag, abs=1e-9)
-    assert rec.axial_motion == pytest.approx(drag, abs=1e-9)
+    assert rec.error_mm == pytest.approx(drag, abs=1e-9)
+    assert rec.depth_correction_mm == pytest.approx(drag, abs=1e-9)
     # the uncompensated displacement is purely the modeled drag
-    np.testing.assert_allclose(rec.residual_motion, 0.0, atol=1e-9)
+    np.testing.assert_allclose(rec.motion_mm, 0.0, atol=1e-9)
 
 
 def test_paired_runs_share_noise():
@@ -163,17 +176,16 @@ def test_paired_runs_share_noise():
     tracked, untracked = (plan_quiet(p, t.id, noise=noise, track=track) for track in (True, False))
     np.testing.assert_equal(vars(untracked.trajectory), vars(tracked.trajectory))
     # the slot's open-loop record is its first pass alone, in the row its closed record has
-    o = run_quiet(p, t.id, mode=open_loop_insertion, noise=noise, motion=motion)
-    assert o.axial_motion != 0.0 and np.any(o.residual_motion != 0.0)
-    first = open_loop_insertion(p, motion, tracked, streams(t.id))
-    assert_same_first_pass(first, o)
-    opened = open_loop_records([tracked], [streams(t.id)], [first])
+    o = run_quiet(p, t.id, mode=open_loop_records, noise=noise, motion=motion)
+    assert o.depth_correction_mm != 0.0 and np.any(o.motion_mm != 0.0)
+    first, opened = open_loop_block(p, motion, tracked, t.id)
+    assert_same_first_pass(first, open_loop_insertion(motion, untracked, streams(t.id)))
     closed = correct_insertions(
         [p], motion, noise, GEOM, ConvergenceParams(), [tracked], [streams(t.id)], [first]
     )
     (row,) = opened
-    assert (row.n_corrections, row.error_mm, row.depth_correction_mm) == (0, o.distance_error, o.axial_motion)
-    np.testing.assert_array_equal(row.motion_mm, o.residual_motion)
+    assert (row.n_corrections, row.error_mm, row.depth_correction_mm) == (0, o.error_mm, o.depth_correction_mm)
+    np.testing.assert_array_equal(row.motion_mm, o.motion_mm)
     assert not row.max_corrections_exceeded and row.duration_s == tracked.duration_s
     for name in ("phantom_id", "target_id", "replicate", "zone_depth", "zone_lateral", "zone_ap", "approach",
                  "disengaged", "rotation_angle_deg"):
@@ -298,6 +310,8 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
             per_slot[slot(plan.trajectory.entry)]["corrections"] = corrections
         return records
 
+    deposits = []
+    monkeypatch.setattr(controller, "_deposit", counting(deposits, "deposit", controller._deposit))
     monkeypatch.setattr(controller, "prostate_transform", transform)
     monkeypatch.setattr(geometry, "max_line_deviation", line)
     # the entry depth is looked up through both modules' bindings
@@ -314,6 +328,8 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
         assert c["line"] == 1
     # neither the first pass nor the correction loop solves an entry depth
     assert solved == [32]
+    # one deposit for the block, and none for a first pass a closed-only study does not report
+    assert len(deposits) == 1
 
 
 def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
@@ -362,19 +378,23 @@ def test_a_given_plan_gives_the_same_records():
     noise = NoiseModel(sigma0=0.3, depth_gain=0.002, degradation_per_needle=1.0)
     plan = plan_quiet(p, t.id, noise=noise)
     fresh = run_insertion(p, motion, noise, GEOM, ConvergenceParams(), plan_quiet(p, t.id, noise=noise), streams(t.id))
-    fresh_first = open_loop_insertion(p, motion, plan_quiet(p, t.id, noise=noise), streams(t.id))
+    fresh_first, fresh_open = open_loop_block(p, motion, plan_quiet(p, t.id, noise=noise), t.id)
     assert fresh.n_corrections[0] >= 1
     for _ in range(2):  # a plan is not consumed by its use
         assert run_insertion(p, motion, noise, GEOM, ConvergenceParams(), plan, streams(t.id)) == fresh
-        assert_same_first_pass(open_loop_insertion(p, motion, plan, streams(t.id)), fresh_first)
+        first, opened = open_loop_block(p, motion, plan, t.id)
+        assert_same_first_pass(first, fresh_first)
+        assert opened == fresh_open
     # one plan serves any motion: a still gland leaves the first pass on target
-    still = open_loop_insertion(p, STILL, plan, streams(t.id))
-    assert still.axial_motion == 0.0
-    assert still.distance_error < fresh_first.distance_error
+    _, (still,) = open_loop_block(p, STILL, plan, t.id)
+    assert still.depth_correction_mm == 0.0
+    assert still.error_mm < fresh_open.error_mm[0]
     # an untracked plan carries no registration reference
     untracked = plan_quiet(p, t.id, noise=noise, track=False)
     assert untracked.reference is None and untracked.lever.entry_depth == plan.lever.entry_depth
-    assert_same_first_pass(open_loop_insertion(p, motion, untracked, streams(t.id)), fresh_first)
+    first, opened = open_loop_block(p, motion, untracked, t.id)
+    assert_same_first_pass(first, fresh_first)
+    assert opened == fresh_open
     with pytest.raises(ValueError, match="tracked plan"):
         run_insertion(p, motion, noise, GEOM, ConvergenceParams(), untracked, streams(t.id))
 
@@ -584,6 +604,47 @@ def test_a_block_plans_each_slot_as_it_would_alone(
             )
             assert got.rotation.tobytes() == want.rotation.tobytes()
             assert got.translation.tobytes() == want.translation.tobytes()
+
+
+def test_a_block_scores_its_first_passes_as_each_slot_alone():
+    # a biased and an unbiased phantom, left-zone and other targets, the
+    # wide arch blocking some direct paths: every slot that has a path
+    noise = NoiseModel(sigma0=0.3, depth_gain=0.01, degradation_per_needle=1.1)
+    phantoms = (replace(SHAPES[0], left_bias=1.5), SHAPES[1])
+    slots, plans = [], []
+    for index, phantom in enumerate(phantoms):
+        for target in phantom.targets:
+            slot_streams = draw_insertions(5, [(index, target.id, 0)], [target.id], N_FIDUCIALS, 0)
+            try:
+                (plan,) = plan_insertions(
+                    [phantom], WIDE_ROBOT, WIDE_ARCH, noise, [target.id], slot_streams, track=False
+                )
+            except NoFeasiblePath:
+                continue
+            slots.append((phantom, slot_streams[0]))
+            plans.append(plan)
+    block_phantoms, block_streams = (list(column) for column in zip(*slots))
+    assert {plan.trajectory.approach for plan in plans} == {"Horizontal", "Angled"}
+    deflected = [
+        p.left_bias != 0.0 and plan.target.zone.lateral_zone == LEFT for p, plan in zip(block_phantoms, plans)
+    ]
+    assert any(deflected) and not all(deflected)
+    assert any(p.left_bias == 0.0 for p in block_phantoms)
+
+    def bits(x):
+        return np.asarray(x, dtype=np.float64).tobytes()
+
+    for motion in (STILL, LEVERED):
+        firsts = [open_loop_insertion(motion, plan, s) for plan, s in zip(plans, block_streams)]
+        records = open_loop_records(block_phantoms, motion, plans, block_streams, firsts)
+        for k, (phantom, plan, first) in enumerate(zip(block_phantoms, plans, firsts)):
+            axial, error, residual = open_loop_oracle(phantom, motion, plan, first)
+            assert bits(records.depth_correction_mm[k]) == bits(axial), k
+            assert bits(records.error_mm[k]) == bits(error), k
+            assert bits(records.motion_mm[k]) == bits(residual), k
+        if motion is STILL:
+            # a still gland moves no target, and the records see it
+            np.testing.assert_allclose(records.depth_correction_mm, 0.0, atol=1e-9)
 
 
 def test_a_collinear_reference_volume_anywhere_in_a_block_raises():

@@ -19,6 +19,13 @@ DEFAULT_STUDY = {
     "summary.json": "56f1fc8c8a7cba8fc17af70e37c81712ed2d6cb036df949532eab6f1ef6c3fa7",
 }
 
+# the default study in closed loop alone: its records are DEFAULT_STUDY's,
+# and its summary holds no open-loop totals and no paired comparison
+DEFAULT_CLOSED_ONLY = {
+    "records_closed.csv": "ffa177b43d89a9c87b8c042a30fee101b0fd249908ec023c6b080f64c00e2088",
+    "summary.json": "cde4cac6e6ae54adc470fdb259216f77b585232575504e1972d46222c81860e2",
+}
+
 TINY_OPEN_LOOP = {
     "records_open.csv": "946eaf7a816b7fd5c9dbb0ac85e765b7f9c167b5d7b7c6ade1f7687301375cf8",
     "summary.json": "1d173030d8cfdbfd55c8c1e4f813747287ec09376a6ff30d14a59eff6f0bba72",
@@ -68,6 +75,13 @@ def _digests(report, out_dir):
 
 def test_default_study_bytes(tmp_path):
     assert _digests(run_study(default_config()), tmp_path) == DEFAULT_STUDY
+
+
+def test_default_closed_only_study_bytes(tmp_path):
+    cfg = default_config()
+    cfg.mode = "closed_loop"
+    assert _digests(run_study(cfg), tmp_path) == DEFAULT_CLOSED_ONLY
+    assert DEFAULT_CLOSED_ONLY["records_closed.csv"] == DEFAULT_STUDY["records_closed.csv"]
 
 
 def test_open_loop_variant_bytes(tmp_path):
