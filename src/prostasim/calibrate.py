@@ -8,16 +8,11 @@ workflow shape (correction-count distribution, apex/base ordering) are
 rejected outright, since the objective alone cannot see them.
 
 The grid points differ only in the four motion parameters and ``sigma0``,
-so a search reuses the motion-free half of every study
-(``study.SharedWork``), which it keeps by whole block of slots: the
-phantoms, which hold no motion parameters, are built once per search and
-every study uses them as built, each block's random streams, whose
-standard normals the grid values only scale, are drawn once per search,
-and each block's plans, made from reference volumes observed at rest and
-so dependent on ``sigma0`` but not on motion, once per ``sigma0`` value;
-each study passes its own motion parameters to the insertions.  The
-grid's order and its strict-``<`` choice of the best point are those of
-an unshared search, and so are the results.
+so a search runs them all as the points of one ``study.run_points``,
+which draws each block's streams once, plans it once per ``sigma0`` and
+corrects the (point, slot) rows of a ``sigma0`` together.  Each point's
+records, and so its medians, are those of its own closed-loop study, and
+the grid's order and strict-``<`` choice of the best point are kept.
 """
 
 from __future__ import annotations
@@ -28,9 +23,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import StudyConfig, to_yaml
+from .controller import Records
 from .phantom import APEX, BASE
 from .stats import Sample, median_iqr
-from .study import SharedWork, correction_counts, run_study, share_work
+# run_study is not called here: perfbench's tracer wraps calibrate.run_study by name
+from .study import correction_counts, run_points, run_study  # noqa: F401
 
 TARGETS = {
     "overall_error_mm": 2.73,
@@ -71,16 +68,14 @@ def _grid(center: float, span: float, points: int):
     return [float(v) for v in np.linspace(center - span, center + span, points)]
 
 
-def study_medians(cfg: StudyConfig, shared: SharedWork | None = None) -> tuple[dict, dict]:
-    """Run a closed-loop study and pull the seven calibration medians.
+def study_medians(rec: Records) -> tuple[dict, dict]:
+    """The seven calibration medians of a study's closed-loop records, and its correction counts.
 
     Each is the median the study summary reports for that quantity (the
     closed-loop totals, the apex and base strata, table 2's "All" row),
-    taken straight from the columns of the closed-loop records, the strata
-    by mask, so no summary is built.
-    ``shared`` is passed on to ``run_study``; the medians do not depend on it.
+    taken straight from the columns of the records, the strata by mask,
+    so no summary is built.
     """
-    rec = run_study(cfg, shared).rows_closed
     correction, motion = rec.depth_correction_mm, np.abs(rec.motion_mm)
     samples = {
         "overall_error_mm": rec.error_mm,
@@ -125,7 +120,7 @@ def calibrate(
 
     ``grid_points`` values per axis over +/- ``SPANS`` around each center.
     Every grid point is a closed-loop study of ``replicates`` seed
-    replicates, and all of them share one ``SharedWork``.  Returns the
+    replicates, all of them points of one ``run_points``.  Returns the
     best feasible candidate (falling back to the best overall if nothing
     passes the shape constraints, flagged infeasible).  Raises ValueError
     when ``replicates`` or ``grid_points`` is below 1.
@@ -140,15 +135,13 @@ def calibrate(
         for key, span in SPANS.items()
     ]
 
-    # phantoms, streams and plans are motion-free: made once per search,
-    # each block's plans once per sigma0 value, and dropped when the search returns
-    shared = share_work(base)
+    # the last axis (sigma0) varies fastest
+    grid = [{key: max(0.0, v) for key, v in zip(SPANS, values)} for values in itertools.product(*axes)]
+    points = [(_with_params(base, params).motion, params["sigma0"]) for params in grid]
     best = None
     best_any = None
-    # the last axis (sigma0) varies fastest
-    for values in itertools.product(*axes):
-        params = {key: max(0.0, v) for key, v in zip(SPANS, values)}
-        medians, corr = study_medians(_with_params(base, params), shared)
+    for params, (rec, _) in zip(grid, run_points(base, points)):
+        medians, corr = study_medians(rec)
         obj = objective(medians)
         ok = _feasible(medians, corr)
         cand = CalibrationResult(params, obj, medians, ok)

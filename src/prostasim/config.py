@@ -123,8 +123,7 @@ class StudyConfig:
         _check(0 < self.phantom.target_margin <= 1, "phantom.target_margin", "must be in (0, 1]")
         _check(self.phantom.min_target_spacing >= 0, "phantom.min_target_spacing", "must be >= 0")
         _check(self.phantom.left_bias_mm >= 0, "phantom.left_bias_mm", "must be >= 0")
-        _wrap("motion", self.motion.validate)
-        _wrap("noise", self.noise.validate)
+        validate_motion_noise(self.motion, self.noise)
         try:  # the noise sd of a session's last needle reads this power
             self.noise.degradation_per_needle ** (self.targets_per_phantom - 1)
         except OverflowError:
@@ -148,6 +147,15 @@ class StudyConfig:
         _wrap("arch.capsules", self.arch.build)
         _check(self.output.format in FORMATS, "output.format", f"must be one of {FORMATS}")
         return self
+
+
+def validate_motion_noise(motion: MotionParams, noise: NoiseModel):
+    """Check a motion and a noise section as ``StudyConfig.validate`` checks a config's own."""
+    schema = default_config()
+    _coerce(motion, schema.motion, "motion")
+    _coerce(noise, schema.noise, "noise")
+    _wrap("motion", motion.validate)
+    _wrap("noise", noise.validate)
 
 
 def _check(cond: bool, path: str, msg: str):

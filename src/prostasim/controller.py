@@ -25,11 +25,11 @@ at the pass depth (drag, rotation angle, the rotation about the pivot)
 from the plan's lever; ``open_loop_records`` scores a block of them.
 ``correct_insertions`` runs the closed loop of a block together, each
 step one stacked ``sensing`` call per kernel over the insertions still
-correcting, continues each one from its baseline's transform and motion
-noise, and deposits and scores the block in arrays.  The insertions
-take the plan and none of the planning inputs, so insertions that
-differ only in motion can share one plan.  ``run_insertion`` is the
-closed loop of a single insertion.
+correcting, continues each one from its baseline's transform, motion
+noise and motion, and deposits and scores the block in arrays.  The
+insertions take the plan and none of the planning inputs, so insertions
+that differ only in motion can share one plan, in one block too.
+``run_insertion`` is the closed loop of a single insertion.
 
 A block's records are one ``Records``, a column per quantity and a row
 per slot: the closed loop's come from ``correct_insertions``, the open
@@ -88,14 +88,16 @@ class ConvergenceParams:
 class InsertionRecord:
     """One insertion's first pass, unscored: ``open_loop_records`` scores a block of them.
 
-    The gland transform the bead is left in at the pass depth, and the
-    frozen motion noise, which every later transform includes; the closed
-    loop starts from both.  A first pass corrects nothing and never stops
-    short: the last three fields are constant Python scalars.
+    The gland transform the bead is left in at the pass depth, the frozen
+    motion noise, which every later transform includes, and the motion
+    parameters of the pass; the closed loop starts from all three.  A first
+    pass corrects nothing and never stops short: the last three fields are
+    constant Python scalars.
     """
 
     gland_transform: geometry.RigidTransform
     motion_noise: np.ndarray
+    motion: MotionParams
     n_corrections: int = 0
     max_corrections_exceeded: bool = False
     disengaged: bool = False
@@ -150,9 +152,16 @@ class Records:
 
     @classmethod
     def concat(cls, blocks: list[Records]) -> Records:
-        """The rows of ``blocks`` in order, in one columns object; ``blocks`` is not empty."""
+        """The rows of the blocks, not none, in order in one columns object: the block itself if only one."""
+        if len(blocks) == 1:
+            return blocks[0]
         columns = [[getattr(block, f.name) for block in blocks] for f in fields(cls)]
         return cls(*(None if col[0] is None else np.concatenate(col) for col in columns))
+
+    def rows(self, index) -> Records:
+        """The rows ``index`` selects, in one columns object; a slice gives views of the columns."""
+        columns = (getattr(self, f.name) for f in fields(self))
+        return Records(*(None if col is None else col[index] for col in columns))
 
 
 def _records(plans, streams, **columns) -> Records:
@@ -275,9 +284,13 @@ def _deposit(phantoms, targets, tips_world, rotations, translations):
     return np.sqrt(geometry.row_dot(miss, miss))
 
 
-def _residual_motion(motion: MotionParams, moved_targets, targets_obs, penetrations, dirs):
-    """Per-axis displacements (K, 3) of the targets beyond the modeled axial drag."""
-    return moved_targets - targets_obs - motion.drag(penetrations)[:, None] * dirs
+def _residual_motion(baselines, moved_targets, targets_obs, penetrations, dirs):
+    """Per-axis displacements (K, 3) of the targets beyond the drag of each row's ``baselines[k].motion``."""
+    rows = MotionParams(
+        axial_gain=np.array([base.motion.axial_gain for base in baselines]),
+        axial_base_offset=np.array([base.motion.axial_base_offset for base in baselines]),
+    )
+    return moved_targets - targets_obs - rows.drag(penetrations)[:, None] * dirs
 
 
 def open_loop_insertion(
@@ -293,13 +306,12 @@ def open_loop_insertion(
     # frozen per-insertion motion noise: every gland transform sees it
     sd = motion.noise_sd_motion
     motion_noise = 0.0 + sd * streams.motion_normals if sd > 0 else np.zeros(3)
-    return InsertionRecord(
-        prostate_transform(plan.lever, motion, plan.trajectory.planned_depth, motion_noise), motion_noise
-    )
+    transform = prostate_transform(plan.lever, motion, plan.trajectory.planned_depth, motion_noise)
+    return InsertionRecord(transform, motion_noise, motion)
 
 
 def open_loop_records(
-    phantoms: list[ProstatePhantom], motion: MotionParams, plans: list[InsertionPlan],
+    phantoms: list[ProstatePhantom], plans: list[InsertionPlan],
     streams: list[InsertionStreams], baselines: list[InsertionRecord],
 ) -> Records:
     """A block's open-loop records, scored in arrays: row k is ``plans[k]``'s first pass ``baselines[k]``.
@@ -324,7 +336,7 @@ def open_loop_records(
     return _records(
         plans, streams, n_corrections=np.zeros(n, dtype=np.int64),
         depth_correction_mm=geometry.row_dot(moved - entries, dirs) - depths, error_mm=error,
-        motion_mm=_residual_motion(motion, moved, targets_obs, pens, dirs),
+        motion_mm=_residual_motion(baselines, moved, targets_obs, pens, dirs),
         max_corrections_exceeded=np.zeros(n, dtype=bool), registration_rms=np.zeros(n),
         duration_s=np.array([plan.duration_s for plan in plans]),
     )
@@ -332,7 +344,6 @@ def open_loop_records(
 
 def correct_insertions(
     phantoms: list[ProstatePhantom],
-    motion: MotionParams,
     noise: NoiseModel,
     geom: kinematics.RobotGeometry,
     conv: ConvergenceParams,
@@ -345,7 +356,8 @@ def correct_insertions(
     Slot k is insertion k: ``phantoms[k]``, its tracked ``plans[k]``, its
     ``streams[k]`` and its first pass ``baselines[k]``, whose gland
     transform is the slot's first verification state and whose motion
-    noise every later transform reuses.  Each step observes, registers,
+    noise and motion every later transform reuses (the rows may differ in
+    motion, not in noise).  Each step observes, registers,
     tracks and decides for every slot still correcting, as one stacked
     call per kernel; a slot leaves the loop when its proposed change drops
     below ``depth_epsilon`` or its budget runs out.  Row k of the returned
@@ -422,7 +434,7 @@ def correct_insertions(
             inside[k] = side = not inside[k]
             if side not in transforms[k]:
                 transforms[k][side] = prostate_transform(
-                    plans[k].lever, motion, tip[k], baselines[k].motion_noise
+                    plans[k].lever, baselines[k].motion, tip[k], baselines[k].motion_noise
                 )
             rot[k], trans[k] = transforms[k][side].rotation, transforms[k][side].translation
 
@@ -430,7 +442,7 @@ def correct_insertions(
     # transform of its side of the entry depth, which rot and trans hold
     error = _deposit(phantoms, [plan.target for plan in plans], entries + tip[:, None] * dirs, rot, trans)
     residual = _residual_motion(
-        motion, first_tracked, targets_obs, np.array([plan.penetration for plan in plans]), dirs
+        baselines, first_tracked, targets_obs, np.array([plan.penetration for plan in plans]), dirs
     )
     return _records(
         plans, streams, n_corrections=n_corrections, depth_correction_mm=applied, error_mm=error,
@@ -453,4 +465,4 @@ def run_insertion(
     alone; returns the slot's one-row records.
     """
     baseline = open_loop_insertion(motion, plan, streams)
-    return correct_insertions([phantom], motion, noise, geom, conv, [plan], [streams], [baseline])
+    return correct_insertions([phantom], noise, geom, conv, [plan], [streams], [baseline])

@@ -179,12 +179,15 @@ def _entry_grid(targets, entry_region: EntryRegion, geom: kinematics.RobotGeomet
     axis.  The region and both stages' travel bound x and y separately, so
     each axis is pruned on its own, with the exact per-entry test, before
     the grid is built: the grid never outgrows the region, whatever the
-    angulation limit.  Rows are row-major in (dy, dx) per target.
+    angulation limit.  Rows are row-major in (dy, dx) per target.  Raises
+    NoFeasiblePath for the first target on or behind the entry plane,
+    which no entry reaches.
     """
     tx, ty, tz = targets[:, 0], targets[:, 1], targets[:, 2]
     dz = tz - geom.front_plane_z
-    if np.any(dz <= 0):
-        raise ValueError("target must lie beyond the entry plane")
+    behind = np.flatnonzero(dz <= 0)
+    if behind.size:
+        raise NoFeasiblePath(-math.inf, targets[behind[0]])
     steps = np.floor(math.tan(math.radians(geom.max_angulation)) * dz / ENTRY_GRID_STEP)
     scale = geom.stage_separation / dz
     travel = geom.stage_travel

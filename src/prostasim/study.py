@@ -3,7 +3,9 @@
 A study is the cross product (phantom, target, replicate).  Every
 insertion draws from counter-based streams keyed by those indices, so
 outputs do not depend on execution order, and the closed/open pair of an
-insertion shares its streams.
+insertion shares its streams.  ``run_points`` runs a study at several
+(motion, sigma0) points at once, as a calibration grid does, and
+``run_study`` at the config's own.
 
 A study's records are one ``controller.Records`` per mode, a column per
 quantity with a row per insertion, joined from its blocks.  Outputs: one
@@ -19,14 +21,13 @@ import functools
 import itertools
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .config import StudyConfig, to_dict
+from .config import StudyConfig, to_dict, validate_motion_noise
 from .controller import (
-    InsertionPlan,
     Records,
     correct_insertions,
     open_loop_insertion,
@@ -41,11 +42,13 @@ from .phantom import (
     LEFT,
     POSTERIOR,
     RIGHT,
+    MotionParams,
     PhantomSpec,
     generate_phantom,
     largest_remainder,
 )
-from .rng import InsertionStreams, draw_insertions
+from .rng import draw_insertions
+from .sensing import NoiseModel
 from .stats import Sample, kruskal_wallis, mann_whitney_u, median_iqr
 
 CALIBRATION_NOTE = (
@@ -159,77 +162,51 @@ def build_phantoms(cfg: StudyConfig):
     return phantoms
 
 
-def _motion_free_key(cfg: StudyConfig) -> dict:
-    """The config minus what shared work may differ in: the motion
-    parameters but their stream's salt, sigma0 and the output."""
-    key = to_dict(cfg)
-    key["motion"] = {"rng_seed": cfg.motion.rng_seed}
-    del key["noise"]["sigma0"], key["output"]
-    return key
-
-
-@dataclass
-class SharedWork:
-    """The motion-free half of a study, reused across studies of one config
-    that differ only in the motion parameters and ``noise.sigma0`` (the
-    axes of a calibration grid).
-
-    Every such study has the same slots, and so the same blocks (see
-    ``run_study``).  A phantom holds no motion parameters, so the phantoms
-    are built once and every study uses them as built.  A block's streams
-    depend on no grid value (the noise and motion parameters only scale
-    their standard normals, see ``rng``), so they are drawn on first use
-    and kept under the block's slot range ``(start, stop)``; the motion
-    stream's salt, ``motion.rng_seed``, is part of the config the work is
-    shared under.  A block's plans depend on sigma0 but not on motion, so
-    they are made on first use and kept under ``(sigma0, start, stop)``.
-    Make one with ``share_work`` and keep it no longer than the search
-    that uses it.
-    """
-
-    key: dict
-    phantoms: list
-    streams: dict[tuple, list[InsertionStreams]] = field(default_factory=dict)
-    plans: dict[tuple, list[InsertionPlan]] = field(default_factory=dict)
-
-
-def share_work(cfg: StudyConfig) -> SharedWork:
-    cfg.validate()
-    return SharedWork(_motion_free_key(cfg), build_phantoms(cfg))
-
-
 # slots per block: the closed loop steps a block together, and a block's
 # streams, plans and records are let go before the next one starts: the
 # default study run as one block peaked at 54 MB of RSS, at 128 slots at
-# 41.5 MB.
+# 41.5 MB.  A block's (point, slot) rows go through the closed loop in
+# chunks of as many rows, for the same bound.
 BLOCK_SLOTS = 128
 
 
-def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport:
+def run_study(cfg: StudyConfig) -> StudyReport:
     """Run every insertion of the configured study; the report summarizes them.
 
+    The study's one point of ``run_points``: its own motion and sigma0.
+    """
+    ((rows_closed, rows_open),) = run_points(cfg, [(cfg.motion, cfg.noise.sigma0)])
+    return StudyReport(cfg, rows_closed, rows_open)
+
+
+def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> list[tuple[Records, Records]]:
+    """Run the configured study at each point (motion, sigma0): each point's (closed, open) records.
+
+    A point's records are those of ``cfg`` with its motion and
+    ``noise.sigma0``, whatever the other points and the block size.
+    ``cfg`` is validated once, each point's motion and noise as
+    ``cfg.validate`` checks its own; a point keeps ``cfg.motion.rng_seed``.
+
     The slots (phantom, target, replicate) are worked through in blocks of
-    ``BLOCK_SLOTS``.  A block's streams are drawn together
-    (``rng.draw_insertions``, the observation budget only for a
-    closed-loop study), its slots are planned together
-    (``plan_insertions``), each slot's first pass is made
-    (``open_loop_insertion``) under ``cfg.motion``, and a closed-loop
-    study then corrects the whole block together (``correct_insertions``),
-    an open-loop one scores it together (``open_loop_records``).  A mode's
-    records are its blocks' rows in slot order.  The records do not depend
-    on the block size.  With ``shared`` (see SharedWork) the phantoms come
-    from it, and a block's streams and plans are kept in it for the next
-    study, which draws and plans only the blocks it does not hold; the
-    records are the same as without it.  Without it no stream or plan
-    outlives its block.
+    ``BLOCK_SLOTS``.  A block's streams are drawn together once
+    (``rng.draw_insertions``; a point only scales their standard normals),
+    and its slots are planned together once per sigma0
+    (``plan_insertions``; a plan is made at rest, which no motion touches).
+    Each of that sigma0's points makes each slot's first pass under its own
+    motion (``open_loop_insertion``), and the (point, slot) rows, point-major,
+    are corrected (``correct_insertions``) and scored (``open_loop_records``)
+    as the mode asks, in chunks of ``BLOCK_SLOTS`` rows.
     """
     cfg.validate()
-    if shared is None:
-        phantoms = build_phantoms(cfg)
-    elif _motion_free_key(cfg) != shared.key:
-        raise ValueError("shared work was made for a config that differs beyond motion and sigma0")
-    else:
-        phantoms = shared.phantoms
+    # sigma0 -> its noise model and its points
+    groups: dict[float, tuple[NoiseModel, list[int]]] = {}
+    for i, (motion, sigma0) in enumerate(points):
+        noise, members = groups.setdefault(sigma0, (replace(cfg.noise, sigma0=sigma0), []))
+        validate_motion_noise(motion, noise)
+        if motion.rng_seed != cfg.motion.rng_seed:
+            raise ValueError(f"a point's motion.rng_seed must be the study's, {cfg.motion.rng_seed}")
+        members.append(i)
+    phantoms = build_phantoms(cfg)
     arch = cfg.arch.build()
     do_closed = cfg.mode in ("closed_loop", "both")
     do_open = cfg.mode in ("open_loop", "both")
@@ -239,41 +216,48 @@ def run_study(cfg: StudyConfig, shared: SharedWork | None = None) -> StudyReport
     slots = list(itertools.product(
         range(cfg.n_phantoms), range(cfg.targets_per_phantom), range(cfg.n_seed_replicates)
     ))
-    closed: list[Records] = []
-    opened: list[Records] = []
+    # each point's records per block, per mode
+    closed, opened = [[] for _ in points], [[] for _ in points]
     for start in range(0, len(slots), BLOCK_SLOTS):
-        stop = min(start + BLOCK_SLOTS, len(slots))
-        block = slots[start:stop]
+        block = slots[start:start + BLOCK_SLOTS]
         block_phantoms = [phantoms[p] for p, _, _ in block]
         # the needle count of a slot is its target's place in the session
         target_ids = [t for _, t, _ in block]
-        # without shared work a block's streams and plans are kept only for the block
-        held_streams, held_plans = (shared.streams, shared.plans) if shared is not None else ({}, {})
-        streams = held_streams.get((start, stop))
-        if streams is None:
-            streams = held_streams[start, stop] = draw_insertions(
-                cfg.seed, block, target_ids, n_fiducials, volumes, cfg.motion.rng_seed, cfg.noise.rng_seed,
-            )
-        plans = held_plans.get((cfg.noise.sigma0, start, stop))
-        if plans is None:
-            plans = held_plans[cfg.noise.sigma0, start, stop] = plan_insertions(
-                block_phantoms, cfg.robot, arch, cfg.noise, target_ids, streams,
+        streams = draw_insertions(
+            cfg.seed, block, target_ids, n_fiducials, volumes, cfg.motion.rng_seed, cfg.noise.rng_seed,
+        )
+        n = len(block)
+        for noise, members in groups.values():
+            plans = plan_insertions(
+                block_phantoms, cfg.robot, arch, noise, target_ids, streams,
                 cfg.entry_region, cfg.needle_radius, track=do_closed,
             )
-        # one first pass per slot, streams by keyword: perfbench's tracer keys tasks on it
-        baselines = [open_loop_insertion(cfg.motion, plan, streams=s) for plan, s in zip(plans, streams)]
-        if do_closed:
-            closed.append(correct_insertions(
-                block_phantoms, cfg.motion, cfg.noise, cfg.robot,
-                cfg.convergence, plans, streams, baselines,
-            ))
-        if do_open:
-            opened.append(open_loop_records(block_phantoms, cfg.motion, plans, streams, baselines))
+            # the (point, slot) rows, point-major
+            rows = [(points[i][0], *slot) for i in members for slot in zip(block_phantoms, plans, streams)]
+            closed_chunks, open_chunks = [], []
+            for lo in range(0, len(rows), BLOCK_SLOTS):
+                chunk = rows[lo:lo + BLOCK_SLOTS]
+                # one first pass per row, streams by keyword: perfbench's tracer keys tasks on it
+                baselines = [open_loop_insertion(motion, plan, streams=s) for motion, _, plan, s in chunk]
+                _, row_phantoms, row_plans, row_streams = zip(*chunk)
+                if do_closed:
+                    closed_chunks.append(correct_insertions(
+                        row_phantoms, noise, cfg.robot, cfg.convergence, row_plans, row_streams, baselines,
+                    ))
+                if do_open:
+                    open_chunks.append(open_loop_records(row_phantoms, row_plans, row_streams, baselines))
+            for out, chunks in ((closed, closed_chunks), (opened, open_chunks)):
+                if chunks:
+                    rec = Records.concat(chunks)
+                    for j, i in enumerate(members):
+                        # a copy if the block serves several points: no point's rows keep the others' alive
+                        out[i].append(rec.rows(np.arange(j * n, (j + 1) * n)) if len(members) > 1 else rec)
 
-    rows_closed, rows_open = (
-        Records.concat(blocks) if blocks else _no_records() for blocks in (closed, opened)
-    )
-    return StudyReport(cfg, rows_closed, rows_open)
+    # joined a point at a time, each point's blocks let go as it is joined
+    return [
+        tuple(Records.concat(blocks) if blocks else _no_records() for blocks in (closed.pop(0), opened.pop(0)))
+        for _ in points
+    ]
 
 
 def _stat_block(values: np.ndarray) -> dict:

@@ -46,22 +46,28 @@ def test_with_params_targets_the_right_fields():
 
 
 def test_calibrate_runs_closed_loop_studies_of_its_replicates(monkeypatch):
+    # the rows each grid point's medians are taken from
     seen = []
 
-    def medians(cfg, shared):
-        seen.append((cfg.mode, cfg.n_seed_replicates))
+    def medians(rec):
+        seen.append(rec)
         return dict(cal.TARGETS), {"fraction_exactly_one": 1.0, "fraction_two_or_more": 0.0}
 
     monkeypatch.setattr(cal, "study_medians", medians)
     base = tiny_config(mode="both", replicates=2)
     before = to_dict(base)
     cal.calibrate(base, replicates=3, grid_points=2)
-    assert seen == [("closed_loop", 3)] * 2 ** len(cal.SPANS)
+    assert len(seen) == 2 ** len(cal.SPANS)
+    slots = set(itertools.product(range(base.n_phantoms), range(base.targets_per_phantom), range(3)))
+    for rec in seen:
+        assert sorted(zip(rec.phantom_id.tolist(), rec.target_id.tolist(), rec.replicate.tolist())) == sorted(slots)
+        # closed-loop rows: every one registered (an open-loop row holds 0 there)
+        assert np.all(rec.registration_rms > 0.0)
     assert to_dict(base) == before
 
 
 def test_study_medians_has_all_target_keys():
-    medians, corrections = cal.study_medians(tiny_config(mode="closed_loop"))
+    medians, corrections = cal.study_medians(study.run_study(tiny_config(mode="closed_loop")).rows_closed)
     assert set(medians) == set(cal.TARGETS)
     assert 0.0 <= corrections["fraction_exactly_one"] <= 1.0
 
@@ -105,7 +111,7 @@ def test_grid_is_centered_and_sized():
     assert g == [0.5, 1.0, 1.5]
 
 
-def test_shared_work_gives_the_fresh_results_on_every_grid_point(monkeypatch):
+def test_batched_grid_points_give_the_records_of_their_own_studies(monkeypatch):
     axes = {
         "axial_base_offset": (1.5, 3.0),
         "axial_gain": (0.05, 0.2),
@@ -115,23 +121,20 @@ def test_shared_work_gives_the_fresh_results_on_every_grid_point(monkeypatch):
     }
     # insertions that verify with the last volume of their budget, per budget
     spent = Counter()
-    # 8 slots: blocks of 3, 3 and 2
-    monkeypatch.setattr(study, "BLOCK_SLOTS", 3)
     for max_corrections in (10, 2):
         base = tiny_config(mode="closed_loop", replicates=1)
         base.motion.noise_sd_motion = 0.8
         base.convergence.max_corrections = max_corrections
-        shared = study.share_work(base)
-        for values in itertools.product(*axes.values()):
-            cfg = cal._with_params(base, dict(zip(axes, values)))
-            assert cal.study_medians(cfg, shared) == cal.study_medians(cfg)
-            rec = study.run_study(cfg, shared).rows_closed
-            assert rec == study.run_study(cfg).rows_closed
+        grid = [cal._with_params(base, dict(zip(axes, values))) for values in itertools.product(*axes.values())]
+        # 8 slots, 16 points per sigma0: chunks of 3 rows cut across points
+        with monkeypatch.context() as m:
+            m.setattr(study, "BLOCK_SLOTS", 3)
+            batched = study.run_points(base, [(cfg.motion, cfg.noise.sigma0) for cfg in grid])
+        for cfg, (rec, opened) in zip(grid, batched):
+            fresh = study.run_study(cfg).rows_closed
+            assert rec == fresh and len(opened) == 0
+            assert cal.study_medians(rec) == cal.study_medians(fresh)
             spent[max_corrections] += int(np.count_nonzero(rec.n_corrections == max_corrections))
-        # one set of streams per block, one set of plans per sigma0 value and block
-        blocks = sorted(shared.streams)
-        assert blocks == [(0, 3), (3, 6), (6, 8)]
-        assert sorted(shared.plans) == [(sigma0, *block) for sigma0 in axes["sigma0"] for block in blocks]
     assert spent[2] > 0
 
 
@@ -169,20 +172,21 @@ def test_calibrate_builds_phantoms_once_and_plans_once_per_sigma0(monkeypatch):
 
 
 def test_calibrate_leaves_the_shared_phantoms_as_built(monkeypatch):
-    # every study of a search uses the same phantom objects, not copies
+    # every grid point of a search uses the same phantom objects, not copies
     made = []
+    build = study.build_phantoms
 
-    def share(cfg):
-        made.append(study.share_work(cfg))
+    def built_once(cfg):
+        made.append(build(cfg))
         return made[-1]
 
-    monkeypatch.setattr(cal, "share_work", share)
+    monkeypatch.setattr(study, "build_phantoms", built_once)
     base = tiny_config(mode="closed_loop", replicates=1)
     cal.calibrate(base, replicates=1, grid_points=2)
-    (shared,) = made
-    fresh = study.build_phantoms(base)
-    assert len(shared.phantoms) == len(fresh)
-    for used, built in zip(shared.phantoms, fresh):
+    (phantoms,) = made
+    fresh = build(base)
+    assert len(phantoms) == len(fresh)
+    for used, built in zip(phantoms, fresh):
         for f in fields(used):
             x, y = getattr(used, f.name), getattr(built, f.name)
             if f.name == "targets":

@@ -6,7 +6,7 @@ import yaml
 
 from conftest import tiny_config
 from prostasim.cli import cli_main
-from prostasim.config import from_dict, to_yaml
+from prostasim.config import default_config, from_dict, to_yaml
 from prostasim.planning import NoFeasiblePath, replan_angled
 from prostasim.study import run_study
 
@@ -96,6 +96,21 @@ def test_an_infeasible_target_exits_2_and_names_its_position(tmp_path, capsys):
     assert code == 2
     x, y, z = target.tolist()
     assert f"no collision-free trajectory to the target at ({x:.3f}, {y:.3f}, {z:.3f}) mm" in err
+
+
+def test_a_target_observed_behind_the_entry_plane_exits_2_and_names_it(tmp_path, capsys):
+    # a valid degradation whose late needles observe a target behind the entry plane
+    cfg = default_config()
+    cfg.noise.degradation_per_needle = 2.0
+    path = tmp_path / "degraded.yaml"
+    path.write_text(to_yaml(cfg))
+    with pytest.raises(NoFeasiblePath) as exc:
+        run_study(cfg)
+    x, y, z = exc.value.target.tolist()
+    assert z <= cfg.robot.front_plane_z
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert f"for the target at ({x:.3f}, {y:.3f}, {z:.3f}) mm" in err
 
 
 def test_unknown_config_key_is_config_error(tmp_path, capsys):

@@ -92,7 +92,7 @@ def plan_quiet(phantom, tid, arch=None, noise=None, track=True):
 def open_loop_block(phantom, motion, plan, tid):
     """A slot's first pass and its open-loop records, scored as a block of one."""
     first = open_loop_insertion(motion, plan, streams(tid))
-    return first, open_loop_records([phantom], motion, [plan], [streams(tid)], [first])
+    return first, open_loop_records([phantom], [plan], [streams(tid)], [first])
 
 
 def run_quiet(phantom, tid, arch=None, conv=None, mode=run_insertion, noise=None, motion=STILL):
@@ -180,9 +180,7 @@ def test_paired_runs_share_noise():
     assert o.depth_correction_mm != 0.0 and np.any(o.motion_mm != 0.0)
     first, opened = open_loop_block(p, motion, tracked, t.id)
     assert_same_first_pass(first, open_loop_insertion(motion, untracked, streams(t.id)))
-    closed = correct_insertions(
-        [p], motion, noise, GEOM, ConvergenceParams(), [tracked], [streams(t.id)], [first]
-    )
+    closed = correct_insertions([p], noise, GEOM, ConvergenceParams(), [tracked], [streams(t.id)], [first])
     (row,) = opened
     assert (row.n_corrections, row.error_mm, row.depth_correction_mm) == (0, o.error_mm, o.depth_correction_mm)
     np.testing.assert_array_equal(row.motion_mm, o.motion_mm)
@@ -303,8 +301,8 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
 
     blocks = []
 
-    def correcting(phantoms, motion, noise, geom, conv, plans, *rest):
-        records = correct_insertions(phantoms, motion, noise, geom, conv, plans, *rest)
+    def correcting(phantoms, noise, geom, conv, plans, *rest):
+        records = correct_insertions(phantoms, noise, geom, conv, plans, *rest)
         blocks.append(len(records))
         for plan, corrections in zip(plans, records.n_corrections.tolist()):
             per_slot[slot(plan.trajectory.entry)]["corrections"] = corrections
@@ -636,7 +634,7 @@ def test_a_block_scores_its_first_passes_as_each_slot_alone():
 
     for motion in (STILL, LEVERED):
         firsts = [open_loop_insertion(motion, plan, s) for plan, s in zip(plans, block_streams)]
-        records = open_loop_records(block_phantoms, motion, plans, block_streams, firsts)
+        records = open_loop_records(block_phantoms, plans, block_streams, firsts)
         for k, (phantom, plan, first) in enumerate(zip(block_phantoms, plans, firsts)):
             axial, error, residual = open_loop_oracle(phantom, motion, plan, first)
             assert bits(records.depth_correction_mm[k]) == bits(axial), k
@@ -663,14 +661,17 @@ def test_a_collinear_reference_volume_anywhere_in_a_block_raises():
     assert [plan.reference for plan in plans] == [None] * 4
 
 
-def test_a_study_draws_and_plans_only_the_blocks_its_shared_work_lacks(monkeypatch):
+def test_run_points_draws_each_block_once_and_plans_it_once_per_sigma0(monkeypatch):
+    # three points, two of one sigma0, in both modes: each point's records
+    # are those of its own study, whatever the block size
     cfg = tiny_config()
-    other = replace(cfg, noise=replace(cfg.noise, sigma0=2.0 * cfg.noise.sigma0))
-    plain, plain_other = study.run_study(cfg), study.run_study(other)
-    # 16 slots: blocks of 5, 5, 5 and 1
-    monkeypatch.setattr(study, "BLOCK_SLOTS", 5)
-    shared = study.share_work(cfg)
-    study.run_study(cfg, shared)
+    points = [
+        (cfg.motion, cfg.noise.sigma0),
+        (replace(cfg.motion, axial_gain=2.0 * cfg.motion.axial_gain), 2.0 * cfg.noise.sigma0),
+        (replace(cfg.motion, rotation_gain=0.0, noise_sd_motion=0.5), cfg.noise.sigma0),
+    ]
+    alone = [study.run_study(replace(cfg, motion=motion, noise=replace(cfg.noise, sigma0=sigma0)))
+             for motion, sigma0 in points]
     calls = Counter()
 
     def counted(key, fn):
@@ -681,26 +682,12 @@ def test_a_study_draws_and_plans_only_the_blocks_its_shared_work_lacks(monkeypat
 
     monkeypatch.setattr(study, "plan_insertions", counted("plan", study.plan_insertions))
     monkeypatch.setattr(study, "draw_insertions", counted("draw", study.draw_insertions))
-    again = study.run_study(cfg, shared)
-    assert calls == {}
-    assert again.rows_closed == plain.rows_closed
-    assert again.rows_open == plain.rows_open
-    # a new sigma0 plans every block once and draws no stream
-    moved = study.run_study(other, shared)
-    assert calls == {"plan": 4}
-    assert moved.rows_closed == plain_other.rows_closed
-    assert moved.rows_open == plain_other.rows_open
-
-
-def test_shared_work_keeps_blocks_of_another_size_apart(monkeypatch):
-    # a block is held under its slot range: a block of 7 from slot 0 is
-    # not the block of 5 from slot 0 that an earlier study kept
-    cfg = tiny_config()
-    plain = study.run_study(cfg)
-    shared = study.share_work(cfg)
-    for size in (5, 7):
+    # 16 slots: blocks of 5, 5, 5 and 1, then of 7, 7 and 2
+    for size, blocks in ((5, 4), (7, 3)):
         monkeypatch.setattr(study, "BLOCK_SLOTS", size)
-        report = study.run_study(cfg, shared)
-        assert report.rows_closed == plain.rows_closed, size
-        assert report.rows_open == plain.rows_open, size
-    assert sorted(shared.streams) == [(0, 5), (0, 7), (5, 10), (7, 14), (10, 15), (14, 16), (15, 16)]
+        calls.clear()
+        batched = study.run_points(cfg, points)
+        assert calls == {"draw": blocks, "plan": 2 * blocks}, size
+        for (rows_closed, rows_open), report in zip(batched, alone):
+            assert rows_closed == report.rows_closed, size
+            assert rows_open == report.rows_open, size

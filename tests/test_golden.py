@@ -61,8 +61,8 @@ CALIBRATE_SMALL_MEDIANS = {
 }
 
 # sha256 of the fitted_config.yaml that the default `prostasim calibrate`
-# writes (3 grid points per axis, 4 replicates).  It is data only: no test
-# here runs that search; the runtime-only CI job checks its output against it.
+# writes (3 grid points per axis, 4 replicates); the runtime-only CI job
+# also checks the installed CLI's output against it.
 CALIBRATE_DEFAULT_YAML = "5ae3f32bc7e0c8c49f50fb07eb871ca5327454ed9892eb60062ccc8e433f7507"
 
 
@@ -122,3 +122,11 @@ def test_small_calibration_is_pinned():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CALIBRATE_SMALL_YAML
     assert result.objective == CALIBRATE_SMALL_OBJECTIVE
     assert result.medians == CALIBRATE_SMALL_MEDIANS
+
+
+def test_default_calibration_is_pinned():
+    # the default search: 3 blocks x 3 sigma0 values x 81 motion points
+    base = default_config()
+    result = cal.calibrate(base)
+    text = cal.fitted_config_yaml(base, result, replicates=4, grid_points=3)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CALIBRATE_DEFAULT_YAML

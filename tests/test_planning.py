@@ -163,8 +163,12 @@ def test_a_steep_robot_builds_no_more_than_the_region_holds():
 
 
 def test_candidate_entries_rejects_target_behind_plane(geom):
-    with pytest.raises(ValueError):
-        candidate_entries([[0.0, 0.0, 10.0], [0.0, 0.0, -70.0]], EntryRegion(), geom)
+    # no entry reaches a target on or behind the entry plane: the first such target is named
+    targets = [[0.0, 0.0, 10.0], [1.0, 2.0, -70.0], [3.0, 4.0, geom.front_plane_z]]
+    with pytest.raises(NoFeasiblePath, match="no candidate entry within") as exc:
+        candidate_entries(targets, EntryRegion(), geom)
+    assert exc.value.target.tolist() == targets[1]
+    assert exc.value.best_clearance == -math.inf
 
 
 def test_replan_unblocked_is_horizontal(geom):

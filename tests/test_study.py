@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import records_csv_oracle, tiny_config
-from prostasim.config import default_config
+from prostasim.config import ConfigError, StudyConfig, default_config
 from prostasim.controller import Records
 from prostasim.study import (
     CSV_COLUMNS,
@@ -17,8 +17,8 @@ from prostasim.study import (
     read_records,
     report_from_records,
     rows_to_csv,
+    run_points,
     run_study,
-    share_work,
     summarize,
     summary_to_csv,
     write_report,
@@ -70,31 +70,35 @@ def test_open_loop_studies_prepare_no_registration_reference(monkeypatch):
     monkeypatch.setattr(geometry, "prepare_reference", refuse)
     cfg = tiny_config(mode="open_loop")
     plain = run_study(cfg)
-    shared = run_study(cfg, share_work(cfg))
-    assert plain.rows_open == shared.rows_open
-    assert len(plain.rows_open) == 16
+    # two points, of two sigma0 values: the first point's records are the study's
+    (no_closed, first), _ = run_points(cfg, [(cfg.motion, cfg.noise.sigma0), (cfg.motion, 0.0)])
+    assert plain.rows_open == first
+    assert len(plain.rows_open) == 16 and len(no_closed) == 0
 
 
-def test_shared_work_refuses_another_config():
+def test_run_points_validates_each_point(monkeypatch):
     cfg = tiny_config(mode="closed_loop", replicates=1)
-    shared = share_work(cfg)
-    other = copy.deepcopy(cfg)
-    other.motion.axial_gain *= 2.0
-    other.noise.sigma0 *= 2.0
-    other.output.dir = "elsewhere"
-    run_study(other, shared)  # motion, sigma0 and the output may differ
-    for change in (
-        lambda c: setattr(c, "seed", c.seed + 1),
-        lambda c: setattr(c.noise, "depth_gain", 0.002),
-        lambda c: setattr(c, "mode", "both"),
-        lambda c: setattr(c.phantom, "left_bias_enabled", True),
-        # the salt of the motion streams that shared work keeps
-        lambda c: setattr(c.motion, "rng_seed", c.motion.rng_seed + 1),
+    validated = []
+    check = StudyConfig.validate
+    monkeypatch.setattr(StudyConfig, "validate", lambda self: validated.append(self) or check(self))
+    points = [(cfg.motion, cfg.noise.sigma0), (replace(cfg.motion, axial_gain=0.0), 0.0)]
+    assert len(run_points(cfg, points)) == 2
+    assert len(validated) == 1 and validated[0] is cfg  # the base config, once
+    # a point's sections fail as the config's own would, with its key path
+    for motion, sigma0, match in (
+        (replace(cfg.motion, axial_gain=-1.0), 0.1, r"^motion: axial_gain must be >= 0$"),
+        (replace(cfg.motion, rotation_gain=float("nan")), 0.1, r"^motion\.rotation_gain: must be finite$"),
+        (cfg.motion, -0.1, r"^noise: sigma0 must be >= 0$"),
+        (cfg.motion, float("inf"), r"^noise\.sigma0: must be finite$"),
     ):
-        other = copy.deepcopy(cfg)
-        change(other)
-        with pytest.raises(ValueError, match="shared work"):
-            run_study(other, shared)
+        bad = replace(cfg, motion=motion, noise=replace(cfg.noise, sigma0=sigma0))
+        with pytest.raises(ConfigError, match=match):
+            bad.validate()
+        with pytest.raises(ConfigError, match=match):
+            run_points(cfg, [points[0], (motion, sigma0)])
+    # the streams are drawn under the config's motion stream salt
+    with pytest.raises(ValueError, match="rng_seed"):
+        run_points(cfg, [(replace(cfg.motion, rng_seed=cfg.motion.rng_seed + 1), cfg.noise.sigma0)])
 
 
 def test_blocks_do_not_change_the_report(monkeypatch, tiny_report):
