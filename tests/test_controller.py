@@ -661,10 +661,8 @@ def test_a_collinear_reference_volume_anywhere_in_a_block_raises():
     assert [plan.reference for plan in plans] == [None] * 4
 
 
-def test_run_points_draws_each_block_once_and_plans_it_once_per_sigma0(monkeypatch):
-    # three points, two of one sigma0, in both modes: each point's records
-    # are those of its own study, whatever the block size
-    cfg = tiny_config()
+def three_points(cfg):
+    """Three calibration points, two of one sigma0, and each one's own study."""
     points = [
         (cfg.motion, cfg.noise.sigma0),
         (replace(cfg.motion, axial_gain=2.0 * cfg.motion.axial_gain), 2.0 * cfg.noise.sigma0),
@@ -672,6 +670,21 @@ def test_run_points_draws_each_block_once_and_plans_it_once_per_sigma0(monkeypat
     ]
     alone = [study.run_study(replace(cfg, motion=motion, noise=replace(cfg.noise, sigma0=sigma0)))
              for motion, sigma0 in points]
+    return points, alone
+
+
+def assert_records_of_their_own_studies(batched, alone, size):
+    for (rows_closed, rows_open), report in zip(batched, alone, strict=True):
+        assert rows_closed == report.rows_closed, size
+        assert rows_open == report.rows_open, size
+
+
+def test_a_study_draws_and_plans_only_the_blocks_its_shared_work_lacks(monkeypatch):
+    # the points of one run_points call share each block's streams, and the
+    # points of one sigma0 share its plans: a block is drawn once and planned
+    # once per sigma0, and each point's records are those of its own study
+    cfg = tiny_config()
+    points, alone = three_points(cfg)
     calls = Counter()
 
     def counted(key, fn):
@@ -682,12 +695,18 @@ def test_run_points_draws_each_block_once_and_plans_it_once_per_sigma0(monkeypat
 
     monkeypatch.setattr(study, "plan_insertions", counted("plan", study.plan_insertions))
     monkeypatch.setattr(study, "draw_insertions", counted("draw", study.draw_insertions))
-    # 16 slots: blocks of 5, 5, 5 and 1, then of 7, 7 and 2
-    for size, blocks in ((5, 4), (7, 3)):
+    # 16 slots: blocks of 5, 5, 5 and 1
+    monkeypatch.setattr(study, "BLOCK_SLOTS", 5)
+    batched = study.run_points(cfg, points)
+    assert calls == {"draw": 4, "plan": 8}
+    assert_records_of_their_own_studies(batched, alone, 5)
+
+
+def test_shared_work_keeps_blocks_of_another_size_apart(monkeypatch):
+    # blocks of 5 (5, 5, 5 and 1 of the 16 slots) and of 7 (7, 7 and 2)
+    # share their streams and plans differently, and give the same records
+    cfg = tiny_config()
+    points, alone = three_points(cfg)
+    for size in (5, 7):
         monkeypatch.setattr(study, "BLOCK_SLOTS", size)
-        calls.clear()
-        batched = study.run_points(cfg, points)
-        assert calls == {"draw": blocks, "plan": 2 * blocks}, size
-        for (rows_closed, rows_open), report in zip(batched, alone):
-            assert rows_closed == report.rows_closed, size
-            assert rows_open == report.rows_open, size
+        assert_records_of_their_own_studies(study.run_points(cfg, points), alone, size)
