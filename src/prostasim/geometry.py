@@ -9,7 +9,7 @@ anterior, with the origin at the gland centroid in the rest pose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +18,57 @@ COLLINEARITY_TOL = 1e-9
 
 class DegenerateConfiguration(ValueError):
     """Raised when a point set cannot pin down a rigid transform."""
+
+
+class Columns:
+    """A dataclass of columns: row k of each field, an array or columns of its own, belongs to item k.
+
+    A field of None holds no column.  Two are equal when each column has
+    the same dtype, shape and bits.
+    """
+
+    def _columns(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self._columns()[0])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same_column(a, b) for a, b in zip(self._columns(), other._columns()))
+
+    def rows(self, index):
+        """The rows ``index`` selects, in one columns object: a copy for an
+        index array, views for a slice, one row's values for an integer."""
+        return type(self)(*(
+            None if col is None else col.rows(index) if isinstance(col, Columns) else col[index]
+            for col in self._columns()
+        ))
+
+    @classmethod
+    def concat(cls, blocks):
+        """The rows of the blocks, in order, in one columns object: the block itself if only one."""
+        if len(blocks) == 1:
+            return blocks[0]
+        return cls(*(_join_column(parts) for parts in zip(*(block._columns() for block in blocks))))
+
+
+def _same_column(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, Columns):
+        return a == b
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def _join_column(parts):
+    """One column holding the rows of ``parts``, the same column of each block, in order."""
+    if parts[0] is None:
+        return None
+    if isinstance(parts[0], Columns):
+        return type(parts[0]).concat(parts)
+    return np.concatenate(parts)
 
 
 @dataclass
@@ -174,8 +225,8 @@ def segment_segment_distance(p0, p1, q0, q1) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
-@dataclass
-class RegistrationReference:
+@dataclass(eq=False)
+class RegistrationReference(Columns):
     """Reference point sets checked and centred once, for many solves.
 
     A stack of K sets of N points: row k of each field belongs to set k.
@@ -184,11 +235,6 @@ class RegistrationReference:
     points: np.ndarray  # (K, N, 3)
     mean: np.ndarray  # (K, 3)
     centered: np.ndarray  # (K, N, 3)
-
-    def rows(self, index) -> RegistrationReference:
-        """The sets at ``index`` as a stack of their own: a copy for an
-        integer array, a view of this stack for a slice."""
-        return RegistrationReference(self.points[index], self.mean[index], self.centered[index])
 
 
 def prepare_reference(ref_points: np.ndarray) -> RegistrationReference:
@@ -206,15 +252,6 @@ def prepare_reference(ref_points: np.ndarray) -> RegistrationReference:
     if np.any(max_line_deviation(ref_c) < COLLINEARITY_TOL):
         raise DegenerateConfiguration("reference points are collinear")
     return RegistrationReference(ref, ref_mean, ref_c)
-
-
-def stack_references(references) -> RegistrationReference:
-    """One stack holding the sets of ``references`` in order."""
-    return RegistrationReference(
-        np.concatenate([r.points for r in references]),
-        np.concatenate([r.mean for r in references]),
-        np.concatenate([r.centered for r in references]),
-    )
 
 
 def register_to(reference: RegistrationReference, obs_points: np.ndarray):

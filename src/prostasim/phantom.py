@@ -9,10 +9,11 @@ anterior-apical pivot driven by the needle's lateral offset, and a
 frozen per-insertion random translation.
 
 A phantom holds no motion parameters.  The gland transform of one
-needle line splits in two: its ``GlandLever`` (direction, entry depth,
+needle line splits in two: its lever (direction, entry depth,
 penetration, lateral offset and rotation axis) reads no motion
 parameter and is made for a block of lines at once by
-``gland_levers``; ``prostate_transform`` takes a lever and the motion
+``gland_levers``, as the columns of one ``GlandLevers``;
+``prostate_transform`` takes a row of those columns and the motion
 parameters and evaluates only the motion terms.
 """
 
@@ -293,9 +294,9 @@ def penetration(entry_depth, pass_depth) -> np.ndarray:
     return np.where(pen > 0.0, pen, 0.0)
 
 
-@dataclass
-class GlandLever:
-    """The motion-free part of the gland transform of one needle line and first pass.
+@dataclass(eq=False)
+class GlandLevers(geometry.Columns):
+    """The motion-free part of the gland transform of a block of needle lines and first passes: row k is line k.
 
     Everything ``prostate_transform`` reads that no motion parameter
     changes: the unit direction ``dir`` of the line, its gland entry depth
@@ -304,25 +305,25 @@ class GlandLever:
     centroid from the line, the phantom's pivot, and the cross-product
     matrix ``kx`` of the unit rotation axis (perpendicular to the plane of
     the needle and the centroid offset) with its square ``kx2``; both are
-    None when the centroid lies on the line, which rotates nothing.
+    zero when the centroid lies on the line, which rotates nothing.
     """
 
-    dir: np.ndarray
-    entry_depth: float
-    penetration: float
-    lateral: float
-    pivot: np.ndarray
-    kx: np.ndarray | None = None
-    kx2: np.ndarray | None = None
+    dir: np.ndarray  # (K, 3)
+    entry_depth: np.ndarray  # (K,)
+    penetration: np.ndarray
+    lateral: np.ndarray
+    pivot: np.ndarray  # (K, 3)
+    kx: np.ndarray  # (K, 3, 3)
+    kx2: np.ndarray
 
 
-def gland_levers(phantoms, entries, dirs, entry_depths, pass_depths) -> list[GlandLever]:
+def gland_levers(phantoms, entries, dirs, entry_depths, pass_depths) -> GlandLevers:
     """The levers of a block of needle lines, computed in arrays over the block.
 
     Line k enters ``phantoms[k]`` at ``entries[k]`` along the unit
     direction ``dirs[k]``, meets its gland at ``entry_depths[k]`` along it
     (``gland_entry_depth``) and is first inserted to ``pass_depths[k]``.
-    Each lever has the bits the per-line formula gives alone: the stacked
+    Each row has the bits the per-line formula gives alone: the stacked
     dot products, norms and matrix products keep those of one line's.
     """
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -331,54 +332,50 @@ def gland_levers(phantoms, entries, dirs, entry_depths, pass_depths) -> list[Gla
     rel = -np.asarray(entries, dtype=np.float64)  # the gland centroid, the origin, relative to each entry
     offset = rel - geometry.row_dot(rel, dirs)[:, None] * dirs
     lateral = np.sqrt(geometry.row_dot(offset, offset))
-    levers = [
-        GlandLever(d, depth, pen, lat, phantom.pivot)
-        for phantom, d, depth, pen, lat in zip(
-            phantoms, dirs, entry_depths.tolist(), pens.tolist(), lateral.tolist()
-        )
-    ]
+    kx = np.zeros((len(dirs), 3, 3))
     turns = np.flatnonzero(lateral > 1e-12)
-    if turns.size:
-        # the unit axis d x (offset / lateral), the float cross product as columns
-        d0, d1, d2 = dirs[turns].T
-        u0, u1, u2 = (offset[turns] / lateral[turns, None]).T
-        axes = np.stack([d1 * u2 - d2 * u1, d2 * u0 - d0 * u2, d0 * u1 - d1 * u0], axis=1)
-        k0, k1, k2 = geometry.normalize(axes).T
-        kx = np.zeros((turns.size, 3, 3))
-        kx[:, 0, 1], kx[:, 0, 2] = -k2, k1
-        kx[:, 1, 0], kx[:, 1, 2] = k2, -k0
-        kx[:, 2, 0], kx[:, 2, 1] = -k1, k0
-        for k, row, square in zip(turns.tolist(), kx, kx @ kx):
-            levers[k].kx, levers[k].kx2 = row, square
-    return levers
+    # the unit axis d x (offset / lateral), the float cross product as columns
+    d0, d1, d2 = dirs[turns].T
+    u0, u1, u2 = (offset[turns] / lateral[turns, None]).T
+    axes = np.stack([d1 * u2 - d2 * u1, d2 * u0 - d0 * u2, d0 * u1 - d1 * u0], axis=1)
+    k0, k1, k2 = geometry.normalize(axes).T
+    kx[turns, 0, 1], kx[turns, 0, 2] = -k2, k1
+    kx[turns, 1, 0], kx[turns, 1, 2] = k2, -k0
+    kx[turns, 2, 0], kx[turns, 2, 1] = -k1, k0
+    pivots = np.array([phantom.pivot for phantom in phantoms])
+    return GlandLevers(dirs, entry_depths, pens, lateral, pivots, kx, kx @ kx)
 
 
 def prostate_transform(
-    lever: GlandLever, motion: MotionParams, tip_depth: float, motion_noise
+    levers: GlandLevers, k: int, motion: MotionParams, tip_depth: float, motion_noise
 ) -> geometry.RigidTransform:
-    """Rigid displacement of the gland under ``motion`` with the needle tip at ``tip_depth``.
+    """Rigid displacement of the gland of line k under ``motion`` with its needle tip at ``tip_depth``.
 
-    The lever gives the needle line's motion-free terms; the motion
-    parameters come from the study, so one lever serves any motion model.
-    Identity until the tip passes the gland entry depth.  Afterwards:
-    translation of ``axial_base_offset + axial_gain * penetration`` along
-    the needle direction, a rotation of ``rotation_gain * lateral_offset *
-    penetration`` degrees about the pivot, and the translation
-    ``motion_noise``: the insertion's (3,) draw of sd ``noise_sd_motion``,
-    made once per insertion so that every evaluation during it sees the
-    same noise.  The penetration is the first pass's, so the transform
-    depends on the tip only through which side of the entry depth it is.
+    Row k of ``levers`` gives the needle line's motion-free terms; the
+    motion parameters come from the study, so one lever serves any motion
+    model.  Identity until the tip passes the gland entry depth.
+    Afterwards: translation of ``axial_base_offset + axial_gain *
+    penetration`` along the needle direction, a rotation of
+    ``rotation_gain * lateral_offset * penetration`` degrees about the
+    pivot, and the translation ``motion_noise``: the insertion's (3,) draw
+    of sd ``noise_sd_motion``, made once per insertion so that every
+    evaluation during it sees the same noise.  The penetration is the
+    first pass's, so the transform depends on the tip only through which
+    side of the entry depth it is.
     """
-    if not tip_depth > lever.entry_depth:
+    if not tip_depth > levers.entry_depth[k]:
         return geometry.identity()
-    drag = motion.axial_base_offset + motion.axial_gain * lever.penetration
-    shift = drag * lever.dir + motion_noise
-    if lever.kx is None or not motion.rotation_gain > 0.0:
+    pen = levers.penetration[k]
+    drag = motion.axial_base_offset + motion.axial_gain * pen
+    shift = drag * levers.dir[k] + motion_noise
+    if not motion.rotation_gain > 0.0:
         return geometry.RigidTransform(np.eye(3), shift)
-    # Rodrigues' formula about the pivot (geometry.rotation_about_axis), then the shift
-    theta = np.deg2rad(motion.rotation_gain * lever.lateral * lever.penetration)
-    rot = np.eye(3) + np.sin(theta) * lever.kx + (1.0 - np.cos(theta)) * lever.kx2
-    return geometry.RigidTransform(rot, lever.pivot - rot @ lever.pivot + shift)
+    # Rodrigues' formula about the pivot (geometry.rotation_about_axis), then
+    # the shift; a zero axis matrix leaves the identity, bit for bit
+    theta = np.deg2rad(motion.rotation_gain * levers.lateral[k] * pen)
+    rot = np.eye(3) + np.sin(theta) * levers.kx[k] + (1.0 - np.cos(theta)) * levers.kx2[k]
+    pivot = levers.pivot[k]
+    return geometry.RigidTransform(rot, pivot - rot @ pivot + shift)
 
 
 def world_to_material(rotations: np.ndarray, translations: np.ndarray, points_world: np.ndarray):

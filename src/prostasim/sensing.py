@@ -11,11 +11,11 @@ Registration of an observed volume against the reference volume,
 prepared once per insertion, recovers the gland transform, which tracks
 the target.
 
-``observe``, ``rigid_register`` and ``track_target`` work on stacks: K
-insertions at once, row k of every argument and result belonging to
-insertion k, so one call serves a whole block of insertions.  Each row
-has the bits it would have alone; a single insertion passes a stack of
-one.
+``observe``, ``observe_point``, ``rigid_register`` and ``track_target``
+work on stacks: K insertions at once, row k of every argument and result
+belonging to insertion k, so one call serves a whole block of
+insertions.  Each row has the bits it would have alone; a single
+insertion passes a stack of one.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .phantom import ProstatePhantom
 
 
 @dataclass
@@ -80,22 +79,20 @@ def observe(
     return world + sigma[:, :, None] * normals
 
 
-def observe_point(
-    phantom: ProstatePhantom,
-    point_world,
-    noise: NoiseModel,
-    normals: np.ndarray,
-    needle_count: int = 0,
-) -> np.ndarray:
-    """Noisy observation of a single world point (e.g. the target bead) from 3 standard normals.
+def observe_point(phantoms, points_world: np.ndarray, noise: NoiseModel, normals: np.ndarray, needle_counts) -> np.ndarray:
+    """Noisy observations (K, 3) of one world point per insertion (e.g. the target bead), stacked.
 
-    The noise is ``0.0 + sigma * normals``, numpy's ``normal(0.0, sigma, 3)``
-    on those draws, bit for bit.
+    Row k observes ``points_world[k]`` in ``phantoms[k]`` after
+    ``needle_counts[k]`` needles from the 3 standard normals
+    ``normals[k]``: its noise is ``0.0 + sigma * normals[k]``, numpy's
+    ``normal(0.0, sigma, 3)`` on those draws, bit for bit, and each row has
+    the bits it would have alone.
     """
-    base = noise.sigma0 * noise.degradation_per_needle**needle_count
-    p = np.asarray(point_world, dtype=np.float64)
-    sigma = base + noise.depth_gain * max(0.0, float(p[2]) + phantom.gland_semiaxes[2])
-    return p + (0.0 + sigma * normals)
+    base = np.array([noise.sigma0 * noise.degradation_per_needle**k for k in needle_counts])
+    p = np.asarray(points_world, dtype=np.float64)
+    entry_plane = np.array([phantom.gland_semiaxes[2] for phantom in phantoms])
+    sigma = base + noise.depth_gain * np.maximum(0.0, p[:, 2] + entry_plane)
+    return p + (0.0 + sigma[:, None] * normals)
 
 
 def rigid_register(reference: geometry.RegistrationReference, observed: np.ndarray):

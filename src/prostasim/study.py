@@ -232,14 +232,19 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
                 block_phantoms, cfg.robot, arch, noise, target_ids, streams,
                 cfg.entry_region, cfg.needle_radius, track=do_closed,
             )
-            # the (point, slot) rows, point-major
-            rows = [(points[i][0], *slot) for i in members for slot in zip(block_phantoms, plans, streams)]
+            # the (point, slot) rows, point-major: row r is slot r % n of point members[r // n]
             closed_chunks, open_chunks = [], []
-            for lo in range(0, len(rows), BLOCK_SLOTS):
-                chunk = rows[lo:lo + BLOCK_SLOTS]
+            for lo in range(0, len(members) * n, BLOCK_SLOTS):
+                rows = range(lo, min(lo + BLOCK_SLOTS, len(members) * n))
+                row_slots = [r % n for r in rows]
+                row_plans = plans.rows(row_slots)
+                row_phantoms = [block_phantoms[k] for k in row_slots]
+                row_streams = [streams[k] for k in row_slots]
                 # one first pass per row, streams by keyword: perfbench's tracer keys tasks on it
-                baselines = [open_loop_insertion(motion, plan, streams=s) for motion, _, plan, s in chunk]
-                _, row_phantoms, row_plans, row_streams = zip(*chunk)
+                baselines = [
+                    open_loop_insertion(points[members[r // n]][0], row_plans, j, streams=row_streams[j])
+                    for j, r in enumerate(rows)
+                ]
                 if do_closed:
                     closed_chunks.append(correct_insertions(
                         row_phantoms, noise, cfg.robot, cfg.convergence, row_plans, row_streams, baselines,
@@ -513,11 +518,17 @@ def _write_text(path: str, text: str):
 
 
 def report_from_records(cfg: StudyConfig, out_dir: str) -> StudyReport:
-    """The report of the raw CSVs written by a previous run."""
-    closed_path = os.path.join(out_dir, "records_closed.csv")
-    open_path = os.path.join(out_dir, "records_open.csv")
-    rows_closed = read_records(closed_path) if os.path.exists(closed_path) else _no_records()
-    rows_open = read_records(open_path) if os.path.exists(open_path) else _no_records()
-    if not rows_closed and not rows_open:
-        raise RuntimeError(f"no records_closed.csv or records_open.csv under {out_dir}")
-    return StudyReport(cfg, rows_closed, rows_open)
+    """The report of the raw CSVs a previous run wrote: those of the modes ``cfg.mode`` names, and no other.
+
+    Raises RuntimeError naming the first of them missing.
+    """
+    rows = []
+    for mode, name in (("closed_loop", "records_closed.csv"), ("open_loop", "records_open.csv")):
+        path = os.path.join(out_dir, name)
+        if cfg.mode not in (mode, "both"):
+            rows.append(_no_records())
+        elif os.path.exists(path):
+            rows.append(read_records(path))
+        else:
+            raise RuntimeError(f"no {name} under {out_dir} for mode {cfg.mode}")
+    return StudyReport(cfg, *rows)

@@ -176,8 +176,8 @@ def gland_transform_oracle(phantom, motion, entry, dir, tip_depth, pass_depth, m
     return geometry.compose(geometry.translation(drag * d + motion_noise), rot)
 
 
-def open_loop_oracle(phantom, motion, plan, first):
-    """One slot's open-loop score, made alone: (axial motion, error, residual motion).
+def open_loop_oracle(phantom, motion, plans, k, first):
+    """Row k's open-loop score, made alone: (axial motion, error, residual motion).
 
     The per-slot formulas that ``controller.open_loop_records`` stacks over
     a block, kept as its oracle: the observed target moved by the first
@@ -186,16 +186,16 @@ def open_loop_oracle(phantom, motion, plan, first):
     (a left-zone bead of a phantom with a left bias deflected along -x),
     and the target's displacement beyond the modeled drag.
     """
-    traj, depth, t = plan.trajectory, plan.trajectory.planned_depth, first.gland_transform
-    moved = geometry.apply(t, plan.target_obs)
-    axial = float((moved - traj.entry) @ traj.dir) - depth
-    bead = traj.entry + depth * traj.dir
-    if phantom.left_bias != 0.0 and plan.target.zone.lateral_zone == LEFT:
+    entry, d, depth, t = plans.entry[k], plans.dir[k], float(plans.depth[k]), first.gland_transform
+    moved = geometry.apply(t, plans.target_obs[k])
+    axial = float((moved - entry) @ d) - depth
+    bead = entry + depth * d
+    if phantom.left_bias != 0.0 and plans.zone_lateral[k] == LEFT:
         bead[0] -= phantom.left_bias
-    error = float(np.linalg.norm(geometry.apply(geometry.inverse(t), bead) - plan.target.position_rest))
-    pen = plan.penetration
+    error = float(np.linalg.norm(geometry.apply(geometry.inverse(t), bead) - plans.target_rest[k]))
+    pen = float(plans.penetration[k])
     drag = motion.axial_base_offset + motion.axial_gain * pen if pen > 0.0 else 0.0
-    return axial, error, moved - plan.target_obs - drag * traj.dir
+    return axial, error, moved - plans.target_obs[k] - drag * d
 
 
 def records_csv_oracle(records) -> str:

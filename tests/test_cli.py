@@ -73,6 +73,24 @@ def test_report_recomputes_identical_summary(tmp_path, capsys):
     assert (out_dir / "summary.json").read_bytes() == first
 
 
+def test_report_reads_the_records_of_its_mode(tmp_path, capsys):
+    cfg_path = tiny_config_file(tmp_path)
+    both, closed = tmp_path / "both", tmp_path / "closed"
+    run_cli(capsys, "simulate", "--config", cfg_path, "--out", str(both))
+    run_cli(capsys, "simulate", "--config", cfg_path, "--mode", "closed", "--out", str(closed))
+    summary = (closed / "summary.json").read_bytes()
+    # a closed-only round trip keeps its bytes
+    assert run_cli(capsys, "report", "--config", cfg_path, "--mode", "closed", "--out", str(closed))[0] == 0
+    assert (closed / "summary.json").read_bytes() == summary
+    # the closed-only report of a run of both modes is the closed-only run's
+    assert run_cli(capsys, "report", "--config", cfg_path, "--mode", "closed", "--out", str(both))[0] == 0
+    assert (both / "summary.json").read_bytes() == summary
+    # a report of both modes needs the open-loop records, and writes nothing without them
+    code, _, err = run_cli(capsys, "report", "--config", cfg_path, "--out", str(closed))
+    assert code == 2 and f"no records_open.csv under {closed}" in err
+    assert (closed / "summary.json").read_bytes() == summary
+
+
 def test_report_without_records_is_runtime_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", "--out", str(tmp_path / "nothing"))
     assert code == 2

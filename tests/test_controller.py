@@ -17,6 +17,7 @@ from prostasim import phantom as ph
 from prostasim.config import default_config
 from prostasim.controller import (
     ConvergenceParams,
+    Plans,
     correct_insertions,
     open_loop_insertion,
     open_loop_records,
@@ -24,7 +25,7 @@ from prostasim.controller import (
     run_insertion,
 )
 from prostasim.geometry import DegenerateConfiguration, Segment
-from prostasim.kinematics import JointState, RobotGeometry, Trajectory
+from prostasim.kinematics import JointState, RobotGeometry, Trajectory, inverse_kinematics
 from prostasim.phantom import (
     LEFT,
     MotionParams,
@@ -86,13 +87,19 @@ def plan_quiet(phantom, tid, arch=None, noise=None, track=True):
     """The plan of one insertion: a block of one."""
     return plan_insertions(
         [phantom], GEOM, arch or far_arch(), noise or quiet_noise(), [tid], [streams(tid)], track=track
-    )[0]
+    )
 
 
 def open_loop_block(phantom, motion, plan, tid):
     """A slot's first pass and its open-loop records, scored as a block of one."""
-    first = open_loop_insertion(motion, plan, streams(tid))
-    return first, open_loop_records([phantom], [plan], [streams(tid)], [first])
+    first = open_loop_insertion(motion, plan, 0, streams(tid))
+    return first, open_loop_records([phantom], plan, [streams(tid)], [first])
+
+
+def only_row(records):
+    """The values of the one row of ``records``, column by column."""
+    assert len(records) == 1
+    return records.rows(0)
 
 
 def run_quiet(phantom, tid, arch=None, conv=None, mode=run_insertion, noise=None, motion=STILL):
@@ -102,13 +109,12 @@ def run_quiet(phantom, tid, arch=None, conv=None, mode=run_insertion, noise=None
     """
     plan = plan_quiet(phantom, tid, arch, noise, track=mode is run_insertion)
     if mode is run_insertion:
-        (row,) = run_insertion(
+        return only_row(run_insertion(
             phantom, motion, noise or quiet_noise(), GEOM, conv or ConvergenceParams(), plan,
             streams(tid),
-        )
-        return row
-    _, (row,) = open_loop_block(phantom, motion, plan, tid)
-    return row
+        ))
+    _, records = open_loop_block(phantom, motion, plan, tid)
+    return only_row(records)
 
 
 def drag_motion(gain=0.05, offset=2.0):
@@ -147,7 +153,7 @@ def test_pure_drag_needs_exactly_one_correction():
     assert rec.depth_correction_mm == pytest.approx(drag, abs=1e-9)
     assert rec.error_mm < 1e-9
     np.testing.assert_allclose(rec.motion_mm, 0.0, atol=1e-9)
-    assert plan_quiet(p, t.id).trajectory.planned_depth == pytest.approx(planned)
+    assert plan_quiet(p, t.id).depth[0] == pytest.approx(planned)
 
 
 def test_open_loop_misses_by_the_drag():
@@ -174,21 +180,21 @@ def test_paired_runs_share_noise():
     np.testing.assert_equal(vars(a), vars(b))
     # open loop plans from the same reference draws
     tracked, untracked = (plan_quiet(p, t.id, noise=noise, track=track) for track in (True, False))
-    np.testing.assert_equal(vars(untracked.trajectory), vars(tracked.trajectory))
+    assert untracked == replace(tracked, reference=None)
     # the slot's open-loop record is its first pass alone, in the row its closed record has
     o = run_quiet(p, t.id, mode=open_loop_records, noise=noise, motion=motion)
     assert o.depth_correction_mm != 0.0 and np.any(o.motion_mm != 0.0)
     first, opened = open_loop_block(p, motion, tracked, t.id)
-    assert_same_first_pass(first, open_loop_insertion(motion, untracked, streams(t.id)))
-    closed = correct_insertions([p], noise, GEOM, ConvergenceParams(), [tracked], [streams(t.id)], [first])
-    (row,) = opened
+    assert_same_first_pass(first, open_loop_insertion(motion, untracked, 0, streams(t.id)))
+    closed = correct_insertions([p], noise, GEOM, ConvergenceParams(), tracked, [streams(t.id)], [first])
+    row = only_row(opened)
     assert (row.n_corrections, row.error_mm, row.depth_correction_mm) == (0, o.error_mm, o.depth_correction_mm)
     np.testing.assert_array_equal(row.motion_mm, o.motion_mm)
-    assert not row.max_corrections_exceeded and row.duration_s == tracked.duration_s
+    assert not row.max_corrections_exceeded and row.duration_s == tracked.duration_s[0]
     for name in ("phantom_id", "target_id", "replicate", "zone_depth", "zone_lateral", "zone_ap", "approach",
                  "disengaged", "rotation_angle_deg"):
         np.testing.assert_array_equal(getattr(opened, name), getattr(closed, name), err_msg=name)
-    np.testing.assert_equal(vars(next(iter(closed))), vars(a))
+    np.testing.assert_equal(vars(only_row(closed)), vars(a))
 
 
 def test_blocked_path_replans_angled():
@@ -259,16 +265,22 @@ def counting(calls, name, fn):
 
 def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
     # a slot is its plan plus its insertion; a call is counted for the slot
-    # whose needle entry point it is given, or whose plan's lever
+    # whose needle entry point it is given, or whose row of the levers
     per_slot = defaultdict(Counter)
+    # (levers, row) of each first pass -> its slot; the closed loop reads
+    # the levers its first passes did
     lever_slots = {}
 
     def slot(entry):
         return tuple(np.asarray(entry).tolist())
 
-    def transform(lever, motion, tip_depth, noise):
-        per_slot[lever_slots[id(lever)]]["transform"] += 1
-        return prostate_transform(lever, motion, tip_depth, noise)
+    def transform(levers, k, motion, tip_depth, noise):
+        per_slot[lever_slots[id(levers), k]]["transform"] += 1
+        return prostate_transform(levers, k, motion, tip_depth, noise)
+
+    def first_pass(motion, plans, k, streams):
+        lever_slots[id(plans.levers), k] = slot(plans.entry[k])
+        return open_loop_insertion(motion, plans, k, streams=streams)
 
     # the rows of each entry depth solve, one entry per call
     solved = []
@@ -292,11 +304,8 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
         assert len(checked) == 1  # one check for the whole block
         # one solve for the whole block: along each planned and each normalized direction
         assert solved[solves:] == [2 * len(plans)]
-        for plan in plans:
-            lever_slots[id(plan.lever)] = slot(plan.trajectory.entry)
-            per_slot[slot(plan.trajectory.entry)]["line"] += sum(
-                np.array_equal(c, plan.reference.centered[0]) for c in checked[0]
-            )
+        for entry, centered in zip(plans.entry, plans.reference.centered):
+            per_slot[slot(entry)]["line"] += sum(np.array_equal(c, centered) for c in checked[0])
         return plans
 
     blocks = []
@@ -304,8 +313,8 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
     def correcting(phantoms, noise, geom, conv, plans, *rest):
         records = correct_insertions(phantoms, noise, geom, conv, plans, *rest)
         blocks.append(len(records))
-        for plan, corrections in zip(plans, records.n_corrections.tolist()):
-            per_slot[slot(plan.trajectory.entry)]["corrections"] = corrections
+        for entry, corrections in zip(plans.entry, records.n_corrections.tolist()):
+            per_slot[slot(entry)]["corrections"] = corrections
         return records
 
     deposits = []
@@ -317,6 +326,7 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
     monkeypatch.setattr(ph, "gland_entry_depth", entry)
     monkeypatch.setattr(study, "plan_insertions", planning)
     monkeypatch.setattr(study, "correct_insertions", correcting)
+    monkeypatch.setattr(study, "open_loop_insertion", first_pass)
     study.run_study(tiny_config(mode="closed_loop"))
     assert blocks == [16] and len(per_slot) == 16
     # insertions that verify three or more times, so a per-step evaluation shows
@@ -345,19 +355,17 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     monkeypatch.setattr(controller, "prostate_transform", counting(calls, "transform", prostate_transform))
     rec = run_quiet(p, t.id, motion=motion)
     assert rec.n_corrections == 1 and len(calls) == 2
-    traj = plan_quiet(p, t.id).trajectory
-    planned = traj.planned_depth
-    depth_to_shallow, _ = geometry.axis_decompose(traj.entry, traj.dir, shallow)
+    plan = plan_quiet(p, t.id)
+    entry, d, planned = plan.entry[0], plan.dir[0], float(plan.depth[0])
+    depth_to_shallow, _ = geometry.axis_decompose(entry, d, shallow)
     tip = max(0.0, planned + (depth_to_shallow - planned))
-    entry_depth = gland_entry_depth([p], [traj.entry], [geometry.normalize(traj.dir)])[0]
-    fresh = gland_transform_oracle(p, motion, traj.entry, traj.dir, tip, planned, np.zeros(3), entry_depth)
-    tip_world = (traj.entry + tip * traj.dir)[None]
+    entry_depth = gland_entry_depth([p], [entry], [geometry.normalize(d)])[0]
+    fresh = gland_transform_oracle(p, motion, entry, d, tip, planned, np.zeros(3), entry_depth)
+    tip_world = (entry + tip * d)[None]
     bead = world_to_material(fresh.rotation[None], fresh.translation[None], tip_world)[0]
     assert rec.error_mm == float(np.linalg.norm(bead - t.position_rest))
     # the first pass's transform, which the retracted tip must not reuse
-    first = gland_transform_oracle(
-        p, motion, traj.entry, traj.dir, planned, planned, np.zeros(3), entry_depth
-    )
+    first = gland_transform_oracle(p, motion, entry, d, planned, planned, np.zeros(3), entry_depth)
     assert np.linalg.norm(first.translation - fresh.translation) > 1.0
 
 
@@ -384,31 +392,18 @@ def test_a_given_plan_gives_the_same_records():
         assert_same_first_pass(first, fresh_first)
         assert opened == fresh_open
     # one plan serves any motion: a still gland leaves the first pass on target
-    _, (still,) = open_loop_block(p, STILL, plan, t.id)
+    _, opened = open_loop_block(p, STILL, plan, t.id)
+    still = only_row(opened)
     assert still.depth_correction_mm == 0.0
     assert still.error_mm < fresh_open.error_mm[0]
     # an untracked plan carries no registration reference
     untracked = plan_quiet(p, t.id, noise=noise, track=False)
-    assert untracked.reference is None and untracked.lever.entry_depth == plan.lever.entry_depth
+    assert untracked.reference is None and untracked.levers == plan.levers
     first, opened = open_loop_block(p, motion, untracked, t.id)
     assert_same_first_pass(first, fresh_first)
     assert opened == fresh_open
     with pytest.raises(ValueError, match="tracked plan"):
         run_insertion(p, motion, noise, GEOM, ConvergenceParams(), untracked, streams(t.id))
-
-
-def assert_same_plan(a, b):
-    assert a.target is b.target
-    for name in ("target_obs", "duration_s", "penetration"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
-    for name in ("trajectory", "joints", "lever"):
-        for key, value in vars(getattr(a, name)).items():
-            np.testing.assert_array_equal(value, vars(getattr(b, name))[key], err_msg=f"{name}.{key}")
-    if a.reference is None:
-        assert b.reference is None
-    else:
-        for name in ("points", "mean", "centered"):
-            np.testing.assert_array_equal(getattr(a.reference, name), getattr(b.reference, name), err_msg=name)
 
 
 # two phantoms of different shape, so the slots of one block differ in their
@@ -572,31 +567,47 @@ def test_a_block_plans_each_slot_as_it_would_alone(
     alone = []
     for slot, slot_streams in zip(slots, block_streams):
         try:
-            alone.append(plan([slot], [slot_streams])[0])
+            alone.append(plan([slot], [slot_streams]))
         except NoFeasiblePath:
             alone.append(None)
     if None in alone:
         with pytest.raises(NoFeasiblePath):
             plan(slots, block_streams)
         return
-    for a, b, slot in zip(alone, plan(slots, block_streams), slots):
-        assert_same_plan(a, b)
+    block = plan(slots, block_streams)
+    assert block == Plans.concat(alone)
+    stages = inverse_kinematics(robot, block.entry, block.dir)
+    for k, slot in enumerate(slots):
+        phantom, target_id = slot[:2]
+        target = phantom.target_by_id(target_id)
+        np.testing.assert_array_equal(block.target_rest[k], target.position_rest)
+        zone = (block.zone_depth[k], block.zone_lateral[k], block.zone_ap[k])
+        assert zone == (target.zone.depth_zone, target.zone.lateral_zone, target.zone.ap_zone)
         # the reference volume and the observed target are those of the
         # slot's reference stream, drawn point by point
         volume, target_obs = oracle_reference(slot, noise)
-        np.testing.assert_array_equal(b.target_obs, target_obs)
+        np.testing.assert_array_equal(block.target_obs[k], target_obs)
         if track:
-            np.testing.assert_array_equal(b.reference.points[0], volume)
+            np.testing.assert_array_equal(block.reference.points[k], volume)
+        else:
+            assert block.reference is None
         # and the plan is the one the per-slot oracle makes from the observed target
-        traj = oracle_trajectory(arch, b.target_obs, EntryRegion(), robot)
-        joints, duration, pen, entry_depth = oracle_first_pass(slot[0], traj, robot)
-        oracle = replace(b, trajectory=traj, joints=joints, duration_s=duration, penetration=pen)
-        assert_same_plan(oracle, b)
+        traj = oracle_trajectory(arch, block.target_obs[k], EntryRegion(), robot)
+        joints, duration, pen, entry_depth = oracle_first_pass(phantom, traj, robot)
+        for name, got, want in (
+            ("entry", block.entry[k], traj.entry), ("dir", block.dir[k], traj.dir),
+            ("depth", block.depth[k], traj.planned_depth), ("approach", block.approach[k], traj.approach),
+            ("stages", stages[k], [joints.front_x, joints.front_y, joints.back_x, joints.back_y]),
+            ("insertion_depth", block.depth[k], joints.insertion_depth),
+            ("rotation_angle_deg", block.rotation_angle_deg[k], joints.rotation_angle),
+            ("duration_s", block.duration_s[k], duration), ("penetration", block.penetration[k], pen),
+        ):
+            np.testing.assert_array_equal(got, want, err_msg=name)
         # the lever gives the bits of the gland transform evaluated whole on the line
-        np.testing.assert_array_equal(b.lever.entry_depth, entry_depth)
+        np.testing.assert_array_equal(block.levers.entry_depth[k], entry_depth)
         noise3 = np.array([0.4, -1.1, 0.7])
         for tip in (traj.planned_depth, 0.5 * traj.planned_depth):
-            got = prostate_transform(b.lever, LEVERED, tip, noise3)
+            got = prostate_transform(block.levers, k, LEVERED, tip, noise3)
             want = gland_transform_oracle(
                 slot[0], LEVERED, traj.entry, traj.dir, tip, traj.planned_depth, noise3, entry_depth
             )
@@ -609,23 +620,21 @@ def test_a_block_scores_its_first_passes_as_each_slot_alone():
     # wide arch blocking some direct paths: every slot that has a path
     noise = NoiseModel(sigma0=0.3, depth_gain=0.01, degradation_per_needle=1.1)
     phantoms = (replace(SHAPES[0], left_bias=1.5), SHAPES[1])
-    slots, plans = [], []
+    slots, alone = [], []
     for index, phantom in enumerate(phantoms):
         for target in phantom.targets:
             slot_streams = draw_insertions(5, [(index, target.id, 0)], [target.id], N_FIDUCIALS, 0)
             try:
-                (plan,) = plan_insertions(
+                alone.append(plan_insertions(
                     [phantom], WIDE_ROBOT, WIDE_ARCH, noise, [target.id], slot_streams, track=False
-                )
+                ))
             except NoFeasiblePath:
                 continue
             slots.append((phantom, slot_streams[0]))
-            plans.append(plan)
+    plans = Plans.concat(alone)
     block_phantoms, block_streams = (list(column) for column in zip(*slots))
-    assert {plan.trajectory.approach for plan in plans} == {"Horizontal", "Angled"}
-    deflected = [
-        p.left_bias != 0.0 and plan.target.zone.lateral_zone == LEFT for p, plan in zip(block_phantoms, plans)
-    ]
+    assert set(plans.approach.tolist()) == {"Horizontal", "Angled"}
+    deflected = [p.left_bias != 0.0 and zone == LEFT for p, zone in zip(block_phantoms, plans.zone_lateral)]
     assert any(deflected) and not all(deflected)
     assert any(p.left_bias == 0.0 for p in block_phantoms)
 
@@ -633,16 +642,69 @@ def test_a_block_scores_its_first_passes_as_each_slot_alone():
         return np.asarray(x, dtype=np.float64).tobytes()
 
     for motion in (STILL, LEVERED):
-        firsts = [open_loop_insertion(motion, plan, s) for plan, s in zip(plans, block_streams)]
+        firsts = [open_loop_insertion(motion, plans, k, s) for k, s in enumerate(block_streams)]
         records = open_loop_records(block_phantoms, plans, block_streams, firsts)
-        for k, (phantom, plan, first) in enumerate(zip(block_phantoms, plans, firsts)):
-            axial, error, residual = open_loop_oracle(phantom, motion, plan, first)
+        for k, (phantom, first) in enumerate(zip(block_phantoms, firsts)):
+            axial, error, residual = open_loop_oracle(phantom, motion, plans, k, first)
             assert bits(records.depth_correction_mm[k]) == bits(axial), k
             assert bits(records.error_mm[k]) == bits(error), k
             assert bits(records.motion_mm[k]) == bits(residual), k
         if motion is STILL:
             # a still gland moves no target, and the records see it
             np.testing.assert_allclose(records.depth_correction_mm, 0.0, atol=1e-9)
+
+
+def feasible_slots(noise):
+    """The (phantom, target id, streams) of every SHAPES target with a path clear of the
+    wide arch, each slot's needle count its target id, and each slot's tracked plans as a
+    block of one."""
+    slots, alone = [], []
+    for index, phantom in enumerate(SHAPES):
+        for target in phantom.targets:
+            slot_streams = draw_insertions(8, [(index, target.id, 0)], [target.id], N_FIDUCIALS, 0)
+            try:
+                alone.append(plan_insertions([phantom], WIDE_ROBOT, WIDE_ARCH, noise, [target.id], slot_streams))
+            except NoFeasiblePath:
+                continue
+            slots.append((phantom, target.id, slot_streams[0]))
+    return slots, alone
+
+
+def plan_slots(slots, noise):
+    """The tracked plans of ``slots`` as one block, under the wide arch."""
+    phantoms, target_ids, block_streams = (list(column) for column in zip(*slots))
+    return plan_insertions(phantoms, WIDE_ROBOT, WIDE_ARCH, noise, target_ids, block_streams)
+
+
+def test_a_blocks_plans_are_those_of_its_slots_planned_alone():
+    noise = NoiseModel(sigma0=0.3, depth_gain=0.01, degradation_per_needle=1.1)
+    slots, alone = feasible_slots(noise)
+    plans = plan_slots(slots, noise)
+    assert set(plans.approach.tolist()) == {"Horizontal", "Angled"} and len(plans) == len(slots)
+    together = Plans.concat(alone)
+    # column by column, nested columns included, each with its dtype, shape and bits
+    for f in fields(Plans):
+        a, b = getattr(plans, f.name), getattr(together, f.name)
+        if isinstance(a, geometry.Columns):
+            assert a == b, f.name
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+    assert plans == together
+
+
+def test_the_rows_of_a_point_major_tile_are_the_plans_of_those_slots():
+    # three points of the block's slots, point-major, in chunks of 7 rows:
+    # a chunk's rows of the block's plans are the plans of its slots (each
+    # chunk holds every label, so its label columns have the block's dtypes)
+    noise = NoiseModel(sigma0=0.2, depth_gain=0.01, degradation_per_needle=1.0)
+    slots, _ = feasible_slots(noise)
+    slots = slots[:9]
+    plans = plan_slots(slots, noise)
+    n = len(slots)
+    rows = [r % n for r in range(3 * n)]
+    for lo in range(0, len(rows), 7):
+        chunk = rows[lo:lo + 7]
+        assert plans.rows(chunk) == plan_slots([slots[k] for k in chunk], noise), lo
 
 
 def test_a_collinear_reference_volume_anywhere_in_a_block_raises():
@@ -658,7 +720,7 @@ def test_a_collinear_reference_volume_anywhere_in_a_block_raises():
     plans = plan_insertions(
         phantoms, GEOM, far_arch(), quiet_noise(), tids, [streams(tid) for tid in tids], track=False
     )
-    assert [plan.reference for plan in plans] == [None] * 4
+    assert len(plans) == 4 and plans.reference is None
 
 
 def three_points(cfg):

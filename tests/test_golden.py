@@ -8,6 +8,8 @@ digests here and names the change in CHANGES.md.
 import hashlib
 import os
 
+import numpy as np
+
 from conftest import tiny_config
 from prostasim import calibrate as cal
 from prostasim.config import default_config
@@ -97,7 +99,7 @@ def test_left_bias_angled_variant_bytes(tmp_path):
         cap["radius"] = 11.0
     cfg.robot.max_angulation = 22.0
     report = run_study(cfg)
-    assert any(r.approach == "Angled" for r in report.rows_closed)
+    assert (report.rows_closed.approach == "Angled").any()
     assert _digests(report, tmp_path) == TINY_ANGLED
 
 
@@ -111,7 +113,7 @@ def test_plan_heavy_study_bytes(tmp_path):
     cfg.n_seed_replicates //= 4
     cfg.zone_quotas = {k: v * 4 for k, v in cfg.zone_quotas.items()}
     report = run_study(cfg)
-    assert sum(r.approach == "Angled" for r in report.rows_open) > 500
+    assert np.count_nonzero(report.rows_open.approach == "Angled") > 500
     assert _digests(report, tmp_path) == PLAN_HEAVY
 
 

@@ -46,17 +46,17 @@ def needle_penetration(p, entry, d, depth):
     return penetration(entry_depth(p, entry, d), depth)
 
 
-def lever(p, entry, d, pass_depth):
-    """The lever of one needle line and first pass: a block of one."""
+def levers(p, entry, d, pass_depth):
+    """The levers of one needle line and first pass: a block of one."""
     unit = geometry.normalize(np.array([d], dtype=np.float64))
-    return gland_levers([p], [entry], unit, [entry_depth(p, entry, unit[0])], [pass_depth])[0]
+    return gland_levers([p], [entry], unit, [entry_depth(p, entry, unit[0])], [pass_depth])
 
 
 def transform(p, motion, entry, d, tip_depth, noise, pass_depth=None):
     """The gland transform with the tip at ``tip_depth`` after a first pass
     to ``pass_depth`` (by default the tip's depth: one uncorrected pass)."""
     pass_depth = tip_depth if pass_depth is None else pass_depth
-    return prostate_transform(lever(p, entry, d, pass_depth), motion, tip_depth, noise)
+    return prostate_transform(levers(p, entry, d, pass_depth), 0, motion, tip_depth, noise)
 
 
 def test_generation_is_deterministic():
@@ -277,10 +277,11 @@ def assert_levers_match_the_per_line_formula(phantoms, entries, dirs, pass_depth
     units = geometry.normalize(dirs)
     depths = gland_entry_depth(phantoms, entries, units)
     levers = gland_levers(phantoms, entries, units, depths, pass_depths)
-    for k, lv in enumerate(levers):
+    assert len(levers) == len(phantoms)
+    for k in range(len(levers)):
         for tip in tips[k]:
             for motion, noise in still_and_moving(rs):
-                got = prostate_transform(lv, motion, tip, noise)
+                got = prostate_transform(levers, k, motion, tip, noise)
                 want = gland_transform_oracle(
                     phantoms[k], motion, entries[k], dirs[k], tip, pass_depths[k], noise, depths[k]
                 )
@@ -303,7 +304,7 @@ def test_levers_and_transform_match_the_per_line_formula():
     pass_depths = lengths * rs.uniform(0.5, 1.5, n)
     tips = [[float(p), max(0.0, float(p + rs.uniform(-15, 15)))] for p in pass_depths]
     levers, depths = assert_levers_match_the_per_line_formula(phantoms, entries, dirs, pass_depths, tips, rs)
-    assert sum(lv.kx is not None for lv in levers) == n
+    assert np.count_nonzero(levers.kx.any(axis=(1, 2))) == n
     assert np.isfinite(depths).sum() > n // 2
 
 
@@ -324,14 +325,15 @@ def test_levers_match_the_per_line_formula_at_the_edges():
     levers, depths = assert_levers_match_the_per_line_formula(
         [p] * 4, entries, dirs, [70.0, 70.0, 70.0, 70.0], tips, rs
     )
-    assert levers[0].lateral == 0.0 and levers[0].kx is None and levers[0].kx2 is None
-    assert 0.0 < levers[1].lateral <= 1e-12 and levers[1].kx is None
-    assert np.isnan(depths[2]) and levers[2].penetration == 0.0
-    assert levers[3].kx is not None
+    # no axis: the rows of a line through the centroid, or within 1e-12 of it, are zero
+    assert levers.lateral[0] == 0.0 and not levers.kx[0].any() and not levers.kx2[0].any()
+    assert 0.0 < levers.lateral[1] <= 1e-12 and not levers.kx[1].any()
+    assert np.isnan(depths[2]) and levers.penetration[2] == 0.0
+    assert levers.kx[3].any()
     motion = MotionParams(0.1, 2.0, 0.02, 0.0)
-    assert bits(prostate_transform(levers[2], motion, 70.0, np.zeros(3))) == bits(geometry.identity())
-    assert bits(prostate_transform(levers[3], motion, at, np.zeros(3))) == bits(geometry.identity())
-    assert bits(prostate_transform(levers[3], motion, 70.0, np.zeros(3))) != bits(geometry.identity())
+    assert bits(prostate_transform(levers, 2, motion, 70.0, np.zeros(3))) == bits(geometry.identity())
+    assert bits(prostate_transform(levers, 3, motion, at, np.zeros(3))) == bits(geometry.identity())
+    assert bits(prostate_transform(levers, 3, motion, 70.0, np.zeros(3))) != bits(geometry.identity())
 
 
 def zone_ok_oracle(p, a, labels):

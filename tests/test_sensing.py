@@ -36,9 +36,9 @@ def observe_one(phantom, t, noise, s, needle_count=0):
     return observe([phantom], t.rotation[None], t.translation[None], noise, normals, [needle_count])[0]
 
 
-def observe_point_one(phantom, point, noise, s):
-    """``observe_point`` with the next 3 normals of ``s``."""
-    return observe_point(phantom, point, noise, s.standard_normal(3))
+def observe_point_one(phantom, point, noise, s, needle_count=0):
+    """One point: ``observe_point`` on a stack of one, with the next 3 normals of ``s``."""
+    return observe_point([phantom], [point], noise, s.standard_normal((1, 3)), [needle_count])[0]
 
 
 def register_one(ref_points, obs):
@@ -175,9 +175,29 @@ def test_streams_have_a_fixed_layout(phantom):
         volume = observe([phantom], t.rotation[None], t.translation[None], noise, normals, [0])[0]
         np.testing.assert_array_equal(volume, observe_per_point(phantom, t, noise, b, 0))
         sigma = noise.sigma0 + noise.depth_gain * max(0.0, float(target[2]) + c)
-        point = observe_point(phantom, target, noise, z[-3:])
+        point = observe_point([phantom], target[None], noise, z[None, -3:], [0])[0]
         np.testing.assert_array_equal(point, target + b.normal(0.0, sigma, 3))
         assert a.standard_normal() == b.standard_normal()
+
+
+def test_observe_point_stacks_points_observed_alone_bit_for_bit(phantom):
+    # two gland shapes, needle counts 0-4, points in front of and past the
+    # entry plane: each row is the point observed alone, and numpy's
+    # normal(0.0, sigma, 3) with sigma on Python floats
+    other = generate_phantom(PhantomSpec(gland_semiaxes=(21.0, 17.0, 26.0)), seed=6)
+    rs = np.random.default_rng(11)
+    k = 40
+    phantoms = [(phantom, other)[i] for i in rs.integers(0, 2, k)]
+    points = rs.uniform(-30.0, 30.0, (k, 3))
+    counts = rs.integers(0, 5, k).tolist()
+    for noise in (quiet_noise(), quiet_noise(sigma0=0.2, depth_gain=0.03, degradation_per_needle=1.15)):
+        a, b, c = stream(), stream(), stream()
+        rows = observe_point(phantoms, points, noise, a.standard_normal((k, 3)), counts)
+        for row, p, point, count in zip(rows, phantoms, points, counts):
+            alone = observe_point_one(p, point, noise, b, count)
+            base = noise.sigma0 * noise.degradation_per_needle**count
+            sigma = base + noise.depth_gain * max(0.0, float(point[2]) + p.gland_semiaxes[2])
+            assert row.tobytes() == alone.tobytes() == (point + c.normal(0.0, sigma, 3)).tobytes()
 
 
 def observe_per_point(phantom, t, noise, s, needle_count):

@@ -254,6 +254,20 @@ def test_summary_reproducible_from_csv(tiny_report, tmp_path):
     )
 
 
+def test_report_from_records_reads_the_csvs_of_its_mode(tiny_report, tmp_path):
+    # the records of a run of both modes report each mode as a run of it alone
+    write_report(tiny_report, str(tmp_path))
+    for mode in ("closed_loop", "open_loop"):
+        cfg = tiny_config(mode=mode)
+        again = report_from_records(cfg, str(tmp_path))
+        assert json.dumps(again.summary) == json.dumps(run_study(cfg).summary), mode
+    # a mode whose records are missing names them
+    os.remove(tmp_path / "records_open.csv")
+    for mode in ("both", "open_loop"):
+        with pytest.raises(RuntimeError, match=f"no records_open.csv under {tmp_path} for mode {mode}"):
+            report_from_records(tiny_config(mode=mode), str(tmp_path))
+
+
 def test_write_report_files_and_formats(tiny_report, tmp_path):
     paths = write_report(tiny_report, str(tmp_path / "j"), fmt="json")
     names = [os.path.basename(p) for p in paths]
