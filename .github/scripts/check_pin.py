@@ -6,13 +6,17 @@ PIN names a module-level assignment in tests/test_golden.py, which is
 read with ``ast`` so that the pins live in one place.  A dict pin maps
 file names under the directory PATH to their digests; a string pin is
 the digest of the file PATH.  Prints each file's result and exits 1 if
-any digest differs.
+any digest differs, after the versions the pins were made with
+(``PINNED_WITH``) and those running.
 """
 
 import ast
 import hashlib
 import os
 import sys
+
+import numpy
+import yaml
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "..", "tests", "test_golden.py")
 
@@ -40,6 +44,11 @@ def main(name, path):
         got = sha256(file)
         bad |= got != want
         print(f"{file}: sha256 {got}" + ("" if got == want else f", pinned {want} in {name}"))
+    if bad:
+        running = {
+            "python": "%d.%d" % sys.version_info[:2], "numpy": numpy.__version__, "PyYAML": yaml.__version__,
+        }
+        print(f"pinned with {read_pin('PINNED_WITH')}, running {running}")
     return 1 if bad else 0
 
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
-import numpy as np
 import yaml
 
-from . import geometry, rng
+from . import rng
 from .controller import ConvergenceParams
 from .kinematics import RobotGeometry
 from .phantom import MotionParams
@@ -66,12 +65,8 @@ class ArchConfig:
     capsules: list[dict] = field(default_factory=lambda: [dict(c) for c in DEFAULT_ARCH_CAPSULES])
 
     def build(self) -> PubicArchModel:
-        segments = [
-            (geometry.Segment(np.array(c["a"], dtype=float), np.array(c["b"], dtype=float)),
-             float(c["radius"]))
-            for c in self.capsules
-        ]
-        return PubicArchModel(segments, enabled=self.enabled)
+        columns = ([c[key] for c in self.capsules] for key in ("a", "b", "radius"))
+        return PubicArchModel(*columns, enabled=self.enabled)
 
 
 @dataclass

@@ -8,21 +8,25 @@ depth resolution.  The bead is deposited at the final tip position and
 scored in the material (rest) frame, the analog of a post-procedure CT.
 
 An insertion is three steps, the first and last taken by a block of
-insertions together.  ``plan_insertions`` is the motion-free half, in
-arrays over the block: one stacked observation and collinearity check
-of the reference volumes, the observed targets, the trajectories (one
-clearance check of every direct path, the grid search only where that
-path is out of reach or blocked) and the first pass: joint limits,
-duration and rotation, one gland entry depth solve that gives both the penetration
-setting the modeled drag and the entry depth the gland transform reads,
+insertions together.  A block's random streams are one ``rng.Streams``,
+a column per draw and a row per slot, and every step reads its columns.
+``plan_insertions`` is the motion-free half, in arrays over the block:
+one stacked observation and collinearity check of the reference volumes,
+the observed targets, the trajectories (one ``kinematics.Trajectory``:
+one clearance check of every direct path, the grid search only where
+that path is out of reach or blocked; the planner keeps every entry
+within the stages' reach) and the first pass: duration and rotation, one
+gland entry depth solve that gives both the penetration setting the
+modeled drag and the entry depth the gland transform reads,
 and the lever of each gland transform (``phantom.gland_levers``): the
 unit direction, the pass-depth penetration, the lateral offset of the
 gland centroid and the rotation axis's Rodrigues matrices, none of which
 reads a motion parameter.  It returns one ``Plans``, a column per
 quantity and a row per slot.  ``open_loop_insertion`` scales one
-insertion's motion normals into its motion noise and evaluates only the
-motion terms of the gland transform at the pass depth (drag, rotation
-angle, the rotation about the pivot) from its row's lever;
+insertion's motion normals (its row of the streams) into its motion
+noise and evaluates only the motion terms of the gland transform at the
+pass depth (drag, rotation angle, the rotation about the pivot) from its
+row's lever;
 ``open_loop_records`` scores a block of them.  ``correct_insertions``
 runs the closed loop of a block together, each step one stacked
 ``sensing`` call per kernel over the insertions still correcting,
@@ -68,7 +72,7 @@ from .phantom import (
     world_to_material,
 )
 from .planning import EntryRegion, PubicArchModel
-from .rng import InsertionStreams
+from .rng import Streams
 from .sensing import NoiseModel
 
 
@@ -171,12 +175,12 @@ class Plans(geometry.Columns):
     reference: geometry.RegistrationReference | None = None
 
 
-def _records(plans: Plans, streams, **columns) -> Records:
+def _records(plans: Plans, streams: Streams, **columns) -> Records:
     """A block's records: the slots of ``streams``, the zones, approach and
     first-pass rotation of ``plans``, and ``columns``."""
-    slots = np.array([(s.phantom, s.target, s.replicate) for s in streams], dtype=np.int64).T
     return Records(
-        *slots, plans.zone_depth, plans.zone_lateral, plans.zone_ap, plans.approach,
+        streams.phantom, streams.target, streams.replicate,
+        plans.zone_depth, plans.zone_lateral, plans.zone_ap, plans.approach,
         disengaged=np.zeros(len(plans), dtype=np.int64), rotation_angle_deg=plans.rotation_angle_deg, **columns,
     )
 
@@ -186,16 +190,15 @@ def plan_insertions(
     geom: kinematics.RobotGeometry,
     arch: PubicArchModel,
     noise: NoiseModel,
-    target_ids: list[int],
-    streams: list[InsertionStreams],
+    streams: Streams,
     entry_region: EntryRegion | None = None,
     needle_radius: float = planning.DEFAULT_NEEDLE_RADIUS,
     track: bool = True,
 ) -> Plans:
     """Observe a block of insertions at rest, plan each trajectory and make each first pass.
 
-    Slot k plans target ``target_ids[k]`` of ``phantoms[k]`` from the
-    reference normals of ``streams[k]`` (the reference volume's N x 3, then
+    Slot k plans target ``streams.target[k]`` of ``phantoms[k]`` from its
+    row of ``streams.reference_normals`` (the reference volume's N x 3, then
     the observed target's 3) and gets the row it would get alone.  Only a
     ``track`` block can drive the closed loop; an untracked block skips the
     registration reference and serves ``open_loop_insertion``.  Raises
@@ -204,23 +207,18 @@ def plan_insertions(
     trajectory clears the arch.
     """
     region = entry_region if entry_region is not None else EntryRegion()
-    counts = [s.needle_count for s in streams]
     n = len(phantoms)
-    normals = np.array([s.reference_normals for s in streams])
+    normals, counts = streams.reference_normals, streams.needle_count
     volume = normals[:, :-3].reshape(n, -1, 3)
     rest = np.broadcast_to(np.eye(3), (n, 3, 3))
     ref_obs = sensing.observe(phantoms, rest, np.zeros((n, 3)), noise, volume, counts)
     reference = geometry.prepare_reference(ref_obs) if track else None
-    targets = [phantom.target_by_id(tid) for phantom, tid in zip(phantoms, target_ids)]
+    targets = [phantom.target_by_id(tid) for phantom, tid in zip(phantoms, streams.target.tolist())]
     target_rest = np.array([target.position_rest for target in targets])
     # the observed target takes the 3 normals after the reference volume's
     targets_obs = sensing.observe_point(phantoms, target_rest, noise, normals[:, -3:], counts)
     trajs = planning.plan_trajectories(arch, targets_obs, region, geom, needle_radius)
-    entries = np.array([traj.entry for traj in trajs])
-    dirs = np.array([traj.dir for traj in trajs])
-    depths = np.array([traj.planned_depth for traj in trajs])
-    # raises kinematics.OutOfReach for a line the stages cannot realize
-    kinematics.inverse_kinematics(geom, entries, dirs)
+    entries, dirs, depths = trajs.entry, trajs.dir, trajs.planned_depth
     _, angles, durations = kinematics.advance_insertion(geom, np.zeros(n), np.zeros(n), depths)
     # the penetration reads the entry depth along the direction as planned,
     # the gland transform along the normalized one: both in one call
@@ -231,7 +229,7 @@ def plan_insertions(
     zones = [(t.zone.depth_zone, t.zone.lateral_zone, t.zone.ap_zone) for t in targets]
     return Plans(
         target_rest, *map(np.array, zip(*zones)), targets_obs, entries, dirs, depths,
-        np.array([traj.approach for traj in trajs]), angles, durations, penetration(entry[:n], depths),
+        trajs.approach, angles, durations, penetration(entry[:n], depths),
         gland_levers(phantoms, entries, units, entry[n:], depths), reference,
     )
 
@@ -258,10 +256,11 @@ def _residual_motion(baselines, moved_targets, plans: Plans):
     return moved_targets - plans.target_obs - rows.drag(plans.penetration)[:, None] * plans.dir
 
 
-def open_loop_insertion(motion: MotionParams, plans: Plans, k: int, streams: InsertionStreams) -> InsertionRecord:
+def open_loop_insertion(motion: MotionParams, plans: Plans, k: int, streams: Streams) -> InsertionRecord:
     """The first pass of row k of ``plans``: the gland transform the bead is left in.
 
-    Scales the insertion's motion normals (``streams``, row k's) into its
+    Scales the insertion's motion normals (``streams``, the values of row
+    k's streams, as ``Streams.rows(k)`` gives them) into its
     frozen motion noise and evaluates the motion terms of the gland
     transform on the row's lever at its pass depth.  ``open_loop_records``
     scores a block of them, and the closed loop (``correct_insertions``)
@@ -281,8 +280,7 @@ def _transforms(baselines):
 
 
 def open_loop_records(
-    phantoms: list[ProstatePhantom], plans: Plans,
-    streams: list[InsertionStreams], baselines: list[InsertionRecord],
+    phantoms: list[ProstatePhantom], plans: Plans, streams: Streams, baselines: list[InsertionRecord],
 ) -> Records:
     """A block's open-loop records, scored in arrays: row k is the first pass ``baselines[k]`` of plan row k.
 
@@ -310,13 +308,13 @@ def correct_insertions(
     geom: kinematics.RobotGeometry,
     conv: ConvergenceParams,
     plans: Plans,
-    streams: list[InsertionStreams],
+    streams: Streams,
     baselines: list[InsertionRecord],
 ) -> Records:
     """Run the closed loop of a block of insertions together.
 
-    Slot k is insertion k: ``phantoms[k]``, row k of the tracked ``plans``,
-    its ``streams[k]`` and its first pass ``baselines[k]``, whose gland
+    Slot k is insertion k: ``phantoms[k]``, row k of the tracked ``plans``
+    and of ``streams``, and its first pass ``baselines[k]``, whose gland
     transform is the slot's first verification state and whose motion
     noise and motion every later transform reuses (the rows may differ in
     motion, not in noise).  Each step observes, registers,
@@ -326,7 +324,7 @@ def correct_insertions(
     records is slot k, the record it would get alone; its open-loop record
     is row k of the block's ``open_loop_records``.
     Verification v of slot k observes with the standard normals
-    ``streams[k].observation_normals[v]``.  Raises ValueError for untracked
+    ``streams.observation_normals[k, v]``.  Raises ValueError for untracked
     plans, or for streams holding fewer than ``max_corrections + 1``
     volumes.  A correction budget overrun does not raise: the record is
     flagged.
@@ -335,14 +333,10 @@ def correct_insertions(
     if plans.reference is None:
         raise ValueError("a closed-loop insertion needs a tracked plan")
     entries, dirs = plans.entry, plans.dir
-    # verification v of slot k observes with budget[k][v]; each step gathers
-    # only the volumes it takes, not a restacked copy of every budget
-    budget = [s.observation_normals for s in streams]
-    volumes = min(len(b) for b in budget)
+    volumes = streams.observation_normals.shape[1]
     if volumes <= conv.max_corrections:
         raise ValueError(f"the streams hold {volumes} observation volumes, "
                          f"{conv.max_corrections} corrections need {conv.max_corrections + 1}")
-    needle_counts = [s.needle_count for s in streams]
     # penetration is read from the fixed pass depth, so the gland transform
     # depends on the tip only through "is it past the gland entry depth"
     # (NaN where the line misses the gland: never past it)
@@ -364,7 +358,7 @@ def correct_insertions(
     for step in range(conv.max_corrections + 1):
         obs = sensing.observe(
             [phantoms[k] for k in active], rot[active], trans[active], noise,
-            np.array([budget[k][step] for k in active]), [needle_counts[k] for k in active],
+            streams.observation_normals[active, step], streams.needle_count[active],
         )
         reg_rot, reg_trans, rms[active] = sensing.rigid_register(plans.reference.rows(active), obs)
         tracked = sensing.track_target(reg_rot, reg_trans, plans.target_obs[active])
@@ -411,12 +405,12 @@ def run_insertion(
     geom: kinematics.RobotGeometry,
     conv: ConvergenceParams,
     plan: Plans,
-    streams: InsertionStreams,
+    streams: Streams,
 ) -> Records:
-    """One closed-loop insertion from its tracked one-row ``plan``: the block of one.
+    """One closed-loop insertion from its tracked one-row ``plan`` and one-row ``streams``: the block of one.
 
     ``open_loop_insertion``, then ``correct_insertions`` on that slot
     alone; returns the slot's one-row records.
     """
-    baseline = open_loop_insertion(motion, plan, 0, streams)
-    return correct_insertions([phantom], noise, geom, conv, plan, [streams], [baseline])
+    baseline = open_loop_insertion(motion, plan, 0, streams.rows(0))
+    return correct_insertions([phantom], noise, geom, conv, plan, streams, [baseline])

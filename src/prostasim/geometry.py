@@ -9,7 +9,7 @@ anterior, with the origin at the gland centroid in the rest pose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class Columns:
     """
 
     def _columns(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
+        return [getattr(self, name) for name in self.__dataclass_fields__]
 
     def __len__(self) -> int:
         return len(self._columns()[0])
@@ -79,18 +79,6 @@ class RigidTransform:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
-
-
-@dataclass
-class Segment:
-    """Straight segment between points ``a`` and ``b`` (degenerate a=b allowed)."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.float64).reshape(3)
-        self.b = np.asarray(self.b, dtype=np.float64).reshape(3)
 
 
 def identity() -> RigidTransform:

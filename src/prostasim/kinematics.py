@@ -52,16 +52,19 @@ class JointState:
     rotation_angle: float = 0.0
 
 
-@dataclass
-class Trajectory:
-    entry: np.ndarray
-    dir: np.ndarray
-    planned_depth: float
-    approach: str
+@dataclass(eq=False)
+class Trajectory(geometry.Columns):
+    """K planned needle lines, as columns: line k enters at ``entry[k]`` along the unit ``dir[k]``.
 
-    def __post_init__(self):
-        self.entry = np.asarray(self.entry, dtype=np.float64).reshape(3)
-        self.dir = np.asarray(self.dir, dtype=np.float64).reshape(3)
+    ``planned_depth`` is the distance from the entry to the target, and
+    ``approach`` is "Horizontal" or "Angled".  ``rows(k)`` holds one line's
+    values.
+    """
+
+    entry: np.ndarray  # (K, 3)
+    dir: np.ndarray  # (K, 3)
+    planned_depth: np.ndarray  # (K,)
+    approach: np.ndarray  # (K,) str
 
 
 class OutOfReach(ValueError):

@@ -7,9 +7,10 @@ the straight horizontal path is blocked, entries on a 2 mm grid around
 it are scanned and the collision-free candidate with the smallest
 angulation (1-degree bins, ties broken by clearance) wins.
 
-A block of targets is planned together (``plan_trajectories``): the
-direct paths of all of them are checked in one ``collision_check`` call,
-and the targets whose direct path is out of reach or blocked go through
+A block of targets is planned together (``plan_trajectories``), into one
+``kinematics.Trajectory``: the direct paths of all of them are checked in
+one ``collision_check`` call, and the targets whose direct path is out of
+reach or blocked, or that lie on or behind the entry plane, go through
 one grid search together (``replan_angled``).  The search builds every
 target's candidates in one ``candidate_entries`` call and checks their
 clearance in rounds of rising angulation, stopping for each target at
@@ -51,13 +52,19 @@ KERNEL_ROWS = 512
 
 @dataclass
 class PubicArchModel:
-    arch_segments: list[tuple[geometry.Segment, float]]
+    """The arch as m capsules: capsule j has the axis from ``a[j]`` to ``b[j]`` and radius ``radius[j]``."""
+
+    a: np.ndarray  # (m, 3)
+    b: np.ndarray  # (m, 3)
+    radius: np.ndarray  # (m,)
     enabled: bool = True
 
     def __post_init__(self):
-        for _, radius in self.arch_segments:
-            if radius <= 0:
-                raise ValueError("arch capsule radii must be positive")
+        self.a = np.asarray(self.a, dtype=np.float64).reshape(-1, 3)
+        self.b = np.asarray(self.b, dtype=np.float64).reshape(-1, 3)
+        self.radius = np.asarray(self.radius, dtype=np.float64).reshape(-1)
+        if np.any(self.radius <= 0):
+            raise ValueError("arch capsule radii must be positive")
 
 
 @dataclass
@@ -93,13 +100,6 @@ class NoFeasiblePath(RuntimeError):
         super().__init__(msg)
 
 
-def _capsule_arrays(arch: PubicArchModel):
-    a = np.array([seg.a for seg, _ in arch.arch_segments], dtype=np.float64)
-    b = np.array([seg.b for seg, _ in arch.arch_segments], dtype=np.float64)
-    r = np.array([rad for _, rad in arch.arch_segments], dtype=np.float64)
-    return a, b, r
-
-
 def collision_check(
     arch: PubicArchModel, entries, dirs, depths, needle_radius: float = DEFAULT_NEEDLE_RADIUS
 ) -> np.ndarray:
@@ -113,11 +113,10 @@ def collision_check(
     if needle_radius <= 0:
         raise ValueError("needle_radius must be positive")
     entries = np.asarray(entries, dtype=np.float64)
-    if not arch.enabled or not arch.arch_segments:
+    if not arch.enabled or not arch.radius.size:
         return np.full(entries.shape[0], math.inf)
     ends = entries + (np.asarray(depths, dtype=np.float64) + DEPTH_MARGIN)[:, None] * np.asarray(dirs)
-    cap_a, cap_b, cap_r = _capsule_arrays(arch)
-    dist = geometry.segment_segment_distance(entries, ends, cap_a, cap_b) - cap_r
+    dist = geometry.segment_segment_distance(entries, ends, arch.a, arch.b) - arch.radius
     return np.min(dist, axis=1) - needle_radius
 
 
@@ -130,12 +129,11 @@ def first_blocked_depth(
     step: float = 0.1,
 ) -> float | None:
     """Depth at which the advancing tip first touches the arch, if ever."""
-    if not arch.enabled or not arch.arch_segments:
+    if not arch.enabled or not arch.radius.size:
         return None
     depths = np.arange(0.0, max_depth + step, step)
     tips = np.asarray(entry, dtype=np.float64) + depths[:, None] * geometry.normalize(dir)
-    cap_a, cap_b, cap_r = _capsule_arrays(arch)
-    dist = geometry.segment_segment_distance(tips, tips, cap_a, cap_b) - cap_r
+    dist = geometry.segment_segment_distance(tips, tips, arch.a, arch.b) - arch.radius
     blocked = np.flatnonzero(np.min(dist, axis=1) - needle_radius < 0)
     return float(depths[blocked[0]]) if blocked.size else None
 
@@ -254,7 +252,7 @@ def replan_angled(
     entry_region: EntryRegion,
     geom: kinematics.RobotGeometry,
     needle_radius: float = DEFAULT_NEEDLE_RADIUS,
-) -> list[kinematics.Trajectory]:
+) -> kinematics.Trajectory:
     """Smallest-angulation collision-free trajectory through each of K targets (K, 3), from the entry grid.
 
     Each target's winner minimizes the 1-degree angulation bin among its
@@ -274,12 +272,11 @@ def replan_angled(
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
     entries, angles, owner = candidate_entries(targets, entry_region, geom)
     bins = np.round(angles / ANGLE_BIN_DEG).astype(np.int64)
-    if not arch.enabled or not arch.arch_segments:
+    if not arch.enabled or not arch.radius.size:
         clearances = np.full(entries.shape[0], math.inf)
     else:
         # a row left unchecked never wins and is never a best clearance
         clearances = np.full(entries.shape[0], -math.inf)
-        cap_a, cap_b, cap_r = _capsule_arrays(arch)
         unresolved = np.ones(targets.shape[0], dtype=bool)
         below = -1
         for limit in ROUND_BIN_LIMITS + (math.inf,):
@@ -288,7 +285,7 @@ def replan_angled(
             if rows.size:
                 clearances[rows] = clearance_grid(
                     entries[rows], geom.front_plane_z, targets[owner[rows]], DEPTH_MARGIN,
-                    cap_a, cap_b, cap_r, needle_radius,
+                    arch.a, arch.b, arch.radius, needle_radius,
                 )
                 unresolved[owner[rows[clearances[rows] > 0.0]]] = False
 
@@ -305,13 +302,14 @@ def replan_angled(
     entry3 = np.empty((targets.shape[0], 3), dtype=np.float64)
     entry3[:, :2] = entries[winner]
     entry3[:, 2] = geom.front_plane_z
-    rel = targets - entry3
+    return _through(entry3, targets, np.where(angles[winner] > ANGLE_BIN_DEG, "Angled", "Horizontal"))
+
+
+def _through(entries, targets, approach) -> kinematics.Trajectory:
+    """The lines from ``entries`` (K, 3) through ``targets`` (K, 3), each planned to its target."""
+    rel = targets - entries
     depths = np.sqrt(geometry.row_dot(rel, rel))
-    dirs = rel / depths[:, None]
-    return [
-        kinematics.Trajectory(entry, d, depth, "Angled" if angle > ANGLE_BIN_DEG else "Horizontal")
-        for entry, d, depth, angle in zip(entry3, dirs, depths.tolist(), angles[winner].tolist())
-    ]
+    return kinematics.Trajectory(entries, rel / depths[:, None], depths, approach)
 
 
 def plan_trajectories(
@@ -320,30 +318,31 @@ def plan_trajectories(
     entry_region: EntryRegion,
     geom: kinematics.RobotGeometry,
     needle_radius: float = DEFAULT_NEEDLE_RADIUS,
-) -> list[kinematics.Trajectory]:
-    """The smallest-angulation collision-free trajectory through each of K targets (K, 3).
+) -> kinematics.Trajectory:
+    """The smallest-angulation collision-free trajectory through each of K targets (K, 3), row k for target k.
 
     The direct horizontal paths are tried first, all in one
-    ``collision_check``: a target whose direct entry is in the region and
-    within stage travel (both stages sit at the entry), and whose shaft
-    clears the arch, gets it.  Every other target goes into one grid search,
-    ``replan_angled`` on the stack of them.  Raises NoFeasiblePath for the
-    first target with no collision-free trajectory.
+    ``collision_check``: a target in front of the entry plane whose direct
+    entry is in the region and within stage travel (both stages sit at the
+    entry), and whose shaft clears the arch, gets it.  Every other target
+    goes into one grid search, ``replan_angled`` on the stack of them.
+    Raises NoFeasiblePath for the first target with no collision-free
+    trajectory; a target on or behind the entry plane has none in reach.
     """
-    targets = np.asarray(targets, dtype=np.float64)
-    entries = targets.copy()
-    entries[:, 2] = geom.front_plane_z
-    rel = targets - entries
-    depths = np.sqrt(geometry.row_dot(rel, rel))
-    dirs = rel / depths[:, None]
-    x, y = targets[:, 0], targets[:, 1]
-    direct = entry_region.contains(x, y) & (np.maximum(np.abs(x), np.abs(y)) <= geom.stage_travel)
-    clearance = collision_check(arch, entries[direct], dirs[direct], depths[direct], needle_radius)
-    direct[direct] = clearance > 0.0
-    angled = iter(
-        replan_angled(arch, targets[~direct], entry_region, geom, needle_radius) if not direct.all() else ()
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
+    x, y, z = targets.T
+    direct = (
+        (z > geom.front_plane_z) & entry_region.contains(x, y)
+        & (np.maximum(np.abs(x), np.abs(y)) <= geom.stage_travel)
     )
-    return [
-        kinematics.Trajectory(entries[k], dirs[k], depth, "Horizontal") if ok else next(angled)
-        for k, (ok, depth) in enumerate(zip(direct.tolist(), depths.tolist()))
-    ]
+    entries = targets[direct]
+    entries[:, 2] = geom.front_plane_z
+    paths = _through(entries, targets[direct], np.full(len(entries), "Horizontal"))
+    clear = collision_check(arch, paths.entry, paths.dir, paths.planned_depth, needle_radius) > 0.0
+    direct[direct] = clear
+    if direct.all():
+        return paths
+    angled = replan_angled(arch, targets[~direct], entry_region, geom, needle_radius)
+    # the clear direct paths, then the grid search's, put back in target order
+    both = kinematics.Trajectory.concat([paths.rows(clear), angled])
+    return both.rows(np.argsort(np.concatenate([np.flatnonzero(direct), np.flatnonzero(~direct)])))

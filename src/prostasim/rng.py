@@ -17,11 +17,12 @@ volume then 3 for the observed target; motion, 3; observation, N x 3 per
 verification volume, up to the correction budget of
 ``max_corrections + 1`` volumes.  The draws do not depend on any noise or
 motion parameter, which only scale them.  So each stream is drawn whole,
-up front, for a block of insertions at once (``draw_insertions``), and
-each consumer takes its slice: the observation budget holds volumes that
-an insertion which converges early never uses.  A block draw re-keys one
-module-level Philox per row instead of building a generator per stream;
-its rows are the draws of ``substream``, bit for bit.
+up front, for a block of insertions at once (``draw_insertions``), as the
+columns of one ``Streams``, and each consumer takes its slice: the
+observation budget holds volumes that an insertion which converges early
+never uses.  A block draw re-keys one module-level Philox per row instead
+of building a generator per stream; its rows are the draws of
+``substream``, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import geometry
 
 # purpose codes (kept stable; new purposes append)
 PHANTOM_BUILD = 1
@@ -107,24 +110,23 @@ def standard_normals(master_seed: int, purpose: int, slots, salt: int, size: int
 
 
 @dataclass(eq=False)
-class InsertionStreams:
-    """The standard normals one insertion consumes, drawn up front.
+class Streams(geometry.Columns):
+    """The standard normals a block of insertions consumes, drawn up front: row k is slot k.
 
     ``phantom``, ``target`` and ``replicate`` name the slot, and
-    ``needle_count`` carries the session degradation state.  The draws
-    follow the streams' fixed layout (see the module docstring), each a
-    view of its block's draw.  The insertion scales its motion normals
-    once; the closed loop takes one observation volume per verification,
-    in order.
+    ``needle_count`` carries its session degradation state.  The draws
+    follow the streams' fixed layout (see the module docstring).  An
+    insertion scales its motion normals once; the closed loop takes one
+    observation volume per verification, in order.
     """
 
-    phantom: int
-    target: int
-    replicate: int
-    needle_count: int
-    reference_normals: np.ndarray  # (N x 3 + 3,)
-    motion_normals: np.ndarray  # (3,)
-    observation_normals: np.ndarray  # (volumes, N, 3)
+    phantom: np.ndarray  # (K,) int64
+    target: np.ndarray
+    replicate: np.ndarray
+    needle_count: np.ndarray
+    reference_normals: np.ndarray  # (K, N x 3 + 3)
+    motion_normals: np.ndarray  # (K, 3)
+    observation_normals: np.ndarray  # (K, volumes, N, 3)
 
 
 def draw_insertions(
@@ -135,7 +137,7 @@ def draw_insertions(
     volumes: int,
     motion_salt: int = 0,
     noise_salt: int = 0,
-) -> list[InsertionStreams]:
+) -> Streams:
     """The streams of a block of insertions, one row per (phantom, target, replicate) slot.
 
     Each slot's reference, motion and observation streams are drawn whole
@@ -150,8 +152,7 @@ def draw_insertions(
         observation = standard_normals(master_seed, OBSERVE, slots, noise_salt, volumes * n_fiducials * 3)
     else:
         observation = np.empty((n, 0))
-    observation = observation.reshape(n, volumes, n_fiducials, 3)
-    return [
-        InsertionStreams(p, t, r, count, reference[k], motion[k], observation[k])
-        for k, ((p, t, r), count) in enumerate(zip(slots, needle_counts))
-    ]
+    return Streams(
+        *np.array(slots, dtype=np.int64).reshape(n, 3).T, np.array(needle_counts, dtype=np.int64),
+        reference, motion, observation.reshape(n, volumes, n_fiducials, 3),
+    )

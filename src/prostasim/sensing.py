@@ -51,6 +51,15 @@ class NoiseModel:
             raise ValueError("degradation_per_needle must be >= 1")
 
 
+def _base_sd(noise: NoiseModel, needle_counts) -> np.ndarray:
+    """The depth-free sd (K,) after each of K needle counts.
+
+    The counts are raised as Python ints: with a numpy int64 exponent the
+    power is many times slower and can differ in the last bit.
+    """
+    return np.array([noise.sigma0 * noise.degradation_per_needle**k for k in np.asarray(needle_counts).tolist()])
+
+
 def observe(
     phantoms,
     rotations: np.ndarray,
@@ -71,7 +80,7 @@ def observe(
     """
     points = np.array([p.fiducial_points for p in phantoms])
     entry_plane = np.array([p.gland_semiaxes[2] for p in phantoms])
-    base = np.array([noise.sigma0 * noise.degradation_per_needle**k for k in needle_counts])
+    base = _base_sd(noise, needle_counts)
     # the stacked matrix-vector form keeps the bits of one ``rot @ p`` per point
     world = (rotations[:, None] @ points[:, :, :, None])[..., 0] + translations[:, None]
     # depth past the gland entry plane z = -c
@@ -88,7 +97,7 @@ def observe_point(phantoms, points_world: np.ndarray, noise: NoiseModel, normals
     ``normal(0.0, sigma, 3)`` on those draws, bit for bit, and each row has
     the bits it would have alone.
     """
-    base = np.array([noise.sigma0 * noise.degradation_per_needle**k for k in needle_counts])
+    base = _base_sd(noise, needle_counts)
     p = np.asarray(points_world, dtype=np.float64)
     entry_plane = np.array([phantom.gland_semiaxes[2] for phantom in phantoms])
     sigma = base + noise.depth_gain * np.maximum(0.0, p[:, 2] + entry_plane)

@@ -188,14 +188,16 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
     ``cfg.validate`` checks its own; a point keeps ``cfg.motion.rng_seed``.
 
     The slots (phantom, target, replicate) are worked through in blocks of
-    ``BLOCK_SLOTS``.  A block's streams are drawn together once
-    (``rng.draw_insertions``; a point only scales their standard normals),
-    and its slots are planned together once per sigma0
+    ``BLOCK_SLOTS``.  A block's streams are drawn together once, as one
+    ``rng.Streams`` (``rng.draw_insertions``; a point only scales their
+    standard normals), and its slots are planned together once per sigma0
     (``plan_insertions``; a plan is made at rest, which no motion touches).
     Each of that sigma0's points makes each slot's first pass under its own
-    motion (``open_loop_insertion``), and the (point, slot) rows, point-major,
+    motion (``open_loop_insertion``, given the slot's row of the streams,
+    a view made once per block), and the (point, slot) rows, point-major,
     are corrected (``correct_insertions``) and scored (``open_loop_records``)
-    as the mode asks, in chunks of ``BLOCK_SLOTS`` rows.
+    as the mode asks, in chunks of ``BLOCK_SLOTS`` rows, each taking its
+    rows of the block's plans and streams with ``rows``.
     """
     cfg.validate()
     # sigma0 -> its noise model and its points
@@ -222,14 +224,16 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
         block = slots[start:start + BLOCK_SLOTS]
         block_phantoms = [phantoms[p] for p, _, _ in block]
         # the needle count of a slot is its target's place in the session
-        target_ids = [t for _, t, _ in block]
         streams = draw_insertions(
-            cfg.seed, block, target_ids, n_fiducials, volumes, cfg.motion.rng_seed, cfg.noise.rng_seed,
+            cfg.seed, block, [t for _, t, _ in block], n_fiducials, volumes,
+            cfg.motion.rng_seed, cfg.noise.rng_seed,
         )
         n = len(block)
+        # each slot's own streams, for its first passes
+        slot_streams = [streams.rows(k) for k in range(n)]
         for noise, members in groups.values():
             plans = plan_insertions(
-                block_phantoms, cfg.robot, arch, noise, target_ids, streams,
+                block_phantoms, cfg.robot, arch, noise, streams,
                 cfg.entry_region, cfg.needle_radius, track=do_closed,
             )
             # the (point, slot) rows, point-major: row r is slot r % n of point members[r // n]
@@ -239,10 +243,10 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
                 row_slots = [r % n for r in rows]
                 row_plans = plans.rows(row_slots)
                 row_phantoms = [block_phantoms[k] for k in row_slots]
-                row_streams = [streams[k] for k in row_slots]
+                row_streams = streams.rows(row_slots)
                 # one first pass per row, streams by keyword: perfbench's tracer keys tasks on it
                 baselines = [
-                    open_loop_insertion(points[members[r // n]][0], row_plans, j, streams=row_streams[j])
+                    open_loop_insertion(points[members[r // n]][0], row_plans, j, streams=slot_streams[r % n])
                     for j, r in enumerate(rows)
                 ]
                 if do_closed:

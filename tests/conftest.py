@@ -121,15 +121,12 @@ def replan_angled_oracle(arch, target, region, geom, needle_radius=planning.DEFA
     entries, angles = candidate_entries_oracle(target, region, geom)
     if entries.shape[0] == 0:
         raise planning.NoFeasiblePath(-math.inf, target)
-    if not arch.enabled or not arch.arch_segments:
+    if not arch.enabled or not arch.radius.size:
         clearances = np.full(entries.shape[0], math.inf)
     else:
-        cap_a = np.array([seg.a for seg, _ in arch.arch_segments], dtype=np.float64)
-        cap_b = np.array([seg.b for seg, _ in arch.arch_segments], dtype=np.float64)
-        cap_r = np.array([r for _, r in arch.arch_segments], dtype=np.float64)
         clearances = planning.clearance_grid(
             entries, geom.front_plane_z, np.broadcast_to(target, (entries.shape[0], 3)),
-            planning.DEPTH_MARGIN, cap_a, cap_b, cap_r, needle_radius,
+            planning.DEPTH_MARGIN, arch.a, arch.b, arch.radius, needle_radius,
         )
     clear = np.flatnonzero(clearances > 0.0)
     if not clear.size:

@@ -197,7 +197,7 @@ def test_arch_capsules_round_trip_and_validation():
     cfg.validate()
     model = cfg.arch.build()
     assert not model.enabled
-    assert len(model.arch_segments) == 1
+    assert len(model.radius) == 1
     cfg.arch.capsules[0].pop("radius")
     with pytest.raises(ConfigError, match=r"arch\.capsules\[0\]\.radius"):
         cfg.validate()

@@ -24,7 +24,7 @@ from prostasim.controller import (
     plan_insertions,
     run_insertion,
 )
-from prostasim.geometry import DegenerateConfiguration, Segment
+from prostasim.geometry import DegenerateConfiguration
 from prostasim.kinematics import JointState, RobotGeometry, Trajectory, inverse_kinematics
 from prostasim.phantom import (
     LEFT,
@@ -36,7 +36,7 @@ from prostasim.phantom import (
     world_to_material,
 )
 from prostasim.planning import EntryRegion, NoFeasiblePath, PubicArchModel
-from prostasim.rng import draw_insertions, substream
+from prostasim.rng import Streams, draw_insertions, substream
 from prostasim.sensing import NoiseModel
 
 
@@ -44,15 +44,13 @@ GEOM = RobotGeometry()
 
 
 def far_arch():
-    seg = Segment(np.array([0.0, 80.0, -32.0]), np.array([30.0, 80.0, -32.0]))
-    return PubicArchModel([(seg, 4.0)])
+    return PubicArchModel([[0.0, 80.0, -32.0]], [[30.0, 80.0, -32.0]], [4.0])
 
 
 def blocking_arch(target):
     # bar crossing the straight path halfway down the shaft
     y = float(target[1])
-    seg = Segment(np.array([-60.0, y, -30.0]), np.array([60.0, y, -30.0]))
-    return PubicArchModel([(seg, 6.0)])
+    return PubicArchModel([[-60.0, y, -30.0]], [[60.0, y, -30.0]], [6.0])
 
 
 def make_phantom(left_bias=0.0, seed=4):
@@ -73,7 +71,7 @@ N_FIDUCIALS = len(make_phantom().fiducial_points)
 
 def streams(target_id, seed=31, needle_count=0, volumes=ConvergenceParams().max_corrections + 1):
     """The streams of one insertion, slot (0, target_id, 0), drawn as a block of one."""
-    return draw_insertions(seed, [(0, target_id, 0)], [needle_count], N_FIDUCIALS, volumes)[0]
+    return draw_insertions(seed, [(0, target_id, 0)], [needle_count], N_FIDUCIALS, volumes)
 
 
 def non_left_target(phantom):
@@ -86,14 +84,14 @@ def non_left_target(phantom):
 def plan_quiet(phantom, tid, arch=None, noise=None, track=True):
     """The plan of one insertion: a block of one."""
     return plan_insertions(
-        [phantom], GEOM, arch or far_arch(), noise or quiet_noise(), [tid], [streams(tid)], track=track
+        [phantom], GEOM, arch or far_arch(), noise or quiet_noise(), streams(tid), track=track
     )
 
 
 def open_loop_block(phantom, motion, plan, tid):
     """A slot's first pass and its open-loop records, scored as a block of one."""
-    first = open_loop_insertion(motion, plan, 0, streams(tid))
-    return first, open_loop_records([phantom], plan, [streams(tid)], [first])
+    first = open_loop_insertion(motion, plan, 0, streams(tid).rows(0))
+    return first, open_loop_records([phantom], plan, streams(tid), [first])
 
 
 def only_row(records):
@@ -185,8 +183,8 @@ def test_paired_runs_share_noise():
     o = run_quiet(p, t.id, mode=open_loop_records, noise=noise, motion=motion)
     assert o.depth_correction_mm != 0.0 and np.any(o.motion_mm != 0.0)
     first, opened = open_loop_block(p, motion, tracked, t.id)
-    assert_same_first_pass(first, open_loop_insertion(motion, untracked, 0, streams(t.id)))
-    closed = correct_insertions([p], noise, GEOM, ConvergenceParams(), tracked, [streams(t.id)], [first])
+    assert_same_first_pass(first, open_loop_insertion(motion, untracked, 0, streams(t.id).rows(0)))
+    closed = correct_insertions([p], noise, GEOM, ConvergenceParams(), tracked, streams(t.id), [first])
     row = only_row(opened)
     assert (row.n_corrections, row.error_mm, row.depth_correction_mm) == (0, o.error_mm, o.depth_correction_mm)
     np.testing.assert_array_equal(row.motion_mm, o.motion_mm)
@@ -465,12 +463,13 @@ def oracle_entry_depth(phantom, entry, dir):
 def oracle_trajectory(arch, target, region, geom):
     entry = np.array([target[0], target[1], geom.front_plane_z])
     if region.x_min <= target[0] <= region.x_max and region.y_min <= target[1] <= region.y_max:
-        if max(abs(target[0]), abs(target[1])) <= geom.stage_travel:
+        # no direct path reaches a target on or behind the entry plane
+        if max(abs(target[0]), abs(target[1])) <= geom.stage_travel and target[2] > geom.front_plane_z:
             d, depth = oracle_normalize(target - entry), float(np.linalg.norm(target - entry))
             tip = entry + (depth + planning.DEPTH_MARGIN) * d
             clearance = min(
-                (segment_distance_oracle(entry, tip, seg.a, seg.b) - radius - planning.DEFAULT_NEEDLE_RADIUS
-                 for seg, radius in arch.arch_segments),
+                (segment_distance_oracle(entry, tip, a, b) - radius - planning.DEFAULT_NEEDLE_RADIUS
+                 for a, b, radius in zip(arch.a, arch.b, arch.radius)),
                 default=np.inf,
             )
             if clearance > 0.0:
@@ -558,16 +557,14 @@ def test_a_block_plans_each_slot_as_it_would_alone(
     noise = NoiseModel(sigma0=sigma0, depth_gain=depth_gain, degradation_per_needle=degradation)
 
     def plan(block, block_streams):
-        return plan_insertions(
-            [slot[0] for slot in block], robot, arch, noise, [slot[1] for slot in block],
-            block_streams, track=track,
-        )
+        return plan_insertions([slot[0] for slot in block], robot, arch, noise, block_streams, track=track)
 
-    block_streams = [streams(target_id, seed, count, volumes=0) for _, target_id, seed, count in slots]
+    each = [streams(target_id, seed, count, volumes=0) for _, target_id, seed, count in slots]
+    block_streams = Streams.concat(each)
     alone = []
-    for slot, slot_streams in zip(slots, block_streams):
+    for slot, slot_streams in zip(slots, each):
         try:
-            alone.append(plan([slot], [slot_streams]))
+            alone.append(plan([slot], slot_streams))
         except NoFeasiblePath:
             alone.append(None)
     if None in alone:
@@ -625,14 +622,13 @@ def test_a_block_scores_its_first_passes_as_each_slot_alone():
         for target in phantom.targets:
             slot_streams = draw_insertions(5, [(index, target.id, 0)], [target.id], N_FIDUCIALS, 0)
             try:
-                alone.append(plan_insertions(
-                    [phantom], WIDE_ROBOT, WIDE_ARCH, noise, [target.id], slot_streams, track=False
-                ))
+                alone.append(plan_insertions([phantom], WIDE_ROBOT, WIDE_ARCH, noise, slot_streams, track=False))
             except NoFeasiblePath:
                 continue
-            slots.append((phantom, slot_streams[0]))
+            slots.append((phantom, slot_streams))
     plans = Plans.concat(alone)
-    block_phantoms, block_streams = (list(column) for column in zip(*slots))
+    block_phantoms, each = (list(column) for column in zip(*slots))
+    block_streams = Streams.concat(each)
     assert set(plans.approach.tolist()) == {"Horizontal", "Angled"}
     deflected = [p.left_bias != 0.0 and zone == LEFT for p, zone in zip(block_phantoms, plans.zone_lateral)]
     assert any(deflected) and not all(deflected)
@@ -642,7 +638,7 @@ def test_a_block_scores_its_first_passes_as_each_slot_alone():
         return np.asarray(x, dtype=np.float64).tobytes()
 
     for motion in (STILL, LEVERED):
-        firsts = [open_loop_insertion(motion, plans, k, s) for k, s in enumerate(block_streams)]
+        firsts = [open_loop_insertion(motion, plans, k, block_streams.rows(k)) for k in range(len(plans))]
         records = open_loop_records(block_phantoms, plans, block_streams, firsts)
         for k, (phantom, first) in enumerate(zip(block_phantoms, firsts)):
             axial, error, residual = open_loop_oracle(phantom, motion, plans, k, first)
@@ -655,7 +651,7 @@ def test_a_block_scores_its_first_passes_as_each_slot_alone():
 
 
 def feasible_slots(noise):
-    """The (phantom, target id, streams) of every SHAPES target with a path clear of the
+    """The (phantom, streams) of every SHAPES target with a path clear of the
     wide arch, each slot's needle count its target id, and each slot's tracked plans as a
     block of one."""
     slots, alone = [], []
@@ -663,17 +659,17 @@ def feasible_slots(noise):
         for target in phantom.targets:
             slot_streams = draw_insertions(8, [(index, target.id, 0)], [target.id], N_FIDUCIALS, 0)
             try:
-                alone.append(plan_insertions([phantom], WIDE_ROBOT, WIDE_ARCH, noise, [target.id], slot_streams))
+                alone.append(plan_insertions([phantom], WIDE_ROBOT, WIDE_ARCH, noise, slot_streams))
             except NoFeasiblePath:
                 continue
-            slots.append((phantom, target.id, slot_streams[0]))
+            slots.append((phantom, slot_streams))
     return slots, alone
 
 
 def plan_slots(slots, noise):
     """The tracked plans of ``slots`` as one block, under the wide arch."""
-    phantoms, target_ids, block_streams = (list(column) for column in zip(*slots))
-    return plan_insertions(phantoms, WIDE_ROBOT, WIDE_ARCH, noise, target_ids, block_streams)
+    phantoms, each = (list(column) for column in zip(*slots))
+    return plan_insertions(phantoms, WIDE_ROBOT, WIDE_ARCH, noise, Streams.concat(each))
 
 
 def test_a_blocks_plans_are_those_of_its_slots_planned_alone():
@@ -713,13 +709,11 @@ def test_a_collinear_reference_volume_anywhere_in_a_block_raises():
     # noiseless, the reference volume is the fiducials, here all on one line
     line = np.linspace(-8.0, 8.0, len(p.fiducial_points))[:, None] * np.array([[1.0, 0.5, 0.2]])
     flat = replace(p, fiducial_points=line)
-    phantoms, tids = [p, p, flat, p], [t.id] * 4
+    phantoms, block_streams = [p, p, flat, p], Streams.concat([streams(t.id)] * 4)
     with pytest.raises(DegenerateConfiguration, match="collinear"):
-        plan_insertions(phantoms, GEOM, far_arch(), quiet_noise(), tids, [streams(tid) for tid in tids])
+        plan_insertions(phantoms, GEOM, far_arch(), quiet_noise(), block_streams)
     # an untracked plan prepares no registration reference, so nothing checks it
-    plans = plan_insertions(
-        phantoms, GEOM, far_arch(), quiet_noise(), tids, [streams(tid) for tid in tids], track=False
-    )
+    plans = plan_insertions(phantoms, GEOM, far_arch(), quiet_noise(), block_streams, track=False)
     assert len(plans) == 4 and plans.reference is None
 
 

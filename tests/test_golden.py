@@ -3,17 +3,27 @@
 Given a config and seed the report bytes are fixed; a refactor must leave
 these digests alone.  A deliberate change to the output bytes updates the
 digests here and names the change in CHANGES.md.
+
+The pins were made with the versions of ``PINNED_WITH``.  Another numpy can
+give other last bits (its LAPACK and ufunc loops), and another PyYAML other
+YAML text, so a pin that fails names the versions running.  CI installs
+these versions through ``.github/constraints.txt``.
 """
 
 import hashlib
 import os
+import sys
 
 import numpy as np
+import yaml
 
 from conftest import tiny_config
 from prostasim import calibrate as cal
 from prostasim.config import default_config
 from prostasim.study import run_study, write_report
+
+# the versions every pin below was made with
+PINNED_WITH = {"python": "3.11", "numpy": "2.4.6", "PyYAML": "6.0.3"}
 
 DEFAULT_STUDY = {
     "records_closed.csv": "ffa177b43d89a9c87b8c042a30fee101b0fd249908ec023c6b080f64c00e2088",
@@ -68,6 +78,11 @@ CALIBRATE_SMALL_MEDIANS = {
 CALIBRATE_DEFAULT_YAML = "5ae3f32bc7e0c8c49f50fb07eb871ca5327454ed9892eb60062ccc8e433f7507"
 
 
+def assert_pinned(got, pinned):
+    running = {"python": "%d.%d" % sys.version_info[:2], "numpy": np.__version__, "PyYAML": yaml.__version__}
+    assert got == pinned, f"pinned with {PINNED_WITH}, running {running}"
+
+
 def _digests(report, out_dir):
     paths = write_report(report, str(out_dir))
     return {
@@ -76,18 +91,18 @@ def _digests(report, out_dir):
 
 
 def test_default_study_bytes(tmp_path):
-    assert _digests(run_study(default_config()), tmp_path) == DEFAULT_STUDY
+    assert_pinned(_digests(run_study(default_config()), tmp_path), DEFAULT_STUDY)
 
 
 def test_default_closed_only_study_bytes(tmp_path):
     cfg = default_config()
     cfg.mode = "closed_loop"
-    assert _digests(run_study(cfg), tmp_path) == DEFAULT_CLOSED_ONLY
+    assert_pinned(_digests(run_study(cfg), tmp_path), DEFAULT_CLOSED_ONLY)
     assert DEFAULT_CLOSED_ONLY["records_closed.csv"] == DEFAULT_STUDY["records_closed.csv"]
 
 
 def test_open_loop_variant_bytes(tmp_path):
-    assert _digests(run_study(tiny_config(mode="open_loop")), tmp_path) == TINY_OPEN_LOOP
+    assert_pinned(_digests(run_study(tiny_config(mode="open_loop")), tmp_path), TINY_OPEN_LOOP)
 
 
 def test_left_bias_angled_variant_bytes(tmp_path):
@@ -100,7 +115,7 @@ def test_left_bias_angled_variant_bytes(tmp_path):
     cfg.robot.max_angulation = 22.0
     report = run_study(cfg)
     assert (report.rows_closed.approach == "Angled").any()
-    assert _digests(report, tmp_path) == TINY_ANGLED
+    assert_pinned(_digests(report, tmp_path), TINY_ANGLED)
 
 
 def test_plan_heavy_study_bytes(tmp_path):
@@ -114,16 +129,16 @@ def test_plan_heavy_study_bytes(tmp_path):
     cfg.zone_quotas = {k: v * 4 for k, v in cfg.zone_quotas.items()}
     report = run_study(cfg)
     assert np.count_nonzero(report.rows_open.approach == "Angled") > 500
-    assert _digests(report, tmp_path) == PLAN_HEAVY
+    assert_pinned(_digests(report, tmp_path), PLAN_HEAVY)
 
 
 def test_small_calibration_is_pinned():
     base = default_config()
     result = cal.calibrate(base, replicates=1, grid_points=2)
     text = cal.fitted_config_yaml(base, result, replicates=1, grid_points=2)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CALIBRATE_SMALL_YAML
-    assert result.objective == CALIBRATE_SMALL_OBJECTIVE
-    assert result.medians == CALIBRATE_SMALL_MEDIANS
+    assert_pinned(hashlib.sha256(text.encode("utf-8")).hexdigest(), CALIBRATE_SMALL_YAML)
+    assert_pinned(result.objective, CALIBRATE_SMALL_OBJECTIVE)
+    assert_pinned(result.medians, CALIBRATE_SMALL_MEDIANS)
 
 
 def test_default_calibration_is_pinned():
@@ -131,4 +146,4 @@ def test_default_calibration_is_pinned():
     base = default_config()
     result = cal.calibrate(base)
     text = cal.fitted_config_yaml(base, result, replicates=4, grid_points=3)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CALIBRATE_DEFAULT_YAML
+    assert_pinned(hashlib.sha256(text.encode("utf-8")).hexdigest(), CALIBRATE_DEFAULT_YAML)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import candidate_entries_oracle, replan_angled_oracle, segment_distance_oracle
 from prostasim import planning
-from prostasim.config import DEFAULT_ARCH_CAPSULES
-from prostasim.geometry import Segment
+from prostasim.config import DEFAULT_ARCH_CAPSULES, default_config
 from prostasim.kinematics import RobotGeometry, Trajectory, inverse_kinematics
 from prostasim.planning import (
     DEFAULT_NEEDLE_RADIUS,
@@ -20,6 +20,7 @@ from prostasim.planning import (
     clearance_grid,
     collision_check,
     first_blocked_depth,
+    plan_trajectories,
     replan_angled,
 )
 
@@ -30,7 +31,13 @@ def geom():
 
 
 def capsule(a, b, r):
-    return (Segment(np.array(a, dtype=float), np.array(b, dtype=float)), r)
+    return a, b, r
+
+
+def arch_of(capsules, enabled=True):
+    """The arch of a list of capsules (a, b, radius)."""
+    a, b, radius = zip(*capsules) if capsules else ((), (), ())
+    return PubicArchModel(a, b, radius, enabled=enabled)
 
 
 def clearance(arch, traj, needle_radius=DEFAULT_NEEDLE_RADIUS):
@@ -47,19 +54,19 @@ def straight_traj(target, geom, depth=None):
 
 
 def test_disabled_arch_never_blocks(geom):
-    arch = PubicArchModel([capsule([0, 0, -30], [0, 0, -30], 50.0)], enabled=False)
+    arch = arch_of([capsule([0, 0, -30], [0, 0, -30], 50.0)], enabled=False)
     assert clearance(arch, straight_traj([0, 0, 10], geom)) == math.inf
 
 
 def test_clearance_analytic_value(geom):
     # axial shaft at x=0; capsule axis parallel to it at x=10, radius 2
-    arch = PubicArchModel([capsule([10, 0, -40], [10, 0, 0], 2.0)])
+    arch = arch_of([capsule([10, 0, -40], [10, 0, 0], 2.0)])
     got = clearance(arch, straight_traj([0, 0, 10], geom), needle_radius=0.5)
     assert got == pytest.approx(10.0 - 2.0 - 0.5)
 
 
 def test_collision_reports_blocking_capsule(geom):
-    arch = PubicArchModel(
+    arch = arch_of(
         [
             capsule([50, 0, -30], [60, 0, -30], 2.0),  # far away
             capsule([-5, 0, -30], [5, 0, -30], 3.0),  # crosses the path
@@ -68,13 +75,13 @@ def test_collision_reports_blocking_capsule(geom):
     traj = straight_traj([0, 0, 10], geom)
     assert clearance(arch, traj) < 0
     # the capsule crossing the path is the one that blocks it
-    assert clearance(PubicArchModel(arch.arch_segments[:1]), traj) > 0
+    assert clearance(PubicArchModel(arch.a[:1], arch.b[:1], arch.radius[:1]), traj) > 0
 
 
 def test_invalid_radii_rejected(geom):
     with pytest.raises(ValueError):
-        PubicArchModel([capsule([0, 0, 0], [1, 0, 0], 0.0)])
-    arch = PubicArchModel([capsule([0, 0, 0], [1, 0, 0], 1.0)])
+        arch_of([capsule([0, 0, 0], [1, 0, 0], 0.0)])
+    arch = arch_of([capsule([0, 0, 0], [1, 0, 0], 1.0)])
     with pytest.raises(ValueError):
         clearance(arch, straight_traj([0, 0, 10], RobotGeometry()), needle_radius=0.0)
 
@@ -82,7 +89,7 @@ def test_invalid_radii_rejected(geom):
 def test_first_blocked_depth_analytic(geom):
     # point capsule on the axis at z=-30: tip touches when it comes within
     # radius + needle_radius, i.e. 60 - 30 - 5.635 = 24.365 mm deep
-    arch = PubicArchModel([capsule([0, 0, -30], [0, 0, -30], 5.0)])
+    arch = arch_of([capsule([0, 0, -30], [0, 0, -30], 5.0)])
     depth = first_blocked_depth(arch, [0, 0, -60], [0, 0, 1], 60.0, needle_radius=0.635)
     assert depth == pytest.approx(24.4, abs=0.11)
     assert first_blocked_depth(arch, [30, 0, -60], [0, 0, 1], 60.0) is None
@@ -171,10 +178,77 @@ def test_candidate_entries_rejects_target_behind_plane(geom):
     assert exc.value.best_clearance == -math.inf
 
 
+@pytest.mark.parametrize("z", [-70.0, -60.0])
+def test_a_target_on_or_behind_the_entry_plane_gets_no_path(z):
+    # the default arch and robot, whose entry plane is z = -60: a direct path
+    # would run backward (z = -70) or have no length (z = -60), so the target
+    # goes to the grid search, which finds no entry for it and names it
+    cfg = default_config()
+    assert cfg.robot.front_plane_z == -60.0
+    targets = [[0.0, 0.0, 10.0], [0.0, 0.0, z]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoFeasiblePath, match="no candidate entry within") as exc:
+            plan_trajectories(cfg.arch.build(), targets, EntryRegion(), cfg.robot)
+    assert exc.value.best_clearance == -math.inf
+    assert exc.value.target.tolist() == targets[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    separation=st.floats(40.0, 200.0),
+    travel=st.floats(4.0, 60.0),
+    angulation=st.floats(0.02, 1.0),
+    front=st.floats(-100.0, -40.0),
+    radius=st.floats(2.0, 14.0),
+    enabled=st.booleans(),
+    region=st.tuples(
+        st.floats(-40.0, -0.5), st.floats(0.5, 40.0), st.floats(-40.0, -0.5), st.floats(0.5, 40.0)
+    ),
+    targets=st.lists(
+        st.tuples(
+            st.floats(-45.0, 45.0), st.floats(-45.0, 45.0),
+            st.one_of(st.floats(1e-6, 3.0), st.floats(3.0, 160.0)),
+        ),
+        min_size=1, max_size=6,
+    ),
+)
+# a target a hair in front of the plane, beside a deep one far off axis
+@example(
+    separation=100.0, travel=40.0, angulation=0.5, front=-60.0, radius=8.0, enabled=True,
+    region=(-30.0, 30.0, -30.0, 30.0), targets=[(3.0, 20.0, 1e-6), (-29.0, 28.0, 150.0)],
+)
+def test_every_planned_trajectory_is_within_reach(
+    separation, travel, angulation, front, radius, enabled, region, targets
+):
+    # the planner keeps every entry within stage travel and angulation, so
+    # the stages realize each line it returns (a target it finds no path
+    # for raises, and is left out of the block)
+    reachable = math.degrees(math.atan(2.0 * travel / separation))
+    geom = RobotGeometry(
+        stage_separation=separation, stage_travel=travel, max_angulation=angulation * reachable,
+        front_plane_z=front,
+    )
+    geom.validate()
+    arch, region = default_arch(radius, enabled), EntryRegion(*region)
+    # each target's depth is in front of the entry plane
+    feasible = []
+    for x, y, depth in targets:
+        target = [x, y, front + depth]
+        try:
+            plan_trajectories(arch, [target], region, geom)
+        except NoFeasiblePath:
+            continue
+        feasible.append(target)
+    plans = plan_trajectories(arch, np.array(feasible).reshape(-1, 3), region, geom)
+    assert len(plans) == len(feasible)
+    inverse_kinematics(geom, plans.entry, plans.dir)
+
+
 def test_replan_unblocked_is_horizontal(geom):
-    arch = PubicArchModel([capsule([0, 50, -32], [30, 50, -32], 4.0)])  # far above
+    arch = arch_of([capsule([0, 50, -32], [30, 50, -32], 4.0)])  # far above
     target = np.array([4.0, 2.0, 8.0])
-    (traj,) = replan_angled(arch, [target], EntryRegion(), geom)
+    traj = replan_angled(arch, [target], EntryRegion(), geom).rows(0)
     assert traj.approach == "Horizontal"
     np.testing.assert_allclose(traj.entry, [4.0, 2.0, geom.front_plane_z])
     np.testing.assert_allclose(traj.dir, [0, 0, 1], atol=1e-12)
@@ -184,7 +258,7 @@ def test_replan_unblocked_is_horizontal(geom):
 def blocked_scene(geom):
     """A bar crossing directly in front of an anterior target."""
     target = np.array([0.0, 14.0, 5.0])
-    arch = PubicArchModel([capsule([-40, 14, -35], [40, 14, -35], 4.0)])
+    arch = arch_of([capsule([-40, 14, -35], [40, 14, -35], 4.0)])
     return arch, target
 
 
@@ -192,7 +266,7 @@ def test_replan_blocked_goes_angled(geom):
     arch, target = blocked_scene(geom)
     direct = straight_traj(target, geom)
     assert clearance(arch, direct) < 0
-    (traj,) = replan_angled(arch, [target], EntryRegion(), geom)
+    traj = replan_angled(arch, [target], EntryRegion(), geom).rows(0)
     assert traj.approach == "Angled"
     # the chosen trajectory clears the arch
     assert clearance(arch, traj) > 0
@@ -205,7 +279,7 @@ def test_replan_blocked_goes_angled(geom):
 
 def test_replan_picks_smallest_angle_bin(geom):
     arch, target = blocked_scene(geom)
-    (traj,) = replan_angled(arch, [target], EntryRegion(), geom)
+    traj = replan_angled(arch, [target], EntryRegion(), geom).rows(0)
     chosen_angle = math.degrees(math.acos(min(1.0, traj.dir[2])))
     chosen_bin = round(chosen_angle / 1.0)
     # exhaustive check: no collision-free candidate in a smaller bin
@@ -220,7 +294,7 @@ def test_replan_picks_smallest_angle_bin(geom):
 
 
 def test_replan_wall_raises_no_feasible_path(geom):
-    arch = PubicArchModel([capsule([-60, 0, -30], [60, 0, -30], 30.0)])
+    arch = arch_of([capsule([-60, 0, -30], [60, 0, -30], 30.0)])
     target = np.array([0.0, 0.0, 10.0])
     with pytest.raises(NoFeasiblePath) as exc:
         replan_angled(arch, [target], EntryRegion(), geom)
@@ -235,9 +309,9 @@ def test_replan_keeps_the_direct_path_within_stage_travel():
     # the direct entry at x = 17.3 is beyond the stages' +/-12 mm travel
     geom = RobotGeometry(stage_travel=12.0, max_angulation=13.0)
     geom.validate()
-    arch = PubicArchModel([], enabled=False)
+    arch = arch_of([], enabled=False)
     target = np.array([17.3, 2.0, 5.0])
-    (traj,) = replan_angled(arch, [target], EntryRegion(), geom)
+    traj = replan_angled(arch, [target], EntryRegion(), geom).rows(0)
     assert traj.approach == "Angled"
     assert abs(traj.entry[0]) <= geom.stage_travel
     inverse_kinematics(geom, [traj.entry], [traj.dir])  # within every joint limit
@@ -246,7 +320,7 @@ def test_replan_keeps_the_direct_path_within_stage_travel():
 def test_replan_with_no_entry_in_reach_says_so():
     geom = RobotGeometry(stage_travel=8.0, max_angulation=5.0)
     geom.validate()
-    arch = PubicArchModel([capsule([0, 50, -32], [30, 50, -32], 4.0)])
+    arch = arch_of([capsule([0, 50, -32], [30, 50, -32], 4.0)])
     target = np.array([15.0, 0.0, 5.0])
     with pytest.raises(NoFeasiblePath, match="no candidate entry within") as exc:
         replan_angled(arch, [target], EntryRegion(), geom)
@@ -254,7 +328,7 @@ def test_replan_with_no_entry_in_reach_says_so():
     assert "for the target at (15.000, 0.000, 5.000) mm" in str(exc.value)
 
 def test_clearance_monotone_in_needle_radius(geom):
-    arch = PubicArchModel([capsule([10, 0, -40], [10, 0, 0], 2.0)])
+    arch = arch_of([capsule([10, 0, -40], [10, 0, 0], 2.0)])
     traj = straight_traj([0, 0, 10], geom)
     radii = [0.2, 0.5, 1.0, 2.0]
     values = [clearance(arch, traj, r) for r in radii]
@@ -265,7 +339,7 @@ def test_depth_margin_extends_shaft(geom):
     # capsule sits past the target but within the overshoot margin
     target = np.array([0.0, 0.0, 0.0])
     beyond = target[2] + DEPTH_MARGIN - 1.0
-    arch = PubicArchModel([capsule([-5, 0, beyond], [5, 0, beyond], 1.0)])
+    arch = arch_of([capsule([-5, 0, beyond], [5, 0, beyond], 1.0)])
     assert clearance(arch, straight_traj(target, geom)) < 0
 
 
@@ -314,9 +388,7 @@ def test_clearance_grid_matches_scalar_path(rng, geom, monkeypatch):
 
 
 def default_arch(radius, enabled=True):
-    return PubicArchModel(
-        [capsule(c["a"], c["b"], radius) for c in DEFAULT_ARCH_CAPSULES], enabled=enabled
-    )
+    return arch_of([capsule(c["a"], c["b"], radius) for c in DEFAULT_ARCH_CAPSULES], enabled=enabled)
 
 
 def assert_block_matches_each_target_alone(arch, targets, region, geom):
@@ -338,7 +410,7 @@ def assert_block_matches_each_target_alone(arch, targets, region, geom):
         return
     got = replan_angled(arch, targets, region, geom)
     assert len(got) == len(targets)
-    for a, b in zip(alone, got):
+    for a, b in zip(alone, map(got.rows, range(len(got)))):
         np.testing.assert_array_equal(b.entry, a.entry)
         np.testing.assert_array_equal(b.dir, a.dir)
         assert b.planned_depth == a.planned_depth
@@ -410,7 +482,8 @@ def test_the_search_checks_bins_in_rounds_up_to_the_winning_one(monkeypatch):
     targets = np.array([(2.0, -3.0, 10.0), LAST_ROUND])
     _, angles, owner = candidate_entries(targets, region, geom)
     bins = np.round(angles)
-    (near, far) = replan_angled(arch, targets, region, geom)
+    plans = replan_angled(arch, targets, region, geom)
+    near, far = plans.rows(0), plans.rows(1)
     far_bin = round(math.degrees(math.acos(far.dir[2])))
     assert near.approach == "Horizontal" and far_bin > 16
     # the first target is clear in bin 0 and leaves after round one; the

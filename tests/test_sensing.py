@@ -143,7 +143,7 @@ def test_observation_stream_replays(phantom):
     n = len(phantom.fiducial_points)
 
     def first_volume():
-        (streams,) = draw_insertions(7, [(1, 2, 3)], [0], n, 2)
+        streams = draw_insertions(7, [(1, 2, 3)], [0], n, 2).rows(0)
         return observe([phantom], np.eye(3)[None], np.zeros((1, 3)), noise,
                        streams.observation_normals[None, 0], [0])[0]
 
