@@ -20,7 +20,7 @@ import yaml
 from . import rng
 from .controller import ConvergenceParams
 from .kinematics import RobotGeometry
-from .phantom import MotionParams
+from .phantom import MotionParams, phantom_quota_split
 from .planning import EntryRegion, PubicArchModel
 from .sensing import NoiseModel
 
@@ -114,6 +114,8 @@ class StudyConfig:
                 "zone_quotas." + "+".join(keys),
                 f"sum {got} must equal n_phantoms*targets_per_phantom = {total}",
             )
+        # and each phantom's share of them must fit its targets
+        _wrap("zone_quotas", lambda: phantom_quota_split(self.zone_quotas, self.n_phantoms, self.targets_per_phantom))
         _check(min(self.phantom.gland_semiaxes) > 0, "phantom.gland_semiaxes", "must be positive")
         _check(0 < self.phantom.target_margin <= 1, "phantom.target_margin", "must be in (0, 1]")
         _check(self.phantom.min_target_spacing >= 0, "phantom.min_target_spacing", "must be >= 0")

@@ -9,7 +9,9 @@ scored in the material (rest) frame, the analog of a post-procedure CT.
 
 An insertion is three steps, the first and last taken by a block of
 insertions together.  A block's random streams are one ``rng.Streams``,
-a column per draw and a row per slot, and every step reads its columns.
+a column per draw and a row per slot, and every step reads its columns;
+slot k's phantom is row ``streams.phantom[k]`` of the study's
+``phantom.Phantoms``, a row per phantom, which every step is given.
 ``plan_insertions`` is the motion-free half, in arrays over the block:
 one stacked observation and collinearity check of the reference volumes,
 the observed targets, the trajectories (one ``kinematics.Trajectory``:
@@ -24,9 +26,8 @@ gland centroid and the rotation axis's Rodrigues matrices, none of which
 reads a motion parameter.  It returns one ``Plans``, a column per
 quantity and a row per slot.  ``open_loop_insertion`` scales one
 insertion's motion normals (its row of the streams) into its motion
-noise and evaluates only the motion terms of the gland transform at the
-pass depth (drag, rotation angle, the rotation about the pivot) from its
-row's lever;
+noise and evaluates only the motion terms of the gland transform (drag,
+rotation angle, the rotation about the pivot) from its row's lever;
 ``open_loop_records`` scores a block of them.  ``correct_insertions``
 runs the closed loop of a block together, each step one stacked
 ``sensing`` call per kernel over the insertions still correcting,
@@ -44,10 +45,11 @@ records are the same row of the two.
 
 Per-insertion invariants are computed once: the reference volume is
 prepared for registration once, the gland entry depth and the lever are
-computed once, in the plans, and the gland transform, which depends on
-the tip only through whether it is past the gland entry depth (the
-motion model reads penetration from the fixed pass depth), is evaluated
-at most once for each side of that depth.  The planner returns only
+computed once, in the plans, and the gland transform once, by the first
+pass.  The motion model reads penetration from the fixed pass depth, so
+a tip past the gland entry depth sees that transform wherever it is and
+a tip short of it the gland at rest: both loops pick one of the two per
+row with the mask ``depth > entry_depth``.  The planner returns only
 trajectories clear of the arch, so the needle never stops short: the
 records' ``disengaged`` column is always 0.  The paired comparison of a
 slot's closed and open-loop records quantifies what the loop buys.
@@ -64,7 +66,7 @@ from .phantom import (
     LEFT,
     GlandLevers,
     MotionParams,
-    ProstatePhantom,
+    Phantoms,
     gland_entry_depth,
     gland_levers,
     penetration,
@@ -92,11 +94,12 @@ class ConvergenceParams:
 class InsertionRecord:
     """One insertion's first pass, unscored: ``open_loop_records`` scores a block of them.
 
-    The gland transform the bead is left in at the pass depth, the frozen
-    motion noise, which every later transform includes, and the motion
-    parameters of the pass; the closed loop starts from all three.  A first
-    pass corrects nothing and never stops short: the last three fields are
-    constant Python scalars.
+    The gland transform of a tip past the gland entry depth, which the
+    first pass makes whichever side of that depth its tip stops, the frozen
+    motion noise, which it includes, and the motion parameters of the pass;
+    the closed loop starts from all three.  A first pass corrects nothing
+    and never stops short: the last three fields are constant Python
+    scalars.
     """
 
     gland_transform: geometry.RigidTransform
@@ -186,7 +189,7 @@ def _records(plans: Plans, streams: Streams, **columns) -> Records:
 
 
 def plan_insertions(
-    phantoms: list[ProstatePhantom],
+    phantoms: Phantoms,
     geom: kinematics.RobotGeometry,
     arch: PubicArchModel,
     noise: NoiseModel,
@@ -197,8 +200,9 @@ def plan_insertions(
 ) -> Plans:
     """Observe a block of insertions at rest, plan each trajectory and make each first pass.
 
-    Slot k plans target ``streams.target[k]`` of ``phantoms[k]`` from its
-    row of ``streams.reference_normals`` (the reference volume's N x 3, then
+    Slot k plans target ``streams.target[k]`` of phantom
+    ``streams.phantom[k]``, a row of the study's ``phantoms``, from its row
+    of ``streams.reference_normals`` (the reference volume's N x 3, then
     the observed target's 3) and gets the row it would get alone.  Only a
     ``track`` block can drive the closed loop; an untracked block skips the
     registration reference and serves ``open_loop_insertion``.  Raises
@@ -207,16 +211,17 @@ def plan_insertions(
     trajectory clears the arch.
     """
     region = entry_region if entry_region is not None else EntryRegion()
-    n = len(phantoms)
+    n = len(streams)
+    block = phantoms.rows(streams.phantom)
     normals, counts = streams.reference_normals, streams.needle_count
     volume = normals[:, :-3].reshape(n, -1, 3)
     rest = np.broadcast_to(np.eye(3), (n, 3, 3))
-    ref_obs = sensing.observe(phantoms, rest, np.zeros((n, 3)), noise, volume, counts)
+    ref_obs = sensing.observe(block, rest, np.zeros((n, 3)), noise, volume, counts)
     reference = geometry.prepare_reference(ref_obs) if track else None
-    targets = [phantom.target_by_id(tid) for phantom, tid in zip(phantoms, streams.target.tolist())]
-    target_rest = np.array([target.position_rest for target in targets])
+    target = (streams.phantom, streams.target)
+    target_rest = phantoms.target_rest[target]
     # the observed target takes the 3 normals after the reference volume's
-    targets_obs = sensing.observe_point(phantoms, target_rest, noise, normals[:, -3:], counts)
+    targets_obs = sensing.observe_point(block, target_rest, noise, normals[:, -3:], counts)
     trajs = planning.plan_trajectories(arch, targets_obs, region, geom, needle_radius)
     entries, dirs, depths = trajs.entry, trajs.dir, trajs.planned_depth
     _, angles, durations = kinematics.advance_insertion(geom, np.zeros(n), np.zeros(n), depths)
@@ -224,23 +229,22 @@ def plan_insertions(
     # the gland transform along the normalized one: both in one call
     units = geometry.normalize(dirs)
     entry = gland_entry_depth(
-        phantoms + phantoms, np.concatenate([entries, entries]), np.concatenate([dirs, units])
+        Phantoms.concat([block, block]), np.concatenate([entries, entries]), np.concatenate([dirs, units])
     )
-    zones = [(t.zone.depth_zone, t.zone.lateral_zone, t.zone.ap_zone) for t in targets]
     return Plans(
-        target_rest, *map(np.array, zip(*zones)), targets_obs, entries, dirs, depths,
-        trajs.approach, angles, durations, penetration(entry[:n], depths),
-        gland_levers(phantoms, entries, units, entry[n:], depths), reference,
+        target_rest, phantoms.zone_depth[target], phantoms.zone_lateral[target], phantoms.zone_ap[target],
+        targets_obs, entries, dirs, depths, trajs.approach, angles, durations, penetration(entry[:n], depths),
+        gland_levers(block, entries, units, entry[n:], depths), reference,
     )
 
 
-def _deposit(phantoms, plans: Plans, tips_world, rotations, translations):
+def _deposit(phantoms: Phantoms, streams: Streams, plans: Plans, tips_world, rotations, translations):
     """The errors (K,) of beads deposited at the tips (K, 3) in their gland transforms, in the rest frame.
 
     A left-zone bead of a phantom with a left bias is deflected by it along
     -x before it is mapped to the rest frame.
     """
-    bias = np.where(plans.zone_lateral == LEFT, [p.left_bias for p in phantoms], 0.0)
+    bias = np.where(plans.zone_lateral == LEFT, phantoms.left_bias[streams.phantom], 0.0)
     bead_world = tips_world.copy()
     bead_world[:, 0] -= bias
     miss = world_to_material(rotations, translations, bead_world) - plans.target_rest
@@ -257,43 +261,50 @@ def _residual_motion(baselines, moved_targets, plans: Plans):
 
 
 def open_loop_insertion(motion: MotionParams, plans: Plans, k: int, streams: Streams) -> InsertionRecord:
-    """The first pass of row k of ``plans``: the gland transform the bead is left in.
+    """The first pass of row k of ``plans``: the gland transform of a tip past the gland entry depth.
 
     Scales the insertion's motion normals (``streams``, the values of row
     k's streams, as ``Streams.rows(k)`` gives them) into its
     frozen motion noise and evaluates the motion terms of the gland
-    transform on the row's lever at its pass depth.  ``open_loop_records``
-    scores a block of them, and the closed loop (``correct_insertions``)
-    starts from them.
+    transform on the row's lever, whichever side of the entry depth its
+    pass depth is.  ``open_loop_records`` scores a block of them, and the
+    closed loop (``correct_insertions``) starts from them.
     """
     # frozen per-insertion motion noise: every gland transform sees it
     sd = motion.noise_sd_motion
     motion_noise = 0.0 + sd * streams.motion_normals if sd > 0 else np.zeros(3)
-    transform = prostate_transform(plans.levers, k, motion, plans.depth[k], motion_noise)
-    return InsertionRecord(transform, motion_noise, motion)
+    return InsertionRecord(prostate_transform(plans.levers, k, motion, motion_noise), motion_noise, motion)
 
 
 def _transforms(baselines):
-    """The rotations (K, 3, 3) and translations (K, 3) of the first passes' gland transforms."""
+    """The rotations (K, 3, 3) and translations (K, 3) of the first passes' moved gland transforms."""
     return (np.array([base.gland_transform.rotation for base in baselines]),
             np.array([base.gland_transform.translation for base in baselines]))
 
 
+def _gland_states(inside, rotations, translations):
+    """Each row's gland transform: the moved one (``rotations[k]``, ``translations[k]``)
+    where its tip is past the gland entry depth (``inside[k]``), the identity elsewhere."""
+    return np.where(inside[:, None, None], rotations, np.eye(3)), np.where(inside[:, None], translations, 0.0)
+
+
 def open_loop_records(
-    phantoms: list[ProstatePhantom], plans: Plans, streams: Streams, baselines: list[InsertionRecord],
+    phantoms: Phantoms, plans: Plans, streams: Streams, baselines: list[InsertionRecord],
 ) -> Records:
     """A block's open-loop records, scored in arrays: row k is the first pass ``baselines[k]`` of plan row k.
 
-    Slot k's bead is left at the pass depth in its first pass's gland
-    transform and scored in ``phantoms[k]``'s rest frame; the observed
-    target moved by that transform gives the depth correction and motion
-    columns.  Each row has the bits of scoring its slot alone.
+    Slot k's bead is left at the pass depth, in its first pass's gland
+    transform if that depth is past the gland entry depth and in the gland
+    at rest if not, and scored in the rest frame of its phantom, row
+    ``streams.phantom[k]`` of ``phantoms``; the observed target moved by
+    that transform gives the depth correction and motion columns.  Each row
+    has the bits of scoring its slot alone.
     """
     n = len(plans)
-    rot, trans = _transforms(baselines)
+    rot, trans = _gland_states(plans.depth > plans.levers.entry_depth, *_transforms(baselines))
     # the observed targets where the first passes' gland transforms moved them
     moved = sensing.track_target(rot, trans, plans.target_obs)
-    error = _deposit(phantoms, plans, plans.entry + plans.depth[:, None] * plans.dir, rot, trans)
+    error = _deposit(phantoms, streams, plans, plans.entry + plans.depth[:, None] * plans.dir, rot, trans)
     return _records(
         plans, streams, n_corrections=np.zeros(n, dtype=np.int64),
         depth_correction_mm=geometry.row_dot(moved - plans.entry, plans.dir) - plans.depth, error_mm=error,
@@ -303,7 +314,7 @@ def open_loop_records(
 
 
 def correct_insertions(
-    phantoms: list[ProstatePhantom],
+    phantoms: Phantoms,
     noise: NoiseModel,
     geom: kinematics.RobotGeometry,
     conv: ConvergenceParams,
@@ -313,12 +324,12 @@ def correct_insertions(
 ) -> Records:
     """Run the closed loop of a block of insertions together.
 
-    Slot k is insertion k: ``phantoms[k]``, row k of the tracked ``plans``
-    and of ``streams``, and its first pass ``baselines[k]``, whose gland
-    transform is the slot's first verification state and whose motion
-    noise and motion every later transform reuses (the rows may differ in
-    motion, not in noise).  Each step observes, registers,
-    tracks and decides for every slot still correcting, as one stacked
+    Slot k is insertion k: row k of the tracked ``plans`` and of
+    ``streams``, its phantom (row ``streams.phantom[k]`` of ``phantoms``)
+    and its first pass ``baselines[k]``.  A tip past the gland entry depth
+    sees the first pass's gland transform, a tip short of it the gland at
+    rest; the rows may differ in motion, not in noise.  Each step observes,
+    registers, tracks and decides for every slot still correcting, as one stacked
     call per kernel; a slot leaves the loop when its proposed change drops
     below ``depth_epsilon`` or its budget runs out.  Row k of the returned
     records is slot k, the record it would get alone; its open-loop record
@@ -341,10 +352,7 @@ def correct_insertions(
     # depends on the tip only through "is it past the gland entry depth"
     # (NaN where the line misses the gland: never past it)
     entry_depth = plans.levers.entry_depth
-    inside = plans.depth > entry_depth
-    # each slot's gland transform on each side of its entry depth, made on first need
-    transforms = [{bool(side): base.gland_transform} for side, base in zip(inside, baselines)]
-    rot, trans = _transforms(baselines)
+    moved_rot, moved_trans = _transforms(baselines)
 
     tip = plans.depth.copy()  # corrections move the tip; the pass depth stays
     applied = np.zeros(len(plans))
@@ -356,8 +364,9 @@ def correct_insertions(
     active = np.arange(len(plans))
 
     for step in range(conv.max_corrections + 1):
+        rot, trans = _gland_states(tip[active] > entry_depth[active], moved_rot[active], moved_trans[active])
         obs = sensing.observe(
-            [phantoms[k] for k in active], rot[active], trans[active], noise,
+            phantoms.rows(streams.phantom[active]), rot, trans, noise,
             streams.observation_normals[active, step], streams.needle_count[active],
         )
         reg_rot, reg_trans, rms[active] = sensing.rigid_register(plans.reference.rows(active), obs)
@@ -379,18 +388,13 @@ def correct_insertions(
         applied[active] += delta
         # corrections move without rotating, so only the time adds up
         duration[active] += kinematics.insertion_duration(geom, delta)
-        now = tip[active] > entry_depth[active]
-        for k in active[now != inside[active]]:
-            inside[k] = side = not inside[k]
-            if side not in transforms[k]:
-                transforms[k][side] = prostate_transform(
-                    plans.levers, k, baselines[k].motion, tip[k], baselines[k].motion_noise
-                )
-            rot[k], trans[k] = transforms[k][side].rotation, transforms[k][side].translation
 
     # every exit leaves the tip where the last verification saw it, in the
-    # transform of its side of the entry depth, which rot and trans hold
-    error = _deposit(phantoms, plans, entries + tip[:, None] * dirs, rot, trans)
+    # transform of its side of the entry depth
+    error = _deposit(
+        phantoms, streams, plans, entries + tip[:, None] * dirs,
+        *_gland_states(tip > entry_depth, moved_rot, moved_trans),
+    )
     return _records(
         plans, streams, n_corrections=n_corrections, depth_correction_mm=applied, error_mm=error,
         motion_mm=_residual_motion(baselines, first_tracked, plans), max_corrections_exceeded=exceeded,
@@ -399,7 +403,7 @@ def correct_insertions(
 
 
 def run_insertion(
-    phantom: ProstatePhantom,
+    phantoms: Phantoms,
     motion: MotionParams,
     noise: NoiseModel,
     geom: kinematics.RobotGeometry,
@@ -409,8 +413,9 @@ def run_insertion(
 ) -> Records:
     """One closed-loop insertion from its tracked one-row ``plan`` and one-row ``streams``: the block of one.
 
+    The slot's phantom is row ``streams.phantom[0]`` of ``phantoms``.
     ``open_loop_insertion``, then ``correct_insertions`` on that slot
     alone; returns the slot's one-row records.
     """
     baseline = open_loop_insertion(motion, plan, 0, streams.rows(0))
-    return correct_insertions([phantom], noise, geom, conv, plan, streams, [baseline])
+    return correct_insertions(phantoms, noise, geom, conv, plan, streams, [baseline])

@@ -8,13 +8,15 @@ inserted: axial drag along the needle, a rotation about a fixed
 anterior-apical pivot driven by the needle's lateral offset, and a
 frozen per-insertion random translation.
 
-A phantom holds no motion parameters.  The gland transform of one
-needle line splits in two: its lever (direction, entry depth,
-penetration, lateral offset and rotation axis) reads no motion
-parameter and is made for a block of lines at once by
-``gland_levers``, as the columns of one ``GlandLevers``;
+Phantoms are the columns of one ``Phantoms``, a row per phantom (gland,
+pivot, left bias, fiducials, targets and their zones), and hold no motion
+parameters.  The gland transform of one needle line splits in two: its
+lever (direction, entry depth, penetration, lateral offset and rotation
+axis) reads no motion parameter and is made for a block of lines at once
+by ``gland_levers``, as the columns of one ``GlandLevers``;
 ``prostate_transform`` takes a row of those columns and the motion
-parameters and evaluates only the motion terms.
+parameters and evaluates only the motion terms, the transform of a tip
+past the gland entry depth.  Short of it the gland is at rest.
 """
 
 from __future__ import annotations
@@ -63,23 +65,6 @@ _FIDUCIAL_DIRS = _icosahedron_directions()
 
 
 @dataclass
-class ZoneLabels:
-    depth_zone: str
-    lateral_zone: str
-    ap_zone: str
-
-
-@dataclass
-class Target:
-    id: int
-    position_rest: np.ndarray
-    zone: ZoneLabels
-
-    def __post_init__(self):
-        self.position_rest = np.asarray(self.position_rest, dtype=np.float64).reshape(3)
-
-
-@dataclass
 class MotionParams:
     """Parameters of the gland motion model.
 
@@ -117,24 +102,25 @@ class PhantomSpec:
     index: int = 0
 
 
-@dataclass
-class ProstatePhantom:
-    gland_semiaxes: tuple[float, float, float]
-    targets: list[Target]
-    pivot: np.ndarray
-    left_bias: float
-    # (N, 3) fiducial rest positions, row i is fiducial i
-    fiducial_points: np.ndarray
+@dataclass(eq=False)
+class Phantoms(geometry.Columns):
+    """Phantoms as columns: row p is phantom p.
 
-    def __post_init__(self):
-        self.pivot = np.asarray(self.pivot, dtype=np.float64).reshape(3)
-        self.fiducial_points = np.asarray(self.fiducial_points, dtype=np.float64).reshape(-1, 3)
+    A row holds the gland's semiaxes, the pivot of its rotation, the left
+    bias that deflects its left-zone beads, its (N, 3) registration
+    fiducials, and its targets in id order: their (T, 3) rest positions and
+    (T,) zone labels.  ``generate_phantom`` makes one row; a study's
+    phantoms are their ``concat``, and a slot reads its phantom's row.
+    """
 
-    def target_by_id(self, target_id: int) -> Target:
-        for t in self.targets:
-            if t.id == target_id:
-                return t
-        raise KeyError(f"no target with id {target_id}")
+    gland_semiaxes: np.ndarray  # (P, 3)
+    pivot: np.ndarray  # (P, 3)
+    left_bias: np.ndarray  # (P,)
+    fiducial_points: np.ndarray  # (P, N, 3)
+    target_rest: np.ndarray  # (P, T, 3)
+    zone_depth: np.ndarray  # (P, T) str
+    zone_lateral: np.ndarray
+    zone_ap: np.ndarray
 
 
 def default_quotas(n_targets: int) -> dict[str, int]:
@@ -160,6 +146,28 @@ def largest_remainder(total: int, fractions) -> list[int]:
     return counts
 
 
+def phantom_quota_split(zone_quotas: dict[str, int], n_phantoms: int, per: int) -> list[dict[str, int]]:
+    """Per-phantom zone quotas from the study-level ``zone_quotas`` (a config's lower-case keys).
+
+    Each label's study count is spread across the ``n_phantoms`` phantoms
+    by largest remainder; the last label of each dimension absorbs the
+    rest so each dimension sums to ``per`` targets on every phantom.
+    Raises ValueError when that leaves a phantom a negative count.
+    """
+    even = [1.0 / n_phantoms] * n_phantoms
+    split = {key: largest_remainder(zone_quotas[key], even) for key in ("apex", "left", "center", "anterior")}
+    out = []
+    for i in range(n_phantoms):
+        apex, left, center, anterior = (split[key][i] for key in ("apex", "left", "center", "anterior"))
+        quotas = {APEX: apex, BASE: per - apex, LEFT: left, CENTER: center, RIGHT: per - left - center,
+                  ANTERIOR: anterior, POSTERIOR: per - anterior}
+        bad = [k for k, v in quotas.items() if v < 0]
+        if bad:
+            raise ValueError(f"zone quotas leave phantom {i} with negative {bad[0]} count")
+        out.append(quotas)
+    return out
+
+
 def _zone_mask(p: np.ndarray, a: float, labels: tuple[str, str, str]) -> np.ndarray:
     """Which candidates of ``p`` (M, 3) lie in the zone of ``labels``."""
     depth, lat, ap = labels
@@ -183,8 +191,8 @@ def _zone_mask(p: np.ndarray, a: float, labels: tuple[str, str, str]) -> np.ndar
     return ok
 
 
-def generate_phantom(spec: PhantomSpec, seed: int) -> ProstatePhantom:
-    """Deterministically sample a phantom from ``spec``.
+def generate_phantom(spec: PhantomSpec, seed: int) -> Phantoms:
+    """Deterministically sample a phantom from ``spec``: one row of ``Phantoms``.
 
     Targets are rejection-sampled inside the margin-scaled gland so each
     zone-label combination and the minimum pairwise spacing are honored.
@@ -216,7 +224,6 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> ProstatePhantom:
 
     semi = np.array([a, b, c]) * spec.margin
     placed = np.empty((spec.n_targets, 3))
-    targets: list[Target] = []
     # the candidates, drawn a chunk at a time in the order of one draw per
     # attempt, and which of them lie inside the gland; what one target
     # leaves over are the next one's first attempts
@@ -248,14 +255,12 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> ProstatePhantom:
                 f"{spec.min_spacing} mm after {_PLACEMENT_ATTEMPTS} attempts"
             )
         placed[i] = pos
-        targets.append(Target(i, pos, ZoneLabels(*labels)))
 
-    return ProstatePhantom(
-        gland_semiaxes=(a, b, c),
-        targets=targets,
-        pivot=np.array(spec.pivot, dtype=np.float64),
-        left_bias=spec.left_bias,
-        fiducial_points=_FIDUCIAL_DIRS * (np.array([a, b, c]) * _FIDUCIAL_SCALE),
+    return Phantoms(
+        np.array([[a, b, c]], dtype=np.float64), np.array([spec.pivot], dtype=np.float64),
+        np.array([spec.left_bias], dtype=np.float64),
+        (_FIDUCIAL_DIRS * (np.array([a, b, c]) * _FIDUCIAL_SCALE))[None], placed[None],
+        *(np.array([seq]) for seq in (depth_seq, lat_seq, ap_seq)),
     )
 
 
@@ -267,15 +272,16 @@ def _shuffled_labels(stream, counts) -> list[str]:
     return [seq[i] for i in idx]
 
 
-def gland_entry_depth(phantoms, entries, dirs) -> np.ndarray:
+def gland_entry_depth(phantoms: Phantoms, entries, dirs) -> np.ndarray:
     """Depth along each needle line where it first meets its gland's surface.
 
-    Line k runs from ``entries[k]`` along ``dirs[k]`` into ``phantoms[k]``.
+    Line k runs from ``entries[k]`` along ``dirs[k]`` into the phantom of
+    row k of ``phantoms``.
     Returns (K,) depths, 0 for an entry on or inside the surface and NaN
     where the line misses the gland or the gland lies behind the entry.
     Each row has the bits of solving its quadratic alone on Python floats.
     """
-    semi = np.array([p.gland_semiaxes for p in phantoms], dtype=np.float64)
+    semi = phantoms.gland_semiaxes
     # the gland centroid is the frame's origin
     w = np.asarray(entries, dtype=np.float64) / semi
     v = np.asarray(dirs, dtype=np.float64) / semi
@@ -317,10 +323,10 @@ class GlandLevers(geometry.Columns):
     kx2: np.ndarray
 
 
-def gland_levers(phantoms, entries, dirs, entry_depths, pass_depths) -> GlandLevers:
+def gland_levers(phantoms: Phantoms, entries, dirs, entry_depths, pass_depths) -> GlandLevers:
     """The levers of a block of needle lines, computed in arrays over the block.
 
-    Line k enters ``phantoms[k]`` at ``entries[k]`` along the unit
+    Line k enters the phantom of row k of ``phantoms`` at ``entries[k]`` along the unit
     direction ``dirs[k]``, meets its gland at ``entry_depths[k]`` along it
     (``gland_entry_depth``) and is first inserted to ``pass_depths[k]``.
     Each row has the bits the per-line formula gives alone: the stacked
@@ -342,29 +348,25 @@ def gland_levers(phantoms, entries, dirs, entry_depths, pass_depths) -> GlandLev
     kx[turns, 0, 1], kx[turns, 0, 2] = -k2, k1
     kx[turns, 1, 0], kx[turns, 1, 2] = k2, -k0
     kx[turns, 2, 0], kx[turns, 2, 1] = -k1, k0
-    pivots = np.array([phantom.pivot for phantom in phantoms])
-    return GlandLevers(dirs, entry_depths, pens, lateral, pivots, kx, kx @ kx)
+    return GlandLevers(dirs, entry_depths, pens, lateral, phantoms.pivot, kx, kx @ kx)
 
 
-def prostate_transform(
-    levers: GlandLevers, k: int, motion: MotionParams, tip_depth: float, motion_noise
-) -> geometry.RigidTransform:
-    """Rigid displacement of the gland of line k under ``motion`` with its needle tip at ``tip_depth``.
+def prostate_transform(levers: GlandLevers, k: int, motion: MotionParams, motion_noise) -> geometry.RigidTransform:
+    """Rigid displacement of the gland of line k under ``motion`` once its needle tip is in it.
 
     Row k of ``levers`` gives the needle line's motion-free terms; the
     motion parameters come from the study, so one lever serves any motion
-    model.  Identity until the tip passes the gland entry depth.
-    Afterwards: translation of ``axial_base_offset + axial_gain *
-    penetration`` along the needle direction, a rotation of
+    model.  The transform is a translation of ``axial_base_offset +
+    axial_gain * penetration`` along the needle direction, a rotation of
     ``rotation_gain * lateral_offset * penetration`` degrees about the
     pivot, and the translation ``motion_noise``: the insertion's (3,) draw
     of sd ``noise_sd_motion``, made once per insertion so that every
     evaluation during it sees the same noise.  The penetration is the
-    first pass's, so the transform depends on the tip only through which
-    side of the entry depth it is.
+    first pass's, so a tip past the gland entry depth sees this transform
+    wherever it is, and a tip short of it (or on a line that misses the
+    gland) sees the gland at rest: the identity.  The caller picks one of
+    the two by the tip's side.
     """
-    if not tip_depth > levers.entry_depth[k]:
-        return geometry.identity()
     pen = levers.penetration[k]
     drag = motion.axial_base_offset + motion.axial_gain * pen
     shift = drag * levers.dir[k] + motion_noise

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .phantom import Phantoms
 
 
 @dataclass
@@ -61,7 +62,7 @@ def _base_sd(noise: NoiseModel, needle_counts) -> np.ndarray:
 
 
 def observe(
-    phantoms,
+    phantoms: Phantoms,
     rotations: np.ndarray,
     translations: np.ndarray,
     noise: NoiseModel,
@@ -70,16 +71,15 @@ def observe(
 ) -> np.ndarray:
     """One synthetic volume for each of K insertions, stacked (K, N, 3).
 
-    Row k is every fiducial of ``phantoms[k]`` moved by the gland transform
-    (``rotations[k]``, ``translations[k]``) and perturbed, in id order, by
+    Row k is every fiducial of row k of ``phantoms`` moved by the gland
+    transform (``rotations[k]``, ``translations[k]``) and perturbed, in id order, by
     its sd times the standard normals ``normals[k]`` (N, 3): the draw of
     ``standard_normal((N, 3))``, whatever the sd.  ``needle_counts[k]`` is
     the number of needles already completed in that session and drives the
     degradation multiplier.  Each volume has the bits it would have if
     observed alone.
     """
-    points = np.array([p.fiducial_points for p in phantoms])
-    entry_plane = np.array([p.gland_semiaxes[2] for p in phantoms])
+    points, entry_plane = phantoms.fiducial_points, phantoms.gland_semiaxes[:, 2]
     base = _base_sd(noise, needle_counts)
     # the stacked matrix-vector form keeps the bits of one ``rot @ p`` per point
     world = (rotations[:, None] @ points[:, :, :, None])[..., 0] + translations[:, None]
@@ -88,10 +88,10 @@ def observe(
     return world + sigma[:, :, None] * normals
 
 
-def observe_point(phantoms, points_world: np.ndarray, noise: NoiseModel, normals: np.ndarray, needle_counts) -> np.ndarray:
+def observe_point(phantoms: Phantoms, points_world: np.ndarray, noise: NoiseModel, normals: np.ndarray, needle_counts) -> np.ndarray:
     """Noisy observations (K, 3) of one world point per insertion (e.g. the target bead), stacked.
 
-    Row k observes ``points_world[k]`` in ``phantoms[k]`` after
+    Row k observes ``points_world[k]`` in row k of ``phantoms`` after
     ``needle_counts[k]`` needles from the 3 standard normals
     ``normals[k]``: its noise is ``0.0 + sigma * normals[k]``, numpy's
     ``normal(0.0, sigma, 3)`` on those draws, bit for bit, and each row has
@@ -99,8 +99,7 @@ def observe_point(phantoms, points_world: np.ndarray, noise: NoiseModel, normals
     """
     base = _base_sd(noise, needle_counts)
     p = np.asarray(points_world, dtype=np.float64)
-    entry_plane = np.array([phantom.gland_semiaxes[2] for phantom in phantoms])
-    sigma = base + noise.depth_gain * np.maximum(0.0, p[:, 2] + entry_plane)
+    sigma = base + noise.depth_gain * np.maximum(0.0, p[:, 2] + phantoms.gland_semiaxes[:, 2])
     return p + (0.0 + sigma[:, None] * normals)
 
 

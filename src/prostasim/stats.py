@@ -102,12 +102,14 @@ def mann_whitney_u(a: Sample, b: Sample) -> tuple[float, float]:
     if np.max(pooled) == np.min(pooled):
         return u, 1.0
 
-    tie_free = np.unique(pooled).size == n
-    if tie_free and n <= EXACT_ENUMERATION_LIMIT:
+    # tie-free: every tie group of one value.  The plain np.unique would
+    # import numpy.ma; its return_counts form does not
+    ties = _tie_term(pooled)
+    if ties == 0.0 and n <= EXACT_ENUMERATION_LIMIT:
         return u, _exact_p(u, na, n)
 
     mu = na * nb / 2.0
-    sigma_sq = (na * nb / 12.0) * ((n + 1) - _tie_term(pooled) / (n * (n - 1)))
+    sigma_sq = (na * nb / 12.0) * ((n + 1) - ties / (n * (n - 1)))
     if sigma_sq <= 0:
         return u, 1.0
     z = max(0.0, abs(ua - mu) - 0.5) / math.sqrt(sigma_sq)

@@ -3,9 +3,10 @@
 A study is the cross product (phantom, target, replicate).  Every
 insertion draws from counter-based streams keyed by those indices, so
 outputs do not depend on execution order, and the closed/open pair of an
-insertion shares its streams.  ``run_points`` runs a study at several
-(motion, sigma0) points at once, as a calibration grid does, and
-``run_study`` at the config's own.
+insertion shares its streams.  The phantoms are built once, as one
+``phantom.Phantoms`` that every block reads by its slots' phantom rows.
+``run_points`` runs a study at several (motion, sigma0) points at once,
+as a calibration grid does, and ``run_study`` at the config's own.
 
 A study's records are one ``controller.Records`` per mode, a column per
 quantity with a row per insertion, joined from its blocks.  Outputs: one
@@ -43,9 +44,10 @@ from .phantom import (
     POSTERIOR,
     RIGHT,
     MotionParams,
+    Phantoms,
     PhantomSpec,
     generate_phantom,
-    largest_remainder,
+    phantom_quota_split,
 )
 from .rng import draw_insertions
 from .sensing import NoiseModel
@@ -108,47 +110,12 @@ class StudyReport:
         return summarize(self.cfg, self.rows_closed, self.rows_open)
 
 
-def phantom_quota_split(cfg: StudyConfig) -> list[dict[str, int]]:
-    """Per-phantom zone quotas from the study-level quotas.
-
-    Each label's study count is spread across phantoms by largest
-    remainder; the last label of each dimension absorbs the rest so each
-    dimension sums to targets_per_phantom on every phantom.
-    """
-    n, per = cfg.n_phantoms, cfg.targets_per_phantom
-    even = [1.0 / n] * n
-    split = {
-        key: largest_remainder(cfg.zone_quotas[key], even)
-        for key in ("apex", "left", "center", "anterior")
-    }
-    out = []
-    for i in range(n):
-        apex = split["apex"][i]
-        left = split["left"][i]
-        center = split["center"][i]
-        anterior = split["anterior"][i]
-        quotas = {
-            APEX: apex,
-            BASE: per - apex,
-            LEFT: left,
-            CENTER: center,
-            RIGHT: per - left - center,
-            ANTERIOR: anterior,
-            POSTERIOR: per - anterior,
-        }
-        bad = [k for k, v in quotas.items() if v < 0]
-        if bad:
-            raise ValueError(f"zone quotas leave phantom {i} with negative {bad[0]} count")
-        out.append(quotas)
-    return out
-
-
-def build_phantoms(cfg: StudyConfig):
-    quotas = phantom_quota_split(cfg)
+def build_phantoms(cfg: StudyConfig) -> Phantoms:
+    """The study's phantoms, row p generated as phantom p."""
+    quotas = phantom_quota_split(cfg.zone_quotas, cfg.n_phantoms, cfg.targets_per_phantom)
     bias = cfg.phantom.left_bias_mm if cfg.phantom.left_bias_enabled else 0.0
-    phantoms = []
-    for i in range(cfg.n_phantoms):
-        spec = PhantomSpec(
+    return Phantoms.concat([
+        generate_phantom(PhantomSpec(
             n_targets=cfg.targets_per_phantom,
             gland_semiaxes=cfg.phantom.gland_semiaxes,
             zone_quotas=quotas[i],
@@ -157,9 +124,9 @@ def build_phantoms(cfg: StudyConfig):
             pivot=cfg.phantom.pivot,
             left_bias=bias,
             index=i,
-        )
-        phantoms.append(generate_phantom(spec, cfg.seed))
-    return phantoms
+        ), cfg.seed)
+        for i in range(cfg.n_phantoms)
+    ])
 
 
 # slots per block: the closed loop steps a block together, and a block's
@@ -212,7 +179,7 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
     arch = cfg.arch.build()
     do_closed = cfg.mode in ("closed_loop", "both")
     do_open = cfg.mode in ("open_loop", "both")
-    n_fiducials = len(phantoms[0].fiducial_points)
+    n_fiducials = phantoms.fiducial_points.shape[1]
     volumes = cfg.convergence.max_corrections + 1 if do_closed else 0
 
     slots = list(itertools.product(
@@ -222,7 +189,6 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
     closed, opened = [[] for _ in points], [[] for _ in points]
     for start in range(0, len(slots), BLOCK_SLOTS):
         block = slots[start:start + BLOCK_SLOTS]
-        block_phantoms = [phantoms[p] for p, _, _ in block]
         # the needle count of a slot is its target's place in the session
         streams = draw_insertions(
             cfg.seed, block, [t for _, t, _ in block], n_fiducials, volumes,
@@ -233,7 +199,7 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
         slot_streams = [streams.rows(k) for k in range(n)]
         for noise, members in groups.values():
             plans = plan_insertions(
-                block_phantoms, cfg.robot, arch, noise, streams,
+                phantoms, cfg.robot, arch, noise, streams,
                 cfg.entry_region, cfg.needle_radius, track=do_closed,
             )
             # the (point, slot) rows, point-major: row r is slot r % n of point members[r // n]
@@ -242,7 +208,6 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
                 rows = range(lo, min(lo + BLOCK_SLOTS, len(members) * n))
                 row_slots = [r % n for r in rows]
                 row_plans = plans.rows(row_slots)
-                row_phantoms = [block_phantoms[k] for k in row_slots]
                 row_streams = streams.rows(row_slots)
                 # one first pass per row, streams by keyword: perfbench's tracer keys tasks on it
                 baselines = [
@@ -251,10 +216,10 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
                 ]
                 if do_closed:
                     closed_chunks.append(correct_insertions(
-                        row_phantoms, noise, cfg.robot, cfg.convergence, row_plans, row_streams, baselines,
+                        phantoms, noise, cfg.robot, cfg.convergence, row_plans, row_streams, baselines,
                     ))
                 if do_open:
-                    open_chunks.append(open_loop_records(row_phantoms, row_plans, row_streams, baselines))
+                    open_chunks.append(open_loop_records(phantoms, row_plans, row_streams, baselines))
             for out, chunks in ((closed, closed_chunks), (opened, open_chunks)):
                 if chunks:
                     rec = Records.concat(chunks)
@@ -384,7 +349,8 @@ def summarize(cfg: StudyConfig, rows_closed: Records, rows_open: Records) -> dic
         closed, opened = summary["totals"]["closed_loop"], summary["totals"]["open_loop"]
         closed_med, open_med = closed["error_mm"]["median"], opened["error_mm"]["median"]
         induced = opened["depth_correction_mm"]["median"]
-        reps = np.unique(rows_closed.replicate).tolist()
+        # not np.unique: it would import numpy.ma
+        reps = sorted(set(rows_closed.replicate.tolist()))
         closed_error, open_error = rows_closed.error_mm, rows_open.error_mm
         per_rep = [
             {

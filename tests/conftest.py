@@ -6,7 +6,7 @@ import pytest
 from prostasim import geometry, planning, study
 from prostasim.config import default_config
 from prostasim.kinematics import Trajectory
-from prostasim.phantom import LEFT
+from prostasim.phantom import LEFT, prostate_transform
 
 
 @pytest.fixture
@@ -32,6 +32,12 @@ def tiny_config(seed=777, mode="both", replicates=2):
         "posterior": 4,
     }
     return cfg
+
+
+# quotas of the default 9-phantom, 10-target study that sum to 90 in every
+# dimension, but whose left and center overflow a phantom's 10 targets:
+# largest remainder gives phantom 0 six left and five center targets
+UNSPLITTABLE_QUOTAS = {"apex": 50, "base": 40, "left": 46, "center": 44, "right": 0, "anterior": 52, "posterior": 38}
 
 
 def segment_distance_oracle(p0, p1, q0, q1) -> float:
@@ -145,9 +151,11 @@ def gland_transform_oracle(phantom, motion, entry, dir, tip_depth, pass_depth, m
 
     The per-line formula that ``phantom.gland_levers`` and
     ``phantom.prostate_transform`` split into a motion-free and a motion
-    half, kept as their oracle: the tip at ``tip_depth`` after a first
-    pass to ``pass_depth``, and ``entry_depth`` the line's gland entry
-    depth along its normalized direction (NaN: the line misses).
+    half, and the loops into a side of the entry depth and the transform
+    of that side, kept as their oracle: the tip at ``tip_depth`` after a
+    first pass to ``pass_depth``, and ``entry_depth`` the line's gland
+    entry depth along its normalized direction (NaN: the line misses).
+    ``phantom`` is one row's values of ``phantom.Phantoms``.
     """
     entry = np.asarray(entry, dtype=np.float64)
     d = geometry.normalize(np.asarray(dir, dtype=np.float64))
@@ -173,6 +181,17 @@ def gland_transform_oracle(phantom, motion, entry, dir, tip_depth, pass_depth, m
     return geometry.compose(geometry.translation(drag * d + motion_noise), rot)
 
 
+def gland_transform_at(levers, k, motion, tip_depth, motion_noise):
+    """The gland transform of line k of ``levers`` with its tip at ``tip_depth``, as the loops pick it.
+
+    ``phantom.prostate_transform`` where the tip is past the line's gland
+    entry depth, the gland at rest (the identity) where it is not.
+    """
+    if tip_depth > levers.entry_depth[k]:
+        return prostate_transform(levers, k, motion, motion_noise)
+    return geometry.identity()
+
+
 def open_loop_oracle(phantom, motion, plans, k, first):
     """Row k's open-loop score, made alone: (axial motion, error, residual motion).
 
@@ -181,9 +200,12 @@ def open_loop_oracle(phantom, motion, plans, k, first):
     pass ``first``'s gland transform, its depth along the needle line past
     the pass depth, the rest-frame miss of the bead left at the pass depth
     (a left-zone bead of a phantom with a left bias deflected along -x),
-    and the target's displacement beyond the modeled drag.
+    and the target's displacement beyond the modeled drag.  ``phantom`` is
+    the slot's phantom, one row's values of ``phantom.Phantoms``.
     """
-    entry, d, depth, t = plans.entry[k], plans.dir[k], float(plans.depth[k]), first.gland_transform
+    entry, d, depth = plans.entry[k], plans.dir[k], float(plans.depth[k])
+    # a bead left short of the gland is left in it at rest
+    t = first.gland_transform if depth > plans.levers.entry_depth[k] else geometry.identity()
     moved = geometry.apply(t, plans.target_obs[k])
     axial = float((moved - entry) @ d) - depth
     bead = entry + depth * d

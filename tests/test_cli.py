@@ -4,7 +4,7 @@ import os
 import pytest
 import yaml
 
-from conftest import tiny_config
+from conftest import UNSPLITTABLE_QUOTAS, tiny_config
 from prostasim.cli import cli_main
 from prostasim.config import default_config, from_dict, to_yaml
 from prostasim.planning import NoFeasiblePath, replan_angled
@@ -147,6 +147,18 @@ def test_an_entry_plane_behind_the_gland_front_is_config_error(tmp_path, capsys)
     code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "run"))
     assert code == 1
     assert "robot.front_plane_z" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_quotas_no_phantom_can_hold_are_config_error(tmp_path, capsys):
+    cfg = default_config()
+    cfg.zone_quotas = dict(UNSPLITTABLE_QUOTAS)
+    path = tmp_path / "quotas.yaml"
+    path.write_text(to_yaml(cfg))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert "zone_quotas: zone quotas leave phantom 0 with negative Right count" in err
+    # it fails before the run makes its output directory
     assert not (tmp_path / "run").exists()
 
 

@@ -4,6 +4,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import UNSPLITTABLE_QUOTAS
 from prostasim import rng
 from prostasim.config import (
     ConfigError,
@@ -70,6 +71,13 @@ def test_quota_sum_message_names_the_dimension():
     cfg = default_config()
     cfg.zone_quotas["apex"] = 51
     with pytest.raises(ConfigError, match=r"zone_quotas\.apex\+base"):
+        cfg.validate()
+
+
+def test_quotas_no_phantom_can_hold_are_a_config_error():
+    cfg = default_config()
+    cfg.zone_quotas = dict(UNSPLITTABLE_QUOTAS)
+    with pytest.raises(ConfigError, match=r"^zone_quotas: zone quotas leave phantom 0 with negative Right count"):
         cfg.validate()
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    gland_transform_at,
     gland_transform_oracle,
     open_loop_oracle,
     replan_angled_oracle,
@@ -30,6 +31,7 @@ from prostasim.phantom import (
     LEFT,
     MotionParams,
     PhantomSpec,
+    Phantoms,
     generate_phantom,
     gland_entry_depth,
     prostate_transform,
@@ -54,6 +56,7 @@ def blocking_arch(target):
 
 
 def make_phantom(left_bias=0.0, seed=4):
+    """One phantom: a ``Phantoms`` of one row, the study table of the slots of phantom 0."""
     return generate_phantom(PhantomSpec(left_bias=left_bias), seed)
 
 
@@ -66,32 +69,33 @@ def quiet_noise():
     return NoiseModel(sigma0=0.0, depth_gain=0.0, degradation_per_needle=1.0)
 
 
-N_FIDUCIALS = len(make_phantom().fiducial_points)
+N_FIDUCIALS = make_phantom().fiducial_points.shape[1]
 
 
-def streams(target_id, seed=31, needle_count=0, volumes=ConvergenceParams().max_corrections + 1):
-    """The streams of one insertion, slot (0, target_id, 0), drawn as a block of one."""
-    return draw_insertions(seed, [(0, target_id, 0)], [needle_count], N_FIDUCIALS, volumes)
+def streams(target_id, seed=31, needle_count=0, volumes=ConvergenceParams().max_corrections + 1, phantom=0):
+    """The streams of one insertion, slot (phantom, target_id, 0), drawn as a block of one."""
+    return draw_insertions(seed, [(phantom, target_id, 0)], [needle_count], N_FIDUCIALS, volumes)
 
 
 def non_left_target(phantom):
-    for t in phantom.targets:
-        if t.zone.lateral_zone != LEFT:
-            return t
+    """The id of the first target of the one-row ``phantom`` outside the left zone."""
+    for tid, zone in enumerate(phantom.zone_lateral[0].tolist()):
+        if zone != LEFT:
+            return tid
     raise AssertionError("phantom has no non-left target")
 
 
 def plan_quiet(phantom, tid, arch=None, noise=None, track=True):
     """The plan of one insertion: a block of one."""
     return plan_insertions(
-        [phantom], GEOM, arch or far_arch(), noise or quiet_noise(), streams(tid), track=track
+        phantom, GEOM, arch or far_arch(), noise or quiet_noise(), streams(tid), track=track
     )
 
 
 def open_loop_block(phantom, motion, plan, tid):
     """A slot's first pass and its open-loop records, scored as a block of one."""
     first = open_loop_insertion(motion, plan, 0, streams(tid).rows(0))
-    return first, open_loop_records([phantom], plan, streams(tid), [first])
+    return first, open_loop_records(phantom, plan, streams(tid), [first])
 
 
 def only_row(records):
@@ -119,18 +123,19 @@ def drag_motion(gain=0.05, offset=2.0):
     return MotionParams(axial_gain=gain, axial_base_offset=offset, rotation_gain=0.0, noise_sd_motion=0.0)
 
 
-def expected_drag(phantom, target, gain, offset):
-    entry = np.array([target.position_rest[0], target.position_rest[1], GEOM.front_plane_z])
+def expected_drag(phantom, tid, gain, offset):
+    rest = phantom.target_rest[0, tid]
+    entry = np.array([rest[0], rest[1], GEOM.front_plane_z])
     d = np.array([0.0, 0.0, 1.0])
-    planned = float(np.linalg.norm(target.position_rest - entry))
-    t0 = gland_entry_depth([phantom], [entry], [d])[0]
+    planned = float(np.linalg.norm(rest - entry))
+    t0 = gland_entry_depth(phantom, [entry], [d])[0]
     return planned, offset + gain * (planned - t0)
 
 
 def test_static_gland_hits_exactly():
     p = make_phantom()
     t = non_left_target(p)
-    rec = run_quiet(p, t.id)
+    rec = run_quiet(p, t)
     assert not rec.disengaged
     assert rec.n_corrections == 0
     # the bead is deposited on the target
@@ -146,12 +151,12 @@ def test_pure_drag_needs_exactly_one_correction():
     planned, drag = expected_drag(p, t, gain, offset)
     # second verification sees the frozen transform: it proposes a change ~ 0,
     # so even a 1e-9 mm depth resolution stops the loop there
-    rec = run_quiet(p, t.id, motion=drag_motion(gain, offset), conv=ConvergenceParams(depth_epsilon=1e-9))
+    rec = run_quiet(p, t, motion=drag_motion(gain, offset), conv=ConvergenceParams(depth_epsilon=1e-9))
     assert rec.n_corrections == 1
     assert rec.depth_correction_mm == pytest.approx(drag, abs=1e-9)
     assert rec.error_mm < 1e-9
     np.testing.assert_allclose(rec.motion_mm, 0.0, atol=1e-9)
-    assert plan_quiet(p, t.id).depth[0] == pytest.approx(planned)
+    assert plan_quiet(p, t).depth[0] == pytest.approx(planned)
 
 
 def test_open_loop_misses_by_the_drag():
@@ -159,7 +164,7 @@ def test_open_loop_misses_by_the_drag():
     p = make_phantom()
     t = non_left_target(p)
     _, drag = expected_drag(p, t, gain, offset)
-    rec = run_quiet(p, t.id, mode=open_loop_records, motion=drag_motion(gain, offset))
+    rec = run_quiet(p, t, mode=open_loop_records, motion=drag_motion(gain, offset))
     assert rec.n_corrections == 0
     assert rec.error_mm == pytest.approx(drag, abs=1e-9)
     assert rec.depth_correction_mm == pytest.approx(drag, abs=1e-9)
@@ -172,19 +177,19 @@ def test_paired_runs_share_noise():
     motion = MotionParams(0.05, 2.0, 0.01, 0.8)
     t = non_left_target(p)
     noise = NoiseModel(sigma0=0.3, depth_gain=0.002, degradation_per_needle=1.0)
-    a = run_quiet(p, t.id, noise=noise, motion=motion)
-    b = run_quiet(p, t.id, noise=noise, motion=motion)
+    a = run_quiet(p, t, noise=noise, motion=motion)
+    b = run_quiet(p, t, noise=noise, motion=motion)
     assert a.n_corrections >= 1
     np.testing.assert_equal(vars(a), vars(b))
     # open loop plans from the same reference draws
-    tracked, untracked = (plan_quiet(p, t.id, noise=noise, track=track) for track in (True, False))
+    tracked, untracked = (plan_quiet(p, t, noise=noise, track=track) for track in (True, False))
     assert untracked == replace(tracked, reference=None)
     # the slot's open-loop record is its first pass alone, in the row its closed record has
-    o = run_quiet(p, t.id, mode=open_loop_records, noise=noise, motion=motion)
+    o = run_quiet(p, t, mode=open_loop_records, noise=noise, motion=motion)
     assert o.depth_correction_mm != 0.0 and np.any(o.motion_mm != 0.0)
-    first, opened = open_loop_block(p, motion, tracked, t.id)
-    assert_same_first_pass(first, open_loop_insertion(motion, untracked, 0, streams(t.id).rows(0)))
-    closed = correct_insertions([p], noise, GEOM, ConvergenceParams(), tracked, streams(t.id), [first])
+    first, opened = open_loop_block(p, motion, tracked, t)
+    assert_same_first_pass(first, open_loop_insertion(motion, untracked, 0, streams(t).rows(0)))
+    closed = correct_insertions(p, noise, GEOM, ConvergenceParams(), tracked, streams(t), [first])
     row = only_row(opened)
     assert (row.n_corrections, row.error_mm, row.depth_correction_mm) == (0, o.error_mm, o.depth_correction_mm)
     np.testing.assert_array_equal(row.motion_mm, o.motion_mm)
@@ -198,8 +203,8 @@ def test_paired_runs_share_noise():
 def test_blocked_path_replans_angled():
     p = make_phantom()
     t = non_left_target(p)
-    arch = blocking_arch(t.position_rest)
-    rec = run_quiet(p, t.id, arch=arch)
+    arch = blocking_arch(p.target_rest[0, t])
+    rec = run_quiet(p, t, arch=arch)
     assert not rec.disengaged
     assert rec.approach == "Angled"
     assert rec.error_mm < 1e-9
@@ -208,10 +213,10 @@ def test_blocked_path_replans_angled():
 def test_left_bias_deflects_left_zone_beads():
     bias = 1.5
     p = make_phantom(left_bias=bias)
-    left = next(t for t in p.targets if t.zone.lateral_zone == LEFT)
+    left = p.zone_lateral[0].tolist().index(LEFT)
     other = non_left_target(p)
-    rec_left = run_quiet(p, left.id)
-    rec_other = run_quiet(p, other.id)
+    rec_left = run_quiet(p, left)
+    rec_other = run_quiet(p, other)
     assert rec_left.error_mm == pytest.approx(bias, abs=1e-9)
     assert rec_other.error_mm < 1e-9
 
@@ -221,17 +226,17 @@ def test_correction_budget_flagged_not_raised():
     t = non_left_target(p)
     noisy = NoiseModel(sigma0=5.0, depth_gain=0.0, degradation_per_needle=1.0)
     conv = ConvergenceParams(depth_epsilon=1e-4, max_corrections=3)
-    rec = run_quiet(p, t.id, conv=conv, noise=noisy)
+    rec = run_quiet(p, t, conv=conv, noise=noisy)
     assert rec.max_corrections_exceeded
     assert rec.n_corrections == 3
     # the streams must hold a volume for every verification the budget
     # allows: the initial one plus the budget
-    plan = plan_quiet(p, t.id, noise=noisy)
-    short = streams(t.id, volumes=3)
+    plan = plan_quiet(p, t, noise=noisy)
+    short = streams(t, volumes=3)
     with pytest.raises(ValueError, match="3 observation volumes"):
         run_insertion(p, STILL, noisy, GEOM, conv, plan, short)
-    exact = run_insertion(p, STILL, noisy, GEOM, conv, plan, streams(t.id, volumes=4))
-    assert exact == run_insertion(p, STILL, noisy, GEOM, conv, plan, streams(t.id))
+    exact = run_insertion(p, STILL, noisy, GEOM, conv, plan, streams(t, volumes=4))
+    assert exact == run_insertion(p, STILL, noisy, GEOM, conv, plan, streams(t))
 
 
 def test_durations_and_rotation():
@@ -239,7 +244,7 @@ def test_durations_and_rotation():
     p = make_phantom()
     t = non_left_target(p)
     planned, drag = expected_drag(p, t, gain, offset)
-    rec = run_quiet(p, t.id, motion=drag_motion(gain, offset))
+    rec = run_quiet(p, t, motion=drag_motion(gain, offset))
     # rotation only during the initial pass
     assert rec.duration_s == pytest.approx((planned + drag) / GEOM.insertion_speed, abs=1e-9)
     assert rec.rotation_angle_deg == pytest.approx(
@@ -272,9 +277,9 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
     def slot(entry):
         return tuple(np.asarray(entry).tolist())
 
-    def transform(levers, k, motion, tip_depth, noise):
+    def transform(levers, k, motion, noise):
         per_slot[lever_slots[id(levers), k]]["transform"] += 1
-        return prostate_transform(levers, k, motion, tip_depth, noise)
+        return prostate_transform(levers, k, motion, noise)
 
     def first_pass(motion, plans, k, streams):
         lever_slots[id(plans.levers), k] = slot(plans.entry[k])
@@ -330,7 +335,8 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
     # insertions that verify three or more times, so a per-step evaluation shows
     assert max(c["corrections"] for c in per_slot.values()) >= 2
     for c in per_slot.values():
-        assert c["transform"] <= 2
+        # the first pass makes the slot's one gland transform, the closed loop none
+        assert c["transform"] == 1
         assert c["line"] == 1
     # neither the first pass nor the correction loop solves an entry depth
     assert solved == [32]
@@ -342,29 +348,94 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     p = make_phantom()
     motion = drag_motion()
     t = non_left_target(p)
-    entry = np.array([t.position_rest[0], t.position_rest[1], GEOM.front_plane_z])
+    entry = np.array([p.target_rest[0, t][0], p.target_rest[0, t][1], GEOM.front_plane_z])
     d = np.array([0.0, 0.0, 1.0])
-    shallow = entry + (gland_entry_depth([p], [entry], [d])[0] - 3.0) * d
+    shallow = entry + (gland_entry_depth(p, [entry], [d])[0] - 3.0) * d
     # the tracker reports the target short of the gland: the tip retracts there
     monkeypatch.setattr(
         sensing, "track_target", lambda rot, trans, targets: np.broadcast_to(shallow, targets.shape).copy()
     )
     calls = []
     monkeypatch.setattr(controller, "prostate_transform", counting(calls, "transform", prostate_transform))
-    rec = run_quiet(p, t.id, motion=motion)
-    assert rec.n_corrections == 1 and len(calls) == 2
-    plan = plan_quiet(p, t.id)
+    rec = run_quiet(p, t, motion=motion)
+    # the first pass's transform serves both sides of the entry depth
+    assert rec.n_corrections == 1 and len(calls) == 1
+    plan = plan_quiet(p, t)
     entry, d, planned = plan.entry[0], plan.dir[0], float(plan.depth[0])
     depth_to_shallow, _ = geometry.axis_decompose(entry, d, shallow)
     tip = max(0.0, planned + (depth_to_shallow - planned))
-    entry_depth = gland_entry_depth([p], [entry], [geometry.normalize(d)])[0]
-    fresh = gland_transform_oracle(p, motion, entry, d, tip, planned, np.zeros(3), entry_depth)
+    entry_depth = gland_entry_depth(p, [entry], [geometry.normalize(d)])[0]
+    fresh = gland_transform_oracle(p.rows(0), motion, entry, d, tip, planned, np.zeros(3), entry_depth)
     tip_world = (entry + tip * d)[None]
     bead = world_to_material(fresh.rotation[None], fresh.translation[None], tip_world)[0]
-    assert rec.error_mm == float(np.linalg.norm(bead - t.position_rest))
+    assert rec.error_mm == float(np.linalg.norm(bead - p.target_rest[0, t]))
     # the first pass's transform, which the retracted tip must not reuse
-    first = gland_transform_oracle(p, motion, entry, d, planned, planned, np.zeros(3), entry_depth)
+    first = gland_transform_oracle(p.rows(0), motion, entry, d, planned, planned, np.zeros(3), entry_depth)
     assert np.linalg.norm(first.translation - fresh.translation) > 1.0
+
+
+def short_of_the_gland(p, t):
+    """The one-row ``p`` with target ``t`` moved 3 mm short of the gland along its direct line."""
+    rest = p.target_rest[0, t]
+    entry = np.array([rest[0], rest[1], GEOM.front_plane_z])
+    d = np.array([0.0, 0.0, 1.0])
+    target_rest = p.target_rest.copy()
+    target_rest[0, t] = entry + (gland_entry_depth(p, [entry], [d])[0] - 3.0) * d
+    return replace(p, target_rest=target_rest)
+
+
+def test_a_first_pass_short_of_the_gland_is_corrected_into_it(monkeypatch):
+    motion = drag_motion()
+    inside = make_phantom()
+    t = non_left_target(inside)
+    p = short_of_the_gland(inside, t)
+    # the observed target lies before the gland surface: the first pass stops there
+    plan = plan_quiet(p, t)
+    entry, d, planned = plan.entry[0], plan.dir[0], float(plan.depth[0])
+    entry_depth = gland_entry_depth(p, [entry], [geometry.normalize(d)])[0]
+    assert planned < entry_depth
+    # the tracker reports the target where it lies in the gland: the tip advances there
+    deep = inside.target_rest[0, t]
+    monkeypatch.setattr(
+        sensing, "track_target", lambda rot, trans, targets: np.broadcast_to(deep, targets.shape).copy()
+    )
+    calls = []
+    monkeypatch.setattr(controller, "prostate_transform", counting(calls, "transform", prostate_transform))
+    rec = run_quiet(p, t, motion=motion)
+    # the first pass made the transform of the gland the tip is corrected into
+    assert rec.n_corrections == 1 and len(calls) == 1
+    depth_to_deep, _ = geometry.axis_decompose(entry, d, deep)
+    tip = max(0.0, planned + (depth_to_deep - planned))
+    assert tip > entry_depth
+    moved = gland_transform_oracle(p.rows(0), motion, entry, d, tip, planned, np.zeros(3), entry_depth)
+    tip_world = (entry + tip * d)[None]
+    bead = world_to_material(moved.rotation[None], moved.translation[None], tip_world)[0]
+    assert rec.error_mm == float(np.linalg.norm(bead - p.target_rest[0, t]))
+    # the bead is not left in the gland at rest, where the first pass stopped
+    assert np.linalg.norm(moved.translation) > 1.0
+
+
+def test_transform_identity_before_gland():
+    # a first pass short of the gland leaves its bead in the gland at rest,
+    # though the transform it makes, that of a tip past the entry depth, moves
+    motion = MotionParams(axial_gain=0.0, axial_base_offset=3.0, rotation_gain=0.0, noise_sd_motion=0.0)
+    inside = make_phantom()
+    t = non_left_target(inside)
+    p = short_of_the_gland(inside, t)
+    plan = plan_quiet(p, t)
+    first, records = open_loop_block(p, motion, plan, t)
+    np.testing.assert_array_equal(first.gland_transform.translation, 3.0 * plan.levers.dir[0])
+    moved = first.gland_transform
+    rot, trans = controller._gland_states(
+        plan.depth > plan.levers.entry_depth, moved.rotation[None], moved.translation[None]
+    )
+    np.testing.assert_array_equal(rot[0], np.eye(3))
+    np.testing.assert_array_equal(trans[0], np.zeros(3))
+    opened = only_row(records)
+    assert opened.error_mm < 1e-9 and opened.depth_correction_mm == pytest.approx(0.0, abs=1e-9)
+    # the closed loop sees the gland at rest too: nothing to correct
+    closed = run_quiet(p, t, motion=motion)
+    assert closed.n_corrections == 0 and closed.error_mm < 1e-9
 
 
 def assert_same_first_pass(a, b):
@@ -380,39 +451,48 @@ def test_a_given_plan_gives_the_same_records():
     motion = MotionParams(0.05, 2.0, 0.01, 0.8)
     t = non_left_target(p)
     noise = NoiseModel(sigma0=0.3, depth_gain=0.002, degradation_per_needle=1.0)
-    plan = plan_quiet(p, t.id, noise=noise)
-    fresh = run_insertion(p, motion, noise, GEOM, ConvergenceParams(), plan_quiet(p, t.id, noise=noise), streams(t.id))
-    fresh_first, fresh_open = open_loop_block(p, motion, plan_quiet(p, t.id, noise=noise), t.id)
+    plan = plan_quiet(p, t, noise=noise)
+    fresh = run_insertion(p, motion, noise, GEOM, ConvergenceParams(), plan_quiet(p, t, noise=noise), streams(t))
+    fresh_first, fresh_open = open_loop_block(p, motion, plan_quiet(p, t, noise=noise), t)
     assert fresh.n_corrections[0] >= 1
     for _ in range(2):  # a plan is not consumed by its use
-        assert run_insertion(p, motion, noise, GEOM, ConvergenceParams(), plan, streams(t.id)) == fresh
-        first, opened = open_loop_block(p, motion, plan, t.id)
+        assert run_insertion(p, motion, noise, GEOM, ConvergenceParams(), plan, streams(t)) == fresh
+        first, opened = open_loop_block(p, motion, plan, t)
         assert_same_first_pass(first, fresh_first)
         assert opened == fresh_open
     # one plan serves any motion: a still gland leaves the first pass on target
-    _, opened = open_loop_block(p, STILL, plan, t.id)
+    _, opened = open_loop_block(p, STILL, plan, t)
     still = only_row(opened)
     assert still.depth_correction_mm == 0.0
     assert still.error_mm < fresh_open.error_mm[0]
     # an untracked plan carries no registration reference
-    untracked = plan_quiet(p, t.id, noise=noise, track=False)
+    untracked = plan_quiet(p, t, noise=noise, track=False)
     assert untracked.reference is None and untracked.levers == plan.levers
-    first, opened = open_loop_block(p, motion, untracked, t.id)
+    first, opened = open_loop_block(p, motion, untracked, t)
     assert_same_first_pass(first, fresh_first)
     assert opened == fresh_open
     with pytest.raises(ValueError, match="tracked plan"):
-        run_insertion(p, motion, noise, GEOM, ConvergenceParams(), untracked, streams(t.id))
+        run_insertion(p, motion, noise, GEOM, ConvergenceParams(), untracked, streams(t))
 
 
 # two phantoms of different shape, so the slots of one block differ in their
-# fiducials, and the first again with an eleventh target outside the gland,
-# whose direct line misses it
-SHAPES = (
+# fiducials, and the first again with its last target, target 9, outside the
+# gland, whose direct line misses it: rows 0, 1 and 2 of TABLE
+SHAPES = Phantoms.concat([
     generate_phantom(PhantomSpec(), seed=5),
     generate_phantom(PhantomSpec(gland_semiaxes=(21.0, 17.0, 26.0)), seed=6),
-)
-OUTSIDE = ph.Target(10, (30.0, 4.0, 6.0), ph.ZoneLabels(ph.BASE, LEFT, ph.ANTERIOR))
-OFF_GLAND = replace(SHAPES[0], targets=[*SHAPES[0].targets, OUTSIDE])
+])
+
+
+def off_gland():
+    p = SHAPES.rows([0])
+    p.target_rest[0, 9] = (30.0, 4.0, 6.0)
+    p.zone_depth[0, 9], p.zone_lateral[0, 9], p.zone_ap[0, 9] = ph.BASE, LEFT, ph.ANTERIOR
+    return p
+
+
+TABLE = Phantoms.concat([SHAPES, off_gland()])
+OFF_GLAND = 2
 
 
 def wide_arch():
@@ -433,7 +513,7 @@ WIDE_ROBOT, WIDE_ARCH = wide_arch()
 ARCHES = (far_arch(), WIDE_ARCH)
 # target 7 of SHAPES[0] (x = 15.38 mm) has its direct entry one ulp beyond
 # this robot's stage travel, target 9 (14.70 mm) within it
-EDGE_ROBOT = replace(WIDE_ROBOT, stage_travel=float(np.nextafter(SHAPES[0].targets[7].position_rest[0], 0.0)))
+EDGE_ROBOT = replace(WIDE_ROBOT, stage_travel=float(np.nextafter(SHAPES.target_rest[0, 7, 0], 0.0)))
 # the entry plane cuts through the gland: an entry on or inside its surface
 INSIDE_ROBOT = replace(WIDE_ROBOT, front_plane_z=-10.0)
 
@@ -448,6 +528,7 @@ def oracle_normalize(v):
 
 
 def oracle_entry_depth(phantom, entry, dir):
+    """The gland entry depth of one line into ``phantom``, one row's values of ``Phantoms``."""
     semi = np.asarray(phantom.gland_semiaxes, dtype=np.float64)
     w, v = entry / semi, dir / semi
     aa, bb, cc = float(v @ v), float(w @ v), float(w @ w) - 1.0
@@ -496,8 +577,9 @@ def oracle_first_pass(phantom, traj, geom):
 def oracle_reference(slot, noise):
     """The reference volume and observed target of a slot, each fiducial and
     then the target observed with ``normal`` from its reference stream."""
-    phantom, target_id, seed, count = slot
-    stream = substream(seed, rng.REFERENCE, 0, target_id, 0)
+    row, target_id, seed, count = slot
+    phantom = TABLE.rows(row)
+    stream = substream(seed, rng.REFERENCE, row, target_id, 0)
     base = noise.sigma0 * noise.degradation_per_needle**count
     c = phantom.gland_semiaxes[2]
 
@@ -505,15 +587,15 @@ def oracle_reference(slot, noise):
         return point + stream.normal(0.0, base + noise.depth_gain * max(0.0, float(point[2]) + c), 3)
 
     volume = np.array([seen(point) for point in phantom.fiducial_points])
-    return volume, seen(phantom.target_by_id(target_id).position_rest)
+    return volume, seen(phantom.target_rest[target_id])
 
 
 @st.composite
 def block_slots(draw):
-    """One slot of a block: phantom, target id, reference stream seed, needle count."""
-    phantom = draw(st.sampled_from(SHAPES + (OFF_GLAND,)))
-    target_id = draw(st.integers(0, len(phantom.targets) - 1))
-    return phantom, target_id, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 4))
+    """One slot of a block: phantom (a row of TABLE), target id, reference stream seed, needle count."""
+    row = draw(st.integers(0, len(TABLE) - 1))
+    target_id = draw(st.integers(0, TABLE.target_rest.shape[1] - 1))
+    return row, target_id, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 4))
 
 
 @settings(max_examples=60, deadline=None)
@@ -528,27 +610,27 @@ def block_slots(draw):
 )
 # slots that differ in phantom and needle count, under a noise that reads both
 @example(
-    slots=[(SHAPES[0], 1, 7, 0), (SHAPES[1], 3, 8, 2), (SHAPES[0], 6, 9, 4)],
+    slots=[(0, 1, 7, 0), (1, 3, 8, 2), (0, 6, 9, 4)],
     arch=WIDE_ARCH, robot=WIDE_ROBOT, sigma0=0.3, depth_gain=0.01, degradation=1.2, track=True,
 )
 # the second slot's observed target has no path clear of the wide arch
 @example(
-    slots=[(SHAPES[1], 2, 5, 1), (SHAPES[0], 9, 6, 4), (SHAPES[0], 0, 3, 0)],
+    slots=[(1, 2, 5, 1), (0, 9, 6, 4), (0, 0, 3, 0)],
     arch=WIDE_ARCH, robot=WIDE_ROBOT, sigma0=0.5, depth_gain=0.05, degradation=1.3, track=True,
 )
 # a direct line that misses the gland: no entry depth, no penetration
 @example(
-    slots=[(OFF_GLAND, 10, 1, 0), (SHAPES[0], 2, 2, 1)],
+    slots=[(OFF_GLAND, 9, 1, 0), (0, 2, 2, 1)],
     arch=ARCHES[0], robot=WIDE_ROBOT, sigma0=0.0, depth_gain=0.0, degradation=1.0, track=True,
 )
 # entries on or inside the gland surface: the entry depth clamps to 0
 @example(
-    slots=[(SHAPES[0], 0, 1, 0), (SHAPES[0], 3, 2, 0), (SHAPES[0], 7, 3, 0)],
+    slots=[(0, 0, 1, 0), (0, 3, 2, 0), (0, 7, 3, 0)],
     arch=ARCHES[0], robot=INSIDE_ROBOT, sigma0=0.0, depth_gain=0.0, degradation=1.0, track=False,
 )
 # a direct entry one ulp beyond the stage travel, beside one within it
 @example(
-    slots=[(SHAPES[0], 7, 1, 0), (SHAPES[0], 9, 2, 0)],
+    slots=[(0, 7, 1, 0), (0, 9, 2, 0)],
     arch=ARCHES[0], robot=EDGE_ROBOT, sigma0=0.0, depth_gain=0.0, degradation=1.0, track=True,
 )
 def test_a_block_plans_each_slot_as_it_would_alone(
@@ -556,30 +638,29 @@ def test_a_block_plans_each_slot_as_it_would_alone(
 ):
     noise = NoiseModel(sigma0=sigma0, depth_gain=depth_gain, degradation_per_needle=degradation)
 
-    def plan(block, block_streams):
-        return plan_insertions([slot[0] for slot in block], robot, arch, noise, block_streams, track=track)
+    def plan(block_streams):
+        return plan_insertions(TABLE, robot, arch, noise, block_streams, track=track)
 
-    each = [streams(target_id, seed, count, volumes=0) for _, target_id, seed, count in slots]
+    each = [streams(target_id, seed, count, volumes=0, phantom=row) for row, target_id, seed, count in slots]
     block_streams = Streams.concat(each)
     alone = []
-    for slot, slot_streams in zip(slots, each):
+    for slot_streams in each:
         try:
-            alone.append(plan([slot], slot_streams))
+            alone.append(plan(slot_streams))
         except NoFeasiblePath:
             alone.append(None)
     if None in alone:
         with pytest.raises(NoFeasiblePath):
-            plan(slots, block_streams)
+            plan(block_streams)
         return
-    block = plan(slots, block_streams)
+    block = plan(block_streams)
     assert block == Plans.concat(alone)
     stages = inverse_kinematics(robot, block.entry, block.dir)
     for k, slot in enumerate(slots):
-        phantom, target_id = slot[:2]
-        target = phantom.target_by_id(target_id)
-        np.testing.assert_array_equal(block.target_rest[k], target.position_rest)
+        phantom, target_id = TABLE.rows(slot[0]), slot[1]
+        np.testing.assert_array_equal(block.target_rest[k], phantom.target_rest[target_id])
         zone = (block.zone_depth[k], block.zone_lateral[k], block.zone_ap[k])
-        assert zone == (target.zone.depth_zone, target.zone.lateral_zone, target.zone.ap_zone)
+        assert zone == (phantom.zone_depth[target_id], phantom.zone_lateral[target_id], phantom.zone_ap[target_id])
         # the reference volume and the observed target are those of the
         # slot's reference stream, drawn point by point
         volume, target_obs = oracle_reference(slot, noise)
@@ -604,9 +685,9 @@ def test_a_block_plans_each_slot_as_it_would_alone(
         np.testing.assert_array_equal(block.levers.entry_depth[k], entry_depth)
         noise3 = np.array([0.4, -1.1, 0.7])
         for tip in (traj.planned_depth, 0.5 * traj.planned_depth):
-            got = prostate_transform(block.levers, k, LEVERED, tip, noise3)
+            got = gland_transform_at(block.levers, k, LEVERED, tip, noise3)
             want = gland_transform_oracle(
-                slot[0], LEVERED, traj.entry, traj.dir, tip, traj.planned_depth, noise3, entry_depth
+                phantom, LEVERED, traj.entry, traj.dir, tip, traj.planned_depth, noise3, entry_depth
             )
             assert got.rotation.tobytes() == want.rotation.tobytes()
             assert got.translation.tobytes() == want.translation.tobytes()
@@ -616,19 +697,19 @@ def test_a_block_scores_its_first_passes_as_each_slot_alone():
     # a biased and an unbiased phantom, left-zone and other targets, the
     # wide arch blocking some direct paths: every slot that has a path
     noise = NoiseModel(sigma0=0.3, depth_gain=0.01, degradation_per_needle=1.1)
-    phantoms = (replace(SHAPES[0], left_bias=1.5), SHAPES[1])
-    slots, alone = [], []
-    for index, phantom in enumerate(phantoms):
-        for target in phantom.targets:
-            slot_streams = draw_insertions(5, [(index, target.id, 0)], [target.id], N_FIDUCIALS, 0)
+    phantoms = replace(SHAPES, left_bias=np.array([1.5, 0.0]))
+    each, alone = [], []
+    for index in range(len(phantoms)):
+        for target in range(phantoms.target_rest.shape[1]):
+            slot_streams = draw_insertions(5, [(index, target, 0)], [target], N_FIDUCIALS, 0)
             try:
-                alone.append(plan_insertions([phantom], WIDE_ROBOT, WIDE_ARCH, noise, slot_streams, track=False))
+                alone.append(plan_insertions(phantoms, WIDE_ROBOT, WIDE_ARCH, noise, slot_streams, track=False))
             except NoFeasiblePath:
                 continue
-            slots.append((phantom, slot_streams))
+            each.append(slot_streams)
     plans = Plans.concat(alone)
-    block_phantoms, each = (list(column) for column in zip(*slots))
     block_streams = Streams.concat(each)
+    block_phantoms = [phantoms.rows(index) for index in block_streams.phantom.tolist()]
     assert set(plans.approach.tolist()) == {"Horizontal", "Angled"}
     deflected = [p.left_bias != 0.0 and zone == LEFT for p, zone in zip(block_phantoms, plans.zone_lateral)]
     assert any(deflected) and not all(deflected)
@@ -639,7 +720,7 @@ def test_a_block_scores_its_first_passes_as_each_slot_alone():
 
     for motion in (STILL, LEVERED):
         firsts = [open_loop_insertion(motion, plans, k, block_streams.rows(k)) for k in range(len(plans))]
-        records = open_loop_records(block_phantoms, plans, block_streams, firsts)
+        records = open_loop_records(phantoms, plans, block_streams, firsts)
         for k, (phantom, first) in enumerate(zip(block_phantoms, firsts)):
             axial, error, residual = open_loop_oracle(phantom, motion, plans, k, first)
             assert bits(records.depth_correction_mm[k]) == bits(axial), k
@@ -651,25 +732,24 @@ def test_a_block_scores_its_first_passes_as_each_slot_alone():
 
 
 def feasible_slots(noise):
-    """The (phantom, streams) of every SHAPES target with a path clear of the
-    wide arch, each slot's needle count its target id, and each slot's tracked plans as a
+    """The streams of every SHAPES target with a path clear of the wide arch,
+    each slot's needle count its target id, and each slot's tracked plans as a
     block of one."""
     slots, alone = [], []
-    for index, phantom in enumerate(SHAPES):
-        for target in phantom.targets:
-            slot_streams = draw_insertions(8, [(index, target.id, 0)], [target.id], N_FIDUCIALS, 0)
+    for index in range(len(SHAPES)):
+        for target in range(SHAPES.target_rest.shape[1]):
+            slot_streams = draw_insertions(8, [(index, target, 0)], [target], N_FIDUCIALS, 0)
             try:
-                alone.append(plan_insertions([phantom], WIDE_ROBOT, WIDE_ARCH, noise, slot_streams))
+                alone.append(plan_insertions(SHAPES, WIDE_ROBOT, WIDE_ARCH, noise, slot_streams))
             except NoFeasiblePath:
                 continue
-            slots.append((phantom, slot_streams))
+            slots.append(slot_streams)
     return slots, alone
 
 
 def plan_slots(slots, noise):
-    """The tracked plans of ``slots`` as one block, under the wide arch."""
-    phantoms, each = (list(column) for column in zip(*slots))
-    return plan_insertions(phantoms, WIDE_ROBOT, WIDE_ARCH, noise, Streams.concat(each))
+    """The tracked plans of the slots of the streams ``slots`` as one block, under the wide arch."""
+    return plan_insertions(SHAPES, WIDE_ROBOT, WIDE_ARCH, noise, Streams.concat(slots))
 
 
 def test_a_blocks_plans_are_those_of_its_slots_planned_alone():
@@ -707,9 +787,10 @@ def test_a_collinear_reference_volume_anywhere_in_a_block_raises():
     p = make_phantom()
     t = non_left_target(p)
     # noiseless, the reference volume is the fiducials, here all on one line
-    line = np.linspace(-8.0, 8.0, len(p.fiducial_points))[:, None] * np.array([[1.0, 0.5, 0.2]])
-    flat = replace(p, fiducial_points=line)
-    phantoms, block_streams = [p, p, flat, p], Streams.concat([streams(t.id)] * 4)
+    line = np.linspace(-8.0, 8.0, N_FIDUCIALS)[:, None] * np.array([[1.0, 0.5, 0.2]])
+    # the third slot's phantom, row 1, has them
+    phantoms = Phantoms.concat([p, replace(p, fiducial_points=line[None])])
+    block_streams = Streams.concat([streams(t), streams(t), streams(t, phantom=1), streams(t)])
     with pytest.raises(DegenerateConfiguration, match="collinear"):
         plan_insertions(phantoms, GEOM, far_arch(), quiet_noise(), block_streams)
     # an untracked plan prepares no registration reference, so nothing checks it

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import gland_transform_oracle
+from conftest import gland_transform_at, gland_transform_oracle
 from prostasim import geometry, phantom as ph, rng
 from prostasim.phantom import (
     ANTERIOR,
@@ -12,16 +12,14 @@ from prostasim.phantom import (
     POSTERIOR,
     RIGHT,
     MotionParams,
+    Phantoms,
     PhantomSpec,
-    Target,
-    ZoneLabels,
     default_quotas,
     generate_phantom,
     gland_entry_depth,
     gland_levers,
     largest_remainder,
     penetration,
-    prostate_transform,
     world_to_material,
 )
 from prostasim.rng import MOTION, substream
@@ -34,12 +32,19 @@ def quiet_motion(**overrides):
 
 
 def make_phantom(seed=3, **spec_kw):
+    """One phantom: a ``Phantoms`` of one row."""
     return generate_phantom(PhantomSpec(**spec_kw), seed)
+
+
+def targets_of(p):
+    """The (id, rest position, zone labels) of each target of the one-row ``p``, in id order."""
+    zones = zip(*(column[0].tolist() for column in (p.zone_depth, p.zone_lateral, p.zone_ap)))
+    return [(i, pos, labels) for i, (pos, labels) in enumerate(zip(p.target_rest[0], zones))]
 
 
 def entry_depth(p, entry, d):
     """The gland entry depth of one needle line: a stack of one."""
-    return gland_entry_depth([p], [entry], [d])[0]
+    return gland_entry_depth(p, [entry], [d])[0]
 
 
 def needle_penetration(p, entry, d, depth):
@@ -49,47 +54,45 @@ def needle_penetration(p, entry, d, depth):
 def levers(p, entry, d, pass_depth):
     """The levers of one needle line and first pass: a block of one."""
     unit = geometry.normalize(np.array([d], dtype=np.float64))
-    return gland_levers([p], [entry], unit, [entry_depth(p, entry, unit[0])], [pass_depth])
+    return gland_levers(p, [entry], unit, [entry_depth(p, entry, unit[0])], [pass_depth])
 
 
 def transform(p, motion, entry, d, tip_depth, noise, pass_depth=None):
     """The gland transform with the tip at ``tip_depth`` after a first pass
     to ``pass_depth`` (by default the tip's depth: one uncorrected pass)."""
     pass_depth = tip_depth if pass_depth is None else pass_depth
-    return prostate_transform(levers(p, entry, d, pass_depth), 0, motion, tip_depth, noise)
+    return gland_transform_at(levers(p, entry, d, pass_depth), 0, motion, tip_depth, noise)
 
 
 def test_generation_is_deterministic():
     a = generate_phantom(PhantomSpec(), 11)
     b = generate_phantom(PhantomSpec(), 11)
-    for ta, tb in zip(a.targets, b.targets):
-        np.testing.assert_array_equal(ta.position_rest, tb.position_rest)
-        assert ta.zone == tb.zone
+    for (_, pa, za), (_, pb, zb) in zip(targets_of(a), targets_of(b)):
+        np.testing.assert_array_equal(pa, pb)
+        assert za == zb
     c = generate_phantom(PhantomSpec(), 12)
     assert any(
-        not np.array_equal(ta.position_rest, tc.position_rest)
-        for ta, tc in zip(a.targets, c.targets)
+        not np.array_equal(pa, pc)
+        for (_, pa, _), (_, pc, _) in zip(targets_of(a), targets_of(c))
     )
 
 
 def test_zone_quotas_and_predicates():
     p = make_phantom()
-    a = p.gland_semiaxes[0]
+    a = p.gland_semiaxes[0, 0]
     counts = {APEX: 0, BASE: 0, LEFT: 0, CENTER: 0, RIGHT: 0, ANTERIOR: 0, POSTERIOR: 0}
-    for t in p.targets:
-        z = t.zone
-        counts[z.depth_zone] += 1
-        counts[z.lateral_zone] += 1
-        counts[z.ap_zone] += 1
-        pos = t.position_rest
-        assert (pos[2] < 0) == (z.depth_zone == APEX)
-        if z.lateral_zone == LEFT:
+    for _, pos, (depth_zone, lateral_zone, ap_zone) in targets_of(p):
+        counts[depth_zone] += 1
+        counts[lateral_zone] += 1
+        counts[ap_zone] += 1
+        assert (pos[2] < 0) == (depth_zone == APEX)
+        if lateral_zone == LEFT:
             assert pos[0] > a / 3
-        elif z.lateral_zone == RIGHT:
+        elif lateral_zone == RIGHT:
             assert pos[0] < -a / 3
         else:
             assert abs(pos[0]) <= a / 3
-        assert (pos[1] > 0) == (z.ap_zone == ANTERIOR)
+        assert (pos[1] > 0) == (ap_zone == ANTERIOR)
     expected = default_quotas(10)
     assert counts == expected
 
@@ -97,8 +100,8 @@ def test_zone_quotas_and_predicates():
 def test_targets_inside_margin_and_spaced():
     spec = PhantomSpec(margin=0.9, min_spacing=5.0)
     p = generate_phantom(spec, 5)
-    semi = np.array(p.gland_semiaxes) * 0.9
-    positions = [t.position_rest for t in p.targets]
+    semi = p.gland_semiaxes[0] * 0.9
+    positions = p.target_rest[0]
     for pos in positions:
         assert np.sum((pos / semi) ** 2) <= 1.0 + 1e-12
     for i in range(len(positions)):
@@ -135,7 +138,7 @@ def test_largest_remainder_sums_and_known_split():
 def test_entry_depth_axial_analytic():
     p = make_phantom()
     # straight down the z axis: surface at z = -c
-    c = p.gland_semiaxes[2]
+    c = p.gland_semiaxes[0, 2]
     t0 = entry_depth(p, [0, 0, -60], [0, 0, 1])
     assert t0 == pytest.approx(60.0 - c, abs=1e-12)
 
@@ -150,7 +153,7 @@ def test_entry_depth_miss_and_inside():
 def test_penetration_and_drag_values():
     motion = quiet_motion(axial_gain=0.2, axial_base_offset=1.5)
     p = make_phantom()
-    c = p.gland_semiaxes[2]
+    c = p.gland_semiaxes[0, 2]
     entry = np.array([0.0, 0.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
     assert needle_penetration(p, entry, d, 10.0) == 0.0
@@ -159,18 +162,10 @@ def test_penetration_and_drag_values():
     assert motion.drag(needle_penetration(p, entry, d, 60.0)) == pytest.approx(1.5 + 0.2 * c)
 
 
-def test_transform_identity_before_gland():
-    motion = quiet_motion(axial_base_offset=3.0)
-    p = make_phantom()
-    t = transform(p, motion, [0, 0, -60], [0, 0, 1], 5.0, np.zeros(3))
-    np.testing.assert_array_equal(t.rotation, np.eye(3))
-    np.testing.assert_array_equal(t.translation, np.zeros(3))
-
-
 def test_transform_pure_drag_through_centroid():
     motion = quiet_motion(axial_gain=0.1, axial_base_offset=2.0)
     p = make_phantom()
-    c = p.gland_semiaxes[2]
+    c = p.gland_semiaxes[0, 2]
     t = transform(p, motion, [0, 0, -60], [0, 0, 1], 60.0, np.zeros(3))
     np.testing.assert_array_equal(t.rotation, np.eye(3))
     np.testing.assert_allclose(t.translation, [0, 0, 2.0 + 0.1 * c], atol=1e-12)
@@ -208,7 +203,7 @@ def test_rotation_angle_matches_formula_and_pivot_fixed():
     pen = needle_penetration(p, entry, d, 70.0)
     assert geometry.rotation_angle_deg(t) == pytest.approx(0.01 * lateral * pen, rel=1e-9)
     # with zero drag the pivot must stay put
-    np.testing.assert_allclose(geometry.apply(t, p.pivot), p.pivot, atol=1e-9)
+    np.testing.assert_allclose(geometry.apply(t, p.pivot[0]), p.pivot[0], atol=1e-9)
 
 
 def test_motion_noise_is_frozen_across_corrections():
@@ -233,7 +228,7 @@ def test_material_world_round_trip():
     p = make_phantom()
     noise = substream(4, MOTION).normal(0.0, motion.noise_sd_motion, 3)
     t = transform(p, motion, [6, 2, -60], [0, 0, 1], 70.0, noise)
-    rest = p.targets[0].position_rest
+    rest = p.target_rest[0, 0]
     world = geometry.apply(t, rest)
     back = world_to_material(t.rotation[None], t.translation[None], world[None])[0]
     np.testing.assert_allclose(back, rest, atol=1e-9)
@@ -241,10 +236,10 @@ def test_material_world_round_trip():
 
 def test_fiducials_on_shrunken_surface():
     p = make_phantom()
-    semi = np.array(p.gland_semiaxes) * 0.85
-    for pos in p.fiducial_points:
+    semi = p.gland_semiaxes[0] * 0.85
+    for pos in p.fiducial_points[0]:
         assert np.sum((pos / semi) ** 2) == pytest.approx(1.0, abs=1e-9)
-    assert p.fiducial_points.shape == (12, 3)
+    assert p.fiducial_points.shape == (1, 12, 3)
 
 
 def test_negative_params_rejected():
@@ -281,9 +276,9 @@ def assert_levers_match_the_per_line_formula(phantoms, entries, dirs, pass_depth
     for k in range(len(levers)):
         for tip in tips[k]:
             for motion, noise in still_and_moving(rs):
-                got = prostate_transform(levers, k, motion, tip, noise)
+                got = gland_transform_at(levers, k, motion, tip, noise)
                 want = gland_transform_oracle(
-                    phantoms[k], motion, entries[k], dirs[k], tip, pass_depths[k], noise, depths[k]
+                    phantoms.rows(k), motion, entries[k], dirs[k], tip, pass_depths[k], noise, depths[k]
                 )
                 assert bits(got) == bits(want), (k, tip, motion)
     return levers, depths
@@ -295,7 +290,7 @@ SHAPED = (make_phantom(), make_phantom(seed=6, gland_semiaxes=(21.0, 17.0, 26.0)
 def test_levers_and_transform_match_the_per_line_formula():
     rs = np.random.default_rng(2024)
     n = 300
-    phantoms = [SHAPED[i] for i in rs.integers(0, 2, n)]
+    phantoms = Phantoms.concat(SHAPED).rows(rs.integers(0, 2, n))
     entries = np.column_stack([rs.uniform(-30, 30, (n, 2)), rs.uniform(-80, -30, n)])
     aims = rs.uniform(-25, 25, (n, 3))
     lengths = np.linalg.norm(aims - entries, axis=1)
@@ -311,7 +306,7 @@ def test_levers_and_transform_match_the_per_line_formula():
 def test_levers_match_the_per_line_formula_at_the_edges():
     rs = np.random.default_rng(7)
     p = SHAPED[0]
-    c = p.gland_semiaxes[2]
+    c = p.gland_semiaxes[0, 2]
     entries = [
         [0.0, 0.0, -60.0],  # on the axis: lateral 0, no rotation
         [1e-13, 0.0, -60.0],  # lateral 1e-13, at most 1e-12: no rotation
@@ -320,10 +315,10 @@ def test_levers_match_the_per_line_formula_at_the_edges():
     ]
     dirs = [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [0.0, 0.0, 1.0], [0.02, 0.01, 1.0]]
     units = geometry.normalize(np.array(dirs))
-    at = float(gland_entry_depth([p], [entries[3]], units[3:])[0])
+    at = float(gland_entry_depth(p, [entries[3]], units[3:])[0])
     tips = [[70.0, 60.0 - c], [70.0], [70.0, 0.0], [at, float(np.nextafter(at, np.inf)), 70.0]]
     levers, depths = assert_levers_match_the_per_line_formula(
-        [p] * 4, entries, dirs, [70.0, 70.0, 70.0, 70.0], tips, rs
+        p.rows([0] * 4), entries, dirs, [70.0, 70.0, 70.0, 70.0], tips, rs
     )
     # no axis: the rows of a line through the centroid, or within 1e-12 of it, are zero
     assert levers.lateral[0] == 0.0 and not levers.kx[0].any() and not levers.kx2[0].any()
@@ -331,9 +326,9 @@ def test_levers_match_the_per_line_formula_at_the_edges():
     assert np.isnan(depths[2]) and levers.penetration[2] == 0.0
     assert levers.kx[3].any()
     motion = MotionParams(0.1, 2.0, 0.02, 0.0)
-    assert bits(prostate_transform(levers, 2, motion, 70.0, np.zeros(3))) == bits(geometry.identity())
-    assert bits(prostate_transform(levers, 3, motion, at, np.zeros(3))) == bits(geometry.identity())
-    assert bits(prostate_transform(levers, 3, motion, 70.0, np.zeros(3))) != bits(geometry.identity())
+    assert bits(gland_transform_at(levers, 2, motion, 70.0, np.zeros(3))) == bits(geometry.identity())
+    assert bits(gland_transform_at(levers, 3, motion, at, np.zeros(3))) == bits(geometry.identity())
+    assert bits(gland_transform_at(levers, 3, motion, 70.0, np.zeros(3))) != bits(geometry.identity())
 
 
 def zone_ok_oracle(p, a, labels):
@@ -357,7 +352,7 @@ def zone_ok_oracle(p, a, labels):
 
 
 def placement_oracle(spec, seed):
-    """The targets of ``generate_phantom``, one candidate drawn and tested per attempt."""
+    """The (id, rest position bits, zones) of each target of ``generate_phantom``, one candidate drawn and tested per attempt."""
     a, b, c = spec.gland_semiaxes
     quotas = spec.zone_quotas if spec.zone_quotas is not None else default_quotas(spec.n_targets)
     stream = substream(seed, rng.PHANTOM_BUILD, phantom=spec.index)
@@ -387,14 +382,14 @@ def placement_oracle(spec, seed):
                 f"{spec.min_spacing} mm after {ph._PLACEMENT_ATTEMPTS} attempts"
             )
         placed.append(pos)
-        targets.append(Target(i, pos, ZoneLabels(*labels)))
+        targets.append((i, pos.tobytes(), labels))
     return targets
 
 
 def placement(make, spec, seed):
     """The targets' ids, position bits and zones, or the error message."""
     try:
-        return [(t.id, t.position_rest.tobytes(), t.zone) for t in make(spec, seed)]
+        return make(spec, seed)
     except ValueError as e:
         return str(e)
 
@@ -414,7 +409,7 @@ PLACEMENT_SPECS = (
 
 
 def built_targets(spec, seed):
-    return generate_phantom(spec, seed).targets
+    return [(i, pos.tobytes(), labels) for i, pos, labels in targets_of(generate_phantom(spec, seed))]
 
 
 @pytest.mark.parametrize("spec", PLACEMENT_SPECS)

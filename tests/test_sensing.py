@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from prostasim import geometry, rng
 from prostasim.geometry import DegenerateConfiguration, prepare_reference
-from prostasim.phantom import PhantomSpec, generate_phantom
+from prostasim.phantom import Phantoms, PhantomSpec, generate_phantom
 from prostasim.rng import draw_insertions, substream
 from prostasim.sensing import (
     NoiseModel,
@@ -32,13 +32,13 @@ def stream(seed=9):
 
 def observe_one(phantom, t, noise, s, needle_count=0):
     """One volume: ``observe`` on a stack of one, with the next N x 3 normals of ``s``."""
-    normals = s.standard_normal((1, len(phantom.fiducial_points), 3))
-    return observe([phantom], t.rotation[None], t.translation[None], noise, normals, [needle_count])[0]
+    normals = s.standard_normal(phantom.fiducial_points.shape)
+    return observe(phantom, t.rotation[None], t.translation[None], noise, normals, [needle_count])[0]
 
 
 def observe_point_one(phantom, point, noise, s, needle_count=0):
     """One point: ``observe_point`` on a stack of one, with the next 3 normals of ``s``."""
-    return observe_point([phantom], [point], noise, s.standard_normal((1, 3)), [needle_count])[0]
+    return observe_point(phantom, [point], noise, s.standard_normal((1, 3)), [needle_count])[0]
 
 
 def register_one(ref_points, obs):
@@ -65,15 +65,15 @@ def test_validate_rejects_bad_params():
 def test_noiseless_observation_is_exact(phantom):
     t = some_transform()
     obs = observe_one(phantom, t, quiet_noise(), stream())
-    assert obs.shape == phantom.fiducial_points.shape
-    for rest, world in zip(phantom.fiducial_points, obs):
+    assert obs.shape == phantom.fiducial_points[0].shape
+    for rest, world in zip(phantom.fiducial_points[0], obs):
         np.testing.assert_allclose(world, geometry.apply(t, rest), atol=1e-12)
 
 
 def test_register_recovers_transform(phantom):
     t = some_transform()
     obs = observe_one(phantom, t, quiet_noise(), stream())
-    reg, rms = register_one(phantom.fiducial_points, obs)
+    reg, rms = register_one(phantom.fiducial_points[0], obs)
     assert rms < 1e-9
     np.testing.assert_allclose(reg.rotation, t.rotation, atol=1e-9)
     np.testing.assert_allclose(reg.translation, t.translation, atol=1e-9)
@@ -81,7 +81,7 @@ def test_register_recovers_transform(phantom):
 
 def test_track_target_is_transform_application(phantom):
     t = some_transform()
-    target = phantom.targets[0].position_rest
+    target = phantom.target_rest[0, 0]
     got = track_target(t.rotation[None], t.translation[None], target[None])[0]
     np.testing.assert_allclose(got, geometry.apply(t, target), atol=1e-12)
 
@@ -90,21 +90,21 @@ def test_registration_rms_matches_residual_dof(phantom):
     # fitting 6 rigid dof to 3n noisy coordinates leaves sd^2 * (3n - 6)
     # expected squared residual, so rms -> sd * sqrt((3n - 6) / n)
     sd = 0.5
-    n = len(phantom.fiducial_points)
+    n = phantom.fiducial_points.shape[1]
     expect = sd * np.sqrt((3 * n - 6) / n)
     noise = quiet_noise(sigma0=sd)
     s = stream()
     draws = []
     for _ in range(300):
         obs = observe_one(phantom, geometry.identity(), noise, s)
-        draws.append(register_one(phantom.fiducial_points, obs)[1])
+        draws.append(register_one(phantom.fiducial_points[0], obs)[1])
     assert np.mean(draws) == pytest.approx(expect, rel=0.06)
 
 
 def test_observe_point_scatter_matches_sigma(phantom):
     # z = 0 sits gland_semiaxes[2] mm past the entry plane
     noise = quiet_noise(sigma0=0.3, depth_gain=0.01)
-    depth = phantom.gland_semiaxes[2]
+    depth = phantom.gland_semiaxes[0, 2]
     expect = 0.3 + 0.01 * depth
     s = stream()
     pts = np.array([observe_point_one(phantom, [5.0, 1.0, 0.0], noise, s) for _ in range(4000)])
@@ -115,7 +115,7 @@ def test_observe_point_scatter_matches_sigma(phantom):
 def test_degradation_raises_base_sigma(phantom):
     # twin streams draw the same normals, so only the sd scales the deviation
     noise = quiet_noise(sigma0=0.3, degradation_per_needle=1.2)
-    exact = phantom.fiducial_points  # the noiseless volume at rest
+    exact = phantom.fiducial_points[0]  # the noiseless volume at rest
     dev0 = observe_one(phantom, geometry.identity(), noise, stream(), needle_count=0) - exact
     dev3 = observe_one(phantom, geometry.identity(), noise, stream(), needle_count=3) - exact
     np.testing.assert_allclose(dev3, 1.2**3 * dev0, rtol=1e-12)
@@ -125,7 +125,7 @@ def test_depth_gain_widens_scatter_with_depth(phantom):
     noise = quiet_noise(sigma0=0.05, depth_gain=0.05)
     s = stream()
     shallow = np.array(
-        [observe_point_one(phantom, [0, 0, -phantom.gland_semiaxes[2]], noise, s) for _ in range(2000)]
+        [observe_point_one(phantom, [0, 0, -phantom.gland_semiaxes[0, 2]], noise, s) for _ in range(2000)]
     )
     deep = np.array([observe_point_one(phantom, [0, 0, 20.0], noise, s) for _ in range(2000)])
     assert deep.std(axis=0).mean() > 2.0 * shallow.std(axis=0).mean()
@@ -133,18 +133,18 @@ def test_depth_gain_widens_scatter_with_depth(phantom):
 
 def test_register_needs_three_common_points(phantom):
     with pytest.raises(DegenerateConfiguration, match="at least 3"):
-        prepare_reference(phantom.fiducial_points[None, :2])
-    moved = geometry.apply(some_transform(), phantom.fiducial_points[:3])
-    _, rms = register_one(phantom.fiducial_points[:3], moved)
+        prepare_reference(phantom.fiducial_points[:, :2])
+    moved = geometry.apply(some_transform(), phantom.fiducial_points[0, :3])
+    _, rms = register_one(phantom.fiducial_points[0, :3], moved)
     assert rms < 1e-9
 
 def test_observation_stream_replays(phantom):
     noise = quiet_noise(sigma0=0.4)
-    n = len(phantom.fiducial_points)
+    n = phantom.fiducial_points.shape[1]
 
     def first_volume():
         streams = draw_insertions(7, [(1, 2, 3)], [0], n, 2).rows(0)
-        return observe([phantom], np.eye(3)[None], np.zeros((1, 3)), noise,
+        return observe(phantom, np.eye(3)[None], np.zeros((1, 3)), noise,
                        streams.observation_normals[None, 0], [0])[0]
 
     a, b = first_volume(), first_volume()
@@ -156,12 +156,12 @@ def test_observation_stream_replays(phantom):
 def test_streams_have_a_fixed_layout(phantom):
     """A volume takes N x 3 normals and a point 3, whatever their sd: the
     reference layout is one stream drawn point by point with ``normal``."""
-    c = phantom.gland_semiaxes[2]
-    n = len(phantom.fiducial_points)
+    c = phantom.gland_semiaxes[0, 2]
+    n = phantom.fiducial_points.shape[1]
     # moved back by c, the fiducials with rest z <= 0 sit in front of the
     # entry plane z = -c, where sigma0 = 0 leaves them an sd of 0
     mixed = geometry.translation([0.0, 0.0, -c])
-    rest_z = phantom.fiducial_points[:, 2]
+    rest_z = phantom.fiducial_points[0, :, 2]
     assert (rest_z <= 0).any() and (rest_z > 0).any()
     for noise, t in (
         (quiet_noise(), some_transform()),
@@ -169,13 +169,13 @@ def test_streams_have_a_fixed_layout(phantom):
         (quiet_noise(sigma0=0.3), some_transform()),
     ):
         a, b = stream(), stream()
-        target = geometry.apply(t, phantom.targets[0].position_rest)
+        target = geometry.apply(t, phantom.target_rest[0, 0])
         z = a.standard_normal(n * 3 + 3)
         normals = z[:-3].reshape(1, n, 3)
-        volume = observe([phantom], t.rotation[None], t.translation[None], noise, normals, [0])[0]
+        volume = observe(phantom, t.rotation[None], t.translation[None], noise, normals, [0])[0]
         np.testing.assert_array_equal(volume, observe_per_point(phantom, t, noise, b, 0))
         sigma = noise.sigma0 + noise.depth_gain * max(0.0, float(target[2]) + c)
-        point = observe_point([phantom], target[None], noise, z[None, -3:], [0])[0]
+        point = observe_point(phantom, target[None], noise, z[None, -3:], [0])[0]
         np.testing.assert_array_equal(point, target + b.normal(0.0, sigma, 3))
         assert a.standard_normal() == b.standard_normal()
 
@@ -187,33 +187,35 @@ def test_observe_point_stacks_points_observed_alone_bit_for_bit(phantom):
     other = generate_phantom(PhantomSpec(gland_semiaxes=(21.0, 17.0, 26.0)), seed=6)
     rs = np.random.default_rng(11)
     k = 40
-    phantoms = [(phantom, other)[i] for i in rs.integers(0, 2, k)]
+    which = rs.integers(0, 2, k)
+    phantoms = Phantoms.concat([phantom, other]).rows(which)
     points = rs.uniform(-30.0, 30.0, (k, 3))
     counts = rs.integers(0, 5, k).tolist()
     for noise in (quiet_noise(), quiet_noise(sigma0=0.2, depth_gain=0.03, degradation_per_needle=1.15)):
         a, b, c = stream(), stream(), stream()
         rows = observe_point(phantoms, points, noise, a.standard_normal((k, 3)), counts)
-        for row, p, point, count in zip(rows, phantoms, points, counts):
+        for j, (row, point, count) in enumerate(zip(rows, points, counts)):
+            p = phantoms.rows([j])
             alone = observe_point_one(p, point, noise, b, count)
             base = noise.sigma0 * noise.degradation_per_needle**count
-            sigma = base + noise.depth_gain * max(0.0, float(point[2]) + p.gland_semiaxes[2])
+            sigma = base + noise.depth_gain * max(0.0, float(point[2]) + p.gland_semiaxes[0, 2])
             assert row.tobytes() == alone.tobytes() == (point + c.normal(0.0, sigma, 3)).tobytes()
 
 
 def observe_per_point(phantom, t, noise, s, needle_count):
-    """observe as a loop over fiducials, one draw of three per point."""
+    """observe as a loop over the fiducials of a one-row ``phantom``, one draw of three per point."""
     base = noise.sigma0 * noise.degradation_per_needle**needle_count
     rows = []
-    for rest in phantom.fiducial_points:
+    for rest in phantom.fiducial_points[0]:
         world = geometry.apply(t, rest)
-        sigma = base + noise.depth_gain * max(0.0, float(world[2]) + phantom.gland_semiaxes[2])
+        sigma = base + noise.depth_gain * max(0.0, float(world[2]) + phantom.gland_semiaxes[0, 2])
         rows.append(world + s.normal(0.0, sigma, 3))
     return np.array(rows)
 
 
 def test_observe_matches_per_point_loop_bit_for_bit(phantom):
     rng = np.random.default_rng(2024)
-    c = phantom.gland_semiaxes[2]
+    c = phantom.gland_semiaxes[0, 2]
     a, b = stream(seed=3), stream(seed=3)
     zero_rows = set()
     for case in range(300):
@@ -231,8 +233,8 @@ def test_observe_matches_per_point_loop_bit_for_bit(phantom):
         np.testing.assert_array_equal(got, want)
         assert a.standard_normal() == b.standard_normal()
         if sigma0 == 0.0:
-            zero_rows.add(int(np.sum(geometry.apply(t, phantom.fiducial_points)[:, 2] + c <= 0)))
-    n = len(phantom.fiducial_points)
+            zero_rows.add(int(np.sum(geometry.apply(t, phantom.fiducial_points[0])[:, 2] + c <= 0)))
+    n = phantom.fiducial_points.shape[1]
     assert 0 in zero_rows and n in zero_rows and zero_rows - {0, n}
 
 
@@ -281,14 +283,14 @@ def stack_rows(draw):
 )
 def test_stacked_kernels_match_a_row_by_row_loop_bit_for_bit(rows, sigma0, depth_gain, degradation):
     noise = quiet_noise(sigma0=sigma0, depth_gain=depth_gain, degradation_per_needle=degradation)
-    phantoms = [r[0] for r in rows]
+    phantoms = Phantoms.concat([r[0] for r in rows])
     transforms = [r[1] for r in rows]
     counts = [r[2] for r in rows]
     ours = [stream(seed) for *_, seed in rows]
     theirs = [stream(seed) for *_, seed in rows]
 
     def normals():
-        return np.array([s.standard_normal(p.fiducial_points.shape) for s, p in zip(ours, phantoms)])
+        return np.array([s.standard_normal(points.shape) for s, points in zip(ours, phantoms.fiducial_points)])
 
     rotations = np.array([t.rotation for t in transforms])
     translations = np.array([t.translation for t in transforms])
@@ -298,7 +300,7 @@ def test_stacked_kernels_match_a_row_by_row_loop_bit_for_bit(rows, sigma0, depth
     ref = observe(phantoms, *rest, noise, normals(), counts)
     obs = observe(phantoms, rotations, translations, noise, normals(), counts)
     rot, trans, rms = rigid_register(prepare_reference(ref), obs)
-    targets = np.array([p.targets[0].position_rest for p in phantoms])
+    targets = phantoms.target_rest[:, 0]
     tracked = track_target(rot, trans, targets)
 
     for k, (phantom, t, count, _) in enumerate(rows):
