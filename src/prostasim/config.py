@@ -8,14 +8,16 @@ rejected at every level (arch capsules included), sections must be
 mappings, vectors keep their default length, flags must be YAML booleans
 and numbers must be finite.  Errors always name the offending key path
 so CLI users can find the problem.
+
+PyYAML is imported only where YAML is read or written (``load_config``,
+``to_yaml``): a run of the default study does neither, and does not pay
+for the import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
-
-import yaml
 
 from . import rng
 from .controller import ConvergenceParams
@@ -244,6 +246,8 @@ def from_dict(data: dict) -> StudyConfig:
 
 
 def to_yaml(cfg: StudyConfig, header: str | None = None) -> str:
+    import yaml
+
     body = yaml.safe_dump(to_dict(cfg), sort_keys=False, default_flow_style=False)
     if header:
         lines = "".join(f"# {line}\n" for line in header.splitlines())
@@ -252,6 +256,8 @@ def to_yaml(cfg: StudyConfig, header: str | None = None) -> str:
 
 
 def load_config(path: str) -> StudyConfig:
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)

@@ -11,7 +11,9 @@ An insertion is three steps, the first and last taken by a block of
 insertions together.  A block's random streams are one ``rng.Streams``,
 a column per draw and a row per slot, and every step reads its columns;
 slot k's phantom is row ``streams.phantom[k]`` of the study's
-``phantom.Phantoms``, a row per phantom, which every step is given.
+``phantom.Phantoms``, a row per phantom, which every step is given; the
+sensing and gland kernels get the rows of its ``glands``, which leave the
+target and zone columns behind.
 ``plan_insertions`` is the motion-free half, in arrays over the block:
 one stacked observation and collinearity check of the reference volumes,
 the observed targets, the trajectories (one ``kinematics.Trajectory``:
@@ -212,7 +214,7 @@ def plan_insertions(
     """
     region = entry_region if entry_region is not None else EntryRegion()
     n = len(streams)
-    block = phantoms.rows(streams.phantom)
+    block = phantoms.glands().rows(streams.phantom)
     normals, counts = streams.reference_normals, streams.needle_count
     volume = normals[:, :-3].reshape(n, -1, 3)
     rest = np.broadcast_to(np.eye(3), (n, 3, 3))
@@ -353,6 +355,7 @@ def correct_insertions(
     # (NaN where the line misses the gland: never past it)
     entry_depth = plans.levers.entry_depth
     moved_rot, moved_trans = _transforms(baselines)
+    glands = phantoms.glands()
 
     tip = plans.depth.copy()  # corrections move the tip; the pass depth stays
     applied = np.zeros(len(plans))
@@ -366,7 +369,7 @@ def correct_insertions(
     for step in range(conv.max_corrections + 1):
         rot, trans = _gland_states(tip[active] > entry_depth[active], moved_rot[active], moved_trans[active])
         obs = sensing.observe(
-            phantoms.rows(streams.phantom[active]), rot, trans, noise,
+            glands.rows(streams.phantom[active]), rot, trans, noise,
             streams.observation_normals[active, step], streams.needle_count[active],
         )
         reg_rot, reg_trans, rms[active] = sensing.rigid_register(plans.reference.rows(active), obs)

@@ -182,18 +182,32 @@ def segment_segment_distance(p0, p1, q0, q1) -> np.ndarray:
     ``p0``/``p1`` are (n, 3) and ``q0``/``q1`` (m, 3).  Clamped closest
     points (Ericson, Real-Time Collision Detection, 5.1.9), broadcast over
     all n x m pairs at once; either segment may be degenerate (a point).
+
+    The work is laid out as component planes: a vector quantity is (3, m, n),
+    one (m, n) plane per axis, with the p segments along the last axis, so
+    every operation runs on rows of n.  Each dot product is
+    ``u[0]*v[0] + u[1]*v[1] + u[2]*v[2]``, summed left to right as
+    ``np.sum`` sums a length-3 axis, so each distance has the bits of the
+    same formula on (n, m, 3) pair arrays, and each row of p the bits it
+    gets alone.  (A sum of negative zeros is -0.0 here and 0.0 in
+    ``np.sum``; no zero's sign reaches a distance, as no divisor can be 0.)
     """
-    p0 = np.asarray(p0, dtype=np.float64)
-    q0 = np.asarray(q0, dtype=np.float64)
-    # pairwise quantities, shape (n, m)
-    d1 = (np.asarray(p1, dtype=np.float64) - p0)[:, None, :]
-    d2 = (np.asarray(q1, dtype=np.float64) - q0)[None, :, :]
-    r = p0[:, None, :] - q0[None, :, :]
-    a = np.sum(d1 * d1, axis=2)
-    e = np.sum(d2 * d2, axis=2)
-    b = np.sum(d1 * d2, axis=2)
-    c = np.sum(d1 * r, axis=2)
-    f = np.sum(d2 * r, axis=2)
+    # the p segments along the last axis, the q segments down the middle one
+    p0 = np.asarray(p0, dtype=np.float64).T[:, None, :]
+    d1 = np.asarray(p1, dtype=np.float64).T[:, None, :] - p0
+    q0 = np.asarray(q0, dtype=np.float64).T[:, :, None]
+    d2 = np.asarray(q1, dtype=np.float64).T[:, :, None] - q0
+    r = p0 - q0
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    # (1, n), (m, 1), then (m, n)
+    a = dot(d1, d1)
+    e = dot(d2, d2)
+    b = dot(d1, d2)
+    c = dot(d1, r)
+    f = dot(d2, r)
 
     denom = a * e - b * b
     safe = denom > 1e-30
@@ -209,8 +223,8 @@ def segment_segment_distance(p0, p1, q0, q1) -> np.ndarray:
     s = np.where(high, np.clip((b - c) / a, 0.0, 1.0), s)
     t = np.clip(t, 0.0, 1.0)
 
-    diff = (p0[:, None, :] + s[..., None] * d1) - (q0[None, :, :] + t[..., None] * d2)
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    diff = (p0 + s * d1) - (q0 + t * d2)
+    return np.sqrt(dot(diff, diff)).T
 
 
 @dataclass(eq=False)

@@ -21,7 +21,7 @@ past the gland entry depth.  Short of it the gland is at rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,16 +111,22 @@ class Phantoms(geometry.Columns):
     fiducials, and its targets in id order: their (T, 3) rest positions and
     (T,) zone labels.  ``generate_phantom`` makes one row; a study's
     phantoms are their ``concat``, and a slot reads its phantom's row.
+    ``glands`` gives the same phantoms with no target or zone column.
     """
 
     gland_semiaxes: np.ndarray  # (P, 3)
     pivot: np.ndarray  # (P, 3)
     left_bias: np.ndarray  # (P,)
     fiducial_points: np.ndarray  # (P, N, 3)
-    target_rest: np.ndarray  # (P, T, 3)
-    zone_depth: np.ndarray  # (P, T) str
-    zone_lateral: np.ndarray
-    zone_ap: np.ndarray
+    target_rest: np.ndarray | None  # (P, T, 3)
+    zone_depth: np.ndarray | None  # (P, T) str
+    zone_lateral: np.ndarray | None
+    zone_ap: np.ndarray | None
+
+    def glands(self) -> Phantoms:
+        """These phantoms without their targets, whose ``rows`` copy only the
+        gland, bias and fiducial columns the sensing and gland kernels read."""
+        return replace(self, target_rest=None, zone_depth=None, zone_lateral=None, zone_ap=None)
 
 
 def default_quotas(n_targets: int) -> dict[str, int]:

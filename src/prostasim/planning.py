@@ -17,6 +17,14 @@ clearance in rounds of rising angulation, stopping for each target at
 the first round that finds it a clear candidate.  Every clearance is
 measured with the stacked ``geometry.segment_segment_distance``, and
 only its sign is read.
+
+A candidate's angulation is taken per candidate on Python floats, with
+``math.hypot`` and ``math.atan2``: numpy's ``hypot`` and ``arctan2``
+differ from them in the last ulp on some candidates (9 and 2,853 of the
+127,153 of the benchmark's plan-heavy study), and the angle bins break
+the planner's ties on those bits.  Only the conversion to degrees runs in
+numpy: ``np.degrees`` multiplies by the same 180/pi that
+``math.degrees`` does, so it keeps every bit.
 """
 
 from __future__ import annotations
@@ -44,10 +52,10 @@ ROUND_BIN_LIMITS = (2, 4, 8, 16)
 # A block's grid search holds every candidate of its targets.  These bound
 # what is alive at once on top of that: the candidates whose angles are
 # taken in one pass of the math functions (as Python floats), and the rows
-# of shafts the clearance kernel takes at once (its temporaries grow with
-# rows x capsules).
+# of shafts the clearance kernel takes at once (its temporaries are
+# component planes of capsules x rows).
 ANGLE_SLICE = 1024
-KERNEL_ROWS = 512
+KERNEL_ROWS = 1024
 
 
 @dataclass
@@ -228,20 +236,23 @@ def candidate_entries(targets, entry_region: EntryRegion, geom: kinematics.Robot
     line).  The targets' candidates are concatenated in target order, and
     ``owner`` gives each row's target.  Within a target the order is
     row-major in (dy, dx), which fixes the deterministic tie-break order of
-    the planner.
+    the planner.  The off-axis distance and the angle are ``math.hypot``
+    and ``math.atan2`` per candidate, ``ANGLE_SLICE`` at a time, for the
+    bits the bins tie on; the degrees are one ``np.degrees`` over them all.
     """
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
     ex, ey, owner = _entry_grid(targets, entry_region, geom)
     dx = ex - targets[owner, 0]
     dy = ey - targets[owner, 1]
     dz = targets[owner, 2] - geom.front_plane_z
-    # math (not numpy) hypot/atan2: numpy's differ in the last ulp, and the
-    # angle bins break the planner's ties
+    # math (not numpy) hypot/atan2: see the module docstring
     angles = np.empty(ex.size)
     for lo in range(0, ex.size, ANGLE_SLICE):
         part = slice(lo, lo + ANGLE_SLICE)
         offaxis = map(math.hypot, dx[part].tolist(), dy[part].tolist())
-        angles[part] = list(map(math.degrees, map(math.atan2, offaxis, dz[part].tolist())))
+        angles[part] = list(map(math.atan2, offaxis, dz[part].tolist()))
+    # one multiplication by 180/pi, as math.degrees makes it
+    np.degrees(angles, out=angles)
     ok = angles <= geom.max_angulation + 1e-12
     return np.stack([ex[ok], ey[ok]], axis=1), angles[ok], owner[ok]
 

@@ -51,16 +51,26 @@ def _key(master_seed: int, purpose: int, phantom: int, target: int, replicate: i
     ``salt`` mixes in a component-level seed (see the ``rng_seed`` fields on
     the parameter dataclasses) without disturbing the structural packing.
     """
-    for name, v in (("purpose", purpose), ("phantom", phantom), ("target", target), ("replicate", replicate)):
-        if not 0 <= v <= _FIELD_MASK:
-            raise ValueError(f"{name} index {v} outside [0, {_FIELD_MASK}]")
+    _check_fields(purpose, phantom, target, replicate)
     packed = (
         (purpose << (3 * _FIELD_BITS))
         | (phantom << (2 * _FIELD_BITS))
         | (target << _FIELD_BITS)
         | replicate
     )
-    return (((master_seed ^ (salt * 0x9E3779B97F4A7C15)) & _WORD_MASK) << 64) | packed
+    return (_high_word(master_seed, salt) << 64) | packed
+
+
+def _check_fields(purpose: int, phantom: int, target: int, replicate: int):
+    """Raise ValueError naming the first of the fields outside 16 bits, if any."""
+    for name, v in (("purpose", purpose), ("phantom", phantom), ("target", target), ("replicate", replicate)):
+        if not 0 <= v <= _FIELD_MASK:
+            raise ValueError(f"{name} index {v} outside [0, {_FIELD_MASK}]")
+
+
+def _high_word(master_seed: int, salt: int) -> int:
+    """The high 64 bits of a key: the master seed with the salt mixed in."""
+    return (master_seed ^ (salt * 0x9E3779B97F4A7C15)) & _WORD_MASK
 
 
 def substream(
@@ -97,13 +107,29 @@ def standard_normals(master_seed: int, purpose: int, slots, salt: int, size: int
 
     ``slots`` lists (phantom, target, replicate) indices; row k equals
     ``substream(master_seed, purpose, *slots[k], salt).standard_normal(size)``.
-    Raises ValueError for an index outside 16 bits, as ``substream`` does.
+    Raises ValueError for an index outside 16 bits, as ``substream`` does,
+    naming the first slot and field that ``substream`` would refuse.  The
+    keys' low words are packed in arrays over the block; they share one
+    high word.
     """
+    fields = np.array(slots).reshape(len(slots), 3)
+    # numpy holds an index past 64 bits as an object, which compares too
+    bad = (fields < 0) | (fields > _FIELD_MASK) | (not 0 <= purpose <= _FIELD_MASK)
+    if bad.any():
+        _check_fields(purpose, *slots[int(np.argmax(bad.any(axis=1)))])
+    # unsigned: a purpose past 15 bits fills the top bit of the word
+    fields = fields.astype(np.uint64)
+    low = (
+        (np.uint64(purpose) << (3 * _FIELD_BITS))
+        | (fields[:, 0] << (2 * _FIELD_BITS))
+        | (fields[:, 1] << _FIELD_BITS)
+        | fields[:, 2]
+    )
     out = np.empty((len(slots), size))
     inner = _STATE["state"]
-    for row, (phantom, target, replicate) in zip(out, slots):
-        key = _key(master_seed, purpose, phantom, target, replicate, salt)
-        inner["key"] = [key & _WORD_MASK, key >> 64]
+    high = _high_word(master_seed, salt)
+    for row, word in zip(out, low.tolist()):
+        inner["key"] = [word, high]
         _PHILOX.state = _STATE
         _NORMALS.standard_normal(out=row)
     return out

@@ -164,7 +164,9 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
     a view made once per block), and the (point, slot) rows, point-major,
     are corrected (``correct_insertions``) and scored (``open_loop_records``)
     as the mode asks, in chunks of ``BLOCK_SLOTS`` rows, each taking its
-    rows of the block's plans and streams with ``rows``.
+    rows of the block's plans and streams with ``rows``; a chunk that is
+    the block's slots in order, as every chunk of a one-point study is,
+    takes the block's plans and streams themselves.
     """
     cfg.validate()
     # sigma0 -> its noise model and its points
@@ -206,9 +208,12 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
             closed_chunks, open_chunks = [], []
             for lo in range(0, len(members) * n, BLOCK_SLOTS):
                 rows = range(lo, min(lo + BLOCK_SLOTS, len(members) * n))
-                row_slots = [r % n for r in rows]
-                row_plans = plans.rows(row_slots)
-                row_streams = streams.rows(row_slots)
+                if rows == range(n):
+                    # one point's chunk: the block's own rows, no copy
+                    row_plans, row_streams = plans, streams
+                else:
+                    row_slots = [r % n for r in rows]
+                    row_plans, row_streams = plans.rows(row_slots), streams.rows(row_slots)
                 # one first pass per row, streams by keyword: perfbench's tracer keys tasks on it
                 baselines = [
                     open_loop_insertion(points[members[r // n]][0], row_plans, j, streams=slot_streams[r % n])

@@ -94,6 +94,38 @@ def segment_distance_oracle(p0, p1, q0, q1) -> float:
     return float((cx * cx + cy * cy + cz * cz) ** 0.5)
 
 
+def segment_distance_pairs(p0, p1, q0, q1) -> np.ndarray:
+    """The distances (n, m) of ``geometry.segment_segment_distance``, on (n, m, 3) pair arrays.
+
+    The same formula with each dot product an ``np.sum`` over the 3-wide
+    axis, as the kernel computed it before it moved to component planes;
+    kept as the reference for the kernel's bits.
+    """
+    p0 = np.asarray(p0, dtype=np.float64)
+    q0 = np.asarray(q0, dtype=np.float64)
+    d1 = (np.asarray(p1, dtype=np.float64) - p0)[:, None, :]
+    d2 = (np.asarray(q1, dtype=np.float64) - q0)[None, :, :]
+    r = p0[:, None, :] - q0[None, :, :]
+    a = np.sum(d1 * d1, axis=2)
+    e = np.sum(d2 * d2, axis=2)
+    b = np.sum(d1 * d2, axis=2)
+    c = np.sum(d1 * r, axis=2)
+    f = np.sum(d2 * r, axis=2)
+    denom = a * e - b * b
+    safe = denom > 1e-30
+    s = np.where(safe, np.clip((b * f - c * e) / np.where(safe, denom, 1.0), 0.0, 1.0), 0.0)
+    point = e <= 1e-30
+    t = np.where(point, -1.0, (b * s + f) / np.where(point, 1.0, e))
+    a = np.where(a > 1e-30, a, 1.0)
+    low = t < 0.0
+    high = t > 1.0
+    s = np.where(low, np.clip(-c / a, 0.0, 1.0), s)
+    s = np.where(high, np.clip((b - c) / a, 0.0, 1.0), s)
+    t = np.clip(t, 0.0, 1.0)
+    diff = (p0[:, None, :] + s[..., None] * d1) - (q0[None, :, :] + t[..., None] * d2)
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
 def candidate_entries_oracle(target, region, geom):
     """One target's grid candidates, (entries (n,2), angles (n,)), as a scalar loop over the (dy, dx) grid."""
     tx, ty, tz = (float(v) for v in target)

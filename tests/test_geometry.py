@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import segment_distance_oracle
+from conftest import segment_distance_oracle, segment_distance_pairs
 from prostasim import geometry
 from prostasim.geometry import (
     DegenerateConfiguration,
@@ -158,6 +159,55 @@ def test_segment_distances_match_the_scalar_oracle(rng):
     for i in range(8):
         for j in range(5):
             assert d[i, j] == pytest.approx(segment_distance_oracle(p0[i], p1[i], q0[j], q1[j]), abs=1e-12)
+
+
+@st.composite
+def segment_stacks(draw):
+    """Up to 40 p segments and up to 4 q segments: (p0, p1, q0, q1).
+
+    Either side holds points, and a p segment may run parallel to a q one.
+    """
+    coords = st.floats(-50, 50, allow_nan=False)
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    q0, q1 = draw(arrays(np.float64, (2, m, 3), elements=coords))
+    p0, p1 = draw(arrays(np.float64, (2, n, 3), elements=coords))
+    for j in range(m):
+        if draw(st.booleans()):
+            q1[j] = q0[j]
+    for i in range(n):
+        kind = draw(st.sampled_from(["segment", "point", "parallel"]))
+        if kind == "point":
+            p1[i] = p0[i]
+        elif kind == "parallel":
+            j = draw(st.integers(0, m - 1))
+            p1[i] = p0[i] + draw(st.floats(-3, 3)) * (q1[j] - q0[j])
+    return p0, p1, q0, q1
+
+
+PARALLEL = (
+    np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [5.0, 5.0, 5.0]]),
+    np.array([[4.0, 1.0, 0.0], [2.0, 0.0, 0.0], [7.0, 5.0, 5.0]]),
+    np.array([[1.0, 0.0, 0.0], [3.0, 3.0, 3.0]]),
+    np.array([[3.0, 0.0, 0.0], [3.0, 3.0, 3.0]]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(segments=segment_stacks())
+@example(segments=PARALLEL)
+def test_each_row_of_segment_distances_is_that_row_alone(segments):
+    # the planner checks a subset of its candidates at a time: a row's
+    # distances must not depend on the rows beside it
+    p0, p1, q0, q1 = segments
+    d = segment_segment_distance(p0, p1, q0, q1)
+    assert d.shape == (len(p0), len(q0))
+    # the component planes keep the bits of the pair arrays
+    assert d.tobytes() == segment_distance_pairs(p0, p1, q0, q1).tobytes()
+    for i in range(len(p0)):
+        alone = segment_segment_distance(p0[i:i + 1], p1[i:i + 1], q0, q1)
+        assert alone.tobytes() == d[i:i + 1].tobytes(), i
+        for j in range(len(q0)):
+            assert d[i, j] == pytest.approx(segment_distance_oracle(p0[i], p1[i], q0[j], q1[j]), abs=1e-9)
 
 
 def test_register_recovers_exact_transform(rng):

@@ -365,16 +365,16 @@ def test_clearance_grid_matches_scalar_path(rng, geom, monkeypatch):
     for a, b, r in cases:
         got = clearance_grid(entries, -60.0, targets, DEPTH_MARGIN, a, b, r, 0.635)
         # a subset of the rows keeps every bit, as the search's rounds need,
-        # and so does a kernel that takes fewer rows at a time
+        # and so does a kernel that takes any number of rows at a time
         rows = rng.permutation(len(entries))[:17]
         np.testing.assert_array_equal(
             clearance_grid(entries[rows], -60.0, targets[rows], DEPTH_MARGIN, a, b, r, 0.635), got[rows]
         )
-        with monkeypatch.context() as m:
-            m.setattr(planning, "KERNEL_ROWS", 5)
-            np.testing.assert_array_equal(
-                clearance_grid(entries, -60.0, targets, DEPTH_MARGIN, a, b, r, 0.635), got
-            )
+        for at_once in (1, 5, len(entries)):
+            with monkeypatch.context() as m:
+                m.setattr(planning, "KERNEL_ROWS", at_once)
+                again = clearance_grid(entries, -60.0, targets, DEPTH_MARGIN, a, b, r, 0.635)
+            assert again.tobytes() == got.tobytes(), at_once
         # scalar reference, built from the single-pair distance
         for i, (ex, ey) in enumerate(entries):
             p0 = np.array([ex, ey, -60.0])

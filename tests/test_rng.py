@@ -75,6 +75,20 @@ def test_a_block_draw_is_each_streams_own_draw(seed, purpose, slots, salt, size,
         standard_normals(seed, purpose, [slots[0], tuple(slot)], salt, size)
 
 
+@pytest.mark.parametrize("slots, message", [
+    # the first slot with an index outside 16 bits, and its first such field
+    ([(0, 1, 2), (3, 4, 5), (6, 1 << 16, -1), (-1, 0, 0)], "target index 65536 outside"),
+    ([(0, 1, 2), (3, 4, -1), (1 << 16, 0, 0)], "replicate index -1 outside"),
+    ([(0, 1, 2), (3, 4, 5), (2**70, 0, 0)], f"phantom index {2**70} outside"),
+])
+def test_a_bad_index_later_in_a_block_is_named_as_substream_names_it(slots, message):
+    with pytest.raises(ValueError, match=message):
+        standard_normals(7, rng.OBSERVE, slots, 0, 3)
+    bad = next(slot for slot in slots if not all(0 <= v <= 0xFFFF for v in slot))
+    with pytest.raises(ValueError, match=message):
+        substream(7, rng.OBSERVE, *bad)
+
+
 def test_a_block_of_streams_holds_each_slots_own_draw():
     # row k of a block's columns is slot k's draw, as a block of one
     slots, counts = [(0, 1, 2), (3, 0, 1), (2, 5, 0)], [4, 0, 7]

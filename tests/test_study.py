@@ -125,13 +125,61 @@ def test_blocks_do_not_change_the_report(monkeypatch, tiny_report):
     assert json.dumps(split.summary) == json.dumps(tiny_report.summary)
 
 
+def test_a_one_point_chunk_reads_the_blocks_tables_as_they_are(monkeypatch, tiny_report):
+    from prostasim import study
+
+    # every block's plans and streams, each with a copy taken as it was made
+    made = []
+
+    def kept(fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            made.append((out, copy.deepcopy(out)))
+            return out
+        return call
+
+    # the plans and streams each chunk was given
+    handed = []
+
+    def seen(fn, at):
+        def call(*args):
+            handed.append(args[at:at + 2])
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(study, "draw_insertions", kept(study.draw_insertions))
+    monkeypatch.setattr(study, "plan_insertions", kept(study.plan_insertions))
+    monkeypatch.setattr(study, "correct_insertions", seen(study.correct_insertions, 4))
+    monkeypatch.setattr(study, "open_loop_records", seen(study.open_loop_records, 1))
+    monkeypatch.setattr(study, "BLOCK_SLOTS", 5)
+    report = run_study(tiny_config())
+    # 4 blocks, each drawn and planned once, each chunk of them scored in both modes
+    assert len(made) == 8 and len(handed) == 8
+    tables = [table for table, _ in made]
+    for plans, streams in handed:
+        assert any(plans is t for t in tables) and any(streams is t for t in tables)
+    # the loops read them and changed none of their columns
+    for table, as_made in made:
+        assert table == as_made
+    assert report.rows_closed == tiny_report.rows_closed
+    assert report.rows_open == tiny_report.rows_open
+
+
+def run_fresh(code: str):
+    """Run ``code`` in a fresh interpreter that imports prostasim and conftest; fails with its stderr."""
+    import prostasim
+
+    paths = [os.path.dirname(os.path.dirname(prostasim.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_a_study_run_imports_no_numpy_ma(tmp_path):
     # numpy 2.4's plain np.unique imports numpy.ma (9-17 ms) on its first
     # call; a run and its report must not make one.  A fresh interpreter,
     # so that no other test has imported it already
-    import prostasim
-
-    code = (
+    run_fresh(
         "import sys\n"
         "from conftest import tiny_config\n"
         "from prostasim.study import run_study, write_report\n"
@@ -139,10 +187,18 @@ def test_a_study_run_imports_no_numpy_ma(tmp_path):
         f"write_report(run_study(tiny_config(mode='both')), {str(tmp_path)!r})\n"
         "assert 'numpy.ma' not in sys.modules, 'the run imported numpy.ma'\n"
     )
-    paths = [os.path.dirname(os.path.dirname(prostasim.__file__)), os.path.dirname(__file__)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "summary.json").exists()
+
+
+def test_a_default_simulate_imports_no_yaml(tmp_path):
+    # PyYAML serves only the commands that read or write YAML; a default
+    # simulate, through the CLI, does neither and must not pay its import
+    run_fresh(
+        "import sys\n"
+        "from prostasim.cli import cli_main\n"
+        f"assert cli_main(['simulate', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'yaml' not in sys.modules, 'a default simulate imported yaml'\n"
+    )
     assert (tmp_path / "summary.json").exists()
 
 
