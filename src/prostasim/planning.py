@@ -18,13 +18,16 @@ the first round that finds it a clear candidate.  Every clearance is
 measured with the stacked ``geometry.segment_segment_distance``, and
 only its sign is read.
 
-A candidate's angulation is taken per candidate on Python floats, with
-``math.hypot`` and ``math.atan2``: numpy's ``hypot`` and ``arctan2``
-differ from them in the last ulp on some candidates (9 and 2,853 of the
-127,153 of the benchmark's plan-heavy study), and the angle bins break
-the planner's ties on those bits.  Only the conversion to degrees runs in
-numpy: ``np.degrees`` multiplies by the same 180/pi that
-``math.degrees`` does, so it keeps every bit.
+A candidate's angulation is taken in numpy, with ``np.hypot``,
+``np.arctan2`` and ``np.degrees`` over all candidates at once.  The
+planner compares an angle with three thresholds: its 1-degree bin's edges
+(k + 0.5), the angulation limit (``max_angulation + 1e-12``) and the
+approach label's ``ANGLE_BIN_DEG``.  numpy's ``hypot`` and ``arctan2``
+differ from ``math``'s in the last few ulp on some candidates (at most 3
+measured), so every angle within ``ANGLE_GUARD`` of a threshold, ~10^5
+times that error, is taken again with ``math.hypot`` and ``math.atan2``.
+Every other angle is on the same side of each threshold as ``math``'s, so
+every bin, limit and label is the one ``math``'s angles give.
 """
 
 from __future__ import annotations
@@ -49,12 +52,14 @@ ANGLE_BIN_DEG = 1.0
 # turn, then for the rest
 ROUND_BIN_LIMITS = (2, 4, 8, 16)
 
-# A block's grid search holds every candidate of its targets.  These bound
-# what is alive at once on top of that: the candidates whose angles are
-# taken in one pass of the math functions (as Python floats), and the rows
-# of shafts the clearance kernel takes at once (its temporaries are
-# component planes of capsules x rows).
-ANGLE_SLICE = 1024
+# an angle this close (in degrees) to a threshold the planner compares it
+# with is taken again with math: see the module docstring
+ANGLE_GUARD = 1e-9
+
+# A block's grid search holds every candidate of its targets.  This bounds
+# what is alive at once on top of that: the rows of shafts the clearance
+# kernel takes at once (its temporaries are component planes of capsules x
+# rows).
 KERNEL_ROWS = 1024
 
 
@@ -236,24 +241,31 @@ def candidate_entries(targets, entry_region: EntryRegion, geom: kinematics.Robot
     line).  The targets' candidates are concatenated in target order, and
     ``owner`` gives each row's target.  Within a target the order is
     row-major in (dy, dx), which fixes the deterministic tie-break order of
-    the planner.  The off-axis distance and the angle are ``math.hypot``
-    and ``math.atan2`` per candidate, ``ANGLE_SLICE`` at a time, for the
-    bits the bins tie on; the degrees are one ``np.degrees`` over them all.
+    the planner.  The angles are taken in numpy, and the few within
+    ``ANGLE_GUARD`` of a bin edge, the angulation limit or ``ANGLE_BIN_DEG``
+    again with ``math.hypot`` and ``math.atan2``, so every decision the
+    planner takes from them is the one ``math``'s angles give.
     """
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
     ex, ey, owner = _entry_grid(targets, entry_region, geom)
     dx = ex - targets[owner, 0]
     dy = ey - targets[owner, 1]
     dz = targets[owner, 2] - geom.front_plane_z
-    # math (not numpy) hypot/atan2: see the module docstring
-    angles = np.empty(ex.size)
-    for lo in range(0, ex.size, ANGLE_SLICE):
-        part = slice(lo, lo + ANGLE_SLICE)
-        offaxis = map(math.hypot, dx[part].tolist(), dy[part].tolist())
-        angles[part] = list(map(math.atan2, offaxis, dz[part].tolist()))
-    # one multiplication by 180/pi, as math.degrees makes it
-    np.degrees(angles, out=angles)
-    ok = angles <= geom.max_angulation + 1e-12
+    angles = np.hypot(dx, dy)
+    np.degrees(np.arctan2(angles, dz, out=angles), out=angles)
+    limit = geom.max_angulation + 1e-12
+    # each angle's distance to its nearest bin edge, then to the approach
+    # label's threshold and to the limit, in one reused buffer
+    near = np.divide(angles, ANGLE_BIN_DEG)
+    near -= np.floor(near)
+    near -= 0.5
+    guarded = np.abs(near, out=near) * ANGLE_BIN_DEG <= ANGLE_GUARD
+    for threshold in (ANGLE_BIN_DEG, limit):
+        guarded |= np.abs(np.subtract(angles, threshold, out=near), out=near) <= ANGLE_GUARD
+    rows = np.flatnonzero(guarded)
+    offaxis = map(math.hypot, dx[rows].tolist(), dy[rows].tolist())
+    angles[rows] = np.degrees(list(map(math.atan2, offaxis, dz[rows].tolist())))
+    ok = angles <= limit
     return np.stack([ex[ok], ey[ok]], axis=1), angles[ok], owner[ok]
 
 

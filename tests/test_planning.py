@@ -10,6 +10,8 @@ from prostasim import planning
 from prostasim.config import DEFAULT_ARCH_CAPSULES, default_config
 from prostasim.kinematics import RobotGeometry, Trajectory, inverse_kinematics
 from prostasim.planning import (
+    ANGLE_BIN_DEG,
+    ANGLE_GUARD,
     DEFAULT_NEEDLE_RADIUS,
     DEPTH_MARGIN,
     ENTRY_GRID_STEP,
@@ -117,6 +119,27 @@ def test_candidate_entries_pruned_by_region(geom):
     assert np.all(np.abs(entries) <= 4.0)
 
 
+def assert_angles_decide_alike(angles, want, geom):
+    """The planner's angles against the oracle's ``math`` ones, for the same kept rows.
+
+    Every decision the planner takes from an angle is exact: its bin, its
+    approach label, and (bit for bit) every angle within ``ANGLE_GUARD`` of
+    a bin edge, of ``ANGLE_BIN_DEG`` or of the angulation limit.  The other
+    angles are numpy's, within a few ulp of ``math``'s (3 measured).
+    """
+    assert angles.shape == want.shape
+    np.testing.assert_array_equal(np.round(angles / ANGLE_BIN_DEG), np.round(want / ANGLE_BIN_DEG))
+    np.testing.assert_array_equal(angles > ANGLE_BIN_DEG, want > ANGLE_BIN_DEG)
+    scaled = want / ANGLE_BIN_DEG
+    to_edge = (0.5 - np.abs(scaled - np.round(scaled))) * ANGLE_BIN_DEG
+    near = (
+        (to_edge <= ANGLE_GUARD) | (np.abs(want - ANGLE_BIN_DEG) <= ANGLE_GUARD)
+        | (np.abs(want - (geom.max_angulation + 1e-12)) <= ANGLE_GUARD)
+    )
+    np.testing.assert_array_equal(angles[near], want[near])
+    np.testing.assert_array_max_ulp(angles, want, maxulp=4)
+
+
 def test_candidate_entries_match_grid_loop(rng):
     geoms = [RobotGeometry(), RobotGeometry(max_angulation=25.0, stage_travel=20.0)]
     regions = [EntryRegion(), EntryRegion(x_min=-10.0, x_max=12.0, y_min=-5.0, y_max=30.0)]
@@ -127,7 +150,7 @@ def test_candidate_entries_match_grid_loop(rng):
         entries, angles, owner = candidate_entries(targets, region, geom)
         want = [candidate_entries_oracle(target, region, geom) for target in targets]
         np.testing.assert_array_equal(entries, np.concatenate([w[0] for w in want]))
-        np.testing.assert_array_equal(angles, np.concatenate([w[1] for w in want]))
+        assert_angles_decide_alike(angles, np.concatenate([w[1] for w in want]), geom)
         np.testing.assert_array_equal(owner, np.repeat(np.arange(len(targets)), [len(w[1]) for w in want]))
 
 
@@ -144,7 +167,7 @@ def test_the_entry_grid_is_bounded_before_it_is_built(travel, angulation, region
     for k, target in enumerate(targets):
         want_entries, want_angles = candidate_entries_oracle(target, region, geom)
         np.testing.assert_array_equal(entries[owner == k], want_entries)
-        np.testing.assert_array_equal(angles[owner == k], want_angles)
+        assert_angles_decide_alike(angles[owner == k], want_angles, geom)
     # each axis spans at most the region's and the stages' width, plus a step on either side
     ex, _, grid_owner = planning._entry_grid(targets, region, geom)
     width_x = min(region.x_max - region.x_min, 2.0 * travel)
@@ -154,6 +177,62 @@ def test_the_entry_grid_is_bounded_before_it_is_built(travel, angulation, region
     dz = targets[:, 2] - geom.front_plane_z
     unbounded = (2 * np.floor(math.tan(math.radians(angulation)) * dz / ENTRY_GRID_STEP) + 1) ** 2
     assert ex.size < unbounded.sum()
+
+
+def depths_around(threshold, offset, geom):
+    """The z of two targets on the z axis whose candidate at ``offset`` (mm) has its ``math`` angle around ``threshold``.
+
+    Of the depths a few hundred ulp around the one that puts the candidate
+    at ``threshold``, these are the one with the largest angle at or below
+    it and the one with the smallest angle above it, each within an ulp.
+    """
+    def angle(tz):
+        return math.degrees(math.atan2(math.hypot(*offset), tz - geom.front_plane_z))
+
+    tz = geom.front_plane_z + math.hypot(*offset) / math.tan(math.radians(threshold))
+    depths = [tz]
+    for toward in (-math.inf, math.inf):
+        step = tz
+        for _ in range(200):
+            step = math.nextafter(step, toward)
+            depths.append(step)
+    below = max((angle(z), z) for z in depths if angle(z) <= threshold)
+    above = min((angle(z), z) for z in depths if angle(z) > threshold)
+    assert threshold - below[0] <= math.ulp(threshold) and above[0] - threshold <= math.ulp(threshold)
+    return below[1], above[1]
+
+
+@pytest.mark.parametrize("ulps", [4, -4])
+def test_an_angle_near_a_threshold_is_taken_with_math(monkeypatch, ulps):
+    # numpy's arctan2 moved by 4 ulp, more than it differs from math's: a
+    # candidate within an ulp of a threshold then lands on the other side of
+    # it, unless its angle is taken again with math
+    arctan2 = np.arctan2
+
+    def moved(y, x, out=None):
+        angle = arctan2(y, x)
+        for _ in range(abs(ulps)):
+            angle = np.nextafter(angle, math.copysign(math.inf, ulps))
+        if out is None:
+            return angle
+        out[...] = angle
+        return out
+
+    monkeypatch.setattr(planning.np, "arctan2", moved)
+    cases = [
+        (2.5 * ANGLE_BIN_DEG, (ENTRY_GRID_STEP, 0.0), RobotGeometry()),  # a bin edge
+        (ANGLE_BIN_DEG, (ENTRY_GRID_STEP, 0.0), RobotGeometry()),  # the approach label
+        # the limit, at a diagonal step, which the grid builds for these depths
+        (8.0 + 1e-12, (ENTRY_GRID_STEP, ENTRY_GRID_STEP), RobotGeometry(max_angulation=8.0)),
+    ]
+    for threshold, offset, geom in cases:
+        for tz in depths_around(threshold, offset, geom):
+            target = np.array([0.0, 0.0, tz])
+            entries, angles, _ = candidate_entries([target], EntryRegion(), geom)
+            want_entries, want = candidate_entries_oracle(target, EntryRegion(), geom)
+            np.testing.assert_array_equal(entries, want_entries)
+            np.testing.assert_array_equal(np.round(angles / ANGLE_BIN_DEG), np.round(want / ANGLE_BIN_DEG))
+            np.testing.assert_array_equal(angles > ANGLE_BIN_DEG, want > ANGLE_BIN_DEG)
 
 
 def test_a_steep_robot_builds_no_more_than_the_region_holds():
