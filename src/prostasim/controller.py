@@ -33,11 +33,11 @@ rotation angle, the rotation about the pivot) from its row's lever;
 ``open_loop_records`` scores a block of them.  ``correct_insertions``
 runs the closed loop of a block together, each step one stacked
 ``sensing`` call per kernel over the insertions still correcting,
-continues each one from its baseline's transform, motion noise and
-motion, and deposits and scores the block in arrays.  The insertions
-take the plans and none of the planning inputs, so insertions that
-differ only in motion can share one plan row, in one block too: a block
-of them takes the rows it needs with ``Plans.rows``.
+continues each one from its baseline's transform and motion noise, and
+deposits and scores the block in arrays.  Both loops serve one motion,
+the one their first passes were made under.  The insertions take the
+plans and none of the planning inputs, so blocks that differ only in
+motion share one ``Plans``: each runs its own loop on it.
 ``run_insertion`` is the closed loop of a single insertion.
 
 A block's records are one ``Records``, built the same way as its plans:
@@ -80,6 +80,12 @@ from .rng import Streams
 from .sensing import NoiseModel
 
 
+# a block draws its whole observation budget up front, BLOCK_SLOTS x
+# (max_corrections + 1) volumes of N x 3 normals: at this cap 3.7 MB of
+# float64 for 128 slots of 12 fiducials
+MAX_CORRECTIONS = 100
+
+
 @dataclass
 class ConvergenceParams:
     depth_epsilon: float = 0.1
@@ -88,8 +94,8 @@ class ConvergenceParams:
     def validate(self):
         if self.depth_epsilon <= 0:
             raise ValueError("depth_epsilon must be positive")
-        if self.max_corrections < 1:
-            raise ValueError("max_corrections must be >= 1")
+        if not 1 <= self.max_corrections <= MAX_CORRECTIONS:
+            raise ValueError(f"max_corrections must be in [1, {MAX_CORRECTIONS}]")
 
 
 @dataclass
@@ -97,16 +103,14 @@ class InsertionRecord:
     """One insertion's first pass, unscored: ``open_loop_records`` scores a block of them.
 
     The gland transform of a tip past the gland entry depth, which the
-    first pass makes whichever side of that depth its tip stops, the frozen
-    motion noise, which it includes, and the motion parameters of the pass;
-    the closed loop starts from all three.  A first pass corrects nothing
-    and never stops short: the last three fields are constant Python
-    scalars.
+    first pass makes whichever side of that depth its tip stops, and the
+    frozen motion noise, which it includes; the closed loop starts from
+    both.  A first pass corrects nothing and never stops short: the last
+    three fields are constant Python scalars.
     """
 
     gland_transform: geometry.RigidTransform
     motion_noise: np.ndarray
-    motion: MotionParams
     n_corrections: int = 0
     max_corrections_exceeded: bool = False
     disengaged: bool = False
@@ -253,13 +257,9 @@ def _deposit(phantoms: Phantoms, streams: Streams, plans: Plans, tips_world, rot
     return np.sqrt(geometry.row_dot(miss, miss))
 
 
-def _residual_motion(baselines, moved_targets, plans: Plans):
-    """Per-axis displacements (K, 3) of the targets beyond the drag of each row's ``baselines[k].motion``."""
-    rows = MotionParams(
-        axial_gain=np.array([base.motion.axial_gain for base in baselines]),
-        axial_base_offset=np.array([base.motion.axial_base_offset for base in baselines]),
-    )
-    return moved_targets - plans.target_obs - rows.drag(plans.penetration)[:, None] * plans.dir
+def _residual_motion(motion: MotionParams, moved_targets, plans: Plans):
+    """Per-axis displacements (K, 3) of the targets beyond the drag of ``motion``."""
+    return moved_targets - plans.target_obs - motion.drag(plans.penetration)[:, None] * plans.dir
 
 
 def open_loop_insertion(motion: MotionParams, plans: Plans, k: int, streams: Streams) -> InsertionRecord:
@@ -275,7 +275,7 @@ def open_loop_insertion(motion: MotionParams, plans: Plans, k: int, streams: Str
     # frozen per-insertion motion noise: every gland transform sees it
     sd = motion.noise_sd_motion
     motion_noise = 0.0 + sd * streams.motion_normals if sd > 0 else np.zeros(3)
-    return InsertionRecord(prostate_transform(plans.levers, k, motion, motion_noise), motion_noise, motion)
+    return InsertionRecord(prostate_transform(plans.levers, k, motion, motion_noise), motion_noise)
 
 
 def _transforms(baselines):
@@ -291,7 +291,7 @@ def _gland_states(inside, rotations, translations):
 
 
 def open_loop_records(
-    phantoms: Phantoms, plans: Plans, streams: Streams, baselines: list[InsertionRecord],
+    phantoms: Phantoms, motion: MotionParams, plans: Plans, streams: Streams, baselines: list[InsertionRecord],
 ) -> Records:
     """A block's open-loop records, scored in arrays: row k is the first pass ``baselines[k]`` of plan row k.
 
@@ -299,7 +299,8 @@ def open_loop_records(
     transform if that depth is past the gland entry depth and in the gland
     at rest if not, and scored in the rest frame of its phantom, row
     ``streams.phantom[k]`` of ``phantoms``; the observed target moved by
-    that transform gives the depth correction and motion columns.  Each row
+    that transform gives the depth correction and, beyond the drag of
+    ``motion`` (that of the first passes), the motion columns.  Each row
     has the bits of scoring its slot alone.
     """
     n = len(plans)
@@ -310,13 +311,14 @@ def open_loop_records(
     return _records(
         plans, streams, n_corrections=np.zeros(n, dtype=np.int64),
         depth_correction_mm=geometry.row_dot(moved - plans.entry, plans.dir) - plans.depth, error_mm=error,
-        motion_mm=_residual_motion(baselines, moved, plans), max_corrections_exceeded=np.zeros(n, dtype=bool),
+        motion_mm=_residual_motion(motion, moved, plans), max_corrections_exceeded=np.zeros(n, dtype=bool),
         registration_rms=np.zeros(n), duration_s=plans.duration_s,
     )
 
 
 def correct_insertions(
     phantoms: Phantoms,
+    motion: MotionParams,
     noise: NoiseModel,
     geom: kinematics.RobotGeometry,
     conv: ConvergenceParams,
@@ -328,9 +330,9 @@ def correct_insertions(
 
     Slot k is insertion k: row k of the tracked ``plans`` and of
     ``streams``, its phantom (row ``streams.phantom[k]`` of ``phantoms``)
-    and its first pass ``baselines[k]``.  A tip past the gland entry depth
-    sees the first pass's gland transform, a tip short of it the gland at
-    rest; the rows may differ in motion, not in noise.  Each step observes,
+    and its first pass ``baselines[k]``, made under ``motion``.  A tip past
+    the gland entry depth sees the first pass's gland transform, a tip
+    short of it the gland at rest.  Each step observes,
     registers, tracks and decides for every slot still correcting, as one stacked
     call per kernel; a slot leaves the loop when its proposed change drops
     below ``depth_epsilon`` or its budget runs out.  Row k of the returned
@@ -400,7 +402,7 @@ def correct_insertions(
     )
     return _records(
         plans, streams, n_corrections=n_corrections, depth_correction_mm=applied, error_mm=error,
-        motion_mm=_residual_motion(baselines, first_tracked, plans), max_corrections_exceeded=exceeded,
+        motion_mm=_residual_motion(motion, first_tracked, plans), max_corrections_exceeded=exceeded,
         registration_rms=rms, duration_s=duration,
     )
 
@@ -421,4 +423,4 @@ def run_insertion(
     alone; returns the slot's one-row records.
     """
     baseline = open_loop_insertion(motion, plan, 0, streams.rows(0))
-    return correct_insertions(phantoms, noise, geom, conv, plan, streams, [baseline])
+    return correct_insertions(phantoms, motion, noise, geom, conv, plan, streams, [baseline])

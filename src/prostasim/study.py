@@ -129,11 +129,10 @@ def build_phantoms(cfg: StudyConfig) -> Phantoms:
     ])
 
 
-# slots per block: the closed loop steps a block together, and a block's
-# streams, plans and records are let go before the next one starts: the
-# default study run as one block peaked at 54 MB of RSS, at 128 slots at
-# 41.5 MB.  A block's (point, slot) rows go through the closed loop in
-# chunks of as many rows, for the same bound.
+# slots per block: the closed loop steps a block together, one point's at
+# a time, and a block's streams and plans are let go before the next one
+# starts: the default study run as one block peaked at 54 MB of RSS, at
+# 128 slots at 41.5 MB.
 BLOCK_SLOTS = 128
 
 
@@ -159,14 +158,11 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
     ``rng.Streams`` (``rng.draw_insertions``; a point only scales their
     standard normals), and its slots are planned together once per sigma0
     (``plan_insertions``; a plan is made at rest, which no motion touches).
-    Each of that sigma0's points makes each slot's first pass under its own
-    motion (``open_loop_insertion``, given the slot's row of the streams,
-    a view made once per block), and the (point, slot) rows, point-major,
-    are corrected (``correct_insertions``) and scored (``open_loop_records``)
-    as the mode asks, in chunks of ``BLOCK_SLOTS`` rows, each taking its
-    rows of the block's plans and streams with ``rows``; a chunk that is
-    the block's slots in order, as every chunk of a one-point study is,
-    takes the block's plans and streams themselves.
+    Then each of that sigma0's points in turn makes each slot's first pass
+    under its own motion (``open_loop_insertion``, given the slot's row of
+    the streams, a view made once per block) and runs its own closed loop
+    (``correct_insertions``) and open-loop scoring (``open_loop_records``),
+    as the mode asks, on the block's plans and streams themselves.
     """
     cfg.validate()
     # sigma0 -> its noise model and its points
@@ -196,41 +192,23 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
             cfg.seed, block, [t for _, t, _ in block], n_fiducials, volumes,
             cfg.motion.rng_seed, cfg.noise.rng_seed,
         )
-        n = len(block)
         # each slot's own streams, for its first passes
-        slot_streams = [streams.rows(k) for k in range(n)]
+        slot_streams = [streams.rows(k) for k in range(len(block))]
         for noise, members in groups.values():
             plans = plan_insertions(
                 phantoms, cfg.robot, arch, noise, streams,
                 cfg.entry_region, cfg.needle_radius, track=do_closed,
             )
-            # the (point, slot) rows, point-major: row r is slot r % n of point members[r // n]
-            closed_chunks, open_chunks = [], []
-            for lo in range(0, len(members) * n, BLOCK_SLOTS):
-                rows = range(lo, min(lo + BLOCK_SLOTS, len(members) * n))
-                if rows == range(n):
-                    # one point's chunk: the block's own rows, no copy
-                    row_plans, row_streams = plans, streams
-                else:
-                    row_slots = [r % n for r in rows]
-                    row_plans, row_streams = plans.rows(row_slots), streams.rows(row_slots)
-                # one first pass per row, streams by keyword: perfbench's tracer keys tasks on it
-                baselines = [
-                    open_loop_insertion(points[members[r // n]][0], row_plans, j, streams=slot_streams[r % n])
-                    for j, r in enumerate(rows)
-                ]
+            for i in members:
+                motion = points[i][0]
+                # one first pass per slot, streams by keyword: perfbench's tracer keys tasks on it
+                baselines = [open_loop_insertion(motion, plans, k, streams=s) for k, s in enumerate(slot_streams)]
                 if do_closed:
-                    closed_chunks.append(correct_insertions(
-                        phantoms, noise, cfg.robot, cfg.convergence, row_plans, row_streams, baselines,
+                    closed[i].append(correct_insertions(
+                        phantoms, motion, noise, cfg.robot, cfg.convergence, plans, streams, baselines,
                     ))
                 if do_open:
-                    open_chunks.append(open_loop_records(phantoms, row_plans, row_streams, baselines))
-            for out, chunks in ((closed, closed_chunks), (opened, open_chunks)):
-                if chunks:
-                    rec = Records.concat(chunks)
-                    for j, i in enumerate(members):
-                        # a copy if the block serves several points: no point's rows keep the others' alive
-                        out[i].append(rec.rows(np.arange(j * n, (j + 1) * n)) if len(members) > 1 else rec)
+                    opened[i].append(open_loop_records(phantoms, motion, plans, streams, baselines))
 
     # joined a point at a time, each point's blocks let go as it is joined
     return [
@@ -395,7 +373,10 @@ def rows_to_csv(records: Records) -> str:
 
 
 def _parse_records(path: str, rows: list[list[str]]) -> Records:
-    """The records of the CSV's rows, each the text of its fields; errors name ``path`` and the line."""
+    """The records of the CSV's rows, each the text of its fields.
+
+    Errors name ``path`` and the line; a non-finite float, the column too.
+    """
     columns = {}
     for name, parse, texts in zip(CSV_COLUMNS, _PARSERS, list(zip(*rows)) or [()] * len(CSV_COLUMNS)):
         values = []
@@ -405,6 +386,9 @@ def _parse_records(path: str, rows: list[list[str]]) -> Records:
         except ValueError as e:
             raise ValueError(f"{path}:{len(values) + 2}: {e}") from e
         columns[name] = np.array(values, dtype=_DTYPES[parse])
+        if parse is float and not np.isfinite(columns[name]).all():
+            row = int(np.argmin(np.isfinite(columns[name])))
+            raise ValueError(f"{path}:{row + 2}: {name}: non-finite value {texts[row]!r}")
     motion = np.stack([columns.pop(name) for name in _MOTION], axis=1)
     return Records(**columns, motion_mm=motion)
 

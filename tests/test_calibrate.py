@@ -126,7 +126,8 @@ def test_batched_grid_points_give_the_records_of_their_own_studies(monkeypatch):
         base.motion.noise_sd_motion = 0.8
         base.convergence.max_corrections = max_corrections
         grid = [cal._with_params(base, dict(zip(axes, values))) for values in itertools.product(*axes.values())]
-        # 8 slots, 16 points per sigma0: chunks of 3 rows cut across points
+        # 8 slots in blocks of 3, 3 and 2, 16 points per sigma0: each point
+        # runs its own closed loop on every block
         with monkeypatch.context() as m:
             m.setattr(study, "BLOCK_SLOTS", 3)
             batched = study.run_points(base, [(cfg.motion, cfg.noise.sigma0) for cfg in grid])

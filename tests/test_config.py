@@ -15,6 +15,7 @@ from prostasim.config import (
     to_dict,
     to_yaml,
 )
+from prostasim.controller import MAX_CORRECTIONS
 
 
 def test_default_config_validates():
@@ -93,6 +94,8 @@ def test_validation_paths():
         ({"phantom": {"target_margin": 1.5}}, "phantom.target_margin"),
         ({"noise": {"degradation_per_needle": 0.5}}, "noise"),
         ({"convergence": {"max_corrections": 0}}, "convergence"),
+        # a typo that would draw a block's observation budget of tens of GB
+        ({"convergence": {"max_corrections": 10**6}}, "convergence"),
         ({"entry_region": {"x_min": 50.0, "x_max": -50.0}}, "entry_region.x_min"),
     ]
     for data, path in cases:
@@ -120,6 +123,8 @@ def test_validation_paths():
         cfg.validate()
     # the largest values that still fit the random-stream keys are valid
     from_dict(dict(seed=2**64 - 1, n_seed_replicates=1 << rng._FIELD_BITS)).validate()
+    # and the largest correction budget
+    from_dict({"convergence": {"max_corrections": MAX_CORRECTIONS}}).validate()
 
 
 def test_an_entry_plane_on_or_behind_the_gland_front_is_rejected():

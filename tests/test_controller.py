@@ -95,7 +95,7 @@ def plan_quiet(phantom, tid, arch=None, noise=None, track=True):
 def open_loop_block(phantom, motion, plan, tid):
     """A slot's first pass and its open-loop records, scored as a block of one."""
     first = open_loop_insertion(motion, plan, 0, streams(tid).rows(0))
-    return first, open_loop_records(phantom, plan, streams(tid), [first])
+    return first, open_loop_records(phantom, motion, plan, streams(tid), [first])
 
 
 def only_row(records):
@@ -189,7 +189,7 @@ def test_paired_runs_share_noise():
     assert o.depth_correction_mm != 0.0 and np.any(o.motion_mm != 0.0)
     first, opened = open_loop_block(p, motion, tracked, t)
     assert_same_first_pass(first, open_loop_insertion(motion, untracked, 0, streams(t).rows(0)))
-    closed = correct_insertions(p, noise, GEOM, ConvergenceParams(), tracked, streams(t), [first])
+    closed = correct_insertions(p, motion, noise, GEOM, ConvergenceParams(), tracked, streams(t), [first])
     row = only_row(opened)
     assert (row.n_corrections, row.error_mm, row.depth_correction_mm) == (0, o.error_mm, o.depth_correction_mm)
     np.testing.assert_array_equal(row.motion_mm, o.motion_mm)
@@ -313,8 +313,8 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
 
     blocks = []
 
-    def correcting(phantoms, noise, geom, conv, plans, *rest):
-        records = correct_insertions(phantoms, noise, geom, conv, plans, *rest)
+    def correcting(phantoms, motion, noise, geom, conv, plans, *rest):
+        records = correct_insertions(phantoms, motion, noise, geom, conv, plans, *rest)
         blocks.append(len(records))
         for entry, corrections in zip(plans.entry, records.n_corrections.tolist()):
             per_slot[slot(entry)]["corrections"] = corrections
@@ -720,7 +720,7 @@ def test_a_block_scores_its_first_passes_as_each_slot_alone():
 
     for motion in (STILL, LEVERED):
         firsts = [open_loop_insertion(motion, plans, k, block_streams.rows(k)) for k in range(len(plans))]
-        records = open_loop_records(phantoms, plans, block_streams, firsts)
+        records = open_loop_records(phantoms, motion, plans, block_streams, firsts)
         for k, (phantom, first) in enumerate(zip(block_phantoms, firsts)):
             axial, error, residual = open_loop_oracle(phantom, motion, plans, k, first)
             assert bits(records.depth_correction_mm[k]) == bits(axial), k
@@ -768,10 +768,11 @@ def test_a_blocks_plans_are_those_of_its_slots_planned_alone():
     assert plans == together
 
 
-def test_the_rows_of_a_point_major_tile_are_the_plans_of_those_slots():
-    # three points of the block's slots, point-major, in chunks of 7 rows:
-    # a chunk's rows of the block's plans are the plans of its slots (each
-    # chunk holds every label, so its label columns have the block's dtypes)
+def test_rows_of_a_blocks_plans_are_the_plans_of_those_slots():
+    # Plans.rows (geometry.Columns.rows) with repeated indices: the block's
+    # slots three times over, taken 7 rows at a time, are the plans of those
+    # slots planned as a block of their own (each take holds every label,
+    # so its label columns have the block's dtypes)
     noise = NoiseModel(sigma0=0.2, depth_gain=0.01, degradation_per_needle=1.0)
     slots, _ = feasible_slots(noise)
     slots = slots[:9]
@@ -779,8 +780,8 @@ def test_the_rows_of_a_point_major_tile_are_the_plans_of_those_slots():
     n = len(slots)
     rows = [r % n for r in range(3 * n)]
     for lo in range(0, len(rows), 7):
-        chunk = rows[lo:lo + 7]
-        assert plans.rows(chunk) == plan_slots([slots[k] for k in chunk], noise), lo
+        take = rows[lo:lo + 7]
+        assert plans.rows(take) == plan_slots([slots[k] for k in take], noise), lo
 
 
 def test_a_collinear_reference_volume_anywhere_in_a_block_raises():

@@ -125,7 +125,7 @@ def test_blocks_do_not_change_the_report(monkeypatch, tiny_report):
     assert json.dumps(split.summary) == json.dumps(tiny_report.summary)
 
 
-def test_a_one_point_chunk_reads_the_blocks_tables_as_they_are(monkeypatch, tiny_report):
+def test_every_loop_reads_the_blocks_tables_as_they_are(monkeypatch, tiny_report):
     from prostasim import study
 
     # every block's plans and streams, each with a copy taken as it was made
@@ -138,7 +138,7 @@ def test_a_one_point_chunk_reads_the_blocks_tables_as_they_are(monkeypatch, tiny
             return out
         return call
 
-    # the plans and streams each chunk was given
+    # the plans and streams each loop was given
     handed = []
 
     def seen(fn, at):
@@ -147,22 +147,38 @@ def test_a_one_point_chunk_reads_the_blocks_tables_as_they_are(monkeypatch, tiny
             return fn(*args)
         return call
 
+    def assert_read_as_made(blocks, loops):
+        assert len(made) == blocks and len(handed) == loops
+        tables = [table for table, _ in made]
+        for plans, streams in handed:
+            assert any(plans is t for t in tables) and any(streams is t for t in tables)
+        # the loops read them and changed none of their columns
+        for table, as_made in made:
+            assert table == as_made
+        made.clear()
+        handed.clear()
+
     monkeypatch.setattr(study, "draw_insertions", kept(study.draw_insertions))
     monkeypatch.setattr(study, "plan_insertions", kept(study.plan_insertions))
-    monkeypatch.setattr(study, "correct_insertions", seen(study.correct_insertions, 4))
-    monkeypatch.setattr(study, "open_loop_records", seen(study.open_loop_records, 1))
+    monkeypatch.setattr(study, "correct_insertions", seen(study.correct_insertions, 5))
+    monkeypatch.setattr(study, "open_loop_records", seen(study.open_loop_records, 2))
     monkeypatch.setattr(study, "BLOCK_SLOTS", 5)
-    report = run_study(tiny_config())
-    # 4 blocks, each drawn and planned once, each chunk of them scored in both modes
-    assert len(made) == 8 and len(handed) == 8
-    tables = [table for table, _ in made]
-    for plans, streams in handed:
-        assert any(plans is t for t in tables) and any(streams is t for t in tables)
-    # the loops read them and changed none of their columns
-    for table, as_made in made:
-        assert table == as_made
+    cfg = tiny_config()
+    report = run_study(cfg)
+    # 4 blocks, each drawn and planned once, each scored in both modes
+    assert_read_as_made(4 + 4, 4 * 2)
     assert report.rows_closed == tiny_report.rows_closed
     assert report.rows_open == tiny_report.rows_open
+    # three points, two of them of one sigma0: each block is drawn once and
+    # planned once per sigma0, and every point scores it in both modes
+    points = [
+        (cfg.motion, cfg.noise.sigma0),
+        (replace(cfg.motion, axial_gain=2.0 * cfg.motion.axial_gain), 2.0 * cfg.noise.sigma0),
+        (replace(cfg.motion, rotation_gain=0.0, noise_sd_motion=0.5), cfg.noise.sigma0),
+    ]
+    (rows_closed, rows_open), *_ = run_points(cfg, points)
+    assert_read_as_made(4 + 4 * 2, 4 * 3 * 2)
+    assert rows_closed == tiny_report.rows_closed and rows_open == tiny_report.rows_open
 
 
 def run_fresh(code: str):
@@ -315,6 +331,12 @@ def test_read_records_rejects_foreign_header(tmp_path):
         ("a,b,c\n1,2,3\n", "header"),
         (header + "0,1,0,Apex\n", r"x\.csv:2: expected 14 fields, got 4"),
         (header + ",".join(["x"] * 14) + "\n", r"x\.csv:2: invalid literal"),
+        # a non-finite float names its column too
+        (header + "0,1,0,Apex,Left,Anterior,Horizontal,1,0.5,0.7,0.1,0.2,0.3,0\n"
+         "0,2,0,Base,Right,Posterior,Angled,2,0.5,nan,0.1,0.2,0.3,0\n",
+         r"^\S*x\.csv:3: error_mm: non-finite value 'nan'$"),
+        (header + "0,1,0,Apex,Left,Anterior,Horizontal,1,0.5,0.7,0.1,-inf,0.3,0\n",
+         r"^\S*x\.csv:2: motion_y_mm: non-finite value '-inf'$"),
     ]
     p = tmp_path / "x.csv"
     for body, match in cases:
