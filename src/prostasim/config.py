@@ -121,6 +121,9 @@ class StudyConfig:
         _check(min(self.phantom.gland_semiaxes) > 0, "phantom.gland_semiaxes", "must be positive")
         _check(0 < self.phantom.target_margin <= 1, "phantom.target_margin", "must be in (0, 1]")
         _check(self.phantom.min_target_spacing >= 0, "phantom.min_target_spacing", "must be >= 0")
+        widest = 2 * max(self.phantom.gland_semiaxes) * self.phantom.target_margin  # of any two targets' gaps
+        _check(self.targets_per_phantom < 2 or self.phantom.min_target_spacing <= widest, "phantom.min_target_spacing",
+               f"must be <= 2 * max(phantom.gland_semiaxes) * phantom.target_margin = {widest:g} mm")
         _check(self.phantom.left_bias_mm >= 0, "phantom.left_bias_mm", "must be >= 0")
         validate_motion_noise(self.motion, self.noise)
         try:  # the noise sd of a session's last needle reads this power

@@ -287,7 +287,7 @@ def _transforms(baselines):
 def _gland_states(inside, rotations, translations):
     """Each row's gland transform: the moved one (``rotations[k]``, ``translations[k]``)
     where its tip is past the gland entry depth (``inside[k]``), the identity elsewhere."""
-    return np.where(inside[:, None, None], rotations, np.eye(3)), np.where(inside[:, None], translations, 0.0)
+    return np.where(inside[:, None, None], rotations, geometry.IDENTITY), np.where(inside[:, None], translations, 0.0)
 
 
 def open_loop_records(
@@ -332,17 +332,18 @@ def correct_insertions(
     ``streams``, its phantom (row ``streams.phantom[k]`` of ``phantoms``)
     and its first pass ``baselines[k]``, made under ``motion``.  A tip past
     the gland entry depth sees the first pass's gland transform, a tip
-    short of it the gland at rest.  Each step observes,
-    registers, tracks and decides for every slot still correcting, as one stacked
-    call per kernel; a slot leaves the loop when its proposed change drops
-    below ``depth_epsilon`` or its budget runs out.  Row k of the returned
-    records is slot k, the record it would get alone; its open-loop record
-    is row k of the block's ``open_loop_records``.
-    Verification v of slot k observes with the standard normals
-    ``streams.observation_normals[k, v]``.  Raises ValueError for untracked
-    plans, or for streams holding fewer than ``max_corrections + 1``
-    volumes.  A correction budget overrun does not raise: the record is
-    flagged.
+    short of it the gland at rest.  Each step observes, registers, tracks
+    and decides for every slot still correcting, as one stacked call per
+    kernel, on the block's arrays as they are while that is every slot
+    (step 0 at least), on gathered copies of their rows after; a slot
+    leaves the loop when its proposed change drops below ``depth_epsilon``
+    or its budget runs out.  Row k of the returned records is slot k, the
+    record it would get alone; its open-loop record is row k of the
+    block's ``open_loop_records``.  Verification v of slot k observes with
+    the standard normals ``streams.observation_normals[k, v]``.  Raises
+    ValueError for untracked plans, or for streams holding fewer than
+    ``max_corrections + 1`` volumes.  A correction budget overrun does not
+    raise: the record is flagged.
     """
     conv.validate()
     if plans.reference is None:
@@ -357,7 +358,7 @@ def correct_insertions(
     # (NaN where the line misses the gland: never past it)
     entry_depth = plans.levers.entry_depth
     moved_rot, moved_trans = _transforms(baselines)
-    glands = phantoms.glands()
+    glands = phantoms.glands().rows(streams.phantom)
 
     tip = plans.depth.copy()  # corrections move the tip; the pass depth stays
     applied = np.zeros(len(plans))
@@ -369,19 +370,19 @@ def correct_insertions(
     active = np.arange(len(plans))
 
     for step in range(conv.max_corrections + 1):
-        rot, trans = _gland_states(tip[active] > entry_depth[active], moved_rot[active], moved_trans[active])
+        at = slice(None) if active.size == len(plans) else active
+        rot, trans = _gland_states(tip[at] > entry_depth[at], moved_rot[at], moved_trans[at])
         obs = sensing.observe(
-            glands.rows(streams.phantom[active]), rot, trans, noise,
-            streams.observation_normals[active, step], streams.needle_count[active],
+            glands.rows(at), rot, trans, noise, streams.observation_normals[at, step], streams.needle_count[at],
         )
-        reg_rot, reg_trans, rms[active] = sensing.rigid_register(plans.reference.rows(active), obs)
-        tracked = sensing.track_target(reg_rot, reg_trans, plans.target_obs[active])
+        reg_rot, reg_trans, rms[at] = sensing.rigid_register(plans.reference.rows(at), obs)
+        tracked = sensing.track_target(reg_rot, reg_trans, plans.target_obs[at])
         if not step:
             # every slot verifies first: the residual motion is measured here
             first_tracked = tracked
-        n_corrections[active] = step
+        n_corrections[at] = step
         # depth of the tracked target along each needle line
-        delta = geometry.row_dot(tracked - entries[active], dirs[active]) - tip[active]
+        delta = geometry.row_dot(tracked - entries[at], dirs[at]) - tip[at]
         moving = ~(np.abs(delta) < conv.depth_epsilon)
         if step == conv.max_corrections:
             exceeded[active[moving]] = True

@@ -14,6 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 COLLINEARITY_TOL = 1e-9
+IDENTITY = np.eye(3)  # shared: read-only
+IDENTITY.flags.writeable = False
+# the six terms of the Leibniz formula of a flat 3x3 matrix's determinant, and their signs
+_LEIBNIZ = np.array([[0, 4, 8], [1, 5, 6], [2, 3, 7], [2, 4, 6], [0, 5, 7], [1, 3, 8]])
+_LEIBNIZ_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
 
 class DegenerateConfiguration(ValueError):
@@ -73,12 +78,17 @@ def _join_column(parts):
 
 @dataclass
 class RigidTransform:
+    """A rotation (3, 3), then a translation (3,): a float64 ndarray of that shape is kept as given."""
+
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
-        self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        rot, trans = self.rotation, self.translation
+        if not (type(rot) is np.ndarray and rot.dtype == np.float64 and rot.shape == (3, 3)):
+            self.rotation = np.asarray(rot, dtype=np.float64).reshape(3, 3)
+        if not (type(trans) is np.ndarray and trans.dtype == np.float64 and trans.shape == (3,)):
+            self.translation = np.asarray(trans, dtype=np.float64).reshape(3)
 
 
 def identity() -> RigidTransform:
@@ -262,28 +272,29 @@ def register_to(reference: RegistrationReference, obs_points: np.ndarray):
     Closed form (Kabsch; Arun, Huang & Blostein 1987): centroid alignment
     plus the optimal-rotation SVD of the cross-covariance with a
     determinant correction, so every result is a proper rotation.  All K
-    sets are solved together, with one stacked SVD; each set gives the
-    bits that solving it alone would.  ``obs_points`` (K, N, 3) pairs row
-    by row with the reference.  Returns ``(rotations, translations, rms)``
-    of shapes (K, 3, 3), (K, 3) and (K,): transform k maps
-    ``reference.points[k]`` best onto ``obs_points[k]``, with
+    sets are solved together, with one stacked SVD, the one LAPACK call;
+    the correction ``V diag(1, 1, d) U^T`` takes ``d = sign det(V U^T)`` as
+    the sign of ``det U det V^T`` in closed form, exact as both are +-1 to
+    rounding, and flips V's third column by it, the bits of that product.
+    Each set gives the bits that solving it alone would.  ``obs_points``
+    (K, N, 3) pairs row by row with the reference.  Returns ``(rotations,
+    translations, rms)`` of shapes (K, 3, 3), (K, 3) and (K,): transform k
+    maps ``reference.points[k]`` best onto ``obs_points[k]``, with
     root-mean-square residual ``rms[k]`` in mm.
     """
     obs = np.asarray(obs_points, dtype=np.float64)
     if reference.points.shape != obs.shape:
         raise ValueError("point sets must have matching shapes")
-    obs_mean = obs.mean(axis=1)
+    obs_mean = np.add.reduce(obs, axis=1) / obs.shape[1]  # np.mean's arithmetic, as is the rms's
     h = np.swapaxes(reference.centered, 1, 2) @ (obs - obs_mean[:, None])
     u, _, vt = np.linalg.svd(h)
-    v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
-    # the determinant correction: diag(1, 1, sign det(V U^T))
-    correction = np.zeros_like(h)
-    correction[:, 0, 0] = correction[:, 1, 1] = 1.0
-    correction[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
-    rot = v @ correction @ ut
+    dets = np.multiply.reduce(np.concatenate((u, vt)).reshape(-1, 9)[:, _LEIBNIZ], axis=2) @ _LEIBNIZ_SIGNS
+    v = np.swapaxes(vt, 1, 2).copy()
+    v[:, :, 2] *= np.sign(dets[:len(u)] * dets[len(u):])[:, None]
+    rot = v @ np.swapaxes(u, 1, 2)
     trans = obs_mean - (rot @ reference.mean[:, :, None])[:, :, 0]
     resid = reference.points @ np.swapaxes(rot, 1, 2) + trans[:, None] - obs
-    rms = np.sqrt(np.mean(np.sum(resid * resid, axis=2), axis=1))
+    rms = np.sqrt(np.add.reduce(np.add.reduce(resid * resid, axis=2), axis=1) / obs.shape[1])
     return rot, trans, rms
 
 

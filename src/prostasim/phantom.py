@@ -21,6 +21,7 @@ past the gland entry depth.  Short of it the gland is at rest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -370,18 +371,21 @@ def prostate_transform(levers: GlandLevers, k: int, motion: MotionParams, motion
     evaluation during it sees the same noise.  The penetration is the
     first pass's, so a tip past the gland entry depth sees this transform
     wherever it is, and a tip short of it (or on a line that misses the
-    gland) sees the gland at rest: the identity.  The caller picks one of
-    the two by the tip's side.
+    gland) the gland at rest; the caller picks by the tip's side.  The
+    scalars are Python floats, the identity the shared ``geometry.IDENTITY``
+    and the sums in place: the bits of the same formula in arrays.
     """
-    pen = levers.penetration[k]
+    pen = float(levers.penetration[k])
     drag = motion.axial_base_offset + motion.axial_gain * pen
     shift = drag * levers.dir[k] + motion_noise
     if not motion.rotation_gain > 0.0:
-        return geometry.RigidTransform(np.eye(3), shift)
+        return geometry.RigidTransform(geometry.IDENTITY, shift)
     # Rodrigues' formula about the pivot (geometry.rotation_about_axis), then
     # the shift; a zero axis matrix leaves the identity, bit for bit
-    theta = np.deg2rad(motion.rotation_gain * levers.lateral[k] * pen)
-    rot = np.eye(3) + np.sin(theta) * levers.kx[k] + (1.0 - np.cos(theta)) * levers.kx2[k]
+    theta = math.radians(motion.rotation_gain * float(levers.lateral[k]) * pen)
+    rot = np.sin(theta) * levers.kx[k]
+    rot += geometry.IDENTITY  # I + s kx, as + commutes
+    rot += (1.0 - np.cos(theta)) * levers.kx2[k]
     pivot = levers.pivot[k]
     return geometry.RigidTransform(rot, pivot - rot @ pivot + shift)
 

@@ -53,12 +53,13 @@ class NoiseModel:
 
 
 def _base_sd(noise: NoiseModel, needle_counts) -> np.ndarray:
-    """The depth-free sd (K,) after each of K needle counts.
+    """The depth-free sd (K,) after each of K needle counts (>= 0), each with the bits of its own power.
 
-    The counts are raised as Python ints: with a numpy int64 exponent the
-    power is many times slower and can differ in the last bit.
+    One power per count up to the largest, a Python int exponent (a numpy
+    int64 one is many times slower and can differ in the last bit), looked up by the counts.
     """
-    return np.array([noise.sigma0 * noise.degradation_per_needle**k for k in np.asarray(needle_counts).tolist()])
+    counts = np.asarray(needle_counts, dtype=np.intp)
+    return np.array([noise.sigma0 * noise.degradation_per_needle**k for k in range(counts.max(initial=0) + 1)])[counts]
 
 
 def observe(

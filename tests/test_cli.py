@@ -173,6 +173,18 @@ def test_an_overflowing_degradation_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_target_spacing_no_gland_can_hold_is_config_error(tmp_path, capsys):
+    cfg = tiny_config()
+    cfg.phantom.min_target_spacing = 100.0
+    path = tmp_path / "spaced.yaml"
+    path.write_text(to_yaml(cfg))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert "phantom.min_target_spacing" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_seed_override_changes_bytes_and_repeats(tmp_path, capsys):
     cfg_path = tiny_config_file(tmp_path, mode="closed_loop")
     runs = {}

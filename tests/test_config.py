@@ -92,6 +92,8 @@ def test_validation_paths():
         (dict(needle_radius=0.0), "needle_radius"),
         ({"output": {"format": "xml"}}, "output.format"),
         ({"phantom": {"target_margin": 1.5}}, "phantom.target_margin"),
+        # no two targets fit 100 mm apart in a gland 2 * 25 * 0.92 = 46 mm across
+        ({"phantom": {"min_target_spacing": 100.0}}, "phantom.min_target_spacing"),
         ({"noise": {"degradation_per_needle": 0.5}}, "noise"),
         ({"convergence": {"max_corrections": 0}}, "convergence"),
         # a typo that would draw a block's observation budget of tens of GB
@@ -125,6 +127,23 @@ def test_validation_paths():
     from_dict(dict(seed=2**64 - 1, n_seed_replicates=1 << rng._FIELD_BITS)).validate()
     # and the largest correction budget
     from_dict({"convergence": {"max_corrections": MAX_CORRECTIONS}}).validate()
+
+
+def test_a_target_spacing_wider_than_the_gland_is_rejected():
+    # the widest gap inside the default margin-scaled gland is 2 * 25 * 0.92
+    widest = 2 * 25.0 * 0.92
+    for data in (
+        {"phantom": {"min_target_spacing": math.nextafter(widest, math.inf)}},
+        {"phantom": {"min_target_spacing": 30.0, "target_margin": 0.5}},
+        {"phantom": {"min_target_spacing": 40.0, "gland_semiaxes": [19.0, 18.0, 17.0]}},
+    ):
+        with pytest.raises(ConfigError, match=r"^phantom\.min_target_spacing: must be <= 2 \* max\(phantom\.gland_semiaxes\)"):
+            from_dict(data).validate()
+    from_dict({"phantom": {"min_target_spacing": widest}}).validate()
+    # a phantom of one target has no pair to space
+    one = {"n_phantoms": 2, "targets_per_phantom": 1, "phantom": {"min_target_spacing": 100.0}, "zone_quotas": {
+        "apex": 1, "base": 1, "left": 1, "center": 0, "right": 1, "anterior": 1, "posterior": 1}}
+    from_dict(one).validate()
 
 
 def test_an_entry_plane_on_or_behind_the_gland_front_is_rejected():

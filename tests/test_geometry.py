@@ -30,6 +30,27 @@ def random_transform(rng, max_angle=180.0, max_trans=50.0):
     return RigidTransform(t.rotation, rng.uniform(-max_trans, max_trans, 3))
 
 
+def test_rigid_transform_keeps_float64_arrays_of_its_shape_and_converts_the_rest():
+    rot, trans = np.eye(3), np.array([1.0, 2.0, 3.0])
+    t = RigidTransform(rot, trans)
+    assert t.rotation is rot and t.translation is trans
+    for r, v in (
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 2, 3]),  # lists of ints
+        (np.eye(3, dtype=np.int64), np.array([1, 2, 3])),
+        (np.eye(3, dtype=np.float32), np.array([1.0, 2.0, 3.0], dtype=np.float32)),
+        (np.eye(3).ravel(), np.array([[1.0, 2.0, 3.0]])),  # flat (9,) and (1, 3)
+    ):
+        t = RigidTransform(r, v)
+        assert t.rotation is not r and t.translation is not v
+        assert (t.rotation.dtype, t.rotation.shape) == (np.float64, (3, 3))
+        assert (t.translation.dtype, t.translation.shape) == (np.float64, (3,))
+        np.testing.assert_array_equal(t.rotation, np.eye(3))
+        np.testing.assert_array_equal(t.translation, [1.0, 2.0, 3.0])
+    for r, v in ((np.eye(2), trans), (rot, np.zeros(4)), (np.zeros((3, 4)), trans), (rot, [1.0, 2.0])):
+        with pytest.raises(ValueError):
+            RigidTransform(r, v)
+
+
 def test_identity_and_translation():
     p = np.array([1.0, -2.0, 3.0])
     np.testing.assert_array_equal(apply(identity(), p), p)
@@ -229,6 +250,50 @@ def test_register_proper_rotation_under_reflection_bait(rng):
     true = random_transform(rng, max_angle=20.0, max_trans=5.0)
     est, _ = register_points(pts, apply(true, pts) + rng.normal(0, 0.5, (5, 3)))
     assert np.linalg.det(est.rotation) == pytest.approx(1.0, abs=1e-9)
+
+
+def kabsch_with_correction_matrix(reference, obs):
+    """``register_to`` as it was written before its sign came in closed form:
+    ``det(V U^T)`` by LAPACK and the correction as the product ``V diag(1, 1, d) U^T``.
+    Returns the rotations, translations, rms and the d of each row."""
+    obs_mean = obs.mean(axis=1)
+    h = np.swapaxes(reference.centered, 1, 2) @ (obs - obs_mean[:, None])
+    u, _, vt = np.linalg.svd(h)
+    v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
+    correction = np.zeros_like(h)
+    correction[:, 0, 0] = correction[:, 1, 1] = 1.0
+    correction[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    rot = v @ correction @ ut
+    trans = obs_mean - (rot @ reference.mean[:, :, None])[:, :, 0]
+    resid = reference.points @ np.swapaxes(rot, 1, 2) + trans[:, None] - obs
+    rms = np.sqrt(np.mean(np.sum(resid * resid, axis=2), axis=1))
+    return rot, trans, rms, correction[:, 2, 2]
+
+
+@pytest.mark.parametrize("k", [1, 7, 128])
+def test_register_reflection_branch_matches_the_correction_matrix_bit_for_bit(rng, k):
+    # every third row observes its reference mirrored (a reflection is the
+    # best orthogonal fit), every third a near-planar set under noise, the
+    # rest a proper motion: the stack mixes d = -1 with d = +1
+    ref = rng.uniform(-20, 20, (k, 12, 3))
+    obs = np.empty_like(ref)
+    for i in range(k):
+        t = random_transform(rng, max_angle=30.0, max_trans=5.0)
+        if i % 3 == 1:
+            ref[i, :, 2] *= 1e-6
+        obs[i] = apply(t, ref[i]) + rng.normal(0, 0.5 if i % 3 == 1 else 0.05, (12, 3))
+        if i % 3 == 0:
+            obs[i, :, 0] *= -1.0
+    reference = geometry.prepare_reference(ref)
+    rot, trans, rms = geometry.register_to(reference, obs)
+    rot_0, trans_0, rms_0, d = kabsch_with_correction_matrix(reference, obs)
+    np.testing.assert_array_equal(rot, rot_0)
+    np.testing.assert_array_equal(trans, trans_0)
+    np.testing.assert_array_equal(rms, rms_0)
+    assert d[0] == -1.0  # the mirrored row
+    if k > 1:
+        assert set(d.tolist()) == {-1.0, 1.0}
+    np.testing.assert_allclose(np.linalg.det(rot), 1.0, atol=1e-9)
 
 
 def test_register_requires_three_noncollinear():

@@ -8,6 +8,7 @@ from prostasim.phantom import Phantoms, PhantomSpec, generate_phantom
 from prostasim.rng import draw_insertions, substream
 from prostasim.sensing import (
     NoiseModel,
+    _base_sd,
     observe,
     observe_point,
     rigid_register,
@@ -119,6 +120,18 @@ def test_degradation_raises_base_sigma(phantom):
     dev0 = observe_one(phantom, geometry.identity(), noise, stream(), needle_count=0) - exact
     dev3 = observe_one(phantom, geometry.identity(), noise, stream(), needle_count=3) - exact
     np.testing.assert_allclose(dev3, 1.2**3 * dev0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("degradation", [1.0, 1.17])
+def test_base_sd_table_has_each_rows_own_power_bit_for_bit(degradation):
+    noise = quiet_noise(sigma0=0.08, degradation_per_needle=degradation)
+    for counts in ([], [0], [3, 0, 7, 3, 3, 1], [63, 2, 63, 0], list(range(63, -1, -1)), [9] * 5):
+        sd = _base_sd(noise, np.array(counts, dtype=np.int64))
+        want = np.array([0.08 * degradation**k for k in counts], dtype=np.float64)
+        assert (sd.dtype, sd.shape) == (want.dtype, want.shape)
+        assert sd.tobytes() == want.tobytes(), counts
+    # a list of Python ints is read as the array is
+    assert _base_sd(noise, [5, 1]).tobytes() == np.array([0.08 * degradation**5, 0.08 * degradation]).tobytes()
 
 
 def test_depth_gain_widens_scatter_with_depth(phantom):
