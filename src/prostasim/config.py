@@ -22,23 +22,12 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from . import rng
 from .controller import ConvergenceParams
 from .kinematics import RobotGeometry
-from .phantom import MotionParams, phantom_quota_split
-from .planning import EntryRegion, PubicArchModel
+from .phantom import DEFAULT_ZONE_QUOTAS, MotionParams, PhantomConfig, phantom_quota_split
+from .planning import DEFAULT_NEEDLE_RADIUS, EntryRegion, PubicArchModel
 from .sensing import NoiseModel
 
 MODES = ("closed_loop", "open_loop", "both")
 FORMATS = ("csv", "json")
-
-# zone counts for the default 9x10 study; the three groups each sum to 90
-DEFAULT_ZONE_QUOTAS = {
-    "apex": 50,
-    "base": 40,
-    "left": 32,
-    "center": 28,
-    "right": 30,
-    "anterior": 52,
-    "posterior": 38,
-}
 
 DEFAULT_ARCH_CAPSULES = (
     {"a": (0.0, 24.0, -32.0), "b": (30.0, 10.0, -32.0), "radius": 8.0},
@@ -51,24 +40,14 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class PhantomConfig:
-    gland_semiaxes: tuple[float, float, float] = (25.0, 20.0, 22.0)
-    min_target_spacing: float = 4.0
-    target_margin: float = 0.92
-    pivot: tuple[float, float, float] = (0.0, 16.0, -14.0)
-    left_bias_mm: float = 1.5
-    left_bias_enabled: bool = False
-    perineum_peak_force_n: float = 1.8
-
-
-@dataclass
 class ArchConfig:
     enabled: bool = True
     capsules: list[dict] = field(default_factory=lambda: [dict(c) for c in DEFAULT_ARCH_CAPSULES])
 
     def build(self) -> PubicArchModel:
-        columns = ([c[key] for c in self.capsules] for key in ("a", "b", "radius"))
-        return PubicArchModel(*columns, enabled=self.enabled)
+        """The arch model of the capsules, each checked; a disabled arch has none of them."""
+        arch = PubicArchModel(*([c[key] for c in self.capsules] for key in ("a", "b", "radius")))
+        return arch if self.enabled else PubicArchModel([], [], [])
 
 
 @dataclass
@@ -91,7 +70,7 @@ class StudyConfig:
     robot: RobotGeometry = field(default_factory=RobotGeometry)
     arch: ArchConfig = field(default_factory=ArchConfig)
     convergence: ConvergenceParams = field(default_factory=ConvergenceParams)
-    needle_radius: float = 0.635
+    needle_radius: float = DEFAULT_NEEDLE_RADIUS
     entry_region: EntryRegion = field(default_factory=EntryRegion)
     output: OutputConfig = field(default_factory=OutputConfig)
 

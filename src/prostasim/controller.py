@@ -29,15 +29,17 @@ reads a motion parameter.  It returns one ``Plans``, a column per
 quantity and a row per slot.  ``open_loop_insertion`` scales one
 insertion's motion normals (its row of the streams) into its motion
 noise and evaluates only the motion terms of the gland transform (drag,
-rotation angle, the rotation about the pivot) from its row's lever;
-``open_loop_records`` scores a block of them.  ``correct_insertions``
-runs the closed loop of a block together, each step one stacked
-``sensing`` call per kernel over the insertions still correcting,
-continues each one from its baseline's transform and motion noise, and
-deposits and scores the block in arrays.  Both loops serve one motion,
-the one their first passes were made under.  The insertions take the
-plans and none of the planning inputs, so blocks that differ only in
-motion share one ``Plans``: each runs its own loop on it.
+rotation angle, the rotation about the pivot) from its row's lever.
+Both loops read a block's first passes stacked, as (K, 3, 3) rotations
+and (K, 3) translations: ``open_loop_records`` scores them, and
+``correct_insertions`` runs the closed loop of a block together, each
+step one stacked ``sensing`` call per kernel over the insertions still
+correcting, continues each one from its first pass's gland transform,
+motion noise included, and deposits and scores the block in arrays.
+Both loops serve one motion, the one their first passes were made
+under.  The insertions take the plans and none of the planning inputs,
+so blocks that differ only in motion share one ``Plans``: each runs its
+own loop on it.
 ``run_insertion`` is the closed loop of a single insertion.
 
 A block's records are one ``Records``, built the same way as its plans:
@@ -48,10 +50,10 @@ records are the same row of the two.
 Per-insertion invariants are computed once: the reference volume is
 prepared for registration once, the gland entry depth and the lever are
 computed once, in the plans, and the gland transform once, by the first
-pass.  The motion model reads penetration from the fixed pass depth, so
-a tip past the gland entry depth sees that transform wherever it is and
-a tip short of it the gland at rest: both loops pick one of the two per
-row with the mask ``depth > entry_depth``.  The planner returns only
+pass, stacked once for both loops.  The motion model reads penetration
+from the fixed pass depth, so a tip past the gland entry depth sees that
+transform wherever it is and a tip short of it the gland at rest: both
+loops pick one of the two per row with the mask ``depth > entry_depth``.  The planner returns only
 trajectories clear of the arch, so the needle never stops short: the
 records' ``disengaged`` column is always 0.  The paired comparison of a
 slot's closed and open-loop records quantifies what the loop buys.
@@ -100,17 +102,17 @@ class ConvergenceParams:
 
 @dataclass
 class InsertionRecord:
-    """One insertion's first pass, unscored: ``open_loop_records`` scores a block of them.
+    """One insertion's first pass, unscored.
 
-    The gland transform of a tip past the gland entry depth, which the
-    first pass makes whichever side of that depth its tip stops, and the
-    frozen motion noise, which it includes; the closed loop starts from
-    both.  A first pass corrects nothing and never stops short: the last
-    three fields are constant Python scalars.
+    The rotation (3, 3) and translation (3,) of the gland transform of a
+    tip past the gland entry depth, which the first pass makes whichever
+    side of that depth its tip stops, frozen motion noise included.  A
+    first pass corrects nothing and never stops short: the last three
+    fields are constant Python scalars.
     """
 
-    gland_transform: geometry.RigidTransform
-    motion_noise: np.ndarray
+    rotation: np.ndarray
+    translation: np.ndarray
     n_corrections: int = 0
     max_corrections_exceeded: bool = False
     disengaged: bool = False
@@ -273,15 +275,8 @@ def open_loop_insertion(motion: MotionParams, plans: Plans, k: int, streams: Str
     closed loop (``correct_insertions``) starts from them.
     """
     # frozen per-insertion motion noise: every gland transform sees it
-    sd = motion.noise_sd_motion
-    motion_noise = 0.0 + sd * streams.motion_normals if sd > 0 else np.zeros(3)
-    return InsertionRecord(prostate_transform(plans.levers, k, motion, motion_noise), motion_noise)
-
-
-def _transforms(baselines):
-    """The rotations (K, 3, 3) and translations (K, 3) of the first passes' moved gland transforms."""
-    return (np.array([base.gland_transform.rotation for base in baselines]),
-            np.array([base.gland_transform.translation for base in baselines]))
+    motion_noise = 0.0 + motion.noise_sd_motion * streams.motion_normals
+    return InsertionRecord(*prostate_transform(plans.levers, k, motion, motion_noise))
 
 
 def _gland_states(inside, rotations, translations):
@@ -291,11 +286,13 @@ def _gland_states(inside, rotations, translations):
 
 
 def open_loop_records(
-    phantoms: Phantoms, motion: MotionParams, plans: Plans, streams: Streams, baselines: list[InsertionRecord],
+    phantoms: Phantoms, motion: MotionParams, plans: Plans, streams: Streams,
+    rotations: np.ndarray, translations: np.ndarray,
 ) -> Records:
-    """A block's open-loop records, scored in arrays: row k is the first pass ``baselines[k]`` of plan row k.
+    """A block's open-loop records, scored in arrays: row k is the first pass of plan row k.
 
-    Slot k's bead is left at the pass depth, in its first pass's gland
+    Slot k's first pass made the gland transform ``rotations[k]``,
+    ``translations[k]``; its bead is left at the pass depth, in that
     transform if that depth is past the gland entry depth and in the gland
     at rest if not, and scored in the rest frame of its phantom, row
     ``streams.phantom[k]`` of ``phantoms``; the observed target moved by
@@ -304,7 +301,7 @@ def open_loop_records(
     has the bits of scoring its slot alone.
     """
     n = len(plans)
-    rot, trans = _gland_states(plans.depth > plans.levers.entry_depth, *_transforms(baselines))
+    rot, trans = _gland_states(plans.depth > plans.levers.entry_depth, rotations, translations)
     # the observed targets where the first passes' gland transforms moved them
     moved = sensing.track_target(rot, trans, plans.target_obs)
     error = _deposit(phantoms, streams, plans, plans.entry + plans.depth[:, None] * plans.dir, rot, trans)
@@ -324,14 +321,16 @@ def correct_insertions(
     conv: ConvergenceParams,
     plans: Plans,
     streams: Streams,
-    baselines: list[InsertionRecord],
+    rotations: np.ndarray,
+    translations: np.ndarray,
 ) -> Records:
     """Run the closed loop of a block of insertions together.
 
     Slot k is insertion k: row k of the tracked ``plans`` and of
     ``streams``, its phantom (row ``streams.phantom[k]`` of ``phantoms``)
-    and its first pass ``baselines[k]``, made under ``motion``.  A tip past
-    the gland entry depth sees the first pass's gland transform, a tip
+    and its first pass's gland transform ``rotations[k]``,
+    ``translations[k]``, made under ``motion``.  A tip past the gland
+    entry depth sees the first pass's gland transform, a tip
     short of it the gland at rest.  Each step observes, registers, tracks
     and decides for every slot still correcting, as one stacked call per
     kernel, on the block's arrays as they are while that is every slot
@@ -357,7 +356,6 @@ def correct_insertions(
     # depends on the tip only through "is it past the gland entry depth"
     # (NaN where the line misses the gland: never past it)
     entry_depth = plans.levers.entry_depth
-    moved_rot, moved_trans = _transforms(baselines)
     glands = phantoms.glands().rows(streams.phantom)
 
     tip = plans.depth.copy()  # corrections move the tip; the pass depth stays
@@ -371,7 +369,7 @@ def correct_insertions(
 
     for step in range(conv.max_corrections + 1):
         at = slice(None) if active.size == len(plans) else active
-        rot, trans = _gland_states(tip[at] > entry_depth[at], moved_rot[at], moved_trans[at])
+        rot, trans = _gland_states(tip[at] > entry_depth[at], rotations[at], translations[at])
         obs = sensing.observe(
             glands.rows(at), rot, trans, noise, streams.observation_normals[at, step], streams.needle_count[at],
         )
@@ -399,7 +397,7 @@ def correct_insertions(
     # transform of its side of the entry depth
     error = _deposit(
         phantoms, streams, plans, entries + tip[:, None] * dirs,
-        *_gland_states(tip > entry_depth, moved_rot, moved_trans),
+        *_gland_states(tip > entry_depth, rotations, translations),
     )
     return _records(
         plans, streams, n_corrections=n_corrections, depth_correction_mm=applied, error_mm=error,
@@ -421,7 +419,10 @@ def run_insertion(
 
     The slot's phantom is row ``streams.phantom[0]`` of ``phantoms``.
     ``open_loop_insertion``, then ``correct_insertions`` on that slot
-    alone; returns the slot's one-row records.
+    alone, given its first pass as a stack of one; returns the slot's
+    one-row records.
     """
-    baseline = open_loop_insertion(motion, plan, 0, streams.rows(0))
-    return correct_insertions(phantoms, motion, noise, geom, conv, plan, streams, [baseline])
+    first = open_loop_insertion(motion, plan, 0, streams.rows(0))
+    return correct_insertions(
+        phantoms, motion, noise, geom, conv, plan, streams, first.rotation[None], first.translation[None],
+    )

@@ -78,17 +78,14 @@ def _join_column(parts):
 
 @dataclass
 class RigidTransform:
-    """A rotation (3, 3), then a translation (3,): a float64 ndarray of that shape is kept as given."""
+    """A rotation (3, 3), then a translation (3,), each held as a float64 array of that shape."""
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        rot, trans = self.rotation, self.translation
-        if not (type(rot) is np.ndarray and rot.dtype == np.float64 and rot.shape == (3, 3)):
-            self.rotation = np.asarray(rot, dtype=np.float64).reshape(3, 3)
-        if not (type(trans) is np.ndarray and trans.dtype == np.float64 and trans.shape == (3,)):
-            self.translation = np.asarray(trans, dtype=np.float64).reshape(3)
+        self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
+        self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
 
 
 def identity() -> RigidTransform:

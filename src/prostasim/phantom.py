@@ -8,6 +8,8 @@ inserted: axial drag along the needle, a rotation about a fixed
 anterior-apical pivot driven by the needle's lateral offset, and a
 frozen per-insertion random translation.
 
+A phantom's parameters are one ``PhantomConfig``, the config's
+``phantom`` section, and ``generate_phantom`` samples a phantom from them.
 Phantoms are the columns of one ``Phantoms``, a row per phantom (gland,
 pivot, left bias, fiducials, targets and their zones), and hold no motion
 parameters.  The gland transform of one needle line splits in two: its
@@ -15,8 +17,9 @@ lever (direction, entry depth, penetration, lateral offset and rotation
 axis) reads no motion parameter and is made for a block of lines at once
 by ``gland_levers``, as the columns of one ``GlandLevers``;
 ``prostate_transform`` takes a row of those columns and the motion
-parameters and evaluates only the motion terms, the transform of a tip
-past the gland entry depth.  Short of it the gland is at rest.
+parameters and evaluates only the motion terms, the rotation and
+translation of a tip past the gland entry depth.  Short of it the gland
+is at rest.
 """
 
 from __future__ import annotations
@@ -38,9 +41,20 @@ POSTERIOR = "Posterior"
 HORIZONTAL = "Horizontal"
 ANGLED = "Angled"
 
-# Fraction of each semiaxis within which targets are placed, keeping beads
-# off the gland surface.
-DEFAULT_TARGET_MARGIN = 0.92
+# the zone labels of each dimension, in the order a phantom draws them
+ZONE_GROUPS = ((APEX, BASE), (LEFT, CENTER, RIGHT), (ANTERIOR, POSTERIOR))
+
+# zone counts for the default 9x10 study, keyed by lower-case label; the
+# three groups each sum to 90, and their shares are every phantom's default mix
+DEFAULT_ZONE_QUOTAS = {
+    "apex": 50,
+    "base": 40,
+    "left": 32,
+    "center": 28,
+    "right": 30,
+    "anterior": 52,
+    "posterior": 38,
+}
 
 _PLACEMENT_ATTEMPTS = 20000
 # placement candidates drawn at once
@@ -92,15 +106,21 @@ class MotionParams:
 
 
 @dataclass
-class PhantomSpec:
-    n_targets: int = 10
+class PhantomConfig:
+    """A phantom's parameters, the config's ``phantom`` section.
+
+    Targets keep ``min_target_spacing`` mm apart inside the gland scaled by
+    ``target_margin``; left-zone beads deflect by ``left_bias_mm`` only if
+    ``left_bias_enabled``.  ``perineum_peak_force_n`` is only reported.
+    """
+
     gland_semiaxes: tuple[float, float, float] = (25.0, 20.0, 22.0)
-    zone_quotas: dict[str, int] | None = None
-    min_spacing: float = 4.0
-    margin: float = DEFAULT_TARGET_MARGIN
+    min_target_spacing: float = 4.0
+    target_margin: float = 0.92
     pivot: tuple[float, float, float] = (0.0, 16.0, -14.0)
-    left_bias: float = 0.0
-    index: int = 0
+    left_bias_mm: float = 1.5
+    left_bias_enabled: bool = False
+    perineum_peak_force_n: float = 1.8
 
 
 @dataclass(eq=False)
@@ -131,14 +151,11 @@ class Phantoms(geometry.Columns):
 
 
 def default_quotas(n_targets: int) -> dict[str, int]:
-    """Zone quotas for one phantom, split near-evenly (largest remainder)."""
+    """Zone quotas for one phantom in the default study's mix, split by largest remainder."""
     quotas = {}
-    for labels, fracs in (
-        ((APEX, BASE), (5 / 9, 4 / 9)),
-        ((LEFT, CENTER, RIGHT), (32 / 90, 28 / 90, 30 / 90)),
-        ((ANTERIOR, POSTERIOR), (52 / 90, 38 / 90)),
-    ):
-        quotas.update(dict(zip(labels, largest_remainder(n_targets, fracs))))
+    for labels in ZONE_GROUPS:
+        counts = [DEFAULT_ZONE_QUOTAS[label.lower()] for label in labels]
+        quotas.update(zip(labels, largest_remainder(n_targets, [c / sum(counts) for c in counts])))
     return quotas
 
 
@@ -198,44 +215,40 @@ def _zone_mask(p: np.ndarray, a: float, labels: tuple[str, str, str]) -> np.ndar
     return ok
 
 
-def generate_phantom(spec: PhantomSpec, seed: int) -> Phantoms:
-    """Deterministically sample a phantom from ``spec``: one row of ``Phantoms``.
+def generate_phantom(phantom: PhantomConfig, n_targets: int, seed: int, zone_quotas: dict[str, int] | None = None,
+                     index: int = 0) -> Phantoms:
+    """Deterministically sample phantom ``index`` of ``phantom``'s shape: one row of ``Phantoms``.
 
-    Targets are rejection-sampled inside the margin-scaled gland so each
-    zone-label combination and the minimum pairwise spacing are honored.
-    Raises ValueError naming the failed constraint when placement is
-    impossible within the attempt budget.
+    Its ``n_targets`` targets fill ``zone_quotas`` (by label; by default
+    ``default_quotas``) and are rejection-sampled inside the margin-scaled
+    gland so each zone-label combination and the minimum pairwise spacing
+    are honored.  Raises ValueError naming the failed constraint when
+    placement is impossible within the attempt budget.
     """
-    if not 1 <= spec.n_targets <= 64:
-        raise ValueError(f"n_targets must be in [1, 64], got {spec.n_targets}")
-    a, b, c = spec.gland_semiaxes
+    if not 1 <= n_targets <= 64:
+        raise ValueError(f"n_targets must be in [1, 64], got {n_targets}")
+    a, b, c = phantom.gland_semiaxes
     if min(a, b, c) <= 0:
         raise ValueError("gland semiaxes must be positive")
 
-    quotas = spec.zone_quotas if spec.zone_quotas is not None else default_quotas(spec.n_targets)
-    for group in ((APEX, BASE), (LEFT, CENTER, RIGHT), (ANTERIOR, POSTERIOR)):
+    quotas = zone_quotas if zone_quotas is not None else default_quotas(n_targets)
+    for group in ZONE_GROUPS:
         got = sum(quotas.get(k, 0) for k in group)
-        if got != spec.n_targets:
-            raise ValueError(
-                f"zone quotas {'/'.join(group)} sum to {got}, expected {spec.n_targets}"
-            )
+        if got != n_targets:
+            raise ValueError(f"zone quotas {'/'.join(group)} sum to {got}, expected {n_targets}")
 
-    stream = rng.substream(seed, rng.PHANTOM_BUILD, phantom=spec.index)
-    depth_seq = _shuffled_labels(stream, [(APEX, quotas[APEX]), (BASE, quotas[BASE])])
-    lat_seq = _shuffled_labels(
-        stream, [(LEFT, quotas[LEFT]), (CENTER, quotas[CENTER]), (RIGHT, quotas[RIGHT])]
-    )
-    ap_seq = _shuffled_labels(
-        stream, [(ANTERIOR, quotas[ANTERIOR]), (POSTERIOR, quotas[POSTERIOR])]
+    stream = rng.substream(seed, rng.PHANTOM_BUILD, phantom=index)
+    depth_seq, lat_seq, ap_seq = (
+        _shuffled_labels(stream, [(label, quotas[label]) for label in group]) for group in ZONE_GROUPS
     )
 
-    semi = np.array([a, b, c]) * spec.margin
-    placed = np.empty((spec.n_targets, 3))
+    semi = np.array([a, b, c]) * phantom.target_margin
+    placed = np.empty((n_targets, 3))
     # the candidates, drawn a chunk at a time in the order of one draw per
     # attempt, and which of them lie inside the gland; what one target
     # leaves over are the next one's first attempts
     cands, inside = np.empty((0, 3)), np.empty(0, dtype=bool)
-    for i in range(spec.n_targets):
+    for i in range(n_targets):
         labels = (depth_seq[i], lat_seq[i], ap_seq[i])
         pos = None
         tried = 0
@@ -249,7 +262,7 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> Phantoms:
                 cand = cands[j]
                 # its distance to every placed target, each with the bits of np.linalg.norm
                 gap = cand - placed[:i]
-                if i and np.sqrt(geometry.row_dot(gap, gap)).min() < spec.min_spacing:
+                if i and np.sqrt(geometry.row_dot(gap, gap)).min() < phantom.min_target_spacing:
                     continue
                 # a copy: the chunk is let go once placement ends
                 pos, used = cand.copy(), j + 1
@@ -259,13 +272,14 @@ def generate_phantom(spec: PhantomSpec, seed: int) -> Phantoms:
         if pos is None:
             raise ValueError(
                 f"could not place target {i} in zone {labels} with min spacing "
-                f"{spec.min_spacing} mm after {_PLACEMENT_ATTEMPTS} attempts"
+                f"{phantom.min_target_spacing} mm after {_PLACEMENT_ATTEMPTS} attempts"
             )
         placed[i] = pos
 
+    bias = phantom.left_bias_mm if phantom.left_bias_enabled else 0.0
     return Phantoms(
-        np.array([[a, b, c]], dtype=np.float64), np.array([spec.pivot], dtype=np.float64),
-        np.array([spec.left_bias], dtype=np.float64),
+        np.array([[a, b, c]], dtype=np.float64), np.array([phantom.pivot], dtype=np.float64),
+        np.array([bias], dtype=np.float64),
         (_FIDUCIAL_DIRS * (np.array([a, b, c]) * _FIDUCIAL_SCALE))[None], placed[None],
         *(np.array([seq]) for seq in (depth_seq, lat_seq, ap_seq)),
     )
@@ -358,7 +372,7 @@ def gland_levers(phantoms: Phantoms, entries, dirs, entry_depths, pass_depths) -
     return GlandLevers(dirs, entry_depths, pens, lateral, phantoms.pivot, kx, kx @ kx)
 
 
-def prostate_transform(levers: GlandLevers, k: int, motion: MotionParams, motion_noise) -> geometry.RigidTransform:
+def prostate_transform(levers: GlandLevers, k: int, motion: MotionParams, motion_noise):
     """Rigid displacement of the gland of line k under ``motion`` once its needle tip is in it.
 
     Row k of ``levers`` gives the needle line's motion-free terms; the
@@ -371,23 +385,21 @@ def prostate_transform(levers: GlandLevers, k: int, motion: MotionParams, motion
     evaluation during it sees the same noise.  The penetration is the
     first pass's, so a tip past the gland entry depth sees this transform
     wherever it is, and a tip short of it (or on a line that misses the
-    gland) the gland at rest; the caller picks by the tip's side.  The
-    scalars are Python floats, the identity the shared ``geometry.IDENTITY``
-    and the sums in place: the bits of the same formula in arrays.
+    gland) the gland at rest; the caller picks by the tip's side.  Returns
+    the rotation (3, 3) and the translation (3,).  The scalars are Python
+    floats and the sums in place: the bits of the same formula in arrays.
     """
     pen = float(levers.penetration[k])
     drag = motion.axial_base_offset + motion.axial_gain * pen
     shift = drag * levers.dir[k] + motion_noise
-    if not motion.rotation_gain > 0.0:
-        return geometry.RigidTransform(geometry.IDENTITY, shift)
     # Rodrigues' formula about the pivot (geometry.rotation_about_axis), then
-    # the shift; a zero axis matrix leaves the identity, bit for bit
+    # the shift; a zero angle or axis matrix leaves the identity, bit for bit
     theta = math.radians(motion.rotation_gain * float(levers.lateral[k]) * pen)
     rot = np.sin(theta) * levers.kx[k]
     rot += geometry.IDENTITY  # I + s kx, as + commutes
     rot += (1.0 - np.cos(theta)) * levers.kx2[k]
     pivot = levers.pivot[k]
-    return geometry.RigidTransform(rot, pivot - rot @ pivot + shift)
+    return rot, pivot - rot @ pivot + shift
 
 
 def world_to_material(rotations: np.ndarray, translations: np.ndarray, points_world: np.ndarray):

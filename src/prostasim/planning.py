@@ -14,9 +14,10 @@ reach or blocked, or that lie on or behind the entry plane, go through
 one grid search together (``replan_angled``).  The search builds every
 target's candidates in one ``candidate_entries`` call and checks their
 clearance in rounds of rising angulation, stopping for each target at
-the first round that finds it a clear candidate.  Every clearance is
-measured with the stacked ``geometry.segment_segment_distance``, and
-only its sign is read.
+the first round that finds it a clear candidate.  Every clearance, of a
+direct path, a grid candidate or an advancing tip, comes from one chunked
+kernel over the stacked ``geometry.segment_segment_distance``, +inf
+against an arch of no capsules, and only its sign is read.
 
 A candidate's angulation is taken in numpy, with ``np.hypot``,
 ``np.arctan2`` and ``np.degrees`` over all candidates at once.  The
@@ -65,12 +66,14 @@ KERNEL_ROWS = 1024
 
 @dataclass
 class PubicArchModel:
-    """The arch as m capsules: capsule j has the axis from ``a[j]`` to ``b[j]`` and radius ``radius[j]``."""
+    """The arch as m capsules: capsule j has the axis from ``a[j]`` to ``b[j]`` and radius ``radius[j]``.
+
+    An arch of no capsules (a disabled one) blocks nothing.
+    """
 
     a: np.ndarray  # (m, 3)
     b: np.ndarray  # (m, 3)
     radius: np.ndarray  # (m,)
-    enabled: bool = True
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=np.float64).reshape(-1, 3)
@@ -120,17 +123,14 @@ def collision_check(
 
     Shaft k runs from ``entries[k]`` along the unit ``dirs[k]`` to
     ``DEPTH_MARGIN`` mm past its planned depth ``depths[k]``.  Negative
-    clearance means collision; with the arch disabled (or empty) every
+    clearance means collision; against an arch of no capsules every
     clearance is unbounded (+inf) and nothing blocks.
     """
     if needle_radius <= 0:
         raise ValueError("needle_radius must be positive")
     entries = np.asarray(entries, dtype=np.float64)
-    if not arch.enabled or not arch.radius.size:
-        return np.full(entries.shape[0], math.inf)
     ends = entries + (np.asarray(depths, dtype=np.float64) + DEPTH_MARGIN)[:, None] * np.asarray(dirs)
-    dist = geometry.segment_segment_distance(entries, ends, arch.a, arch.b) - arch.radius
-    return np.min(dist, axis=1) - needle_radius
+    return _clearance(entries, ends, arch.a, arch.b, arch.radius, needle_radius)
 
 
 def first_blocked_depth(
@@ -142,12 +142,9 @@ def first_blocked_depth(
     step: float = 0.1,
 ) -> float | None:
     """Depth at which the advancing tip first touches the arch, if ever."""
-    if not arch.enabled or not arch.radius.size:
-        return None
     depths = np.arange(0.0, max_depth + step, step)
     tips = np.asarray(entry, dtype=np.float64) + depths[:, None] * geometry.normalize(dir)
-    dist = geometry.segment_segment_distance(tips, tips, arch.a, arch.b) - arch.radius
-    blocked = np.flatnonzero(np.min(dist, axis=1) - needle_radius < 0)
+    blocked = np.flatnonzero(_clearance(tips, tips, arch.a, arch.b, arch.radius, needle_radius) < 0)
     return float(depths[blocked[0]]) if blocked.size else None
 
 
@@ -158,10 +155,8 @@ def clearance_grid(entries, entry_z, targets, overshoot, cap_a, cap_b, cap_r, ne
     targets: (n, 3), the point candidate i passes through; its shaft runs
     from the entry to ``overshoot`` mm past ``targets[i]``.
     cap_a/cap_b: (m, 3) capsule axis endpoints, cap_r: (m,) radii.
-    Returns (n,) of min_j(segdist - cap_r[j]) - needle_r, the segment
-    distances from :func:`geometry.segment_segment_distance`, taken
-    ``KERNEL_ROWS`` rows at a time.  Every row is computed on its own, so a
-    subset of rows gets the same bits.
+    Returns (n,) of min_j(segdist - cap_r[j]) - needle_r, +inf with no
+    capsules.
     """
     entries = np.asarray(entries, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -173,9 +168,23 @@ def clearance_grid(entries, entry_z, targets, overshoot, cap_a, cap_b, cap_r, ne
     d = targets - p0
     norm = np.sqrt(np.sum(d * d, axis=1))
     p1 = p0 + d * ((norm + float(overshoot)) / norm)[:, None]
+    return _clearance(p0, p1, cap_a, cap_b, cap_r, needle_r)
+
+
+def _clearance(p0, p1, cap_a, cap_b, cap_r, needle_r) -> np.ndarray:
+    """Min signed clearance (n,) of the shafts ``[p0[i], p1[i]]`` (n, 3) against the capsules.
+
+    Capsule j has the axis from ``cap_a[j]`` to ``cap_b[j]`` and radius
+    ``cap_r[j]``.  Row i is min_j(segdist - cap_r[j]) - needle_r, the
+    segment distances from :func:`geometry.segment_segment_distance`, taken
+    ``KERNEL_ROWS`` rows at a time; +inf when there are no capsules.  Every
+    row is computed on its own, so a subset of rows gets the same bits.
+    """
     cap_r = np.asarray(cap_r, dtype=np.float64)
-    out = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, KERNEL_ROWS):
+    out = np.full(len(p0), math.inf)
+    if not cap_r.size:
+        return out
+    for lo in range(0, len(p0), KERNEL_ROWS):
         part = slice(lo, lo + KERNEL_ROWS)
         dist = geometry.segment_segment_distance(p0[part], p1[part], cap_a, cap_b) - cap_r
         out[part] = np.min(dist, axis=1) - float(needle_r)
@@ -295,22 +304,19 @@ def replan_angled(
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
     entries, angles, owner = candidate_entries(targets, entry_region, geom)
     bins = np.round(angles / ANGLE_BIN_DEG).astype(np.int64)
-    if not arch.enabled or not arch.radius.size:
-        clearances = np.full(entries.shape[0], math.inf)
-    else:
-        # a row left unchecked never wins and is never a best clearance
-        clearances = np.full(entries.shape[0], -math.inf)
-        unresolved = np.ones(targets.shape[0], dtype=bool)
-        below = -1
-        for limit in ROUND_BIN_LIMITS + (math.inf,):
-            rows = np.flatnonzero(unresolved[owner] & (bins > below) & (bins <= limit))
-            below = limit
-            if rows.size:
-                clearances[rows] = clearance_grid(
-                    entries[rows], geom.front_plane_z, targets[owner[rows]], DEPTH_MARGIN,
-                    arch.a, arch.b, arch.radius, needle_radius,
-                )
-                unresolved[owner[rows[clearances[rows] > 0.0]]] = False
+    # a row left unchecked never wins and is never a best clearance
+    clearances = np.full(entries.shape[0], -math.inf)
+    unresolved = np.ones(targets.shape[0], dtype=bool)
+    below = -1
+    for limit in ROUND_BIN_LIMITS + (math.inf,):
+        rows = np.flatnonzero(unresolved[owner] & (bins > below) & (bins <= limit))
+        below = limit
+        if rows.size:
+            clearances[rows] = clearance_grid(
+                entries[rows], geom.front_plane_z, targets[owner[rows]], DEPTH_MARGIN,
+                arch.a, arch.b, arch.radius, needle_radius,
+            )
+            unresolved[owner[rows[clearances[rows] > 0.0]]] = False
 
     clear = np.flatnonzero(clearances > 0.0)
     ranked = clear[np.lexsort((clear, -clearances[clear], bins[clear], owner[clear]))]

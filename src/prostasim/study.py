@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .config import StudyConfig, to_dict, validate_motion_noise
+from .config import ConfigError, StudyConfig, to_dict, validate_motion_noise
 from .controller import (
     Records,
     correct_insertions,
@@ -45,7 +45,6 @@ from .phantom import (
     RIGHT,
     MotionParams,
     Phantoms,
-    PhantomSpec,
     generate_phantom,
     phantom_quota_split,
 )
@@ -111,22 +110,19 @@ class StudyReport:
 
 
 def build_phantoms(cfg: StudyConfig) -> Phantoms:
-    """The study's phantoms, row p generated as phantom p."""
+    """The study's phantoms, row p generated as phantom p.
+
+    Raises ConfigError naming ``phantom`` when a phantom's targets cannot
+    be placed.
+    """
     quotas = phantom_quota_split(cfg.zone_quotas, cfg.n_phantoms, cfg.targets_per_phantom)
-    bias = cfg.phantom.left_bias_mm if cfg.phantom.left_bias_enabled else 0.0
-    return Phantoms.concat([
-        generate_phantom(PhantomSpec(
-            n_targets=cfg.targets_per_phantom,
-            gland_semiaxes=cfg.phantom.gland_semiaxes,
-            zone_quotas=quotas[i],
-            min_spacing=cfg.phantom.min_target_spacing,
-            margin=cfg.phantom.target_margin,
-            pivot=cfg.phantom.pivot,
-            left_bias=bias,
-            index=i,
-        ), cfg.seed)
-        for i in range(cfg.n_phantoms)
-    ])
+    try:
+        return Phantoms.concat([
+            generate_phantom(cfg.phantom, cfg.targets_per_phantom, cfg.seed, quotas[i], i)
+            for i in range(cfg.n_phantoms)
+        ])
+    except ValueError as e:
+        raise ConfigError(f"phantom: {e}") from e
 
 
 # slots per block: the closed loop steps a block together, one point's at
@@ -160,9 +156,10 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
     (``plan_insertions``; a plan is made at rest, which no motion touches).
     Then each of that sigma0's points in turn makes each slot's first pass
     under its own motion (``open_loop_insertion``, given the slot's row of
-    the streams, a view made once per block) and runs its own closed loop
-    (``correct_insertions``) and open-loop scoring (``open_loop_records``),
-    as the mode asks, on the block's plans and streams themselves.
+    the streams, a view made once per block), stacks them once, and runs
+    its own closed loop (``correct_insertions``) and open-loop scoring
+    (``open_loop_records``), as the mode asks, on the block's plans and
+    streams themselves and those stacks.
     """
     cfg.validate()
     # sigma0 -> its noise model and its points
@@ -202,13 +199,14 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
             for i in members:
                 motion = points[i][0]
                 # one first pass per slot, streams by keyword: perfbench's tracer keys tasks on it
-                baselines = [open_loop_insertion(motion, plans, k, streams=s) for k, s in enumerate(slot_streams)]
+                firsts = [open_loop_insertion(motion, plans, k, streams=s) for k, s in enumerate(slot_streams)]
+                moved = np.array([f.rotation for f in firsts]), np.array([f.translation for f in firsts])
                 if do_closed:
                     closed[i].append(correct_insertions(
-                        phantoms, motion, noise, cfg.robot, cfg.convergence, plans, streams, baselines,
+                        phantoms, motion, noise, cfg.robot, cfg.convergence, plans, streams, *moved,
                     ))
                 if do_open:
-                    opened[i].append(open_loop_records(phantoms, motion, plans, streams, baselines))
+                    opened[i].append(open_loop_records(phantoms, motion, plans, streams, *moved))
 
     # joined a point at a time, each point's blocks let go as it is joined
     return [

@@ -159,13 +159,11 @@ def replan_angled_oracle(arch, target, region, geom, needle_radius=planning.DEFA
     entries, angles = candidate_entries_oracle(target, region, geom)
     if entries.shape[0] == 0:
         raise planning.NoFeasiblePath(-math.inf, target)
-    if not arch.enabled or not arch.radius.size:
-        clearances = np.full(entries.shape[0], math.inf)
-    else:
-        clearances = planning.clearance_grid(
-            entries, geom.front_plane_z, np.broadcast_to(target, (entries.shape[0], 3)),
-            planning.DEPTH_MARGIN, arch.a, arch.b, arch.radius, needle_radius,
-        )
+    # +inf against an arch of no capsules
+    clearances = planning.clearance_grid(
+        entries, geom.front_plane_z, np.broadcast_to(target, (entries.shape[0], 3)),
+        planning.DEPTH_MARGIN, arch.a, arch.b, arch.radius, needle_radius,
+    )
     clear = np.flatnonzero(clearances > 0.0)
     if not clear.size:
         raise planning.NoFeasiblePath(float(np.max(clearances)), target)
@@ -220,7 +218,7 @@ def gland_transform_at(levers, k, motion, tip_depth, motion_noise):
     entry depth, the gland at rest (the identity) where it is not.
     """
     if tip_depth > levers.entry_depth[k]:
-        return prostate_transform(levers, k, motion, motion_noise)
+        return geometry.RigidTransform(*prostate_transform(levers, k, motion, motion_noise))
     return geometry.identity()
 
 
@@ -228,8 +226,8 @@ def open_loop_oracle(phantom, motion, plans, k, first):
     """Row k's open-loop score, made alone: (axial motion, error, residual motion).
 
     The per-slot formulas that ``controller.open_loop_records`` stacks over
-    a block, kept as its oracle: the observed target moved by the first
-    pass ``first``'s gland transform, its depth along the needle line past
+    a block, kept as its oracle: the observed target moved by the gland
+    transform of the first pass ``first``, its depth along the needle line past
     the pass depth, the rest-frame miss of the bead left at the pass depth
     (a left-zone bead of a phantom with a left bias deflected along -x),
     and the target's displacement beyond the modeled drag.  ``phantom`` is
@@ -237,7 +235,8 @@ def open_loop_oracle(phantom, motion, plans, k, first):
     """
     entry, d, depth = plans.entry[k], plans.dir[k], float(plans.depth[k])
     # a bead left short of the gland is left in it at rest
-    t = first.gland_transform if depth > plans.levers.entry_depth[k] else geometry.identity()
+    moved_gland = geometry.RigidTransform(first.rotation, first.translation)
+    t = moved_gland if depth > plans.levers.entry_depth[k] else geometry.identity()
     moved = geometry.apply(t, plans.target_obs[k])
     axial = float((moved - entry) @ d) - depth
     bead = entry + depth * d

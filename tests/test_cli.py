@@ -185,6 +185,19 @@ def test_a_target_spacing_no_gland_can_hold_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_a_phantom_whose_targets_cannot_be_placed_is_config_error(tmp_path, capsys):
+    # within the two-target bound validate checks, but ten targets do not fit
+    cfg = default_config()
+    cfg.phantom.min_target_spacing = 30.0
+    cfg.validate()
+    path = tmp_path / "crowded.yaml"
+    path.write_text(to_yaml(cfg))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert "phantom: could not place target 2 in zone ('Apex', 'Left', 'Anterior') with min spacing 30.0 mm" in err
+    assert "Traceback" not in err
+
+
 def test_seed_override_changes_bytes_and_repeats(tmp_path, capsys):
     cfg_path = tiny_config_file(tmp_path, mode="closed_loop")
     runs = {}

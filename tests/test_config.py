@@ -99,6 +99,10 @@ def test_validation_paths():
         # a typo that would draw a block's observation budget of tens of GB
         ({"convergence": {"max_corrections": 10**6}}, "convergence"),
         ({"entry_region": {"x_min": 50.0, "x_max": -50.0}}, "entry_region.x_min"),
+        # a disabled arch's capsules are checked as an enabled one's
+        *(({"arch": {"enabled": enabled, "capsules": [dict(a=[0, 1, 2], b=[3, 4, 5], radius=radius)]}},
+           "arch.capsules: arch capsule radii must be positive")
+          for enabled in (True, False) for radius in (0.0, -1.0)),
     ]
     for data, path in cases:
         cfg = from_dict(data)
@@ -227,9 +231,10 @@ def test_arch_capsules_round_trip_and_validation():
         }
     )
     cfg.validate()
+    assert to_dict(cfg)["arch"]["capsules"] == [{"a": [0.0, 1.0, 2.0], "b": [3.0, 4.0, 5.0], "radius": 2.0}]
+    # a disabled arch is built with no capsules
     model = cfg.arch.build()
-    assert not model.enabled
-    assert len(model.radius) == 1
+    assert (model.a.shape, model.b.shape, model.radius.shape) == ((0, 3), (0, 3), (0,))
     cfg.arch.capsules[0].pop("radius")
     with pytest.raises(ConfigError, match=r"arch\.capsules\[0\]\.radius"):
         cfg.validate()

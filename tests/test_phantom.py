@@ -12,8 +12,8 @@ from prostasim.phantom import (
     POSTERIOR,
     RIGHT,
     MotionParams,
+    PhantomConfig,
     Phantoms,
-    PhantomSpec,
     default_quotas,
     generate_phantom,
     gland_entry_depth,
@@ -31,9 +31,9 @@ def quiet_motion(**overrides):
     return MotionParams(**params)
 
 
-def make_phantom(seed=3, **spec_kw):
-    """One phantom: a ``Phantoms`` of one row."""
-    return generate_phantom(PhantomSpec(**spec_kw), seed)
+def make_phantom(seed=3, **params):
+    """One phantom of 10 targets: a ``Phantoms`` of one row."""
+    return generate_phantom(PhantomConfig(**params), 10, seed)
 
 
 def targets_of(p):
@@ -65,12 +65,12 @@ def transform(p, motion, entry, d, tip_depth, noise, pass_depth=None):
 
 
 def test_generation_is_deterministic():
-    a = generate_phantom(PhantomSpec(), 11)
-    b = generate_phantom(PhantomSpec(), 11)
+    a = make_phantom(11)
+    b = make_phantom(11)
     for (_, pa, za), (_, pb, zb) in zip(targets_of(a), targets_of(b)):
         np.testing.assert_array_equal(pa, pb)
         assert za == zb
-    c = generate_phantom(PhantomSpec(), 12)
+    c = make_phantom(12)
     assert any(
         not np.array_equal(pa, pc)
         for (_, pa, _), (_, pc, _) in zip(targets_of(a), targets_of(c))
@@ -98,8 +98,7 @@ def test_zone_quotas_and_predicates():
 
 
 def test_targets_inside_margin_and_spaced():
-    spec = PhantomSpec(margin=0.9, min_spacing=5.0)
-    p = generate_phantom(spec, 5)
+    p = make_phantom(5, target_margin=0.9, min_target_spacing=5.0)
     semi = p.gland_semiaxes[0] * 0.9
     positions = p.target_rest[0]
     for pos in positions:
@@ -110,23 +109,22 @@ def test_targets_inside_margin_and_spaced():
 
 
 def test_impossible_spacing_raises_with_zone_name():
-    spec = PhantomSpec(min_spacing=60.0)
     with pytest.raises(ValueError, match="min spacing"):
-        generate_phantom(spec, 1)
+        make_phantom(1, min_target_spacing=60.0)
 
 
 def test_bad_quota_sum_raises():
     quotas = default_quotas(10)
     quotas[APEX] += 1
     with pytest.raises(ValueError, match="quotas"):
-        generate_phantom(PhantomSpec(zone_quotas=quotas), 1)
+        generate_phantom(PhantomConfig(), 10, 1, quotas)
 
 
 def test_target_count_bounds():
     with pytest.raises(ValueError):
-        generate_phantom(PhantomSpec(n_targets=0), 1)
+        generate_phantom(PhantomConfig(), 0, 1)
     with pytest.raises(ValueError):
-        generate_phantom(PhantomSpec(n_targets=65), 1)
+        generate_phantom(PhantomConfig(), 65, 1)
 
 
 def test_largest_remainder_sums_and_known_split():
@@ -351,19 +349,19 @@ def zone_ok_oracle(p, a, labels):
     return True
 
 
-def placement_oracle(spec, seed):
+def placement_oracle(phantom, n_targets, seed, zone_quotas=None, index=0):
     """The (id, rest position bits, zones) of each target of ``generate_phantom``, one candidate drawn and tested per attempt."""
-    a, b, c = spec.gland_semiaxes
-    quotas = spec.zone_quotas if spec.zone_quotas is not None else default_quotas(spec.n_targets)
-    stream = substream(seed, rng.PHANTOM_BUILD, phantom=spec.index)
+    a, b, c = phantom.gland_semiaxes
+    quotas = zone_quotas if zone_quotas is not None else default_quotas(n_targets)
+    stream = substream(seed, rng.PHANTOM_BUILD, phantom=index)
     depth_seq = ph._shuffled_labels(stream, [(APEX, quotas[APEX]), (BASE, quotas[BASE])])
     lat_seq = ph._shuffled_labels(
         stream, [(LEFT, quotas[LEFT]), (CENTER, quotas[CENTER]), (RIGHT, quotas[RIGHT])]
     )
     ap_seq = ph._shuffled_labels(stream, [(ANTERIOR, quotas[ANTERIOR]), (POSTERIOR, quotas[POSTERIOR])])
-    semi = np.array([a, b, c]) * spec.margin
+    semi = np.array([a, b, c]) * phantom.target_margin
     placed, targets = [], []
-    for i in range(spec.n_targets):
+    for i in range(n_targets):
         labels = (depth_seq[i], lat_seq[i], ap_seq[i])
         pos = None
         for _ in range(ph._PLACEMENT_ATTEMPTS):
@@ -372,14 +370,14 @@ def placement_oracle(spec, seed):
                 continue
             if not zone_ok_oracle(cand, a, labels):
                 continue
-            if placed and min(np.linalg.norm(cand - q) for q in placed) < spec.min_spacing:
+            if placed and min(np.linalg.norm(cand - q) for q in placed) < phantom.min_target_spacing:
                 continue
             pos = cand
             break
         if pos is None:
             raise ValueError(
                 f"could not place target {i} in zone {labels} with min spacing "
-                f"{spec.min_spacing} mm after {ph._PLACEMENT_ATTEMPTS} attempts"
+                f"{phantom.min_target_spacing} mm after {ph._PLACEMENT_ATTEMPTS} attempts"
             )
         placed.append(pos)
         targets.append((i, pos.tobytes(), labels))
@@ -387,9 +385,10 @@ def placement_oracle(spec, seed):
 
 
 def placement(make, spec, seed):
-    """The targets' ids, position bits and zones, or the error message."""
+    """The targets' ids, position bits and zones, or the error message, of the
+    phantom that ``spec``, the arguments of ``generate_phantom`` but the seed, gives."""
     try:
-        return make(spec, seed)
+        return make(seed=seed, **spec)
     except ValueError as e:
         return str(e)
 
@@ -400,16 +399,17 @@ def corner_quotas(n):
 
 
 PLACEMENT_SPECS = (
-    PhantomSpec(),
-    PhantomSpec(n_targets=30, min_spacing=6.0, index=2),
-    PhantomSpec(n_targets=64, min_spacing=3.0, gland_semiaxes=(21.0, 17.0, 26.0), margin=0.8),
-    PhantomSpec(n_targets=5, min_spacing=12.0, index=3),
-    PhantomSpec(n_targets=8, zone_quotas=corner_quotas(8), min_spacing=5.0),
+    dict(phantom=PhantomConfig(), n_targets=10),
+    dict(phantom=PhantomConfig(min_target_spacing=6.0), n_targets=30, index=2),
+    dict(phantom=PhantomConfig(min_target_spacing=3.0, gland_semiaxes=(21.0, 17.0, 26.0), target_margin=0.8),
+         n_targets=64),
+    dict(phantom=PhantomConfig(min_target_spacing=12.0), n_targets=5, index=3),
+    dict(phantom=PhantomConfig(min_target_spacing=5.0), n_targets=8, zone_quotas=corner_quotas(8)),
 )
 
 
-def built_targets(spec, seed):
-    return [(i, pos.tobytes(), labels) for i, pos, labels in targets_of(generate_phantom(spec, seed))]
+def built_targets(**spec):
+    return [(i, pos.tobytes(), labels) for i, pos, labels in targets_of(generate_phantom(**spec))]
 
 
 @pytest.mark.parametrize("spec", PLACEMENT_SPECS)
@@ -423,7 +423,7 @@ def test_placement_matches_one_candidate_per_attempt(spec):
 @pytest.mark.parametrize("attempts, n, spacing", [(100, 12, 3.0), (300, 8, 6.0)])
 def test_placement_runs_out_of_attempts_as_one_candidate_per_attempt_does(monkeypatch, attempts, n, spacing):
     monkeypatch.setattr(ph, "_PLACEMENT_ATTEMPTS", attempts)
-    spec = PhantomSpec(n_targets=n, zone_quotas=corner_quotas(n), min_spacing=spacing)
+    spec = dict(phantom=PhantomConfig(min_target_spacing=spacing), n_targets=n, zone_quotas=corner_quotas(n))
     outcomes = [placement(built_targets, spec, seed) for seed in range(30)]
     assert outcomes == [placement(placement_oracle, spec, seed) for seed in range(30)]
     failed = [o for o in outcomes if isinstance(o, str)]
@@ -432,7 +432,7 @@ def test_placement_runs_out_of_attempts_as_one_candidate_per_attempt_does(monkey
 
 
 def test_impossible_spacing_gives_the_same_error_as_one_candidate_per_attempt():
-    spec = PhantomSpec(min_spacing=60.0)
+    spec = dict(phantom=PhantomConfig(min_target_spacing=60.0), n_targets=10)
     message = placement(placement_oracle, spec, 1)
     assert message.startswith("could not place target 1 in zone")
     assert placement(built_targets, spec, 1) == message

@@ -36,10 +36,14 @@ def capsule(a, b, r):
     return a, b, r
 
 
+# the arch of no capsules, as a disabled one is built
+NO_ARCH = PubicArchModel([], [], [])
+
+
 def arch_of(capsules, enabled=True):
-    """The arch of a list of capsules (a, b, radius)."""
-    a, b, radius = zip(*capsules) if capsules else ((), (), ())
-    return PubicArchModel(a, b, radius, enabled=enabled)
+    """The arch of a list of capsules (a, b, radius), each checked; disabled, it has none of them."""
+    arch = PubicArchModel(*zip(*capsules)) if capsules else NO_ARCH
+    return arch if enabled else NO_ARCH
 
 
 def clearance(arch, traj, needle_radius=DEFAULT_NEEDLE_RADIUS):
@@ -58,6 +62,28 @@ def straight_traj(target, geom, depth=None):
 def test_disabled_arch_never_blocks(geom):
     arch = arch_of([capsule([0, 0, -30], [0, 0, -30], 50.0)], enabled=False)
     assert clearance(arch, straight_traj([0, 0, 10], geom)) == math.inf
+
+
+def test_an_arch_of_no_capsules_blocks_nothing():
+    geom = RobotGeometry(stage_travel=12.0, max_angulation=13.0)
+    geom.validate()
+    rs = np.random.default_rng(8)
+    # direct entries in and beyond the stages' +/-12 mm travel, so some winners are angled
+    targets = np.column_stack([rs.uniform(-16, 16, (40, 2)), rs.uniform(-20, 20, 40)])
+    # (collision_check gives +inf here too: test_disabled_arch_never_blocks)
+    assert (clearance_grid(targets[:, :2], geom.front_plane_z, targets, DEPTH_MARGIN,
+                           NO_ARCH.a, NO_ARCH.b, NO_ARCH.radius, DEFAULT_NEEDLE_RADIUS) == math.inf).all()
+    assert first_blocked_depth(NO_ARCH, [0, 0, -60], [0, 0, 1], 60.0) is None
+    # every clearance +inf: each target's winner is its first candidate, in
+    # grid order, of its lowest angulation bin
+    got = replan_angled(NO_ARCH, targets, EntryRegion(), geom)
+    grid, angles, owner = candidate_entries(targets, EntryRegion(), geom)
+    bins = np.round(angles / ANGLE_BIN_DEG)
+    winners = [rows[np.argmin(bins[rows])] for rows in (np.flatnonzero(owner == k) for k in range(40))]
+    np.testing.assert_array_equal(got.entry[:, :2], grid[winners])
+    assert (got.entry[:, 2] == geom.front_plane_z).all()
+    np.testing.assert_array_equal(got.approach, np.where(angles[winners] > ANGLE_BIN_DEG, "Angled", "Horizontal"))
+    assert set(got.approach.tolist()) == {"Angled", "Horizontal"}
 
 
 def test_clearance_analytic_value(geom):

@@ -378,7 +378,8 @@ def test_write_report_files_and_formats(tiny_report, tmp_path):
 
     paths = write_report(tiny_report, str(tmp_path / "c"), fmt="csv")
     assert os.path.basename(paths[-1]) == "summary.csv"
-    text = open(paths[-1]).read()
+    with open(paths[-1]) as fh:
+        text = fh.read()
     assert text == summary_to_csv(tiny_report.summary)
     assert text.startswith("key,value\n")
 
