@@ -7,6 +7,7 @@ failure (I/O, simulation error).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -100,13 +101,27 @@ def _print_headline(summary: dict):
         )
 
 
-def _make_out_dir(out_dir: str):
+@contextlib.contextmanager
+def _out_dir(out_dir: str):
     """Create the output directory before a run, so that one that cannot be
-    written fails at once rather than after the whole run."""
+    written fails at once rather than after the whole run.  If the run
+    raises ConfigError, the directories made here are removed again: a
+    config problem leaves nothing on the disk."""
+    made, path = [], os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:
         raise RuntimeError(f"cannot write under {out_dir}: {e}") from e
+    try:
+        yield
+    except ConfigError:
+        for path in made:  # deepest first; one the run wrote into stays
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -114,8 +129,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         sys.stdout.write(to_yaml(default_config(), DEFAULT_CONFIG_HEADER))
         return 0
     cfg = _resolve_config(args)
-    _make_out_dir(cfg.output.dir)
-    report = run_study(cfg)
+    with _out_dir(cfg.output.dir):
+        report = run_study(cfg)
     written = write_report(report, cfg.output.dir, cfg.output.format)
     _print_headline(report.summary)
     for path in written:
@@ -136,10 +151,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     if args.replicates < 1 or args.grid_points < 1:
         raise ConfigError("calibrate: --replicates and --grid-points must be >= 1")
-    _make_out_dir(cfg.output.dir)
-    result = calibrate_mod.calibrate(
-        cfg, replicates=args.replicates, grid_points=args.grid_points
-    )
+    with _out_dir(cfg.output.dir):
+        result = calibrate_mod.calibrate(cfg, replicates=args.replicates, grid_points=args.grid_points)
     text = calibrate_mod.fitted_config_yaml(cfg, result, args.replicates, args.grid_points)
     path = os.path.join(cfg.output.dir, "fitted_config.yaml")
     with open(path, "w", encoding="utf-8") as fh:

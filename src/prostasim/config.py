@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from . import rng
 from .controller import ConvergenceParams
 from .kinematics import RobotGeometry
-from .phantom import DEFAULT_ZONE_QUOTAS, MotionParams, PhantomConfig, phantom_quota_split
+from .phantom import DEFAULT_ZONE_QUOTAS, ZONE_GROUPS, MotionParams, PhantomConfig, phantom_quota_split
 from .planning import DEFAULT_NEEDLE_RADIUS, EntryRegion, PubicArchModel
 from .sensing import NoiseModel
 
@@ -85,10 +85,11 @@ class StudyConfig:
         _check(1 <= self.targets_per_phantom <= 64, "targets_per_phantom", "must be in [1, 64]")
         _check(self.mode in MODES, "mode", f"must be one of {MODES}")
         total = self.n_phantoms * self.targets_per_phantom
-        for key in DEFAULT_ZONE_QUOTAS:
+        groups = [[label.lower() for label in labels] for labels in ZONE_GROUPS.values()]
+        for key in (key for keys in groups for key in keys):
             _check(key in self.zone_quotas, f"zone_quotas.{key}", "missing")
             _check(self.zone_quotas[key] >= 0, f"zone_quotas.{key}", "must be >= 0")
-        for keys in (("apex", "base"), ("left", "center", "right"), ("anterior", "posterior")):
+        for keys in groups:
             got = sum(self.zone_quotas[k] for k in keys)
             _check(
                 got == total,

@@ -57,8 +57,8 @@ class Trajectory(geometry.Columns):
     """K planned needle lines, as columns: line k enters at ``entry[k]`` along the unit ``dir[k]``.
 
     ``planned_depth`` is the distance from the entry to the target, and
-    ``approach`` is "Horizontal" or "Angled".  ``rows(k)`` holds one line's
-    values.
+    ``approach`` is ``planning.HORIZONTAL`` or ``planning.ANGLED``.
+    ``rows(k)`` holds one line's values.
     """
 
     entry: np.ndarray  # (K, 3)

@@ -8,6 +8,13 @@ inserted: axial drag along the needle, a rotation about a fixed
 anterior-apical pivot driven by the needle's lateral offset, and a
 frozen per-insertion random translation.
 
+One zone table, ``ZONE_GROUPS``, names each dimension's labels in draw
+order; the config's quota keys, the study's quota split, target
+placement and the summary's strata all read it.  A study spreads each
+label's count over its phantoms by integer division, the remainder going
+one each to the first phantoms, and a dimension's last label takes what
+its other labels leave of a phantom's targets.
+
 A phantom's parameters are one ``PhantomConfig``, the config's
 ``phantom`` section, and ``generate_phantom`` samples a phantom from them.
 Phantoms are the columns of one ``Phantoms``, a row per phantom (gland,
@@ -38,11 +45,10 @@ CENTER = "Center"
 RIGHT = "Right"
 ANTERIOR = "Anterior"
 POSTERIOR = "Posterior"
-HORIZONTAL = "Horizontal"
-ANGLED = "Angled"
 
-# the zone labels of each dimension, in the order a phantom draws them
-ZONE_GROUPS = ((APEX, BASE), (LEFT, CENTER, RIGHT), (ANTERIOR, POSTERIOR))
+# the zone table: each dimension's labels, in the order a phantom draws
+# them; a label's quota key is its lower case
+ZONE_GROUPS = {"depth": (APEX, BASE), "lateral": (LEFT, CENTER, RIGHT), "ap": (ANTERIOR, POSTERIOR)}
 
 # zone counts for the default 9x10 study, keyed by lower-case label; the
 # three groups each sum to 90, and their shares are every phantom's default mix
@@ -150,41 +156,26 @@ class Phantoms(geometry.Columns):
         return replace(self, target_rest=None, zone_depth=None, zone_lateral=None, zone_ap=None)
 
 
-def default_quotas(n_targets: int) -> dict[str, int]:
-    """Zone quotas for one phantom in the default study's mix, split by largest remainder."""
-    quotas = {}
-    for labels in ZONE_GROUPS:
-        counts = [DEFAULT_ZONE_QUOTAS[label.lower()] for label in labels]
-        quotas.update(zip(labels, largest_remainder(n_targets, [c / sum(counts) for c in counts])))
-    return quotas
-
-
-def largest_remainder(total: int, fractions) -> list[int]:
-    """Integer split of ``total`` proportional to ``fractions``."""
-    raw = [total * f for f in fractions]
-    counts = [int(np.floor(r)) for r in raw]
-    short = total - sum(counts)
-    order = sorted(range(len(raw)), key=lambda i: (raw[i] - counts[i], -i), reverse=True)
-    for i in order[:short]:
-        counts[i] += 1
-    return counts
-
-
 def phantom_quota_split(zone_quotas: dict[str, int], n_phantoms: int, per: int) -> list[dict[str, int]]:
     """Per-phantom zone quotas from the study-level ``zone_quotas`` (a config's lower-case keys).
 
-    Each label's study count is spread across the ``n_phantoms`` phantoms
-    by largest remainder; the last label of each dimension absorbs the
-    rest so each dimension sums to ``per`` targets on every phantom.
-    Raises ValueError when that leaves a phantom a negative count.
+    Each label but a dimension's last spreads its study count evenly
+    across the ``n_phantoms`` phantoms, ``divmod(count, n_phantoms)``: a
+    share each, and one more for each of the first ``extra`` phantoms.  The
+    dimension's last label takes the rest, so each dimension sums to
+    ``per`` targets on every phantom.  Raises ValueError when that leaves
+    a phantom a negative count.
     """
-    even = [1.0 / n_phantoms] * n_phantoms
-    split = {key: largest_remainder(zone_quotas[key], even) for key in ("apex", "left", "center", "anterior")}
+    shares = {label: divmod(zone_quotas[label.lower()], n_phantoms)
+              for labels in ZONE_GROUPS.values() for label in labels[:-1]}
     out = []
     for i in range(n_phantoms):
-        apex, left, center, anterior = (split[key][i] for key in ("apex", "left", "center", "anterior"))
-        quotas = {APEX: apex, BASE: per - apex, LEFT: left, CENTER: center, RIGHT: per - left - center,
-                  ANTERIOR: anterior, POSTERIOR: per - anterior}
+        quotas = {}
+        for *labels, last in ZONE_GROUPS.values():
+            for label in labels:
+                share, extra = shares[label]
+                quotas[label] = share + (i < extra)
+            quotas[last] = per - sum(quotas[label] for label in labels)
         bad = [k for k, v in quotas.items() if v < 0]
         if bad:
             raise ValueError(f"zone quotas leave phantom {i} with negative {bad[0]} count")
@@ -192,37 +183,32 @@ def phantom_quota_split(zone_quotas: dict[str, int], n_phantoms: int, per: int) 
     return out
 
 
+# each zone label's test of candidate points (M, 3), given a third of the
+# gland's lateral semiaxis
+_IN_ZONE = {
+    APEX: lambda p, third: p[:, 2] < 0,
+    BASE: lambda p, third: p[:, 2] > 0,
+    LEFT: lambda p, third: p[:, 0] > third,
+    CENTER: lambda p, third: np.abs(p[:, 0]) <= third,
+    RIGHT: lambda p, third: p[:, 0] < -third,
+    ANTERIOR: lambda p, third: p[:, 1] > 0,
+    POSTERIOR: lambda p, third: p[:, 1] < 0,
+}
+
+
 def _zone_mask(p: np.ndarray, a: float, labels: tuple[str, str, str]) -> np.ndarray:
-    """Which candidates of ``p`` (M, 3) lie in the zone of ``labels``."""
-    depth, lat, ap = labels
-    x, y, z = p.T
-    third = a / 3.0
-    ok = np.ones(len(p), dtype=bool)
-    if depth == APEX:
-        ok &= z < 0
-    elif depth == BASE:
-        ok &= z > 0
-    if lat == LEFT:
-        ok &= x > third
-    elif lat == RIGHT:
-        ok &= x < -third
-    elif lat == CENTER:
-        ok &= np.abs(x) <= third
-    if ap == ANTERIOR:
-        ok &= y > 0
-    elif ap == POSTERIOR:
-        ok &= y < 0
-    return ok
+    """Which candidates of ``p`` (M, 3) lie in the zone of ``labels``, in a gland of lateral semiaxis ``a``."""
+    depth, lat, ap = (_IN_ZONE[label](p, a / 3.0) for label in labels)
+    return depth & lat & ap
 
 
-def generate_phantom(phantom: PhantomConfig, n_targets: int, seed: int, zone_quotas: dict[str, int] | None = None,
+def generate_phantom(phantom: PhantomConfig, n_targets: int, seed: int, zone_quotas: dict[str, int],
                      index: int = 0) -> Phantoms:
     """Deterministically sample phantom ``index`` of ``phantom``'s shape: one row of ``Phantoms``.
 
-    Its ``n_targets`` targets fill ``zone_quotas`` (by label; by default
-    ``default_quotas``) and are rejection-sampled inside the margin-scaled
-    gland so each zone-label combination and the minimum pairwise spacing
-    are honored.  Raises ValueError naming the failed constraint when
+    Its ``n_targets`` targets fill ``zone_quotas`` (by label) and are
+    rejection-sampled inside the margin-scaled gland so each zone-label
+    combination and the minimum pairwise spacing are honored.  Raises ValueError naming the failed constraint when
     placement is impossible within the attempt budget.
     """
     if not 1 <= n_targets <= 64:
@@ -231,15 +217,14 @@ def generate_phantom(phantom: PhantomConfig, n_targets: int, seed: int, zone_quo
     if min(a, b, c) <= 0:
         raise ValueError("gland semiaxes must be positive")
 
-    quotas = zone_quotas if zone_quotas is not None else default_quotas(n_targets)
-    for group in ZONE_GROUPS:
-        got = sum(quotas.get(k, 0) for k in group)
+    for group in ZONE_GROUPS.values():
+        got = sum(zone_quotas.get(k, 0) for k in group)
         if got != n_targets:
             raise ValueError(f"zone quotas {'/'.join(group)} sum to {got}, expected {n_targets}")
 
     stream = rng.substream(seed, rng.PHANTOM_BUILD, phantom=index)
     depth_seq, lat_seq, ap_seq = (
-        _shuffled_labels(stream, [(label, quotas[label]) for label in group]) for group in ZONE_GROUPS
+        _shuffled_labels(stream, [(label, zone_quotas[label]) for label in group]) for group in ZONE_GROUPS.values()
     )
 
     semi = np.array([a, b, c]) * phantom.target_margin

@@ -49,6 +49,10 @@ DEPTH_MARGIN = 10.0
 ENTRY_GRID_STEP = 2.0
 ANGLE_BIN_DEG = 1.0
 
+# the approach labels: a plan angled past ANGLE_BIN_DEG is angled
+HORIZONTAL = "Horizontal"
+ANGLED = "Angled"
+
 # the grid search checks clearance for angulation bins up to each limit in
 # turn, then for the rest
 ROUND_BIN_LIMITS = (2, 4, 8, 16)
@@ -331,7 +335,7 @@ def replan_angled(
     entry3 = np.empty((targets.shape[0], 3), dtype=np.float64)
     entry3[:, :2] = entries[winner]
     entry3[:, 2] = geom.front_plane_z
-    return _through(entry3, targets, np.where(angles[winner] > ANGLE_BIN_DEG, "Angled", "Horizontal"))
+    return _through(entry3, targets, np.where(angles[winner] > ANGLE_BIN_DEG, ANGLED, HORIZONTAL))
 
 
 def _through(entries, targets, approach) -> kinematics.Trajectory:
@@ -366,7 +370,7 @@ def plan_trajectories(
     )
     entries = targets[direct]
     entries[:, 2] = geom.front_plane_z
-    paths = _through(entries, targets[direct], np.full(len(entries), "Horizontal"))
+    paths = _through(entries, targets[direct], np.full(len(entries), HORIZONTAL))
     clear = collision_check(arch, paths.entry, paths.dir, paths.planned_depth, needle_radius) > 0.0
     direct[direct] = clear
     if direct.all():

@@ -6,6 +6,12 @@ therefore do not depend on execution order, and paired closed/open-loop
 runs see identical noise by construction (the loop mode is deliberately
 not part of the key).
 
+There is one key layout.  A stream's 128-bit Philox key holds the master
+seed, with a component salt mixed in, as its high word, and the 16-bit
+purpose, phantom, target and replicate fields, in that order from the
+top, as its low word.  ``_low_words`` packs and checks the low words of
+a block of slots in arrays; ``substream`` is a block of one.
+
 Recreating a stream yields the same draw sequence.  A sample that must
 stay fixed through an insertion (the motion noise) is drawn once from its
 stream and passed along; the closed loop and its open-loop baseline share
@@ -45,22 +51,6 @@ _FIELD_MASK = (1 << _FIELD_BITS) - 1
 _WORD_MASK = (1 << 64) - 1
 
 
-def _key(master_seed: int, purpose: int, phantom: int, target: int, replicate: int, salt: int) -> int:
-    """The 128-bit Philox key of one stream; raises ValueError for an index outside 16 bits.
-
-    ``salt`` mixes in a component-level seed (see the ``rng_seed`` fields on
-    the parameter dataclasses) without disturbing the structural packing.
-    """
-    _check_fields(purpose, phantom, target, replicate)
-    packed = (
-        (purpose << (3 * _FIELD_BITS))
-        | (phantom << (2 * _FIELD_BITS))
-        | (target << _FIELD_BITS)
-        | replicate
-    )
-    return (_high_word(master_seed, salt) << 64) | packed
-
-
 def _check_fields(purpose: int, phantom: int, target: int, replicate: int):
     """Raise ValueError naming the first of the fields outside 16 bits, if any."""
     for name, v in (("purpose", purpose), ("phantom", phantom), ("target", target), ("replicate", replicate)):
@@ -81,9 +71,36 @@ def substream(
     replicate: int = 0,
     salt: int = 0,
 ) -> np.random.Generator:
-    """Generator for one (purpose, phantom, target, replicate) slot."""
-    key = _key(master_seed, purpose, phantom, target, replicate, salt)
+    """Generator for one (purpose, phantom, target, replicate) slot.
+
+    ``salt`` mixes in a component-level seed (see the ``rng_seed`` fields on
+    the parameter dataclasses) without disturbing the structural packing.
+    Raises ValueError for an index outside 16 bits.
+    """
+    low = _low_words(purpose, [(phantom, target, replicate)])
+    key = (_high_word(master_seed, salt) << 64) | int(low[0])
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _low_words(purpose: int, slots) -> np.ndarray:
+    """The low 64 bits of the keys of ``slots``, (phantom, target, replicate) indices: (K,) uint64.
+
+    Raises ValueError for an index outside 16 bits, naming the first slot
+    and field that is.
+    """
+    fields = np.array(slots).reshape(len(slots), 3)
+    # numpy holds an index past 64 bits as an object, which compares too
+    bad = (fields < 0) | (fields > _FIELD_MASK) | (not 0 <= purpose <= _FIELD_MASK)
+    if bad.any():
+        _check_fields(purpose, *slots[int(np.argmax(bad.any(axis=1)))])
+    # unsigned: a purpose past 15 bits fills the top bit of the word
+    fields = fields.astype(np.uint64)
+    return (
+        (np.uint64(purpose) << (3 * _FIELD_BITS))
+        | (fields[:, 0] << (2 * _FIELD_BITS))
+        | (fields[:, 1] << _FIELD_BITS)
+        | fields[:, 2]
+    )
 
 
 # One bit generator for every block draw, set to a fresh stream's state
@@ -109,22 +126,9 @@ def standard_normals(master_seed: int, purpose: int, slots, salt: int, size: int
     ``substream(master_seed, purpose, *slots[k], salt).standard_normal(size)``.
     Raises ValueError for an index outside 16 bits, as ``substream`` does,
     naming the first slot and field that ``substream`` would refuse.  The
-    keys' low words are packed in arrays over the block; they share one
-    high word.
+    rows' keys share one high word.
     """
-    fields = np.array(slots).reshape(len(slots), 3)
-    # numpy holds an index past 64 bits as an object, which compares too
-    bad = (fields < 0) | (fields > _FIELD_MASK) | (not 0 <= purpose <= _FIELD_MASK)
-    if bad.any():
-        _check_fields(purpose, *slots[int(np.argmax(bad.any(axis=1)))])
-    # unsigned: a purpose past 15 bits fills the top bit of the word
-    fields = fields.astype(np.uint64)
-    low = (
-        (np.uint64(purpose) << (3 * _FIELD_BITS))
-        | (fields[:, 0] << (2 * _FIELD_BITS))
-        | (fields[:, 1] << _FIELD_BITS)
-        | fields[:, 2]
-    )
+    low = _low_words(purpose, slots)
     out = np.empty((len(slots), size))
     inner = _STATE["state"]
     high = _high_word(master_seed, salt)

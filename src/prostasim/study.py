@@ -35,19 +35,8 @@ from .controller import (
     open_loop_records,
     plan_insertions,
 )
-from .phantom import (
-    ANTERIOR,
-    APEX,
-    BASE,
-    CENTER,
-    LEFT,
-    POSTERIOR,
-    RIGHT,
-    MotionParams,
-    Phantoms,
-    generate_phantom,
-    phantom_quota_split,
-)
+from .phantom import ZONE_GROUPS, MotionParams, Phantoms, generate_phantom, phantom_quota_split
+from .planning import ANGLED, HORIZONTAL
 from .rng import draw_insertions
 from .sensing import NoiseModel
 from .stats import Sample, kruskal_wallis, mann_whitney_u, median_iqr
@@ -229,12 +218,9 @@ def _mode_totals(rec: Records) -> dict:
     }
 
 
-_STRATA = (
-    ("depth", "zone_depth", (APEX, BASE)),
-    ("lateral", "zone_lateral", (LEFT, CENTER, RIGHT)),
-    ("ap", "zone_ap", (ANTERIOR, POSTERIOR)),
-    ("approach", "approach", ("Horizontal", "Angled")),
-)
+# (dimension, Records column, labels) of each stratum dimension, in table order
+_STRATA = [(dimension, "zone_" + dimension, labels) for dimension, labels in ZONE_GROUPS.items()]
+_STRATA.append(("approach", "approach", (HORIZONTAL, ANGLED)))
 
 
 def _strata(rec: Records):

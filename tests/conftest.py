@@ -6,7 +6,7 @@ import pytest
 from prostasim import geometry, planning, study
 from prostasim.config import default_config
 from prostasim.kinematics import Trajectory
-from prostasim.phantom import LEFT, prostate_transform
+from prostasim.phantom import ANTERIOR, APEX, BASE, CENTER, LEFT, POSTERIOR, RIGHT, prostate_transform
 
 
 @pytest.fixture
@@ -34,9 +34,14 @@ def tiny_config(seed=777, mode="both", replicates=2):
     return cfg
 
 
+# one 10-target phantom's share of the default study's zone mix, by label:
+# the quotas a test phantom of 10 targets is placed under
+TEN_TARGET_QUOTAS = {APEX: 6, BASE: 4, LEFT: 4, CENTER: 3, RIGHT: 3, ANTERIOR: 6, POSTERIOR: 4}
+
+
 # quotas of the default 9-phantom, 10-target study that sum to 90 in every
 # dimension, but whose left and center overflow a phantom's 10 targets:
-# largest remainder gives phantom 0 six left and five center targets
+# the even split gives phantom 0 six left and five center targets
 UNSPLITTABLE_QUOTAS = {"apex": 50, "base": 40, "left": 46, "center": 44, "right": 0, "anterior": 52, "posterior": 38}
 
 

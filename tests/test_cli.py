@@ -185,17 +185,53 @@ def test_a_target_spacing_no_gland_can_hold_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_a_phantom_whose_targets_cannot_be_placed_is_config_error(tmp_path, capsys):
-    # within the two-target bound validate checks, but ten targets do not fit
+def crowded_config_file(tmp_path):
+    """The default config with targets spaced within the two-target bound
+    validate checks, so that it passes, but too far apart for ten to fit."""
     cfg = default_config()
     cfg.phantom.min_target_spacing = 30.0
     cfg.validate()
     path = tmp_path / "crowded.yaml"
     path.write_text(to_yaml(cfg))
-    code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "run"))
+    return str(path)
+
+
+CROWDED_ERROR = "phantom: could not place target 2 in zone ('Apex', 'Left', 'Anterior') with min spacing 30.0 mm"
+
+
+def test_a_phantom_whose_targets_cannot_be_placed_is_config_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "simulate", "--config", crowded_config_file(tmp_path), "--out", str(tmp_path / "run"))
     assert code == 1
-    assert "phantom: could not place target 2 in zone ('Apex', 'Left', 'Anterior') with min spacing 30.0 mm" in err
+    assert CROWDED_ERROR in err
     assert "Traceback" not in err
+    # the output directory the command made before the run is removed again
+    assert not (tmp_path / "run").exists()
+
+
+def test_calibrate_of_a_phantom_whose_targets_cannot_be_placed_is_config_error(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "calibrate", "--config", crowded_config_file(tmp_path), "--out", str(tmp_path / "fit"),
+        "--grid-points", "1", "--replicates", "1",
+    )
+    assert code == 1
+    assert CROWDED_ERROR in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+def test_a_config_error_in_the_run_removes_only_the_directories_the_command_made(tmp_path, capsys, command):
+    config = crowded_config_file(tmp_path)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("written before the run")
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for out in (kept, empty, kept / "made" / "deeper"):
+        assert run_cli(capsys, command, "--config", config, "--out", str(out))[0] == 1
+    assert (kept / "notes.txt").read_text() == "written before the run"
+    assert empty.is_dir()
+    assert not (kept / "made").exists()
 
 
 def test_seed_override_changes_bytes_and_repeats(tmp_path, capsys):

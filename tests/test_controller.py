@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    TEN_TARGET_QUOTAS,
     gland_transform_at,
     gland_transform_oracle,
     open_loop_oracle,
@@ -57,7 +58,8 @@ def blocking_arch(target):
 
 def make_phantom(left_bias=0.0, seed=4):
     """One phantom: a ``Phantoms`` of one row, the study table of the slots of phantom 0."""
-    return generate_phantom(PhantomConfig(left_bias_mm=left_bias, left_bias_enabled=True), 10, seed)
+    config = PhantomConfig(left_bias_mm=left_bias, left_bias_enabled=True)
+    return generate_phantom(config, 10, seed, TEN_TARGET_QUOTAS)
 
 
 STILL = MotionParams(0.0, 0.0, 0.0, 0.0)
@@ -478,8 +480,8 @@ def test_a_given_plan_gives_the_same_records():
 # fiducials, and the first again with its last target, target 9, outside the
 # gland, whose direct line misses it: rows 0, 1 and 2 of TABLE
 SHAPES = Phantoms.concat([
-    generate_phantom(PhantomConfig(), 10, seed=5),
-    generate_phantom(PhantomConfig(gland_semiaxes=(21.0, 17.0, 26.0)), 10, seed=6),
+    generate_phantom(PhantomConfig(), 10, 5, TEN_TARGET_QUOTAS),
+    generate_phantom(PhantomConfig(gland_semiaxes=(21.0, 17.0, 26.0)), 10, 6, TEN_TARGET_QUOTAS),
 ])
 
 

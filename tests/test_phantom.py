@@ -1,25 +1,29 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import gland_transform_at, gland_transform_oracle
+from conftest import TEN_TARGET_QUOTAS, UNSPLITTABLE_QUOTAS, gland_transform_at, gland_transform_oracle
 from prostasim import geometry, phantom as ph, rng
 from prostasim.phantom import (
     ANTERIOR,
     APEX,
     BASE,
     CENTER,
+    DEFAULT_ZONE_QUOTAS,
     LEFT,
     POSTERIOR,
     RIGHT,
+    ZONE_GROUPS,
     MotionParams,
     PhantomConfig,
     Phantoms,
-    default_quotas,
     generate_phantom,
     gland_entry_depth,
     gland_levers,
-    largest_remainder,
     penetration,
+    phantom_quota_split,
     world_to_material,
 )
 from prostasim.rng import MOTION, substream
@@ -33,7 +37,7 @@ def quiet_motion(**overrides):
 
 def make_phantom(seed=3, **params):
     """One phantom of 10 targets: a ``Phantoms`` of one row."""
-    return generate_phantom(PhantomConfig(**params), 10, seed)
+    return generate_phantom(PhantomConfig(**params), 10, seed, TEN_TARGET_QUOTAS)
 
 
 def targets_of(p):
@@ -93,8 +97,7 @@ def test_zone_quotas_and_predicates():
         else:
             assert abs(pos[0]) <= a / 3
         assert (pos[1] > 0) == (ap_zone == ANTERIOR)
-    expected = default_quotas(10)
-    assert counts == expected
+    assert counts == TEN_TARGET_QUOTAS
 
 
 def test_targets_inside_margin_and_spaced():
@@ -114,7 +117,7 @@ def test_impossible_spacing_raises_with_zone_name():
 
 
 def test_bad_quota_sum_raises():
-    quotas = default_quotas(10)
+    quotas = dict(TEN_TARGET_QUOTAS)
     quotas[APEX] += 1
     with pytest.raises(ValueError, match="quotas"):
         generate_phantom(PhantomConfig(), 10, 1, quotas)
@@ -122,15 +125,68 @@ def test_bad_quota_sum_raises():
 
 def test_target_count_bounds():
     with pytest.raises(ValueError):
-        generate_phantom(PhantomConfig(), 0, 1)
+        generate_phantom(PhantomConfig(), 0, 1, TEN_TARGET_QUOTAS)
     with pytest.raises(ValueError):
-        generate_phantom(PhantomConfig(), 65, 1)
+        generate_phantom(PhantomConfig(), 65, 1, TEN_TARGET_QUOTAS)
 
 
-def test_largest_remainder_sums_and_known_split():
-    assert largest_remainder(10, [0.5, 0.5]) == [5, 5]
-    assert sum(largest_remainder(7, [1 / 3] * 3)) == 7
-    assert largest_remainder(90, [50 / 90, 40 / 90]) == [50, 40]
+def largest_remainder_oracle(total, fractions):
+    """Integer split of ``total`` proportional to ``fractions``, by largest remainder over floats."""
+    raw = [total * f for f in fractions]
+    counts = [int(np.floor(r)) for r in raw]
+    short = total - sum(counts)
+    order = sorted(range(len(raw)), key=lambda i: (raw[i] - counts[i], -i), reverse=True)
+    for i in order[:short]:
+        counts[i] += 1
+    return counts
+
+
+def quota_split_oracle(zone_quotas, n_phantoms, per):
+    """The per-phantom quotas as ``phantom_quota_split`` made them before it read the zone table.
+
+    An even largest-remainder split of the apex, left, center and anterior
+    counts, with base, right and posterior the hard-coded remainders; kept
+    as the oracle of the table-driven integer split.
+    """
+    even = [1.0 / n_phantoms] * n_phantoms
+    split = {key: largest_remainder_oracle(zone_quotas[key], even) for key in ("apex", "left", "center", "anterior")}
+    out = []
+    for i in range(n_phantoms):
+        apex, left, center, anterior = (split[key][i] for key in ("apex", "left", "center", "anterior"))
+        quotas = {APEX: apex, BASE: per - apex, LEFT: left, CENTER: center, RIGHT: per - left - center,
+                  ANTERIOR: anterior, POSTERIOR: per - anterior}
+        bad = [k for k, v in quotas.items() if v < 0]
+        if bad:
+            raise ValueError(f"zone quotas leave phantom {i} with negative {bad[0]} count")
+        out.append(quotas)
+    return out
+
+
+def quota_split_outcome(split, zone_quotas, n_phantoms, per):
+    """Each phantom's quotas as (label, count) items in order, or the ValueError's text."""
+    try:
+        return [list(quotas.items()) for quotas in split(zone_quotas, n_phantoms, per)]
+    except ValueError as e:
+        return str(e)
+
+
+@st.composite
+def quota_cases(draw):
+    """Study-level quotas, some negative, a phantom count and targets per phantom."""
+    n_phantoms = draw(st.integers(1, 300))
+    per = draw(st.integers(0, 64))
+    counts = st.integers(-3, n_phantoms * per + 3)
+    return {key: draw(counts) for key in DEFAULT_ZONE_QUOTAS}, n_phantoms, per
+
+
+@settings(max_examples=300, deadline=None)
+@given(quota_cases())
+@example((DEFAULT_ZONE_QUOTAS, 9, 10))
+@example((UNSPLITTABLE_QUOTAS, 9, 10))
+@example(({key: 3 * 65536 - 1 for key in DEFAULT_ZONE_QUOTAS}, 65536, 6))
+@example(({key: -1 for key in DEFAULT_ZONE_QUOTAS}, 3, 0))
+def test_quota_split_is_the_even_largest_remainder_split(case):
+    assert quota_split_outcome(phantom_quota_split, *case) == quota_split_outcome(quota_split_oracle, *case)
 
 
 def test_entry_depth_axial_analytic():
@@ -349,16 +405,26 @@ def zone_ok_oracle(p, a, labels):
     return True
 
 
-def placement_oracle(phantom, n_targets, seed, zone_quotas=None, index=0):
+def test_zone_mask_matches_the_oracle_on_the_zone_boundaries():
+    a = 25.0
+    third = a / 3.0
+    xs = [-a, -third, 0.0, third, a] + [np.nextafter(x, to) for x in (-third, third) for to in (-a, a)]
+    points = np.array(list(itertools.product(xs, (-1.0, -0.0, 0.0, 1.0), (-1.0, 0.0, 1.0))))
+    triples = list(itertools.product(*ZONE_GROUPS.values()))
+    assert len(triples) == 12
+    for labels in triples:
+        assert ph._zone_mask(points, a, labels).tolist() == [zone_ok_oracle(p, a, labels) for p in points], labels
+
+
+def placement_oracle(phantom, n_targets, seed, zone_quotas, index=0):
     """The (id, rest position bits, zones) of each target of ``generate_phantom``, one candidate drawn and tested per attempt."""
     a, b, c = phantom.gland_semiaxes
-    quotas = zone_quotas if zone_quotas is not None else default_quotas(n_targets)
     stream = substream(seed, rng.PHANTOM_BUILD, phantom=index)
-    depth_seq = ph._shuffled_labels(stream, [(APEX, quotas[APEX]), (BASE, quotas[BASE])])
+    depth_seq = ph._shuffled_labels(stream, [(APEX, zone_quotas[APEX]), (BASE, zone_quotas[BASE])])
     lat_seq = ph._shuffled_labels(
-        stream, [(LEFT, quotas[LEFT]), (CENTER, quotas[CENTER]), (RIGHT, quotas[RIGHT])]
+        stream, [(LEFT, zone_quotas[LEFT]), (CENTER, zone_quotas[CENTER]), (RIGHT, zone_quotas[RIGHT])]
     )
-    ap_seq = ph._shuffled_labels(stream, [(ANTERIOR, quotas[ANTERIOR]), (POSTERIOR, quotas[POSTERIOR])])
+    ap_seq = ph._shuffled_labels(stream, [(ANTERIOR, zone_quotas[ANTERIOR]), (POSTERIOR, zone_quotas[POSTERIOR])])
     semi = np.array([a, b, c]) * phantom.target_margin
     placed, targets = [], []
     for i in range(n_targets):
@@ -398,12 +464,20 @@ def corner_quotas(n):
     return {APEX: n, BASE: 0, LEFT: n, CENTER: 0, RIGHT: 0, ANTERIOR: n, POSTERIOR: 0}
 
 
+def quotas_of(*counts):
+    """Zone quotas by label, given each label's count in zone-table order."""
+    return dict(zip((label for labels in ZONE_GROUPS.values() for label in labels), counts))
+
+
+# the first four place their targets in the default study's zone mix
 PLACEMENT_SPECS = (
-    dict(phantom=PhantomConfig(), n_targets=10),
-    dict(phantom=PhantomConfig(min_target_spacing=6.0), n_targets=30, index=2),
+    dict(phantom=PhantomConfig(), n_targets=10, zone_quotas=TEN_TARGET_QUOTAS),
+    dict(phantom=PhantomConfig(min_target_spacing=6.0), n_targets=30, index=2,
+         zone_quotas=quotas_of(17, 13, 11, 9, 10, 17, 13)),
     dict(phantom=PhantomConfig(min_target_spacing=3.0, gland_semiaxes=(21.0, 17.0, 26.0), target_margin=0.8),
-         n_targets=64),
-    dict(phantom=PhantomConfig(min_target_spacing=12.0), n_targets=5, index=3),
+         n_targets=64, zone_quotas=quotas_of(36, 28, 23, 20, 21, 37, 27)),
+    dict(phantom=PhantomConfig(min_target_spacing=12.0), n_targets=5, index=3,
+         zone_quotas=quotas_of(3, 2, 2, 1, 2, 3, 2)),
     dict(phantom=PhantomConfig(min_target_spacing=5.0), n_targets=8, zone_quotas=corner_quotas(8)),
 )
 
@@ -432,7 +506,7 @@ def test_placement_runs_out_of_attempts_as_one_candidate_per_attempt_does(monkey
 
 
 def test_impossible_spacing_gives_the_same_error_as_one_candidate_per_attempt():
-    spec = dict(phantom=PhantomConfig(min_target_spacing=60.0), n_targets=10)
+    spec = dict(phantom=PhantomConfig(min_target_spacing=60.0), n_targets=10, zone_quotas=TEN_TARGET_QUOTAS)
     message = placement(placement_oracle, spec, 1)
     assert message.startswith("could not place target 1 in zone")
     assert placement(built_targets, spec, 1) == message

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import TEN_TARGET_QUOTAS
 from prostasim import geometry, rng
 from prostasim.geometry import DegenerateConfiguration, prepare_reference
 from prostasim.phantom import PhantomConfig, Phantoms, generate_phantom
@@ -18,7 +19,7 @@ from prostasim.sensing import (
 
 @pytest.fixture
 def phantom():
-    return generate_phantom(PhantomConfig(), 10, seed=5)
+    return generate_phantom(PhantomConfig(), 10, 5, TEN_TARGET_QUOTAS)
 
 
 def quiet_noise(**overrides):
@@ -197,7 +198,7 @@ def test_observe_point_stacks_points_observed_alone_bit_for_bit(phantom):
     # two gland shapes, needle counts 0-4, points in front of and past the
     # entry plane: each row is the point observed alone, and numpy's
     # normal(0.0, sigma, 3) with sigma on Python floats
-    other = generate_phantom(PhantomConfig(gland_semiaxes=(21.0, 17.0, 26.0)), 10, seed=6)
+    other = generate_phantom(PhantomConfig(gland_semiaxes=(21.0, 17.0, 26.0)), 10, 6, TEN_TARGET_QUOTAS)
     rs = np.random.default_rng(11)
     k = 40
     which = rs.integers(0, 2, k)
@@ -253,8 +254,8 @@ def test_observe_matches_per_point_loop_bit_for_bit(phantom):
 
 # two phantoms of different shape, so rows of one stack differ in their fiducials
 PHANTOMS = (
-    generate_phantom(PhantomConfig(), 10, seed=5),
-    generate_phantom(PhantomConfig(gland_semiaxes=(21.0, 17.0, 26.0)), 10, seed=6),
+    generate_phantom(PhantomConfig(), 10, 5, TEN_TARGET_QUOTAS),
+    generate_phantom(PhantomConfig(gland_semiaxes=(21.0, 17.0, 26.0)), 10, 6, TEN_TARGET_QUOTAS),
 )
 
 
