@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import StudyConfig, to_yaml
+from .config import ConfigError, StudyConfig, to_yaml
 from .controller import Records
 from .phantom import APEX, BASE
 from .stats import Sample, median_iqr
@@ -124,12 +124,17 @@ def calibrate(
     replicates, all of them points of one ``run_points``.  Returns the
     best feasible candidate (falling back to the best overall if nothing
     passes the shape constraints, flagged infeasible).  Raises ValueError
-    when ``replicates`` or ``grid_points`` is below 1.
+    when ``replicates`` or ``grid_points`` is below 1, and ConfigError
+    naming the quota when ``base`` has no apex or no base target, whose
+    depth correction a point is scored on.
     """
     if replicates < 1 or grid_points < 1:
         raise ValueError(
             f"calibrate: replicates and grid_points must be >= 1, got {replicates} and {grid_points}"
         )
+    for key in (APEX.lower(), BASE.lower()):
+        if not base.zone_quotas[key]:
+            raise ConfigError(f"zone_quotas.{key}: must be >= 1 to calibrate, which fits the {key} depth correction")
     base = replace(base, n_seed_replicates=replicates, mode="closed_loop")
     axes = [
         _grid(base.noise.sigma0 if key == "sigma0" else getattr(base.motion, key), span, grid_points)
@@ -153,9 +158,8 @@ def calibrate(
     return best if best is not None else best_any
 
 
-def fitted_config(base: StudyConfig, result: CalibrationResult, replicates: int, grid_points: int) -> tuple[StudyConfig, str]:
-    """Config carrying the fitted parameters, plus its header text."""
-    cfg = _with_params(base, result.params)
+def fitted_config_yaml(base: StudyConfig, result: CalibrationResult, replicates: int, grid_points: int) -> str:
+    """The YAML of the config carrying the fitted parameters, under a header naming the search and the fit."""
     lines = [
         "prostasim fitted configuration",
         "calibration: grid search minimizing sum of squared relative",
@@ -170,9 +174,4 @@ def fitted_config(base: StudyConfig, result: CalibrationResult, replicates: int,
         "fitted medians: "
         + ", ".join(f"{k}={v:.3f}" for k, v in result.medians.items()),
     ]
-    return cfg, "\n".join(lines)
-
-
-def fitted_config_yaml(base: StudyConfig, result: CalibrationResult, replicates: int, grid_points: int) -> str:
-    cfg, header = fitted_config(base, result, replicates, grid_points)
-    return to_yaml(cfg, header)
+    return to_yaml(_with_params(base, result.params), "\n".join(lines))

@@ -20,7 +20,7 @@ from .config import (
     load_config,
     to_yaml,
 )
-from .study import report_from_records, run_study, write_report, write_summary
+from .study import report_from_records, run_study, write_report, write_summary, write_text
 
 # CLI mode values are short; the config schema spells them out
 MODE_ALIASES = {"closed": "closed_loop", "open": "open_loop", "both": "both"}
@@ -154,9 +154,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     with _out_dir(cfg.output.dir):
         result = calibrate_mod.calibrate(cfg, replicates=args.replicates, grid_points=args.grid_points)
     text = calibrate_mod.fitted_config_yaml(cfg, result, args.replicates, args.grid_points)
-    path = os.path.join(cfg.output.dir, "fitted_config.yaml")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    path = write_text(cfg.output.dir, "fitted_config.yaml", text)
     sys.stdout.write(text)
     print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -210,10 +210,11 @@ def plan_insertions(
 
     Slot k plans target ``streams.target[k]`` of phantom
     ``streams.phantom[k]``, a row of the study's ``phantoms``, from its row
-    of ``streams.reference_normals`` (the reference volume's N x 3, then
-    the observed target's 3) and gets the row it would get alone.  Only a
-    ``track`` block can drive the closed loop; an untracked block skips the
-    registration reference and serves ``open_loop_insertion``.  Raises
+    of ``streams.reference_normals`` (the reference volume) and of
+    ``streams.target_normals`` (the observed target), and gets the row it
+    would get alone.  Only a ``track`` block can drive the closed loop; an
+    untracked block skips the registration reference and serves
+    ``open_loop_insertion``.  Raises
     geometry.DegenerateConfiguration for a collinear reference volume of a
     tracked block, before planning, and planning.NoFeasiblePath when no
     trajectory clears the arch.
@@ -221,15 +222,13 @@ def plan_insertions(
     region = entry_region if entry_region is not None else EntryRegion()
     n = len(streams)
     block = phantoms.glands().rows(streams.phantom)
-    normals, counts = streams.reference_normals, streams.needle_count
-    volume = normals[:, :-3].reshape(n, -1, 3)
+    counts = streams.needle_count
     rest = np.broadcast_to(np.eye(3), (n, 3, 3))
-    ref_obs = sensing.observe(block, rest, np.zeros((n, 3)), noise, volume, counts)
+    ref_obs = sensing.observe(block, rest, np.zeros((n, 3)), noise, streams.reference_normals, counts)
     reference = geometry.prepare_reference(ref_obs) if track else None
     target = (streams.phantom, streams.target)
     target_rest = phantoms.target_rest[target]
-    # the observed target takes the 3 normals after the reference volume's
-    targets_obs = sensing.observe_point(block, target_rest, noise, normals[:, -3:], counts)
+    targets_obs = sensing.observe_point(block, target_rest, noise, streams.target_normals, counts)
     trajs = planning.plan_trajectories(arch, targets_obs, region, geom, needle_radius)
     entries, dirs, depths = trajs.entry, trajs.dir, trajs.planned_depth
     _, angles, durations = kinematics.advance_insertion(geom, np.zeros(n), np.zeros(n), depths)

@@ -23,10 +23,11 @@ volume then 3 for the observed target; motion, 3; observation, N x 3 per
 verification volume, up to the correction budget of
 ``max_corrections + 1`` volumes.  The draws do not depend on any noise or
 motion parameter, which only scale them.  So each stream is drawn whole,
-up front, for a block of insertions at once (``draw_insertions``), as the
-columns of one ``Streams``, and each consumer takes its slice: the
-observation budget holds volumes that an insertion which converges early
-never uses.  A block draw re-keys one module-level Philox per row instead
+up front, for a block of insertions at once (``draw_insertions``), and
+handed out already split by that layout, as the columns of one
+``Streams``: this module is the one that knows it.  The observation
+budget holds volumes that an insertion which converges early never
+uses.  A block draw re-keys one module-level Philox per row instead
 of building a generator per stream; its rows are the draws of
 ``substream``, bit for bit.
 """
@@ -145,16 +146,19 @@ class Streams(geometry.Columns):
 
     ``phantom``, ``target`` and ``replicate`` name the slot, and
     ``needle_count`` carries its session degradation state.  The draws
-    follow the streams' fixed layout (see the module docstring).  An
-    insertion scales its motion normals once; the closed loop takes one
-    observation volume per verification, in order.
+    follow the streams' fixed layout (see the module docstring), split by
+    it: the reference stream's one draw is the reference volume
+    (``reference_normals``) and the observed target (``target_normals``),
+    two views of it.  An insertion scales its motion normals once; the
+    closed loop takes one observation volume per verification, in order.
     """
 
     phantom: np.ndarray  # (K,) int64
     target: np.ndarray
     replicate: np.ndarray
     needle_count: np.ndarray
-    reference_normals: np.ndarray  # (K, N x 3 + 3)
+    reference_normals: np.ndarray  # (K, N, 3)
+    target_normals: np.ndarray  # (K, 3)
     motion_normals: np.ndarray  # (K, 3)
     observation_normals: np.ndarray  # (K, volumes, N, 3)
 
@@ -173,7 +177,8 @@ def draw_insertions(
     Each slot's reference, motion and observation streams are drawn whole
     (``volumes`` verification volumes of ``n_fiducials`` points; an
     open-loop study, which observes none, passes 0), three block draws in
-    all.  ``needle_counts[k]`` is slot k's session degradation state.
+    all, and split into the columns of the streams' layout.
+    ``needle_counts[k]`` is slot k's session degradation state.
     """
     n = len(slots)
     reference = standard_normals(master_seed, REFERENCE, slots, noise_salt, n_fiducials * 3 + 3)
@@ -184,5 +189,6 @@ def draw_insertions(
         observation = np.empty((n, 0))
     return Streams(
         *np.array(slots, dtype=np.int64).reshape(n, 3).T, np.array(needle_counts, dtype=np.int64),
-        reference, motion, observation.reshape(n, volumes, n_fiducials, 3),
+        reference[:, :-3].reshape(n, n_fiducials, 3), reference[:, -3:],
+        motion, observation.reshape(n, volumes, n_fiducials, 3),
     )

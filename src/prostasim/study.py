@@ -22,6 +22,7 @@ import functools
 import itertools
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -78,6 +79,8 @@ _PARSERS = tuple({"int": int, "float": float, "str": str}[f.type] for f in field
 _DTYPES = {int: np.int64, float: np.float64, str: str}
 # the CSV's columns of Records.motion_mm, one per axis
 _MOTION = ("motion_x_mm", "motion_y_mm", "motion_z_mm")
+# the records CSV of each mode, in the order a report writes them
+RECORD_FILES = {"closed_loop": "records_closed.csv", "open_loop": "records_open.csv"}
 
 
 @dataclass
@@ -130,8 +133,8 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     return StudyReport(cfg, rows_closed, rows_open)
 
 
-def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> list[tuple[Records, Records]]:
-    """Run the configured study at each point (motion, sigma0): each point's (closed, open) records.
+def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> Iterator[tuple[Records, Records]]:
+    """Run the configured study at each point (motion, sigma0): each point's (closed, open) records, in turn.
 
     A point's records are those of ``cfg`` with its motion and
     ``noise.sigma0``, whatever the other points and the block size.
@@ -149,6 +152,10 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
     its own closed loop (``correct_insertions``) and open-loop scoring
     (``open_loop_records``), as the mode asks, on the block's plans and
     streams themselves and those stacks.
+
+    Every point is run, and every check made, before this returns; the
+    iterator joins a point's blocks only when it is asked for that point,
+    and holds no point it has handed out.
     """
     cfg.validate()
     # sigma0 -> its noise model and its points
@@ -198,10 +205,10 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> li
                     opened[i].append(open_loop_records(phantoms, motion, plans, streams, *moved))
 
     # joined a point at a time, each point's blocks let go as it is joined
-    return [
+    return (
         tuple(Records.concat(blocks) if blocks else _no_records() for blocks in (closed.pop(0), opened.pop(0)))
         for _ in points
-    ]
+    )
 
 
 def _stat_block(values: np.ndarray) -> dict:
@@ -359,7 +366,7 @@ def rows_to_csv(records: Records) -> str:
 def _parse_records(path: str, rows: list[list[str]]) -> Records:
     """The records of the CSV's rows, each the text of its fields.
 
-    Errors name ``path`` and the line; a non-finite float, the column too.
+    Errors name ``path``, the line and the column.
     """
     columns = {}
     for name, parse, texts in zip(CSV_COLUMNS, _PARSERS, list(zip(*rows)) or [()] * len(CSV_COLUMNS)):
@@ -368,7 +375,7 @@ def _parse_records(path: str, rows: list[list[str]]) -> Records:
             for text in texts:
                 values.append(parse(text))
         except ValueError as e:
-            raise ValueError(f"{path}:{len(values) + 2}: {e}") from e
+            raise ValueError(f"{path}:{len(values) + 2}: {name}: {e}") from e
         columns[name] = np.array(values, dtype=_DTYPES[parse])
         if parse is float and not np.isfinite(columns[name]).all():
             row = int(np.argmin(np.isfinite(columns[name])))
@@ -417,19 +424,26 @@ def summary_to_csv(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_summary(summary: dict, out_dir: str, fmt: str = "json") -> str:
-    """Write just the summary file; returns its path."""
+def write_text(out_dir: str, name: str, text: str) -> str:
+    """Write ``text`` as file ``name`` under ``out_dir``, made if missing; returns its path.
+
+    Raises RuntimeError naming ``out_dir`` when it cannot be written.
+    """
+    path = os.path.join(out_dir, name)
     try:
         os.makedirs(out_dir, exist_ok=True)
-        if fmt == "json":
-            path = os.path.join(out_dir, "summary.json")
-            _write_text(path, json.dumps(summary, indent=2) + "\n")
-        else:
-            path = os.path.join(out_dir, "summary.csv")
-            _write_text(path, summary_to_csv(summary))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     except OSError as e:
         raise RuntimeError(f"cannot write report under {out_dir}: {e}") from e
     return path
+
+
+def write_summary(summary: dict, out_dir: str, fmt: str = "json") -> str:
+    """Write just the summary file; returns its path."""
+    if fmt == "json":
+        return write_text(out_dir, "summary.json", json.dumps(summary, indent=2) + "\n")
+    return write_text(out_dir, "summary.csv", summary_to_csv(summary))
 
 
 def write_report(report: StudyReport, out_dir: str, fmt: str = "json") -> list[str]:
@@ -438,26 +452,13 @@ def write_report(report: StudyReport, out_dir: str, fmt: str = "json") -> list[s
     Output bytes depend only on (config, seed, version), never on
     execution order or dict ordering.
     """
-    written = []
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        if report.rows_closed:
-            path = os.path.join(out_dir, "records_closed.csv")
-            _write_text(path, rows_to_csv(report.rows_closed))
-            written.append(path)
-        if report.rows_open:
-            path = os.path.join(out_dir, "records_open.csv")
-            _write_text(path, rows_to_csv(report.rows_open))
-            written.append(path)
-    except OSError as e:
-        raise RuntimeError(f"cannot write report under {out_dir}: {e}") from e
+    written = [
+        write_text(out_dir, name, rows_to_csv(rows))
+        for rows, name in zip((report.rows_closed, report.rows_open), RECORD_FILES.values())
+        if rows
+    ]
     written.append(write_summary(report.summary, out_dir, fmt))
     return written
-
-
-def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 def report_from_records(cfg: StudyConfig, out_dir: str) -> StudyReport:
@@ -466,7 +467,7 @@ def report_from_records(cfg: StudyConfig, out_dir: str) -> StudyReport:
     Raises RuntimeError naming the first of them missing.
     """
     rows = []
-    for mode, name in (("closed_loop", "records_closed.csv"), ("open_loop", "records_open.csv")):
+    for mode, name in RECORD_FILES.items():
         path = os.path.join(out_dir, name)
         if cfg.mode not in (mode, "both"):
             rows.append(_no_records())

@@ -281,6 +281,44 @@ def test_calibrate_writes_fitted_config(tmp_path, capsys):
     assert out == path.read_text()
 
 
+def test_calibrate_into_an_unwritable_yaml_is_runtime_error(tmp_path, capsys):
+    cfg_path = tiny_config_file(tmp_path, mode="closed_loop")
+    out_dir = tmp_path / "fit"
+    (out_dir / "fitted_config.yaml").mkdir(parents=True)
+    code, out, err = run_cli(
+        capsys,
+        "calibrate", "--config", cfg_path, "--out", str(out_dir),
+        "--grid-points", "1", "--replicates", "1",
+    )
+    assert code == 2 and out == ""
+    assert f"error: cannot write report under {out_dir}: " in err
+
+
+@pytest.mark.parametrize("zone", ["apex", "base"])
+def test_calibrate_without_an_apex_or_base_target_is_config_error(tmp_path, capsys, monkeypatch, zone):
+    # calibrate scores the apex and base depth corrections: a config with no
+    # target in one of them passes validate, but fails before the search
+    def refuse(*args, **kwargs):
+        raise AssertionError("calibrate searched a grid it cannot score")
+
+    monkeypatch.setattr("prostasim.calibrate.run_points", refuse)
+    cfg = tiny_config(mode="closed_loop")
+    other = "base" if zone == "apex" else "apex"
+    cfg.zone_quotas[other] += cfg.zone_quotas[zone]
+    cfg.zone_quotas[zone] = 0
+    cfg.validate()
+    config = tmp_path / "study.yaml"
+    config.write_text(to_yaml(cfg))
+    out_dir = tmp_path / "fit"
+    code, _, err = run_cli(
+        capsys, "calibrate", "--config", str(config), "--out", str(out_dir),
+        "--grid-points", "1", "--replicates", "1",
+    )
+    assert code == 1
+    assert f"error: zone_quotas.{zone}: " in err
+    assert not out_dir.exists()
+
+
 def test_calibrate_rejects_bad_counts(tmp_path, capsys):
     code, _, err = run_cli(capsys, "calibrate", "--grid-points", "0")
     assert code == 1

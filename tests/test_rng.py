@@ -121,9 +121,12 @@ def test_observation_stream_advances_but_replays():
 def test_streams_disjoint_within_insertion():
     s = drawn()
     assert not np.array_equal(s.motion_normals, s.observation_normals[0, 0])
-    assert not np.array_equal(s.motion_normals, s.reference_normals[:3])
+    assert not np.array_equal(s.motion_normals, s.reference_normals[0])
+    # the reference stream is the reference volume's N x 3, then the observed target's 3
+    assert s.reference_normals.shape == (N_FIDUCIALS, 3) and s.target_normals.shape == (3,)
     np.testing.assert_array_equal(
-        s.reference_normals, substream(7, rng.REFERENCE, 0, 1, 2).standard_normal(N_FIDUCIALS * 3 + 3)
+        np.concatenate([s.reference_normals.ravel(), s.target_normals]),
+        substream(7, rng.REFERENCE, 0, 1, 2).standard_normal(N_FIDUCIALS * 3 + 3),
     )
 
 

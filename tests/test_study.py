@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -84,7 +85,7 @@ def test_run_points_validates_each_point(monkeypatch):
     check = StudyConfig.validate
     monkeypatch.setattr(StudyConfig, "validate", lambda self: validated.append(self) or check(self))
     points = [(cfg.motion, cfg.noise.sigma0), (replace(cfg.motion, axial_gain=0.0), 0.0)]
-    assert len(run_points(cfg, points)) == 2
+    assert len(list(run_points(cfg, points))) == 2
     assert len(validated) == 1 and validated[0] is cfg  # the base config, once
     # a point's sections fail as the config's own would, with its key path
     for motion, sigma0, match in (
@@ -101,6 +102,17 @@ def test_run_points_validates_each_point(monkeypatch):
     # the streams are drawn under the config's motion stream salt
     with pytest.raises(ValueError, match="rng_seed"):
         run_points(cfg, [(replace(cfg.motion, rng_seed=cfg.motion.rng_seed + 1), cfg.noise.sigma0)])
+
+
+def test_run_points_lets_each_point_go_once_it_is_handed_out():
+    cfg = tiny_config(mode="closed_loop", replicates=1)
+    points = iter(run_points(cfg, [(cfg.motion, cfg.noise.sigma0), (cfg.motion, 0.0), (cfg.motion, 0.2)]))
+    first, _ = next(points)
+    released = weakref.ref(first)
+    del first
+    assert released() is None
+    # the points after it are still there
+    assert [len(rows_closed) for rows_closed, _ in points] == [8, 8]
 
 
 def test_blocks_do_not_change_the_report(monkeypatch, tiny_report):
@@ -330,8 +342,11 @@ def test_read_records_rejects_foreign_header(tmp_path):
     cases = [
         ("a,b,c\n1,2,3\n", "header"),
         (header + "0,1,0,Apex\n", r"x\.csv:2: expected 14 fields, got 4"),
-        (header + ",".join(["x"] * 14) + "\n", r"x\.csv:2: invalid literal"),
-        # a non-finite float names its column too
+        # every parse error names its column
+        (header + ",".join(["x"] * 14) + "\n", r"x\.csv:2: phantom_id: invalid literal"),
+        (header + "0,1,0,Apex,Left,Anterior,Horizontal,1,0.5,0.7,0.1,0.2,0.3,0\n"
+         "0,2,0,Base,Right,Posterior,Angled,2,0.5,abc,0.1,0.2,0.3,0\n",
+         r"^\S*x\.csv:3: error_mm: could not convert string to float: 'abc'$"),
         (header + "0,1,0,Apex,Left,Anterior,Horizontal,1,0.5,0.7,0.1,0.2,0.3,0\n"
          "0,2,0,Base,Right,Posterior,Angled,2,0.5,nan,0.1,0.2,0.3,0\n",
          r"^\S*x\.csv:3: error_mm: non-finite value 'nan'$"),
