@@ -10,10 +10,11 @@ rejected outright, since the objective alone cannot see them.
 The grid points differ only in the four motion parameters and ``sigma0``,
 so a search runs them all as the points of one ``study.run_points``,
 which draws each block's streams once and plans it once per ``sigma0``;
-each point runs its own loop on its block's plans and streams.  Each
-point's records, and so its medians, are those of its own closed-loop
-study, and the grid's order and strict-``<`` choice of the best point
-are kept.
+the points of one ``sigma0`` run their closed loops on the block's plans
+and streams together, a few hundred (point, slot) rows per loop call
+(``study.LOOP_ROWS``).  Each point's records, and so its medians, are
+those of its own closed-loop study, and the grid's order and
+strict-``<`` choice of the best point are kept.
 """
 
 from __future__ import annotations

@@ -20,7 +20,10 @@ from .config import (
     load_config,
     to_yaml,
 )
-from .study import report_from_records, run_study, write_report, write_summary, write_text
+from .study import check_writable, report_from_records, run_study, write_report, write_summary, write_text
+
+# the file calibrate writes under the output directory
+FITTED_YAML = "fitted_config.yaml"
 
 # CLI mode values are short; the config schema spells them out
 MODE_ALIASES = {"closed": "closed_loop", "open": "open_loop", "both": "both"}
@@ -152,9 +155,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if args.replicates < 1 or args.grid_points < 1:
         raise ConfigError("calibrate: --replicates and --grid-points must be >= 1")
     with _out_dir(cfg.output.dir):
+        # the YAML is written after the search: one that cannot be fails before it
+        check_writable(cfg.output.dir, FITTED_YAML)
         result = calibrate_mod.calibrate(cfg, replicates=args.replicates, grid_points=args.grid_points)
     text = calibrate_mod.fitted_config_yaml(cfg, result, args.replicates, args.grid_points)
-    path = write_text(cfg.output.dir, "fitted_config.yaml", text)
+    path = write_text(cfg.output.dir, FITTED_YAML, text)
     sys.stdout.write(text)
     print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -31,19 +31,24 @@ insertion's motion normals (its row of the streams) into its motion
 noise and evaluates only the motion terms of the gland transform (drag,
 rotation angle, the rotation about the pivot) from its row's lever.
 Both loops read a block's first passes stacked, as (K, 3, 3) rotations
-and (K, 3) translations: ``open_loop_records`` scores them, and
-``correct_insertions`` runs the closed loop of a block together, each
-step one stacked ``sensing`` call per kernel over the insertions still
-correcting, continues each one from its first pass's gland transform,
-motion noise included, and deposits and scores the block in arrays.
-Both loops serve one motion, the one their first passes were made
-under.  The insertions take the plans and none of the planning inputs,
-so blocks that differ only in motion share one ``Plans``: each runs its
-own loop on it.
+and (K, 3) translations: ``open_loop_records`` scores them under the
+motion they were made under.  The insertions take the plans and none of
+the planning inputs, so blocks that differ only in motion share one
+``Plans``, and ``correct_insertions`` runs the closed loops of P such
+points of one block together: its rows are (point, slot) pairs, slot =
+row mod K, the first passes come stacked (P, K, 3, 3) and (P, K, 3), and
+each point's motion enters only through its drag.  Each step is one
+stacked ``sensing`` call per kernel over the rows still correcting,
+which read the block's tables gathered by slot, never copied per point;
+each row continues from its first pass's gland transform, motion noise
+included, and the rows are deposited and scored in arrays.  With one
+point (P = 1) the rows are the slots, and the loop reads the block's
+tables as they are while every row corrects.
 ``run_insertion`` is the closed loop of a single insertion.
 
 A block's records are one ``Records``, built the same way as its plans:
-the closed loop's come from ``correct_insertions``, the open loop's from
+the closed loop's come from ``correct_insertions`` (``point_records``
+takes one point's rows of a loop of several), the open loop's from
 ``open_loop_records``, run only when it is reported.  A slot's two
 records are the same row of the two.
 
@@ -61,7 +66,7 @@ slot's closed and open-loop records quantifies what the loop buys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,14 +191,38 @@ class Plans(geometry.Columns):
     reference: geometry.RegistrationReference | None = None
 
 
-def _records(plans: Plans, streams: Streams, **columns) -> Records:
-    """A block's records: the slots of ``streams``, the zones, approach and
-    first-pass rotation of ``plans``, and ``columns``."""
-    return Records(
-        streams.phantom, streams.target, streams.replicate,
-        plans.zone_depth, plans.zone_lateral, plans.zone_ap, plans.approach,
-        disengaged=np.zeros(len(plans), dtype=np.int64), rotation_angle_deg=plans.rotation_angle_deg, **columns,
+# the rows of a block that are its slots, in order
+_EVERY_SLOT = slice(None)
+
+
+def _slot_columns(plans: Plans, streams: Streams, slots=_EVERY_SLOT) -> dict:
+    """The columns of a block's records that row r takes from its slot ``slots[r]``:
+    the slot of ``streams``, the zones, approach and first-pass rotation of
+    ``plans``; for ``_EVERY_SLOT``, those columns themselves."""
+    columns = dict(
+        phantom_id=streams.phantom, target_id=streams.target, replicate=streams.replicate,
+        zone_depth=plans.zone_depth, zone_lateral=plans.zone_lateral, zone_ap=plans.zone_ap,
+        approach=plans.approach, rotation_angle_deg=plans.rotation_angle_deg,
     )
+    return columns if slots is _EVERY_SLOT else {name: col[slots] for name, col in columns.items()}
+
+
+def _records(plans: Plans, streams: Streams, slots=_EVERY_SLOT, **columns) -> Records:
+    """The records of a block's rows, row r of slot ``slots[r]``: its slot's columns and row r of ``columns``."""
+    return Records(
+        **_slot_columns(plans, streams, slots), disengaged=np.zeros(len(columns["error_mm"]), dtype=np.int64),
+        **columns,
+    )
+
+
+def point_records(records: Records, plans: Plans, streams: Streams, point: int) -> Records:
+    """Point ``point``'s rows of the (point, slot) records ``correct_insertions`` returns for a block.
+
+    Its slots' columns are the block's own, one array shared by every
+    point, and its other columns views of its rows.
+    """
+    k = len(plans)
+    return replace(records.rows(slice(point * k, (point + 1) * k)), **_slot_columns(plans, streams))
 
 
 def plan_insertions(
@@ -245,16 +274,17 @@ def plan_insertions(
     )
 
 
-def _deposit(phantoms: Phantoms, streams: Streams, plans: Plans, tips_world, rotations, translations):
-    """The errors (K,) of beads deposited at the tips (K, 3) in their gland transforms, in the rest frame.
+def _deposit(phantoms: Phantoms, streams: Streams, plans: Plans, tips_world, rotations, translations, slots=_EVERY_SLOT):
+    """The errors of beads deposited at the tips (R, 3) in their gland transforms, in the rest frame.
 
-    A left-zone bead of a phantom with a left bias is deflected by it along
-    -x before it is mapped to the rest frame.
+    Row r is of the block's slot ``slots[r]``.  A left-zone bead of a
+    phantom with a left bias is deflected by it along -x before it is
+    mapped to the rest frame.
     """
-    bias = np.where(plans.zone_lateral == LEFT, phantoms.left_bias[streams.phantom], 0.0)
+    bias = np.where(plans.zone_lateral[slots] == LEFT, phantoms.left_bias[streams.phantom[slots]], 0.0)
     bead_world = tips_world.copy()
     bead_world[:, 0] -= bias
-    miss = world_to_material(rotations, translations, bead_world) - plans.target_rest
+    miss = world_to_material(rotations, translations, bead_world) - plans.target_rest[slots]
     return np.sqrt(geometry.row_dot(miss, miss))
 
 
@@ -314,7 +344,7 @@ def open_loop_records(
 
 def correct_insertions(
     phantoms: Phantoms,
-    motion: MotionParams,
+    motions: list[MotionParams],
     noise: NoiseModel,
     geom: kinematics.RobotGeometry,
     conv: ConvergenceParams,
@@ -323,63 +353,77 @@ def correct_insertions(
     rotations: np.ndarray,
     translations: np.ndarray,
 ) -> Records:
-    """Run the closed loop of a block of insertions together.
+    """Run the closed loop of a block of K insertions together, at each of P points.
 
-    Slot k is insertion k: row k of the tracked ``plans`` and of
-    ``streams``, its phantom (row ``streams.phantom[k]`` of ``phantoms``)
-    and its first pass's gland transform ``rotations[k]``,
-    ``translations[k]``, made under ``motion``.  A tip past the gland
-    entry depth sees the first pass's gland transform, a tip
-    short of it the gland at rest.  Each step observes, registers, tracks
-    and decides for every slot still correcting, as one stacked call per
-    kernel, on the block's arrays as they are while that is every slot
-    (step 0 at least), on gathered copies of their rows after; a slot
-    leaves the loop when its proposed change drops below ``depth_epsilon``
-    or its budget runs out.  Row k of the returned records is slot k, the
-    record it would get alone; its open-loop record is row k of the
-    block's ``open_loop_records``.  Verification v of slot k observes with
-    the standard normals ``streams.observation_normals[k, v]``.  Raises
-    ValueError for untracked plans, or for streams holding fewer than
-    ``max_corrections + 1`` volumes.  A correction budget overrun does not
-    raise: the record is flagged.
+    The points share the block's plans and streams and differ only in
+    motion: point p's first passes were made under ``motions[p]``.  Row
+    r = p * K + k is slot k at point p: row k of the tracked ``plans`` and
+    of ``streams``, its phantom (row ``streams.phantom[k]`` of
+    ``phantoms``) and its first pass's gland transform
+    ``rotations[p, k]``, ``translations[p, k]`` of the stacks (P, K, 3, 3)
+    and (P, K, 3).  A tip past the gland entry depth sees the first pass's
+    gland transform, a tip short of it the gland at rest.  Each step
+    observes, registers, tracks and decides for every row still
+    correcting, as one stacked call per kernel, on the slots' rows of the
+    block's tables gathered by slot index (never a copy per point); with
+    one point and every row correcting (step 0 at least) it reads the
+    tables as they are.  A row leaves the loop when its proposed change
+    drops below ``depth_epsilon`` or its budget runs out.  The motion
+    enters only the residual motion, through its drag.
+
+    Returns the P * K records, point-major: row p * K + k is the record
+    slot k would get alone at point p, and point p's rows are its study's
+    records of the block; a slot's open-loop record is row k of the
+    block's ``open_loop_records`` at that point.  Verification v of slot k
+    observes with the standard normals ``streams.observation_normals[k,
+    v]``.  Raises ValueError for untracked plans, or for streams holding
+    fewer than ``max_corrections + 1`` volumes.  A correction budget
+    overrun does not raise: the record is flagged.
     """
     conv.validate()
     if plans.reference is None:
         raise ValueError("a closed-loop insertion needs a tracked plan")
-    entries, dirs = plans.entry, plans.dir
     volumes = streams.observation_normals.shape[1]
     if volumes <= conv.max_corrections:
         raise ValueError(f"the streams hold {volumes} observation volumes, "
                          f"{conv.max_corrections} corrections need {conv.max_corrections + 1}")
+    k = len(plans)
+    one = len(motions) == 1
+    rows = len(motions) * k
+    rotations, translations = rotations.reshape(rows, 3, 3), translations.reshape(rows, 3)
+    # each row's slot, by which it reads the block's tables: one point's rows are its slots
+    slots = _EVERY_SLOT if one else np.tile(np.arange(k), len(motions))
+    entries, dirs = plans.entry, plans.dir
     # penetration is read from the fixed pass depth, so the gland transform
     # depends on the tip only through "is it past the gland entry depth"
     # (NaN where the line misses the gland: never past it)
     entry_depth = plans.levers.entry_depth
     glands = phantoms.glands().rows(streams.phantom)
 
-    tip = plans.depth.copy()  # corrections move the tip; the pass depth stays
-    applied = np.zeros(len(plans))
-    duration = plans.duration_s.copy()
-    rms = np.zeros(len(plans))
-    # the last verification of each slot, which is its correction count
-    n_corrections = np.zeros(len(plans), dtype=np.int64)
-    exceeded = np.zeros(len(plans), dtype=bool)
-    active = np.arange(len(plans))
+    tip = np.tile(plans.depth, len(motions))  # corrections move the tip; the pass depth stays
+    applied = np.zeros(rows)
+    duration = np.tile(plans.duration_s, len(motions))
+    rms = np.zeros(rows)
+    # the last verification of each row, which is its correction count
+    n_corrections = np.zeros(rows, dtype=np.int64)
+    exceeded = np.zeros(rows, dtype=bool)
+    active = np.arange(rows)
 
     for step in range(conv.max_corrections + 1):
-        at = slice(None) if active.size == len(plans) else active
-        rot, trans = _gland_states(tip[at] > entry_depth[at], rotations[at], translations[at])
+        at = slice(None) if active.size == rows else active
+        slot = at if one else slots[at]
+        rot, trans = _gland_states(tip[at] > entry_depth[slot], rotations[at], translations[at])
         obs = sensing.observe(
-            glands.rows(at), rot, trans, noise, streams.observation_normals[at, step], streams.needle_count[at],
+            glands.rows(slot), rot, trans, noise, streams.observation_normals[slot, step], streams.needle_count[slot],
         )
-        reg_rot, reg_trans, rms[at] = sensing.rigid_register(plans.reference.rows(at), obs)
-        tracked = sensing.track_target(reg_rot, reg_trans, plans.target_obs[at])
+        reg_rot, reg_trans, rms[at] = sensing.rigid_register(plans.reference.rows(slot), obs)
+        tracked = sensing.track_target(reg_rot, reg_trans, plans.target_obs[slot])
         if not step:
-            # every slot verifies first: the residual motion is measured here
+            # every row verifies first: the residual motion is measured here
             first_tracked = tracked
         n_corrections[at] = step
         # depth of the tracked target along each needle line
-        delta = geometry.row_dot(tracked - entries[at], dirs[at]) - tip[at]
+        delta = geometry.row_dot(tracked - entries[slot], dirs[slot]) - tip[at]
         moving = ~(np.abs(delta) < conv.depth_epsilon)
         if step == conv.max_corrections:
             exceeded[active[moving]] = True
@@ -395,13 +439,15 @@ def correct_insertions(
     # every exit leaves the tip where the last verification saw it, in the
     # transform of its side of the entry depth
     error = _deposit(
-        phantoms, streams, plans, entries + tip[:, None] * dirs,
-        *_gland_states(tip > entry_depth, rotations, translations),
+        phantoms, streams, plans, entries[slots] + tip[:, None] * dirs[slots],
+        *_gland_states(tip > entry_depth[slots], rotations, translations), slots,
     )
+    motion_mm = np.concatenate([
+        _residual_motion(motion, moved, plans) for motion, moved in zip(motions, first_tracked.reshape(-1, k, 3))
+    ])
     return _records(
-        plans, streams, n_corrections=n_corrections, depth_correction_mm=applied, error_mm=error,
-        motion_mm=_residual_motion(motion, first_tracked, plans), max_corrections_exceeded=exceeded,
-        registration_rms=rms, duration_s=duration,
+        plans, streams, slots, n_corrections=n_corrections, depth_correction_mm=applied, error_mm=error,
+        motion_mm=motion_mm, max_corrections_exceeded=exceeded, registration_rms=rms, duration_s=duration,
     )
 
 
@@ -423,5 +469,5 @@ def run_insertion(
     """
     first = open_loop_insertion(motion, plan, 0, streams.rows(0))
     return correct_insertions(
-        phantoms, motion, noise, geom, conv, plan, streams, first.rotation[None], first.translation[None],
+        phantoms, [motion], noise, geom, conv, plan, streams, first.rotation[None, None], first.translation[None, None],
     )

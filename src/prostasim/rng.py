@@ -9,8 +9,9 @@ not part of the key).
 There is one key layout.  A stream's 128-bit Philox key holds the master
 seed, with a component salt mixed in, as its high word, and the 16-bit
 purpose, phantom, target and replicate fields, in that order from the
-top, as its low word.  ``_low_words`` packs and checks the low words of
-a block of slots in arrays; ``substream`` is a block of one.
+top, as its low word.  ``_slot_fields`` packs and checks a block's slot
+indices as one array, once per block, and ``_low_words`` makes the low
+words from them; ``substream`` is a block of one.
 
 Recreating a stream yields the same draw sequence.  A sample that must
 stay fixed through an insertion (the motion noise) is drawn once from its
@@ -83,19 +84,28 @@ def substream(
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _slot_fields(slots, purpose: int = 0) -> np.ndarray:
+    """``slots``, (phantom, target, replicate) indices, as one (K, 3) int64 array.
+
+    A packed array is read as it is.  Raises ValueError for ``purpose`` or
+    an index outside 16 bits, naming the first slot and field that is.
+    """
+    fields = np.asarray(slots).reshape(len(slots), 3)
+    # numpy holds an index past 64 bits as an object, which compares too
+    bad = (fields < 0) | (fields > _FIELD_MASK) | (not 0 <= purpose <= _FIELD_MASK)
+    if bad.any():
+        _check_fields(purpose, *fields[int(np.argmax(bad.any(axis=1)))].tolist())
+    return fields.astype(np.int64, copy=False)
+
+
 def _low_words(purpose: int, slots) -> np.ndarray:
     """The low 64 bits of the keys of ``slots``, (phantom, target, replicate) indices: (K,) uint64.
 
     Raises ValueError for an index outside 16 bits, naming the first slot
     and field that is.
     """
-    fields = np.array(slots).reshape(len(slots), 3)
-    # numpy holds an index past 64 bits as an object, which compares too
-    bad = (fields < 0) | (fields > _FIELD_MASK) | (not 0 <= purpose <= _FIELD_MASK)
-    if bad.any():
-        _check_fields(purpose, *slots[int(np.argmax(bad.any(axis=1)))])
     # unsigned: a purpose past 15 bits fills the top bit of the word
-    fields = fields.astype(np.uint64)
+    fields = _slot_fields(slots, purpose).astype(np.uint64)
     return (
         (np.uint64(purpose) << (3 * _FIELD_BITS))
         | (fields[:, 0] << (2 * _FIELD_BITS))
@@ -123,7 +133,8 @@ _STATE = {
 def standard_normals(master_seed: int, purpose: int, slots, salt: int, size: int) -> np.ndarray:
     """The first ``size`` standard normals of each slot's stream, (K, size).
 
-    ``slots`` lists (phantom, target, replicate) indices; row k equals
+    ``slots`` lists (phantom, target, replicate) indices, or holds them
+    packed (K, 3) as ``draw_insertions`` passes them; row k equals
     ``substream(master_seed, purpose, *slots[k], salt).standard_normal(size)``.
     Raises ValueError for an index outside 16 bits, as ``substream`` does,
     naming the first slot and field that ``substream`` would refuse.  The
@@ -181,14 +192,16 @@ def draw_insertions(
     ``needle_counts[k]`` is slot k's session degradation state.
     """
     n = len(slots)
-    reference = standard_normals(master_seed, REFERENCE, slots, noise_salt, n_fiducials * 3 + 3)
-    motion = standard_normals(master_seed, MOTION, slots, motion_salt, 3)
+    # packed once, for every draw and the slot columns
+    fields = _slot_fields(slots)
+    reference = standard_normals(master_seed, REFERENCE, fields, noise_salt, n_fiducials * 3 + 3)
+    motion = standard_normals(master_seed, MOTION, fields, motion_salt, 3)
     if volumes:
-        observation = standard_normals(master_seed, OBSERVE, slots, noise_salt, volumes * n_fiducials * 3)
+        observation = standard_normals(master_seed, OBSERVE, fields, noise_salt, volumes * n_fiducials * 3)
     else:
         observation = np.empty((n, 0))
     return Streams(
-        *np.array(slots, dtype=np.int64).reshape(n, 3).T, np.array(needle_counts, dtype=np.int64),
+        *fields.T, np.array(needle_counts, dtype=np.int64),
         reference[:, :-3].reshape(n, n_fiducials, 3), reference[:, -3:],
         motion, observation.reshape(n, volumes, n_fiducials, 3),
     )

@@ -17,6 +17,7 @@ stratified tables, whose strata are boolean masks over the columns.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import functools
 import itertools
@@ -35,6 +36,7 @@ from .controller import (
     open_loop_insertion,
     open_loop_records,
     plan_insertions,
+    point_records,
 )
 from .phantom import ZONE_GROUPS, MotionParams, Phantoms, generate_phantom, phantom_quota_split
 from .planning import ANGLED, HORIZONTAL
@@ -117,11 +119,17 @@ def build_phantoms(cfg: StudyConfig) -> Phantoms:
         raise ConfigError(f"phantom: {e}") from e
 
 
-# slots per block: the closed loop steps a block together, one point's at
-# a time, and a block's streams and plans are let go before the next one
-# starts: the default study run as one block peaked at 54 MB of RSS, at
-# 128 slots at 41.5 MB.
+# slots per block: the closed loop steps a block together, and a block's
+# streams and plans are let go before the next one starts: the default
+# study run as one block peaked at 54 MB of RSS, at 128 slots at 41.5 MB.
 BLOCK_SLOTS = 128
+# (point, slot) rows per closed-loop call: the points of one sigma0 share a
+# block's loop in chunks of LOOP_ROWS // K points, at least one.  A loop's
+# working arrays grow with its rows: on a 2-core x86-64 host the default
+# calibrate peaked at 47.5 MB of RSS at one point per loop, 48.2 MB at 384
+# rows and 50.1 MB at 1024, and took 0.93x the time at 384 rows and 0.88x
+# at 1024 (medians of 5 runs each).
+LOOP_ROWS = 384
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:
@@ -146,12 +154,16 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> It
     ``rng.Streams`` (``rng.draw_insertions``; a point only scales their
     standard normals), and its slots are planned together once per sigma0
     (``plan_insertions``; a plan is made at rest, which no motion touches).
-    Then each of that sigma0's points in turn makes each slot's first pass
-    under its own motion (``open_loop_insertion``, given the slot's row of
-    the streams, a view made once per block), stacks them once, and runs
-    its own closed loop (``correct_insertions``) and open-loop scoring
-    (``open_loop_records``), as the mode asks, on the block's plans and
-    streams themselves and those stacks.
+    Then that sigma0's points go through the block in chunks of at most
+    ``LOOP_ROWS // K`` points (at least one; one in a study that also
+    scores the open loop).  Each point of a chunk makes each slot's first
+    pass under its own motion (``open_loop_insertion``, given the slot's
+    row of the streams, a view made once per block), and the chunk's
+    first passes are stacked once, (P, K, 3, 3) and (P, K, 3).  The chunk
+    runs one closed loop (``correct_insertions``) over its (point, slot)
+    rows, and each point its own open-loop scoring (``open_loop_records``),
+    as the mode asks, on the block's plans and streams themselves and
+    those stacks.
 
     Every point is run, and every check made, before this returns; the
     iterator joins a point's blocks only when it is asked for that point,
@@ -187,22 +199,32 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> It
         )
         # each slot's own streams, for its first passes
         slot_streams = [streams.rows(k) for k in range(len(block))]
+        # points per closed-loop call: only a closed-only study (a calibration
+        # search) shares loops; one that also scores the open loop runs a point per loop
+        per_loop = 1 if do_open else max(1, LOOP_ROWS // len(block))
         for noise, members in groups.values():
             plans = plan_insertions(
                 phantoms, cfg.robot, arch, noise, streams,
                 cfg.entry_region, cfg.needle_radius, track=do_closed,
             )
-            for i in members:
-                motion = points[i][0]
+            for begin in range(0, len(members), per_loop):
+                chunk = members[begin:begin + per_loop]
+                motions = [points[i][0] for i in chunk]
                 # one first pass per slot, streams by keyword: perfbench's tracer keys tasks on it
-                firsts = [open_loop_insertion(motion, plans, k, streams=s) for k, s in enumerate(slot_streams)]
-                moved = np.array([f.rotation for f in firsts]), np.array([f.translation for f in firsts])
+                passes = [[open_loop_insertion(motion, plans, k, streams=s) for k, s in enumerate(slot_streams)]
+                          for motion in motions]
+                # (P, K, 3, 3) and (P, K, 3): point p's first passes are row p
+                rotations = np.array([[f.rotation for f in row] for row in passes])
+                translations = np.array([[f.translation for f in row] for row in passes])
                 if do_closed:
-                    closed[i].append(correct_insertions(
-                        phantoms, motion, noise, cfg.robot, cfg.convergence, plans, streams, *moved,
-                    ))
+                    records = correct_insertions(
+                        phantoms, motions, noise, cfg.robot, cfg.convergence, plans, streams, rotations, translations,
+                    )
+                    for p, i in enumerate(chunk):
+                        closed[i].append(point_records(records, plans, streams, p))
                 if do_open:
-                    opened[i].append(open_loop_records(phantoms, motion, plans, streams, *moved))
+                    for i, motion, rot, trans in zip(chunk, motions, rotations, translations):
+                        opened[i].append(open_loop_records(phantoms, motion, plans, streams, rot, trans))
 
     # joined a point at a time, each point's blocks let go as it is joined
     return (
@@ -424,19 +446,38 @@ def summary_to_csv(summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+@contextlib.contextmanager
+def _writing(out_dir: str):
+    """Turn an OSError into RuntimeError naming ``out_dir``."""
+    try:
+        yield
+    except OSError as e:
+        raise RuntimeError(f"cannot write report under {out_dir}: {e}") from e
+
+
 def write_text(out_dir: str, name: str, text: str) -> str:
     """Write ``text`` as file ``name`` under ``out_dir``, made if missing; returns its path.
 
     Raises RuntimeError naming ``out_dir`` when it cannot be written.
     """
     path = os.path.join(out_dir, name)
-    try:
+    with _writing(out_dir):
         os.makedirs(out_dir, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    except OSError as e:
-        raise RuntimeError(f"cannot write report under {out_dir}: {e}") from e
     return path
+
+
+def check_writable(out_dir: str, name: str):
+    """Raise RuntimeError, as ``write_text`` would, when file ``name`` cannot be
+    written under the existing ``out_dir``; leaves the file as it was found."""
+    path = os.path.join(out_dir, name)
+    existed = os.path.lexists(path)
+    with _writing(out_dir):
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
 
 
 def write_summary(summary: dict, out_dir: str, fmt: str = "json") -> str:

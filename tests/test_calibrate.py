@@ -139,6 +139,44 @@ def test_batched_grid_points_give_the_records_of_their_own_studies(monkeypatch):
     assert spent[2] > 0
 
 
+def test_a_points_records_do_not_depend_on_how_many_points_share_its_loop(monkeypatch):
+    axes = {
+        "axial_base_offset": (1.5, 3.0),
+        "axial_gain": (0.05, 0.2),
+        "rotation_gain": (0.0, 0.03),
+        "noise_sd_motion": (0.0, 1.5),
+        "sigma0": (0.05, 0.3),
+    }
+    for max_corrections in (10, 2):
+        base = tiny_config(mode="closed_loop", replicates=1)
+        base.motion.noise_sd_motion = 0.8
+        base.convergence.max_corrections = max_corrections
+        grid = [cal._with_params(base, dict(zip(axes, values))) for values in itertools.product(*axes.values())]
+        points = [(cfg.motion, cfg.noise.sigma0) for cfg in grid]
+        runs = []
+        # 8 slots in blocks of 3, 3 and 2, 16 points per sigma0: a loop of
+        # one point, of 3 points (4 on the block of 2, 16 = 3 * 5 + 1 and
+        # 4 * 4) and of all 16, per block and sigma0
+        for loop_rows, loops in ((1, 3 * 2 * 16), (9, 2 * (6 + 6 + 4)), (10**6, 3 * 2)):
+            # the points of each loop call
+            calls = []
+            correct = study.correct_insertions
+
+            def counted(phantoms, motions, *rest):
+                calls.append(len(motions))
+                return correct(phantoms, motions, *rest)
+
+            with monkeypatch.context() as m:
+                m.setattr(study, "BLOCK_SLOTS", 3)
+                m.setattr(study, "LOOP_ROWS", loop_rows)
+                m.setattr(study, "correct_insertions", counted)
+                runs.append([rec for rec, _ in study.run_points(base, points)])
+            assert len(calls) == loops and sum(calls) == 3 * len(points)
+        alone, *shared = runs
+        for records in shared:
+            assert records == alone
+
+
 def test_calibrate_builds_phantoms_once_and_plans_once_per_sigma0(monkeypatch):
     calls = {"phantoms": 0, "plans": 0}
     build, plan = study.build_phantoms, planning.plan_trajectories
@@ -147,7 +185,8 @@ def test_calibrate_builds_phantoms_once_and_plans_once_per_sigma0(monkeypatch):
     draw = rng.standard_normals
 
     def normals(master_seed, purpose, slots, salt, size):
-        drawn[purpose].update(slots)
+        # a block's slots come packed (K, 3)
+        drawn[purpose].update(map(tuple, np.asarray(slots).tolist()))
         return draw(master_seed, purpose, slots, salt, size)
 
     def count(key, fn, rows=lambda *args: 1):

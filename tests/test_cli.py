@@ -281,7 +281,12 @@ def test_calibrate_writes_fitted_config(tmp_path, capsys):
     assert out == path.read_text()
 
 
-def test_calibrate_into_an_unwritable_yaml_is_runtime_error(tmp_path, capsys):
+def test_calibrate_into_an_unwritable_yaml_is_runtime_error(tmp_path, capsys, monkeypatch):
+    # the YAML is checked before the search
+    def refuse(*args, **kwargs):
+        raise AssertionError("calibrate searched a grid whose YAML it cannot write")
+
+    monkeypatch.setattr("prostasim.calibrate.run_points", refuse)
     cfg_path = tiny_config_file(tmp_path, mode="closed_loop")
     out_dir = tmp_path / "fit"
     (out_dir / "fitted_config.yaml").mkdir(parents=True)

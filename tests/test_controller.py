@@ -196,7 +196,7 @@ def test_paired_runs_share_noise():
     assert o.depth_correction_mm != 0.0 and np.any(o.motion_mm != 0.0)
     first, opened = open_loop_block(p, motion, tracked, t)
     assert_same_first_pass(first, open_loop_insertion(motion, untracked, 0, streams(t).rows(0)))
-    closed = correct_insertions(p, motion, noise, GEOM, ConvergenceParams(), tracked, streams(t), *stacked([first]))
+    closed = correct_insertions(p, [motion], noise, GEOM, ConvergenceParams(), tracked, streams(t), *stacked([first]))
     row = only_row(opened)
     assert (row.n_corrections, row.error_mm, row.depth_correction_mm) == (0, o.error_mm, o.depth_correction_mm)
     np.testing.assert_array_equal(row.motion_mm, o.motion_mm)
