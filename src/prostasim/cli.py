@@ -20,7 +20,7 @@ from .config import (
     load_config,
     to_yaml,
 )
-from .study import check_writable, report_from_records, run_study, write_report, write_summary, write_text
+from .study import check_writable, report_files, report_from_records, run_study, write_report, write_summary, write_text
 
 # the file calibrate writes under the output directory
 FITTED_YAML = "fitted_config.yaml"
@@ -133,6 +133,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 0
     cfg = _resolve_config(args)
     with _out_dir(cfg.output.dir):
+        # the report is written after the run: a file that cannot be fails before it
+        for name in report_files(cfg.mode, cfg.output.format):
+            check_writable(cfg.output.dir, name)
         report = run_study(cfg)
     written = write_report(report, cfg.output.dir, cfg.output.format)
     _print_headline(report.summary)

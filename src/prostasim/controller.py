@@ -11,9 +11,7 @@ An insertion is three steps, the first and last taken by a block of
 insertions together.  A block's random streams are one ``rng.Streams``,
 a column per draw and a row per slot, and every step reads its columns;
 slot k's phantom is row ``streams.phantom[k]`` of the study's
-``phantom.Phantoms``, a row per phantom, which every step is given; the
-sensing and gland kernels get the rows of its ``glands``, which leave the
-target and zone columns behind.
+``phantom.Phantoms``, a row per phantom, which only planning is given.
 ``plan_insertions`` is the motion-free half, in arrays over the block:
 one stacked observation and collinearity check of the reference volumes,
 the observed targets, the trajectories (one ``kinematics.Trajectory``:
@@ -26,31 +24,32 @@ and the lever of each gland transform (``phantom.gland_levers``): the
 unit direction, the pass-depth penetration, the lateral offset of the
 gland centroid and the rotation axis's Rodrigues matrices, none of which
 reads a motion parameter.  It returns one ``Plans``, a column per
-quantity and a row per slot.  ``open_loop_insertion`` scales one
-insertion's motion normals (its row of the streams) into its motion
-noise and evaluates only the motion terms of the gland transform (drag,
-rotation angle, the rotation about the pivot) from its row's lever.
-Both loops read a block's first passes stacked, as (K, 3, 3) rotations
-and (K, 3) translations: ``open_loop_records`` scores them under the
-motion they were made under.  The insertions take the plans and none of
-the planning inputs, so blocks that differ only in motion share one
-``Plans``, and ``correct_insertions`` runs the closed loops of P such
-points of one block together: its rows are (point, slot) pairs, slot =
-row mod K, the first passes come stacked (P, K, 3, 3) and (P, K, 3), and
-each point's motion enters only through its drag.  Each step is one
-stacked ``sensing`` call per kernel over the rows still correcting,
-which read the block's tables gathered by slot, never copied per point;
-each row continues from its first pass's gland transform, motion noise
-included, and the rows are deposited and scored in arrays.  With one
-point (P = 1) the rows are the slots, and the loop reads the block's
-tables as they are while every row corrects.
-``run_insertion`` is the closed loop of a single insertion.
+quantity and a row per slot, which also carries what the loops read of
+the phantoms: the slots' gland rows (``Phantoms.glands``, no target or
+zone column) and each bead's left-zone bias.  ``open_loop_insertion``
+scales one insertion's motion normals (its row of the streams) into its
+motion noise and evaluates only the motion terms of the gland transform
+(drag, rotation angle, the rotation about the pivot) from its row's
+lever.  Both loops read a block's first passes stacked, as (K, 3, 3)
+rotations and (K, 3) translations: ``open_loop_records`` scores them
+under the motion they were made under.  The insertions take the plans
+and none of the planning inputs, so blocks that differ only in motion
+share one ``Plans``, and ``correct_insertions`` runs the closed loops of
+P such points of one block together, P = 1 included: its rows are
+(point, slot) pairs, slot = row mod K, the first passes come stacked
+(P, K, 3, 3) and (P, K, 3), and each point's motion enters only through
+its drag.  Each step is one stacked ``sensing`` call per kernel over the
+rows still correcting, which read the block's tables at their slots,
+never copied per point; each row continues from its first pass's gland
+transform, motion noise included.  Both loops deposit and score their
+rows in arrays, with one helper.  ``run_insertion`` is the closed loop
+of a single insertion.
 
-A block's records are one ``Records``, built the same way as its plans:
-the closed loop's come from ``correct_insertions`` (``point_records``
-takes one point's rows of a loop of several), the open loop's from
+A block's records are built the same way as its plans: the closed
+loop's come from ``correct_insertions``, one ``Records`` per point that
+shares the block's slot columns, the open loop's from
 ``open_loop_records``, run only when it is reported.  A slot's two
-records are the same row of the two.
+records at a point are the same row of the two.
 
 Per-insertion invariants are computed once: the reference volume is
 prepared for registration once, the gland entry depth and the lever are
@@ -66,7 +65,7 @@ slot's closed and open-loop records quantifies what the loop buys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,8 +170,11 @@ class Plans(geometry.Columns):
     part of each slot's gland transform, measured along the normalized
     direction (their penetration can differ from the plan's in the last
     ulp): ``prostate_transform`` adds only the motion terms to a row.
-    ``reference`` serves the correction loop and is prepared only for a
-    tracked block; it is None otherwise.
+    ``glands`` are the slots' phantom rows without their targets, which the
+    correction loop observes, and ``bias`` the deflection of each slot's
+    bead along -x: its phantom's left bias for a left-zone target, 0
+    otherwise.  ``reference`` serves the correction loop and is prepared
+    only for a tracked block; it is None otherwise.
     """
 
     target_rest: np.ndarray  # (K, 3)
@@ -188,41 +190,20 @@ class Plans(geometry.Columns):
     duration_s: np.ndarray
     penetration: np.ndarray
     levers: GlandLevers
+    glands: Phantoms
+    bias: np.ndarray  # (K,)
     reference: geometry.RegistrationReference | None = None
 
 
-# the rows of a block that are its slots, in order
-_EVERY_SLOT = slice(None)
-
-
-def _slot_columns(plans: Plans, streams: Streams, slots=_EVERY_SLOT) -> dict:
-    """The columns of a block's records that row r takes from its slot ``slots[r]``:
-    the slot of ``streams``, the zones, approach and first-pass rotation of
-    ``plans``; for ``_EVERY_SLOT``, those columns themselves."""
-    columns = dict(
+def _records(plans: Plans, streams: Streams, **columns) -> Records:
+    """The records of a block's slots: the slot of ``streams``; the zones,
+    approach and first-pass rotation of ``plans``; then ``columns``."""
+    return Records(
         phantom_id=streams.phantom, target_id=streams.target, replicate=streams.replicate,
         zone_depth=plans.zone_depth, zone_lateral=plans.zone_lateral, zone_ap=plans.zone_ap,
         approach=plans.approach, rotation_angle_deg=plans.rotation_angle_deg,
+        disengaged=np.zeros(len(plans), dtype=np.int64), **columns,
     )
-    return columns if slots is _EVERY_SLOT else {name: col[slots] for name, col in columns.items()}
-
-
-def _records(plans: Plans, streams: Streams, slots=_EVERY_SLOT, **columns) -> Records:
-    """The records of a block's rows, row r of slot ``slots[r]``: its slot's columns and row r of ``columns``."""
-    return Records(
-        **_slot_columns(plans, streams, slots), disengaged=np.zeros(len(columns["error_mm"]), dtype=np.int64),
-        **columns,
-    )
-
-
-def point_records(records: Records, plans: Plans, streams: Streams, point: int) -> Records:
-    """Point ``point``'s rows of the (point, slot) records ``correct_insertions`` returns for a block.
-
-    Its slots' columns are the block's own, one array shared by every
-    point, and its other columns views of its rows.
-    """
-    k = len(plans)
-    return replace(records.rows(slice(point * k, (point + 1) * k)), **_slot_columns(plans, streams))
 
 
 def plan_insertions(
@@ -241,8 +222,10 @@ def plan_insertions(
     ``streams.phantom[k]``, a row of the study's ``phantoms``, from its row
     of ``streams.reference_normals`` (the reference volume) and of
     ``streams.target_normals`` (the observed target), and gets the row it
-    would get alone.  Only a ``track`` block can drive the closed loop; an
-    untracked block skips the registration reference and serves
+    would get alone.  The plans keep the slots' gland rows of ``phantoms``
+    and their beads' biases, so the loops that follow read no phantom
+    table of their own.  Only a ``track`` block can drive the closed loop;
+    an untracked block skips the registration reference and serves
     ``open_loop_insertion``.  Raises
     geometry.DegenerateConfiguration for a collinear reference volume of a
     tracked block, before planning, and planning.NoFeasiblePath when no
@@ -267,30 +250,30 @@ def plan_insertions(
     entry = gland_entry_depth(
         Phantoms.concat([block, block]), np.concatenate([entries, entries]), np.concatenate([dirs, units])
     )
+    zone_lateral = phantoms.zone_lateral[target]
     return Plans(
-        target_rest, phantoms.zone_depth[target], phantoms.zone_lateral[target], phantoms.zone_ap[target],
+        target_rest, phantoms.zone_depth[target], zone_lateral, phantoms.zone_ap[target],
         targets_obs, entries, dirs, depths, trajs.approach, angles, durations, penetration(entry[:n], depths),
-        gland_levers(block, entries, units, entry[n:], depths), reference,
+        gland_levers(block, entries, units, entry[n:], depths), block,
+        np.where(zone_lateral == LEFT, block.left_bias, 0.0), reference,
     )
 
 
-def _deposit(phantoms: Phantoms, streams: Streams, plans: Plans, tips_world, rotations, translations, slots=_EVERY_SLOT):
-    """The errors of beads deposited at the tips (R, 3) in their gland transforms, in the rest frame.
+def _score(plans: Plans, motions: list[MotionParams], slots, tips, rotations, translations, seen):
+    """The errors (R,) and residual motions (R, 3) of rows of (point, slot) pairs, row r of slot ``slots[r]``.
 
-    Row r is of the block's slot ``slots[r]``.  A left-zone bead of a
-    phantom with a left bias is deflected by it along -x before it is
-    mapped to the rest frame.
+    Row r's bead is left at depth ``tips[r]`` along its slot's line of
+    ``plans``, deflected by its slot's bias along -x, and mapped to the rest
+    frame by the gland transform ``rotations[r]``, ``translations[r]``; its
+    residual motion is its target as observed, ``seen[r]``, beyond the drag
+    of its point's motion, ``motions[r // K]``.
     """
-    bias = np.where(plans.zone_lateral[slots] == LEFT, phantoms.left_bias[streams.phantom[slots]], 0.0)
-    bead_world = tips_world.copy()
-    bead_world[:, 0] -= bias
+    dirs = plans.dir[slots]
+    bead_world = plans.entry[slots] + tips[:, None] * dirs
+    bead_world[:, 0] -= plans.bias[slots]
     miss = world_to_material(rotations, translations, bead_world) - plans.target_rest[slots]
-    return np.sqrt(geometry.row_dot(miss, miss))
-
-
-def _residual_motion(motion: MotionParams, moved_targets, plans: Plans):
-    """Per-axis displacements (K, 3) of the targets beyond the drag of ``motion``."""
-    return moved_targets - plans.target_obs - motion.drag(plans.penetration)[:, None] * plans.dir
+    drags = np.concatenate([motion.drag(plans.penetration) for motion in motions])
+    return np.sqrt(geometry.row_dot(miss, miss)), seen - plans.target_obs[slots] - drags[:, None] * dirs
 
 
 def open_loop_insertion(motion: MotionParams, plans: Plans, k: int, streams: Streams) -> InsertionRecord:
@@ -315,35 +298,32 @@ def _gland_states(inside, rotations, translations):
 
 
 def open_loop_records(
-    phantoms: Phantoms, motion: MotionParams, plans: Plans, streams: Streams,
-    rotations: np.ndarray, translations: np.ndarray,
+    motion: MotionParams, plans: Plans, streams: Streams, rotations: np.ndarray, translations: np.ndarray,
 ) -> Records:
     """A block's open-loop records, scored in arrays: row k is the first pass of plan row k.
 
     Slot k's first pass made the gland transform ``rotations[k]``,
     ``translations[k]``; its bead is left at the pass depth, in that
     transform if that depth is past the gland entry depth and in the gland
-    at rest if not, and scored in the rest frame of its phantom, row
-    ``streams.phantom[k]`` of ``phantoms``; the observed target moved by
-    that transform gives the depth correction and, beyond the drag of
-    ``motion`` (that of the first passes), the motion columns.  Each row
-    has the bits of scoring its slot alone.
+    at rest if not, and scored in the rest frame; the observed target
+    moved by that transform gives the depth correction and, beyond the
+    drag of ``motion`` (that of the first passes), the motion columns.
+    Each row has the bits of scoring its slot alone.
     """
     n = len(plans)
     rot, trans = _gland_states(plans.depth > plans.levers.entry_depth, rotations, translations)
     # the observed targets where the first passes' gland transforms moved them
     moved = sensing.track_target(rot, trans, plans.target_obs)
-    error = _deposit(phantoms, streams, plans, plans.entry + plans.depth[:, None] * plans.dir, rot, trans)
+    error, motion_mm = _score(plans, [motion], np.arange(n), plans.depth, rot, trans, moved)
     return _records(
         plans, streams, n_corrections=np.zeros(n, dtype=np.int64),
         depth_correction_mm=geometry.row_dot(moved - plans.entry, plans.dir) - plans.depth, error_mm=error,
-        motion_mm=_residual_motion(motion, moved, plans), max_corrections_exceeded=np.zeros(n, dtype=bool),
+        motion_mm=motion_mm, max_corrections_exceeded=np.zeros(n, dtype=bool),
         registration_rms=np.zeros(n), duration_s=plans.duration_s,
     )
 
 
 def correct_insertions(
-    phantoms: Phantoms,
     motions: list[MotionParams],
     noise: NoiseModel,
     geom: kinematics.RobotGeometry,
@@ -352,29 +332,28 @@ def correct_insertions(
     streams: Streams,
     rotations: np.ndarray,
     translations: np.ndarray,
-) -> Records:
+) -> list[Records]:
     """Run the closed loop of a block of K insertions together, at each of P points.
 
     The points share the block's plans and streams and differ only in
     motion: point p's first passes were made under ``motions[p]``.  Row
     r = p * K + k is slot k at point p: row k of the tracked ``plans`` and
-    of ``streams``, its phantom (row ``streams.phantom[k]`` of
-    ``phantoms``) and its first pass's gland transform
+    of ``streams``, and its first pass's gland transform
     ``rotations[p, k]``, ``translations[p, k]`` of the stacks (P, K, 3, 3)
     and (P, K, 3).  A tip past the gland entry depth sees the first pass's
     gland transform, a tip short of it the gland at rest.  Each step
     observes, registers, tracks and decides for every row still
     correcting, as one stacked call per kernel, on the slots' rows of the
-    block's tables gathered by slot index (never a copy per point); with
-    one point and every row correcting (step 0 at least) it reads the
-    tables as they are.  A row leaves the loop when its proposed change
-    drops below ``depth_epsilon`` or its budget runs out.  The motion
-    enters only the residual motion, through its drag.
+    block's tables, gathered by each row's slot (never a copy per point).
+    A row leaves the loop when its proposed change drops below
+    ``depth_epsilon`` or its budget runs out.  The motion enters only the
+    residual motion, through its drag.
 
-    Returns the P * K records, point-major: row p * K + k is the record
-    slot k would get alone at point p, and point p's rows are its study's
-    records of the block; a slot's open-loop record is row k of the
-    block's ``open_loop_records`` at that point.  Verification v of slot k
+    Returns each point's records of the block: the block's own slot
+    columns, one array shared by every point, and views of the point's
+    rows of the others.  Row k of point p's is the record slot k would get
+    alone at point p; its open-loop record is row k of the block's
+    ``open_loop_records`` at that point.  Verification v of slot k
     observes with the standard normals ``streams.observation_normals[k,
     v]``.  Raises ValueError for untracked plans, or for streams holding
     fewer than ``max_corrections + 1`` volumes.  A correction budget
@@ -388,21 +367,19 @@ def correct_insertions(
         raise ValueError(f"the streams hold {volumes} observation volumes, "
                          f"{conv.max_corrections} corrections need {conv.max_corrections + 1}")
     k = len(plans)
-    one = len(motions) == 1
     rows = len(motions) * k
     rotations, translations = rotations.reshape(rows, 3, 3), translations.reshape(rows, 3)
-    # each row's slot, by which it reads the block's tables: one point's rows are its slots
-    slots = _EVERY_SLOT if one else np.tile(np.arange(k), len(motions))
+    # each row's slot, by which it reads the block's tables
+    slots = np.tile(np.arange(k), len(motions))
     entries, dirs = plans.entry, plans.dir
     # penetration is read from the fixed pass depth, so the gland transform
     # depends on the tip only through "is it past the gland entry depth"
     # (NaN where the line misses the gland: never past it)
     entry_depth = plans.levers.entry_depth
-    glands = phantoms.glands().rows(streams.phantom)
 
-    tip = np.tile(plans.depth, len(motions))  # corrections move the tip; the pass depth stays
+    tip = plans.depth[slots]  # corrections move the tip; the pass depth stays
     applied = np.zeros(rows)
-    duration = np.tile(plans.duration_s, len(motions))
+    duration = plans.duration_s[slots]
     rms = np.zeros(rows)
     # the last verification of each row, which is its correction count
     n_corrections = np.zeros(rows, dtype=np.int64)
@@ -410,20 +387,20 @@ def correct_insertions(
     active = np.arange(rows)
 
     for step in range(conv.max_corrections + 1):
-        at = slice(None) if active.size == rows else active
-        slot = at if one else slots[at]
-        rot, trans = _gland_states(tip[at] > entry_depth[slot], rotations[at], translations[at])
+        slot = slots[active]
+        rot, trans = _gland_states(tip[active] > entry_depth[slot], rotations[active], translations[active])
         obs = sensing.observe(
-            glands.rows(slot), rot, trans, noise, streams.observation_normals[slot, step], streams.needle_count[slot],
+            plans.glands.rows(slot), rot, trans, noise, streams.observation_normals[slot, step],
+            streams.needle_count[slot],
         )
-        reg_rot, reg_trans, rms[at] = sensing.rigid_register(plans.reference.rows(slot), obs)
+        reg_rot, reg_trans, rms[active] = sensing.rigid_register(plans.reference.rows(slot), obs)
         tracked = sensing.track_target(reg_rot, reg_trans, plans.target_obs[slot])
         if not step:
             # every row verifies first: the residual motion is measured here
             first_tracked = tracked
-        n_corrections[at] = step
+        n_corrections[active] = step
         # depth of the tracked target along each needle line
-        delta = geometry.row_dot(tracked - entries[slot], dirs[slot]) - tip[at]
+        delta = geometry.row_dot(tracked - entries[slot], dirs[slot]) - tip[active]
         moving = ~(np.abs(delta) < conv.depth_epsilon)
         if step == conv.max_corrections:
             exceeded[active[moving]] = True
@@ -438,21 +415,20 @@ def correct_insertions(
 
     # every exit leaves the tip where the last verification saw it, in the
     # transform of its side of the entry depth
-    error = _deposit(
-        phantoms, streams, plans, entries[slots] + tip[:, None] * dirs[slots],
-        *_gland_states(tip > entry_depth[slots], rotations, translations), slots,
+    error, motion_mm = _score(
+        plans, motions, slots, tip, *_gland_states(tip > entry_depth[slots], rotations, translations), first_tracked,
     )
-    motion_mm = np.concatenate([
-        _residual_motion(motion, moved, plans) for motion, moved in zip(motions, first_tracked.reshape(-1, k, 3))
-    ])
-    return _records(
-        plans, streams, slots, n_corrections=n_corrections, depth_correction_mm=applied, error_mm=error,
-        motion_mm=motion_mm, max_corrections_exceeded=exceeded, registration_rms=rms, duration_s=duration,
+    columns = dict(
+        n_corrections=n_corrections, depth_correction_mm=applied, error_mm=error, motion_mm=motion_mm,
+        max_corrections_exceeded=exceeded, registration_rms=rms, duration_s=duration,
     )
+    return [
+        _records(plans, streams, **{name: col[lo:lo + k] for name, col in columns.items()})
+        for lo in range(0, rows, k)
+    ]
 
 
 def run_insertion(
-    phantoms: Phantoms,
     motion: MotionParams,
     noise: NoiseModel,
     geom: kinematics.RobotGeometry,
@@ -462,12 +438,11 @@ def run_insertion(
 ) -> Records:
     """One closed-loop insertion from its tracked one-row ``plan`` and one-row ``streams``: the block of one.
 
-    The slot's phantom is row ``streams.phantom[0]`` of ``phantoms``.
     ``open_loop_insertion``, then ``correct_insertions`` on that slot
     alone, given its first pass as a stack of one; returns the slot's
     one-row records.
     """
     first = open_loop_insertion(motion, plan, 0, streams.rows(0))
     return correct_insertions(
-        phantoms, [motion], noise, geom, conv, plan, streams, first.rotation[None, None], first.translation[None, None],
-    )
+        [motion], noise, geom, conv, plan, streams, first.rotation[None, None], first.translation[None, None],
+    )[0]

@@ -36,7 +36,6 @@ from .controller import (
     open_loop_insertion,
     open_loop_records,
     plan_insertions,
-    point_records,
 )
 from .phantom import ZONE_GROUPS, MotionParams, Phantoms, generate_phantom, phantom_quota_split
 from .planning import ANGLED, HORIZONTAL
@@ -126,9 +125,9 @@ BLOCK_SLOTS = 128
 # (point, slot) rows per closed-loop call: the points of one sigma0 share a
 # block's loop in chunks of LOOP_ROWS // K points, at least one.  A loop's
 # working arrays grow with its rows: on a 2-core x86-64 host the default
-# calibrate peaked at 47.5 MB of RSS at one point per loop, 48.2 MB at 384
-# rows and 50.1 MB at 1024, and took 0.93x the time at 384 rows and 0.88x
-# at 1024 (medians of 5 runs each).
+# calibrate peaked at 48.0 MB of RSS at one point per loop, 47.9-48.1 MB at
+# 384 rows and 49.7-49.8 MB at 1024 (3 runs each), and took 0.93x the time
+# of one point per loop at 384 rows and 0.88x at 1024 (medians of 5 runs).
 LOOP_ROWS = 384
 
 
@@ -153,17 +152,18 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> It
     ``BLOCK_SLOTS``.  A block's streams are drawn together once, as one
     ``rng.Streams`` (``rng.draw_insertions``; a point only scales their
     standard normals), and its slots are planned together once per sigma0
-    (``plan_insertions``; a plan is made at rest, which no motion touches).
+    (``plan_insertions``; a plan is made at rest, which no motion touches),
+    its plans carrying the slots' rows of the phantoms that the rest reads.
     Then that sigma0's points go through the block in chunks of at most
-    ``LOOP_ROWS // K`` points (at least one; one in a study that also
-    scores the open loop).  Each point of a chunk makes each slot's first
-    pass under its own motion (``open_loop_insertion``, given the slot's
-    row of the streams, a view made once per block), and the chunk's
-    first passes are stacked once, (P, K, 3, 3) and (P, K, 3).  The chunk
-    runs one closed loop (``correct_insertions``) over its (point, slot)
-    rows, and each point its own open-loop scoring (``open_loop_records``),
-    as the mode asks, on the block's plans and streams themselves and
-    those stacks.
+    ``LOOP_ROWS // K`` points, at least one, whatever the mode.  Each point
+    of a chunk makes each slot's first pass under its own motion
+    (``open_loop_insertion``, given the slot's row of the streams, a view
+    made once per block), and the chunk's first passes are stacked once,
+    (P, K, 3, 3) and (P, K, 3).  The chunk runs one closed loop
+    (``correct_insertions``, which gives each point its records of the
+    block) over its (point, slot) rows, and each point its own open-loop
+    scoring (``open_loop_records``), as the mode asks, on the block's
+    plans and streams themselves and those stacks.
 
     Every point is run, and every check made, before this returns; the
     iterator joins a point's blocks only when it is asked for that point,
@@ -199,9 +199,7 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> It
         )
         # each slot's own streams, for its first passes
         slot_streams = [streams.rows(k) for k in range(len(block))]
-        # points per closed-loop call: only a closed-only study (a calibration
-        # search) shares loops; one that also scores the open loop runs a point per loop
-        per_loop = 1 if do_open else max(1, LOOP_ROWS // len(block))
+        per_loop = max(1, LOOP_ROWS // len(block))
         for noise, members in groups.values():
             plans = plan_insertions(
                 phantoms, cfg.robot, arch, noise, streams,
@@ -218,13 +216,13 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> It
                 translations = np.array([[f.translation for f in row] for row in passes])
                 if do_closed:
                     records = correct_insertions(
-                        phantoms, motions, noise, cfg.robot, cfg.convergence, plans, streams, rotations, translations,
+                        motions, noise, cfg.robot, cfg.convergence, plans, streams, rotations, translations,
                     )
-                    for p, i in enumerate(chunk):
-                        closed[i].append(point_records(records, plans, streams, p))
+                    for i, rec in zip(chunk, records):
+                        closed[i].append(rec)
                 if do_open:
                     for i, motion, rot, trans in zip(chunk, motions, rotations, translations):
-                        opened[i].append(open_loop_records(phantoms, motion, plans, streams, rot, trans))
+                        opened[i].append(open_loop_records(motion, plans, streams, rot, trans))
 
     # joined a point at a time, each point's blocks let go as it is joined
     return (
@@ -480,11 +478,21 @@ def check_writable(out_dir: str, name: str):
             os.remove(path)
 
 
+def _summary_file(fmt: str) -> str:
+    """The name of the summary file of format ``fmt``."""
+    return "summary.json" if fmt == "json" else "summary.csv"
+
+
+def report_files(mode: str, fmt: str) -> list[str]:
+    """The files ``write_report`` writes for a study run in ``mode``, in order:
+    the records CSV of each mode it runs, then the summary of format ``fmt``."""
+    return [name for run, name in RECORD_FILES.items() if mode in (run, "both")] + [_summary_file(fmt)]
+
+
 def write_summary(summary: dict, out_dir: str, fmt: str = "json") -> str:
     """Write just the summary file; returns its path."""
-    if fmt == "json":
-        return write_text(out_dir, "summary.json", json.dumps(summary, indent=2) + "\n")
-    return write_text(out_dir, "summary.csv", summary_to_csv(summary))
+    text = json.dumps(summary, indent=2) + "\n" if fmt == "json" else summary_to_csv(summary)
+    return write_text(out_dir, _summary_file(fmt), text)
 
 
 def write_report(report: StudyReport, out_dir: str, fmt: str = "json") -> list[str]:

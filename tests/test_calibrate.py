@@ -147,12 +147,14 @@ def test_a_points_records_do_not_depend_on_how_many_points_share_its_loop(monkey
         "noise_sd_motion": (0.0, 1.5),
         "sigma0": (0.05, 0.3),
     }
-    for max_corrections in (10, 2):
-        base = tiny_config(mode="closed_loop", replicates=1)
+    # a closed-only study, and one that also scores the open loop
+    for mode, max_corrections in itertools.product(("closed_loop", "both"), (10, 2)):
+        base = tiny_config(mode=mode, replicates=1)
         base.motion.noise_sd_motion = 0.8
         base.convergence.max_corrections = max_corrections
         grid = [cal._with_params(base, dict(zip(axes, values))) for values in itertools.product(*axes.values())]
         points = [(cfg.motion, cfg.noise.sigma0) for cfg in grid]
+        # each point's (closed, open) records, per setting
         runs = []
         # 8 slots in blocks of 3, 3 and 2, 16 points per sigma0: a loop of
         # one point, of 3 points (4 on the block of 2, 16 = 3 * 5 + 1 and
@@ -162,17 +164,18 @@ def test_a_points_records_do_not_depend_on_how_many_points_share_its_loop(monkey
             calls = []
             correct = study.correct_insertions
 
-            def counted(phantoms, motions, *rest):
+            def counted(motions, *rest):
                 calls.append(len(motions))
-                return correct(phantoms, motions, *rest)
+                return correct(motions, *rest)
 
             with monkeypatch.context() as m:
                 m.setattr(study, "BLOCK_SLOTS", 3)
                 m.setattr(study, "LOOP_ROWS", loop_rows)
                 m.setattr(study, "correct_insertions", counted)
-                runs.append([rec for rec, _ in study.run_points(base, points)])
+                runs.append(list(study.run_points(base, points)))
             assert len(calls) == loops and sum(calls) == 3 * len(points)
         alone, *shared = runs
+        assert all(len(opened) == (8 if mode == "both" else 0) for _, opened in alone)
         for records in shared:
             assert records == alone
 

@@ -341,6 +341,26 @@ def test_simulate_into_unwritable_dir_is_runtime_error(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("fmt, blocked", [
+    ("json", "summary.json"), ("csv", "summary.csv"), ("json", "records_open.csv"),
+])
+def test_simulate_into_an_unwritable_report_file_is_runtime_error(tmp_path, capsys, monkeypatch, fmt, blocked):
+    # every file of the report is checked before the run
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate ran a study whose report it cannot write")
+
+    monkeypatch.setattr("prostasim.cli.run_study", refuse)
+    out_dir = tmp_path / "run"
+    (out_dir / blocked).mkdir(parents=True)
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", tiny_config_file(tmp_path, mode="both"), "--out", str(out_dir),
+        "--format", fmt,
+    )
+    assert code == 2 and out == ""
+    assert f"error: cannot write report under {out_dir}: " in err
+    assert not [path for path in out_dir.glob("records_*.csv") if path.is_file()]
+
+
 @pytest.mark.parametrize("command, module, name", [
     ("simulate", "prostasim.cli", "run_study"),
     ("calibrate", "prostasim.calibrate", "calibrate"),

@@ -102,7 +102,7 @@ def stacked(firsts):
 def open_loop_block(phantom, motion, plan, tid):
     """A slot's first pass and its open-loop records, scored as a block of one."""
     first = open_loop_insertion(motion, plan, 0, streams(tid).rows(0))
-    return first, open_loop_records(phantom, motion, plan, streams(tid), *stacked([first]))
+    return first, open_loop_records(motion, plan, streams(tid), *stacked([first]))
 
 
 def only_row(records):
@@ -119,8 +119,7 @@ def run_quiet(phantom, tid, arch=None, conv=None, mode=run_insertion, noise=None
     plan = plan_quiet(phantom, tid, arch, noise, track=mode is run_insertion)
     if mode is run_insertion:
         return only_row(run_insertion(
-            phantom, motion, noise or quiet_noise(), GEOM, conv or ConvergenceParams(), plan,
-            streams(tid),
+            motion, noise or quiet_noise(), GEOM, conv or ConvergenceParams(), plan, streams(tid),
         ))
     _, records = open_loop_block(phantom, motion, plan, tid)
     return only_row(records)
@@ -196,7 +195,7 @@ def test_paired_runs_share_noise():
     assert o.depth_correction_mm != 0.0 and np.any(o.motion_mm != 0.0)
     first, opened = open_loop_block(p, motion, tracked, t)
     assert_same_first_pass(first, open_loop_insertion(motion, untracked, 0, streams(t).rows(0)))
-    closed = correct_insertions(p, [motion], noise, GEOM, ConvergenceParams(), tracked, streams(t), *stacked([first]))
+    (closed,) = correct_insertions([motion], noise, GEOM, ConvergenceParams(), tracked, streams(t), *stacked([first]))
     row = only_row(opened)
     assert (row.n_corrections, row.error_mm, row.depth_correction_mm) == (0, o.error_mm, o.depth_correction_mm)
     np.testing.assert_array_equal(row.motion_mm, o.motion_mm)
@@ -241,9 +240,9 @@ def test_correction_budget_flagged_not_raised():
     plan = plan_quiet(p, t, noise=noisy)
     short = streams(t, volumes=3)
     with pytest.raises(ValueError, match="3 observation volumes"):
-        run_insertion(p, STILL, noisy, GEOM, conv, plan, short)
-    exact = run_insertion(p, STILL, noisy, GEOM, conv, plan, streams(t, volumes=4))
-    assert exact == run_insertion(p, STILL, noisy, GEOM, conv, plan, streams(t))
+        run_insertion(STILL, noisy, GEOM, conv, plan, short)
+    exact = run_insertion(STILL, noisy, GEOM, conv, plan, streams(t, volumes=4))
+    assert exact == run_insertion(STILL, noisy, GEOM, conv, plan, streams(t))
 
 
 def test_durations_and_rotation():
@@ -320,15 +319,16 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
 
     blocks = []
 
-    def correcting(phantoms, motion, noise, geom, conv, plans, *rest):
-        records = correct_insertions(phantoms, motion, noise, geom, conv, plans, *rest)
+    def correcting(motions, noise, geom, conv, plans, *rest):
+        points = correct_insertions(motions, noise, geom, conv, plans, *rest)
+        (records,) = points
         blocks.append(len(records))
         for entry, corrections in zip(plans.entry, records.n_corrections.tolist()):
             per_slot[slot(entry)]["corrections"] = corrections
-        return records
+        return points
 
-    deposits = []
-    monkeypatch.setattr(controller, "_deposit", counting(deposits, "deposit", controller._deposit))
+    scores = []
+    monkeypatch.setattr(controller, "_score", counting(scores, "score", controller._score))
     monkeypatch.setattr(controller, "prostate_transform", transform)
     monkeypatch.setattr(geometry, "max_line_deviation", line)
     # the entry depth is looked up through both modules' bindings
@@ -347,8 +347,8 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
         assert c["line"] == 1
     # neither the first pass nor the correction loop solves an entry depth
     assert solved == [32]
-    # one deposit for the block, and none for a first pass a closed-only study does not report
-    assert len(deposits) == 1
+    # one scoring for the block, and none for a first pass a closed-only study does not report
+    assert len(scores) == 1
 
 
 def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
@@ -453,11 +453,11 @@ def test_a_given_plan_gives_the_same_records():
     t = non_left_target(p)
     noise = NoiseModel(sigma0=0.3, depth_gain=0.002, degradation_per_needle=1.0)
     plan = plan_quiet(p, t, noise=noise)
-    fresh = run_insertion(p, motion, noise, GEOM, ConvergenceParams(), plan_quiet(p, t, noise=noise), streams(t))
+    fresh = run_insertion(motion, noise, GEOM, ConvergenceParams(), plan_quiet(p, t, noise=noise), streams(t))
     fresh_first, fresh_open = open_loop_block(p, motion, plan_quiet(p, t, noise=noise), t)
     assert fresh.n_corrections[0] >= 1
     for _ in range(2):  # a plan is not consumed by its use
-        assert run_insertion(p, motion, noise, GEOM, ConvergenceParams(), plan, streams(t)) == fresh
+        assert run_insertion(motion, noise, GEOM, ConvergenceParams(), plan, streams(t)) == fresh
         first, opened = open_loop_block(p, motion, plan, t)
         assert_same_first_pass(first, fresh_first)
         assert opened == fresh_open
@@ -473,7 +473,7 @@ def test_a_given_plan_gives_the_same_records():
     assert_same_first_pass(first, fresh_first)
     assert opened == fresh_open
     with pytest.raises(ValueError, match="tracked plan"):
-        run_insertion(p, motion, noise, GEOM, ConvergenceParams(), untracked, streams(t))
+        run_insertion(motion, noise, GEOM, ConvergenceParams(), untracked, streams(t))
 
 
 # two phantoms of different shape, so the slots of one block differ in their
@@ -721,7 +721,7 @@ def test_a_block_scores_its_first_passes_as_each_slot_alone():
 
     for motion in (STILL, LEVERED):
         firsts = [open_loop_insertion(motion, plans, k, block_streams.rows(k)) for k in range(len(plans))]
-        records = open_loop_records(phantoms, motion, plans, block_streams, *stacked(firsts))
+        records = open_loop_records(motion, plans, block_streams, *stacked(firsts))
         for k, (phantom, first) in enumerate(zip(block_phantoms, firsts)):
             axial, error, residual = open_loop_oracle(phantom, motion, plans, k, first)
             assert bits(records.depth_correction_mm[k]) == bits(axial), k

@@ -120,21 +120,47 @@ def test_blocks_do_not_change_the_report(monkeypatch, tiny_report):
 
     sizes = {"plan": [], "correct": []}
 
-    def counted(key, fn):
+    def counted(key, fn, rows=len):
         def call(*args, **kwargs):
             out = fn(*args, **kwargs)
-            sizes[key].append(len(out))
+            sizes[key].append(rows(out))
             return out
         return call
 
     monkeypatch.setattr(study, "plan_insertions", counted("plan", study.plan_insertions))
-    monkeypatch.setattr(study, "correct_insertions", counted("correct", study.correct_insertions))
+    # a loop's records, one per point
+    monkeypatch.setattr(
+        study, "correct_insertions", counted("correct", study.correct_insertions, lambda out: sum(map(len, out)))
+    )
     monkeypatch.setattr(study, "BLOCK_SLOTS", 5)
     split = run_study(tiny_config())
     assert sizes == {"plan": [5, 5, 5, 1], "correct": [5, 5, 5, 1]}
     assert split.rows_closed == tiny_report.rows_closed
     assert split.rows_open == tiny_report.rows_open
     assert json.dumps(split.summary) == json.dumps(tiny_report.summary)
+
+
+# Two relations between the records of two runs on one host. Unlike the
+# golden pins, which hold only on the BLAS kernel they were made on, they
+# hold on the SkylakeX, Zen and Haswell kernels alike.
+
+
+@pytest.mark.parametrize("seed", [777, 1, 2])
+def test_a_study_of_both_modes_gives_the_records_of_each_mode_run_alone(seed):
+    both = run_study(tiny_config(seed, mode="both"))
+    assert run_study(tiny_config(seed, mode="closed_loop")).rows_closed == both.rows_closed
+    assert run_study(tiny_config(seed, mode="open_loop")).rows_open == both.rows_open
+
+
+@pytest.mark.parametrize("seed", [777, 1, 2])
+def test_the_first_replicates_of_a_study_are_the_study_of_those_replicates(seed):
+    # the 48 slots of 6 replicates against 8 and 24, each one block
+    many = run_study(tiny_config(seed, mode="both", replicates=6))
+    for replicates in (1, 3):
+        few = run_study(tiny_config(seed, mode="both", replicates=replicates))
+        for rows, prefix in ((many.rows_closed, few.rows_closed), (many.rows_open, few.rows_open)):
+            assert len(prefix) == 8 * replicates
+            assert rows.rows(rows.replicate < replicates) == prefix, replicates
 
 
 def test_every_loop_reads_the_blocks_tables_as_they_are(monkeypatch, tiny_report):
@@ -172,8 +198,8 @@ def test_every_loop_reads_the_blocks_tables_as_they_are(monkeypatch, tiny_report
 
     monkeypatch.setattr(study, "draw_insertions", kept(study.draw_insertions))
     monkeypatch.setattr(study, "plan_insertions", kept(study.plan_insertions))
-    monkeypatch.setattr(study, "correct_insertions", seen(study.correct_insertions, 5))
-    monkeypatch.setattr(study, "open_loop_records", seen(study.open_loop_records, 2))
+    monkeypatch.setattr(study, "correct_insertions", seen(study.correct_insertions, 4))
+    monkeypatch.setattr(study, "open_loop_records", seen(study.open_loop_records, 1))
     monkeypatch.setattr(study, "BLOCK_SLOTS", 5)
     cfg = tiny_config()
     report = run_study(cfg)
@@ -182,14 +208,15 @@ def test_every_loop_reads_the_blocks_tables_as_they_are(monkeypatch, tiny_report
     assert report.rows_closed == tiny_report.rows_closed
     assert report.rows_open == tiny_report.rows_open
     # three points, two of them of one sigma0: each block is drawn once and
-    # planned once per sigma0, and every point scores it in both modes
+    # planned once per sigma0, runs one closed loop per sigma0 and is scored
+    # in the open loop by every point
     points = [
         (cfg.motion, cfg.noise.sigma0),
         (replace(cfg.motion, axial_gain=2.0 * cfg.motion.axial_gain), 2.0 * cfg.noise.sigma0),
         (replace(cfg.motion, rotation_gain=0.0, noise_sd_motion=0.5), cfg.noise.sigma0),
     ]
     (rows_closed, rows_open), *_ = run_points(cfg, points)
-    assert_read_as_made(4 + 4 * 2, 4 * 3 * 2)
+    assert_read_as_made(4 + 4 * 2, 4 * (2 + 3))
     assert rows_closed == tiny_report.rows_closed and rows_open == tiny_report.rows_open
 
 
