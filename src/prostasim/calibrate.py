@@ -13,8 +13,8 @@ which draws each block's streams once and plans it once per ``sigma0``;
 the points of one ``sigma0`` run their closed loops on the block's plans
 and streams together, a few hundred (point, slot) rows per loop call
 (``study.LOOP_ROWS``).  Each point's records, and so its medians, are
-those of its own closed-loop study, and the grid's order and
-strict-``<`` choice of the best point are kept.
+those of its own closed-loop study, and of points of equal objective the
+first in grid order wins.
 """
 
 from __future__ import annotations
@@ -145,18 +145,12 @@ def calibrate(
     # the last axis (sigma0) varies fastest
     grid = [{key: max(0.0, v) for key, v in zip(SPANS, values)} for values in itertools.product(*axes)]
     points = [(_with_params(base, params).motion, params["sigma0"]) for params in grid]
-    best = None
-    best_any = None
+    results = []
     for params, (rec, _) in zip(grid, run_points(base, points)):
         medians, corr = study_medians(rec)
-        obj = objective(medians)
-        ok = _feasible(medians, corr)
-        cand = CalibrationResult(params, obj, medians, ok)
-        if best_any is None or obj < best_any.objective:
-            best_any = cand
-        if ok and (best is None or obj < best.objective):
-            best = cand
-    return best if best is not None else best_any
+        results.append(CalibrationResult(params, objective(medians), medians, _feasible(medians, corr)))
+    # min keeps the first of equal objectives: grid order breaks ties
+    return min([r for r in results if r.feasible] or results, key=lambda r: r.objective)
 
 
 def fitted_config_yaml(base: StudyConfig, result: CalibrationResult, replicates: int, grid_points: int) -> str:

@@ -108,8 +108,8 @@ def _print_headline(summary: dict):
 def _out_dir(out_dir: str):
     """Create the output directory before a run, so that one that cannot be
     written fails at once rather than after the whole run.  If the run
-    raises ConfigError, the directories made here are removed again: a
-    config problem leaves nothing on the disk."""
+    raises, whatever it raises, the directories made here are removed
+    again: a failed run leaves no directory it made on the disk."""
     made, path = [], os.path.abspath(out_dir)
     while not os.path.exists(path):
         made.append(path)
@@ -120,7 +120,7 @@ def _out_dir(out_dir: str):
         raise RuntimeError(f"cannot write under {out_dir}: {e}") from e
     try:
         yield
-    except ConfigError:
+    except BaseException:
         for path in made:  # deepest first; one the run wrote into stays
             with contextlib.suppress(OSError):
                 os.rmdir(path)

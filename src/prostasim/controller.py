@@ -17,16 +17,16 @@ one stacked observation and collinearity check of the reference volumes,
 the observed targets, the trajectories (one ``kinematics.Trajectory``:
 one clearance check of every direct path, the grid search only where
 that path is out of reach or blocked; the planner keeps every entry
-within the stages' reach) and the first pass: duration and rotation, one
-gland entry depth solve that gives both the penetration setting the
-modeled drag and the entry depth the gland transform reads,
-and the lever of each gland transform (``phantom.gland_levers``): the
-unit direction, the pass-depth penetration, the lateral offset of the
-gland centroid and the rotation axis's Rodrigues matrices, none of which
-reads a motion parameter.  It returns one ``Plans``, a column per
-quantity and a row per slot, which also carries what the loops read of
-the phantoms: the slots' gland rows (``Phantoms.glands``, no target or
-zone column) and each bead's left-zone bias.  ``open_loop_insertion``
+within the stages' reach) and the first pass: duration and rotation,
+and the lever of each gland transform (``phantom.gland_levers``), made
+along the trajectory's own direction: that direction, the gland entry
+depth along it, the pass-depth penetration that sets the modeled drag,
+the lateral offset of the gland centroid and the rotation axis's
+Rodrigues matrices, none of which reads a motion parameter.  It returns
+one ``Plans``, a column per quantity and a row per slot, which also
+carries what the loops read of the phantoms: the slots' gland rows
+(``Phantoms.glands``, no target or zone column) and each bead's
+left-zone bias.  ``open_loop_insertion``
 scales one insertion's motion normals (its row of the streams) into its
 motion noise and evaluates only the motion terms of the gland transform
 (drag, rotation angle, the rotation about the pivot) from its row's
@@ -52,8 +52,8 @@ shares the block's slot columns, the open loop's from
 records at a point are the same row of the two.
 
 Per-insertion invariants are computed once: the reference volume is
-prepared for registration once, the gland entry depth and the lever are
-computed once, in the plans, and the gland transform once, by the first
+prepared for registration once, the lever (gland entry depth included)
+once, in the plans, and the gland transform once, by the first
 pass, stacked once for both loops.  The motion model reads penetration
 from the fixed pass depth, so a tip past the gland entry depth sees that
 transform wherever it is and a tip short of it the gland at rest: both
@@ -75,9 +75,7 @@ from .phantom import (
     GlandLevers,
     MotionParams,
     Phantoms,
-    gland_entry_depth,
     gland_levers,
-    penetration,
     prostate_transform,
     world_to_material,
 )
@@ -163,13 +161,12 @@ class Plans(geometry.Columns):
     the phantom, the noise model, the robot and the arch.  A plan can
     therefore be shared by insertions that differ only in motion.  The
     target is given by its rest position and zones, the trajectory by its
-    entry, direction as planned, pass depth and approach; the first pass
-    by its rotation angle, duration and penetration beyond the gland entry
-    point (which drives the drag the residual motion subtracts), measured
-    along the planned direction as given.  ``levers`` are the motion-free
-    part of each slot's gland transform, measured along the normalized
-    direction (their penetration can differ from the plan's in the last
-    ulp): ``prostate_transform`` adds only the motion terms to a row.
+    entry, unit direction, pass depth and approach; the first pass by its
+    rotation angle and duration.  ``levers`` are the motion-free part of
+    each slot's gland transform, along the trajectory's direction: their
+    penetration beyond the gland entry point drives the drag the residual
+    motion subtracts, and ``prostate_transform`` adds only the motion
+    terms to a row.
     ``glands`` are the slots' phantom rows without their targets, which the
     correction loop observes, and ``bias`` the deflection of each slot's
     bead along -x: its phantom's left bias for a left-zone target, 0
@@ -188,7 +185,6 @@ class Plans(geometry.Columns):
     approach: np.ndarray  # (K,) str
     rotation_angle_deg: np.ndarray  # (K,)
     duration_s: np.ndarray
-    penetration: np.ndarray
     levers: GlandLevers
     glands: Phantoms
     bias: np.ndarray  # (K,)
@@ -244,18 +240,12 @@ def plan_insertions(
     trajs = planning.plan_trajectories(arch, targets_obs, region, geom, needle_radius)
     entries, dirs, depths = trajs.entry, trajs.dir, trajs.planned_depth
     _, angles, durations = kinematics.advance_insertion(geom, np.zeros(n), np.zeros(n), depths)
-    # the penetration reads the entry depth along the direction as planned,
-    # the gland transform along the normalized one: both in one call
-    units = geometry.normalize(dirs)
-    entry = gland_entry_depth(
-        Phantoms.concat([block, block]), np.concatenate([entries, entries]), np.concatenate([dirs, units])
-    )
     zone_lateral = phantoms.zone_lateral[target]
     return Plans(
         target_rest, phantoms.zone_depth[target], zone_lateral, phantoms.zone_ap[target],
-        targets_obs, entries, dirs, depths, trajs.approach, angles, durations, penetration(entry[:n], depths),
-        gland_levers(block, entries, units, entry[n:], depths), block,
-        np.where(zone_lateral == LEFT, block.left_bias, 0.0), reference,
+        targets_obs, entries, dirs, depths, trajs.approach, angles, durations,
+        gland_levers(block, entries, dirs, depths), block, np.where(zone_lateral == LEFT, block.left_bias, 0.0),
+        reference,
     )
 
 
@@ -272,7 +262,7 @@ def _score(plans: Plans, motions: list[MotionParams], slots, tips, rotations, tr
     bead_world = plans.entry[slots] + tips[:, None] * dirs
     bead_world[:, 0] -= plans.bias[slots]
     miss = world_to_material(rotations, translations, bead_world) - plans.target_rest[slots]
-    drags = np.concatenate([motion.drag(plans.penetration) for motion in motions])
+    drags = np.concatenate([motion.drag(plans.levers.penetration) for motion in motions])
     return np.sqrt(geometry.row_dot(miss, miss)), seen - plans.target_obs[slots] - drags[:, None] * dirs
 
 

@@ -329,19 +329,20 @@ class GlandLevers(geometry.Columns):
     kx2: np.ndarray
 
 
-def gland_levers(phantoms: Phantoms, entries, dirs, entry_depths, pass_depths) -> GlandLevers:
+def gland_levers(phantoms: Phantoms, entries, dirs, pass_depths) -> GlandLevers:
     """The levers of a block of needle lines, computed in arrays over the block.
 
     Line k enters the phantom of row k of ``phantoms`` at ``entries[k]`` along the unit
-    direction ``dirs[k]``, meets its gland at ``entry_depths[k]`` along it
+    direction ``dirs[k]``, taken as given, meets its gland along it
     (``gland_entry_depth``) and is first inserted to ``pass_depths[k]``.
     Each row has the bits the per-line formula gives alone: the stacked
     dot products, norms and matrix products keep those of one line's.
     """
+    entries = np.asarray(entries, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    entry_depths = np.asarray(entry_depths, dtype=np.float64)
+    entry_depths = gland_entry_depth(phantoms, entries, dirs)
     pens = penetration(entry_depths, np.asarray(pass_depths, dtype=np.float64))
-    rel = -np.asarray(entries, dtype=np.float64)  # the gland centroid, the origin, relative to each entry
+    rel = -entries  # the gland centroid, the origin, relative to each entry
     offset = rel - geometry.row_dot(rel, dirs)[:, None] * dirs
     lateral = np.sqrt(geometry.row_dot(offset, offset))
     kx = np.zeros((len(dirs), 3, 3))

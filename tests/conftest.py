@@ -188,12 +188,13 @@ def gland_transform_oracle(phantom, motion, entry, dir, tip_depth, pass_depth, m
     ``phantom.prostate_transform`` split into a motion-free and a motion
     half, and the loops into a side of the entry depth and the transform
     of that side, kept as their oracle: the tip at ``tip_depth`` after a
-    first pass to ``pass_depth``, and ``entry_depth`` the line's gland
-    entry depth along its normalized direction (NaN: the line misses).
-    ``phantom`` is one row's values of ``phantom.Phantoms``.
+    first pass to ``pass_depth`` along the unit direction ``dir``, taken as
+    given, and ``entry_depth`` the line's gland entry depth along it (NaN:
+    the line misses).  ``phantom`` is one row's values of
+    ``phantom.Phantoms``.
     """
     entry = np.asarray(entry, dtype=np.float64)
-    d = geometry.normalize(np.asarray(dir, dtype=np.float64))
+    d = np.asarray(dir, dtype=np.float64)
     if not tip_depth > entry_depth:
         return geometry.identity()
     pen = max(0.0, pass_depth - entry_depth)
@@ -248,7 +249,7 @@ def open_loop_oracle(phantom, motion, plans, k, first):
     if phantom.left_bias != 0.0 and plans.zone_lateral[k] == LEFT:
         bead[0] -= phantom.left_bias
     error = float(np.linalg.norm(geometry.apply(geometry.inverse(t), bead) - plans.target_rest[k]))
-    pen = float(plans.penetration[k])
+    pen = float(plans.levers.penetration[k])
     drag = motion.axial_base_offset + motion.axial_gain * pen if pen > 0.0 else 0.0
     return axial, error, moved - plans.target_obs[k] - drag * d
 

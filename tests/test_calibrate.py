@@ -85,6 +85,35 @@ def test_single_point_grid_returns_base_params():
     assert fitted.motion.axial_gain == result.params["axial_gain"]
 
 
+@pytest.mark.parametrize("chosen, winner, feasible", [
+    # grid point: (relative deviation of every median, feasible)
+    ({3: (0.0, False), 5: (0.1, True), 7: (0.2, True)}, 5, True),  # feasible beats a lower infeasible one
+    ({4: (0.1, True), 9: (0.1, True), 2: (0.0, False)}, 4, True),  # equal objectives: grid order
+    ({6: (0.05, False), 8: (0.1, False)}, 6, False),  # nothing feasible: the best overall, flagged
+])
+def test_calibrate_picks_the_best_feasible_point_first_in_grid_order(monkeypatch, chosen, winner, feasible):
+    # every other point is infeasible and far off
+    seen = []
+
+    def points(cfg, pts):
+        seen.extend(pts)
+        return [(i, None) for i in range(len(pts))]
+
+    def medians(i):
+        off, ok = chosen.get(i, (0.5, False))
+        corrections = {"fraction_exactly_one": 0.9 if ok else 0.5, "fraction_two_or_more": 0.05}
+        return {key: target * (1.0 + off) for key, target in cal.TARGETS.items()}, corrections
+
+    monkeypatch.setattr(cal, "run_points", points)
+    monkeypatch.setattr(cal, "study_medians", medians)
+    base = tiny_config(mode="closed_loop")
+    result = cal.calibrate(base, replicates=1, grid_points=2)
+    assert len(seen) == 32
+    assert (cal._with_params(base, result.params).motion, result.params["sigma0"]) == seen[winner]
+    assert result.feasible is feasible
+    assert result.objective == cal.objective(medians(winner)[0])
+
+
 @pytest.mark.parametrize("replicates, grid_points", [(0, 1), (-1, 1), (1, 0), (1, -2)])
 def test_calibrate_rejects_an_empty_search(replicates, grid_points):
     with pytest.raises(ValueError, match="calibrate: replicates and grid_points must be >= 1"):

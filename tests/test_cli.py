@@ -129,6 +129,8 @@ def test_a_target_observed_behind_the_entry_plane_exits_2_and_names_it(tmp_path,
     code, _, err = run_cli(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "run"))
     assert code == 2
     assert f"for the target at ({x:.3f}, {y:.3f}, {z:.3f}) mm" in err
+    # a failed run leaves no directory it made
+    assert not (tmp_path / "run").exists()
 
 
 def test_unknown_config_key_is_config_error(tmp_path, capsys):

@@ -311,8 +311,8 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
         solves = len(solved)
         plans = plan_insertions(*args, **kwargs)
         assert len(checked) == 1  # one check for the whole block
-        # one solve for the whole block: along each planned and each normalized direction
-        assert solved[solves:] == [2 * len(plans)]
+        # one solve for the whole block, along each trajectory's direction
+        assert solved[solves:] == [len(plans)]
         for entry, centered in zip(plans.entry, plans.reference.centered):
             per_slot[slot(entry)]["line"] += sum(np.array_equal(c, centered) for c in checked[0])
         return plans
@@ -331,8 +331,6 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
     monkeypatch.setattr(controller, "_score", counting(scores, "score", controller._score))
     monkeypatch.setattr(controller, "prostate_transform", transform)
     monkeypatch.setattr(geometry, "max_line_deviation", line)
-    # the entry depth is looked up through both modules' bindings
-    monkeypatch.setattr(controller, "gland_entry_depth", entry)
     monkeypatch.setattr(ph, "gland_entry_depth", entry)
     monkeypatch.setattr(study, "plan_insertions", planning)
     monkeypatch.setattr(study, "correct_insertions", correcting)
@@ -346,7 +344,7 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
         assert c["transform"] == 1
         assert c["line"] == 1
     # neither the first pass nor the correction loop solves an entry depth
-    assert solved == [32]
+    assert solved == [16]
     # one scoring for the block, and none for a first pass a closed-only study does not report
     assert len(scores) == 1
 
@@ -371,7 +369,7 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     entry, d, planned = plan.entry[0], plan.dir[0], float(plan.depth[0])
     depth_to_shallow, _ = geometry.axis_decompose(entry, d, shallow)
     tip = max(0.0, planned + (depth_to_shallow - planned))
-    entry_depth = gland_entry_depth(p, [entry], [geometry.normalize(d)])[0]
+    entry_depth = gland_entry_depth(p, [entry], [d])[0]
     fresh = gland_transform_oracle(p.rows(0), motion, entry, d, tip, planned, np.zeros(3), entry_depth)
     tip_world = (entry + tip * d)[None]
     bead = world_to_material(fresh.rotation[None], fresh.translation[None], tip_world)[0]
@@ -399,7 +397,7 @@ def test_a_first_pass_short_of_the_gland_is_corrected_into_it(monkeypatch):
     # the observed target lies before the gland surface: the first pass stops there
     plan = plan_quiet(p, t)
     entry, d, planned = plan.entry[0], plan.dir[0], float(plan.depth[0])
-    entry_depth = gland_entry_depth(p, [entry], [geometry.normalize(d)])[0]
+    entry_depth = gland_entry_depth(p, [entry], [d])[0]
     assert planned < entry_depth
     # the tracker reports the target where it lies in the gland: the tip advances there
     deep = inside.target_rest[0, t]
@@ -571,8 +569,7 @@ def oracle_first_pass(phantom, traj, geom):
     )
     t0 = oracle_entry_depth(phantom, traj.entry, traj.dir)
     pen = 0.0 if t0 is None else max(0.0, traj.planned_depth - t0)
-    entry_depth = oracle_entry_depth(phantom, traj.entry, oracle_normalize(traj.dir))
-    return joints, duration, pen, np.nan if entry_depth is None else entry_depth
+    return joints, duration, pen, np.nan if t0 is None else t0
 
 
 def oracle_reference(slot, noise):
@@ -679,7 +676,7 @@ def test_a_block_plans_each_slot_as_it_would_alone(
             ("stages", stages[k], [joints.front_x, joints.front_y, joints.back_x, joints.back_y]),
             ("insertion_depth", block.depth[k], joints.insertion_depth),
             ("rotation_angle_deg", block.rotation_angle_deg[k], joints.rotation_angle),
-            ("duration_s", block.duration_s[k], duration), ("penetration", block.penetration[k], pen),
+            ("duration_s", block.duration_s[k], duration), ("penetration", block.levers.penetration[k], pen),
         ):
             np.testing.assert_array_equal(got, want, err_msg=name)
         # the lever gives the bits of the gland transform evaluated whole on the line

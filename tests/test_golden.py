@@ -27,16 +27,16 @@ from prostasim.study import run_study, write_report
 PINNED_WITH = {"python": "3.11", "numpy": "2.4.6", "PyYAML": "6.0.3"}
 
 DEFAULT_STUDY = {
-    "records_closed.csv": "ffa177b43d89a9c87b8c042a30fee101b0fd249908ec023c6b080f64c00e2088",
-    "records_open.csv": "727b21b332f59fc960145461b5f5c1529b8c3d4a470ade4d425d90f6ec77814c",
-    "summary.json": "56f1fc8c8a7cba8fc17af70e37c81712ed2d6cb036df949532eab6f1ef6c3fa7",
+    "records_closed.csv": "07fd794bbe09f6b0ed82c740a2b1328002d93ddaa94e07b3a0977c1b0ac11128",
+    "records_open.csv": "23bb005ee73520530351b43b01d914ce70ef3677102e2cb1738c0be0f899c3c5",
+    "summary.json": "ebf44befde49718b86646ba6c6955ad9ef819df7721f1a8f772128f1b41bd41e",
 }
 
 # the default study in closed loop alone: its records are DEFAULT_STUDY's,
 # and its summary holds no open-loop totals and no paired comparison
 DEFAULT_CLOSED_ONLY = {
-    "records_closed.csv": "ffa177b43d89a9c87b8c042a30fee101b0fd249908ec023c6b080f64c00e2088",
-    "summary.json": "cde4cac6e6ae54adc470fdb259216f77b585232575504e1972d46222c81860e2",
+    "records_closed.csv": "07fd794bbe09f6b0ed82c740a2b1328002d93ddaa94e07b3a0977c1b0ac11128",
+    "summary.json": "d16c0999324180614ee49e367a9c1f08aa787c6d09b7d3566d650098b3537727",
 }
 
 TINY_OPEN_LOOP = {
@@ -45,17 +45,17 @@ TINY_OPEN_LOOP = {
 }
 
 TINY_ANGLED = {
-    "records_closed.csv": "4f9c85d2d6a20768738431932dcf98970931de5ff1216f8132285eec90146e20",
-    "records_open.csv": "58cd6a2335ac11ea802f7325e48cc39f446a9c8d9699eacd4473cd82887b14b1",
-    "summary.json": "e17405d2bcdc4da6a4c17ec6b5b4009fe2fa19860de2caf705bb099717a1d6b7",
+    "records_closed.csv": "f0fb57e6fa348511f0e04053c0001969cdeef67b39bf627727ff1b47cd33ddcf",
+    "records_open.csv": "6ec855c195d23e99d838d3e67daad3a9858472d58e7bb0e3a6f988f9b29f0514",
+    "summary.json": "3a6fccd2ab19ef9b725331c6dec500290cf5943cd6b77807370db72fffde1afb",
 }
 
 # open loop with 11 mm arch capsules and 22 deg angulation, 4x the default
 # phantoms at 1/4 of the replicates: about 570 of the 1800 plans take the
 # angled grid search, so any planner decision that moves shows here
 PLAN_HEAVY = {
-    "records_open.csv": "657d42f2a5e05d207c27e3804e1746b0f7f0d5eb1ca553240bf88489d7e8405c",
-    "summary.json": "cae4606c43e58102181738bc397506130b6c8e413ae99a20a16e0d24c7c297d3",
+    "records_open.csv": "7a960bd21247730b09c61d754d85e484b1e66c7ed6184c1b473ca749aa2f525f",
+    "summary.json": "31a885e55c4d9116f5139a6f0248ca57b837d247c64450965ad6629631b23f93",
 }
 
 

@@ -57,8 +57,7 @@ def needle_penetration(p, entry, d, depth):
 
 def levers(p, entry, d, pass_depth):
     """The levers of one needle line and first pass: a block of one."""
-    unit = geometry.normalize(np.array([d], dtype=np.float64))
-    return gland_levers(p, [entry], unit, [entry_depth(p, entry, unit[0])], [pass_depth])
+    return gland_levers(p, [entry], geometry.normalize(np.array([d], dtype=np.float64)), [pass_depth])
 
 
 def transform(p, motion, entry, d, tip_depth, noise, pass_depth=None):
@@ -323,9 +322,9 @@ def assert_levers_match_the_per_line_formula(phantoms, entries, dirs, pass_depth
     """Levers made for the lines as one block, each line's transforms against the oracle's bits."""
     entries = np.asarray(entries, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    units = geometry.normalize(dirs)
-    depths = gland_entry_depth(phantoms, entries, units)
-    levers = gland_levers(phantoms, entries, units, depths, pass_depths)
+    levers = gland_levers(phantoms, entries, dirs, pass_depths)
+    depths = levers.entry_depth
+    np.testing.assert_array_equal(depths, gland_entry_depth(phantoms, entries, dirs))
     assert len(levers) == len(phantoms)
     for k in range(len(levers)):
         for tip in tips[k]:
@@ -348,8 +347,10 @@ def test_levers_and_transform_match_the_per_line_formula():
     entries = np.column_stack([rs.uniform(-30, 30, (n, 2)), rs.uniform(-80, -30, n)])
     aims = rs.uniform(-25, 25, (n, 3))
     lengths = np.linalg.norm(aims - entries, axis=1)
-    # directions as planned (about unit) and scaled, so the lever normalizes them
-    dirs = (aims - entries) * np.where(rs.random(n) < 0.5, 1.0 / lengths, rs.uniform(0.2, 3.0, n))[:, None]
+    # unit directions as the planner makes them and as normalized: they can differ in the last ulp
+    dirs = np.where(
+        (rs.random(n) < 0.5)[:, None], (aims - entries) / lengths[:, None], geometry.normalize(aims - entries)
+    )
     pass_depths = lengths * rs.uniform(0.5, 1.5, n)
     tips = [[float(p), max(0.0, float(p + rs.uniform(-15, 15)))] for p in pass_depths]
     levers, depths = assert_levers_match_the_per_line_formula(phantoms, entries, dirs, pass_depths, tips, rs)
@@ -372,7 +373,7 @@ def test_levers_match_the_per_line_formula_at_the_edges():
     at = float(gland_entry_depth(p, [entries[3]], units[3:])[0])
     tips = [[70.0, 60.0 - c], [70.0], [70.0, 0.0], [at, float(np.nextafter(at, np.inf)), 70.0]]
     levers, depths = assert_levers_match_the_per_line_formula(
-        p.rows([0] * 4), entries, dirs, [70.0, 70.0, 70.0, 70.0], tips, rs
+        p.rows([0] * 4), entries, units, [70.0, 70.0, 70.0, 70.0], tips, rs
     )
     # no axis: the rows of a line through the centroid, or within 1e-12 of it, are zero
     assert levers.lateral[0] == 0.0 and not levers.kx[0].any() and not levers.kx2[0].any()
