@@ -207,12 +207,16 @@ def test_blocks_do_not_change_the_report(monkeypatch, cfg, block):
     assert json.dumps(split.summary) == json.dumps(whole.summary)
 
 
+@pytest.mark.parametrize("seed", [777, 1, 2])
+def test_a_study_of_both_modes_gives_the_records_of_each_mode_run_alone(seed):
+    both = run_study(tiny_config(seed, mode="both"))
+    assert run_study(tiny_config(seed, mode="closed_loop")).rows_closed == both.rows_closed
+    assert run_study(tiny_config(seed, mode="open_loop")).rows_open == both.rows_open
+
+
 @DRAWN
 @given(cfg=tiny_configs())
-@example(cfg=tiny_config(777))
-@example(cfg=tiny_config(1))
-@example(cfg=tiny_config(2))
-def test_a_study_of_both_modes_gives_the_records_of_each_mode_run_alone(cfg):
+def test_a_study_of_both_modes_gives_the_records_of_each_mode_run_alone_on_drawn_configs(cfg):
     both = _run(cfg)
     closed, opened = (_run(replace(cfg, mode=mode)) for mode in ("closed_loop", "open_loop"))
     if _both_failed(both, closed) | _both_failed(both, opened):
@@ -221,26 +225,33 @@ def test_a_study_of_both_modes_gives_the_records_of_each_mode_run_alone(cfg):
     assert opened.rows_open == both.rows_open
 
 
-@DRAWN
-@given(cfg=tiny_configs(replicates=st.integers(2, 6)), data=st.data())
-@example(cfg=tiny_config(777, replicates=6), data=None)
-@example(cfg=tiny_config(1, replicates=6), data=None)
-@example(cfg=tiny_config(2, replicates=6), data=None)
-def test_the_first_replicates_of_a_study_are_the_study_of_those_replicates(cfg, data):
-    # n replicates against fewer, each study one block; the explicit
-    # examples take 6 replicates against 1 and 3
-    many = _run(cfg)
-    for replicates in (1, 3) if data is None else (data.draw(st.integers(1, cfg.n_seed_replicates - 1)),):
-        few = _run(replace(cfg, n_seed_replicates=replicates))
-        if isinstance(few, NoFeasiblePath):
-            # the longer study plans the same slots and more: it fails too
-            assert isinstance(many, NoFeasiblePath)
-            continue
-        if isinstance(many, NoFeasiblePath):
-            continue  # a slot of a later replicate failed
+@pytest.mark.parametrize("seed", [777, 1, 2])
+def test_the_first_replicates_of_a_study_are_the_study_of_those_replicates(seed):
+    # the 48 slots of 6 replicates against 8 and 24, each one block
+    many = run_study(tiny_config(seed, mode="both", replicates=6))
+    for replicates in (1, 3):
+        few = run_study(tiny_config(seed, mode="both", replicates=replicates))
         for rows, prefix in ((many.rows_closed, few.rows_closed), (many.rows_open, few.rows_open)):
             assert len(prefix) == 8 * replicates
             assert rows.rows(rows.replicate < replicates) == prefix, replicates
+
+
+@DRAWN
+@given(cfg=tiny_configs(replicates=st.integers(2, 6)), data=st.data())
+def test_the_first_replicates_of_a_study_are_the_study_of_those_replicates_on_drawn_configs(cfg, data):
+    # n replicates against fewer, each study one block
+    many = _run(cfg)
+    replicates = data.draw(st.integers(1, cfg.n_seed_replicates - 1))
+    few = _run(replace(cfg, n_seed_replicates=replicates))
+    if isinstance(few, NoFeasiblePath):
+        # the longer study plans the same slots and more: it fails too
+        assert isinstance(many, NoFeasiblePath)
+        return
+    if isinstance(many, NoFeasiblePath):
+        return  # a slot of a later replicate failed
+    for rows, prefix in ((many.rows_closed, few.rows_closed), (many.rows_open, few.rows_open)):
+        assert len(prefix) == 8 * replicates
+        assert rows.rows(rows.replicate < replicates) == prefix, replicates
 
 
 def test_every_loop_reads_the_blocks_tables_as_they_are(monkeypatch, tiny_report):
