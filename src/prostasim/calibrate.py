@@ -10,9 +10,10 @@ rejected outright, since the objective alone cannot see them.
 The grid points differ only in the four motion parameters and ``sigma0``,
 so a search runs them all as the points of one ``study.run_points``,
 which draws each block's streams once and plans it once per ``sigma0``;
-the points of one ``sigma0`` run their closed loops on the block's plans
-and streams together, a few hundred (point, slot) rows per loop call
-(``study.LOOP_ROWS``).  Each point's records, and so its medians, are
+the points of one ``sigma0`` make each slot's first pass in one call, the
+four motion parameters as arrays, and run their closed loops on the
+block's plans and streams together, a few hundred (point, slot) rows per
+loop call (``study.LOOP_ROWS``).  Each point's records, and so its medians, are
 those of its own closed-loop study, and of points of equal objective the
 first in grid order wins.
 """

@@ -30,7 +30,8 @@ left-zone bias.  ``open_loop_insertion``
 scales one insertion's motion normals (its row of the streams) into its
 motion noise and evaluates only the motion terms of the gland transform
 (drag, rotation angle, the rotation about the pivot) from its row's
-lever.  Both loops read a block's first passes stacked, as (K, 3, 3)
+lever, under one motion or under each of a stack of them in one call.
+Both loops read a block's first passes stacked, as (K, 3, 3)
 rotations and (K, 3) translations: ``open_loop_records`` scores them
 under the motion they were made under.  The insertions take the plans
 and none of the planning inputs, so blocks that differ only in motion
@@ -104,13 +105,14 @@ class ConvergenceParams:
 
 @dataclass
 class InsertionRecord:
-    """One insertion's first pass, unscored.
+    """One insertion's first pass, unscored, at one motion or at each of a stack of P.
 
     The rotation (3, 3) and translation (3,) of the gland transform of a
     tip past the gland entry depth, which the first pass makes whichever
-    side of that depth its tip stops, frozen motion noise included.  A
-    first pass corrects nothing and never stops short: the last three
-    fields are constant Python scalars.
+    side of that depth its tip stops, frozen motion noise included; for a
+    stack of motions (P, 3, 3) and (P, 3), row p at motion p.  A first
+    pass corrects nothing and never stops short: the last three fields
+    are constant Python scalars.
     """
 
     rotation: np.ndarray
@@ -273,11 +275,15 @@ def open_loop_insertion(motion: MotionParams, plans: Plans, k: int, streams: Str
     k's streams, as ``Streams.rows(k)`` gives them) into its
     frozen motion noise and evaluates the motion terms of the gland
     transform on the row's lever, whichever side of the entry depth its
-    pass depth is.  ``open_loop_records`` scores a block of them, and the
-    closed loop (``correct_insertions``) starts from them.
+    pass depth is.  ``motion`` is one motion or a stack of P
+    (``MotionParams.stack``), whose first passes of the slot come in one
+    record, row p under ``motion``'s row p with the bits of its own call.
+    ``open_loop_records`` scores a block of them, and the closed loop
+    (``correct_insertions``) starts from them.
     """
     # frozen per-insertion motion noise: every gland transform sees it
-    motion_noise = 0.0 + motion.noise_sd_motion * streams.motion_normals
+    sd = motion.noise_sd_motion
+    motion_noise = 0.0 + (sd[:, None] if isinstance(sd, np.ndarray) else sd) * streams.motion_normals
     return InsertionRecord(*prostate_transform(plans.levers, k, motion, motion_noise))
 
 

@@ -24,9 +24,9 @@ lever (direction, entry depth, penetration, lateral offset and rotation
 axis) reads no motion parameter and is made for a block of lines at once
 by ``gland_levers``, as the columns of one ``GlandLevers``;
 ``prostate_transform`` takes a row of those columns and the motion
-parameters and evaluates only the motion terms, the rotation and
-translation of a tip past the gland entry depth.  Short of it the gland
-is at rest.
+parameters, of one motion or of a stack of them (``MotionParams.stack``),
+and evaluates only the motion terms, the rotation and translation of a
+tip past the gland entry depth.  Short of it the gland is at rest.
 """
 
 from __future__ import annotations
@@ -85,6 +85,10 @@ def _icosahedron_directions() -> np.ndarray:
 _FIDUCIAL_DIRS = _icosahedron_directions()
 
 
+# the motion model's parameters, all but its noise stream's seed
+_MODEL_TERMS = ("axial_gain", "axial_base_offset", "rotation_gain", "noise_sd_motion")
+
+
 @dataclass
 class MotionParams:
     """Parameters of the gland motion model.
@@ -105,8 +109,17 @@ class MotionParams:
         """Modeled axial drag, in mm, for each first-pass penetration of ``pen``."""
         return np.where(pen <= 0.0, 0.0, self.axial_base_offset + self.axial_gain * pen)
 
+    @staticmethod
+    def stack(motions: list[MotionParams]) -> MotionParams:
+        """The motions as one: the motion itself if there is one, else each of
+        the four model parameters as a (P,) array, row p of ``motions[p]``,
+        and the first motion's ``rng_seed``."""
+        if len(motions) == 1:
+            return motions[0]
+        return replace(motions[0], **{name: np.array([getattr(m, name) for m in motions]) for name in _MODEL_TERMS})
+
     def validate(self):
-        for name in ("axial_gain", "axial_base_offset", "rotation_gain", "noise_sd_motion"):
+        for name in _MODEL_TERMS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
@@ -371,19 +384,28 @@ def prostate_transform(levers: GlandLevers, k: int, motion: MotionParams, motion
     evaluation during it sees the same noise.  The penetration is the
     first pass's, so a tip past the gland entry depth sees this transform
     wherever it is, and a tip short of it (or on a line that misses the
-    gland) the gland at rest; the caller picks by the tip's side.  Returns
-    the rotation (3, 3) and the translation (3,).  The scalars are Python
-    floats and the sums in place: the bits of the same formula in arrays.
+    gland) the gland at rest; the caller picks by the tip's side.
+
+    ``motion`` is one motion or a stack of P (``MotionParams.stack``),
+    with ``motion_noise`` (P, 3).  Returns the rotation (3, 3) and the
+    translation (3,), or for a stack (P, 3, 3) and (P, 3), row p that of
+    ``motion``'s row p.  A motion's terms are Python floats, a stack's
+    (P,) arrays given trailing axes, and the sums are in place: every
+    element has the bits of one motion's call.
     """
     pen = float(levers.penetration[k])
     drag = motion.axial_base_offset + motion.axial_gain * pen
+    # x * (pi / 180) is math.radians(x), bit for bit, on floats and arrays alike
+    theta = motion.rotation_gain * float(levers.lateral[k]) * pen * (math.pi / 180.0)
+    sin, cos1 = np.sin(theta), 1.0 - np.cos(theta)
+    if isinstance(drag, np.ndarray):
+        drag, sin, cos1 = drag[:, None], sin[:, None, None], cos1[:, None, None]
     shift = drag * levers.dir[k] + motion_noise
     # Rodrigues' formula about the pivot (geometry.rotation_about_axis), then
     # the shift; a zero angle or axis matrix leaves the identity, bit for bit
-    theta = math.radians(motion.rotation_gain * float(levers.lateral[k]) * pen)
-    rot = np.sin(theta) * levers.kx[k]
+    rot = sin * levers.kx[k]
     rot += geometry.IDENTITY  # I + s kx, as + commutes
-    rot += (1.0 - np.cos(theta)) * levers.kx2[k]
+    rot += cos1 * levers.kx2[k]
     pivot = levers.pivot[k]
     return rot, pivot - rot @ pivot + shift
 

@@ -203,15 +203,13 @@ def _entry_grid(targets, entry_region: EntryRegion, geom: kinematics.RobotGeomet
     axis.  The region and both stages' travel bound x and y separately, so
     each axis is pruned on its own, with the exact per-entry test, before
     the grid is built: the grid never outgrows the region, whatever the
-    angulation limit.  Rows are row-major in (dy, dx) per target.  Raises
-    NoFeasiblePath for the first target on or behind the entry plane,
-    which no entry reaches.
+    angulation limit.  Rows are row-major in (dy, dx) per target.  A
+    target on or behind the entry plane, which no entry reaches, owns no
+    row.
     """
-    tx, ty, tz = targets[:, 0], targets[:, 1], targets[:, 2]
-    dz = tz - geom.front_plane_z
-    behind = np.flatnonzero(dz <= 0)
-    if behind.size:
-        raise NoFeasiblePath(-math.inf, targets[behind[0]])
+    dz = targets[:, 2] - geom.front_plane_z
+    ahead = np.flatnonzero(dz > 0)
+    tx, ty, dz = targets[ahead, 0], targets[ahead, 1], dz[ahead]
     steps = np.floor(math.tan(math.radians(geom.max_angulation)) * dz / ENTRY_GRID_STEP)
     scale = geom.stage_separation / dz
     travel = geom.stage_travel
@@ -235,12 +233,13 @@ def _entry_grid(targets, entry_region: EntryRegion, geom: kinematics.RobotGeomet
     x0, nx = axis(tx, entry_region.x_min, entry_region.x_max)
     y0, ny = axis(ty, entry_region.y_min, entry_region.y_max)
     size = nx * ny
-    owner = np.repeat(np.arange(targets.shape[0]), size)
+    # each row's target among those ahead of the plane
+    owner = np.repeat(np.arange(ahead.size), size)
     local = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
     row, col = np.divmod(local, nx[owner])
     ex = tx[owner] + (x0[owner] + col) * ENTRY_GRID_STEP
     ey = ty[owner] + (y0[owner] + row) * ENTRY_GRID_STEP
-    return ex, ey, owner
+    return ex, ey, ahead[owner]
 
 
 def candidate_entries(targets, entry_region: EntryRegion, geom: kinematics.RobotGeometry):
@@ -252,7 +251,8 @@ def candidate_entries(targets, entry_region: EntryRegion, geom: kinematics.Robot
     within max angulation, and within stage travel (the front stage carries
     the entry itself, the back stage sits stage_separation behind along the
     line).  The targets' candidates are concatenated in target order, and
-    ``owner`` gives each row's target.  Within a target the order is
+    ``owner`` gives each row's target; a target on or behind the entry
+    plane has none.  Within a target the order is
     row-major in (dy, dx), which fixes the deterministic tie-break order of
     the planner.  The angles are taken in numpy, and the few within
     ``ANGLE_GUARD`` of a bin edge, the angulation limit or ``ANGLE_BIN_DEG``
@@ -303,7 +303,8 @@ def replan_angled(
     checked, so the winner is the one a check of every candidate gives.
     Raises NoFeasiblePath for the first target, in order, whose candidates
     all collide (with the best clearance among them) or that has none in
-    reach (-inf).
+    reach (-inf), a target on or behind the entry plane among them, so the
+    target named does not depend on which targets share the block.
     """
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
     entries, angles, owner = candidate_entries(targets, entry_region, geom)

@@ -128,6 +128,8 @@ BLOCK_SLOTS = 128
 # calibrate peaked at 48.0 MB of RSS at one point per loop, 47.9-48.1 MB at
 # 384 rows and 49.7-49.8 MB at 1024 (3 runs each), and took 0.93x the time
 # of one point per loop at 384 rows and 0.88x at 1024 (medians of 5 runs).
+# The (P, K) first-pass stacks of a sigma0's points, sliced by chunk, add
+# about 1 MB there: 48.7 MB at 384 rows.
 LOOP_ROWS = 384
 
 
@@ -154,16 +156,18 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> It
     standard normals), and its slots are planned together once per sigma0
     (``plan_insertions``; a plan is made at rest, which no motion touches),
     its plans carrying the slots' rows of the phantoms that the rest reads.
-    Then that sigma0's points go through the block in chunks of at most
-    ``LOOP_ROWS // K`` points, at least one, whatever the mode.  Each point
-    of a chunk makes each slot's first pass under its own motion
-    (``open_loop_insertion``, given the slot's row of the streams, a view
-    made once per block), and the chunk's first passes are stacked once,
-    (P, K, 3, 3) and (P, K, 3).  The chunk runs one closed loop
-    (``correct_insertions``, which gives each point its records of the
-    block) over its (point, slot) rows, and each point its own open-loop
-    scoring (``open_loop_records``), as the mode asks, on the block's
-    plans and streams themselves and those stacks.
+    Then each slot makes its first passes under every motion of that
+    sigma0 in one call (``open_loop_insertion`` on ``MotionParams.stack``
+    of them, given the slot's row of the streams, a view made once per
+    block), each point's with the bits of its own call, filled into the
+    stacks (P, K, 3, 3) and (P, K, 3) of the sigma0's P points.  Its points
+    go through the block in chunks of at most ``LOOP_ROWS // K`` points,
+    at least one, whatever the mode, each chunk on its slice of the
+    stacks.  The chunk runs one closed loop (``correct_insertions``, which
+    gives each point its records of the block) over its (point, slot)
+    rows, and each point its own open-loop scoring
+    (``open_loop_records``), as the mode asks, on the block's plans and
+    streams themselves and those stacks.
 
     Every point is run, and every check made, before this returns; the
     iterator joins a point's blocks only when it is asked for that point,
@@ -205,23 +209,29 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> It
                 phantoms, cfg.robot, arch, noise, streams,
                 cfg.entry_region, cfg.needle_radius, track=do_closed,
             )
+            motions = [points[i][0] for i in members]
+            stacked = MotionParams.stack(motions)
+            # (P, K, 3, 3) and (P, K, 3): point p's first passes are row p,
+            # filled a slot at a time by one first pass of every point
+            rotations = np.empty((len(members), len(block), 3, 3))
+            translations = np.empty((len(members), len(block), 3))
+            for k in range(len(block)):
+                # streams by keyword: perfbench's tracer keys a task on each call
+                first = open_loop_insertion(stacked, plans, k, streams=slot_streams[k])
+                rotations[:, k], translations[:, k] = first.rotation, first.translation
             for begin in range(0, len(members), per_loop):
-                chunk = members[begin:begin + per_loop]
-                motions = [points[i][0] for i in chunk]
-                # one first pass per slot, streams by keyword: perfbench's tracer keys tasks on it
-                passes = [[open_loop_insertion(motion, plans, k, streams=s) for k, s in enumerate(slot_streams)]
-                          for motion in motions]
-                # (P, K, 3, 3) and (P, K, 3): point p's first passes are row p
-                rotations = np.array([[f.rotation for f in row] for row in passes])
-                translations = np.array([[f.translation for f in row] for row in passes])
+                chunk = slice(begin, begin + per_loop)
                 if do_closed:
                     records = correct_insertions(
-                        motions, noise, cfg.robot, cfg.convergence, plans, streams, rotations, translations,
+                        motions[chunk], noise, cfg.robot, cfg.convergence, plans, streams,
+                        rotations[chunk], translations[chunk],
                     )
-                    for i, rec in zip(chunk, records):
+                    for i, rec in zip(members[chunk], records):
                         closed[i].append(rec)
                 if do_open:
-                    for i, motion, rot, trans in zip(chunk, motions, rotations, translations):
+                    for i, motion, rot, trans in zip(
+                        members[chunk], motions[chunk], rotations[chunk], translations[chunk]
+                    ):
                         opened[i].append(open_loop_records(motion, plans, streams, rot, trans))
 
     # joined a point at a time, each point's blocks let go as it is joined

@@ -117,9 +117,10 @@ def test_an_infeasible_target_exits_2_and_names_its_position(tmp_path, capsys):
 
 
 def test_a_target_observed_behind_the_entry_plane_exits_2_and_names_it(tmp_path, capsys):
-    # a valid degradation whose late needles observe a target behind the entry plane
+    # a valid degradation whose late needles observe targets behind the entry
+    # plane, one of them the first target of its block with no path
     cfg = default_config()
-    cfg.noise.degradation_per_needle = 2.0
+    cfg.noise.degradation_per_needle = 7.5
     path = tmp_path / "degraded.yaml"
     path.write_text(to_yaml(cfg))
     with pytest.raises(NoFeasiblePath) as exc:

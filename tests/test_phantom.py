@@ -1,11 +1,12 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import TEN_TARGET_QUOTAS, UNSPLITTABLE_QUOTAS, gland_transform_at, gland_transform_oracle
-from prostasim import geometry, phantom as ph, rng
+from prostasim import controller, geometry, phantom as ph, rng
 from prostasim.phantom import (
     ANTERIOR,
     APEX,
@@ -384,6 +385,60 @@ def test_levers_match_the_per_line_formula_at_the_edges():
     assert bits(gland_transform_at(levers, 2, motion, 70.0, np.zeros(3))) == bits(geometry.identity())
     assert bits(gland_transform_at(levers, 3, motion, at, np.zeros(3))) == bits(geometry.identity())
     assert bits(gland_transform_at(levers, 3, motion, 70.0, np.zeros(3))) != bits(geometry.identity())
+
+
+# four lines into SHAPED[0], first passes to 70 mm: on the gland's axis
+# (lateral 0, no rotation), missing the gland (NaN entry depth, no
+# penetration) and two that turn it
+STACK_LEVERS = gland_levers(
+    SHAPED[0].rows([0] * 4),
+    [[0.0, 0.0, -60.0], [100.0, 0.0, -60.0], [6.0, -4.0, -60.0], [-12.0, 9.0, -70.0]],
+    geometry.normalize(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.02, 0.01, 1.0], [15.0, -11.0, 80.0]])),
+    [70.0] * 4,
+)
+
+
+def _term(hi):
+    """A motion parameter in [0, hi], zero among the draws."""
+    return st.one_of(st.just(0.0), st.floats(0.0, hi))
+
+
+MOTIONS = st.builds(
+    MotionParams, axial_gain=_term(0.3), axial_base_offset=_term(4.0), rotation_gain=_term(0.05),
+    noise_sd_motion=_term(3.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(motions=st.lists(MOTIONS, min_size=2, max_size=20), k=st.integers(0, 3),
+       normals=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3))
+@example(motions=[MotionParams(0.1, 2.0, 0.0, 1.0), MotionParams(0.1, 2.0, 0.02, 0.0)], k=0, normals=[1.0, -0.5, 2.0])
+@example(motions=[MotionParams(0.1, 2.0, 0.0, 1.0), MotionParams(0.1, 2.0, 0.02, 0.0)], k=1, normals=[1.0, -0.5, 2.0])
+@example(motions=[MotionParams(0.1, 2.0, 0.0, 1.0), MotionParams(0.12, 2.4, 0.05, 1.85)] * 10, k=3,
+         normals=[-0.3, 1.1, 0.7])
+def test_a_stack_of_motions_gives_each_motions_own_transform(motions, k, normals):
+    assert np.isnan(STACK_LEVERS.entry_depth[1]) and STACK_LEVERS.lateral[0] == 0.0
+    normals = np.array(normals)
+    # each motion's noise as the first pass scales it
+    noises = [0.0 + m.noise_sd_motion * normals for m in motions]
+    alone = [ph.prostate_transform(STACK_LEVERS, k, m, noise) for m, noise in zip(motions, noises)]
+    stacked = MotionParams.stack(motions)
+    rot, trans = ph.prostate_transform(STACK_LEVERS, k, stacked, np.stack(noises))
+    assert rot.shape == (len(motions), 3, 3) and trans.shape == (len(motions), 3)
+    for p, (r, t) in enumerate(alone):
+        assert rot[p].tobytes() == r.tobytes() and trans[p].tobytes() == t.tobytes(), p
+    # the first pass of the stack scales each motion's noise the same way
+    first = controller.open_loop_insertion(
+        stacked, SimpleNamespace(levers=STACK_LEVERS), k, SimpleNamespace(motion_normals=normals)
+    )
+    assert first.rotation.tobytes() == rot.tobytes() and first.translation.tobytes() == trans.tobytes()
+
+
+def test_a_stack_of_one_motion_is_that_motion():
+    motion = MotionParams(0.1, 2.0, 0.02, 0.5)
+    assert MotionParams.stack([motion]) is motion
+    stacked = MotionParams.stack([motion, MotionParams(0.2, 1.0, 0.0, 0.0, rng_seed=9)])
+    assert stacked.rotation_gain.tolist() == [0.02, 0.0] and stacked.rng_seed == motion.rng_seed
 
 
 def zone_ok_oracle(p, a, labels):

@@ -275,11 +275,36 @@ def test_a_steep_robot_builds_no_more_than_the_region_holds():
 
 
 def test_candidate_entries_rejects_target_behind_plane(geom):
-    # no entry reaches a target on or behind the entry plane: the first such target is named
+    # no entry reaches a target on or behind the entry plane: it owns no row,
+    # and the target in front of it keeps the rows it has alone
     targets = [[0.0, 0.0, 10.0], [1.0, 2.0, -70.0], [3.0, 4.0, geom.front_plane_z]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entries, angles, owner = candidate_entries(targets, EntryRegion(), geom)
+        alone, alone_angles, _ = candidate_entries(targets[:1], EntryRegion(), geom)
+    assert owner.size and not owner.any()
+    np.testing.assert_array_equal(entries, alone)
+    np.testing.assert_array_equal(angles, alone_angles)
+    for behind in targets[1:]:
+        assert candidate_entries([behind], EntryRegion(), geom)[0].shape == (0, 2)
+
+
+def test_the_target_a_failed_plan_names_does_not_depend_on_the_block():
+    # the default arch at capsule radius 14: every path to the first target
+    # collides, and the second lies behind the entry plane (z = -60)
+    cfg = default_config()
+    for cap in cfg.arch.capsules:
+        cap["radius"] = 14.0
+    blocked, behind = (-20.0, 10.0, 0.0), (0.0, 0.0, -70.0)
+    for targets in ([blocked], [blocked, behind]):
+        with pytest.raises(NoFeasiblePath, match="no collision-free trajectory") as exc:
+            plan_trajectories(cfg.arch.build(), targets, cfg.entry_region, cfg.robot)
+        assert exc.value.target.tolist() == list(blocked)
+        assert exc.value.best_clearance == pytest.approx(-2.666, abs=1e-3)
+    # behind it in block order, the target with no entry in reach is named first
     with pytest.raises(NoFeasiblePath, match="no candidate entry within") as exc:
-        candidate_entries(targets, EntryRegion(), geom)
-    assert exc.value.target.tolist() == targets[1]
+        plan_trajectories(cfg.arch.build(), [behind, blocked], cfg.entry_region, cfg.robot)
+    assert exc.value.target.tolist() == list(behind)
     assert exc.value.best_clearance == -math.inf
 
 
@@ -566,6 +591,11 @@ OUT_OF_REACH = (25.0, 0.0, -20.0)  # with x in [-5, 5] and 10 deg, no entry is i
 @example(
     targets=[(0.0, 15.0, 0.0)],
     radius=8.0, angulation=10.0, enabled=False, region=(-2.0, 2.0, -2.0, 2.0),
+)
+# an infeasible target before one behind the entry plane (z = -60): the first is named
+@example(
+    targets=[INFEASIBLE, (0.0, 0.0, -70.0)],
+    radius=10.6, angulation=24.3, enabled=True, region=(-30.0, 30.0, -30.0, 30.0),
 )
 def test_a_block_search_finds_what_each_target_finds_alone(targets, radius, angulation, enabled, region):
     geom = RobotGeometry(max_angulation=angulation)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 from dataclasses import fields, replace
 
@@ -252,6 +253,64 @@ def test_the_first_replicates_of_a_study_are_the_study_of_those_replicates_on_dr
     for rows, prefix in ((many.rows_closed, few.rows_closed), (many.rows_open, few.rows_open)):
         assert len(prefix) == 8 * replicates
         assert rows.rows(rows.replicate < replicates) == prefix, replicates
+
+
+def _at(cfg, motion, sigma0):
+    """``cfg`` run at the point (``motion``, ``sigma0``)."""
+    return replace(cfg, motion=motion, noise=replace(cfg.noise, sigma0=sigma0))
+
+
+@st.composite
+def sigma0_groups(draw, cfg):
+    """Points of ``cfg``: two or three sigma0 values, one of them a group of a
+    single point and the others groups of two or three, in a drawn order."""
+    sigmas = draw(st.lists(_between(0.0, 0.5), min_size=2, max_size=3, unique=True))
+    sizes = [1] + [draw(st.integers(2, 3)) for _ in sigmas[1:]]
+    motions = st.builds(
+        replace, st.just(cfg.motion), axial_gain=_between(0.0, 0.3), axial_base_offset=_between(0.0, 4.0),
+        rotation_gain=_between(0.0, 0.05), noise_sd_motion=_between(0.0, 3.0),
+    )
+    points = [(draw(motions), sigma0) for sigma0, size in zip(sigmas, sizes) for _ in range(size)]
+    return draw(st.permutations(points))
+
+
+@DRAWN
+@given(cfg=tiny_configs(), data=st.data())
+def test_each_point_of_a_run_is_the_study_at_that_point(monkeypatch, cfg, data):
+    points = data.draw(sigma0_groups(cfg))
+    alone = [_run(_at(cfg, motion, sigma0)) for motion, sigma0 in points]
+    failed = [a for a in alone if isinstance(a, NoFeasiblePath)]
+    with monkeypatch.context() as patch:
+        # chunks of any size: a chunk's first passes are its slice of its sigma0's
+        from prostasim import study
+
+        patch.setattr(study, "LOOP_ROWS", data.draw(st.integers(1, 120)))
+        try:
+            together = list(run_points(cfg, points))
+        except NoFeasiblePath as e:
+            # the first group to fail names the target its points fail on alone
+            assert any(np.array_equal(e.target, a.target) for a in failed), e
+            return
+    assert not failed
+    for (rows_closed, rows_open), report in zip(together, alone):
+        assert rows_closed == report.rows_closed
+        assert rows_open == report.rows_open
+
+
+@DRAWN
+@given(cfg=tiny_configs(), mode=st.sampled_from(["closed_loop", "open_loop", "both"]))
+@example(cfg=tiny_config(), mode="closed_loop")
+@example(cfg=tiny_config(), mode="open_loop")
+@example(cfg=tiny_config(), mode="both")
+def test_the_report_of_the_written_records_is_the_runs(cfg, mode):
+    cfg = replace(cfg, mode=mode)
+    report = _run(cfg)
+    if isinstance(report, NoFeasiblePath):
+        return  # no records to write
+    with tempfile.TemporaryDirectory() as out:
+        write_report(report, out)
+        again = report_from_records(cfg, out)
+    assert json.dumps(again.summary) == json.dumps(report.summary)
 
 
 def test_every_loop_reads_the_blocks_tables_as_they_are(monkeypatch, tiny_report):
