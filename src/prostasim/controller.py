@@ -13,8 +13,9 @@ a column per draw and a row per slot, and every step reads its columns;
 slot k's phantom is row ``streams.phantom[k]`` of the study's
 ``phantom.Phantoms``, a row per phantom, which only planning is given.
 ``plan_insertions`` is the motion-free half, in arrays over the block:
-one stacked observation and collinearity check of the reference volumes,
-the observed targets, the trajectories (one ``kinematics.Trajectory``:
+one stacked observation and collinearity check of the reference volumes
+(of a tracked block only: the open loop registers nothing), the observed
+targets, the trajectories (one ``kinematics.Trajectory``:
 one clearance check of every direct path, the grid search only where
 that path is out of reach or blocked; the planner keeps every entry
 within the stages' reach) and the first pass: duration and rotation,
@@ -223,8 +224,8 @@ def plan_insertions(
     would get alone.  The plans keep the slots' gland rows of ``phantoms``
     and their beads' biases, so the loops that follow read no phantom
     table of their own.  Only a ``track`` block can drive the closed loop;
-    an untracked block skips the registration reference and serves
-    ``open_loop_insertion``.  Raises
+    an untracked block neither observes nor prepares the reference volume
+    and serves ``open_loop_insertion``.  Raises
     geometry.DegenerateConfiguration for a collinear reference volume of a
     tracked block, before planning, and planning.NoFeasiblePath when no
     trajectory clears the arch.
@@ -233,9 +234,11 @@ def plan_insertions(
     n = len(streams)
     block = phantoms.glands().rows(streams.phantom)
     counts = streams.needle_count
-    rest = np.broadcast_to(np.eye(3), (n, 3, 3))
-    ref_obs = sensing.observe(block, rest, np.zeros((n, 3)), noise, streams.reference_normals, counts)
-    reference = geometry.prepare_reference(ref_obs) if track else None
+    reference = None
+    if track:
+        rest = np.broadcast_to(geometry.IDENTITY, (n, 3, 3))
+        ref_obs = sensing.observe(block, rest, np.zeros((n, 3)), noise, streams.reference_normals, counts)
+        reference = geometry.prepare_reference(ref_obs)
     target = (streams.phantom, streams.target)
     target_rest = phantoms.target_rest[target]
     targets_obs = sensing.observe_point(block, target_rest, noise, streams.target_normals, counts)

@@ -258,7 +258,7 @@ def generate_phantom(phantom: PhantomConfig, n_targets: int, seed: int, zone_quo
             # only the candidates in the gland and the zone meet the spacing check, in order
             for j in np.flatnonzero(inside[:used] & _zone_mask(cands[:used], a, labels)).tolist():
                 cand = cands[j]
-                # its distance to every placed target, each with the bits of np.linalg.norm
+                # its distance to every placed target, each the square root of a row_dot
                 gap = cand - placed[:i]
                 if i and np.sqrt(geometry.row_dot(gap, gap)).min() < phantom.min_target_spacing:
                     continue
@@ -327,18 +327,19 @@ class GlandLevers(geometry.Columns):
     changes: the unit direction ``dir`` of the line, its gland entry depth
     along it (NaN: the line misses the gland), the first pass's
     penetration beyond that depth, the lateral offset of the gland
-    centroid from the line, the phantom's pivot, and the cross-product
+    centroid from the line, and the Rodrigues levers of the rotation about
+    the phantom's pivot (``geometry.rodrigues_levers``): the cross-product
     matrix ``kx`` of the unit rotation axis (perpendicular to the plane of
-    the needle and the centroid offset) with its square ``kx2``; both are
-    zero when the centroid lies on the line, which rotates nothing.
+    the needle and the centroid offset) and its square ``kx2``, each with
+    minus its product with the pivot as a fourth column.  Both are zero
+    when the centroid lies on the line, which rotates nothing.
     """
 
     dir: np.ndarray  # (K, 3)
     entry_depth: np.ndarray  # (K,)
     penetration: np.ndarray
     lateral: np.ndarray
-    pivot: np.ndarray  # (K, 3)
-    kx: np.ndarray  # (K, 3, 3)
+    kx: np.ndarray  # (K, 3, 4)
     kx2: np.ndarray
 
 
@@ -348,8 +349,9 @@ def gland_levers(phantoms: Phantoms, entries, dirs, pass_depths) -> GlandLevers:
     Line k enters the phantom of row k of ``phantoms`` at ``entries[k]`` along the unit
     direction ``dirs[k]``, taken as given, meets its gland along it
     (``gland_entry_depth``) and is first inserted to ``pass_depths[k]``.
-    Each row has the bits the per-line formula gives alone: the stacked
-    dot products, norms and matrix products keep those of one line's.
+    Each row has the bits the per-line formula gives alone: the dot
+    products, norms and matrix products are ``geometry``'s component
+    arithmetic, on a stack as on one line.
     """
     entries = np.asarray(entries, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -368,7 +370,7 @@ def gland_levers(phantoms: Phantoms, entries, dirs, pass_depths) -> GlandLevers:
     kx[turns, 0, 1], kx[turns, 0, 2] = -k2, k1
     kx[turns, 1, 0], kx[turns, 1, 2] = k2, -k0
     kx[turns, 2, 0], kx[turns, 2, 1] = -k1, k0
-    return GlandLevers(dirs, entry_depths, pens, lateral, phantoms.pivot, kx, kx @ kx)
+    return GlandLevers(dirs, entry_depths, pens, lateral, *geometry.rodrigues_levers(kx, phantoms.pivot))
 
 
 def prostate_transform(levers: GlandLevers, k: int, motion: MotionParams, motion_noise):
@@ -400,22 +402,17 @@ def prostate_transform(levers: GlandLevers, k: int, motion: MotionParams, motion
     sin, cos1 = np.sin(theta), 1.0 - np.cos(theta)
     if isinstance(drag, np.ndarray):
         drag, sin, cos1 = drag[:, None], sin[:, None, None], cos1[:, None, None]
-    shift = drag * levers.dir[k] + motion_noise
     # Rodrigues' formula about the pivot (geometry.rotation_about_axis), then
     # the shift; a zero angle or axis matrix leaves the identity, bit for bit
-    rot = sin * levers.kx[k]
-    rot += geometry.IDENTITY  # I + s kx, as + commutes
-    rot += cos1 * levers.kx2[k]
-    pivot = levers.pivot[k]
-    return rot, pivot - rot @ pivot + shift
+    aff = geometry.rodrigues(sin, cos1, levers.kx[k], levers.kx2[k])
+    return aff[..., :3], aff[..., 3] + (drag * levers.dir[k] + motion_noise)
 
 
 def world_to_material(rotations: np.ndarray, translations: np.ndarray, points_world: np.ndarray):
     """Rest-frame positions (K, 3) of world points under the inverses of K gland transforms.
 
-    The stacked matrix-vector products keep the bits of
-    ``geometry.apply(geometry.inverse(t), p)`` per row.
+    Each row has the bits of ``geometry.apply(geometry.inverse(t), p)``.
     """
     rot_t = rotations.transpose(0, 2, 1)
     # x - y has the bits of x + (-y), the form of apply(inverse(t), p)
-    return (rot_t @ points_world[:, :, None] - rot_t @ translations[:, :, None])[:, :, 0]
+    return geometry.matvec(rot_t, points_world) - geometry.matvec(rot_t, translations)

@@ -80,13 +80,17 @@ def observe(
     degradation multiplier.  Each volume has the bits it would have if
     observed alone.
     """
-    points, entry_plane = phantoms.fiducial_points, phantoms.gland_semiaxes[:, 2]
     base = _base_sd(noise, needle_counts)
-    # the stacked matrix-vector form keeps the bits of one ``rot @ p`` per point
-    world = (rotations[:, None] @ points[:, :, :, None])[..., 0] + translations[:, None]
+    # component planes (N, 3, K): each point moved as ``geometry.apply`` moves it
+    world = geometry.rotate_planes(
+        np.asarray(rotations).transpose(1, 2, 0), geometry.component_planes(phantoms.fiducial_points),
+    )
+    world += np.asarray(translations).T
     # depth past the gland entry plane z = -c
-    sigma = base[:, None] + noise.depth_gain * np.maximum(0.0, world[:, :, 2] + entry_plane[:, None])
-    return world + sigma[:, :, None] * normals
+    sigma = base + noise.depth_gain * np.maximum(0.0, world[:, 2] + phantoms.gland_semiaxes[:, 2])
+    world += sigma[:, None] * normals.transpose(1, 2, 0)
+    # rows of the planes, which geometry.register_to takes back without a copy
+    return world.transpose(2, 0, 1)
 
 
 def observe_point(phantoms: Phantoms, points_world: np.ndarray, noise: NoiseModel, normals: np.ndarray, needle_counts) -> np.ndarray:
@@ -117,5 +121,5 @@ def rigid_register(reference: geometry.RegistrationReference, observed: np.ndarr
 
 
 def track_target(rotations: np.ndarray, translations: np.ndarray, targets_rest: np.ndarray) -> np.ndarray:
-    """Predicted current positions (K, 3) of rest-frame targets under the registrations."""
-    return (rotations @ targets_rest[:, :, None])[:, :, 0] + translations
+    """Predicted current positions (K, 3) of rest-frame targets under the registrations, each as ``geometry.apply``."""
+    return geometry.matvec(rotations, targets_rest) + translations

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -43,6 +44,16 @@ TEN_TARGET_QUOTAS = {APEX: 6, BASE: 4, LEFT: 4, CENTER: 3, RIGHT: 3, ANTERIOR: 6
 # dimension, but whose left and center overflow a phantom's 10 targets:
 # the even split gives phantom 0 six left and five center targets
 UNSPLITTABLE_QUOTAS = {"apex": 50, "base": 40, "left": 46, "center": 44, "right": 0, "anterior": 52, "posterior": 38}
+
+
+def dot(a, b) -> float:
+    """The dot product of two 3-vectors, ``a0*b0 + a1*b1 + a2*b2`` left to right (``geometry.row_dot``)."""
+    return float(geometry.row_dot(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)))
+
+
+def norm(v) -> float:
+    """The length of a 3-vector, the square root of its ``dot`` with itself."""
+    return math.sqrt(dot(v, v))
 
 
 def segment_distance_oracle(p0, p1, q0, q1) -> float:
@@ -176,9 +187,93 @@ def replan_angled_oracle(arch, target, region, geom, needle_radius=planning.DEFA
     idx = clear[np.lexsort((clear, -clearances[clear], bins))[0]]
     entry3 = np.array([entries[idx, 0], entries[idx, 1], geom.front_plane_z])
     rel = target - entry3
-    depth = float(np.linalg.norm(rel))
+    depth = norm(rel)
     approach = "Angled" if angles[idx] > planning.ANGLE_BIN_DEG else "Horizontal"
     return Trajectory(entry3, rel / depth, depth, approach)
+
+
+def _cofactors_oracle(x):
+    """The cofactors (9) and determinant of a flat 3x3 matrix of Python floats, as ``geometry._cofactors``."""
+    c = [
+        x[(i + 1) % 3 * 3 + (j + 1) % 3] * x[(i + 2) % 3 * 3 + (j + 2) % 3]
+        - x[(i + 1) % 3 * 3 + (j + 2) % 3] * x[(i + 2) % 3 * 3 + (j + 1) % 3]
+        for i in range(3) for j in range(3)
+    ]
+    return c, x[0] * c[0] + x[1] * c[1] + x[2] * c[2]
+
+
+def _matmul_oracle(a, b):
+    """The product of two flat 3x3 matrices of Python floats, each element summed left to right."""
+    return [a[3 * i] * b[j] + a[3 * i + 1] * b[3 + j] + a[3 * i + 2] * b[6 + j] for i in range(3) for j in range(3)]
+
+
+def _point_sum_oracle(points):
+    """The componentwise sum of a list of points, from 0.0, point 0 first."""
+    total = [0.0, 0.0, 0.0]
+    for p in points:
+        total = [s + v for s, v in zip(total, p)]
+    return total
+
+
+def register_oracle(ref, obs):
+    """One set's least-squares rigid registration on Python floats: (rotation (3, 3), translation (3,), rms).
+
+    The arithmetic of ``geometry.prepare_reference`` and
+    ``geometry.register_to`` written out for one set of paired points
+    (N, 3), kept as their oracle: centroids summed point by point, the
+    cross-covariance ``M = sum_i (o_i - o_mean)(r_i - r_mean)^T``, for
+    ``det M <= 0`` the matrix whose polar factor is the Kabsch rotation
+    (M's two leading singular pairs, from the rank-one limit of the
+    adjugate of ``M^T M``), then the polar factor by a first scaled
+    Newton step and plain ones until a step moves no element by more than
+    the tolerance, at least ``geometry.POLAR_MIN_STEPS`` in all.
+    """
+    ref, obs = np.asarray(ref, dtype=np.float64).tolist(), np.asarray(obs, dtype=np.float64).tolist()
+    n = len(ref)
+    tol, steps = geometry.POLAR_STEP_TOL, geometry.POLAR_MAX_STEPS
+    ref_mean = [s / n for s in _point_sum_oracle(ref)]
+    obs_mean = [s / n for s in _point_sum_oracle(obs)]
+    rc = [[v - m for v, m in zip(p, ref_mean)] for p in ref]
+    oc = [[v - m for v, m in zip(p, obs_mean)] for p in obs]
+    m = [0.0] * 9
+    for o, r in zip(oc, rc):
+        m = [s + o[a] * r[b] for s, (a, b) in zip(m, itertools.product(range(3), range(3)))]
+    c, det = _cofactors_oracle(m)
+    if not det > 0.0:
+        mt = [m[3 * j + i] for i in range(3) for j in range(3)]
+        adj, _ = _cofactors_oracle(_matmul_oracle(mt, m))
+        trace = adj[0] + adj[4] + adj[8]
+        w = [v / trace for v in adj]
+        for _ in range(steps):
+            sq = _matmul_oracle(w, w)
+            trace = sq[0] + sq[4] + sq[8]
+            w = [v / trace for v in sq]
+            if 1.0 - trace <= tol:
+                break
+        else:
+            raise geometry.DegenerateConfiguration("no unique best rotation")
+        m2 = [a - b for a, b in zip(m, _matmul_oracle(m, w))]
+        cof, _ = _cofactors_oracle(m2)
+        top = max(abs(v) for v in m2)
+        m = [a + b / top for a, b in zip(m2, cof)]
+        c, det = _cofactors_oracle(m)
+    z = math.sqrt(max(abs(v) for v in c) / (det * max(abs(v) for v in m)))
+    x = [(z * a + b / (z * det)) * 0.5 for a, b in zip(m, c)]
+    for step in range(1, steps):
+        c, det = _cofactors_oracle(x)
+        nxt = [(a + b / det) * 0.5 for a, b in zip(x, c)]
+        moved = max(abs(a - b) for a, b in zip(nxt, x))
+        x = nxt
+        if step >= geometry.POLAR_MIN_STEPS - 1 and moved <= tol:
+            break
+    else:
+        raise geometry.DegenerateConfiguration("the rotation fit did not converge")
+    rot = [x[0:3], x[3:6], x[6:9]]
+    trans = [om - (r[0] * ref_mean[0] + r[1] * ref_mean[1] + r[2] * ref_mean[2]) for om, r in zip(obs_mean, rot)]
+    resid = [[r[0] * p[0] + r[1] * p[1] + r[2] * p[2] + obs_mean[a] - q[a] for a, r in enumerate(rot)]
+             for p, q in zip(rc, obs)]
+    sq = _point_sum_oracle([[v * v for v in e] for e in resid])
+    return np.array(rot), np.array(trans), math.sqrt((sq[0] + sq[1] + sq[2]) / n)
 
 
 def gland_transform_oracle(phantom, motion, entry, dir, tip_depth, pass_depth, motion_noise, entry_depth):
@@ -202,9 +297,9 @@ def gland_transform_oracle(phantom, motion, entry, dir, tip_depth, pass_depth, m
     drag = motion.axial_base_offset + motion.axial_gain * pen
 
     rel = -entry  # the gland centroid, the origin, relative to the entry
-    along = float(rel @ d)
+    along = dot(rel, d)
     offset_vec = rel - along * d
-    lateral = float(np.linalg.norm(offset_vec))
+    lateral = norm(offset_vec)
     if lateral > 1e-12 and motion.rotation_gain > 0.0:
         d0, d1, d2 = d.tolist()
         u0, u1, u2 = (offset_vec / lateral).tolist()
@@ -244,11 +339,11 @@ def open_loop_oracle(phantom, motion, plans, k, first):
     moved_gland = geometry.RigidTransform(first.rotation, first.translation)
     t = moved_gland if depth > plans.levers.entry_depth[k] else geometry.identity()
     moved = geometry.apply(t, plans.target_obs[k])
-    axial = float((moved - entry) @ d) - depth
+    axial = dot(moved - entry, d) - depth
     bead = entry + depth * d
     if phantom.left_bias != 0.0 and plans.zone_lateral[k] == LEFT:
         bead[0] -= phantom.left_bias
-    error = float(np.linalg.norm(geometry.apply(geometry.inverse(t), bead) - plans.target_rest[k]))
+    error = norm(geometry.apply(geometry.inverse(t), bead) - plans.target_rest[k])
     pen = float(plans.levers.penetration[k])
     drag = motion.axial_base_offset + motion.axial_gain * pen if pen > 0.0 else 0.0
     return axial, error, moved - plans.target_obs[k] - drag * d

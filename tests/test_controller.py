@@ -7,8 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     TEN_TARGET_QUOTAS,
+    dot,
     gland_transform_at,
     gland_transform_oracle,
+    norm,
     open_loop_oracle,
     replan_angled_oracle,
     segment_distance_oracle,
@@ -373,7 +375,7 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     fresh = gland_transform_oracle(p.rows(0), motion, entry, d, tip, planned, np.zeros(3), entry_depth)
     tip_world = (entry + tip * d)[None]
     bead = world_to_material(fresh.rotation[None], fresh.translation[None], tip_world)[0]
-    assert rec.error_mm == float(np.linalg.norm(bead - p.target_rest[0, t]))
+    assert rec.error_mm == norm(bead - p.target_rest[0, t])
     # the first pass's transform, which the retracted tip must not reuse
     first = gland_transform_oracle(p.rows(0), motion, entry, d, planned, planned, np.zeros(3), entry_depth)
     assert np.linalg.norm(first.translation - fresh.translation) > 1.0
@@ -415,7 +417,7 @@ def test_a_first_pass_short_of_the_gland_is_corrected_into_it(monkeypatch):
     moved = gland_transform_oracle(p.rows(0), motion, entry, d, tip, planned, np.zeros(3), entry_depth)
     tip_world = (entry + tip * d)[None]
     bead = world_to_material(moved.rotation[None], moved.translation[None], tip_world)[0]
-    assert rec.error_mm == float(np.linalg.norm(bead - p.target_rest[0, t]))
+    assert rec.error_mm == norm(bead - p.target_rest[0, t])
     # the bead is not left in the gland at rest, where the first pass stopped
     assert np.linalg.norm(moved.translation) > 1.0
 
@@ -523,14 +525,14 @@ INSIDE_ROBOT = replace(WIDE_ROBOT, front_plane_z=-10.0)
 
 
 def oracle_normalize(v):
-    return v / float(np.linalg.norm(v))
+    return v / norm(v)
 
 
 def oracle_entry_depth(phantom, entry, dir):
     """The gland entry depth of one line into ``phantom``, one row's values of ``Phantoms``."""
     semi = np.asarray(phantom.gland_semiaxes, dtype=np.float64)
     w, v = entry / semi, dir / semi
-    aa, bb, cc = float(v @ v), float(w @ v), float(w @ w) - 1.0
+    aa, bb, cc = dot(v, v), dot(w, v), dot(w, w) - 1.0
     disc = bb * bb - aa * cc
     if disc < 0.0:
         return None
@@ -545,7 +547,7 @@ def oracle_trajectory(arch, target, region, geom):
     if region.x_min <= target[0] <= region.x_max and region.y_min <= target[1] <= region.y_max:
         # no direct path reaches a target on or behind the entry plane
         if max(abs(target[0]), abs(target[1])) <= geom.stage_travel and target[2] > geom.front_plane_z:
-            d, depth = oracle_normalize(target - entry), float(np.linalg.norm(target - entry))
+            d, depth = oracle_normalize(target - entry), norm(target - entry)
             tip = entry + (depth + planning.DEPTH_MARGIN) * d
             clearance = min(
                 (segment_distance_oracle(entry, tip, a, b) - radius - planning.DEFAULT_NEEDLE_RADIUS
@@ -664,7 +666,7 @@ def test_a_block_plans_each_slot_as_it_would_alone(
         volume, target_obs = oracle_reference(slot, noise)
         np.testing.assert_array_equal(block.target_obs[k], target_obs)
         if track:
-            np.testing.assert_array_equal(block.reference.points[k], volume)
+            assert block.reference.rows([k]) == geometry.prepare_reference(volume[None])
         else:
             assert block.reference is None
         # and the plan is the one the per-slot oracle makes from the observed target

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import segment_distance_oracle, segment_distance_pairs
+from conftest import register_oracle, segment_distance_oracle, segment_distance_pairs
+from test_acceptance import REG_TOL_ROT_DEG, REG_TOL_TRANS_MM
 from prostasim import geometry
 from prostasim.geometry import (
     DegenerateConfiguration,
@@ -252,9 +253,10 @@ def test_register_proper_rotation_under_reflection_bait(rng):
 
 
 def kabsch_with_correction_matrix(reference, obs):
-    """``register_to`` as it was written before its sign came in closed form:
-    ``det(V U^T)`` by LAPACK and the correction as the product ``V diag(1, 1, d) U^T``.
-    Returns the rotations, translations, rms and the d of each row."""
+    """The fit of ``register_to`` in its SVD form, by LAPACK: ``det(V U^T)`` and
+    the correction as the product ``V diag(1, 1, d) U^T``, the tolerance
+    reference of the elementwise fit.  Returns the rotations, translations,
+    rms and the d of each row."""
     obs_mean = obs.mean(axis=1)
     h = np.swapaxes(reference.centered, 1, 2) @ (obs - obs_mean[:, None])
     u, _, vt = np.linalg.svd(h)
@@ -264,13 +266,13 @@ def kabsch_with_correction_matrix(reference, obs):
     correction[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
     rot = v @ correction @ ut
     trans = obs_mean - (rot @ reference.mean[:, :, None])[:, :, 0]
-    resid = reference.points @ np.swapaxes(rot, 1, 2) + trans[:, None] - obs
+    resid = (reference.centered + reference.mean[:, None]) @ np.swapaxes(rot, 1, 2) + trans[:, None] - obs
     rms = np.sqrt(np.mean(np.sum(resid * resid, axis=2), axis=1))
     return rot, trans, rms, correction[:, 2, 2]
 
 
 @pytest.mark.parametrize("k", [1, 7, 128])
-def test_register_reflection_branch_matches_the_correction_matrix_bit_for_bit(rng, k):
+def test_register_reflection_branch_matches_the_row_oracle_bit_for_bit(rng, k):
     # every third row observes its reference mirrored (a reflection is the
     # best orthogonal fit), every third a near-planar set under noise, the
     # rest a proper motion: the stack mixes d = -1 with d = +1
@@ -285,14 +287,44 @@ def test_register_reflection_branch_matches_the_correction_matrix_bit_for_bit(rn
             obs[i, :, 0] *= -1.0
     reference = geometry.prepare_reference(ref)
     rot, trans, rms = geometry.register_to(reference, obs)
+    # each row has the bits of the fit written out for that set alone
+    for i in range(k):
+        rot_i, trans_i, rms_i = register_oracle(ref[i], obs[i])
+        assert rot[i].tobytes() == rot_i.tobytes() and trans[i].tobytes() == trans_i.tobytes(), i
+        assert rms[i] == rms_i, i
+    # and is LAPACK's corrected fit within criterion 1's tolerances
     rot_0, trans_0, rms_0, d = kabsch_with_correction_matrix(reference, obs)
-    np.testing.assert_array_equal(rot, rot_0)
-    np.testing.assert_array_equal(trans, trans_0)
-    np.testing.assert_array_equal(rms, rms_0)
+    frob = np.sqrt(np.sum((rot - rot_0) ** 2, axis=(1, 2)))
+    assert np.degrees(2.0 * np.arcsin(frob / (2.0 * np.sqrt(2.0)))).max() <= REG_TOL_ROT_DEG
+    assert np.linalg.norm(trans - trans_0, axis=1).max() <= REG_TOL_TRANS_MM
+    np.testing.assert_allclose(rms, rms_0, rtol=0.0, atol=REG_TOL_TRANS_MM)
     assert d[0] == -1.0  # the mirrored row
     if k > 1:
         assert set(d.tolist()) == {-1.0, 1.0}
     np.testing.assert_allclose(np.linalg.det(rot), 1.0, atol=1e-9)
+
+
+def test_register_raises_where_no_rotation_is_the_unique_best(rng):
+    # every observed point at one place: a zero cross-covariance, which
+    # every rotation fits; the stack raises whatever its other rows
+    ref = rng.uniform(-20, 20, (2, 8, 3))
+    obs = np.zeros_like(ref)
+    obs[1] = apply(random_transform(rng), ref[1])
+    reference = geometry.prepare_reference(ref)
+    for rows in ([0], [0, 1]):
+        with pytest.raises(DegenerateConfiguration, match="no unique best rotation"):
+            geometry.register_to(reference.rows(rows), obs[rows])
+    geometry.register_to(reference.rows([1]), obs[1:])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_point_sums_add_the_points_in_order(rng, k):
+    # magnitudes 1e-8..1e8 make the order of a sum show in its bits
+    planes = rng.normal(size=(12, 3, k)) * 10.0 ** rng.integers(-8, 9, size=(12, 3, k))
+    want = np.zeros((3, k))
+    for slab in planes:
+        want = want + slab
+    assert geometry._sum_points(planes).tobytes() == want.tobytes()
 
 
 def test_register_requires_three_noncollinear():

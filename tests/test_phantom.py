@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import TEN_TARGET_QUOTAS, UNSPLITTABLE_QUOTAS, gland_transform_at, gland_transform_oracle
+from conftest import TEN_TARGET_QUOTAS, UNSPLITTABLE_QUOTAS, gland_transform_at, gland_transform_oracle, norm
 from prostasim import controller, geometry, phantom as ph, rng
 from prostasim.phantom import (
     ANTERIOR,
@@ -492,7 +492,7 @@ def placement_oracle(phantom, n_targets, seed, zone_quotas, index=0):
                 continue
             if not zone_ok_oracle(cand, a, labels):
                 continue
-            if placed and min(np.linalg.norm(cand - q) for q in placed) < phantom.min_target_spacing:
+            if placed and min(norm(cand - q) for q in placed) < phantom.min_target_spacing:
                 continue
             pos = cand
             break

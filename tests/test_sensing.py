@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TEN_TARGET_QUOTAS
+from conftest import TEN_TARGET_QUOTAS, register_oracle
 from prostasim import geometry, rng
 from prostasim.geometry import DegenerateConfiguration, prepare_reference
 from prostasim.phantom import PhantomConfig, Phantoms, generate_phantom
@@ -259,19 +259,6 @@ PHANTOMS = (
 )
 
 
-def register_row(ref, obs):
-    """One volume's registration, computed on its own: (rotation, translation, rms)."""
-    ref_mean = ref.mean(axis=0)
-    obs_mean = obs.mean(axis=0)
-    h = (ref - ref_mean).T @ (obs - obs_mean)
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    trans = obs_mean - rot @ ref_mean
-    resid = ref @ rot.T + trans - obs
-    return rot, trans, float(np.sqrt(np.mean(np.sum(resid * resid, axis=1))))
-
-
 @st.composite
 def stack_rows(draw):
     """One row of a stack: phantom, gland transform (identity or not), needle count, stream seed."""
@@ -322,10 +309,10 @@ def test_stacked_kernels_match_a_row_by_row_loop_bit_for_bit(rows, sigma0, depth
         obs_k = observe_per_point(phantom, t, noise, theirs[k], count)
         np.testing.assert_array_equal(ref[k], ref_k)
         np.testing.assert_array_equal(obs[k], obs_k)
-        rot_k, trans_k, rms_k = register_row(ref_k, obs_k)
+        rot_k, trans_k, rms_k = register_oracle(ref_k, obs_k)
         np.testing.assert_array_equal(rot[k], rot_k)
         np.testing.assert_array_equal(trans[k], trans_k)
         assert rms[k] == rms_k
-        np.testing.assert_array_equal(tracked[k], rot_k @ targets[k] + trans_k)
+        np.testing.assert_array_equal(tracked[k], geometry.apply(geometry.RigidTransform(rot_k, trans_k), targets[k]))
         # each row took exactly its own draws
         assert ours[k].standard_normal() == theirs[k].standard_normal()

@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
 
 from conftest import records_csv_oracle, tiny_config
 from prostasim.config import ConfigError, StudyConfig, default_config
@@ -168,7 +168,12 @@ def _both_failed(a, b) -> bool:
     return failed
 
 
-DRAWN = settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# every example runs whole studies: a failing one fails the run as drawn, for
+# shrinking it (and explaining the shrunk one) would hold the run for minutes
+DRAWN = settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture],
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
+)
 
 
 @DRAWN
@@ -370,14 +375,63 @@ def test_every_loop_reads_the_blocks_tables_as_they_are(monkeypatch, tiny_report
     assert rows_closed == tiny_report.rows_closed and rows_open == tiny_report.rows_open
 
 
-def run_fresh(code: str):
-    """Run ``code`` in a fresh interpreter that imports prostasim and conftest; fails with its stderr."""
+def run_fresh(code: str, **env):
+    """Run ``code`` in a fresh interpreter that imports prostasim and conftest, with
+    the environment variables ``env`` set for it alone; fails with its stderr."""
     import prostasim
 
     paths = [os.path.dirname(os.path.dirname(prostasim.__file__)), os.path.dirname(__file__)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")]), **env)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# OpenBLAS's x86-64 cores and the CPU flags their kernels need: a core the
+# CPU cannot run is left out rather than forced on it
+OPENBLAS_CORES = {
+    "SkylakeX": {"avx512f", "avx512dq", "avx512bw", "avx512vl"}, "Haswell": {"avx2", "fma"}, "Zen": {"avx2", "fma"},
+    "Prescott": {"pni"},
+}
+
+
+def openblas_cores_here() -> list[str]:
+    """The cores of ``OPENBLAS_CORES`` this machine can run, where numpy's BLAS is
+    an x86-64 OpenBLAS that picks its core at run time (none elsewhere)."""
+    try:  # the dict form of numpy's build record is numpy 1.26's
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return []
+    if "openblas" not in blas.get("name", "").lower() or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return []
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            flags = next(set(line.split(":", 1)[1].split()) for line in fh if line.startswith("flags"))
+    except (OSError, StopIteration):
+        return []
+    return [core for core, need in OPENBLAS_CORES.items() if need <= flags]
+
+
+def test_report_bytes_do_not_depend_on_the_openblas_core(tmp_path):
+    # OPENBLAS_CORETYPE picks OpenBLAS's kernels for one process: a tiny
+    # study of both modes, each in a fresh interpreter on another core,
+    # must write the same bytes
+    cores = openblas_cores_here()
+    if len(cores) < 2:
+        pytest.skip("numpy's BLAS is not an x86-64 OpenBLAS with two cores to choose from here")
+    for core in cores:
+        run_fresh(
+            "from conftest import tiny_config\n"
+            "from prostasim.study import run_study, write_report\n"
+            f"write_report(run_study(tiny_config(mode='both')), {str(tmp_path / core)!r})\n",
+            OPENBLAS_CORETYPE=core,
+        )
+    first, *others = cores
+    names = sorted(os.listdir(tmp_path / first))
+    assert names == ["records_closed.csv", "records_open.csv", "summary.json"]
+    for core in others:
+        assert sorted(os.listdir(tmp_path / core)) == names
+        for name in names:
+            assert (tmp_path / core / name).read_bytes() == (tmp_path / first / name).read_bytes(), (core, name)
 
 
 def test_a_study_run_imports_no_numpy_ma(tmp_path):
