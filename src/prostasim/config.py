@@ -5,9 +5,9 @@ schema: its dataclass fields and default values fix every key, its
 nesting and its leaf type.  One coercion walks that schema for
 ``from_dict``, ``to_dict`` and ``StudyConfig.validate``: unknown keys are
 rejected at every level (arch capsules included), sections must be
-mappings, vectors keep their default length, flags must be YAML booleans
-and numbers must be finite.  Errors always name the offending key path
-so CLI users can find the problem.
+mappings, vectors keep their default length, flags must be YAML booleans,
+integers must be whole numbers and numbers must be finite.  Errors always
+name the offending key path so CLI users can find the problem.
 
 PyYAML is imported only where YAML is read or written (``load_config``,
 ``to_yaml``): a run of the default study does neither, and does not pay
@@ -127,6 +127,7 @@ class StudyConfig:
         _check(er.x_min < er.x_max, "entry_region.x_min", "must be < x_max")
         _check(er.y_min < er.y_max, "entry_region.y_min", "must be < y_max")
         _wrap("arch.capsules", self.arch.build)
+        _check(self.output.dir != "", "output.dir", "must not be empty")
         _check(self.output.format in FORMATS, "output.format", f"must be one of {FORMATS}")
         return self
 
@@ -200,6 +201,8 @@ def _coerce(value, schema, path: str, exact: bool = False):
         return value
     if value is None or isinstance(value, (bool, dict, list, tuple)):
         raise ConfigError(f"{path}: malformed value, expected a {kind.__name__}")
+    if kind is int and isinstance(value, float) and math.isfinite(value) and not value.is_integer():
+        raise ConfigError(f"{path}: must be an integer, got {value}")
     try:
         value = kind(value)
     except OverflowError as e:

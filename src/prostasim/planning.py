@@ -11,13 +11,15 @@ A block of targets is planned together (``plan_trajectories``), into one
 ``kinematics.Trajectory``: the direct paths of all of them are checked in
 one ``collision_check`` call, and the targets whose direct path is out of
 reach or blocked, or that lie on or behind the entry plane, go through
-one grid search together (``replan_angled``).  The search builds every
-target's candidates in one ``candidate_entries`` call and checks their
-clearance in rounds of rising angulation, stopping for each target at
-the first round that finds it a clear candidate.  Every clearance, of a
-direct path, a grid candidate or an advancing tip, comes from one chunked
-kernel over the stacked ``geometry.segment_segment_distance``, +inf
-against an arch of no capsules, and only its sign is read.
+one grid search together (``replan_angled``).  Each target's entry and
+approach label, the direct one or the search's, stay in target order, and
+one ``_through`` builds the block's lines from them.  The search builds
+every target's candidates in one ``candidate_entries`` call and checks
+their clearance in rounds of rising angulation, stopping for each target
+at the first round that finds it a clear candidate.  Every clearance, of
+a direct path, a grid candidate or an advancing tip, comes from one
+chunked kernel over the stacked ``geometry.segment_segment_distance``,
++inf against an arch of no capsules, and only its sign is read.
 
 A candidate's angulation is taken in numpy, with ``np.hypot``,
 ``np.arctan2`` and ``np.degrees`` over all candidates at once.  The
@@ -125,10 +127,11 @@ def collision_check(
 ) -> np.ndarray:
     """Minimum signed clearance of K planned shafts against the arch: (K,).
 
-    Shaft k runs from ``entries[k]`` along the unit ``dirs[k]`` to
-    ``DEPTH_MARGIN`` mm past its planned depth ``depths[k]``.  Negative
-    clearance means collision; against an arch of no capsules every
-    clearance is unbounded (+inf) and nothing blocks.
+    Shaft k runs from ``entries[k]`` along the unit ``dirs[k]`` (or one
+    unit direction (3,) for every shaft) to ``DEPTH_MARGIN`` mm past its
+    planned depth ``depths[k]``.  Negative clearance means collision;
+    against an arch of no capsules every clearance is unbounded (+inf)
+    and nothing blocks.
     """
     if needle_radius <= 0:
         raise ValueError("needle_radius must be positive")
@@ -162,17 +165,19 @@ def clearance_grid(entries, entry_z, targets, overshoot, cap_a, cap_b, cap_r, ne
     Returns (n,) of min_j(segdist - cap_r[j]) - needle_r, +inf with no
     capsules.
     """
-    entries = np.asarray(entries, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    n = entries.shape[0]
-    p0 = np.empty((n, 3), dtype=np.float64)
-    p0[:, 0] = entries[:, 0]
-    p0[:, 1] = entries[:, 1]
-    p0[:, 2] = float(entry_z)
-    d = targets - p0
+    p0 = _on_entry_plane(entries, entry_z)
+    d = np.asarray(targets, dtype=np.float64) - p0
     norm = np.sqrt(np.sum(d * d, axis=1))
     p1 = p0 + d * ((norm + float(overshoot)) / norm)[:, None]
     return _clearance(p0, p1, cap_a, cap_b, cap_r, needle_r)
+
+
+def _on_entry_plane(xy, entry_z) -> np.ndarray:
+    """The points (n, 3) at the rows (x, y) of ``xy`` (n, 2) on the entry plane z = ``entry_z``."""
+    points = np.empty((len(xy), 3), dtype=np.float64)
+    points[:, :2] = xy
+    points[:, 2] = entry_z
+    return points
 
 
 def _clearance(p0, p1, cap_a, cap_b, cap_r, needle_r) -> np.ndarray:
@@ -333,9 +338,7 @@ def replan_angled(
     if missing.size:
         own = clearances[owner == missing[0]]
         raise NoFeasiblePath(float(np.max(own)) if own.size else -math.inf, targets[missing[0]])
-    entry3 = np.empty((targets.shape[0], 3), dtype=np.float64)
-    entry3[:, :2] = entries[winner]
-    entry3[:, 2] = geom.front_plane_z
+    entry3 = _on_entry_plane(entries[winner], geom.front_plane_z)
     return _through(entry3, targets, np.where(angles[winner] > ANGLE_BIN_DEG, ANGLED, HORIZONTAL))
 
 
@@ -359,24 +362,25 @@ def plan_trajectories(
     ``collision_check``: a target in front of the entry plane whose direct
     entry is in the region and within stage travel (both stages sit at the
     entry), and whose shaft clears the arch, gets it.  Every other target
-    goes into one grid search, ``replan_angled`` on the stack of them.
+    goes into one grid search, ``replan_angled`` on the stack of them, and
+    takes its entry and approach label.  One ``_through`` then builds
+    every line from the entries and labels, row k for target k.
     Raises NoFeasiblePath for the first target with no collision-free
     trajectory; a target on or behind the entry plane has none in reach.
     """
     targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
     x, y, z = targets.T
+    entries = _on_entry_plane(targets[:, :2], geom.front_plane_z)
+    approach = np.full(len(targets), HORIZONTAL)
     direct = (
         (z > geom.front_plane_z) & entry_region.contains(x, y)
         & (np.maximum(np.abs(x), np.abs(y)) <= geom.stage_travel)
     )
-    entries = targets[direct]
-    entries[:, 2] = geom.front_plane_z
-    paths = _through(entries, targets[direct], np.full(len(entries), HORIZONTAL))
-    clear = collision_check(arch, paths.entry, paths.dir, paths.planned_depth, needle_radius) > 0.0
-    direct[direct] = clear
-    if direct.all():
-        return paths
-    angled = replan_angled(arch, targets[~direct], entry_region, geom, needle_radius)
-    # the clear direct paths, then the grid search's, put back in target order
-    both = kinematics.Trajectory.concat([paths.rows(clear), angled])
-    return both.rows(np.argsort(np.concatenate([np.flatnonzero(direct), np.flatnonzero(~direct)])))
+    # a direct path runs along +z, planned to its target's depth past the plane
+    depths = z[direct] - geom.front_plane_z
+    direct[direct] = collision_check(arch, entries[direct], (0.0, 0.0, 1.0), depths, needle_radius) > 0.0
+    if not direct.all():
+        angled = replan_angled(arch, targets[~direct], entry_region, geom, needle_radius)
+        entries[~direct] = angled.entry
+        approach[~direct] = angled.approach
+    return _through(entries, targets, approach)

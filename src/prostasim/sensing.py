@@ -3,10 +3,11 @@
 Observing replaces image acquisition: each phantom fiducial is moved by
 the current gland transform and perturbed by isotropic noise whose sd
 grows with tissue depth and with the number of needles already placed
-(image degradation).  An observed volume is an (N, 3) array, row i
-being fiducial i, made from N x 3 standard normals that the caller
-draws (see ``rng``) and the sd only scales, so a stream's layout does
-not depend on the noise parameters.
+(image degradation); ``NoiseModel.sd`` is that sd, and both ``observe``
+and ``observe_point`` take it from there.  An observed volume is an
+(N, 3) array, row i being fiducial i, made from N x 3 standard normals
+that the caller draws (see ``rng``) and the sd only scales, so a
+stream's layout does not depend on the noise parameters.
 Registration of an observed volume against the reference volume,
 prepared once per insertion, recovers the gland transform, which tracks
 the target.
@@ -30,7 +31,7 @@ from .phantom import Phantoms
 
 @dataclass
 class NoiseModel:
-    """Fiducial noise: sd = sigma0 * degradation^k + depth_gain * depth.
+    """Fiducial noise: sd = sigma0 * degradation^k + depth_gain * depth, as ``sd`` computes it.
 
     ``k`` counts completed insertions in the session; depth is mm from the
     gland entry plane.  Defaults are the calibration fit shipped with the
@@ -51,15 +52,18 @@ class NoiseModel:
         if self.degradation_per_needle < 1.0:
             raise ValueError("degradation_per_needle must be >= 1")
 
+    def sd(self, needle_counts, depth) -> np.ndarray:
+        """The sd after each of K needle counts (>= 0) at the depths (..., K), mm past the gland entry plane.
 
-def _base_sd(noise: NoiseModel, needle_counts) -> np.ndarray:
-    """The depth-free sd (K,) after each of K needle counts (>= 0), each with the bits of its own power.
-
-    One power per count up to the largest, a Python int exponent (a numpy
-    int64 one is many times slower and can differ in the last bit), looked up by the counts.
-    """
-    counts = np.asarray(needle_counts, dtype=np.intp)
-    return np.array([noise.sigma0 * noise.degradation_per_needle**k for k in range(counts.max(initial=0) + 1)])[counts]
+        ``sigma0 * degradation**k + depth_gain * depth``, shaped as
+        ``depth``; column k has the bits it has alone.  One power per count
+        up to the largest, each with a Python int exponent (a numpy int64
+        one is many times slower and can differ in the last bit), is looked
+        up by the counts.
+        """
+        counts = np.asarray(needle_counts, dtype=np.intp)
+        powers = [self.sigma0 * self.degradation_per_needle**k for k in range(counts.max(initial=0) + 1)]
+        return np.array(powers)[counts] + self.depth_gain * np.asarray(depth)
 
 
 def observe(
@@ -80,14 +84,13 @@ def observe(
     degradation multiplier.  Each volume has the bits it would have if
     observed alone.
     """
-    base = _base_sd(noise, needle_counts)
     # component planes (N, 3, K): each point moved as ``geometry.apply`` moves it
     world = geometry.rotate_planes(
         np.asarray(rotations).transpose(1, 2, 0), geometry.component_planes(phantoms.fiducial_points),
     )
     world += np.asarray(translations).T
     # depth past the gland entry plane z = -c
-    sigma = base + noise.depth_gain * np.maximum(0.0, world[:, 2] + phantoms.gland_semiaxes[:, 2])
+    sigma = noise.sd(needle_counts, np.maximum(0.0, world[:, 2] + phantoms.gland_semiaxes[:, 2]))
     world += sigma[:, None] * normals.transpose(1, 2, 0)
     # rows of the planes, which geometry.register_to takes back without a copy
     return world.transpose(2, 0, 1)
@@ -102,9 +105,8 @@ def observe_point(phantoms: Phantoms, points_world: np.ndarray, noise: NoiseMode
     ``normal(0.0, sigma, 3)`` on those draws, bit for bit, and each row has
     the bits it would have alone.
     """
-    base = _base_sd(noise, needle_counts)
     p = np.asarray(points_world, dtype=np.float64)
-    sigma = base + noise.depth_gain * np.maximum(0.0, p[:, 2] + phantoms.gland_semiaxes[:, 2])
+    sigma = noise.sd(needle_counts, np.maximum(0.0, p[:, 2] + phantoms.gland_semiaxes[:, 2]))
     return p + (0.0 + sigma[:, None] * normals)
 
 

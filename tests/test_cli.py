@@ -333,6 +333,19 @@ def test_calibrate_rejects_bad_counts(tmp_path, capsys):
     assert "grid-points" in err
 
 
+def test_an_empty_output_dir_is_config_error(tmp_path, capsys, monkeypatch):
+    cfg = tiny_config()
+    cfg.output.dir = ""
+    path = tmp_path / "nowhere.yaml"
+    path.write_text(to_yaml(cfg))
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 1
+    assert "output.dir: must not be empty" in err
+    # it fails before the command writes anything
+    assert os.listdir(tmp_path) == ["nowhere.yaml"]
+
+
 def test_simulate_into_unwritable_dir_is_runtime_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")

@@ -91,6 +91,7 @@ def test_validation_paths():
         (dict(n_seed_replicates=(1 << rng._FIELD_BITS) + 1), "n_seed_replicates"),
         (dict(needle_radius=0.0), "needle_radius"),
         ({"output": {"format": "xml"}}, "output.format"),
+        ({"output": {"dir": ""}}, "output.dir: must not be empty"),
         ({"phantom": {"target_margin": 1.5}}, "phantom.target_margin"),
         # no two targets fit 100 mm apart in a gland 2 * 25 * 0.92 = 46 mm across
         ({"phantom": {"min_target_spacing": 100.0}}, "phantom.min_target_spacing"),
@@ -199,10 +200,17 @@ def test_malformed_values_rejected():
         ("output: {dir: }", "output.dir: malformed"),
         ("n_phantoms: true", "n_phantoms: malformed"),
         ("noise: {sigma0: false}", "noise.sigma0: malformed"),
+        # an integer key never rounds a fraction away
+        ("seed: 1.5", r"seed: must be an integer, got 1.5$"),
+        ("n_phantoms: 9.7", r"n_phantoms: must be an integer, got 9.7$"),
+        ("convergence: {max_corrections: 2.9}", r"convergence.max_corrections: must be an integer, got 2.9$"),
     ]
     for text, match in cases:
         with pytest.raises(ConfigError, match="^" + match):
             from_dict(yaml.safe_load(text))
+    # a whole number written as a float is that integer
+    cfg = from_dict(yaml.safe_load("n_phantoms: 9.0"))
+    assert type(cfg.n_phantoms) is int and cfg.n_phantoms == 9
 
 
 def test_empty_file_gives_defaults(tmp_path):

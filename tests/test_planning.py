@@ -348,6 +348,12 @@ def test_a_target_on_or_behind_the_entry_plane_gets_no_path(z):
     separation=100.0, travel=40.0, angulation=0.5, front=-60.0, radius=8.0, enabled=True,
     region=(-30.0, 30.0, -30.0, 30.0), targets=[(3.0, 20.0, 1e-6), (-29.0, 28.0, 150.0)],
 )
+# two targets for the grid search, one behind the arch (angled) and one just
+# outside the region (its winner is 0.76 degrees off axis, horizontal)
+@example(
+    separation=100.0, travel=40.0, angulation=0.5, front=-60.0, radius=8.0, enabled=True,
+    region=(-30.0, 30.0, -30.0, 30.0), targets=[(0.0, 20.0, 100.0), (30.5, 29.0, 150.0)],
+)
 def test_every_planned_trajectory_is_within_reach(
     separation, travel, angulation, front, radius, enabled, region, targets
 ):
@@ -362,17 +368,22 @@ def test_every_planned_trajectory_is_within_reach(
     geom.validate()
     arch, region = default_arch(radius, enabled), EntryRegion(*region)
     # each target's depth is in front of the entry plane
-    feasible = []
+    feasible, alone = [], []
     for x, y, depth in targets:
         target = [x, y, front + depth]
         try:
-            plan_trajectories(arch, [target], region, geom)
+            alone.append(plan_trajectories(arch, [target], region, geom))
         except NoFeasiblePath:
             continue
         feasible.append(target)
     plans = plan_trajectories(arch, np.array(feasible).reshape(-1, 3), region, geom)
     assert len(plans) == len(feasible)
     inverse_kinematics(geom, plans.entry, plans.dir)
+    # and row k of the block's plan is target k's plan alone, bit for bit
+    for k, one in enumerate(alone):
+        row = plans.rows([k])
+        for name in ("entry", "dir", "planned_depth", "approach"):
+            assert getattr(row, name).tobytes() == getattr(one, name).tobytes(), (k, name)
 
 
 def test_replan_unblocked_is_horizontal(geom):

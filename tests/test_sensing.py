@@ -9,7 +9,6 @@ from prostasim.phantom import PhantomConfig, Phantoms, generate_phantom
 from prostasim.rng import draw_insertions, substream
 from prostasim.sensing import (
     NoiseModel,
-    _base_sd,
     observe,
     observe_point,
     rigid_register,
@@ -124,15 +123,20 @@ def test_degradation_raises_base_sigma(phantom):
 
 
 @pytest.mark.parametrize("degradation", [1.0, 1.17])
-def test_base_sd_table_has_each_rows_own_power_bit_for_bit(degradation):
+def test_sd_has_each_rows_own_power_bit_for_bit(degradation):
     noise = quiet_noise(sigma0=0.08, degradation_per_needle=degradation)
     for counts in ([], [0], [3, 0, 7, 3, 3, 1], [63, 2, 63, 0], list(range(63, -1, -1)), [9] * 5):
-        sd = _base_sd(noise, np.array(counts, dtype=np.int64))
+        sd = noise.sd(np.array(counts, dtype=np.int64), 0.0)
         want = np.array([0.08 * degradation**k for k in counts], dtype=np.float64)
         assert (sd.dtype, sd.shape) == (want.dtype, want.shape)
         assert sd.tobytes() == want.tobytes(), counts
     # a list of Python ints is read as the array is
-    assert _base_sd(noise, [5, 1]).tobytes() == np.array([0.08 * degradation**5, 0.08 * degradation]).tobytes()
+    assert noise.sd([5, 1], 0.0).tobytes() == np.array([0.08 * degradation**5, 0.08 * degradation]).tobytes()
+    # a depth adds depth_gain times it to its column's power, in the shape of the depths
+    noise.depth_gain = 0.001
+    counts, depths = [3, 0, 7], [[0.0, 3.7, 41.2], [12.5, 0.0, 7.25]]
+    want = [[0.08 * degradation**k + 0.001 * d for k, d in zip(counts, row)] for row in depths]
+    assert noise.sd(counts, np.array(depths)).tobytes() == np.array(want).tobytes()
 
 
 def test_depth_gain_widens_scatter_with_depth(phantom):
