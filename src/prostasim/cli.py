@@ -81,12 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> StudyConfig:
-    cfg = load_config(args.config) if args.config else default_config()
+    cfg = load_config(args.config) if args.config is not None else default_config()
     if args.seed is not None:
         cfg.seed = args.seed
     if args.mode:
         cfg.mode = MODE_ALIASES[args.mode]
-    if args.out:
+    if args.out is not None:
         cfg.output.dir = args.out
     if args.format:
         cfg.output.format = args.format

@@ -10,8 +10,12 @@ scored in the material (rest) frame, the analog of a post-procedure CT.
 An insertion is three steps, the first and last taken by a block of
 insertions together.  A block's random streams are one ``rng.Streams``,
 a column per draw and a row per slot, and every step reads its columns;
-slot k's phantom is row ``streams.phantom[k]`` of the study's
-``phantom.Phantoms``, a row per phantom, which only planning is given.
+slot k's target is target ``streams.target[k]`` of row
+``streams.phantom[k]`` of the study's ``phantom.Phantoms``, a row per
+phantom, which only planning is given, and its needle count, the
+observations' degradation state, is that target id.  Every slot has the
+study's one gland, the config's ``phantom.PhantomConfig``, which the
+planner and the closed loop read as it is.
 ``plan_insertions`` is the motion-free half, in arrays over the block:
 one stacked observation and collinearity check of the reference volumes
 (of a tracked block only: the open loop registers nothing), the observed
@@ -25,9 +29,8 @@ depth along it, the pass-depth penetration that sets the modeled drag,
 the lateral offset of the gland centroid and the rotation axis's
 Rodrigues matrices, none of which reads a motion parameter.  It returns
 one ``Plans``, a column per quantity and a row per slot, which also
-carries what the loops read of the phantoms: the slots' gland rows
-(``Phantoms.glands``, no target or zone column) and each bead's
-left-zone bias.  ``open_loop_insertion``
+carries what the loops read of the phantoms: each slot's target and each
+bead's left-zone bias.  ``open_loop_insertion``
 scales one insertion's motion normals (its row of the streams) into its
 motion noise and evaluates only the motion terms of the gland transform
 (drag, rotation angle, the rotation about the pivot) from its row's
@@ -76,6 +79,7 @@ from .phantom import (
     LEFT,
     GlandLevers,
     MotionParams,
+    PhantomConfig,
     Phantoms,
     gland_levers,
     prostate_transform,
@@ -169,12 +173,10 @@ class Plans(geometry.Columns):
     each slot's gland transform, along the trajectory's direction: their
     penetration beyond the gland entry point drives the drag the residual
     motion subtracts, and ``prostate_transform`` adds only the motion
-    terms to a row.
-    ``glands`` are the slots' phantom rows without their targets, which the
-    correction loop observes, and ``bias`` the deflection of each slot's
-    bead along -x: its phantom's left bias for a left-zone target, 0
-    otherwise.  ``reference`` serves the correction loop and is prepared
-    only for a tracked block; it is None otherwise.
+    terms to a row.  ``bias`` is the deflection of each slot's bead along
+    -x: the gland's left bias for a left-zone target, 0 otherwise.
+    ``reference`` serves the correction loop and is prepared only for a
+    tracked block; it is None otherwise.
     """
 
     target_rest: np.ndarray  # (K, 3)
@@ -189,7 +191,6 @@ class Plans(geometry.Columns):
     rotation_angle_deg: np.ndarray  # (K,)
     duration_s: np.ndarray
     levers: GlandLevers
-    glands: Phantoms
     bias: np.ndarray  # (K,)
     reference: geometry.RegistrationReference | None = None
 
@@ -206,6 +207,7 @@ def _records(plans: Plans, streams: Streams, **columns) -> Records:
 
 
 def plan_insertions(
+    gland: PhantomConfig,
     phantoms: Phantoms,
     geom: kinematics.RobotGeometry,
     arch: PubicArchModel,
@@ -218,30 +220,30 @@ def plan_insertions(
     """Observe a block of insertions at rest, plan each trajectory and make each first pass.
 
     Slot k plans target ``streams.target[k]`` of phantom
-    ``streams.phantom[k]``, a row of the study's ``phantoms``, from its row
-    of ``streams.reference_normals`` (the reference volume) and of
+    ``streams.phantom[k]``, a row of the study's ``phantoms``, in
+    ``gland``, after ``streams.target[k]`` needles, from its row of
+    ``streams.reference_normals`` (the reference volume) and of
     ``streams.target_normals`` (the observed target), and gets the row it
-    would get alone.  The plans keep the slots' gland rows of ``phantoms``
-    and their beads' biases, so the loops that follow read no phantom
-    table of their own.  Only a ``track`` block can drive the closed loop;
-    an untracked block neither observes nor prepares the reference volume
-    and serves ``open_loop_insertion``.  Raises
+    would get alone.  The plans keep the slots' targets and their beads'
+    biases, so the loops that follow read no phantom table.  Only a
+    ``track`` block can drive the closed loop; an untracked block neither
+    observes nor prepares the reference volume and serves
+    ``open_loop_insertion``.  Raises
     geometry.DegenerateConfiguration for a collinear reference volume of a
     tracked block, before planning, and planning.NoFeasiblePath when no
     trajectory clears the arch.
     """
     region = entry_region if entry_region is not None else EntryRegion()
     n = len(streams)
-    block = phantoms.glands().rows(streams.phantom)
-    counts = streams.needle_count
+    # a slot's needle count is its target id, its target's place in the session
     reference = None
     if track:
         rest = np.broadcast_to(geometry.IDENTITY, (n, 3, 3))
-        ref_obs = sensing.observe(block, rest, np.zeros((n, 3)), noise, streams.reference_normals, counts)
+        ref_obs = sensing.observe(gland, rest, np.zeros((n, 3)), noise, streams.reference_normals, streams.target)
         reference = geometry.prepare_reference(ref_obs)
     target = (streams.phantom, streams.target)
     target_rest = phantoms.target_rest[target]
-    targets_obs = sensing.observe_point(block, target_rest, noise, streams.target_normals, counts)
+    targets_obs = sensing.observe_point(gland, target_rest, noise, streams.target_normals, streams.target)
     trajs = planning.plan_trajectories(arch, targets_obs, region, geom, needle_radius)
     entries, dirs, depths = trajs.entry, trajs.dir, trajs.planned_depth
     _, angles, durations = kinematics.advance_insertion(geom, np.zeros(n), np.zeros(n), depths)
@@ -249,8 +251,8 @@ def plan_insertions(
     return Plans(
         target_rest, phantoms.zone_depth[target], zone_lateral, phantoms.zone_ap[target],
         targets_obs, entries, dirs, depths, trajs.approach, angles, durations,
-        gland_levers(block, entries, dirs, depths), block, np.where(zone_lateral == LEFT, block.left_bias, 0.0),
-        reference,
+        gland_levers(gland, entries, dirs, depths),
+        np.where((zone_lateral == LEFT) & gland.left_bias_enabled, gland.left_bias_mm, 0.0), reference,
     )
 
 
@@ -324,6 +326,7 @@ def open_loop_records(
 
 def correct_insertions(
     motions: list[MotionParams],
+    gland: PhantomConfig,
     noise: NoiseModel,
     geom: kinematics.RobotGeometry,
     conv: ConvergenceParams,
@@ -341,7 +344,7 @@ def correct_insertions(
     ``rotations[p, k]``, ``translations[p, k]`` of the stacks (P, K, 3, 3)
     and (P, K, 3).  A tip past the gland entry depth sees the first pass's
     gland transform, a tip short of it the gland at rest.  Each step
-    observes, registers, tracks and decides for every row still
+    observes ``gland``, registers, tracks and decides for every row still
     correcting, as one stacked call per kernel, on the slots' rows of the
     block's tables, gathered by each row's slot (never a copy per point).
     A row leaves the loop when its proposed change drops below
@@ -389,8 +392,7 @@ def correct_insertions(
         slot = slots[active]
         rot, trans = _gland_states(tip[active] > entry_depth[slot], rotations[active], translations[active])
         obs = sensing.observe(
-            plans.glands.rows(slot), rot, trans, noise, streams.observation_normals[slot, step],
-            streams.needle_count[slot],
+            gland, rot, trans, noise, streams.observation_normals[slot, step], streams.target[slot],
         )
         reg_rot, reg_trans, rms[active] = sensing.rigid_register(plans.reference.rows(slot), obs)
         tracked = sensing.track_target(reg_rot, reg_trans, plans.target_obs[slot])
@@ -429,6 +431,7 @@ def correct_insertions(
 
 def run_insertion(
     motion: MotionParams,
+    gland: PhantomConfig,
     noise: NoiseModel,
     geom: kinematics.RobotGeometry,
     conv: ConvergenceParams,
@@ -443,5 +446,5 @@ def run_insertion(
     """
     first = open_loop_insertion(motion, plan, 0, streams.rows(0))
     return correct_insertions(
-        [motion], noise, geom, conv, plan, streams, first.rotation[None, None], first.translation[None, None],
+        [motion], gland, noise, geom, conv, plan, streams, first.rotation[None, None], first.translation[None, None],
     )[0]

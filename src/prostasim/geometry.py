@@ -74,9 +74,11 @@ def component_planes(points: np.ndarray) -> np.ndarray:
 def rotate_planes(rot: np.ndarray, planes: np.ndarray) -> np.ndarray:
     """Set k's points of ``planes`` (N, 3, K) under its rotation of ``rot``, held as planes (3, 3, K): (N, 3, K).
 
-    Each element is summed as in ``matvec``.
+    ``planes`` may hold one set (N, 3, 1) for every rotation.  Each element
+    is summed as in ``matvec``.
     """
-    out, term = np.empty(planes.shape), np.empty(planes.shape)
+    shape = np.broadcast_shapes(planes.shape, rot.shape[1:])
+    out, term = np.empty(shape), np.empty(shape)
     np.multiply(rot[:, 0], planes[:, 0, None], out=out)
     for b in (1, 2):
         out += np.multiply(rot[:, b], planes[:, b, None], out=term)

@@ -15,14 +15,17 @@ label's count over its phantoms by integer division, the remainder going
 one each to the first phantoms, and a dimension's last label takes what
 its other labels leave of a phantom's targets.
 
-A phantom's parameters are one ``PhantomConfig``, the config's
-``phantom`` section, and ``generate_phantom`` samples a phantom from them.
-Phantoms are the columns of one ``Phantoms``, a row per phantom (gland,
-pivot, left bias, fiducials, targets and their zones), and hold no motion
-parameters.  The gland transform of one needle line splits in two: its
-lever (direction, entry depth, penetration, lateral offset and rotation
-axis) reads no motion parameter and is made for a block of lines at once
-by ``gland_levers``, as the columns of one ``GlandLevers``;
+A study's phantoms share one gland, the config's ``phantom`` section, a
+``PhantomConfig``: its semiaxes, the pivot of its rotation, the left bias
+of its left-zone beads and its registration fiducials
+(``PhantomConfig.fiducial_points``).  The gland kernels read it as it is,
+one value for every row of a block.  ``generate_phantom`` samples a
+phantom's targets in it; phantoms are the columns of one ``Phantoms``, a
+row per phantom holding only its targets and their zones, and hold no
+motion parameters.  The gland transform of one needle line splits in
+two: its lever (direction, entry depth, penetration, lateral offset and
+rotation axis) reads no motion parameter and is made for a block of lines
+at once by ``gland_levers``, as the columns of one ``GlandLevers``;
 ``prostate_transform`` takes a row of those columns and the motion
 parameters, of one motion or of a stack of them (``MotionParams.stack``),
 and evaluates only the motion terms, the rotation and translation of a
@@ -141,32 +144,27 @@ class PhantomConfig:
     left_bias_enabled: bool = False
     perineum_peak_force_n: float = 1.8
 
+    @property
+    def fiducial_points(self) -> np.ndarray:
+        """The gland's (N, 3) registration fiducials, on its surface shrunk by ``_FIDUCIAL_SCALE``."""
+        return _FIDUCIAL_DIRS * (np.array(self.gland_semiaxes) * _FIDUCIAL_SCALE)
+
 
 @dataclass(eq=False)
 class Phantoms(geometry.Columns):
-    """Phantoms as columns: row p is phantom p.
+    """A study's phantoms as columns: row p is phantom p.
 
-    A row holds the gland's semiaxes, the pivot of its rotation, the left
-    bias that deflects its left-zone beads, its (N, 3) registration
-    fiducials, and its targets in id order: their (T, 3) rest positions and
-    (T,) zone labels.  ``generate_phantom`` makes one row; a study's
-    phantoms are their ``concat``, and a slot reads its phantom's row.
-    ``glands`` gives the same phantoms with no target or zone column.
+    A row holds the phantom's targets in id order: their (T, 3) rest
+    positions and (T,) zone labels.  Every phantom of a study has the one
+    gland of its ``PhantomConfig``, which no row repeats.
+    ``generate_phantom`` makes one row; a study's phantoms are their
+    ``concat``, and a slot reads its phantom's row.
     """
 
-    gland_semiaxes: np.ndarray  # (P, 3)
-    pivot: np.ndarray  # (P, 3)
-    left_bias: np.ndarray  # (P,)
-    fiducial_points: np.ndarray  # (P, N, 3)
-    target_rest: np.ndarray | None  # (P, T, 3)
-    zone_depth: np.ndarray | None  # (P, T) str
-    zone_lateral: np.ndarray | None
-    zone_ap: np.ndarray | None
-
-    def glands(self) -> Phantoms:
-        """These phantoms without their targets, whose ``rows`` copy only the
-        gland, bias and fiducial columns the sensing and gland kernels read."""
-        return replace(self, target_rest=None, zone_depth=None, zone_lateral=None, zone_ap=None)
+    target_rest: np.ndarray  # (P, T, 3)
+    zone_depth: np.ndarray  # (P, T) str
+    zone_lateral: np.ndarray
+    zone_ap: np.ndarray
 
 
 def phantom_quota_split(zone_quotas: dict[str, int], n_phantoms: int, per: int) -> list[dict[str, int]]:
@@ -274,13 +272,7 @@ def generate_phantom(phantom: PhantomConfig, n_targets: int, seed: int, zone_quo
             )
         placed[i] = pos
 
-    bias = phantom.left_bias_mm if phantom.left_bias_enabled else 0.0
-    return Phantoms(
-        np.array([[a, b, c]], dtype=np.float64), np.array([phantom.pivot], dtype=np.float64),
-        np.array([bias], dtype=np.float64),
-        (_FIDUCIAL_DIRS * (np.array([a, b, c]) * _FIDUCIAL_SCALE))[None], placed[None],
-        *(np.array([seq]) for seq in (depth_seq, lat_seq, ap_seq)),
-    )
+    return Phantoms(placed[None], *(np.array([seq]) for seq in (depth_seq, lat_seq, ap_seq)))
 
 
 def _shuffled_labels(stream, counts) -> list[str]:
@@ -291,16 +283,15 @@ def _shuffled_labels(stream, counts) -> list[str]:
     return [seq[i] for i in idx]
 
 
-def gland_entry_depth(phantoms: Phantoms, entries, dirs) -> np.ndarray:
-    """Depth along each needle line where it first meets its gland's surface.
+def gland_entry_depth(gland: PhantomConfig, entries, dirs) -> np.ndarray:
+    """Depth along each needle line where it first meets the surface of ``gland``.
 
-    Line k runs from ``entries[k]`` along ``dirs[k]`` into the phantom of
-    row k of ``phantoms``.
+    Line k runs from ``entries[k]`` along ``dirs[k]``.
     Returns (K,) depths, 0 for an entry on or inside the surface and NaN
     where the line misses the gland or the gland lies behind the entry.
     Each row has the bits of solving its quadratic alone on Python floats.
     """
-    semi = phantoms.gland_semiaxes
+    semi = np.array(gland.gland_semiaxes, dtype=np.float64)
     # the gland centroid is the frame's origin
     w = np.asarray(entries, dtype=np.float64) / semi
     v = np.asarray(dirs, dtype=np.float64) / semi
@@ -328,7 +319,7 @@ class GlandLevers(geometry.Columns):
     along it (NaN: the line misses the gland), the first pass's
     penetration beyond that depth, the lateral offset of the gland
     centroid from the line, and the Rodrigues levers of the rotation about
-    the phantom's pivot (``geometry.rodrigues_levers``): the cross-product
+    the gland's pivot (``geometry.rodrigues_levers``): the cross-product
     matrix ``kx`` of the unit rotation axis (perpendicular to the plane of
     the needle and the centroid offset) and its square ``kx2``, each with
     minus its product with the pivot as a fourth column.  Both are zero
@@ -343,19 +334,19 @@ class GlandLevers(geometry.Columns):
     kx2: np.ndarray
 
 
-def gland_levers(phantoms: Phantoms, entries, dirs, pass_depths) -> GlandLevers:
-    """The levers of a block of needle lines, computed in arrays over the block.
+def gland_levers(gland: PhantomConfig, entries, dirs, pass_depths) -> GlandLevers:
+    """The levers of a block of needle lines into ``gland``, computed in arrays over the block.
 
-    Line k enters the phantom of row k of ``phantoms`` at ``entries[k]`` along the unit
-    direction ``dirs[k]``, taken as given, meets its gland along it
-    (``gland_entry_depth``) and is first inserted to ``pass_depths[k]``.
+    Line k enters at ``entries[k]`` along the unit direction ``dirs[k]``,
+    taken as given, meets the gland along it (``gland_entry_depth``) and is
+    first inserted to ``pass_depths[k]``.
     Each row has the bits the per-line formula gives alone: the dot
     products, norms and matrix products are ``geometry``'s component
     arithmetic, on a stack as on one line.
     """
     entries = np.asarray(entries, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    entry_depths = gland_entry_depth(phantoms, entries, dirs)
+    entry_depths = gland_entry_depth(gland, entries, dirs)
     pens = penetration(entry_depths, np.asarray(pass_depths, dtype=np.float64))
     rel = -entries  # the gland centroid, the origin, relative to each entry
     offset = rel - geometry.row_dot(rel, dirs)[:, None] * dirs
@@ -370,7 +361,7 @@ def gland_levers(phantoms: Phantoms, entries, dirs, pass_depths) -> GlandLevers:
     kx[turns, 0, 1], kx[turns, 0, 2] = -k2, k1
     kx[turns, 1, 0], kx[turns, 1, 2] = k2, -k0
     kx[turns, 2, 0], kx[turns, 2, 1] = -k1, k0
-    return GlandLevers(dirs, entry_depths, pens, lateral, *geometry.rodrigues_levers(kx, phantoms.pivot))
+    return GlandLevers(dirs, entry_depths, pens, lateral, *geometry.rodrigues_levers(kx, np.array(gland.pivot)))
 
 
 def prostate_transform(levers: GlandLevers, k: int, motion: MotionParams, motion_noise):

@@ -26,7 +26,9 @@ verification volume, up to the correction budget of
 motion parameter, which only scale them.  So each stream is drawn whole,
 up front, for a block of insertions at once (``draw_insertions``), and
 handed out already split by that layout, as the columns of one
-``Streams``: this module is the one that knows it.  The observation
+``Streams``: this module is the one that knows it.  A slot's session
+degradation state, the number of needles placed before it, is its target
+id, which ``Streams.target`` holds.  The observation
 budget holds volumes that an insertion which converges early never
 uses.  A block draw re-keys one module-level Philox per row instead
 of building a generator per stream; its rows are the draws of
@@ -155,8 +157,8 @@ def standard_normals(master_seed: int, purpose: int, slots, salt: int, size: int
 class Streams(geometry.Columns):
     """The standard normals a block of insertions consumes, drawn up front: row k is slot k.
 
-    ``phantom``, ``target`` and ``replicate`` name the slot, and
-    ``needle_count`` carries its session degradation state.  The draws
+    ``phantom``, ``target`` and ``replicate`` name the slot; the target id
+    is also its needle count, its session degradation state.  The draws
     follow the streams' fixed layout (see the module docstring), split by
     it: the reference stream's one draw is the reference volume
     (``reference_normals``) and the observed target (``target_normals``),
@@ -167,7 +169,6 @@ class Streams(geometry.Columns):
     phantom: np.ndarray  # (K,) int64
     target: np.ndarray
     replicate: np.ndarray
-    needle_count: np.ndarray
     reference_normals: np.ndarray  # (K, N, 3)
     target_normals: np.ndarray  # (K, 3)
     motion_normals: np.ndarray  # (K, 3)
@@ -177,7 +178,6 @@ class Streams(geometry.Columns):
 def draw_insertions(
     master_seed: int,
     slots,
-    needle_counts,
     n_fiducials: int,
     volumes: int,
     motion_salt: int = 0,
@@ -189,7 +189,6 @@ def draw_insertions(
     (``volumes`` verification volumes of ``n_fiducials`` points; an
     open-loop study, which observes none, passes 0), three block draws in
     all, and split into the columns of the streams' layout.
-    ``needle_counts[k]`` is slot k's session degradation state.
     """
     n = len(slots)
     # packed once, for every draw and the slot columns
@@ -201,7 +200,6 @@ def draw_insertions(
     else:
         observation = np.empty((n, 0))
     return Streams(
-        *fields.T, np.array(needle_counts, dtype=np.int64),
-        reference[:, :-3].reshape(n, n_fiducials, 3), reference[:, -3:],
+        *fields.T, reference[:, :-3].reshape(n, n_fiducials, 3), reference[:, -3:],
         motion, observation.reshape(n, volumes, n_fiducials, 3),
     )

@@ -1,9 +1,9 @@
 """Synthetic ultrasound observation and fiducial-based motion tracking.
 
-Observing replaces image acquisition: each phantom fiducial is moved by
-the current gland transform and perturbed by isotropic noise whose sd
-grows with tissue depth and with the number of needles already placed
-(image degradation); ``NoiseModel.sd`` is that sd, and both ``observe``
+Observing replaces image acquisition: each fiducial of the study's one
+gland (``PhantomConfig.fiducial_points``) is moved by the current gland
+transform and perturbed by isotropic noise whose sd grows with tissue
+depth and with the number of needles already placed (image degradation); ``NoiseModel.sd`` is that sd, and both ``observe``
 and ``observe_point`` take it from there.  An observed volume is an
 (N, 3) array, row i being fiducial i, made from N x 3 standard normals
 that the caller draws (see ``rng``) and the sd only scales, so a
@@ -15,8 +15,8 @@ the target.
 ``observe``, ``observe_point``, ``rigid_register`` and ``track_target``
 work on stacks: K insertions at once, row k of every argument and result
 belonging to insertion k, so one call serves a whole block of
-insertions.  Each row has the bits it would have alone; a single
-insertion passes a stack of one.
+insertions.  The gland is one for every row.  Each row has the bits it
+would have alone; a single insertion passes a stack of one.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .phantom import Phantoms
+from .phantom import PhantomConfig
 
 
 @dataclass
@@ -67,7 +67,7 @@ class NoiseModel:
 
 
 def observe(
-    phantoms: Phantoms,
+    gland: PhantomConfig,
     rotations: np.ndarray,
     translations: np.ndarray,
     noise: NoiseModel,
@@ -76,37 +76,36 @@ def observe(
 ) -> np.ndarray:
     """One synthetic volume for each of K insertions, stacked (K, N, 3).
 
-    Row k is every fiducial of row k of ``phantoms`` moved by the gland
-    transform (``rotations[k]``, ``translations[k]``) and perturbed, in id order, by
+    Row k is every fiducial of ``gland`` moved by the gland transform
+    (``rotations[k]``, ``translations[k]``) and perturbed, in id order, by
     its sd times the standard normals ``normals[k]`` (N, 3): the draw of
     ``standard_normal((N, 3))``, whatever the sd.  ``needle_counts[k]`` is
     the number of needles already completed in that session and drives the
     degradation multiplier.  Each volume has the bits it would have if
     observed alone.
     """
-    # component planes (N, 3, K): each point moved as ``geometry.apply`` moves it
-    world = geometry.rotate_planes(
-        np.asarray(rotations).transpose(1, 2, 0), geometry.component_planes(phantoms.fiducial_points),
-    )
+    # component planes (N, 3, K), the fiducials' (N, 3, 1) broadcast over the
+    # rows: each point moved as ``geometry.apply`` moves it
+    world = geometry.rotate_planes(np.asarray(rotations).transpose(1, 2, 0), gland.fiducial_points[..., None])
     world += np.asarray(translations).T
     # depth past the gland entry plane z = -c
-    sigma = noise.sd(needle_counts, np.maximum(0.0, world[:, 2] + phantoms.gland_semiaxes[:, 2]))
+    sigma = noise.sd(needle_counts, np.maximum(0.0, world[:, 2] + gland.gland_semiaxes[2]))
     world += sigma[:, None] * normals.transpose(1, 2, 0)
     # rows of the planes, which geometry.register_to takes back without a copy
     return world.transpose(2, 0, 1)
 
 
-def observe_point(phantoms: Phantoms, points_world: np.ndarray, noise: NoiseModel, normals: np.ndarray, needle_counts) -> np.ndarray:
+def observe_point(gland: PhantomConfig, points_world: np.ndarray, noise: NoiseModel, normals: np.ndarray, needle_counts) -> np.ndarray:
     """Noisy observations (K, 3) of one world point per insertion (e.g. the target bead), stacked.
 
-    Row k observes ``points_world[k]`` in row k of ``phantoms`` after
+    Row k observes ``points_world[k]`` in ``gland`` after
     ``needle_counts[k]`` needles from the 3 standard normals
     ``normals[k]``: its noise is ``0.0 + sigma * normals[k]``, numpy's
     ``normal(0.0, sigma, 3)`` on those draws, bit for bit, and each row has
     the bits it would have alone.
     """
     p = np.asarray(points_world, dtype=np.float64)
-    sigma = noise.sd(needle_counts, np.maximum(0.0, p[:, 2] + phantoms.gland_semiaxes[:, 2]))
+    sigma = noise.sd(needle_counts, np.maximum(0.0, p[:, 2] + gland.gland_semiaxes[2]))
     return p + (0.0 + sigma[:, None] * normals)
 
 

@@ -3,8 +3,9 @@
 A study is the cross product (phantom, target, replicate).  Every
 insertion draws from counter-based streams keyed by those indices, so
 outputs do not depend on execution order, and the closed/open pair of an
-insertion shares its streams.  The phantoms are built once, as one
-``phantom.Phantoms`` that every block reads by its slots' phantom rows.
+insertion shares its streams.  The phantoms share the config's one gland
+and are built once, as one ``phantom.Phantoms`` of their targets that
+every block reads by its slots' phantom rows.
 ``run_points`` runs a study at several (motion, sigma0) points at once,
 as a calibration grid does, and ``run_study`` at the config's own.
 
@@ -155,7 +156,8 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> It
     ``rng.Streams`` (``rng.draw_insertions``; a point only scales their
     standard normals), and its slots are planned together once per sigma0
     (``plan_insertions``; a plan is made at rest, which no motion touches),
-    its plans carrying the slots' rows of the phantoms that the rest reads.
+    its plans carrying the slots' targets, so that the rest reads no
+    phantom table; a slot's needle count is its target id.
     Then each slot makes its first passes under every motion of that
     sigma0 in one call (``open_loop_insertion`` on ``MotionParams.stack``
     of them, given the slot's row of the streams, a view made once per
@@ -186,7 +188,7 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> It
     arch = cfg.arch.build()
     do_closed = cfg.mode in ("closed_loop", "both")
     do_open = cfg.mode in ("open_loop", "both")
-    n_fiducials = phantoms.fiducial_points.shape[1]
+    n_fiducials = len(cfg.phantom.fiducial_points)
     volumes = cfg.convergence.max_corrections + 1 if do_closed else 0
 
     slots = list(itertools.product(
@@ -196,17 +198,13 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> It
     closed, opened = [[] for _ in points], [[] for _ in points]
     for start in range(0, len(slots), BLOCK_SLOTS):
         block = slots[start:start + BLOCK_SLOTS]
-        # the needle count of a slot is its target's place in the session
-        streams = draw_insertions(
-            cfg.seed, block, [t for _, t, _ in block], n_fiducials, volumes,
-            cfg.motion.rng_seed, cfg.noise.rng_seed,
-        )
+        streams = draw_insertions(cfg.seed, block, n_fiducials, volumes, cfg.motion.rng_seed, cfg.noise.rng_seed)
         # each slot's own streams, for its first passes
         slot_streams = [streams.rows(k) for k in range(len(block))]
         per_loop = max(1, LOOP_ROWS // len(block))
         for noise, members in groups.values():
             plans = plan_insertions(
-                phantoms, cfg.robot, arch, noise, streams,
+                cfg.phantom, phantoms, cfg.robot, arch, noise, streams,
                 cfg.entry_region, cfg.needle_radius, track=do_closed,
             )
             motions = [points[i][0] for i in members]
@@ -223,7 +221,7 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> It
                 chunk = slice(begin, begin + per_loop)
                 if do_closed:
                     records = correct_insertions(
-                        motions[chunk], noise, cfg.robot, cfg.convergence, plans, streams,
+                        motions[chunk], cfg.phantom, noise, cfg.robot, cfg.convergence, plans, streams,
                         rotations[chunk], translations[chunk],
                     )
                     for i, rec in zip(members[chunk], records):

@@ -276,7 +276,7 @@ def register_oracle(ref, obs):
     return np.array(rot), np.array(trans), math.sqrt((sq[0] + sq[1] + sq[2]) / n)
 
 
-def gland_transform_oracle(phantom, motion, entry, dir, tip_depth, pass_depth, motion_noise, entry_depth):
+def gland_transform_oracle(gland, motion, entry, dir, tip_depth, pass_depth, motion_noise, entry_depth):
     """The gland transform of one needle line, evaluated whole on that line alone.
 
     The per-line formula that ``phantom.gland_levers`` and
@@ -285,8 +285,7 @@ def gland_transform_oracle(phantom, motion, entry, dir, tip_depth, pass_depth, m
     of that side, kept as their oracle: the tip at ``tip_depth`` after a
     first pass to ``pass_depth`` along the unit direction ``dir``, taken as
     given, and ``entry_depth`` the line's gland entry depth along it (NaN:
-    the line misses).  ``phantom`` is one row's values of
-    ``phantom.Phantoms``.
+    the line misses).  ``gland`` is the study's ``phantom.PhantomConfig``.
     """
     entry = np.asarray(entry, dtype=np.float64)
     d = np.asarray(dir, dtype=np.float64)
@@ -305,7 +304,7 @@ def gland_transform_oracle(phantom, motion, entry, dir, tip_depth, pass_depth, m
         u0, u1, u2 = (offset_vec / lateral).tolist()
         axis = (d1 * u2 - d2 * u1, d2 * u0 - d0 * u2, d0 * u1 - d1 * u0)
         angle = motion.rotation_gain * lateral * pen
-        rot = geometry.rotation_about_axis(axis, angle, phantom.pivot)
+        rot = geometry.rotation_about_axis(axis, angle, np.array(gland.pivot, dtype=np.float64))
     else:
         rot = geometry.identity()
 
@@ -323,16 +322,16 @@ def gland_transform_at(levers, k, motion, tip_depth, motion_noise):
     return geometry.identity()
 
 
-def open_loop_oracle(phantom, motion, plans, k, first):
+def open_loop_oracle(gland, motion, plans, k, first):
     """Row k's open-loop score, made alone: (axial motion, error, residual motion).
 
     The per-slot formulas that ``controller.open_loop_records`` stacks over
     a block, kept as its oracle: the observed target moved by the gland
     transform of the first pass ``first``, its depth along the needle line past
     the pass depth, the rest-frame miss of the bead left at the pass depth
-    (a left-zone bead of a phantom with a left bias deflected along -x),
-    and the target's displacement beyond the modeled drag.  ``phantom`` is
-    the slot's phantom, one row's values of ``phantom.Phantoms``.
+    (a left-zone bead of a gland with a left bias enabled deflected along
+    -x), and the target's displacement beyond the modeled drag.  ``gland``
+    is the study's ``phantom.PhantomConfig``.
     """
     entry, d, depth = plans.entry[k], plans.dir[k], float(plans.depth[k])
     # a bead left short of the gland is left in it at rest
@@ -341,8 +340,8 @@ def open_loop_oracle(phantom, motion, plans, k, first):
     moved = geometry.apply(t, plans.target_obs[k])
     axial = dot(moved - entry, d) - depth
     bead = entry + depth * d
-    if phantom.left_bias != 0.0 and plans.zone_lateral[k] == LEFT:
-        bead[0] -= phantom.left_bias
+    if gland.left_bias_enabled and plans.zone_lateral[k] == LEFT:
+        bead[0] -= gland.left_bias_mm
     error = norm(geometry.apply(geometry.inverse(t), bead) - plans.target_rest[k])
     pen = float(plans.levers.penetration[k])
     drag = motion.axial_base_offset + motion.axial_gain * pen if pen > 0.0 else 0.0

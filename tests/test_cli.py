@@ -346,6 +346,20 @@ def test_an_empty_output_dir_is_config_error(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["nowhere.yaml"]
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--config", "error: cannot read config : "),
+    ("--out", "error: output.dir: must not be empty"),
+], ids=("config", "out"))
+def test_an_empty_config_or_out_flag_is_config_error(tmp_path, capsys, monkeypatch, flag, message):
+    # an empty flag is given, not left out: neither the default config nor
+    # the config's output.dir stands in for it
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "simulate", flag, "")
+    assert code == 1
+    assert message in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_simulate_into_unwritable_dir_is_runtime_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")

@@ -58,10 +58,13 @@ def blocking_arch(target):
     return PubicArchModel([[-60.0, y, -30.0]], [[60.0, y, -30.0]], [6.0])
 
 
-def make_phantom(left_bias=0.0, seed=4):
-    """One phantom: a ``Phantoms`` of one row, the study table of the slots of phantom 0."""
-    config = PhantomConfig(left_bias_mm=left_bias, left_bias_enabled=True)
-    return generate_phantom(config, 10, seed, TEN_TARGET_QUOTAS)
+# the gland of every test phantom but where a test names its own
+GLAND = PhantomConfig()
+
+
+def make_phantom(seed=4):
+    """One phantom of ``GLAND``: a ``Phantoms`` of one row, the study table of the slots of phantom 0."""
+    return generate_phantom(GLAND, 10, seed, TEN_TARGET_QUOTAS)
 
 
 STILL = MotionParams(0.0, 0.0, 0.0, 0.0)
@@ -73,12 +76,12 @@ def quiet_noise():
     return NoiseModel(sigma0=0.0, depth_gain=0.0, degradation_per_needle=1.0)
 
 
-N_FIDUCIALS = make_phantom().fiducial_points.shape[1]
+N_FIDUCIALS = len(GLAND.fiducial_points)
 
 
-def streams(target_id, seed=31, needle_count=0, volumes=ConvergenceParams().max_corrections + 1, phantom=0):
+def streams(target_id, seed=31, volumes=ConvergenceParams().max_corrections + 1, phantom=0):
     """The streams of one insertion, slot (phantom, target_id, 0), drawn as a block of one."""
-    return draw_insertions(seed, [(phantom, target_id, 0)], [needle_count], N_FIDUCIALS, volumes)
+    return draw_insertions(seed, [(phantom, target_id, 0)], N_FIDUCIALS, volumes)
 
 
 def non_left_target(phantom):
@@ -89,10 +92,10 @@ def non_left_target(phantom):
     raise AssertionError("phantom has no non-left target")
 
 
-def plan_quiet(phantom, tid, arch=None, noise=None, track=True):
+def plan_quiet(phantom, tid, arch=None, noise=None, track=True, gland=GLAND):
     """The plan of one insertion: a block of one."""
     return plan_insertions(
-        phantom, GEOM, arch or far_arch(), noise or quiet_noise(), streams(tid), track=track
+        gland, phantom, GEOM, arch or far_arch(), noise or quiet_noise(), streams(tid), track=track
     )
 
 
@@ -113,15 +116,15 @@ def only_row(records):
     return records.rows(0)
 
 
-def run_quiet(phantom, tid, arch=None, conv=None, mode=run_insertion, noise=None, motion=STILL):
+def run_quiet(phantom, tid, arch=None, conv=None, mode=run_insertion, noise=None, motion=STILL, gland=GLAND):
     """Plan, then insert from the plan: the two steps of a study slot.
 
     Either loop gives the slot's one row of records.
     """
-    plan = plan_quiet(phantom, tid, arch, noise, track=mode is run_insertion)
+    plan = plan_quiet(phantom, tid, arch, noise, track=mode is run_insertion, gland=gland)
     if mode is run_insertion:
         return only_row(run_insertion(
-            motion, noise or quiet_noise(), GEOM, conv or ConvergenceParams(), plan, streams(tid),
+            motion, gland, noise or quiet_noise(), GEOM, conv or ConvergenceParams(), plan, streams(tid),
         ))
     _, records = open_loop_block(phantom, motion, plan, tid)
     return only_row(records)
@@ -136,7 +139,7 @@ def expected_drag(phantom, tid, gain, offset):
     entry = np.array([rest[0], rest[1], GEOM.front_plane_z])
     d = np.array([0.0, 0.0, 1.0])
     planned = float(np.linalg.norm(rest - entry))
-    t0 = gland_entry_depth(phantom, [entry], [d])[0]
+    t0 = gland_entry_depth(GLAND, [entry], [d])[0]
     return planned, offset + gain * (planned - t0)
 
 
@@ -197,7 +200,9 @@ def test_paired_runs_share_noise():
     assert o.depth_correction_mm != 0.0 and np.any(o.motion_mm != 0.0)
     first, opened = open_loop_block(p, motion, tracked, t)
     assert_same_first_pass(first, open_loop_insertion(motion, untracked, 0, streams(t).rows(0)))
-    (closed,) = correct_insertions([motion], noise, GEOM, ConvergenceParams(), tracked, streams(t), *stacked([first]))
+    (closed,) = correct_insertions(
+        [motion], GLAND, noise, GEOM, ConvergenceParams(), tracked, streams(t), *stacked([first]),
+    )
     row = only_row(opened)
     assert (row.n_corrections, row.error_mm, row.depth_correction_mm) == (0, o.error_mm, o.depth_correction_mm)
     np.testing.assert_array_equal(row.motion_mm, o.motion_mm)
@@ -220,13 +225,16 @@ def test_blocked_path_replans_angled():
 
 def test_left_bias_deflects_left_zone_beads():
     bias = 1.5
-    p = make_phantom(left_bias=bias)
+    p = make_phantom()
     left = p.zone_lateral[0].tolist().index(LEFT)
     other = non_left_target(p)
-    rec_left = run_quiet(p, left)
-    rec_other = run_quiet(p, other)
+    biased = PhantomConfig(left_bias_mm=bias, left_bias_enabled=True)
+    rec_left = run_quiet(p, left, gland=biased)
+    rec_other = run_quiet(p, other, gland=biased)
     assert rec_left.error_mm == pytest.approx(bias, abs=1e-9)
     assert rec_other.error_mm < 1e-9
+    # a bias that is not enabled deflects nothing
+    assert run_quiet(p, left, gland=replace(biased, left_bias_enabled=False)).error_mm < 1e-9
 
 
 def test_correction_budget_flagged_not_raised():
@@ -242,9 +250,9 @@ def test_correction_budget_flagged_not_raised():
     plan = plan_quiet(p, t, noise=noisy)
     short = streams(t, volumes=3)
     with pytest.raises(ValueError, match="3 observation volumes"):
-        run_insertion(STILL, noisy, GEOM, conv, plan, short)
-    exact = run_insertion(STILL, noisy, GEOM, conv, plan, streams(t, volumes=4))
-    assert exact == run_insertion(STILL, noisy, GEOM, conv, plan, streams(t))
+        run_insertion(STILL, GLAND, noisy, GEOM, conv, plan, short)
+    exact = run_insertion(STILL, GLAND, noisy, GEOM, conv, plan, streams(t, volumes=4))
+    assert exact == run_insertion(STILL, GLAND, noisy, GEOM, conv, plan, streams(t))
 
 
 def test_durations_and_rotation():
@@ -296,9 +304,9 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
     # the rows of each entry depth solve, one entry per call
     solved = []
 
-    def entry(phantoms, entries, dirs):
-        solved.append(len(phantoms))
-        return gland_entry_depth(phantoms, entries, dirs)
+    def entry(gland, entries, dirs):
+        solved.append(len(entries))
+        return gland_entry_depth(gland, entries, dirs)
 
     # the reference sets each collinearity check covers, one list per call
     checked = []
@@ -321,8 +329,8 @@ def test_closed_loop_evaluates_invariants_once_per_insertion(monkeypatch):
 
     blocks = []
 
-    def correcting(motions, noise, geom, conv, plans, *rest):
-        points = correct_insertions(motions, noise, geom, conv, plans, *rest)
+    def correcting(motions, gland, noise, geom, conv, plans, *rest):
+        points = correct_insertions(motions, gland, noise, geom, conv, plans, *rest)
         (records,) = points
         blocks.append(len(records))
         for entry, corrections in zip(plans.entry, records.n_corrections.tolist()):
@@ -357,7 +365,7 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     t = non_left_target(p)
     entry = np.array([p.target_rest[0, t][0], p.target_rest[0, t][1], GEOM.front_plane_z])
     d = np.array([0.0, 0.0, 1.0])
-    shallow = entry + (gland_entry_depth(p, [entry], [d])[0] - 3.0) * d
+    shallow = entry + (gland_entry_depth(GLAND, [entry], [d])[0] - 3.0) * d
     # the tracker reports the target short of the gland: the tip retracts there
     monkeypatch.setattr(
         sensing, "track_target", lambda rot, trans, targets: np.broadcast_to(shallow, targets.shape).copy()
@@ -371,13 +379,13 @@ def test_retracting_out_of_the_gland_re_evaluates_the_transform(monkeypatch):
     entry, d, planned = plan.entry[0], plan.dir[0], float(plan.depth[0])
     depth_to_shallow, _ = geometry.axis_decompose(entry, d, shallow)
     tip = max(0.0, planned + (depth_to_shallow - planned))
-    entry_depth = gland_entry_depth(p, [entry], [d])[0]
-    fresh = gland_transform_oracle(p.rows(0), motion, entry, d, tip, planned, np.zeros(3), entry_depth)
+    entry_depth = gland_entry_depth(GLAND, [entry], [d])[0]
+    fresh = gland_transform_oracle(GLAND, motion, entry, d, tip, planned, np.zeros(3), entry_depth)
     tip_world = (entry + tip * d)[None]
     bead = world_to_material(fresh.rotation[None], fresh.translation[None], tip_world)[0]
     assert rec.error_mm == norm(bead - p.target_rest[0, t])
     # the first pass's transform, which the retracted tip must not reuse
-    first = gland_transform_oracle(p.rows(0), motion, entry, d, planned, planned, np.zeros(3), entry_depth)
+    first = gland_transform_oracle(GLAND, motion, entry, d, planned, planned, np.zeros(3), entry_depth)
     assert np.linalg.norm(first.translation - fresh.translation) > 1.0
 
 
@@ -387,7 +395,7 @@ def short_of_the_gland(p, t):
     entry = np.array([rest[0], rest[1], GEOM.front_plane_z])
     d = np.array([0.0, 0.0, 1.0])
     target_rest = p.target_rest.copy()
-    target_rest[0, t] = entry + (gland_entry_depth(p, [entry], [d])[0] - 3.0) * d
+    target_rest[0, t] = entry + (gland_entry_depth(GLAND, [entry], [d])[0] - 3.0) * d
     return replace(p, target_rest=target_rest)
 
 
@@ -399,7 +407,7 @@ def test_a_first_pass_short_of_the_gland_is_corrected_into_it(monkeypatch):
     # the observed target lies before the gland surface: the first pass stops there
     plan = plan_quiet(p, t)
     entry, d, planned = plan.entry[0], plan.dir[0], float(plan.depth[0])
-    entry_depth = gland_entry_depth(p, [entry], [d])[0]
+    entry_depth = gland_entry_depth(GLAND, [entry], [d])[0]
     assert planned < entry_depth
     # the tracker reports the target where it lies in the gland: the tip advances there
     deep = inside.target_rest[0, t]
@@ -414,7 +422,7 @@ def test_a_first_pass_short_of_the_gland_is_corrected_into_it(monkeypatch):
     depth_to_deep, _ = geometry.axis_decompose(entry, d, deep)
     tip = max(0.0, planned + (depth_to_deep - planned))
     assert tip > entry_depth
-    moved = gland_transform_oracle(p.rows(0), motion, entry, d, tip, planned, np.zeros(3), entry_depth)
+    moved = gland_transform_oracle(GLAND, motion, entry, d, tip, planned, np.zeros(3), entry_depth)
     tip_world = (entry + tip * d)[None]
     bead = world_to_material(moved.rotation[None], moved.translation[None], tip_world)[0]
     assert rec.error_mm == norm(bead - p.target_rest[0, t])
@@ -453,11 +461,11 @@ def test_a_given_plan_gives_the_same_records():
     t = non_left_target(p)
     noise = NoiseModel(sigma0=0.3, depth_gain=0.002, degradation_per_needle=1.0)
     plan = plan_quiet(p, t, noise=noise)
-    fresh = run_insertion(motion, noise, GEOM, ConvergenceParams(), plan_quiet(p, t, noise=noise), streams(t))
+    fresh = run_insertion(motion, GLAND, noise, GEOM, ConvergenceParams(), plan_quiet(p, t, noise=noise), streams(t))
     fresh_first, fresh_open = open_loop_block(p, motion, plan_quiet(p, t, noise=noise), t)
     assert fresh.n_corrections[0] >= 1
     for _ in range(2):  # a plan is not consumed by its use
-        assert run_insertion(motion, noise, GEOM, ConvergenceParams(), plan, streams(t)) == fresh
+        assert run_insertion(motion, GLAND, noise, GEOM, ConvergenceParams(), plan, streams(t)) == fresh
         first, opened = open_loop_block(p, motion, plan, t)
         assert_same_first_pass(first, fresh_first)
         assert opened == fresh_open
@@ -473,35 +481,39 @@ def test_a_given_plan_gives_the_same_records():
     assert_same_first_pass(first, fresh_first)
     assert opened == fresh_open
     with pytest.raises(ValueError, match="tracked plan"):
-        run_insertion(motion, noise, GEOM, ConvergenceParams(), untracked, streams(t))
+        run_insertion(motion, GLAND, noise, GEOM, ConvergenceParams(), untracked, streams(t))
 
 
-# two phantoms of different shape, so the slots of one block differ in their
-# fiducials, and the first again with its last target, target 9, outside the
-# gland, whose direct line misses it: rows 0, 1 and 2 of TABLE
-SHAPES = Phantoms.concat([
-    generate_phantom(PhantomConfig(), 10, 5, TEN_TARGET_QUOTAS),
-    generate_phantom(PhantomConfig(gland_semiaxes=(21.0, 17.0, 26.0)), 10, 6, TEN_TARGET_QUOTAS),
-])
+# the default gland and one of another shape, pivot and left bias: each
+# block relation below holds under both
+GLANDS = (
+    GLAND, PhantomConfig(gland_semiaxes=(21.0, 17.0, 26.0), pivot=(2.0, 14.0, -12.0), left_bias_enabled=True),
+)
 
 
-def off_gland():
-    p = SHAPES.rows([0])
-    p.target_rest[0, 9] = (30.0, 4.0, 6.0)
-    p.zone_depth[0, 9], p.zone_lateral[0, 9], p.zone_ap[0, 9] = ph.BASE, LEFT, ph.ANTERIOR
-    return p
+def table(gland):
+    """Two phantoms of ``gland``, and the first again with its last target,
+    target 9, outside the gland, whose direct line misses it: rows 0, 1 and 2."""
+    two = Phantoms.concat([generate_phantom(gland, 10, seed, TEN_TARGET_QUOTAS) for seed in (5, 6)])
+    off = two.rows([0])
+    off.target_rest[0, 9] = (30.0, 4.0, 6.0)
+    off.zone_depth[0, 9], off.zone_lateral[0, 9], off.zone_ap[0, 9] = ph.BASE, LEFT, ph.ANTERIOR
+    return Phantoms.concat([two, off])
 
 
-TABLE = Phantoms.concat([SHAPES, off_gland()])
+# the phantoms of each gland, row for row; the first two are its SHAPES
+TABLES = tuple(table(gland) for gland in GLANDS)
+SHAPES = 2
 OFF_GLAND = 2
 
 
 def wide_arch():
     """The robot and arch of the default config with 11 mm arch capsules.
 
-    They block the direct path to about a third of the SHAPES targets (and
-    leave a few with no feasible path), so blocks mix angled and
-    horizontal plans; the far arch blocks none.
+    They block the direct path to a fifth to two fifths of the SHAPES
+    targets of either gland (and leave some noisily observed targets with
+    no feasible path), so blocks mix angled and horizontal plans; the far
+    arch blocks none.
     """
     cfg = default_config()
     for cap in cfg.arch.capsules:
@@ -512,9 +524,9 @@ def wide_arch():
 
 WIDE_ROBOT, WIDE_ARCH = wide_arch()
 ARCHES = (far_arch(), WIDE_ARCH)
-# target 7 of SHAPES[0] (x = 15.38 mm) has its direct entry one ulp beyond
-# this robot's stage travel, target 9 (14.70 mm) within it
-EDGE_ROBOT = replace(WIDE_ROBOT, stage_travel=float(np.nextafter(SHAPES.target_rest[0, 7, 0], 0.0)))
+# target 7 of the default gland's phantom 0 (x = 15.38 mm) has its direct
+# entry one ulp beyond this robot's stage travel, target 9 (14.70 mm) within it
+EDGE_ROBOT = replace(WIDE_ROBOT, stage_travel=float(np.nextafter(TABLES[0].target_rest[0, 7, 0], 0.0)))
 # the entry plane cuts through the gland: an entry on or inside its surface
 INSIDE_ROBOT = replace(WIDE_ROBOT, front_plane_z=-10.0)
 
@@ -528,9 +540,9 @@ def oracle_normalize(v):
     return v / norm(v)
 
 
-def oracle_entry_depth(phantom, entry, dir):
-    """The gland entry depth of one line into ``phantom``, one row's values of ``Phantoms``."""
-    semi = np.asarray(phantom.gland_semiaxes, dtype=np.float64)
+def oracle_entry_depth(gland, entry, dir):
+    """The gland entry depth of one line into ``gland``, a ``PhantomConfig``."""
+    semi = np.asarray(gland.gland_semiaxes, dtype=np.float64)
     w, v = entry / semi, dir / semi
     aa, bb, cc = dot(v, v), dot(w, v), dot(w, w) - 1.0
     disc = bb * bb - aa * cc
@@ -559,8 +571,8 @@ def oracle_trajectory(arch, target, region, geom):
     return replan_angled_oracle(arch, target, region, geom)
 
 
-def oracle_first_pass(phantom, traj, geom):
-    """(joints, duration, penetration, entry depth) of the first pass along ``traj``."""
+def oracle_first_pass(gland, traj, geom):
+    """(joints, duration, penetration, entry depth) of the first pass along ``traj`` into ``gland``."""
     d, e = oracle_normalize(traj.dir), traj.entry
     front = e + (geom.front_plane_z - e[2]) / d[2] * d
     back = e + (geom.front_plane_z - geom.stage_separation - e[2]) / d[2] * d
@@ -569,37 +581,39 @@ def oracle_first_pass(phantom, traj, geom):
     joints = JointState(
         float(front[0]), float(front[1]), float(back[0]), float(back[1]), 0.0, 0.0 + traj.planned_depth, angle
     )
-    t0 = oracle_entry_depth(phantom, traj.entry, traj.dir)
+    t0 = oracle_entry_depth(gland, traj.entry, traj.dir)
     pen = 0.0 if t0 is None else max(0.0, traj.planned_depth - t0)
     return joints, duration, pen, np.nan if t0 is None else t0
 
 
-def oracle_reference(slot, noise):
-    """The reference volume and observed target of a slot, each fiducial and
-    then the target observed with ``normal`` from its reference stream."""
-    row, target_id, seed, count = slot
-    phantom = TABLE.rows(row)
+def oracle_reference(g, slot, noise):
+    """The reference volume and observed target of a slot of ``TABLES[g]``:
+    each fiducial of ``GLANDS[g]`` and then the target observed with
+    ``normal`` from its reference stream, after as many needles as its id."""
+    row, target_id, seed = slot
+    gland = GLANDS[g]
     stream = substream(seed, rng.REFERENCE, row, target_id, 0)
-    base = noise.sigma0 * noise.degradation_per_needle**count
-    c = phantom.gland_semiaxes[2]
+    base = noise.sigma0 * noise.degradation_per_needle**target_id
+    c = gland.gland_semiaxes[2]
 
     def seen(point):
         return point + stream.normal(0.0, base + noise.depth_gain * max(0.0, float(point[2]) + c), 3)
 
-    volume = np.array([seen(point) for point in phantom.fiducial_points])
-    return volume, seen(phantom.target_rest[target_id])
+    volume = np.array([seen(point) for point in gland.fiducial_points])
+    return volume, seen(TABLES[g].target_rest[row, target_id])
 
 
 @st.composite
 def block_slots(draw):
-    """One slot of a block: phantom (a row of TABLE), target id, reference stream seed, needle count."""
-    row = draw(st.integers(0, len(TABLE) - 1))
-    target_id = draw(st.integers(0, TABLE.target_rest.shape[1] - 1))
-    return row, target_id, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 4))
+    """One slot of a block: phantom (a row of a table), target id, reference stream seed."""
+    row = draw(st.integers(0, len(TABLES[0]) - 1))
+    target_id = draw(st.integers(0, TABLES[0].target_rest.shape[1] - 1))
+    return row, target_id, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
+    g=st.integers(0, len(GLANDS) - 1),
     slots=st.lists(block_slots(), min_size=1, max_size=6),
     arch=st.sampled_from(ARCHES),
     robot=st.just(WIDE_ROBOT),
@@ -608,40 +622,46 @@ def block_slots(draw):
     degradation=st.floats(1.0, 1.3),
     track=st.booleans(),
 )
-# slots that differ in phantom and needle count, under a noise that reads both
+# slots that differ in phantom and target, so in needle count, under a
+# noise that reads both, in each gland
 @example(
-    slots=[(0, 1, 7, 0), (1, 3, 8, 2), (0, 6, 9, 4)],
+    g=0, slots=[(0, 1, 7), (1, 3, 8), (0, 6, 9)],
+    arch=WIDE_ARCH, robot=WIDE_ROBOT, sigma0=0.3, depth_gain=0.01, degradation=1.2, track=True,
+)
+@example(
+    g=1, slots=[(0, 1, 7), (1, 3, 8), (0, 6, 9)],
     arch=WIDE_ARCH, robot=WIDE_ROBOT, sigma0=0.3, depth_gain=0.01, degradation=1.2, track=True,
 )
 # the second slot's observed target has no path clear of the wide arch
 @example(
-    slots=[(1, 2, 5, 1), (0, 9, 6, 4), (0, 0, 3, 0)],
+    g=0, slots=[(1, 2, 5), (0, 9, 6), (0, 0, 3)],
     arch=WIDE_ARCH, robot=WIDE_ROBOT, sigma0=0.5, depth_gain=0.05, degradation=1.3, track=True,
 )
 # a direct line that misses the gland: no entry depth, no penetration
 @example(
-    slots=[(OFF_GLAND, 9, 1, 0), (0, 2, 2, 1)],
+    g=1, slots=[(OFF_GLAND, 9, 1), (0, 2, 2)],
     arch=ARCHES[0], robot=WIDE_ROBOT, sigma0=0.0, depth_gain=0.0, degradation=1.0, track=True,
 )
 # entries on or inside the gland surface: the entry depth clamps to 0
 @example(
-    slots=[(0, 0, 1, 0), (0, 3, 2, 0), (0, 7, 3, 0)],
+    g=0, slots=[(0, 0, 1), (0, 3, 2), (0, 7, 3)],
     arch=ARCHES[0], robot=INSIDE_ROBOT, sigma0=0.0, depth_gain=0.0, degradation=1.0, track=False,
 )
 # a direct entry one ulp beyond the stage travel, beside one within it
 @example(
-    slots=[(0, 7, 1, 0), (0, 9, 2, 0)],
+    g=0, slots=[(0, 7, 1), (0, 9, 2)],
     arch=ARCHES[0], robot=EDGE_ROBOT, sigma0=0.0, depth_gain=0.0, degradation=1.0, track=True,
 )
 def test_a_block_plans_each_slot_as_it_would_alone(
-    slots, arch, robot, sigma0, depth_gain, degradation, track
+    g, slots, arch, robot, sigma0, depth_gain, degradation, track
 ):
     noise = NoiseModel(sigma0=sigma0, depth_gain=depth_gain, degradation_per_needle=degradation)
+    gland, phantoms = GLANDS[g], TABLES[g]
 
     def plan(block_streams):
-        return plan_insertions(TABLE, robot, arch, noise, block_streams, track=track)
+        return plan_insertions(gland, phantoms, robot, arch, noise, block_streams, track=track)
 
-    each = [streams(target_id, seed, count, volumes=0, phantom=row) for row, target_id, seed, count in slots]
+    each = [streams(target_id, seed, volumes=0, phantom=row) for row, target_id, seed in slots]
     block_streams = Streams.concat(each)
     alone = []
     for slot_streams in each:
@@ -657,13 +677,13 @@ def test_a_block_plans_each_slot_as_it_would_alone(
     assert block == Plans.concat(alone)
     stages = inverse_kinematics(robot, block.entry, block.dir)
     for k, slot in enumerate(slots):
-        phantom, target_id = TABLE.rows(slot[0]), slot[1]
+        phantom, target_id = phantoms.rows(slot[0]), slot[1]
         np.testing.assert_array_equal(block.target_rest[k], phantom.target_rest[target_id])
         zone = (block.zone_depth[k], block.zone_lateral[k], block.zone_ap[k])
         assert zone == (phantom.zone_depth[target_id], phantom.zone_lateral[target_id], phantom.zone_ap[target_id])
         # the reference volume and the observed target are those of the
         # slot's reference stream, drawn point by point
-        volume, target_obs = oracle_reference(slot, noise)
+        volume, target_obs = oracle_reference(g, slot, noise)
         np.testing.assert_array_equal(block.target_obs[k], target_obs)
         if track:
             assert block.reference.rows([k]) == geometry.prepare_reference(volume[None])
@@ -671,7 +691,7 @@ def test_a_block_plans_each_slot_as_it_would_alone(
             assert block.reference is None
         # and the plan is the one the per-slot oracle makes from the observed target
         traj = oracle_trajectory(arch, block.target_obs[k], EntryRegion(), robot)
-        joints, duration, pen, entry_depth = oracle_first_pass(phantom, traj, robot)
+        joints, duration, pen, entry_depth = oracle_first_pass(gland, traj, robot)
         for name, got, want in (
             ("entry", block.entry[k], traj.entry), ("dir", block.dir[k], traj.dir),
             ("depth", block.depth[k], traj.planned_depth), ("approach", block.approach[k], traj.approach),
@@ -687,85 +707,87 @@ def test_a_block_plans_each_slot_as_it_would_alone(
         for tip in (traj.planned_depth, 0.5 * traj.planned_depth):
             got = gland_transform_at(block.levers, k, LEVERED, tip, noise3)
             want = gland_transform_oracle(
-                phantom, LEVERED, traj.entry, traj.dir, tip, traj.planned_depth, noise3, entry_depth
+                gland, LEVERED, traj.entry, traj.dir, tip, traj.planned_depth, noise3, entry_depth
             )
             assert got.rotation.tobytes() == want.rotation.tobytes()
             assert got.translation.tobytes() == want.translation.tobytes()
 
 
 def test_a_block_scores_its_first_passes_as_each_slot_alone():
-    # a biased and an unbiased phantom, left-zone and other targets, the
-    # wide arch blocking some direct paths: every slot that has a path
+    # left-zone and other targets, the wide arch blocking some direct paths:
+    # every slot of the SHAPES that has a path, in the unbiased default
+    # gland and in a biased one
     noise = NoiseModel(sigma0=0.3, depth_gain=0.01, degradation_per_needle=1.1)
-    phantoms = replace(SHAPES, left_bias=np.array([1.5, 0.0]))
-    each, alone = [], []
-    for index in range(len(phantoms)):
-        for target in range(phantoms.target_rest.shape[1]):
-            slot_streams = draw_insertions(5, [(index, target, 0)], [target], N_FIDUCIALS, 0)
-            try:
-                alone.append(plan_insertions(phantoms, WIDE_ROBOT, WIDE_ARCH, noise, slot_streams, track=False))
-            except NoFeasiblePath:
-                continue
-            each.append(slot_streams)
-    plans = Plans.concat(alone)
-    block_streams = Streams.concat(each)
-    block_phantoms = [phantoms.rows(index) for index in block_streams.phantom.tolist()]
-    assert set(plans.approach.tolist()) == {"Horizontal", "Angled"}
-    deflected = [p.left_bias != 0.0 and zone == LEFT for p, zone in zip(block_phantoms, plans.zone_lateral)]
-    assert any(deflected) and not all(deflected)
-    assert any(p.left_bias == 0.0 for p in block_phantoms)
 
     def bits(x):
         return np.asarray(x, dtype=np.float64).tobytes()
 
-    for motion in (STILL, LEVERED):
-        firsts = [open_loop_insertion(motion, plans, k, block_streams.rows(k)) for k in range(len(plans))]
-        records = open_loop_records(motion, plans, block_streams, *stacked(firsts))
-        for k, (phantom, first) in enumerate(zip(block_phantoms, firsts)):
-            axial, error, residual = open_loop_oracle(phantom, motion, plans, k, first)
-            assert bits(records.depth_correction_mm[k]) == bits(axial), k
-            assert bits(records.error_mm[k]) == bits(error), k
-            assert bits(records.motion_mm[k]) == bits(residual), k
-        if motion is STILL:
-            # a still gland moves no target, and the records see it
-            np.testing.assert_allclose(records.depth_correction_mm, 0.0, atol=1e-9)
+    for gland, phantoms in zip(GLANDS, TABLES):
+        each, alone = [], []
+        for index in range(SHAPES):
+            for target in range(phantoms.target_rest.shape[1]):
+                slot_streams = draw_insertions(5, [(index, target, 0)], N_FIDUCIALS, 0)
+                try:
+                    alone.append(
+                        plan_insertions(gland, phantoms, WIDE_ROBOT, WIDE_ARCH, noise, slot_streams, track=False)
+                    )
+                except NoFeasiblePath:
+                    continue
+                each.append(slot_streams)
+        plans = Plans.concat(alone)
+        block_streams = Streams.concat(each)
+        assert set(plans.approach.tolist()) == {"Horizontal", "Angled"}
+        left = plans.zone_lateral == LEFT
+        assert left.any() and not left.all()
+        np.testing.assert_array_equal(plans.bias, np.where(left & gland.left_bias_enabled, gland.left_bias_mm, 0.0))
+        for motion in (STILL, LEVERED):
+            firsts = [open_loop_insertion(motion, plans, k, block_streams.rows(k)) for k in range(len(plans))]
+            records = open_loop_records(motion, plans, block_streams, *stacked(firsts))
+            for k, first in enumerate(firsts):
+                axial, error, residual = open_loop_oracle(gland, motion, plans, k, first)
+                assert bits(records.depth_correction_mm[k]) == bits(axial), k
+                assert bits(records.error_mm[k]) == bits(error), k
+                assert bits(records.motion_mm[k]) == bits(residual), k
+            if motion is STILL:
+                # a still gland moves no target, and the records see it
+                np.testing.assert_allclose(records.depth_correction_mm, 0.0, atol=1e-9)
 
 
-def feasible_slots(noise):
-    """The streams of every SHAPES target with a path clear of the wide arch,
-    each slot's needle count its target id, and each slot's tracked plans as a
-    block of one."""
+def feasible_slots(g, noise):
+    """The streams of every SHAPES target of ``GLANDS[g]`` with a path clear of
+    the wide arch, and each slot's tracked plans as a block of one."""
     slots, alone = [], []
-    for index in range(len(SHAPES)):
-        for target in range(SHAPES.target_rest.shape[1]):
-            slot_streams = draw_insertions(8, [(index, target, 0)], [target], N_FIDUCIALS, 0)
+    for index in range(SHAPES):
+        for target in range(TABLES[g].target_rest.shape[1]):
+            slot_streams = draw_insertions(8, [(index, target, 0)], N_FIDUCIALS, 0)
             try:
-                alone.append(plan_insertions(SHAPES, WIDE_ROBOT, WIDE_ARCH, noise, slot_streams))
+                alone.append(plan_slots(g, [slot_streams], noise))
             except NoFeasiblePath:
                 continue
             slots.append(slot_streams)
     return slots, alone
 
 
-def plan_slots(slots, noise):
-    """The tracked plans of the slots of the streams ``slots`` as one block, under the wide arch."""
-    return plan_insertions(SHAPES, WIDE_ROBOT, WIDE_ARCH, noise, Streams.concat(slots))
+def plan_slots(g, slots, noise):
+    """The tracked plans of the slots of the streams ``slots`` of ``TABLES[g]`` as one block, under the wide arch."""
+    return plan_insertions(GLANDS[g], TABLES[g], WIDE_ROBOT, WIDE_ARCH, noise, Streams.concat(slots))
 
 
 def test_a_blocks_plans_are_those_of_its_slots_planned_alone():
     noise = NoiseModel(sigma0=0.3, depth_gain=0.01, degradation_per_needle=1.1)
-    slots, alone = feasible_slots(noise)
-    plans = plan_slots(slots, noise)
-    assert set(plans.approach.tolist()) == {"Horizontal", "Angled"} and len(plans) == len(slots)
-    together = Plans.concat(alone)
-    # column by column, nested columns included, each with its dtype, shape and bits
-    for f in fields(Plans):
-        a, b = getattr(plans, f.name), getattr(together, f.name)
-        if isinstance(a, geometry.Columns):
-            assert a == b, f.name
-        else:
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
-    assert plans == together
+    for g in range(len(GLANDS)):
+        slots, alone = feasible_slots(g, noise)
+        plans = plan_slots(g, slots, noise)
+        assert set(plans.approach.tolist()) == {"Horizontal", "Angled"} and len(plans) == len(slots)
+        together = Plans.concat(alone)
+        # column by column, nested columns included, each with its dtype, shape and bits
+        for f in fields(Plans):
+            a, b = getattr(plans, f.name), getattr(together, f.name)
+            if isinstance(a, geometry.Columns):
+                assert a == b, (g, f.name)
+            else:
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (g, f.name)
+        assert plans == together
 
 
 def test_rows_of_a_blocks_plans_are_the_plans_of_those_slots():
@@ -774,28 +796,33 @@ def test_rows_of_a_blocks_plans_are_the_plans_of_those_slots():
     # slots planned as a block of their own (each take holds every label,
     # so its label columns have the block's dtypes)
     noise = NoiseModel(sigma0=0.2, depth_gain=0.01, degradation_per_needle=1.0)
-    slots, _ = feasible_slots(noise)
-    slots = slots[:9]
-    plans = plan_slots(slots, noise)
-    n = len(slots)
-    rows = [r % n for r in range(3 * n)]
-    for lo in range(0, len(rows), 7):
-        take = rows[lo:lo + 7]
-        assert plans.rows(take) == plan_slots([slots[k] for k in take], noise), lo
+    for g in range(len(GLANDS)):
+        slots, _ = feasible_slots(g, noise)
+        slots = slots[:9]
+        plans = plan_slots(g, slots, noise)
+        n = len(slots)
+        rows = [r % n for r in range(3 * n)]
+        for lo in range(0, len(rows), 7):
+            take = rows[lo:lo + 7]
+            assert plans.rows(take) == plan_slots(g, [slots[k] for k in take], noise), (g, lo)
 
 
 def test_a_collinear_reference_volume_anywhere_in_a_block_raises():
     p = make_phantom()
-    t = non_left_target(p)
-    # noiseless, the reference volume is the fiducials, here all on one line
-    line = np.linspace(-8.0, 8.0, N_FIDUCIALS)[:, None] * np.array([[1.0, 0.5, 0.2]])
-    # the third slot's phantom, row 1, has them
-    phantoms = Phantoms.concat([p, replace(p, fiducial_points=line[None])])
-    block_streams = Streams.concat([streams(t), streams(t), streams(t, phantom=1), streams(t)])
+    # a gland flat to 1e-12 mm about the x axis: its fiducials lie on one
+    # line, and a reference volume seen with an sd far below the
+    # collinearity tolerance does too.  The sd grows 1e12-fold per needle,
+    # and a slot's needle count is its target id: of target 1 it is 1 mm
+    flat = PhantomConfig(gland_semiaxes=(20.0, 1e-12, 1e-12))
+    noise = NoiseModel(sigma0=1e-12, depth_gain=0.0, degradation_per_needle=1e12)
+    seen = [streams(1, seed) for seed in (31, 32, 33)]
+    assert plan_insertions(flat, p, GEOM, far_arch(), noise, Streams.concat(seen)).reference is not None
+    # the third slot's reference volume, of target 0, is collinear
+    block_streams = Streams.concat([seen[0], seen[1], streams(0), seen[2]])
     with pytest.raises(DegenerateConfiguration, match="collinear"):
-        plan_insertions(phantoms, GEOM, far_arch(), quiet_noise(), block_streams)
+        plan_insertions(flat, p, GEOM, far_arch(), noise, block_streams)
     # an untracked plan prepares no registration reference, so nothing checks it
-    plans = plan_insertions(phantoms, GEOM, far_arch(), quiet_noise(), block_streams, track=False)
+    plans = plan_insertions(flat, p, GEOM, far_arch(), quiet_noise(), block_streams, track=False)
     assert len(plans) == 4 and plans.reference is None
 
 

@@ -19,7 +19,6 @@ from prostasim.phantom import (
     ZONE_GROUPS,
     MotionParams,
     PhantomConfig,
-    Phantoms,
     generate_phantom,
     gland_entry_depth,
     gland_levers,
@@ -41,31 +40,36 @@ def make_phantom(seed=3, **params):
     return generate_phantom(PhantomConfig(**params), 10, seed, TEN_TARGET_QUOTAS)
 
 
+# the default gland and one of another shape and pivot
+GLANDS = (PhantomConfig(), PhantomConfig(gland_semiaxes=(21.0, 17.0, 26.0), pivot=(2.0, 14.0, -12.0)))
+GLAND = GLANDS[0]
+
+
 def targets_of(p):
     """The (id, rest position, zone labels) of each target of the one-row ``p``, in id order."""
     zones = zip(*(column[0].tolist() for column in (p.zone_depth, p.zone_lateral, p.zone_ap)))
     return [(i, pos, labels) for i, (pos, labels) in enumerate(zip(p.target_rest[0], zones))]
 
 
-def entry_depth(p, entry, d):
+def entry_depth(gland, entry, d):
     """The gland entry depth of one needle line: a stack of one."""
-    return gland_entry_depth(p, [entry], [d])[0]
+    return gland_entry_depth(gland, [entry], [d])[0]
 
 
-def needle_penetration(p, entry, d, depth):
-    return penetration(entry_depth(p, entry, d), depth)
+def needle_penetration(gland, entry, d, depth):
+    return penetration(entry_depth(gland, entry, d), depth)
 
 
-def levers(p, entry, d, pass_depth):
+def levers(gland, entry, d, pass_depth):
     """The levers of one needle line and first pass: a block of one."""
-    return gland_levers(p, [entry], geometry.normalize(np.array([d], dtype=np.float64)), [pass_depth])
+    return gland_levers(gland, [entry], geometry.normalize(np.array([d], dtype=np.float64)), [pass_depth])
 
 
-def transform(p, motion, entry, d, tip_depth, noise, pass_depth=None):
+def transform(gland, motion, entry, d, tip_depth, noise, pass_depth=None):
     """The gland transform with the tip at ``tip_depth`` after a first pass
     to ``pass_depth`` (by default the tip's depth: one uncorrected pass)."""
     pass_depth = tip_depth if pass_depth is None else pass_depth
-    return gland_transform_at(levers(p, entry, d, pass_depth), 0, motion, tip_depth, noise)
+    return gland_transform_at(levers(gland, entry, d, pass_depth), 0, motion, tip_depth, noise)
 
 
 def test_generation_is_deterministic():
@@ -83,7 +87,7 @@ def test_generation_is_deterministic():
 
 def test_zone_quotas_and_predicates():
     p = make_phantom()
-    a = p.gland_semiaxes[0, 0]
+    a = GLAND.gland_semiaxes[0]
     counts = {APEX: 0, BASE: 0, LEFT: 0, CENTER: 0, RIGHT: 0, ANTERIOR: 0, POSTERIOR: 0}
     for _, pos, (depth_zone, lateral_zone, ap_zone) in targets_of(p):
         counts[depth_zone] += 1
@@ -102,7 +106,7 @@ def test_zone_quotas_and_predicates():
 
 def test_targets_inside_margin_and_spaced():
     p = make_phantom(5, target_margin=0.9, min_target_spacing=5.0)
-    semi = p.gland_semiaxes[0] * 0.9
+    semi = np.array(GLAND.gland_semiaxes) * 0.9
     positions = p.target_rest[0]
     for pos in positions:
         assert np.sum((pos / semi) ** 2) <= 1.0 + 1e-12
@@ -190,49 +194,46 @@ def test_quota_split_is_the_even_largest_remainder_split(case):
 
 
 def test_entry_depth_axial_analytic():
-    p = make_phantom()
-    # straight down the z axis: surface at z = -c
-    c = p.gland_semiaxes[0, 2]
-    t0 = entry_depth(p, [0, 0, -60], [0, 0, 1])
-    assert t0 == pytest.approx(60.0 - c, abs=1e-12)
+    for gland in GLANDS:
+        # straight down the z axis: surface at z = -c
+        c = gland.gland_semiaxes[2]
+        t0 = entry_depth(gland, [0, 0, -60], [0, 0, 1])
+        assert t0 == pytest.approx(60.0 - c, abs=1e-12)
 
 
 def test_entry_depth_miss_and_inside():
-    p = make_phantom()
-    assert np.isnan(entry_depth(p, [100, 0, -60], [0, 0, 1]))
-    assert np.isnan(entry_depth(p, [0, 0, -60], [0, 0, -1]))
-    assert entry_depth(p, [0, 0, 0], [0, 0, 1]) == 0.0
+    for gland in GLANDS:
+        assert np.isnan(entry_depth(gland, [100, 0, -60], [0, 0, 1]))
+        assert np.isnan(entry_depth(gland, [0, 0, -60], [0, 0, -1]))
+        assert entry_depth(gland, [0, 0, 0], [0, 0, 1]) == 0.0
 
 
 def test_penetration_and_drag_values():
     motion = quiet_motion(axial_gain=0.2, axial_base_offset=1.5)
-    p = make_phantom()
-    c = p.gland_semiaxes[0, 2]
+    c = GLAND.gland_semiaxes[2]
     entry = np.array([0.0, 0.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
-    assert needle_penetration(p, entry, d, 10.0) == 0.0
-    assert motion.drag(needle_penetration(p, entry, d, 10.0)) == 0.0
-    assert needle_penetration(p, entry, d, 60.0) == pytest.approx(c)
-    assert motion.drag(needle_penetration(p, entry, d, 60.0)) == pytest.approx(1.5 + 0.2 * c)
+    assert needle_penetration(GLAND, entry, d, 10.0) == 0.0
+    assert motion.drag(needle_penetration(GLAND, entry, d, 10.0)) == 0.0
+    assert needle_penetration(GLAND, entry, d, 60.0) == pytest.approx(c)
+    assert motion.drag(needle_penetration(GLAND, entry, d, 60.0)) == pytest.approx(1.5 + 0.2 * c)
 
 
 def test_transform_pure_drag_through_centroid():
     motion = quiet_motion(axial_gain=0.1, axial_base_offset=2.0)
-    p = make_phantom()
-    c = p.gland_semiaxes[0, 2]
-    t = transform(p, motion, [0, 0, -60], [0, 0, 1], 60.0, np.zeros(3))
+    c = GLAND.gland_semiaxes[2]
+    t = transform(GLAND, motion, [0, 0, -60], [0, 0, 1], 60.0, np.zeros(3))
     np.testing.assert_array_equal(t.rotation, np.eye(3))
     np.testing.assert_allclose(t.translation, [0, 0, 2.0 + 0.1 * c], atol=1e-12)
 
 
 def test_axial_displacement_monotone_in_depth():
     motion = quiet_motion(axial_gain=0.15, axial_base_offset=1.0, rotation_gain=0.02)
-    p = make_phantom()
     entry = np.array([4.0, -3.0, -60.0])
     d = geometry.normalize([0.05, 0.02, 1.0])
     prev = -1.0
     for depth in np.linspace(0.0, 90.0, 40):
-        t = transform(p, motion, entry, d, float(depth), np.zeros(3))
+        t = transform(GLAND, motion, entry, d, float(depth), np.zeros(3))
         # the gland centroid is the frame's origin
         moved = geometry.apply(t, np.zeros(3))
         axial = float(moved @ d)
@@ -242,37 +243,35 @@ def test_axial_displacement_monotone_in_depth():
 
 def test_rotation_zero_for_centered_needle():
     motion = quiet_motion(rotation_gain=0.05, axial_base_offset=1.0)
-    p = make_phantom()
-    t = transform(p, motion, [0, 0, -60], [0, 0, 1], 70.0, np.zeros(3))
+    t = transform(GLAND, motion, [0, 0, -60], [0, 0, 1], 70.0, np.zeros(3))
     assert geometry.rotation_angle_deg(t) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rotation_angle_matches_formula_and_pivot_fixed():
     motion = quiet_motion(rotation_gain=0.01, axial_base_offset=0.0)
-    p = make_phantom()
     entry = np.array([12.0, 5.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
-    t = transform(p, motion, entry, d, 70.0, np.zeros(3))
-    lateral = np.hypot(12.0, 5.0)
-    pen = needle_penetration(p, entry, d, 70.0)
-    assert geometry.rotation_angle_deg(t) == pytest.approx(0.01 * lateral * pen, rel=1e-9)
-    # with zero drag the pivot must stay put
-    np.testing.assert_allclose(geometry.apply(t, p.pivot[0]), p.pivot[0], atol=1e-9)
+    for gland in GLANDS:
+        t = transform(gland, motion, entry, d, 70.0, np.zeros(3))
+        lateral = np.hypot(12.0, 5.0)
+        pen = needle_penetration(gland, entry, d, 70.0)
+        assert geometry.rotation_angle_deg(t) == pytest.approx(0.01 * lateral * pen, rel=1e-9)
+        # with zero drag the pivot must stay put
+        np.testing.assert_allclose(geometry.apply(t, gland.pivot), gland.pivot, atol=1e-9)
 
 
 def test_motion_noise_is_frozen_across_corrections():
     motion = quiet_motion(axial_gain=0.1, axial_base_offset=2.0, noise_sd_motion=1.5)
-    p = make_phantom()
     noise = substream(9, MOTION).normal(0.0, motion.noise_sd_motion, 3)
     entry = np.array([0.0, 0.0, -60.0])
     d = np.array([0.0, 0.0, 1.0])
-    first = transform(p, motion, entry, d, 58.0, noise)
+    first = transform(GLAND, motion, entry, d, 58.0, noise)
     # corrected deeper, same first-pass depth: identical transform
-    second = transform(p, motion, entry, d, 63.0, noise, pass_depth=58.0)
+    second = transform(GLAND, motion, entry, d, 63.0, noise, pass_depth=58.0)
     np.testing.assert_array_equal(first.rotation, second.rotation)
     np.testing.assert_array_equal(first.translation, second.translation)
     # a genuinely deeper first pass does move differently
-    deeper = transform(p, motion, entry, d, 63.0, noise)
+    deeper = transform(GLAND, motion, entry, d, 63.0, noise)
     assert not np.array_equal(first.translation, deeper.translation)
 
 
@@ -281,7 +280,7 @@ def test_material_world_round_trip():
                           noise_sd_motion=1.0)
     p = make_phantom()
     noise = substream(4, MOTION).normal(0.0, motion.noise_sd_motion, 3)
-    t = transform(p, motion, [6, 2, -60], [0, 0, 1], 70.0, noise)
+    t = transform(GLAND, motion, [6, 2, -60], [0, 0, 1], 70.0, noise)
     rest = p.target_rest[0, 0]
     world = geometry.apply(t, rest)
     back = world_to_material(t.rotation[None], t.translation[None], world[None])[0]
@@ -289,11 +288,11 @@ def test_material_world_round_trip():
 
 
 def test_fiducials_on_shrunken_surface():
-    p = make_phantom()
-    semi = p.gland_semiaxes[0] * 0.85
-    for pos in p.fiducial_points[0]:
-        assert np.sum((pos / semi) ** 2) == pytest.approx(1.0, abs=1e-9)
-    assert p.fiducial_points.shape == (1, 12, 3)
+    for gland in GLANDS:
+        semi = np.array(gland.gland_semiaxes) * 0.85
+        for pos in gland.fiducial_points:
+            assert np.sum((pos / semi) ** 2) == pytest.approx(1.0, abs=1e-9)
+        assert gland.fiducial_points.shape == (12, 3)
 
 
 def test_negative_params_rejected():
@@ -319,50 +318,46 @@ def still_and_moving(rs):
     yield MotionParams(0.1, 2.0, 0.02, 0.0), np.zeros(3)
 
 
-def assert_levers_match_the_per_line_formula(phantoms, entries, dirs, pass_depths, tips, rs):
-    """Levers made for the lines as one block, each line's transforms against the oracle's bits."""
+def assert_levers_match_the_per_line_formula(gland, entries, dirs, pass_depths, tips, rs):
+    """Levers made for the lines into ``gland`` as one block, each line's transforms against the oracle's bits."""
     entries = np.asarray(entries, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    levers = gland_levers(phantoms, entries, dirs, pass_depths)
+    levers = gland_levers(gland, entries, dirs, pass_depths)
     depths = levers.entry_depth
-    np.testing.assert_array_equal(depths, gland_entry_depth(phantoms, entries, dirs))
-    assert len(levers) == len(phantoms)
+    np.testing.assert_array_equal(depths, gland_entry_depth(gland, entries, dirs))
+    assert len(levers) == len(entries)
     for k in range(len(levers)):
         for tip in tips[k]:
             for motion, noise in still_and_moving(rs):
                 got = gland_transform_at(levers, k, motion, tip, noise)
                 want = gland_transform_oracle(
-                    phantoms.rows(k), motion, entries[k], dirs[k], tip, pass_depths[k], noise, depths[k]
+                    gland, motion, entries[k], dirs[k], tip, pass_depths[k], noise, depths[k]
                 )
                 assert bits(got) == bits(want), (k, tip, motion)
     return levers, depths
 
 
-SHAPED = (make_phantom(), make_phantom(seed=6, gland_semiaxes=(21.0, 17.0, 26.0), pivot=(2.0, 14.0, -12.0)))
-
-
 def test_levers_and_transform_match_the_per_line_formula():
     rs = np.random.default_rng(2024)
-    n = 300
-    phantoms = Phantoms.concat(SHAPED).rows(rs.integers(0, 2, n))
-    entries = np.column_stack([rs.uniform(-30, 30, (n, 2)), rs.uniform(-80, -30, n)])
-    aims = rs.uniform(-25, 25, (n, 3))
-    lengths = np.linalg.norm(aims - entries, axis=1)
-    # unit directions as the planner makes them and as normalized: they can differ in the last ulp
-    dirs = np.where(
-        (rs.random(n) < 0.5)[:, None], (aims - entries) / lengths[:, None], geometry.normalize(aims - entries)
-    )
-    pass_depths = lengths * rs.uniform(0.5, 1.5, n)
-    tips = [[float(p), max(0.0, float(p + rs.uniform(-15, 15)))] for p in pass_depths]
-    levers, depths = assert_levers_match_the_per_line_formula(phantoms, entries, dirs, pass_depths, tips, rs)
-    assert np.count_nonzero(levers.kx.any(axis=(1, 2))) == n
-    assert np.isfinite(depths).sum() > n // 2
+    n = 150
+    for gland in GLANDS:
+        entries = np.column_stack([rs.uniform(-30, 30, (n, 2)), rs.uniform(-80, -30, n)])
+        aims = rs.uniform(-25, 25, (n, 3))
+        lengths = np.linalg.norm(aims - entries, axis=1)
+        # unit directions as the planner makes them and as normalized: they can differ in the last ulp
+        dirs = np.where(
+            (rs.random(n) < 0.5)[:, None], (aims - entries) / lengths[:, None], geometry.normalize(aims - entries)
+        )
+        pass_depths = lengths * rs.uniform(0.5, 1.5, n)
+        tips = [[float(p), max(0.0, float(p + rs.uniform(-15, 15)))] for p in pass_depths]
+        levers, depths = assert_levers_match_the_per_line_formula(gland, entries, dirs, pass_depths, tips, rs)
+        assert np.count_nonzero(levers.kx.any(axis=(1, 2))) == n
+        assert np.isfinite(depths).sum() > n // 2
 
 
 def test_levers_match_the_per_line_formula_at_the_edges():
     rs = np.random.default_rng(7)
-    p = SHAPED[0]
-    c = p.gland_semiaxes[0, 2]
+    c = GLAND.gland_semiaxes[2]
     entries = [
         [0.0, 0.0, -60.0],  # on the axis: lateral 0, no rotation
         [1e-13, 0.0, -60.0],  # lateral 1e-13, at most 1e-12: no rotation
@@ -371,10 +366,10 @@ def test_levers_match_the_per_line_formula_at_the_edges():
     ]
     dirs = [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [0.0, 0.0, 1.0], [0.02, 0.01, 1.0]]
     units = geometry.normalize(np.array(dirs))
-    at = float(gland_entry_depth(p, [entries[3]], units[3:])[0])
+    at = float(gland_entry_depth(GLAND, [entries[3]], units[3:])[0])
     tips = [[70.0, 60.0 - c], [70.0], [70.0, 0.0], [at, float(np.nextafter(at, np.inf)), 70.0]]
     levers, depths = assert_levers_match_the_per_line_formula(
-        p.rows([0] * 4), entries, units, [70.0, 70.0, 70.0, 70.0], tips, rs
+        GLAND, entries, units, [70.0, 70.0, 70.0, 70.0], tips, rs
     )
     # no axis: the rows of a line through the centroid, or within 1e-12 of it, are zero
     assert levers.lateral[0] == 0.0 and not levers.kx[0].any() and not levers.kx2[0].any()
@@ -387,11 +382,11 @@ def test_levers_match_the_per_line_formula_at_the_edges():
     assert bits(gland_transform_at(levers, 3, motion, 70.0, np.zeros(3))) != bits(geometry.identity())
 
 
-# four lines into SHAPED[0], first passes to 70 mm: on the gland's axis
-# (lateral 0, no rotation), missing the gland (NaN entry depth, no
+# four lines into the default gland, first passes to 70 mm: on the gland's
+# axis (lateral 0, no rotation), missing the gland (NaN entry depth, no
 # penetration) and two that turn it
 STACK_LEVERS = gland_levers(
-    SHAPED[0].rows([0] * 4),
+    GLAND,
     [[0.0, 0.0, -60.0], [100.0, 0.0, -60.0], [6.0, -4.0, -60.0], [-12.0, 9.0, -70.0]],
     geometry.normalize(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.02, 0.01, 1.0], [15.0, -11.0, 80.0]])),
     [70.0] * 4,

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from conftest import candidate_entries_oracle, replan_angled_oracle, segment_distance_oracle
 from prostasim import planning
@@ -38,6 +38,10 @@ def capsule(a, b, r):
 
 # the arch of no capsules, as a disabled one is built
 NO_ARCH = PubicArchModel([], [], [])
+
+# the drawn properties fail as drawn: shrinking a failing example of their
+# oracle comparisons held the run for over a minute
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate, Phase.target]
 
 
 def arch_of(capsules, enabled=True):
@@ -324,7 +328,7 @@ def test_a_target_on_or_behind_the_entry_plane_gets_no_path(z):
     assert exc.value.target.tolist() == targets[1]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK)
 @given(
     separation=st.floats(40.0, 200.0),
     travel=st.floats(4.0, 60.0),
@@ -564,7 +568,7 @@ INFEASIBLE = (-17.8, 22.4, -19.7)  # r 10.6, 24.3 deg: best clearance -3.37 mm
 OUT_OF_REACH = (25.0, 0.0, -20.0)  # with x in [-5, 5] and 10 deg, no entry is in reach
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, phases=NO_SHRINK)
 @given(
     targets=st.lists(
         st.tuples(st.floats(-25.0, 25.0), st.floats(-25.0, 25.0), st.floats(-40.0, 25.0)),

@@ -10,7 +10,7 @@ N_FIDUCIALS = 12
 
 def drawn(seed=7, slot=(0, 1, 2), volumes=3, **salts):
     """The streams of one insertion, drawn as a block of one."""
-    return draw_insertions(seed, [slot], [0], N_FIDUCIALS, volumes, **salts).rows(0)
+    return draw_insertions(seed, [slot], N_FIDUCIALS, volumes, **salts).rows(0)
 
 
 def test_same_key_same_sequence():
@@ -91,13 +91,12 @@ def test_a_bad_index_later_in_a_block_is_named_as_substream_names_it(slots, mess
 
 def test_a_block_of_streams_holds_each_slots_own_draw():
     # row k of a block's columns is slot k's draw, as a block of one
-    slots, counts = [(0, 1, 2), (3, 0, 1), (2, 5, 0)], [4, 0, 7]
-    block = draw_insertions(7, slots, counts, N_FIDUCIALS, 3, motion_salt=5, noise_salt=2)
+    slots = [(0, 1, 2), (3, 0, 1), (2, 5, 0)]
+    block = draw_insertions(7, slots, N_FIDUCIALS, 3, motion_salt=5, noise_salt=2)
     assert len(block) == len(slots)
     np.testing.assert_array_equal(np.stack([block.phantom, block.target, block.replicate], axis=1), slots)
-    np.testing.assert_array_equal(block.needle_count, counts)
-    for k, (slot, count) in enumerate(zip(slots, counts)):
-        alone = draw_insertions(7, [slot], [count], N_FIDUCIALS, 3, motion_salt=5, noise_salt=2)
+    for k, slot in enumerate(slots):
+        alone = draw_insertions(7, [slot], N_FIDUCIALS, 3, motion_salt=5, noise_salt=2)
         assert block.rows([k]) == alone, k
 
 

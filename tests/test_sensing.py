@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import TEN_TARGET_QUOTAS, register_oracle
 from prostasim import geometry, rng
 from prostasim.geometry import DegenerateConfiguration, prepare_reference
-from prostasim.phantom import PhantomConfig, Phantoms, generate_phantom
+from prostasim.phantom import PhantomConfig, generate_phantom
 from prostasim.rng import draw_insertions, substream
 from prostasim.sensing import (
     NoiseModel,
@@ -16,9 +16,15 @@ from prostasim.sensing import (
 )
 
 
+# the default gland and one of another shape
+GLANDS = (PhantomConfig(), PhantomConfig(gland_semiaxes=(21.0, 17.0, 26.0)))
+# a target of the default gland
+TARGET = generate_phantom(GLANDS[0], 10, 5, TEN_TARGET_QUOTAS).target_rest[0, 0]
+
+
 @pytest.fixture
-def phantom():
-    return generate_phantom(PhantomConfig(), 10, 5, TEN_TARGET_QUOTAS)
+def gland():
+    return GLANDS[0]
 
 
 def quiet_noise(**overrides):
@@ -31,15 +37,15 @@ def stream(seed=9):
     return substream(seed, rng.OBSERVE)
 
 
-def observe_one(phantom, t, noise, s, needle_count=0):
+def observe_one(gland, t, noise, s, needle_count=0):
     """One volume: ``observe`` on a stack of one, with the next N x 3 normals of ``s``."""
-    normals = s.standard_normal(phantom.fiducial_points.shape)
-    return observe(phantom, t.rotation[None], t.translation[None], noise, normals, [needle_count])[0]
+    normals = s.standard_normal((1, *gland.fiducial_points.shape))
+    return observe(gland, t.rotation[None], t.translation[None], noise, normals, [needle_count])[0]
 
 
-def observe_point_one(phantom, point, noise, s, needle_count=0):
+def observe_point_one(gland, point, noise, s, needle_count=0):
     """One point: ``observe_point`` on a stack of one, with the next 3 normals of ``s``."""
-    return observe_point(phantom, [point], noise, s.standard_normal((1, 3)), [needle_count])[0]
+    return observe_point(gland, [point], noise, s.standard_normal((1, 3)), [needle_count])[0]
 
 
 def register_one(ref_points, obs):
@@ -63,62 +69,62 @@ def test_validate_rejects_bad_params():
     quiet_noise(degradation_per_needle=1.0).validate()
 
 
-def test_noiseless_observation_is_exact(phantom):
+def test_noiseless_observation_is_exact(gland):
     t = some_transform()
-    obs = observe_one(phantom, t, quiet_noise(), stream())
-    assert obs.shape == phantom.fiducial_points[0].shape
-    for rest, world in zip(phantom.fiducial_points[0], obs):
+    obs = observe_one(gland, t, quiet_noise(), stream())
+    assert obs.shape == gland.fiducial_points.shape
+    for rest, world in zip(gland.fiducial_points, obs):
         np.testing.assert_allclose(world, geometry.apply(t, rest), atol=1e-12)
 
 
-def test_register_recovers_transform(phantom):
+def test_register_recovers_transform(gland):
     t = some_transform()
-    obs = observe_one(phantom, t, quiet_noise(), stream())
-    reg, rms = register_one(phantom.fiducial_points[0], obs)
+    obs = observe_one(gland, t, quiet_noise(), stream())
+    reg, rms = register_one(gland.fiducial_points, obs)
     assert rms < 1e-9
     np.testing.assert_allclose(reg.rotation, t.rotation, atol=1e-9)
     np.testing.assert_allclose(reg.translation, t.translation, atol=1e-9)
 
 
-def test_track_target_is_transform_application(phantom):
+def test_track_target_is_transform_application(gland):
     t = some_transform()
-    target = phantom.target_rest[0, 0]
+    target = TARGET
     got = track_target(t.rotation[None], t.translation[None], target[None])[0]
     np.testing.assert_allclose(got, geometry.apply(t, target), atol=1e-12)
 
 
-def test_registration_rms_matches_residual_dof(phantom):
+def test_registration_rms_matches_residual_dof(gland):
     # fitting 6 rigid dof to 3n noisy coordinates leaves sd^2 * (3n - 6)
     # expected squared residual, so rms -> sd * sqrt((3n - 6) / n)
     sd = 0.5
-    n = phantom.fiducial_points.shape[1]
+    n = len(gland.fiducial_points)
     expect = sd * np.sqrt((3 * n - 6) / n)
     noise = quiet_noise(sigma0=sd)
     s = stream()
     draws = []
     for _ in range(300):
-        obs = observe_one(phantom, geometry.identity(), noise, s)
-        draws.append(register_one(phantom.fiducial_points[0], obs)[1])
+        obs = observe_one(gland, geometry.identity(), noise, s)
+        draws.append(register_one(gland.fiducial_points, obs)[1])
     assert np.mean(draws) == pytest.approx(expect, rel=0.06)
 
 
-def test_observe_point_scatter_matches_sigma(phantom):
+def test_observe_point_scatter_matches_sigma(gland):
     # z = 0 sits gland_semiaxes[2] mm past the entry plane
     noise = quiet_noise(sigma0=0.3, depth_gain=0.01)
-    depth = phantom.gland_semiaxes[0, 2]
+    depth = gland.gland_semiaxes[2]
     expect = 0.3 + 0.01 * depth
     s = stream()
-    pts = np.array([observe_point_one(phantom, [5.0, 1.0, 0.0], noise, s) for _ in range(4000)])
+    pts = np.array([observe_point_one(gland, [5.0, 1.0, 0.0], noise, s) for _ in range(4000)])
     np.testing.assert_allclose(pts.mean(axis=0), [5.0, 1.0, 0.0], atol=0.05)
     np.testing.assert_allclose(pts.std(axis=0), expect, rtol=0.08)
 
 
-def test_degradation_raises_base_sigma(phantom):
+def test_degradation_raises_base_sigma(gland):
     # twin streams draw the same normals, so only the sd scales the deviation
     noise = quiet_noise(sigma0=0.3, degradation_per_needle=1.2)
-    exact = phantom.fiducial_points[0]  # the noiseless volume at rest
-    dev0 = observe_one(phantom, geometry.identity(), noise, stream(), needle_count=0) - exact
-    dev3 = observe_one(phantom, geometry.identity(), noise, stream(), needle_count=3) - exact
+    exact = gland.fiducial_points  # the noiseless volume at rest
+    dev0 = observe_one(gland, geometry.identity(), noise, stream(), needle_count=0) - exact
+    dev3 = observe_one(gland, geometry.identity(), noise, stream(), needle_count=3) - exact
     np.testing.assert_allclose(dev3, 1.2**3 * dev0, rtol=1e-12)
 
 
@@ -139,47 +145,48 @@ def test_sd_has_each_rows_own_power_bit_for_bit(degradation):
     assert noise.sd(counts, np.array(depths)).tobytes() == np.array(want).tobytes()
 
 
-def test_depth_gain_widens_scatter_with_depth(phantom):
+def test_depth_gain_widens_scatter_with_depth(gland):
     noise = quiet_noise(sigma0=0.05, depth_gain=0.05)
     s = stream()
     shallow = np.array(
-        [observe_point_one(phantom, [0, 0, -phantom.gland_semiaxes[0, 2]], noise, s) for _ in range(2000)]
+        [observe_point_one(gland, [0, 0, -gland.gland_semiaxes[2]], noise, s) for _ in range(2000)]
     )
-    deep = np.array([observe_point_one(phantom, [0, 0, 20.0], noise, s) for _ in range(2000)])
+    deep = np.array([observe_point_one(gland, [0, 0, 20.0], noise, s) for _ in range(2000)])
     assert deep.std(axis=0).mean() > 2.0 * shallow.std(axis=0).mean()
 
 
-def test_register_needs_three_common_points(phantom):
+def test_register_needs_three_common_points(gland):
     with pytest.raises(DegenerateConfiguration, match="at least 3"):
-        prepare_reference(phantom.fiducial_points[:, :2])
-    moved = geometry.apply(some_transform(), phantom.fiducial_points[0, :3])
-    _, rms = register_one(phantom.fiducial_points[0, :3], moved)
+        prepare_reference(gland.fiducial_points[None, :2])
+    moved = geometry.apply(some_transform(), gland.fiducial_points[:3])
+    _, rms = register_one(gland.fiducial_points[:3], moved)
     assert rms < 1e-9
 
-def test_observation_stream_replays(phantom):
+
+def test_observation_stream_replays(gland):
     noise = quiet_noise(sigma0=0.4)
-    n = phantom.fiducial_points.shape[1]
+    n = len(gland.fiducial_points)
 
     def first_volume():
-        streams = draw_insertions(7, [(1, 2, 3)], [0], n, 2).rows(0)
-        return observe(phantom, np.eye(3)[None], np.zeros((1, 3)), noise,
+        streams = draw_insertions(7, [(1, 2, 3)], n, 2).rows(0)
+        return observe(gland, np.eye(3)[None], np.zeros((1, 3)), noise,
                        streams.observation_normals[None, 0], [0])[0]
 
     a, b = first_volume(), first_volume()
     np.testing.assert_array_equal(a, b)
-    alone = observe_one(phantom, geometry.identity(), noise, substream(7, rng.OBSERVE, 1, 2, 3))
+    alone = observe_one(gland, geometry.identity(), noise, substream(7, rng.OBSERVE, 1, 2, 3))
     np.testing.assert_array_equal(a, alone)
 
 
-def test_streams_have_a_fixed_layout(phantom):
+def test_streams_have_a_fixed_layout(gland):
     """A volume takes N x 3 normals and a point 3, whatever their sd: the
     reference layout is one stream drawn point by point with ``normal``."""
-    c = phantom.gland_semiaxes[0, 2]
-    n = phantom.fiducial_points.shape[1]
+    c = gland.gland_semiaxes[2]
+    n = len(gland.fiducial_points)
     # moved back by c, the fiducials with rest z <= 0 sit in front of the
     # entry plane z = -c, where sigma0 = 0 leaves them an sd of 0
     mixed = geometry.translation([0.0, 0.0, -c])
-    rest_z = phantom.fiducial_points[0, :, 2]
+    rest_z = gland.fiducial_points[:, 2]
     assert (rest_z <= 0).any() and (rest_z > 0).any()
     for noise, t in (
         (quiet_noise(), some_transform()),
@@ -187,53 +194,50 @@ def test_streams_have_a_fixed_layout(phantom):
         (quiet_noise(sigma0=0.3), some_transform()),
     ):
         a, b = stream(), stream()
-        target = geometry.apply(t, phantom.target_rest[0, 0])
+        target = geometry.apply(t, TARGET)
         z = a.standard_normal(n * 3 + 3)
         normals = z[:-3].reshape(1, n, 3)
-        volume = observe(phantom, t.rotation[None], t.translation[None], noise, normals, [0])[0]
-        np.testing.assert_array_equal(volume, observe_per_point(phantom, t, noise, b, 0))
+        volume = observe(gland, t.rotation[None], t.translation[None], noise, normals, [0])[0]
+        np.testing.assert_array_equal(volume, observe_per_point(gland, t, noise, b, 0))
         sigma = noise.sigma0 + noise.depth_gain * max(0.0, float(target[2]) + c)
-        point = observe_point(phantom, target[None], noise, z[None, -3:], [0])[0]
+        point = observe_point(gland, target[None], noise, z[None, -3:], [0])[0]
         np.testing.assert_array_equal(point, target + b.normal(0.0, sigma, 3))
         assert a.standard_normal() == b.standard_normal()
 
 
-def test_observe_point_stacks_points_observed_alone_bit_for_bit(phantom):
-    # two gland shapes, needle counts 0-4, points in front of and past the
-    # entry plane: each row is the point observed alone, and numpy's
-    # normal(0.0, sigma, 3) with sigma on Python floats
-    other = generate_phantom(PhantomConfig(gland_semiaxes=(21.0, 17.0, 26.0)), 10, 6, TEN_TARGET_QUOTAS)
+def test_observe_point_stacks_points_observed_alone_bit_for_bit():
+    # each of two gland shapes, needle counts 0-4, points in front of and
+    # past the entry plane: each row is the point observed alone, and
+    # numpy's normal(0.0, sigma, 3) with sigma on Python floats
     rs = np.random.default_rng(11)
     k = 40
-    which = rs.integers(0, 2, k)
-    phantoms = Phantoms.concat([phantom, other]).rows(which)
-    points = rs.uniform(-30.0, 30.0, (k, 3))
-    counts = rs.integers(0, 5, k).tolist()
-    for noise in (quiet_noise(), quiet_noise(sigma0=0.2, depth_gain=0.03, degradation_per_needle=1.15)):
-        a, b, c = stream(), stream(), stream()
-        rows = observe_point(phantoms, points, noise, a.standard_normal((k, 3)), counts)
-        for j, (row, point, count) in enumerate(zip(rows, points, counts)):
-            p = phantoms.rows([j])
-            alone = observe_point_one(p, point, noise, b, count)
-            base = noise.sigma0 * noise.degradation_per_needle**count
-            sigma = base + noise.depth_gain * max(0.0, float(point[2]) + p.gland_semiaxes[0, 2])
-            assert row.tobytes() == alone.tobytes() == (point + c.normal(0.0, sigma, 3)).tobytes()
+    for gland in GLANDS:
+        points = rs.uniform(-30.0, 30.0, (k, 3))
+        counts = rs.integers(0, 5, k).tolist()
+        for noise in (quiet_noise(), quiet_noise(sigma0=0.2, depth_gain=0.03, degradation_per_needle=1.15)):
+            a, b, c = stream(), stream(), stream()
+            rows = observe_point(gland, points, noise, a.standard_normal((k, 3)), counts)
+            for row, point, count in zip(rows, points, counts):
+                alone = observe_point_one(gland, point, noise, b, count)
+                base = noise.sigma0 * noise.degradation_per_needle**count
+                sigma = base + noise.depth_gain * max(0.0, float(point[2]) + gland.gland_semiaxes[2])
+                assert row.tobytes() == alone.tobytes() == (point + c.normal(0.0, sigma, 3)).tobytes()
 
 
-def observe_per_point(phantom, t, noise, s, needle_count):
-    """observe as a loop over the fiducials of a one-row ``phantom``, one draw of three per point."""
+def observe_per_point(gland, t, noise, s, needle_count):
+    """observe as a loop over the fiducials of ``gland``, one draw of three per point."""
     base = noise.sigma0 * noise.degradation_per_needle**needle_count
     rows = []
-    for rest in phantom.fiducial_points[0]:
+    for rest in gland.fiducial_points:
         world = geometry.apply(t, rest)
-        sigma = base + noise.depth_gain * max(0.0, float(world[2]) + phantom.gland_semiaxes[0, 2])
+        sigma = base + noise.depth_gain * max(0.0, float(world[2]) + gland.gland_semiaxes[2])
         rows.append(world + s.normal(0.0, sigma, 3))
     return np.array(rows)
 
 
-def test_observe_matches_per_point_loop_bit_for_bit(phantom):
+def test_observe_matches_per_point_loop_bit_for_bit(gland):
     rng = np.random.default_rng(2024)
-    c = phantom.gland_semiaxes[0, 2]
+    c = gland.gland_semiaxes[2]
     a, b = stream(seed=3), stream(seed=3)
     zero_rows = set()
     for case in range(300):
@@ -246,27 +250,19 @@ def test_observe_matches_per_point_loop_bit_for_bit(phantom):
         rot = geometry.rotation_about_axis(rng.normal(size=3), rng.uniform(-30, 30), rng.uniform(-10, 10, 3))
         t = geometry.compose(geometry.translation(rng.uniform(-5, 5, 3) - [0, 0, rng.uniform(0, 2 * c)]), rot)
         k = int(rng.integers(0, 4))
-        got = observe_one(phantom, t, noise, a, needle_count=k)
-        want = observe_per_point(phantom, t, noise, b, k)
+        got = observe_one(gland, t, noise, a, needle_count=k)
+        want = observe_per_point(gland, t, noise, b, k)
         np.testing.assert_array_equal(got, want)
         assert a.standard_normal() == b.standard_normal()
         if sigma0 == 0.0:
-            zero_rows.add(int(np.sum(geometry.apply(t, phantom.fiducial_points[0])[:, 2] + c <= 0)))
-    n = phantom.fiducial_points.shape[1]
+            zero_rows.add(int(np.sum(geometry.apply(t, gland.fiducial_points)[:, 2] + c <= 0)))
+    n = len(gland.fiducial_points)
     assert 0 in zero_rows and n in zero_rows and zero_rows - {0, n}
-
-
-# two phantoms of different shape, so rows of one stack differ in their fiducials
-PHANTOMS = (
-    generate_phantom(PhantomConfig(), 10, 5, TEN_TARGET_QUOTAS),
-    generate_phantom(PhantomConfig(gland_semiaxes=(21.0, 17.0, 26.0)), 10, 6, TEN_TARGET_QUOTAS),
-)
 
 
 @st.composite
 def stack_rows(draw):
-    """One row of a stack: phantom, gland transform (identity or not), needle count, stream seed."""
-    phantom = draw(st.sampled_from(PHANTOMS))
+    """One row of a stack: gland transform (identity or not), needle count, stream seed, rest target."""
     if draw(st.booleans()):
         t = geometry.identity()
     else:
@@ -276,41 +272,42 @@ def stack_rows(draw):
         # z down to -2c carries some or all fiducials in front of the entry plane
         shift = draw(st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-50, 5)))
         t = geometry.compose(geometry.translation(shift), geometry.rotation_about_axis(axis, angle, [0, 0, -10]))
-    return phantom, t, draw(st.integers(0, 4)), draw(st.integers(0, 2**32 - 1))
+    target = draw(st.tuples(*[st.floats(-20, 20) for _ in range(3)]))
+    return t, draw(st.integers(0, 4)), draw(st.integers(0, 2**32 - 1)), target
 
 
 @settings(max_examples=60, deadline=None)
 @given(
+    gland=st.sampled_from(GLANDS),
     rows=st.lists(stack_rows(), min_size=1, max_size=6),
     sigma0=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
     depth_gain=st.floats(0.0, 0.05),
     degradation=st.floats(1.0, 1.3),
 )
-def test_stacked_kernels_match_a_row_by_row_loop_bit_for_bit(rows, sigma0, depth_gain, degradation):
+def test_stacked_kernels_match_a_row_by_row_loop_bit_for_bit(gland, rows, sigma0, depth_gain, degradation):
     noise = quiet_noise(sigma0=sigma0, depth_gain=depth_gain, degradation_per_needle=degradation)
-    phantoms = Phantoms.concat([r[0] for r in rows])
-    transforms = [r[1] for r in rows]
-    counts = [r[2] for r in rows]
-    ours = [stream(seed) for *_, seed in rows]
-    theirs = [stream(seed) for *_, seed in rows]
+    transforms = [r[0] for r in rows]
+    counts = [r[1] for r in rows]
+    ours = [stream(r[2]) for r in rows]
+    theirs = [stream(r[2]) for r in rows]
 
     def normals():
-        return np.array([s.standard_normal(points.shape) for s, points in zip(ours, phantoms.fiducial_points)])
+        return np.array([s.standard_normal(gland.fiducial_points.shape) for s in ours])
 
     rotations = np.array([t.rotation for t in transforms])
     translations = np.array([t.translation for t in transforms])
     rest = np.eye(3)[None].repeat(len(rows), axis=0), np.zeros((len(rows), 3))
 
     # a reference volume at rest, then a volume under each row's transform
-    ref = observe(phantoms, *rest, noise, normals(), counts)
-    obs = observe(phantoms, rotations, translations, noise, normals(), counts)
+    ref = observe(gland, *rest, noise, normals(), counts)
+    obs = observe(gland, rotations, translations, noise, normals(), counts)
     rot, trans, rms = rigid_register(prepare_reference(ref), obs)
-    targets = phantoms.target_rest[:, 0]
+    targets = np.array([r[3] for r in rows])
     tracked = track_target(rot, trans, targets)
 
-    for k, (phantom, t, count, _) in enumerate(rows):
-        ref_k = observe_per_point(phantom, geometry.identity(), noise, theirs[k], count)
-        obs_k = observe_per_point(phantom, t, noise, theirs[k], count)
+    for k, (t, count, _, _) in enumerate(rows):
+        ref_k = observe_per_point(gland, geometry.identity(), noise, theirs[k], count)
+        obs_k = observe_per_point(gland, t, noise, theirs[k], count)
         np.testing.assert_array_equal(ref[k], ref_k)
         np.testing.assert_array_equal(obs[k], obs_k)
         rot_k, trans_k, rms_k = register_oracle(ref_k, obs_k)

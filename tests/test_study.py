@@ -131,8 +131,15 @@ def _between(lo, hi):
 @st.composite
 def tiny_configs(draw, replicates=st.integers(1, 3)):
     """A valid variant of conftest's tiny config, of both modes: a drawn seed,
-    replicate count, motion, noise and arch capsule radius."""
+    replicate count, gland, motion, noise and arch capsule radius."""
     cfg = tiny_config(draw(st.integers(0, 2**64 - 1)), replicates=draw(replicates))
+    # glands from well inside to past the default's in every axis, each
+    # roomy enough for a phantom's four zoned targets 4 mm apart
+    cfg.phantom = replace(
+        cfg.phantom, gland_semiaxes=tuple(draw(_between(14.0, 32.0)) for _ in range(3)),
+        pivot=(draw(_between(-6.0, 6.0)), draw(_between(4.0, 26.0)), draw(_between(-26.0, 0.0))),
+        left_bias_mm=draw(_between(0.0, 3.0)), left_bias_enabled=draw(st.booleans()),
+    )
     cfg.motion = replace(
         cfg.motion, axial_gain=draw(_between(0.0, 0.3)), axial_base_offset=draw(_between(0.0, 4.0)),
         rotation_gain=draw(_between(0.0, 0.05)), noise_sd_motion=draw(_between(0.0, 3.0)),
@@ -353,7 +360,7 @@ def test_every_loop_reads_the_blocks_tables_as_they_are(monkeypatch, tiny_report
 
     monkeypatch.setattr(study, "draw_insertions", kept(study.draw_insertions))
     monkeypatch.setattr(study, "plan_insertions", kept(study.plan_insertions))
-    monkeypatch.setattr(study, "correct_insertions", seen(study.correct_insertions, 4))
+    monkeypatch.setattr(study, "correct_insertions", seen(study.correct_insertions, 5))
     monkeypatch.setattr(study, "open_loop_records", seen(study.open_loop_records, 1))
     monkeypatch.setattr(study, "BLOCK_SLOTS", 5)
     cfg = tiny_config()
