@@ -248,9 +248,9 @@ def load_config(path: str) -> StudyConfig:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
     except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+        raise ConfigError(f"cannot read config {path!r}: {e}") from e
     except yaml.YAMLError as e:
-        raise ConfigError(f"config {path} is not valid YAML: {e}") from e
+        raise ConfigError(f"config {path!r} is not valid YAML: {e}") from e
     if data is None:
         data = {}
     return from_dict(data)

@@ -90,9 +90,10 @@ from .rng import Streams
 from .sensing import NoiseModel
 
 
-# a block draws its whole observation budget up front, BLOCK_SLOTS x
-# (max_corrections + 1) volumes of N x 3 normals: at this cap 3.7 MB of
-# float64 for 128 slots of 12 fiducials
+# a block draws its whole observation budget up front, K slots x
+# (max_corrections + 1) volumes of N x 3 normals: at this cap 8.7 MB of
+# float64 for a block of 300 slots (study.BLOCK_SLOTS) of 12 fiducials,
+# 3.7 MB for one of 128
 MAX_CORRECTIONS = 100
 
 

@@ -119,10 +119,22 @@ def build_phantoms(cfg: StudyConfig) -> Phantoms:
         raise ConfigError(f"phantom: {e}") from e
 
 
-# slots per block: the closed loop steps a block together, and a block's
-# streams and plans are let go before the next one starts: the default
-# study run as one block peaked at 54 MB of RSS, at 128 slots at 41.5 MB.
-BLOCK_SLOTS = 128
+# slots per block, at most: the closed loop steps a block together, and a
+# block's streams, plans and first-pass stacks are let go before the next
+# block is drawn.  Larger blocks spread numpy's per-call cost of planning
+# and correcting over more rows: on a 2-core x86-64 host the default
+# simulate took, against 128 slots, 0.88x the time at 256 slots, 0.82x at
+# 300, 0.81x at 384 and 0.80x at 450 (medians of 21 alternating runs), for
+# +0.2, +0.7, +0.9 and +1.8 MB of peak RSS over 41.4 MB (fresh processes),
+# and the open-loop plan-heavy study 0.91x, 0.86x, 0.90x and 0.88x the
+# time.  300 cuts the 1800 slots of the default study into 6 blocks.
+BLOCK_SLOTS = 300
+# (point, slot) rows of a block's first-pass stacks, at most: a run whose
+# largest sigma0 group has P points makes blocks of FIRST_PASS_ROWS // P
+# slots or fewer, so that the default calibrate (81 points per sigma0)
+# keeps its 128-slot blocks and their ~1 MB (P, K) stacks; 300-slot blocks
+# there took its peak RSS from 47.9 to 48.9 MB, against CI's 50 MB gate.
+FIRST_PASS_ROWS = 81 * 128
 # (point, slot) rows per closed-loop call: the points of one sigma0 share a
 # block's loop in chunks of LOOP_ROWS // K points, at least one.  A loop's
 # working arrays grow with its rows: on a 2-core x86-64 host the default
@@ -152,7 +164,10 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> It
     ``cfg.validate`` checks its own; a point keeps ``cfg.motion.rng_seed``.
 
     The slots (phantom, target, replicate) are worked through in blocks of
-    ``BLOCK_SLOTS``.  A block's streams are drawn together once, as one
+    ``BLOCK_SLOTS``, or of ``FIRST_PASS_ROWS // P`` if fewer, where P is
+    the point count of the largest sigma0 (at least one slot), one block at
+    a time (``_run_block``), each let go before the next is drawn.  A
+    block's streams are drawn together once, as one
     ``rng.Streams`` (``rng.draw_insertions``; a point only scales their
     standard normals), and its slots are planned together once per sigma0
     (``plan_insertions``; a plan is made at rest, which no motion touches),
@@ -186,57 +201,68 @@ def run_points(cfg: StudyConfig, points: list[tuple[MotionParams, float]]) -> It
         members.append(i)
     phantoms = build_phantoms(cfg)
     arch = cfg.arch.build()
-    do_closed = cfg.mode in ("closed_loop", "both")
-    do_open = cfg.mode in ("open_loop", "both")
-    n_fiducials = len(cfg.phantom.fiducial_points)
-    volumes = cfg.convergence.max_corrections + 1 if do_closed else 0
-
     slots = list(itertools.product(
         range(cfg.n_phantoms), range(cfg.targets_per_phantom), range(cfg.n_seed_replicates)
     ))
+    largest = max((len(members) for _, members in groups.values()), default=1)
+    size = max(1, min(BLOCK_SLOTS, FIRST_PASS_ROWS // largest))
     # each point's records per block, per mode
     closed, opened = [[] for _ in points], [[] for _ in points]
-    for start in range(0, len(slots), BLOCK_SLOTS):
-        block = slots[start:start + BLOCK_SLOTS]
-        streams = draw_insertions(cfg.seed, block, n_fiducials, volumes, cfg.motion.rng_seed, cfg.noise.rng_seed)
-        # each slot's own streams, for its first passes
-        slot_streams = [streams.rows(k) for k in range(len(block))]
-        per_loop = max(1, LOOP_ROWS // len(block))
-        for noise, members in groups.values():
-            plans = plan_insertions(
-                cfg.phantom, phantoms, cfg.robot, arch, noise, streams,
-                cfg.entry_region, cfg.needle_radius, track=do_closed,
-            )
-            motions = [points[i][0] for i in members]
-            stacked = MotionParams.stack(motions)
-            # (P, K, 3, 3) and (P, K, 3): point p's first passes are row p,
-            # filled a slot at a time by one first pass of every point
-            rotations = np.empty((len(members), len(block), 3, 3))
-            translations = np.empty((len(members), len(block), 3))
-            for k in range(len(block)):
-                # streams by keyword: perfbench's tracer keys a task on each call
-                first = open_loop_insertion(stacked, plans, k, streams=slot_streams[k])
-                rotations[:, k], translations[:, k] = first.rotation, first.translation
-            for begin in range(0, len(members), per_loop):
-                chunk = slice(begin, begin + per_loop)
-                if do_closed:
-                    records = correct_insertions(
-                        motions[chunk], cfg.phantom, noise, cfg.robot, cfg.convergence, plans, streams,
-                        rotations[chunk], translations[chunk],
-                    )
-                    for i, rec in zip(members[chunk], records):
-                        closed[i].append(rec)
-                if do_open:
-                    for i, motion, rot, trans in zip(
-                        members[chunk], motions[chunk], rotations[chunk], translations[chunk]
-                    ):
-                        opened[i].append(open_loop_records(motion, plans, streams, rot, trans))
+    for start in range(0, len(slots), size):
+        _run_block(cfg, phantoms, arch, points, groups, slots[start:start + size], closed, opened)
 
     # joined a point at a time, each point's blocks let go as it is joined
+    empty = _no_records()
     return (
-        tuple(Records.concat(blocks) if blocks else _no_records() for blocks in (closed.pop(0), opened.pop(0)))
+        tuple(Records.concat(blocks) if blocks else empty for blocks in (closed.pop(0), opened.pop(0)))
         for _ in points
     )
+
+
+def _run_block(cfg, phantoms, arch, points, groups, block, closed, opened):
+    """Run the slots ``block`` at every point of ``run_points``, appending each
+    point's records of the block to its list in ``closed`` and ``opened``.
+
+    The block's streams, plans and first-pass stacks live only in this call.
+    """
+    do_closed = cfg.mode in ("closed_loop", "both")
+    do_open = cfg.mode in ("open_loop", "both")
+    volumes = cfg.convergence.max_corrections + 1 if do_closed else 0
+    streams = draw_insertions(
+        cfg.seed, block, len(cfg.phantom.fiducial_points), volumes, cfg.motion.rng_seed, cfg.noise.rng_seed
+    )
+    # each slot's own streams, for its first passes
+    slot_streams = [streams.rows(k) for k in range(len(block))]
+    per_loop = max(1, LOOP_ROWS // len(block))
+    for noise, members in groups.values():
+        plans = plan_insertions(
+            cfg.phantom, phantoms, cfg.robot, arch, noise, streams,
+            cfg.entry_region, cfg.needle_radius, track=do_closed,
+        )
+        motions = [points[i][0] for i in members]
+        stacked = MotionParams.stack(motions)
+        # (P, K, 3, 3) and (P, K, 3): point p's first passes are row p,
+        # filled a slot at a time by one first pass of every point
+        rotations = np.empty((len(members), len(block), 3, 3))
+        translations = np.empty((len(members), len(block), 3))
+        for k in range(len(block)):
+            # streams by keyword: perfbench's tracer keys a task on each call
+            first = open_loop_insertion(stacked, plans, k, streams=slot_streams[k])
+            rotations[:, k], translations[:, k] = first.rotation, first.translation
+        for begin in range(0, len(members), per_loop):
+            chunk = slice(begin, begin + per_loop)
+            if do_closed:
+                records = correct_insertions(
+                    motions[chunk], cfg.phantom, noise, cfg.robot, cfg.convergence, plans, streams,
+                    rotations[chunk], translations[chunk],
+                )
+                for i, rec in zip(members[chunk], records):
+                    closed[i].append(rec)
+            if do_open:
+                for i, motion, rot, trans in zip(
+                    members[chunk], motions[chunk], rotations[chunk], translations[chunk]
+                ):
+                    opened[i].append(open_loop_records(motion, plans, streams, rot, trans))
 
 
 def _stat_block(values: np.ndarray) -> dict:

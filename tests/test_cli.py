@@ -347,7 +347,7 @@ def test_an_empty_output_dir_is_config_error(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flag, message", [
-    ("--config", "error: cannot read config : "),
+    ("--config", "error: cannot read config '': "),
     ("--out", "error: output.dir: must not be empty"),
 ], ids=("config", "out"))
 def test_an_empty_config_or_out_flag_is_config_error(tmp_path, capsys, monkeypatch, flag, message):

@@ -220,6 +220,62 @@ def test_blocks_do_not_change_the_report(monkeypatch, cfg, block):
     assert json.dumps(split.summary) == json.dumps(whole.summary)
 
 
+@pytest.mark.parametrize("block, first_pass_rows, sigma0s, sizes", [
+    # one point: blocks of BLOCK_SLOTS, the last of what remains
+    (5, 12, [0.1], [5, 5, 5, 1]),
+    # three points of one sigma0: FIRST_PASS_ROWS // 3 slots
+    (5, 12, [0.1, 0.1, 0.1], [4, 4, 4, 4]),
+    # the largest sigma0 has two points: 12 // 2 = 6 slots, but at most 5,
+    # each block planned once per sigma0
+    (5, 12, [0.1, 0.2, 0.1], [5, 5, 5, 5, 5, 5, 1, 1]),
+    # fewer rows than points: a slot per block
+    (5, 3, [0.1] * 4, [1] * 16),
+])
+def test_a_block_holds_block_slots_or_first_pass_rows_per_point(monkeypatch, block, first_pass_rows, sigma0s, sizes):
+    from prostasim import study
+
+    plan = study.plan_insertions
+    planned = []
+
+    def counted(*args, **kwargs):
+        plans = plan(*args, **kwargs)
+        planned.append(len(plans))
+        return plans
+
+    monkeypatch.setattr(study, "plan_insertions", counted)
+    monkeypatch.setattr(study, "BLOCK_SLOTS", block)
+    monkeypatch.setattr(study, "FIRST_PASS_ROWS", first_pass_rows)
+    cfg = tiny_config()
+    rows = [len(rows_closed) for rows_closed, _ in run_points(cfg, [(cfg.motion, s) for s in sigma0s])]
+    assert rows == [16] * len(sigma0s)
+    assert planned == sizes
+
+
+def test_a_block_is_let_go_before_the_next_is_drawn(monkeypatch):
+    from prostasim import study
+
+    # a weak reference to every block's streams and plans, as they are made
+    made = []
+
+    def kept(fn, drawing=False):
+        def call(*args, **kwargs):
+            if drawing:
+                assert [ref() for ref in made] == [None] * len(made)
+            out = fn(*args, **kwargs)
+            made.append(weakref.ref(out))
+            return out
+        return call
+
+    monkeypatch.setattr(study, "draw_insertions", kept(study.draw_insertions, drawing=True))
+    monkeypatch.setattr(study, "plan_insertions", kept(study.plan_insertions))
+    monkeypatch.setattr(study, "BLOCK_SLOTS", 5)
+    cfg = tiny_config()
+    # both modes, two sigma0s: 4 blocks, each drawn once and planned twice
+    points = [(cfg.motion, cfg.noise.sigma0), (cfg.motion, 0.0), (cfg.motion, cfg.noise.sigma0)]
+    assert len(list(run_points(cfg, points))) == 3
+    assert len(made) == 4 * 3
+
+
 @pytest.mark.parametrize("seed", [777, 1, 2])
 def test_a_study_of_both_modes_gives_the_records_of_each_mode_run_alone(seed):
     both = run_study(tiny_config(seed, mode="both"))
